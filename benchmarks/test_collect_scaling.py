@@ -22,7 +22,7 @@ import os
 import time
 from pathlib import Path
 
-from repro import bench, perf
+from repro import bench, trace
 from repro.collection.engine import _shard_statics, shard_count
 from repro.firmware.shard_collect import collect_shard
 from repro.simulation.deployment import (
@@ -73,10 +73,8 @@ def test_collect_scaling(emit):
         plan = _plan(scale)
         n_shards = shard_count(len(plan))
         seeds = SeedHierarchy(plan.seed)
-        profile_this = scale == SCALES[0]
-        if profile_this:
-            perf.disable()
-            perf.enable()
+        # Profile the first scale only; the capture is closed after it.
+        capture = trace.Capture() if scale == SCALES[0] else None
         homes = 0
         uploads = 0
         seconds = 0.0
@@ -87,11 +85,11 @@ def test_collect_scaling(emit):
             t0 = time.perf_counter()
             uploads += len(collect_shard(cohort, plan, seeds, policy))
             seconds += time.perf_counter() - t0
-        if profile_this:
-            snapshot = perf.snapshot()
-            perf.disable()
+        if capture is not None:
+            seconds_by_span = trace.stage_totals(capture.spans())["seconds"]
+            capture.close()
             sub_stages = {name: round(secs, 3) for name, secs
-                          in sorted(snapshot["seconds"].items())
+                          in sorted(seconds_by_span.items())
                           if name.startswith("collect.")}
         assert homes == len(plan)
         assert uploads == len(plan)

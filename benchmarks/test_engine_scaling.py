@@ -5,7 +5,7 @@ campaign engine serially and with four worker processes, asserts the two
 runs are bitwise-identical (the acceptance invariant), and records the
 comparison in ``BENCH_engine.json`` at the repo root.
 
-The serial pass runs under ``repro.perf`` so the bench records *where*
+The serial pass runs under a trace capture so the bench records *where*
 the seconds went, not just how many there were, and the payload carries
 enough context to interpret the parallel number honestly:
 
@@ -24,7 +24,7 @@ import os
 import time
 from pathlib import Path
 
-from repro import StudyConfig, perf, run_study, study_digest
+from repro import StudyConfig, run_study, study_digest, trace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,12 +41,13 @@ BASELINE_SERIAL_SECONDS = 28.841
 
 
 def test_engine_scaling(emit):
-    perf.disable()  # a stale recorder would pollute the stage table
-    t0 = time.perf_counter()
-    serial = run_study(StudyConfig(**CONFIG), workers=1, profile=True)
-    serial_seconds = time.perf_counter() - t0
-    stage_profile = perf.snapshot()
-    perf.disable()  # time the parallel pass without instrumentation
+    trace.disable()  # a stale recorder would pollute the stage table
+    with trace.Capture() as capture:
+        t0 = time.perf_counter()
+        serial = run_study(StudyConfig(**CONFIG), workers=1)
+        serial_seconds = time.perf_counter() - t0
+        stage_profile = trace.stage_totals(capture.spans())
+    # The capture is closed: the parallel pass runs uninstrumented.
 
     t0 = time.perf_counter()
     parallel = run_study(StudyConfig(**CONFIG), workers=WORKERS)
@@ -80,15 +81,14 @@ def test_engine_scaling(emit):
                           in sorted(stage_profile["seconds"].items(),
                                     key=lambda kv: -kv[1])},
         "stage_calls": dict(sorted(stage_profile["calls"].items())),
-        "counters": dict(sorted(stage_profile["counters"].items())),
         "annotation": annotation,
         "digest": digest,
     }
     (ROOT / "BENCH_engine.json").write_text(json.dumps(payload, indent=2)
                                             + "\n")
     emit("BENCH_engine", json.dumps(payload, indent=2))
-    emit("stage_profile", perf.format_table(stage_profile,
-                                            title="Serial per-stage profile"))
+    emit("stage_profile", trace.format_profile(
+        stage_profile, title="Serial per-stage profile"))
 
     if cores >= 2:
         # "Measurably faster" on multi-core hardware; generous margin so

@@ -19,7 +19,7 @@ import os
 import time
 from pathlib import Path
 
-from repro import perf
+from repro import trace
 from repro.collection.engine import run_campaign, shard_count
 from repro.simulation.deployment import (
     DeploymentConfig,
@@ -64,20 +64,18 @@ def test_materialize_scaling(emit):
     for scale in SCALES:
         plan = _plan(scale)
         n_shards = shard_count(len(plan))
-        profile_this = scale == SCALES[0]
-        if profile_this:
-            perf.disable()
-            perf.enable()
+        # Profile the first scale only; the capture is closed after it.
+        capture = trace.Capture() if scale == SCALES[0] else None
         t0 = time.perf_counter()
         homes = 0
         for shard_index in range(n_shards):
             homes += len(materialize_shard(plan, shard_index, n_shards))
         seconds = time.perf_counter() - t0
-        if profile_this:
-            snapshot = perf.snapshot()
-            perf.disable()
+        if capture is not None:
+            seconds_by_span = trace.stage_totals(capture.spans())["seconds"]
+            capture.close()
             sub_stages = {name: round(secs, 3) for name, secs
-                          in sorted(snapshot["seconds"].items())
+                          in sorted(seconds_by_span.items())
                           if name.startswith("materialize.")}
         assert homes == len(plan)
         points.append({

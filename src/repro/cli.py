@@ -52,7 +52,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional
 
-from repro import perf
+from repro import trace
 from repro.core.datasets import StudyData, summarize_datasets
 from repro.core.pipeline import StudyConfig, run_study, run_study_streaming
 from repro.core import availability, infrastructure, usage
@@ -90,8 +90,8 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
                              "collect.heartbeat, collect.traffic, ...) and "
                              "print a per-stage table to stderr")
     parser.add_argument("--profile-json", default=None, metavar="PATH",
-                        help="write the drained stage timers/counters as "
-                             "JSON to PATH (machine-readable; the --profile "
+                        help="write the per-stage seconds/calls as JSON "
+                             "to PATH (machine-readable; the --profile "
                              "table stays the human view)")
     parser.add_argument("--telemetry-dir", default=None, metavar="DIR",
                         help="write campaign telemetry artifacts "
@@ -143,29 +143,31 @@ def _config_from(args: argparse.Namespace) -> StudyConfig:
     )
 
 
-def _emit_profile(args: argparse.Namespace) -> None:
-    """Drain and print/write :mod:`repro.perf` per ``--profile[-json]``."""
-    snap = perf.drain()
+def _profiled(args: argparse.Namespace, run):
+    """Call *run*; per ``--profile[-json]``, print/write the stage
+    totals of the trace spans it recorded."""
+    if not args.profile and args.profile_json is None:
+        return run()
+    with trace.Capture() as capture:
+        result = run()
+        totals = trace.stage_totals(capture.spans())
     if args.profile:
-        print(perf.format_table(snap), file=sys.stderr)
+        print(trace.format_profile(totals), file=sys.stderr)
     if args.profile_json is not None:
         Path(args.profile_json).write_text(
-            json.dumps(snap, indent=2, sort_keys=True) + "\n")
+            json.dumps(totals, indent=2, sort_keys=True) + "\n")
         print(f"wrote profile JSON to {args.profile_json}",
               file=sys.stderr)
+    return result
 
 
 def _simulate(args: argparse.Namespace) -> StudyData:
     """Run the configured campaign, honoring ``--profile[-json]``."""
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    profiling = args.profile or args.profile_json is not None
-    data = run_study(_config_from(args), profile=profiling,
-                     telemetry_dir=args.telemetry_dir,
-                     resume=args.resume,
-                     trace_dir=args.trace_dir).data
-    if profiling:
-        _emit_profile(args)
+    data = _profiled(args, lambda: run_study(
+        _config_from(args), telemetry_dir=args.telemetry_dir,
+        resume=args.resume, trace_dir=args.trace_dir).data)
     if args.telemetry_dir:
         print(f"wrote telemetry artifacts to {args.telemetry_dir}",
               file=sys.stderr)
@@ -257,12 +259,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     else:
         print("simulating campaign (streaming analysis) ...",
               file=sys.stderr)
-        profiling = args.profile or args.profile_json is not None
-        streamed = run_study_streaming(_config_from(args),
-                                       profile=profiling,
-                                       trace_dir=args.trace_dir)
-        if profiling:
-            _emit_profile(args)
+        streamed = _profiled(args, lambda: run_study_streaming(
+            _config_from(args), trace_dir=args.trace_dir))
         print(f"streamed {streamed.figures.records_streamed} records",
               file=sys.stderr)
         report = reproduce_all(streamed.figures)
@@ -338,8 +336,6 @@ def cmd_watch(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_report(args: argparse.Namespace) -> int:
-    from repro import trace
-
     path = Path(args.path)
     if path.is_dir():
         path = path / "trace.json"

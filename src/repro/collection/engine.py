@@ -47,7 +47,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
-from repro import perf, trace
+from repro import trace
 from repro.telemetry import events, metrics
 from repro.telemetry.progress import ProgressWriter
 from repro.core.datasets import StudyData
@@ -111,7 +111,7 @@ def shard_count(n_homes: int, shard_size: Optional[int] = None) -> int:
 
 
 def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
-              seed: Optional[int] = None, collect_perf: bool = False,
+              seed: Optional[int] = None,
               collect_metrics: bool = False, attempt: int = 0,
               fault_plan: Optional[FaultPlan] = None,
               collect_trace: bool = False,
@@ -121,11 +121,10 @@ def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
 
     This is the unit of work shipped to a worker process.  *seed* drives
     the firmware draws (it defaults to the plan's seed; household models
-    always derive from the plan's own seed).  With ``collect_perf`` /
-    ``collect_metrics`` / ``collect_trace`` the shard instead returns
-    ``(uploads, extras)`` where ``extras`` holds the drained
-    :mod:`repro.perf`, :mod:`repro.telemetry.metrics`, and/or
-    :mod:`repro.trace` snapshots for the parent to merge.
+    always derive from the plan's own seed).  With ``collect_metrics`` /
+    ``collect_trace`` the shard instead returns ``(uploads, extras)``
+    where ``extras`` holds the drained :mod:`repro.telemetry.metrics`
+    and/or :mod:`repro.trace` snapshots for the parent to merge.
     ``collect_metrics`` and ``collect_trace`` reset the process-local
     sink first, so a forked worker never re-ships data inherited from
     its parent.  No collector touches any RNG, so the uploads are
@@ -141,21 +140,17 @@ def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
     fault = fault_plan.lookup(shard_index, attempt) if fault_plan else None
     if fault is not None and fault.kind != "corrupt":
         _trigger_fault(fault)
-    if collect_perf:
-        perf.enable()
     if collect_metrics:
         metrics.enable().clear()
     t0 = time.perf_counter()
     seeds = SeedHierarchy(plan.seed if seed is None else seed)
     universe, policy = _shard_statics()
-    with perf.stage("materialize"), \
-            trace.span("materialize", cat="shard", shard=shard_index,
-                       attempt=attempt):
+    with trace.span("materialize", cat="shard", shard=shard_index,
+                    attempt=attempt):
         cohort = materialize_shard(plan, shard_index, n_shards,
                                    domain_universe=universe)
-    with perf.stage("collect"), \
-            trace.span("collect", cat="shard", shard=shard_index,
-                       attempt=attempt):
+    with trace.span("collect", cat="shard", shard=shard_index,
+                    attempt=attempt):
         uploads: List[RouterUpload] = collect_shard(cohort, plan, seeds,
                                                     policy)
     if fault is not None and fault.kind == "corrupt":
@@ -165,10 +160,8 @@ def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
     metrics.inc("routers_simulated_total", len(cohort))
     metrics.inc("shards_completed_total")
     metrics.observe("shard_seconds", time.perf_counter() - t0)
-    if collect_perf or collect_metrics or collect_trace:
+    if collect_metrics or collect_trace:
         extras = {}
-        if collect_perf:
-            extras["perf"] = perf.drain()
         if collect_metrics:
             extras["metrics"] = metrics.drain()
         if collect_trace:
@@ -208,7 +201,6 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                  store: Optional[RecordStore] = None,
                  workers: int = 1,
                  shard_size: Optional[int] = None,
-                 profile: bool = False,
                  max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
                  shard_timeout: Optional[float] = None,
                  retry_backoff: float = DEFAULT_RETRY_BACKOFF,
@@ -224,13 +216,10 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
     out over a :class:`ProcessPoolExecutor`.  Either way the resulting
     ``StudyData`` is identical (see the module determinism contract).
 
-    ``profile=True`` activates :mod:`repro.perf` so firmware, materialize,
-    and ingest stages are timed (worker stage timings are shipped back and
-    merged); the timings are also recorded when the caller enabled
-    profiling beforehand.  When a :mod:`repro.telemetry` metrics registry
-    or event log is active, the engine likewise records campaign metrics
-    (worker snapshots are drained per shard and merged) and emits
-    lifecycle events.  Neither observer perturbs the study RNG.
+    When a :mod:`repro.telemetry` metrics registry or event log is
+    active, the engine records campaign metrics (worker snapshots are
+    drained per shard and merged) and emits lifecycle events.  Neither
+    observer perturbs the study RNG.
 
     Fault tolerance: a shard whose attempt raises, returns a result that
     fails validation, or (parallel path only) outlives *shard_timeout*
@@ -258,10 +247,12 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
     Observability: when a :mod:`repro.trace` recorder is active the
     engine records the full span timeline — worker materialize/collect
     spans shipped back through the per-shard drain/merge path, parent
-    head-wait / ingest / checkpoint / backoff / pool-rebuild spans —
-    and *progress_path* (if given) is atomically rewritten as a
-    ``progress.json`` heartbeat after every shard ingest so ``repro
-    watch`` can follow the campaign live.  Neither observer touches any
+    head-wait / ingest / checkpoint / backoff / pool-rebuild spans.
+    Those spans are also the campaign's stage timings: to profile a
+    call, enable the recorder around it (``trace.Capture``) and reduce
+    the spans with ``trace.stage_totals``.  *progress_path* (if given)
+    is atomically rewritten as a ``progress.json`` heartbeat after
+    every shard ingest so ``repro watch`` can follow the campaign live.  Neither observer touches any
     RNG or the ingest order.
     """
     if workers < 1:
@@ -276,9 +267,6 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
         raise ValueError(
             "checkpoint_dir and an explicit store are mutually exclusive: "
             "the engine owns the durable store when checkpointing")
-    if profile:
-        perf.enable()
-    profiling = perf.is_enabled()
     telemetring = metrics.is_enabled()
     tracing = trace.is_enabled()
     seed = plan.seed if seed is None else seed
@@ -372,8 +360,7 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
         with trace.span("ingest", cat="engine", shard=index,
                         routers=len(uploads)):
             for upload in uploads:
-                with perf.stage("ingest"):
-                    server.ingest(upload)
+                server.ingest(upload)
         if manager is not None:
             write_campaign_checkpoint(manager, fingerprint, n_shards,
                                       ingested, path, store)
@@ -408,7 +395,7 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
     # parent holds; results are consumed strictly in shard order.
     max_workers = min(workers, n_shards - start_shard)
     window = 2 * max_workers
-    collect = profiling or telemetring or tracing
+    collect = telemetring or tracing
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
         pending: Deque[Tuple[int, Future]] = deque()
@@ -422,8 +409,9 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
             with trace.span("submit", cat="engine", shard=index,
                             attempt=attempt):
                 future = pool.submit(run_shard, plan, index, n_shards, seed,
-                                     profiling, telemetring, attempt,
-                                     fault_plan, tracing)
+                                     collect_metrics=telemetring,
+                                     attempt=attempt, fault_plan=fault_plan,
+                                     collect_trace=tracing)
             attempts[index] = attempt + 1
             events.emit("shard_started", shard=index, attempt=attempt)
             return index, future
@@ -514,8 +502,6 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                 resubmit_head(index)
                 continue
             pending.popleft()
-            if "perf" in extras:
-                perf.merge(extras["perf"])
             if "metrics" in extras:
                 metrics.merge(extras["metrics"])
             if "trace" in extras:
@@ -537,7 +523,6 @@ def resume_campaign(plan: DeploymentPlan,
                     path_config: Optional[PathConfig] = None,
                     workers: int = 1,
                     shard_size: Optional[int] = None,
-                    profile: bool = False,
                     max_shard_retries: int = DEFAULT_MAX_SHARD_RETRIES,
                     shard_timeout: Optional[float] = None,
                     fault_plan: Optional[FaultPlan] = None) -> StudyData:
@@ -549,6 +534,6 @@ def resume_campaign(plan: DeploymentPlan,
     """
     return run_campaign(plan, seed=seed, path_config=path_config,
                         workers=workers, shard_size=shard_size,
-                        profile=profile, max_shard_retries=max_shard_retries,
+                        max_shard_retries=max_shard_retries,
                         shard_timeout=shard_timeout, fault_plan=fault_plan,
                         checkpoint_dir=checkpoint_dir, resume=True)

@@ -156,27 +156,24 @@ class StreamedStudy:
 
 
 def _start_tracing(trace_dir: Union[str, Path, None],
-                   seed: int) -> Optional[Path]:
-    """Enable span tracing for one study run; returns the export dir."""
+                   seed: int) -> Optional[trace.Capture]:
+    """Capture the spans of one study run bound for *trace_dir*."""
     if trace_dir is None:
         return None
-    directory = Path(trace_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    recorder = trace.enable(f"study-s{seed}-{int(time.time())}")
-    recorder.clear()
-    return directory
+    Path(trace_dir).mkdir(parents=True, exist_ok=True)
+    return trace.Capture(f"study-s{seed}-{int(time.time())}")
 
 
-def _export_trace(directory: Optional[Path]):
-    """Drain, export, and deactivate tracing; returns the TraceSummary."""
-    if directory is None:
+def _export_trace(capture: Optional[trace.Capture],
+                  trace_dir: Union[str, Path, None]):
+    """Write the captured spans to *trace_dir*; returns the TraceSummary."""
+    if capture is None:
         return None
-    snapshot = trace.drain()
-    trace.disable()
-    spans = snapshot["spans"]
-    trace.write_chrome_trace(directory / "trace.json", spans,
-                             snapshot["trace_id"])
-    summary = trace.summarize_spans(spans, snapshot["trace_id"])
+    directory = Path(trace_dir)
+    spans = capture.spans()
+    trace_id = capture.recorder.trace_id
+    trace.write_chrome_trace(directory / "trace.json", spans, trace_id)
+    summary = trace.summarize_spans(spans, trace_id)
     trace.write_trace_summary(directory / "trace_summary.json", summary)
     logger.info("trace written to %s (%d spans)", directory, len(spans))
     return summary
@@ -196,7 +193,6 @@ def _progress_path(telemetry_dir, trace_dir) -> Optional[Path]:
 def run_study(config: Optional[StudyConfig] = None,
               workers: Optional[int] = None,
               shard_size: Optional[int] = None,
-              profile: bool = False,
               telemetry_dir: Union[str, Path, None] = None,
               resume: bool = False,
               fault_plan=None,
@@ -208,11 +204,12 @@ def run_study(config: Optional[StudyConfig] = None,
     returned :attr:`StudyResult.deployment` is a lazy view that only
     materializes household ground truth when inspected.
 
-    ``profile=True`` records per-stage timings via :mod:`repro.perf`
-    (inspect them with ``repro.perf.snapshot()`` after the call, or use the
-    CLI's ``--profile``).  *telemetry_dir* activates the full
-    :mod:`repro.telemetry` subsystem for this run and writes its artifacts
-    (Prometheus/JSON metrics, JSONL event log, run manifest,
+    Stage timings are :mod:`repro.trace` spans: to profile a call, wrap
+    it in ``trace.Capture()`` and reduce ``capture.spans()`` with
+    ``trace.stage_totals`` (the CLI's ``--profile`` does exactly that).
+    *telemetry_dir* activates the full :mod:`repro.telemetry` subsystem
+    for this run and writes its artifacts (Prometheus/JSON metrics with
+    span-derived ``stage_seconds_total``, JSONL event log, run manifest,
     deployment-health report) to that directory.  Neither observer
     changes the collected data — ``study_digest`` is pinned identical
     with telemetry on and off.
@@ -230,14 +227,15 @@ def run_study(config: Optional[StudyConfig] = None,
     ``progress.json`` (into *telemetry_dir* when given, else
     *trace_dir*) that ``repro watch`` tails.  Like telemetry, tracing
     observes the campaign without steering it — ``study_digest`` stays
-    pinned.
+    pinned.  A recorder the caller enabled stays enabled; one this call
+    enabled is disabled before it returns.
     """
     config = config or StudyConfig()
     session = None
     if telemetry_dir is not None:
         from repro.telemetry import TelemetrySession
         session = TelemetrySession(telemetry_dir)
-    trace_out = _start_tracing(trace_dir, config.seed)
+    capture = _start_tracing(trace_dir, config.seed)
     effective_workers = config.workers if workers is None else workers
     try:
         plan = build_deployment_plan(config.deployment_config())
@@ -252,7 +250,6 @@ def run_study(config: Optional[StudyConfig] = None,
             workers=effective_workers,
             shard_size=(config.shard_size if shard_size is None
                         else shard_size),
-            profile=profile,
             max_shard_retries=config.max_shard_retries,
             shard_timeout=config.shard_timeout,
             fault_plan=fault_plan,
@@ -260,14 +257,13 @@ def run_study(config: Optional[StudyConfig] = None,
             resume=resume,
             progress_path=_progress_path(telemetry_dir, trace_dir),
         )
-        summary = _export_trace(trace_out)
-        trace_out = None
+        summary = _export_trace(capture, trace_dir)
         if session is not None:
             session.finalize(config, data, workers=effective_workers,
                              trace_summary=summary)
     finally:
-        if trace_out is not None:  # an exception beat the export
-            trace.disable()
+        if capture is not None:
+            capture.close()
         if session is not None:
             session.close()
     return StudyResult(config=config, deployment=Deployment(plan), data=data)
@@ -276,7 +272,6 @@ def run_study(config: Optional[StudyConfig] = None,
 def run_study_streaming(config: Optional[StudyConfig] = None,
                         workers: Optional[int] = None,
                         shard_size: Optional[int] = None,
-                        profile: bool = False,
                         fault_plan=None,
                         trace_dir: Union[str, Path, None] = None
                         ) -> StreamedStudy:
@@ -290,7 +285,7 @@ def run_study_streaming(config: Optional[StudyConfig] = None,
     campaign size.
     """
     config = config or StudyConfig()
-    trace_out = _start_tracing(trace_dir, config.seed)
+    capture = _start_tracing(trace_dir, config.seed)
     effective_workers = config.workers if workers is None else workers
     try:
         plan = build_deployment_plan(config.deployment_config())
@@ -303,7 +298,6 @@ def run_study_streaming(config: Optional[StudyConfig] = None,
             workers=effective_workers,
             shard_size=(config.shard_size if shard_size is None
                         else shard_size),
-            profile=profile,
             max_shard_retries=config.max_shard_retries,
             shard_timeout=config.shard_timeout,
             fault_plan=fault_plan,
@@ -314,10 +308,9 @@ def run_study_streaming(config: Optional[StudyConfig] = None,
         # The streaming analyze passes record their spans too, so the
         # exported timeline covers collection *and* analysis.
         figures = stream_figures(StoreSource(store))
-        _export_trace(trace_out)
-        trace_out = None
+        _export_trace(capture, trace_dir)
     finally:
-        if trace_out is not None:
-            trace.disable()
+        if capture is not None:
+            capture.close()
     return StreamedStudy(config=config, deployment=Deployment(plan),
                          figures=figures, store=store)

@@ -41,7 +41,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro import perf, trace
+from repro import trace
 from repro.core import availability, infrastructure, usage
 from repro.core.availability import CountryDowntime, Section4Highlights
 from repro.core.datasets import (
@@ -804,7 +804,6 @@ def stream_figures(source, compression: int = 200,
         ("uptime", analysis.pass_uptime),
     )
     for name, run_pass in passes:
-        with perf.stage(f"analyze.{name}"), \
-                trace.span(f"analyze.{name}", cat="analyze"):
+        with trace.span(f"analyze.{name}", cat="analyze"):
             run_pass()
     return analysis.result()

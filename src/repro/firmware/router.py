@@ -23,7 +23,6 @@ from repro.core.records import (
     UptimeReport,
     WifiScanSample,
 )
-from repro import perf
 from repro.simulation.household import Household
 from repro.simulation.seeding import SeedHierarchy
 from repro.simulation.timebase import StudyWindows
@@ -70,47 +69,35 @@ class BismarkRouter:
         self._seeds = seeds.child("firmware", household.router_id)
 
     def run(self, windows: StudyWindows) -> RouterOutput:
-        """Run every enabled collector over its Table 2 window.
-
-        Each collector runs under a :mod:`repro.perf` stage so ``--profile``
-        can attribute wall time; the stages are free when profiling is off.
-        """
+        """Run every enabled collector over its Table 2 window."""
         home = self.household
-        with perf.stage("heartbeat"):
-            heartbeat_sends = heartbeat_send_times(
-                home, *windows.heartbeats,
-                rng=self._seeds.generator("heartbeat"))
-        with perf.stage("capacity"):
-            capacity = capacity_measurements(
-                home, *windows.capacity,
-                rng=self._seeds.generator("capacity"))
+        heartbeat_sends = heartbeat_send_times(
+            home, *windows.heartbeats,
+            rng=self._seeds.generator("heartbeat"))
+        capacity = capacity_measurements(
+            home, *windows.capacity,
+            rng=self._seeds.generator("capacity"))
         output = RouterOutput(
             router_id=home.router_id,
             heartbeat_sends=heartbeat_sends,
             capacity=capacity,
         )
         if self.collect_uptime:
-            with perf.stage("uptime"):
-                output.uptime = uptime_reports(
-                    home, *windows.uptime,
-                    rng=self._seeds.generator("uptime"))
+            output.uptime = uptime_reports(
+                home, *windows.uptime,
+                rng=self._seeds.generator("uptime"))
         if self.collect_devices:
-            with perf.stage("devices"):
-                output.device_counts = device_counts(
-                    home, *windows.devices,
-                    rng=self._seeds.generator("devices"))
-                output.roster = device_roster(home, *windows.devices,
-                                              self.policy)
+            output.device_counts = device_counts(
+                home, *windows.devices,
+                rng=self._seeds.generator("devices"))
+            output.roster = device_roster(home, *windows.devices,
+                                          self.policy)
         if self.collect_wifi:
-            with perf.stage("wifi"):
-                output.wifi_scans = wifi_scans(
-                    home, *windows.wifi, rng=self._seeds.generator("wifi"))
+            output.wifi_scans = wifi_scans(
+                home, *windows.wifi, rng=self._seeds.generator("wifi"))
         if self.collect_traffic:
-            with perf.stage("traffic"):
-                output.throughput, output.flows, output.dns = monitor_traffic(
-                    home, *windows.traffic,
-                    rng=self._seeds.generator("traffic"),
-                    policy=self.policy)
-                perf.count("flows", len(output.flows))
-        perf.count("routers")
+            output.throughput, output.flows, output.dns = monitor_traffic(
+                home, *windows.traffic,
+                rng=self._seeds.generator("traffic"),
+                policy=self.policy)
         return output

@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import perf, trace
+from repro import trace
 from repro.collection.batches import (
     RecordBatch,
     RouterUpload,
@@ -562,7 +562,7 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
     Output-equivalent to running :class:`BismarkRouter` per home (same
     records, same batch chunking, same dataset order) but iterates
     collector-major over the cohort columns.  Each collector runs under a
-    ``collect.<name>`` perf sub-stage; every stage is entered once per
+    ``collect.<name>`` trace sub-span; every span is entered once per
     shard even when no home subscribes to it, so profiles always cover
     the full stage set.
     """
@@ -586,8 +586,7 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
     flows: List[list] = [[] for _ in range(n)]
     dns: List[list] = [[] for _ in range(n)]
 
-    with perf.stage("collect.heartbeat"), \
-            trace.span("collect.heartbeat", cat="shard"):
+    with trace.span("collect.heartbeat", cat="shard"):
         start, end = windows.heartbeats
         # power∩link, computed once per home here and reused by the
         # capacity and uptime passes below (`is_online` membership in the
@@ -597,8 +596,7 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
             heartbeats[i] = _heartbeat_sends(
                 firmware[i].generator("heartbeat"), start, end, online[i])
 
-    with perf.stage("collect.capacity"), \
-            trace.span("collect.capacity", cat="shard"):
+    with trace.span("collect.capacity", cat="shard"):
         start, end = windows.capacity
         down_col = cols["link_down"]
         up_col = cols["link_up_mbps"]
@@ -607,8 +605,7 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
                 firmware[i].generator("capacity"), start, end,
                 online[i], float(down_col[i]), float(up_col[i]))
 
-    with perf.stage("collect.uptime"), \
-            trace.span("collect.uptime", cat="shard"):
+    with trace.span("collect.uptime", cat="shard"):
         start, end = windows.uptime
         for i in range(n):
             if configs[i].router_id not in plan.uptime_routers:
@@ -625,8 +622,7 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
             table = devices_cache[i] = _HomeDevices(cols, i)
         return table
 
-    with perf.stage("collect.devices"), \
-            trace.span("collect.devices", cat="shard"):
+    with trace.span("collect.devices", cat="shard"):
         start, end = windows.devices
         for i in range(n):
             rid = configs[i].router_id
@@ -639,8 +635,7 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
             roster[i] = _roster_entries(rid, start, end, power[i],
                                         devices, assoc, policy)
 
-    with perf.stage("collect.wifi"), \
-            trace.span("collect.wifi", cat="shard"):
+    with trace.span("collect.wifi", cat="shard"):
         start, end = windows.wifi
         channel_24 = DEFAULT_CHANNELS[Spectrum.GHZ_2_4]
         channel_5 = DEFAULT_CHANNELS[Spectrum.GHZ_5]
@@ -660,8 +655,7 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
                 power[i], home_devices(i),
                 base_24, base_5, channel_24, channel_5)
 
-    with perf.stage("collect.traffic"), \
-            trace.span("collect.traffic", cat="shard"):
+    with trace.span("collect.traffic", cat="shard"):
         start, end = windows.traffic
         for i in range(n):
             if configs[i].router_id not in plan.traffic_routers:
@@ -672,11 +666,8 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
             throughput[i], flows[i], dns[i] = monitor_traffic(
                 cohort.household(i), start, end,
                 rng=firmware[i].generator("traffic"), policy=policy)
-            perf.count("flows", len(flows[i]))
-    perf.count("routers", n)
 
-    with perf.stage("collect.serialize"), \
-            trace.span("collect.serialize", cat="shard"):
+    with trace.span("collect.serialize", cat="shard"):
         uploads = _build_uploads(configs, heartbeats, uptime, capacity,
                                  census, roster, wifi, flows, dns,
                                  throughput)

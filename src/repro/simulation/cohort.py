@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import perf
+from repro import trace
 from repro.core.intervals import IntervalSet
 from repro.core.records import Spectrum
 from repro.simulation.behavior import ActivitySchedule
@@ -332,8 +332,8 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
 
     The per-home draw pass consumes each home's streams in exactly the
     order the reference ``Household.__init__`` path does; expansions are
-    columnar.  Sub-stage timings land under ``materialize.*`` when
-    :mod:`repro.perf` is enabled.
+    columnar.  Sub-stage timings land under ``materialize.*`` spans when
+    :mod:`repro.trace` is enabled.
     """
     if universe is None:
         universe = default_universe()
@@ -372,14 +372,14 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
         if calendar is None:
             calendar = calendars[tz] = StudyCalendar(tz)
 
-        with perf.stage("materialize.schedule"):
+        with trace.span("materialize.schedule", cat="shard"):
             schedule = ActivitySchedule.generate(scope.generator("schedule"))
             curves[0].append(schedule.presence_weekday)
             curves[1].append(schedule.presence_weekend)
             curves[2].append(schedule.activity_weekday)
             curves[3].append(schedule.activity_weekend)
 
-        with perf.stage("materialize.power"):
+        with trace.span("materialize.power", cat="shard"):
             if config.appliance_hint is None:
                 appliance_probability = profile.appliance_probability
             else:
@@ -391,7 +391,7 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
             power_mode.append(1 if power.mode == MODE_APPLIANCE else 0)
             power_on_parts.append(power.on_intervals._as_array())
 
-        with perf.stage("materialize.link"):
+        with trace.span("materialize.link", cat="shard"):
             link_rng = scope.generator("link")
             capacity_jitter = float(link_rng.lognormal(0.0, 0.35))
             link = AccessLink(link_rng, config.span, AccessLinkConfig(
@@ -407,7 +407,7 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
             link_up_parts.append(link.up._as_array())
             link_bad_parts.append(link.bad_periods._as_array())
 
-        with perf.stage("materialize.wireless"):
+        with trace.span("materialize.wireless", cat="shard"):
             wireless = WirelessEnvironment(
                 scope.generator("wireless"),
                 WirelessEnvironmentConfig(
@@ -420,7 +420,7 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
                 neighbor_parts[spectrum].append(np.asarray(
                     wireless._neighbors[spectrum], dtype=np.int64))
 
-        with perf.stage("materialize.devices"):
+        with trace.span("materialize.devices", cat="shard"):
             if batch is None:
                 batch = _AssociationBatch(
                     config.span, association_span_hours(config.span))
@@ -457,7 +457,7 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
                 device_weight.append(draw.traffic_weight)
                 device_slot.append(draw.markov_slot)
 
-    with perf.stage("materialize.devices"):
+    with trace.span("materialize.devices", cat="shard"):
         if batch is None:
             associations = (np.empty(0), np.empty(0),
                             np.zeros(1, dtype=np.int64))

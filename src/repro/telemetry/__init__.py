@@ -2,7 +2,7 @@
 
 The original BISmark deployment lived or died by its heartbeat dashboard;
 this package is our equivalent for simulated campaigns at scale.  Five
-pieces, one activation model (mirroring :mod:`repro.perf`: process-global,
+pieces, one activation model (mirroring :mod:`repro.trace`: process-global,
 near-free when disabled, never touching RNG state):
 
 * :mod:`repro.telemetry.metrics` — counters/gauges/histograms registry
@@ -36,7 +36,7 @@ import time
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro import perf
+from repro import trace
 from repro.telemetry import events, metrics
 from repro.telemetry.export import (
     parse_prometheus,
@@ -86,10 +86,12 @@ class TelemetrySession:
     """One campaign's telemetry: activates the sinks, writes the artifacts.
 
     Creating a session enables the metrics registry, opens the JSONL
-    event log under *directory*, and enables :mod:`repro.perf` so stage
-    timers flow into the shared sink.  :meth:`finalize` drains everything
-    into the artifact directory; :meth:`close` deactivates the sinks
-    (perf is left enabled so an outer ``--profile`` can still read it).
+    event log under *directory*, and starts a :class:`repro.trace.Capture`
+    so the campaign's spans can be promoted to stage metrics.
+    :meth:`finalize` writes everything into the artifact directory;
+    :meth:`close` deactivates the sinks this session enabled — a trace
+    recorder some caller (``--profile``, ``--trace-dir``) enabled first
+    stays on for its owner.
     """
 
     def __init__(self, directory: Union[str, Path]):
@@ -99,7 +101,7 @@ class TelemetrySession:
         self._t0 = time.perf_counter()
         self.registry = metrics.enable()
         self.event_log = events.enable(self.directory / "events.jsonl")
-        perf.enable()
+        self.capture = trace.Capture()
         self.manifest: Optional[RunManifest] = None
         self.health: Optional[HealthReport] = None
         logger.info("telemetry session started: %s", self.directory)
@@ -124,7 +126,7 @@ class TelemetrySession:
         wall = self.wall_seconds()
         digest = study_digest(data)
 
-        metrics.merge_perf(perf.snapshot())
+        metrics.promote_spans(self.capture.spans())
         metrics.set_gauge("campaign_routers", len(data.routers))
         metrics.set_gauge("campaign_wall_seconds", round(wall, 6))
         written: List[Path] = write_metric_files(
@@ -156,10 +158,9 @@ class TelemetrySession:
         return self.manifest
 
     def close(self) -> None:
-        """Deactivate the event log and metrics registry.
+        """Deactivate the event log, metrics registry, and trace recorder.
 
-        Only sinks this session activated are torn down; ``repro.perf``
-        stays enabled because ``--profile`` owns its lifecycle.
+        Only sinks this session activated are torn down.
         """
         if events.active() is self.event_log:
             events.disable()
@@ -167,6 +168,7 @@ class TelemetrySession:
             self.event_log.close()
         if metrics.active() is self.registry:
             metrics.disable()
+        self.capture.close()
 
     def __enter__(self) -> "TelemetrySession":
         return self

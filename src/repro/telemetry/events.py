@@ -7,7 +7,7 @@ one JSON object per line::
 
     {"ts": 1364774400.123, "event": "shard_finished", "shard": 3, ...}
 
-Design constraints, mirroring :mod:`repro.perf` / the metrics registry:
+Design constraints, mirroring :mod:`repro.trace` / the metrics registry:
 
 * **Near-free disabled path** — :func:`emit` is one global read and one
   comparison when no log is active; the campaign engine can emit

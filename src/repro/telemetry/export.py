@@ -37,8 +37,8 @@ METRIC_HELP: Dict[str, str] = {
     "spilled_records_total": "Records written to spill runs.",
     "shards_completed_total": "Engine shards that finished.",
     "shard_seconds": "Wall-time of one shard's simulate+collect.",
-    "stage_seconds_total": "Per-stage wall seconds (promoted from repro.perf).",
-    "stage_calls_total": "Per-stage call counts (promoted from repro.perf).",
+    "stage_seconds_total": "Per-stage wall seconds (derived from trace spans).",
+    "stage_calls_total": "Per-stage call counts (derived from trace spans).",
     "campaign_routers": "Homes in the finished campaign.",
     "campaign_wall_seconds": "Wall-clock duration of the campaign run.",
     "shard_retries_total": "Shard attempts retried after a failure.",

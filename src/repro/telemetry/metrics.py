@@ -3,7 +3,7 @@
 The registry is the campaign's one metrics sink.  The engine, collection
 server, record stores, and firmware collectors record into it through the
 module-level helpers (:func:`inc`, :func:`set_gauge`, :func:`observe`),
-which follow the :mod:`repro.perf` activation pattern:
+which follow the :mod:`repro.trace` activation pattern:
 
 * **Near-zero overhead when disabled.**  Every helper starts with one
   global read and one ``is None`` comparison — no allocation, no labels
@@ -13,7 +13,7 @@ which follow the :mod:`repro.perf` activation pattern:
   touches any RNG; recording metrics cannot perturb ``study_digest``.
 * **Multiprocessing-friendly.**  Shard workers enable a worker-local
   registry, :func:`drain` a picklable snapshot per shard, and the parent
-  :func:`merge`\\ s the snapshots — mirroring ``repro.perf``'s per-shard
+  :func:`merge`\\ s the snapshots — mirroring ``repro.trace``'s per-shard
   drain/merge so metrics aggregate across every worker process.
 
 Metric identity is ``(name, labels)``; labels are canonicalized to a
@@ -220,20 +220,20 @@ def merge(snap: dict) -> None:
         registry.merge(snap)
 
 
-def merge_perf(perf_snapshot: dict) -> None:
-    """Promote a :mod:`repro.perf` snapshot into the active registry.
+def promote_spans(spans: list) -> None:
+    """Promote trace spans into the active registry.
 
-    Stage wall times become ``stage_seconds_total{stage=}`` /
-    ``stage_calls_total{stage=}`` counters and perf event counters become
-    ``<name>_total`` counters, so ``--profile`` and telemetry exports
-    share one sink without double-instrumenting the hot path.
+    Per-span-name totals become ``stage_seconds_total{stage=}`` /
+    ``stage_calls_total{stage=}`` counters, so ``--profile`` and the
+    telemetry export read one set of spans without timing any site twice.
     """
     registry = _ACTIVE
     if registry is None:
         return
-    for stage, secs in perf_snapshot.get("seconds", {}).items():
+    from repro.trace import stage_totals
+
+    totals = stage_totals(spans)
+    for stage, secs in totals["seconds"].items():
         registry.inc("stage_seconds_total", secs, stage=stage)
-    for stage, calls in perf_snapshot.get("calls", {}).items():
+    for stage, calls in totals["calls"].items():
         registry.inc("stage_calls_total", calls, stage=stage)
-    for name, n in perf_snapshot.get("counters", {}).items():
-        registry.inc(f"{name}_total", n)

@@ -1,18 +1,24 @@
-"""Span-based tracing: see *inside* a running campaign, not just after it.
+"""Span-based tracing: the one timing instrument for a running campaign.
 
-:mod:`repro.perf` answers "how many seconds went to each stage" and the
-telemetry registry answers "how many of each thing happened" — but
-neither can say *when* anything happened, which worker ran which shard,
-how long the parent sat head-waiting on an out-of-order straggler, or
-where the retry budget's seconds actually went.  ``repro.trace`` records
-that timeline as spans:
+Every timed region — worker materialize / collect and their dotted
+sub-stages, parent ingest, streaming-analytics passes — is a span, and
+every timing view is derived from the same span buffer:
+
+* ``--profile`` / ``--profile-json`` reduce it to per-name seconds and
+  calls (:func:`stage_totals`, :func:`format_profile`);
+* telemetry promotes the same totals to ``stage_seconds_total`` /
+  ``stage_calls_total``;
+* ``--trace-dir`` exports the timeline itself — *when* anything
+  happened, which worker ran which shard, how long the parent sat
+  head-waiting on a straggler, where the retry budget's seconds went.
+
+Who records what:
 
 * **workers** record materialize / collect / per-collector sub-spans
   tagged with their shard and attempt, buffered process-locally and
   shipped to the parent through the same per-shard drain/merge path the
-  perf and metrics snapshots ride (so tracing can never reorder ingest
-  or touch an RNG — ``study_digest`` is pinned identical with tracing
-  on);
+  metrics snapshots ride (so tracing can never reorder ingest or touch
+  an RNG — ``study_digest`` is pinned identical with tracing on);
 * **the parent** records submit → head-wait → ingest → checkpoint spans,
   retry backoffs, pool rebuilds, and streaming-analytics passes.
 
@@ -23,18 +29,22 @@ utilization, per-shard ingest-stall and retry-charged time) that the
 health report surfaces as its "Timeline" section and ``repro trace
 report`` renders from a saved trace.
 
-Activation mirrors :mod:`repro.perf`: process-global recorder, one
-global read + one comparison when disabled (the tier-1 suite asserts
-<2% on an instrumented loop), plain picklable buffers, no RNG access.
+Activation: one process-global recorder, one global read + one
+comparison when disabled (the tier-1 suite asserts <2% on an
+instrumented loop), plain picklable buffers, no RNG access.  Whoever
+enables the recorder disables it: :class:`Capture` enables it only when
+it is off, tears down only what it enabled, and hands back just the
+spans recorded inside its block.
 
 Usage::
 
     from repro import trace
 
-    trace.enable()
-    with trace.span("collect", cat="shard", shard=3):
-        ...
-    spans = trace.drain()["spans"]
+    with trace.Capture() as capture:
+        with trace.span("collect", cat="shard", shard=3):
+            ...
+        spans = capture.spans()
+    print(trace.format_profile(trace.stage_totals(spans)))
     trace.write_chrome_trace("trace.json", spans)
     print(render_trace_summary(summarize_spans(spans)))
 """
@@ -54,6 +64,14 @@ from typing import Dict, List, Optional, Tuple, Union
 #: retry.backoff / pool.rebuild / submit), ``"analyze"`` the streaming
 #: figure passes, and ``"fault"`` instants mark injected failures.
 CATEGORIES = ("shard", "engine", "analyze", "fault", "campaign")
+
+#: Span names the firmware + engine wire up, in profile order.  The
+#: collector pass is one top-level "collect" span with per-collector
+#: sub-spans nested beneath it (see ``firmware.shard_collect``).
+ENGINE_STAGES = ("materialize", "collect", "collect.heartbeat",
+                 "collect.capacity", "collect.uptime", "collect.devices",
+                 "collect.wifi", "collect.traffic", "collect.serialize",
+                 "ingest")
 
 #: Schema version stamped into exported trace files.
 TRACE_SCHEMA = 1
@@ -226,6 +244,40 @@ def merge(snapshot: dict) -> None:
         recorder.merge(snapshot)
 
 
+class Capture:
+    """The spans one block records, without disturbing an outer recorder.
+
+    Enables the recorder if it is off — and disables it again on
+    :meth:`close` — but leaves a recorder some caller enabled running,
+    and only marks where this block's spans begin in its buffer.  Nested
+    captures (the CLI's ``--profile`` around ``run_study``'s trace export
+    and telemetry session) therefore all read one set of spans.
+    """
+
+    __slots__ = ("recorder", "_mark", "_owner")
+
+    def __init__(self, trace_id: str = "") -> None:
+        self._owner = _ACTIVE is None
+        self.recorder = enable(trace_id)
+        self._mark = len(self.recorder)
+
+    def spans(self) -> List[dict]:
+        """The spans recorded since this capture began."""
+        return self.recorder.spans[self._mark:]
+
+    def close(self) -> None:
+        """Disable the recorder iff this capture enabled it."""
+        if self._owner and _ACTIVE is self.recorder:
+            disable()
+
+    def __enter__(self) -> "Capture":
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        self.close()
+        return False
+
+
 # -- Chrome trace-event export ----------------------------------------------------
 
 def _track_order(spans: List[dict]) -> Dict[int, int]:
@@ -367,6 +419,62 @@ def load_chrome_trace(path: Union[str, Path]) -> Tuple[List[dict], str]:
     return spans, trace_id
 
 
+# -- profile ----------------------------------------------------------------------
+
+def stage_totals(spans: List[dict]) -> Dict[str, Dict[str, float]]:
+    """Per-span-name totals: ``{"seconds": {name: s}, "calls": {name: n}}``.
+
+    Instants carry no duration and are skipped.  This is the
+    ``--profile-json`` payload and the source of the
+    ``stage_seconds_total`` / ``stage_calls_total`` metrics.
+    """
+    seconds: Dict[str, float] = {}
+    calls: Dict[str, int] = {}
+    for record in spans:
+        if record["dur"] is None:
+            continue
+        name = record["name"]
+        seconds[name] = seconds.get(name, 0.0) + record["dur"]
+        calls[name] = calls.get(name, 0) + 1
+    return {"seconds": seconds, "calls": calls}
+
+
+def format_profile(totals: Dict[str, Dict[str, float]],
+                   title: str = "Per-stage profile") -> str:
+    """Render :func:`stage_totals` as the CLI's per-stage table."""
+    from repro.core.report import render_table  # local: keep trace a leaf
+
+    seconds = totals.get("seconds", {})
+    calls = totals.get("calls", {})
+    # Dotted names ("materialize.devices") are sub-spans nested inside a
+    # parent span's timing: they are listed indented under their parent
+    # and excluded from the total, which sums top-level spans only.
+    top_level = [name for name in seconds if "." not in name]
+    total = sum(seconds[name] for name in top_level)
+    ordered = [name for name in ENGINE_STAGES
+               if name in seconds and "." not in name]
+    ordered += sorted(name for name in top_level
+                      if name not in ENGINE_STAGES)
+    with_subs = []
+    for name in ordered:
+        with_subs.append(name)
+        with_subs += sorted(sub for sub in seconds
+                            if sub.startswith(name + "."))
+    with_subs += sorted(name for name in seconds
+                        if name not in with_subs)
+    rows = []
+    for name in with_subs:
+        secs = seconds[name]
+        n = calls.get(name, 0)
+        per_call = secs / n * 1000 if n else 0.0
+        share = secs / total if total > 0 else 0.0
+        label = ("  " + name if "." in name else name)
+        rows.append((label, f"{secs:.3f}", n, f"{per_call:.2f}",
+                     f"{share:.1%}"))
+    return render_table(["stage", "seconds", "calls", "ms/call", "share"],
+                        rows, title=title)
+
+
 # -- summary ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -491,10 +599,7 @@ def summarize_spans(spans: List[dict],
     else:  # serial campaign: the parent is the only worker
         utilization = (track_busy.get("parent", 0.0) / wall) if wall else 0.0
 
-    stage_seconds: Dict[str, float] = {}
-    for record in timed:
-        name = record["name"]
-        stage_seconds[name] = stage_seconds.get(name, 0.0) + record["dur"]
+    stage_seconds = stage_totals(timed)["seconds"]
 
     # Critical path: the parent track's timeline, decomposed by span
     # name in first-occurrence order.  Ordered ingest serializes the
@@ -670,7 +775,9 @@ def render_trace_summary(summary: TraceSummary) -> str:
 __all__ = [
     "TRACE_SCHEMA",
     "CATEGORIES",
+    "ENGINE_STAGES",
     "TraceRecorder",
+    "Capture",
     "TraceSummary",
     "ShardTimeline",
     "enable",
@@ -683,6 +790,8 @@ __all__ = [
     "now",
     "drain",
     "merge",
+    "stage_totals",
+    "format_profile",
     "chrome_trace_events",
     "write_chrome_trace",
     "load_chrome_trace",

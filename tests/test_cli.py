@@ -95,17 +95,10 @@ class TestHealthAndTelemetry:
         assert manifest.seed == 5
         assert (telemetry / "events.jsonl").stat().st_size > 0
 
-    @pytest.fixture()
-    def drained_perf(self):
-        """Profiling flags leave the recorder enabled; clean up after."""
-        from repro import perf
-
-        yield
-        perf.disable()
-
-    def test_profile_json_writes_stage_timers(self, tmp_path, capsys,
-                                              drained_perf):
+    def test_profile_json_writes_stage_timers(self, tmp_path, capsys):
         import json
+
+        from repro import trace
 
         out = tmp_path / "archive"
         profile = tmp_path / "profile.json"
@@ -115,15 +108,13 @@ class TestHealthAndTelemetry:
         assert "wrote profile JSON" in err
         assert "Per-stage profile" not in err  # table only with --profile
         payload = json.loads(profile.read_text())
-        assert set(payload) == {"seconds", "calls", "counters"}
-        for stage in ("materialize", "collect", "collect.heartbeat",
-                      "collect.wifi", "ingest"):
+        assert set(payload) == {"seconds", "calls"}
+        for stage in trace.ENGINE_STAGES:
             assert payload["seconds"][stage] >= 0.0
             assert payload["calls"][stage] >= 1
-        assert payload["counters"]["routers"] > 0
+        assert not trace.is_enabled()  # the CLI disabled what it enabled
 
-    def test_profile_json_composes_with_table(self, tmp_path, capsys,
-                                              drained_perf):
+    def test_profile_json_composes_with_table(self, tmp_path, capsys):
         import json
 
         out = tmp_path / "archive"
@@ -132,7 +123,24 @@ class TestHealthAndTelemetry:
                      "--profile-json", str(profile)] + ARGS) == 0
         err = capsys.readouterr().err
         assert "Per-stage profile" in err
-        assert json.loads(profile.read_text())["counters"]["routers"] > 0
+        assert json.loads(profile.read_text())["calls"]["collect"] > 0
+
+    def test_profile_matches_trace_summary(self, tmp_path, capsys):
+        """--profile and --trace-dir read one set of spans: every profiled
+        stage equals the exported summary's stage_seconds."""
+        import json
+
+        profile = tmp_path / "profile.json"
+        traced = tmp_path / "trace"
+        assert main(["run", "--out", str(tmp_path / "archive"), "--profile",
+                     "--profile-json", str(profile),
+                     "--trace-dir", str(traced)] + ARGS) == 0
+        assert "Per-stage profile" in capsys.readouterr().err
+        seconds = json.loads(profile.read_text())["seconds"]
+        summary = json.loads((traced / "trace_summary.json").read_text())
+        assert set(seconds) == set(summary["stage_seconds"])
+        for name, secs in seconds.items():
+            assert round(secs, 6) == summary["stage_seconds"][name], name
 
     @pytest.fixture()
     def repro_logger(self):

@@ -7,12 +7,12 @@ documented decision to break the determinism contract (bump the pins in
 the same commit that changes the simulation, and say why in CHANGES.md).
 
 ``BENCH_PIN`` is the digest of the full bench configuration recorded in
-``BENCH_engine.json``; the engine-scaling bench and the CI perf smoke job
+``BENCH_engine.json``; the engine-scaling and trace-overhead benches
 assert it.  The tier-1 pins below use smaller configs so the suite stays
 fast.
 """
 
-from repro import StudyConfig, perf, run_study, study_digest
+from repro import StudyConfig, run_study, study_digest, trace
 
 #: seed 2013, router_scale=2.0, duration_scale=0.02, traffic_consents=10,
 #: low_activity_consents=2 — asserted by benchmarks/test_engine_scaling.py.
@@ -53,11 +53,11 @@ def test_bench_config_digest_pin():
 
 
 def test_profiling_does_not_perturb_digest():
-    """--profile must be an observer: same records, same digest."""
-    try:
-        data = run_study(StudyConfig(**TINY), profile=True).data
-    finally:
-        perf.disable()
+    """--profile (a trace capture around the run) must be an observer:
+    same records, same digest."""
+    with trace.Capture() as capture:
+        data = run_study(StudyConfig(**TINY)).data
+        assert capture.spans()
     assert study_digest(data) == TINY_PIN
 
 
@@ -68,9 +68,6 @@ def test_parallel_execution_matches_pin():
 
 def test_telemetry_does_not_perturb_digest(tmp_path):
     """Full telemetry (metrics + events + manifest) is an observer too."""
-    try:
-        data = run_study(StudyConfig(**TINY),
-                         telemetry_dir=tmp_path / "telemetry").data
-    finally:
-        perf.disable()
+    data = run_study(StudyConfig(**TINY),
+                     telemetry_dir=tmp_path / "telemetry").data
     assert study_digest(data) == TINY_PIN

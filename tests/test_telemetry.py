@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro import StudyConfig, perf, run_study
+from repro import StudyConfig, run_study, trace
 from repro.telemetry import (
     ManifestError,
     build_manifest,
@@ -31,7 +31,6 @@ def _clean_sinks():
     yield
     metrics.disable()
     events.disable()
-    perf.disable()
 
 
 class TestMetricsRegistry:
@@ -141,17 +140,19 @@ class TestMetricsRegistry:
         assert metrics.disable() is reg
         assert metrics.active() is None
 
-    def test_merge_perf_promotes_stage_timers(self):
+    def test_promote_spans_derives_stage_counters(self):
         metrics.enable()
-        metrics.merge_perf({"seconds": {"heartbeat": 1.5},
-                            "calls": {"heartbeat": 3},
-                            "counters": {"records_ingested": 42}})
-        snap = metrics.snapshot()
-        assert snap["counters"][
-            ("stage_seconds_total", (("stage", "heartbeat"),))] == 1.5
-        assert snap["counters"][
-            ("stage_calls_total", (("stage", "heartbeat"),))] == 3
-        assert snap["counters"][("records_ingested_total", ())] == 42
+        recorder = trace.TraceRecorder()
+        recorder.add("collect.heartbeat", 0.0, 1.0, cat="shard")
+        recorder.add("collect.heartbeat", 2.0, 2.5, cat="shard")
+        recorder.add("fault_injected", 1.0, None, cat="fault")  # instant
+        metrics.promote_spans(recorder.spans)
+        counters = metrics.snapshot()["counters"]
+        stage = (("stage", "collect.heartbeat"),)
+        assert counters[("stage_seconds_total", stage)] == 1.5
+        assert counters[("stage_calls_total", stage)] == 2
+        assert ("stage_calls_total", (("stage", "fault_injected"),)) \
+            not in counters
 
 
 class TestExporters:
@@ -347,9 +348,10 @@ class TestTelemetrySession:
         out = tmp_path / "telemetry"
         result = run_study(self.CONFIG, telemetry_dir=out)
 
-        # Sinks are deactivated after the run (perf stays with --profile).
+        # Sinks are deactivated after the run.
         assert not metrics.is_enabled()
         assert not events.is_enabled()
+        assert not trace.is_enabled()
 
         for name in ("metrics.prom", "metrics.json", "events.jsonl",
                      "manifest.json", "health.json", "health.txt"):
@@ -392,3 +394,28 @@ class TestTelemetrySession:
         assert samples[("routers_simulated_total", ())] == n_routers
         assert samples[("shards_completed_total", ())] == \
             samples[("shard_seconds_count", ())] >= 2
+
+    def test_back_to_back_sessions_do_not_leak(self, tmp_path):
+        """Each session promotes only its own spans and tears down only
+        the recorder it enabled."""
+        def collect_calls(out):
+            samples = parse_prometheus((out / "metrics.prom").read_text())
+            return samples[("stage_calls_total", (("stage", "collect"),))]
+
+        run_study(self.CONFIG, telemetry_dir=tmp_path / "a")
+        assert not trace.is_enabled()
+        run_study(self.CONFIG, telemetry_dir=tmp_path / "b")
+        assert not trace.is_enabled()
+        assert collect_calls(tmp_path / "a") == \
+            collect_calls(tmp_path / "b") >= 1
+
+        # A recorder the caller enabled survives both sessions.
+        recorder = trace.enable()
+        try:
+            run_study(self.CONFIG, telemetry_dir=tmp_path / "c")
+            run_study(self.CONFIG, telemetry_dir=tmp_path / "d")
+            assert trace.active() is recorder
+        finally:
+            trace.disable()
+        assert collect_calls(tmp_path / "c") == \
+            collect_calls(tmp_path / "d") == collect_calls(tmp_path / "a")

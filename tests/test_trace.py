@@ -1,11 +1,12 @@
 """Tests for the repro.trace span-tracing subsystem.
 
-Four contracts: the disabled path must be essentially free (the engine
+Five contracts: the disabled path must be essentially free (the engine
 calls ``trace.span`` unconditionally), the Chrome trace export must be
 schema-valid (monotonic timestamps, matched B/E pairs, one track per
-worker), the TraceSummary math must be exact on hand-built spans, and a
-traced campaign must collect bitwise-identical data (``study_digest``
-pinned, per-shard span coverage matching the plan).
+worker), the TraceSummary math must be exact on hand-built spans, the
+per-stage profile must cover every engine stage, and a traced campaign
+must collect bitwise-identical data (``study_digest`` pinned, per-shard
+span coverage matching the plan).
 """
 
 import json
@@ -16,10 +17,13 @@ import pytest
 from repro import StudyConfig, run_study, study_digest, trace
 from repro.collection.engine import shard_count
 from repro.trace import (
+    ENGINE_STAGES,
     TraceRecorder,
     chrome_trace_events,
+    format_profile,
     load_chrome_trace,
     render_trace_summary,
+    stage_totals,
     summarize_spans,
     write_chrome_trace,
     write_trace_summary,
@@ -311,6 +315,66 @@ class TestTraceSummary:
         assert payload["shards"]["0"]["ingest_seconds"] == 1.0
         text = render_trace_summary(summary)
         assert "Timeline" in text and "Critical path" in text
+
+
+class TestProfile:
+    CONFIG = dict(seed=2013, router_scale=0.1, duration_scale=0.02,
+                  traffic_consents=2, low_activity_consents=0)
+
+    def test_capture_leaves_an_outer_recorder_running(self):
+        outer = trace.enable()
+        with trace.span("before"):
+            pass
+        with trace.Capture() as capture:
+            with trace.span("inside"):
+                pass
+            assert [s["name"] for s in capture.spans()] == ["inside"]
+        assert trace.active() is outer
+        with trace.Capture():
+            pass
+        trace.disable()
+        with trace.Capture() as capture:
+            assert trace.is_enabled()
+        assert not trace.is_enabled()
+
+    def test_table_orders_engine_stages_first(self):
+        spans = [_span("zebra", 0.0, 0.1, 1),
+                 _span("collect.wifi", 0.0, 0.5, 1),
+                 _span("collect", 0.0, 2.0, 1),
+                 _span("materialize.power", 0.0, 0.2, 1),
+                 _span("materialize", 0.0, 1.0, 1)]
+        totals = stage_totals(spans)
+        assert totals["calls"] == {"zebra": 1, "collect.wifi": 1,
+                                   "collect": 1, "materialize.power": 1,
+                                   "materialize": 1}
+        lines = format_profile(totals).splitlines()
+
+        def row(name):
+            return next(i for i, line in enumerate(lines)
+                        if line.split() and line.split()[0] == name)
+
+        assert row("materialize") < row("materialize.power") < \
+            row("collect") < row("collect.wifi") < row("zebra")
+        # Dotted sub-stages are indented and excluded from the share total.
+        assert "  materialize.power" in lines[row("materialize.power")]
+        assert "32.3%" in lines[row("materialize")]  # 1.0 / (1 + 2 + 0.1)
+
+    def test_empty_table_renders(self):
+        assert "stage" in format_profile(stage_totals([]))
+
+    def _assert_every_engine_stage(self, workers):
+        with trace.Capture() as capture:
+            run_study(StudyConfig(**self.CONFIG, workers=workers))
+            calls = stage_totals(capture.spans())["calls"]
+        for name in ENGINE_STAGES:
+            assert calls.get(name, 0) > 0, name
+        assert any(name.startswith("materialize.") for name in calls)
+
+    def test_profile_covers_every_engine_stage(self):
+        self._assert_every_engine_stage(workers=1)
+
+    def test_parallel_profile_merges_worker_stages(self):
+        self._assert_every_engine_stage(workers=2)
 
 
 class TestTracedCampaign:
