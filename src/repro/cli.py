@@ -15,7 +15,6 @@ Usage::
     python -m repro health  (--archive DIR | --seed N ...)
     python -m repro watch   DIR [--once] [--interval S]
     python -m repro trace   report PATH
-    python -m repro bench   diff OLD NEW [--threshold F]
     python -m repro serve   [--host H] [--port N] [--expect N] [--out DIR]
     python -m repro loadgen --port N [--clients N] [--connections N]
 
@@ -33,13 +32,14 @@ event log, run manifest, health report); ``--trace-dir`` additionally
 records a span timeline and writes ``trace.json`` (open it in Perfetto)
 plus ``trace_summary.json``.  ``watch`` tails a running campaign's
 ``progress.json`` heartbeat and recent events; ``trace report`` renders
-the timeline summary from a saved trace; ``bench diff`` compares
-``BENCH_*.json`` artifacts and exits nonzero on regression.
+the timeline summary from a saved trace.
 ``serve`` runs the network ingest daemon
 (:mod:`repro.collection.netserve`) on a TCP port; ``loadgen`` drives a
 simulated router fleet at a running daemon and prints the load report.
 ``-v``/``-vv`` raise the logging level (INFO/DEBUG on stderr); ``-q``
-silences everything below ERROR.
+silences everything below ERROR.  A campaign flag outside
+:class:`StudyConfig`'s range (``--workers 0``) exits 2 with one
+``error:`` line, like any other usage error.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def _simulate(args: argparse.Namespace) -> StudyData:
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
     data = _profiled(args, lambda: run_study(
-        _config_from(args), telemetry_dir=args.telemetry_dir,
+        args.config, telemetry_dir=args.telemetry_dir,
         resume=args.resume, trace_dir=args.trace_dir).data)
     if args.telemetry_dir:
         print(f"wrote telemetry artifacts to {args.telemetry_dir}",
@@ -260,7 +260,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         print("simulating campaign (streaming analysis) ...",
               file=sys.stderr)
         streamed = _profiled(args, lambda: run_study_streaming(
-            _config_from(args), trace_dir=args.trace_dir))
+            args.config, trace_dir=args.trace_dir))
         print(f"streamed {streamed.figures.records_streamed} records",
               file=sys.stderr)
         report = reproduce_all(streamed.figures)
@@ -342,27 +342,6 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
     spans, trace_id = trace.load_chrome_trace(path)
     print(trace.render_trace_summary(trace.summarize_spans(spans,
                                                            trace_id)))
-    return 0
-
-
-def cmd_bench_diff(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    try:
-        pairs = bench.pair_artifacts(args.old, args.new)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    regressed = False
-    for name, old_path, new_path in pairs:
-        rows = bench.diff_payloads(bench.load_bench(old_path),
-                                   bench.load_bench(new_path),
-                                   threshold=args.threshold)
-        print(bench.format_diff(rows, title=f"Bench diff — {name}"))
-        regressed = regressed or any(row.regressed for row in rows)
-    if regressed:
-        print(f"\nREGRESSION: a directioned metric moved "
-              f">{args.threshold:.0%} the wrong way", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -543,20 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         "path", help="a trace.json (or the --trace-dir containing one)")
     trace_report.set_defaults(func=cmd_trace_report)
 
-    bench_parser = sub.add_parser(
-        "bench", help="work with BENCH_*.json artifacts")
-    bench_sub = bench_parser.add_subparsers(dest="bench_command",
-                                            required=True)
-    bench_diff = bench_sub.add_parser(
-        "diff", help="compare two bench artifacts (or directories); "
-                     "exit 1 on regression")
-    bench_diff.add_argument("old", help="baseline BENCH_*.json or directory")
-    bench_diff.add_argument("new", help="candidate BENCH_*.json or directory")
-    bench_diff.add_argument("--threshold", type=float, default=0.25,
-                            help="regression threshold as a fraction "
-                                 "(default 0.25 = 25%%)")
-    bench_diff.set_defaults(func=cmd_bench_diff)
-
     serve_parser = sub.add_parser(
         "serve", help="run the network collection daemon")
     serve_parser.add_argument("--host", default="127.0.0.1",
@@ -618,6 +583,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "scale" in vars(args):  # a command built by _add_campaign_arguments
+        try:
+            args.config = _config_from(args)
+        except ValueError as exc:  # a StudyConfig range check
+            parser.exit(2, f"{parser.prog} {args.command}: error: {exc}\n")
     _configure_logging(args.verbose, args.quiet)
     return args.func(args)
 

@@ -79,7 +79,7 @@ class LoadConfig:
 
 @dataclass
 class LoadReport:
-    """What one load run achieved, for ``BENCH_server.json``."""
+    """What one load run achieved (``repro loadgen`` prints it)."""
 
     clients: int
     connections: int

@@ -65,6 +65,19 @@ class TestReportAndCaps:
         with pytest.raises(SystemExit):
             main(["run"])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--out", "X", "--workers", "0"], "workers must be >= 1"),
+        (["figures", "--duration", "2"], "duration_scale must be in (0, 1]"),
+    ])
+    def test_invalid_config_is_a_usage_error(self, argv, message, capsys):
+        """A StudyConfig range check fails like an argparse error: exit 2
+        and one stderr line, no traceback."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == \
+            f"repro {argv[0]}: error: {message}\n"
+
 
 class TestHealthAndTelemetry:
     def test_health_from_simulation(self, capsys):

@@ -6,16 +6,16 @@ hot-path vectorization and must never change without an explicit,
 documented decision to break the determinism contract (bump the pins in
 the same commit that changes the simulation, and say why in CHANGES.md).
 
-``BENCH_PIN`` is the digest of the full bench configuration recorded in
-``BENCH_engine.json``; the engine-scaling and trace-overhead benches
-assert it.  The tier-1 pins below use smaller configs so the suite stays
-fast.
+``BENCH_PIN`` is the digest of the 252-home configuration that the
+end-to-end benchmark's ``wide`` workload runs: ``benchmarks/e2e/spec.py``
+pins the same ``study_digest`` for it.  The tier-1 pins below use
+smaller configs so the suite stays fast.
 """
 
 from repro import StudyConfig, run_study, study_digest, trace
 
 #: seed 2013, router_scale=2.0, duration_scale=0.02, traffic_consents=10,
-#: low_activity_consents=2 — asserted by benchmarks/test_engine_scaling.py.
+#: low_activity_consents=2 — the e2e ``wide`` workload's pinned digest.
 BENCH_PIN = "cd4a9b8740c634a18b2915acc793f42993b42e6b285bc99fe131370a2f54c0c8"
 
 TINY = dict(seed=2013, router_scale=0.1, duration_scale=0.02,
@@ -45,7 +45,7 @@ def test_bench_config_digest_pin():
     """The router_scale=2.0 bench configuration, pinned in tier-1 too.
 
     The columnar materializer (PR 6) made this 252-home run cheap enough
-    to assert here rather than only in the engine bench, closing the gap
+    to assert here rather than only in the benchmark, closing the gap
     between the fast tier-1 pins (scales 0.1 and 0.25) and the bench pin.
     """
     data = run_study(StudyConfig(**BENCH)).data
