@@ -12,17 +12,23 @@ The methodology follows the paper exactly:
   joined against per-capita GDP (Fig. 5);
 * the Uptime data set disambiguates, where it can, whether a downtime was a
   powered-off router or a network outage (Section 4.2 / Fig. 6).
+
+Every deployment-level statistic is defined once, in the per-router
+:class:`HeartbeatFold` the public functions run.
 """
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.datasets import HeartbeatLog, StudyData
+from repro.core.datasets import GROUP, HeartbeatLog, StudyData
 from repro.core.intervals import IntervalSet
+from repro.core.records import RouterInfo
+from repro.core.sketches import QuantileSketch, exact_sketch
 from repro.core.stats import EmpiricalCdf
 from repro.simulation.timebase import DAY, MINUTE
 
@@ -89,43 +95,6 @@ def availability_timeline(log: HeartbeatLog,
 
 # -- deployment-level statistics -------------------------------------------------
 
-def _logs_for(data: StudyData, developed: bool,
-              min_observed_days: float) -> List[HeartbeatLog]:
-    wanted = set(data.developed_ids() if developed else data.developing_ids())
-    return [log for rid, log in data.heartbeats.items()
-            if rid in wanted and observed_days(log) >= min_observed_days]
-
-
-def downtime_rate_cdf(data: StudyData, developed: bool,
-                      min_observed_days: float = 1.0) -> EmpiricalCdf:
-    """Fig. 3: CDF over homes of average ≥10-min downtimes per day."""
-    rates = []
-    for log in _logs_for(data, developed, min_observed_days):
-        rate = downtime_rate_per_day(log)
-        if rate is not None:
-            rates.append(rate)
-    return EmpiricalCdf.from_samples(rates)
-
-
-def downtime_duration_cdf(data: StudyData, developed: bool,
-                          min_observed_days: float = 1.0) -> EmpiricalCdf:
-    """Fig. 4: CDF of individual downtime durations (seconds), pooled."""
-    durations: List[float] = []
-    for log in _logs_for(data, developed, min_observed_days):
-        durations.extend(downtime_events(log).durations().tolist())
-    return EmpiricalCdf.from_samples(durations)
-
-
-def median_days_between_downtimes(data: StudyData,
-                                  developed: bool) -> Optional[float]:
-    """The Table 3 headline: median over homes of days per downtime."""
-    cdf = downtime_rate_cdf(data, developed)
-    if cdf.n == 0:
-        return None
-    rate = cdf.median
-    return float("inf") if rate == 0 else 1.0 / rate
-
-
 @dataclass(frozen=True)
 class CountryDowntime:
     """One point of the Fig. 5 scatter."""
@@ -140,6 +109,133 @@ class CountryDowntime:
     median_duration: float
 
 
+class HeartbeatFold:
+    """Figs. 3-5, Table 3 and appliance detection, one router at a time.
+
+    Figs. 3-5 count registered homes observed for *min_observed_days*;
+    Fig. 5 scales each home's rate to *normalize_days* and keeps the
+    countries with *min_routers* such homes.  Appliance detection (low
+    availability and ~daily cycling) looks at every log.
+    """
+
+    def __init__(self, routers: Dict[str, RouterInfo],
+                 sketch: Callable[[], QuantileSketch] = exact_sketch,
+                 min_observed_days: float = 1.0,
+                 normalize_days: float = 197.0,
+                 min_routers: int = 3,
+                 max_availability: float = 0.6,
+                 min_daily_cycles: float = 0.7) -> None:
+        self.routers = routers
+        self.sketch = sketch
+        self.min_observed_days = min_observed_days
+        self.normalize_days = normalize_days
+        self.min_routers = min_routers
+        self.max_availability = max_availability
+        self.min_daily_cycles = min_daily_cycles
+        #: Fig. 3 — downtimes per observed day, per development group.
+        self.rates = {label: sketch() for label in GROUP.values()}
+        #: Fig. 4 — downtime durations (seconds), per development group.
+        self.durations = {label: sketch() for label in GROUP.values()}
+        #: Per country: its first home's metadata, Fig. 5's normalized
+        #: downtime counts and downtime durations.
+        self._countries: Dict[str, Tuple[RouterInfo, QuantileSketch,
+                                         QuantileSketch]] = {}
+        self._availability: Dict[str, QuantileSketch] = \
+            collections.defaultdict(sketch)
+        #: Routers that behave like Fig. 6b appliances, in log order.
+        self.appliances: List[str] = []
+
+    def add_home(self, log: HeartbeatLog) -> int:
+        """Fold one router's log in; returns how many heartbeats it read."""
+        fraction = availability_fraction(log)
+        rate = downtime_rate_per_day(log)
+        if fraction is not None and rate is not None and \
+                fraction <= self.max_availability and \
+                rate >= self.min_daily_cycles:
+            self.appliances.append(log.router_id)
+        info = self.routers.get(log.router_id)
+        if fraction is not None and info is not None:
+            self._availability[info.country_code].add(fraction)
+        if info is None or rate is None or \
+                observed_days(log) < self.min_observed_days:
+            return len(log)
+        if info.country_code not in self._countries:
+            self._countries[info.country_code] = (info, self.sketch(),
+                                                  self.sketch())
+        _, counts, durations = self._countries[info.country_code]
+        events = downtime_events(log).durations()
+        self.rates[GROUP[info.developed]].add(rate)
+        self.durations[GROUP[info.developed]].add_many(events)
+        counts.add(rate * self.normalize_days)
+        durations.add_many(events)
+        return len(log)
+
+    def days_between_downtimes(self, developed: bool) -> Optional[float]:
+        """Median over homes of days per downtime (None without homes)."""
+        rates = self.rates[GROUP[developed]]
+        if rates.n == 0:
+            return None
+        rate = rates.median
+        return float("inf") if rate == 0 else 1.0 / rate
+
+    def _points(self) -> List[CountryDowntime]:
+        """Every country's Fig. 5 point, by GDP."""
+        points = [CountryDowntime(
+            code, info.gdp_ppp_per_capita, info.developed, counts.n,
+            counts.median, durations.median if durations.n else 0.0)
+            for code, (info, counts, durations)
+            in sorted(self._countries.items())]
+        points.sort(key=lambda p: p.gdp_ppp_per_capita)
+        return points
+
+    def country_downtimes(self) -> List[CountryDowntime]:
+        """Fig. 5: the countries with at least *min_routers* homes."""
+        return [p for p in self._points() if p.routers >= self.min_routers]
+
+    def availability_by_country(self) -> Dict[str, float]:
+        """Table 3: median availability per country."""
+        return {code: self._availability[code].median
+                for code in sorted(self._availability)}
+
+    def highlights(self) -> "Section4Highlights":
+        """Table 3's claims; the worst countries ignore *min_routers*."""
+        worst = sorted(self._points(), key=lambda p: -p.median_downtimes)[:2]
+        worst_codes = tuple(p.country_code for p in worst)
+        worst_codes += ("??",) * (2 - len(worst_codes))
+        days = [self.days_between_downtimes(developed)
+                for developed in (True, False)]
+        return Section4Highlights(
+            *(float("nan") if d is None else d for d in days),
+            worst_codes, len(self.appliances))  # type: ignore[arg-type]
+
+
+def _fold(data: StudyData, **inputs) -> HeartbeatFold:
+    fold = HeartbeatFold(data.routers, **inputs)
+    for log in data.heartbeats.values():
+        fold.add_home(log)
+    return fold
+
+
+def downtime_rate_cdf(data: StudyData, developed: bool,
+                      min_observed_days: float = 1.0) -> EmpiricalCdf:
+    """Fig. 3: CDF over homes of average ≥10-min downtimes per day."""
+    fold = _fold(data, min_observed_days=min_observed_days)
+    return fold.rates[GROUP[developed]].to_cdf()
+
+
+def downtime_duration_cdf(data: StudyData, developed: bool,
+                          min_observed_days: float = 1.0) -> EmpiricalCdf:
+    """Fig. 4: CDF of individual downtime durations (seconds), pooled."""
+    fold = _fold(data, min_observed_days=min_observed_days)
+    return fold.durations[GROUP[developed]].to_cdf()
+
+
+def median_days_between_downtimes(data: StudyData,
+                                  developed: bool) -> Optional[float]:
+    """The Table 3 headline: median over homes of days per downtime."""
+    return _fold(data).days_between_downtimes(developed)
+
+
 def downtimes_by_country(data: StudyData, min_routers: int = 3,
                          normalize_days: float = 197.0) -> List[CountryDowntime]:
     """Fig. 5: per-country median downtime counts vs per-capita GDP.
@@ -148,38 +244,8 @@ def downtimes_by_country(data: StudyData, min_routers: int = 3,
     normalize each home's rate to *normalize_days* so shortened simulation
     windows produce comparable numbers.
     """
-    by_country: Dict[str, List[HeartbeatLog]] = {}
-    for rid, log in data.heartbeats.items():
-        info = data.routers.get(rid)
-        if info is not None:
-            by_country.setdefault(info.country_code, []).append(log)
-
-    points: List[CountryDowntime] = []
-    for code, logs in sorted(by_country.items()):
-        logs = [log for log in logs if observed_days(log) >= 1.0]
-        if len(logs) < min_routers:
-            continue
-        counts = []
-        durations: List[float] = []
-        for log in logs:
-            rate = downtime_rate_per_day(log)
-            if rate is None:
-                continue
-            counts.append(rate * normalize_days)
-            durations.extend(downtime_events(log).durations().tolist())
-        if not counts:
-            continue
-        sample = data.routers[logs[0].router_id]
-        points.append(CountryDowntime(
-            country_code=code,
-            gdp_ppp_per_capita=sample.gdp_ppp_per_capita,
-            developed=sample.developed,
-            routers=len(logs),
-            median_downtimes=float(np.median(counts)),
-            median_duration=float(np.median(durations)) if durations else 0.0,
-        ))
-    points.sort(key=lambda p: p.gdp_ppp_per_capita)
-    return points
+    return _fold(data, min_routers=min_routers,
+                 normalize_days=normalize_days).country_downtimes()
 
 
 def median_availability_by_country(data: StudyData) -> Dict[str, float]:
@@ -189,15 +255,7 @@ def median_availability_by_country(data: StudyData) -> Dict[str, float]:
     statistic (the paper reads it as power-on time; heartbeats conflate
     link outages, which is one of its acknowledged limitations).
     """
-    by_country: Dict[str, List[float]] = {}
-    for rid, log in data.heartbeats.items():
-        fraction = availability_fraction(log)
-        info = data.routers.get(rid)
-        if fraction is None or info is None:
-            continue
-        by_country.setdefault(info.country_code, []).append(fraction)
-    return {code: float(np.median(values))
-            for code, values in sorted(by_country.items())}
+    return _fold(data).availability_by_country()
 
 
 # -- downtime attribution (power vs network) -------------------------------------
@@ -244,15 +302,8 @@ def appliance_mode_routers(data: StudyData,
     least ~daily — distinguishing it from a mostly-up home with rare long
     outages.
     """
-    routers: List[str] = []
-    for rid, log in sorted(data.heartbeats.items()):
-        fraction = availability_fraction(log)
-        rate = downtime_rate_per_day(log)
-        if fraction is None or rate is None:
-            continue
-        if fraction <= max_availability and rate >= min_daily_cycles:
-            routers.append(rid)
-    return routers
+    return sorted(_fold(data, max_availability=max_availability,
+                        min_daily_cycles=min_daily_cycles).appliances)
 
 
 # -- Table 3 ---------------------------------------------------------------------
@@ -269,18 +320,4 @@ class Section4Highlights:
 
 def section4_highlights(data: StudyData) -> Section4Highlights:
     """Compute Table 3 from the Heartbeats + Uptime data sets."""
-    by_country = downtimes_by_country(data, min_routers=1)
-    worst = sorted(by_country, key=lambda p: -p.median_downtimes)[:2]
-    worst_codes = tuple(p.country_code for p in worst)
-    if len(worst_codes) < 2:
-        worst_codes = worst_codes + ("??",) * (2 - len(worst_codes))
-    developed = median_days_between_downtimes(data, developed=True)
-    developing = median_days_between_downtimes(data, developed=False)
-    return Section4Highlights(
-        median_days_between_downtimes_developed=(
-            developed if developed is not None else float("nan")),
-        median_days_between_downtimes_developing=(
-            developing if developing is not None else float("nan")),
-        worst_two_countries_by_downtimes=worst_codes,  # type: ignore[arg-type]
-        appliance_mode_router_count=len(appliance_mode_routers(data)),
-    )
+    return _fold(data).highlights()

@@ -4,14 +4,17 @@
 everything Sections 4-6 compute starts from one of these.  Two data sets
 are large enough to deserve columnar storage (per-router numpy arrays):
 heartbeat timestamps (:class:`HeartbeatLog`) and per-minute throughput
-(:class:`ThroughputSeries`); the rest are plain record lists.
+(:class:`ThroughputSeries`); the rest are plain record lists, which the
+per-home figure folds read through :func:`by_router`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,14 +34,34 @@ from repro.simulation.timebase import MINUTE, StudyCalendar, StudyWindows
 #: The paper's activity bar for the Traffic data set (Section 3.2.2).
 TRAFFIC_MIN_BYTES = 100e6
 
+#: Development-group label by ``RouterInfo.developed``, developed first.
+GROUP = {True: "developed", False: "developing"}
+
+
+def by_router(records: Iterable) -> Iterator[Tuple[str, List]]:
+    """Group records by home in first-appearance order, keeping each
+    home's record order (float sums depend on it); a home's records
+    need not be contiguous."""
+    homes: Dict[str, List] = {}
+    for router_id, run in itertools.groupby(records,
+                                            key=attrgetter("router_id")):
+        homes.setdefault(router_id, []).extend(run)
+    return iter(homes.items())
+
+
+def fold_homes(fold, records: Iterable):
+    """Feed a record list to a figure fold home by home; returns *fold*."""
+    for router_id, home in by_router(records):
+        fold.add_home(router_id, home)
+    return fold
+
 
 class CalendarPool:
     """Shared memoized :class:`StudyCalendar` lookup for a router table.
 
     Calendars only depend on the timezone offset, so one instance per
-    distinct offset serves every router in it.  Both the exact analysis
-    path (via :meth:`StudyData.calendar_for`) and the streaming driver
-    use this pool instead of growing per-function caches.
+    distinct offset serves every router in it.  :meth:`StudyData.calendar_for`
+    and the Fig. 13 fold use this pool instead of per-function caches.
     """
 
     def __init__(self, routers: Dict[str, "RouterInfo"]):
@@ -279,30 +302,41 @@ class DatasetSummary:
     window: Tuple[float, float]
 
 
+#: Table 2's rows: name, kind and the data sets whose routers it counts;
+#: each row's window is the :class:`StudyWindows` field of its name.
+_TABLE2_ROWS = (
+    ("Heartbeats", "active", ("heartbeats",)),
+    ("Capacity", "active", ("capacity",)),
+    ("Uptime", "passive", ("uptime",)),
+    ("Devices", "passive", ("device_counts",)),
+    ("WiFi", "passive", ("wifi_scans",)),
+    ("Traffic", "passive", ("flows", "throughput")),
+)
+
+
+def dataset_summaries(router_sets: Dict[str, set],
+                      routers: Dict[str, RouterInfo],
+                      windows: StudyWindows) -> List[DatasetSummary]:
+    """Table 2 from the distinct routers each data set holds records of."""
+    rows = []
+    for name, kind, sources in _TABLE2_ROWS:
+        ids = set().union(*(router_sets[source] for source in sources))
+        countries = {routers[rid].country_code for rid in ids
+                     if rid in routers}
+        rows.append(DatasetSummary(name, kind, len(ids), len(countries),
+                                   getattr(windows, name.lower())))
+    return rows
+
+
 def summarize_datasets(data: StudyData) -> List[DatasetSummary]:
     """Reproduce Table 2: per-data-set router/country counts and windows."""
-
-    def row(name: str, kind: str, router_ids: Sequence[str],
-            window: Tuple[float, float]) -> DatasetSummary:
-        distinct = sorted(set(router_ids))
-        return DatasetSummary(
-            name=name, kind=kind, routers=len(distinct),
-            countries=len(data.countries_of(distinct)), window=window)
-
-    throughput_routers = list(data.throughput)
-    flow_routers = [flow.router_id for flow in data.flows]
-    return [
-        row("Heartbeats", "active", list(data.heartbeats),
-            data.windows.heartbeats),
-        row("Capacity", "active",
-            [m.router_id for m in data.capacity], data.windows.capacity),
-        row("Uptime", "passive",
-            [r.router_id for r in data.uptime_reports], data.windows.uptime),
-        row("Devices", "passive",
-            [s.router_id for s in data.device_counts], data.windows.devices),
-        row("WiFi", "passive",
-            [s.router_id for s in data.wifi_scans], data.windows.wifi),
-        row("Traffic", "passive",
-            sorted(set(flow_routers) | set(throughput_routers)),
-            data.windows.traffic),
-    ]
+    router_sets = {name: {record.router_id for record in records}
+                   for name, records in (
+                       ("capacity", data.capacity),
+                       ("uptime", data.uptime_reports),
+                       ("device_counts", data.device_counts),
+                       ("wifi_scans", data.wifi_scans),
+                       ("flows", data.flows))}
+    router_sets["heartbeats"] = set(data.heartbeats)
+    router_sets["throughput"] = set(data.throughput)
+    return dataset_summaries(router_sets, data.routers, data.windows)

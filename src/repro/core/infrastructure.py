@@ -11,87 +11,114 @@ Tables 4-5:
 * Ethernet port pressure (the "two ports would suffice" argument);
 * neighbor-AP crowding per band and development class (Fig. 11);
 * manufacturer profiles from roster OUIs (Fig. 12).
+
+Each figure is defined once, in a per-home fold (:class:`CensusFold`,
+:class:`RosterFold`, :class:`WifiFold`) the public functions run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.datasets import StudyData
-from repro.core.records import DeviceRosterEntry, Medium, Spectrum
+from repro.core.datasets import GROUP, StudyData, by_router, fold_homes
+from repro.core.records import Medium, RouterInfo, Spectrum
+from repro.core.sketches import (
+    QuantileSketch,
+    StreamingMeanSpread,
+    exact_sketch,
+)
 from repro.core.stats import EmpiricalCdf, MeanWithSpread
+from repro.core.usage import FlowFold
 from repro.netutils.mac import parse_mac
 from repro.simulation.vendors import BISMARK_OUI, vendor_category
 
 
-# -- Fig. 7: how many devices? ----------------------------------------------------
+# -- Figs. 8-9 and port pressure: the census fold ------------------------------------
 
-def devices_per_home(data: StudyData) -> Dict[str, int]:
-    """Unique devices ever seen per home (roster size)."""
-    counts: Dict[str, int] = {}
-    for entry in data.roster:
-        counts[entry.router_id] = counts.get(entry.router_id, 0) + 1
-    return counts
+@dataclass(frozen=True)
+class PortUsage:
+    """How hard homes push the four LAN ports (Section 5.2)."""
 
-
-def devices_per_home_cdf(data: StudyData) -> EmpiricalCdf:
-    """Fig. 7: CDF of the number of unique devices per home."""
-    return EmpiricalCdf.from_samples(devices_per_home(data).values())
+    mean_wired_in_use: float
+    fraction_all_four_used: float
+    fraction_at_most_two_needed: float
 
 
-# -- Figs. 8-9: how many connected at a time? ---------------------------------------
+class CensusFold:
+    """Figs. 8/9 and port pressure, one home's hourly censuses at a time:
+    a registered home's mean census feeds its group's bars, and every
+    home's busiest census counts toward all *ports* ports or at most two.
+    """
 
-def _per_home_census_means(data: StudyData) -> Dict[str, Dict[str, float]]:
-    """Per home: mean connected devices by medium/band across censuses."""
-    sums: Dict[str, np.ndarray] = {}
-    counts: Dict[str, int] = {}
-    for sample in data.device_counts:
-        vec = np.array([sample.wired, sample.wireless_2_4,
-                        sample.wireless_5], dtype=float)
-        if sample.router_id in sums:
-            sums[sample.router_id] += vec
-            counts[sample.router_id] += 1
-        else:
-            sums[sample.router_id] = vec
-            counts[sample.router_id] = 1
-    means: Dict[str, Dict[str, float]] = {}
-    for rid, total in sums.items():
-        wired, w24, w5 = total / counts[rid]
-        means[rid] = {"wired": wired, "wireless_2_4": w24, "wireless_5": w5,
-                      "wireless": w24 + w5}
-    return means
+    def __init__(self, routers: Dict[str, RouterInfo],
+                 ports: int = 4) -> None:
+        self.routers = routers
+        self.ports = ports
+        self._groups = {label: {key: StreamingMeanSpread() for key in (
+            "wired", "wireless", "2.4GHz", "5GHz")}
+            for label in GROUP.values()}
+        self._wired = StreamingMeanSpread()
+        self._all_ports = self._few_ports = 0
+
+    def add_home(self, router_id: str, samples: Iterable) -> int:
+        """Fold one home's censuses in; returns how many it read."""
+        count = wired = w24 = w5 = busiest = 0
+        for sample in samples:
+            count += 1
+            wired += sample.wired
+            w24 += sample.wireless_2_4
+            w5 += sample.wireless_5
+            busiest = max(busiest, sample.wired)
+        # Integer sums are exact, so these are the per-census means.
+        wired, w24, w5 = wired / count, w24 / count, w5 / count
+        info = self.routers.get(router_id)
+        if info is not None:
+            means = self._groups[GROUP[info.developed]]
+            for key, value in (("wired", wired), ("wireless", w24 + w5),
+                               ("2.4GHz", w24), ("5GHz", w5)):
+                means[key].add(value)
+        self._wired.add(wired)
+        self._all_ports += busiest >= self.ports
+        self._few_ports += busiest <= 2
+        return count
+
+    def means(self, *keys: str) -> Dict[str, Dict[str, MeanWithSpread]]:
+        """Per group, the mean home's devices under each of *keys*."""
+        return {label: {key: means[key].result() for key in keys}
+                for label, means in self._groups.items()}
+
+    def port_usage(self) -> PortUsage:
+        homes = self._wired.n
+        if homes == 0:
+            return PortUsage(float("nan"), float("nan"), float("nan"))
+        return PortUsage(self._wired.result().mean, self._all_ports / homes,
+                         self._few_ports / homes)
 
 
 def mean_connected_by_medium(data: StudyData,
                              developed: bool) -> Dict[str, MeanWithSpread]:
     """Fig. 8: mean simultaneously-connected devices, wired vs wireless."""
-    wanted = set(data.developed_ids() if developed else data.developing_ids())
-    per_home = _per_home_census_means(data)
-    wired = [v["wired"] for rid, v in per_home.items() if rid in wanted]
-    wireless = [v["wireless"] for rid, v in per_home.items() if rid in wanted]
-    return {
-        "wired": MeanWithSpread.from_samples(wired),
-        "wireless": MeanWithSpread.from_samples(wireless),
-    }
+    fold = fold_homes(CensusFold(data.routers), data.device_counts)
+    return fold.means("wired", "wireless")[GROUP[developed]]
 
 
 def mean_connected_by_spectrum(data: StudyData,
                                developed: bool) -> Dict[str, MeanWithSpread]:
     """Fig. 9: mean simultaneously-connected wireless devices per band."""
-    wanted = set(data.developed_ids() if developed else data.developing_ids())
-    per_home = _per_home_census_means(data)
-    w24 = [v["wireless_2_4"] for rid, v in per_home.items() if rid in wanted]
-    w5 = [v["wireless_5"] for rid, v in per_home.items() if rid in wanted]
-    return {
-        "2.4GHz": MeanWithSpread.from_samples(w24),
-        "5GHz": MeanWithSpread.from_samples(w5),
-    }
+    fold = fold_homes(CensusFold(data.routers), data.device_counts)
+    return fold.means("2.4GHz", "5GHz")[GROUP[developed]]
 
 
-# -- Table 5: always-connected devices ----------------------------------------------
+def ethernet_port_usage(data: StudyData, ports: int = 4) -> PortUsage:
+    """Wired-port statistics across all census samples."""
+    return fold_homes(CensusFold(data.routers, ports),
+                      data.device_counts).port_usage()
+
+
+# -- Figs. 7, 10, 12 and Table 5: the roster fold --------------------------------------
 
 @dataclass(frozen=True)
 class AlwaysConnectedRow:
@@ -117,33 +144,88 @@ class AlwaysConnectedRow:
         return self.with_always_wireless / self.total_households
 
 
+class RosterFold:
+    """Figs. 7, 10 and 12 and Table 5, one home's device roster at a time.
+
+    Fig. 12 follows the paper's filters: only homes in *traffic_homes*,
+    only devices whose MAC moved at least *min_bytes* per *device_bytes*
+    (from :class:`~repro.core.usage.FlowFold`), and the BISmark gateways
+    themselves removed.  MACs are lower-24-hashed but keep their OUI,
+    which is all the vendor lookup needs.
+    """
+
+    def __init__(self, routers: Dict[str, RouterInfo],
+                 sketch: Callable[[], QuantileSketch] = exact_sketch,
+                 device_bytes: Optional[Dict[str, float]] = None,
+                 traffic_homes: Set[str] = frozenset(),
+                 min_bytes: float = 100e3) -> None:
+        self.routers = routers
+        self.device_bytes = device_bytes or {}
+        self.traffic_homes = traffic_homes
+        self.min_bytes = min_bytes
+        #: Fig. 7 — unique devices per home.
+        self.devices = sketch()
+        #: Fig. 10 — unique devices per home on each band (0 if none).
+        self.by_spectrum = {spectrum: sketch() for spectrum in Spectrum}
+        #: Table 5 — per group: homes, always-wired, always-wireless.
+        self._households = {label: [0, 0, 0] for label in GROUP.values()}
+        self._vendors: Dict[str, int] = {}
+
+    def add_home(self, router_id: str, entries: Iterable) -> int:
+        """Fold one home's roster in; returns how many entries it read."""
+        devices = 0
+        per_spectrum = dict.fromkeys(Spectrum, 0)
+        always = {Medium.WIRED: False, Medium.WIRELESS: False}
+        traffic_home = router_id in self.traffic_homes
+        for entry in entries:
+            devices += 1
+            if entry.spectrum is not None:
+                per_spectrum[entry.spectrum] += 1
+            if entry.always_connected:
+                always[entry.medium] = True
+            if traffic_home and self.device_bytes.get(
+                    entry.device_mac, 0.0) >= self.min_bytes:
+                mac = parse_mac(entry.device_mac)
+                if mac.oui != BISMARK_OUI:
+                    category = vendor_category(mac.oui)
+                    self._vendors[category] = \
+                        self._vendors.get(category, 0) + 1
+        self.devices.add(devices)
+        for spectrum, count in per_spectrum.items():
+            self.by_spectrum[spectrum].add(count)
+        info = self.routers.get(router_id)
+        if info is not None:
+            row = self._households[GROUP[info.developed]]
+            row[0] += 1
+            row[1] += always[Medium.WIRED]
+            row[2] += always[Medium.WIRELESS]
+        return devices
+
+    def always_connected(self) -> List[AlwaysConnectedRow]:
+        """Table 5's rows, developed first."""
+        return [AlwaysConnectedRow(label, *row)
+                for label, row in self._households.items()]
+
+    def vendor_histogram(self) -> Dict[str, int]:
+        """Fig. 12's device counts per manufacturer bucket, descending."""
+        return dict(sorted(self._vendors.items(), key=lambda kv: -kv[1]))
+
+
+def devices_per_home(data: StudyData) -> Dict[str, int]:
+    """Unique devices ever seen per home (roster size)."""
+    return {rid: len(entries) for rid, entries in by_router(data.roster)}
+
+
+def devices_per_home_cdf(data: StudyData) -> EmpiricalCdf:
+    """Fig. 7: CDF of the number of unique devices per home."""
+    return fold_homes(RosterFold(data.routers), data.roster).devices.to_cdf()
+
+
 def always_connected_households(data: StudyData) -> List[AlwaysConnectedRow]:
     """Table 5: households with ≥1 never-disconnecting device, by group."""
-    homes_in_dataset = {entry.router_id for entry in data.roster}
-    rows: List[AlwaysConnectedRow] = []
-    for group, wanted_ids in (
-            ("developed", set(data.developed_ids())),
-            ("developing", set(data.developing_ids()))):
-        homes = homes_in_dataset & wanted_ids
-        wired_homes = set()
-        wireless_homes = set()
-        for entry in data.roster:
-            if entry.router_id not in homes or not entry.always_connected:
-                continue
-            if entry.medium is Medium.WIRED:
-                wired_homes.add(entry.router_id)
-            else:
-                wireless_homes.add(entry.router_id)
-        rows.append(AlwaysConnectedRow(
-            group=group,
-            total_households=len(homes),
-            with_always_wired=len(wired_homes),
-            with_always_wireless=len(wireless_homes),
-        ))
-    return rows
+    return fold_homes(RosterFold(data.routers),
+                      data.roster).always_connected()
 
-
-# -- Fig. 10: unique devices per band -------------------------------------------------
 
 def unique_devices_per_spectrum_cdf(data: StudyData,
                                     spectrum: Spectrum) -> EmpiricalCdf:
@@ -152,44 +234,65 @@ def unique_devices_per_spectrum_cdf(data: StudyData,
     Homes with Devices data but no device on the band contribute zero, as
     in the paper (the CDFs start well above zero at x=0 for 5 GHz).
     """
-    homes = {entry.router_id for entry in data.roster}
-    counts = {rid: 0 for rid in homes}
-    for entry in data.roster:
-        if entry.spectrum is spectrum:
-            counts[entry.router_id] += 1
-    return EmpiricalCdf.from_samples(counts.values())
+    fold = fold_homes(RosterFold(data.routers), data.roster)
+    return fold.by_spectrum[spectrum].to_cdf()
 
 
-# -- Ethernet port pressure -------------------------------------------------------------
+def vendor_histogram(data: StudyData,
+                     router_ids: Optional[Iterable[str]] = None,
+                     min_bytes: float = 100e3) -> Dict[str, int]:
+    """Fig. 12: device counts per manufacturer bucket.
 
-@dataclass(frozen=True)
-class PortUsage:
-    """How hard homes push the four LAN ports (Section 5.2)."""
-
-    mean_wired_in_use: float
-    fraction_all_four_used: float
-    fraction_at_most_two_needed: float
-
-
-def ethernet_port_usage(data: StudyData, ports: int = 4) -> PortUsage:
-    """Wired-port statistics across all census samples."""
-    per_home_max: Dict[str, int] = {}
-    wired_means = _per_home_census_means(data)
-    for sample in data.device_counts:
-        current = per_home_max.get(sample.router_id, 0)
-        per_home_max[sample.router_id] = max(current, sample.wired)
-    if not per_home_max:
-        return PortUsage(float("nan"), float("nan"), float("nan"))
-    maxima = np.array(list(per_home_max.values()))
-    means = np.array([v["wired"] for v in wired_means.values()])
-    return PortUsage(
-        mean_wired_in_use=float(means.mean()),
-        fraction_all_four_used=float((maxima >= ports).mean()),
-        fraction_at_most_two_needed=float((maxima <= 2).mean()),
-    )
+    The homes are the Traffic data set's (or *router_ids*); see
+    :class:`RosterFold` for the filters.
+    """
+    wanted = None if router_ids is None else set(router_ids)
+    traffic = fold_homes(FlowFold(router_ids=wanted), data.flows)
+    homes = wanted if wanted is not None else (
+        {flow.router_id for flow in data.flows} | set(data.throughput))
+    fold = RosterFold(data.routers, device_bytes=traffic.device_bytes,
+                      traffic_homes=homes, min_bytes=min_bytes)
+    return fold_homes(fold, data.roster).vendor_histogram()
 
 
-# -- Fig. 11: neighbor APs ----------------------------------------------------------------
+# -- Fig. 11: the neighbor-AP fold -------------------------------------------------------
+
+def _neighbor_aps(scans: Iterable, quantile: float
+                  ) -> Tuple[Dict[Spectrum, float], int]:
+    """One home's q-quantile of neighbor-AP counts per scanned band, and
+    how many scans it read."""
+    counts: Dict[Spectrum, List[int]] = {}
+    read = 0
+    for scan in scans:
+        read += 1
+        counts.setdefault(scan.spectrum, []).append(scan.neighbor_aps)
+    return {spectrum: float(np.quantile(np.asarray(values), quantile))
+            for spectrum, values in counts.items()}, read
+
+
+class WifiFold:
+    """Fig. 11, one home's scans at a time, keyed (band, "all") and
+    (band, group); only registered homes have a group."""
+
+    def __init__(self, routers: Dict[str, RouterInfo],
+                 sketch: Callable[[], QuantileSketch] = exact_sketch,
+                 quantile: float = 0.95) -> None:
+        self.routers = routers
+        self.quantile = quantile
+        self.neighbor_aps = {(spectrum, label): sketch()
+                             for spectrum in Spectrum
+                             for label in ("all", *GROUP.values())}
+
+    def add_home(self, router_id: str, scans: Iterable) -> int:
+        """Fold one home's scans in; returns how many it read."""
+        per_band, read = _neighbor_aps(scans, self.quantile)
+        info = self.routers.get(router_id)
+        for spectrum, aps in per_band.items():
+            self.neighbor_aps[(spectrum, "all")].add(aps)
+            if info is not None:
+                self.neighbor_aps[(spectrum, GROUP[info.developed])].add(aps)
+        return read
+
 
 def neighbor_aps_per_home(data: StudyData, spectrum: Spectrum,
                           quantile: float = 0.95) -> Dict[str, float]:
@@ -198,25 +301,18 @@ def neighbor_aps_per_home(data: StudyData, spectrum: Spectrum,
     A high quantile approximates "unique access points seen" while staying
     robust to scans taken while neighbors were off.
     """
-    scans: Dict[str, List[int]] = {}
-    for sample in data.wifi_scans:
-        if sample.spectrum is spectrum:
-            scans.setdefault(sample.router_id, []).append(sample.neighbor_aps)
-    return {rid: float(np.quantile(np.asarray(counts), quantile))
-            for rid, counts in scans.items()}
+    per_home = {rid: _neighbor_aps(scans, quantile)[0]
+                for rid, scans in by_router(data.wifi_scans)}
+    return {rid: per_band[spectrum] for rid, per_band in per_home.items()
+            if spectrum in per_band}
 
 
 def neighbor_ap_cdf(data: StudyData, spectrum: Spectrum,
                     developed: Optional[bool] = None) -> EmpiricalCdf:
     """Fig. 11: CDF over homes of visible neighbor APs on one band."""
-    per_home = neighbor_aps_per_home(data, spectrum)
-    if developed is None:
-        values = list(per_home.values())
-    else:
-        wanted = set(data.developed_ids() if developed
-                     else data.developing_ids())
-        values = [v for rid, v in per_home.items() if rid in wanted]
-    return EmpiricalCdf.from_samples(values)
+    fold = fold_homes(WifiFold(data.routers), data.wifi_scans)
+    label = "all" if developed is None else GROUP[developed]
+    return fold.neighbor_aps[(spectrum, label)].to_cdf()
 
 
 def neighbor_ap_bimodality(cdf: EmpiricalCdf,
@@ -233,43 +329,6 @@ def neighbor_ap_bimodality(cdf: EmpiricalCdf,
     return 1.0 - middle
 
 
-# -- Fig. 12: vendors ---------------------------------------------------------------------
-
-def vendor_histogram(data: StudyData,
-                     router_ids: Optional[Iterable[str]] = None,
-                     min_bytes: float = 100e3) -> Dict[str, int]:
-    """Fig. 12: device counts per manufacturer bucket.
-
-    Mirrors the paper's filters: only homes in the Traffic data set, only
-    devices that transferred at least *min_bytes*, and the BISmark gateways
-    themselves removed.  MACs are lower-24-hashed but keep their OUI, which
-    is all this resolution needs.
-    """
-    if router_ids is None:
-        wanted = set(data.throughput) | {f.router_id for f in data.flows}
-    else:
-        wanted = set(router_ids)
-
-    bytes_by_mac: Dict[str, float] = {}
-    for flow in data.flows:
-        if flow.router_id in wanted:
-            bytes_by_mac[flow.device_mac] = (
-                bytes_by_mac.get(flow.device_mac, 0.0) + flow.bytes_total)
-
-    histogram: Dict[str, int] = {}
-    for entry in data.roster:
-        if entry.router_id not in wanted:
-            continue
-        if bytes_by_mac.get(entry.device_mac, 0.0) < min_bytes:
-            continue
-        mac = parse_mac(entry.device_mac)
-        if mac.oui == BISMARK_OUI:
-            continue
-        category = vendor_category(mac.oui)
-        histogram[category] = histogram.get(category, 0) + 1
-    return dict(sorted(histogram.items(), key=lambda kv: -kv[1]))
-
-
 # -- Table 4 --------------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -283,19 +342,24 @@ class Section5Highlights:
     median_neighbor_aps_developed: float
     median_neighbor_aps_developing: float
 
+    @classmethod
+    def from_folds(cls, roster: RosterFold,
+                   wifi: WifiFold) -> "Section5Highlights":
+        developed, developing = roster.always_connected()
+
+        def median(sketch: QuantileSketch) -> float:
+            return sketch.median if sketch.n else float("nan")
+
+        return cls(
+            developed.wired_fraction, developing.wired_fraction,
+            median(roster.by_spectrum[Spectrum.GHZ_2_4]),
+            median(roster.by_spectrum[Spectrum.GHZ_5]),
+            median(wifi.neighbor_aps[(Spectrum.GHZ_2_4, "developed")]),
+            median(wifi.neighbor_aps[(Spectrum.GHZ_2_4, "developing")]))
+
 
 def section5_highlights(data: StudyData) -> Section5Highlights:
     """Compute Table 4 from the Devices + WiFi data sets."""
-    rows = {row.group: row for row in always_connected_households(data)}
-    cdf_24 = unique_devices_per_spectrum_cdf(data, Spectrum.GHZ_2_4)
-    cdf_5 = unique_devices_per_spectrum_cdf(data, Spectrum.GHZ_5)
-    ap_dev = neighbor_ap_cdf(data, Spectrum.GHZ_2_4, developed=True)
-    ap_dvg = neighbor_ap_cdf(data, Spectrum.GHZ_2_4, developed=False)
-    return Section5Highlights(
-        always_wired_fraction_developed=rows["developed"].wired_fraction,
-        always_wired_fraction_developing=rows["developing"].wired_fraction,
-        median_devices_2_4ghz=cdf_24.median if cdf_24.n else float("nan"),
-        median_devices_5ghz=cdf_5.median if cdf_5.n else float("nan"),
-        median_neighbor_aps_developed=ap_dev.median if ap_dev.n else float("nan"),
-        median_neighbor_aps_developing=ap_dvg.median if ap_dvg.n else float("nan"),
-    )
+    return Section5Highlights.from_folds(
+        fold_homes(RosterFold(data.routers), data.roster),
+        fold_homes(WifiFold(data.routers), data.wifi_scans))

@@ -8,10 +8,9 @@ diff against the paper.  The per-experiment benchmarks under
 library-user-facing "give me everything" entry point.
 
 The rows are formatted off a :class:`~repro.core.streaming.StudyFigures`
-bundle, so the same report comes from either analysis path: the exact
-in-RAM functions (pass a ``StudyData``) or the one-pass streaming driver
-(pass a stream source, e.g. a
-:class:`~repro.core.streaming.StoreSource` over a spilled record store).
+bundle, which both entry points build with the same per-home folds:
+``compute_figures`` for a ``StudyData``, ``stream_figures`` for a stream
+source such as a :class:`~repro.core.streaming.StoreSource`.
 """
 
 from __future__ import annotations
@@ -181,16 +180,16 @@ def reproduce_all(data: Union[StudyData, StudyFigures, object]
                   ) -> PaperReport:
     """Compute the full paper-vs-measured report for one study.
 
-    Accepts a :class:`StudyData` (exact in-RAM path), an already-computed
-    :class:`StudyFigures` bundle, or a stream source (anything with an
-    ``iter_dataset`` method, e.g. ``StoreSource``/``StudyDataSource``),
-    which is analyzed in one pass at sketch memory.
+    Accepts a :class:`StudyData` (analyzed with uncompressed sketches), an
+    already-computed :class:`StudyFigures` bundle, or a stream source
+    (anything with an ``iter_homes`` method, e.g.
+    ``StoreSource``/``StudyDataSource``), analyzed at sketch memory.
     """
     if isinstance(data, StudyData):
         figures = compute_figures(data)
     elif isinstance(data, StudyFigures):
         figures = data
-    elif hasattr(data, "iter_dataset"):
+    elif hasattr(data, "iter_homes"):
         figures = stream_figures(data)
     else:
         raise TypeError(

@@ -1,28 +1,27 @@
-"""Mergeable online accumulators for one-pass streaming analytics.
+"""Mergeable online accumulators: the state of every figure's fold.
 
-The exact analysis functions in :mod:`repro.core` hold every sample in
-RAM (``EmpiricalCdf`` keeps the sorted array, ``MeanWithSpread`` the raw
-list).  The streaming driver (:mod:`repro.core.streaming`) cannot — a
-million-home archive holds billions of samples — so this module provides
-the O(sketch)-memory counterparts:
+Each Section 4-6 figure is a per-home fold in its section module
+(:mod:`repro.core.availability`, :mod:`repro.core.infrastructure`,
+:mod:`repro.core.usage`) that keeps its state here, so a pass over a
+million-home archive holds one home's records, never the archive:
 
 * :class:`QuantileSketch` — the ``EmpiricalCdf`` query interface
   (``quantile``, ``median``, ``fraction_at_most/least``, ``series``,
   ``n``, ``mean``) over a t-digest-style merging-centroid summary.
   Below :attr:`~QuantileSketch.exact_threshold` samples it keeps the raw
-  values and delegates every query to a real ``EmpiricalCdf`` — bitwise
-  identical to the exact path.  Past the threshold it compresses into at
-  most ~2x``compression`` centroids with the classic rank-error bound:
-  tightest at the tails, worst (~``1/compression`` relative rank) at the
-  median; :data:`QUANTILE_RANK_TOLERANCE` is the bound CI asserts.
+  values and delegates every query to a real ``EmpiricalCdf``;
+  :func:`exact_sketch` never leaves that mode.  Past the threshold it
+  compresses into at most ~2x``compression`` centroids with the classic
+  rank-error bound: tightest at the tails, worst (~``1/compression``
+  relative rank) at the median; :data:`QUANTILE_RANK_TOLERANCE` is the
+  bound CI asserts.
 * :class:`StreamingMeanSpread` — Welford's online mean/variance,
   finalized into a :class:`~repro.core.stats.MeanWithSpread`.
 * :class:`StreamingHourProfile` — 24-slot sum/count accumulation,
-  finalized via :meth:`HourOfDayProfile.from_sums` so streamed and exact
-  profiles are bitwise-identical.
+  finalized via :meth:`HourOfDayProfile.from_sums`.
 * :class:`RankedShareAccumulator` — running padded rank sums;
   :func:`repro.core.stats.mean_ranked_shares` is implemented on top of
-  it, so streamed and exact ranked shares are identical by construction.
+  it.
 
 Every accumulator supports ``merge`` so per-shard partials can combine
 associatively (the driver today runs single-threaded; merge keeps the
@@ -32,6 +31,7 @@ door open for sharded analysis).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -196,9 +196,11 @@ class QuantileSketch:
 
     @property
     def mean(self) -> float:
-        """Exact running mean (independent of compression)."""
+        """The exact CDF's mean while exact, then the running mean."""
         if self._count == 0:
             return float("nan")
+        if self._exact is not None:
+            return self._exact_cdf().mean
         return self._sum / self._count
 
     def _exact_cdf(self) -> EmpiricalCdf:
@@ -301,12 +303,17 @@ class QuantileSketch:
                             fractions=centers / max(self._count, 1))
 
 
+def exact_sketch() -> QuantileSketch:
+    """A sketch that never compresses: it answers as an EmpiricalCdf."""
+    return QuantileSketch(exact_threshold=sys.maxsize)
+
+
 class StreamingMeanSpread:
     """Welford online mean/std, finalized as a ``MeanWithSpread``.
 
-    The streamed mean/std agree with the exact numpy computation to
-    ~1e-9 relative (numpy uses pairwise summation; Welford is sequential
-    — both are stable, the rounding differs in the last few bits).
+    Sequential, so it agrees with numpy's pairwise
+    :meth:`MeanWithSpread.from_samples` only to the last few bits (both
+    are stable).  Every Figs. 8/9 bar and the port mean come from here.
     """
 
     __slots__ = ("_n", "_mean", "_m2")
@@ -353,8 +360,9 @@ class StreamingHourProfile:
     """24-slot sum/count accumulation for :class:`HourOfDayProfile`.
 
     Adding each (hour, value) sample in record order performs the same
-    float additions ``np.add.at`` does in the exact path, so the streamed
-    profile is bitwise-identical to the exact one.
+    float additions ``np.add.at`` does in
+    :meth:`HourOfDayProfile.from_samples`, so the profiles are bitwise
+    identical.
     """
 
     __slots__ = ("_sums", "_counts")

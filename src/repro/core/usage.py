@@ -4,6 +4,9 @@ Inputs: the Devices censuses (diurnal device presence), the Capacity data
 set, and the Traffic data set (per-minute throughput, flow records).
 Outputs: Figs. 13-20 and Table 6.
 
+Each figure is defined once, in a per-home fold (:class:`DiurnalFold`,
+:class:`FlowFold`, :class:`SaturationFold`) the public functions run.
+
 One methodological note: the paper's Fig. 13 uses the WiFi data set's
 associated-client counts.  Our scanner, like the real one, backs off while
 clients are associated — which biases scan-derived client counts — so the
@@ -15,43 +18,62 @@ the back-off bias.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.datasets import StudyData, ThroughputSeries
-from repro.core.records import OBFUSCATED_DOMAIN, FlowRecord
-from repro.core.stats import (
-    EmpiricalCdf,
-    HourOfDayProfile,
-    mean_ranked_shares,
-    shares,
+from repro.core.datasets import (
+    TRAFFIC_MIN_BYTES,
+    CalendarPool,
+    StudyData,
+    ThroughputSeries,
+    by_router,
+    fold_homes,
 )
+from repro.core.records import OBFUSCATED_DOMAIN, RouterInfo
+from repro.core.sketches import RankedShareAccumulator, StreamingHourProfile
+from repro.core.stats import HourOfDayProfile, shares
+
 MBPS = 1e6
-
-
-def _traffic_router_ids(data: StudyData,
-                        router_ids: Optional[Iterable[str]]) -> List[str]:
-    if router_ids is not None:
-        return sorted(set(router_ids))
-    return data.qualifying_traffic_routers()
 
 
 # -- Fig. 13: diurnal device presence ----------------------------------------------
 
+class DiurnalFold:
+    """Fig. 13, one home's hourly censuses at a time: wireless devices
+    online per local hour, weekdays and weekends apart.  Homes without
+    router metadata have no local time and are skipped."""
+
+    def __init__(self, routers: Dict[str, RouterInfo]) -> None:
+        self.calendars = CalendarPool(routers)
+        self.profiles = {"weekday": StreamingHourProfile(),
+                         "weekend": StreamingHourProfile()}
+
+    def add_home(self, router_id: str, samples: Iterable) -> None:
+        """Fold one home's censuses in."""
+        calendar = self.calendars.get(router_id)
+        if calendar is None:
+            return
+        for sample in samples:
+            weekend = calendar.is_weekend(sample.timestamp)
+            self.profiles["weekend" if weekend else "weekday"].add(
+                calendar.hour_of_day(sample.timestamp), float(sample.wireless))
+
+    def profile(self, weekend: bool) -> HourOfDayProfile:
+        return self.profiles["weekend" if weekend else "weekday"].result()
+
+
+def _amplitude_ratio(weekday: HourOfDayProfile,
+                     weekend: HourOfDayProfile) -> float:
+    if weekend.amplitude() == 0:
+        return float("inf")
+    return weekday.amplitude() / weekend.amplitude()
+
+
 def diurnal_device_profile(data: StudyData, weekend: bool) -> HourOfDayProfile:
     """Fig. 13: mean wireless devices online per local hour of day."""
-    hours: List[int] = []
-    values: List[float] = []
-    for sample in data.device_counts:
-        calendar = data.calendar_for(sample.router_id)
-        if calendar is None:
-            continue
-        if calendar.is_weekend(sample.timestamp) != weekend:
-            continue
-        hours.append(calendar.hour_of_day(sample.timestamp))
-        values.append(float(sample.wireless))
-    return HourOfDayProfile.from_samples(hours, values)
+    return fold_homes(DiurnalFold(data.routers),
+                      data.device_counts).profile(weekend)
 
 
 def diurnal_amplitude_ratio(data: StudyData) -> float:
@@ -60,11 +82,142 @@ def diurnal_amplitude_ratio(data: StudyData) -> float:
     Ratio of weekday to weekend peak-to-trough amplitude; > 1 means the
     weekday profile swings harder.
     """
-    weekday = diurnal_device_profile(data, weekend=False).amplitude()
-    weekend = diurnal_device_profile(data, weekend=True).amplitude()
-    if weekend == 0:
-        return float("inf")
-    return weekday / weekend
+    fold = fold_homes(DiurnalFold(data.routers), data.device_counts)
+    return _amplitude_ratio(fold.profile(False), fold.profile(True))
+
+
+# -- Figs. 17-19: the flow fold -------------------------------------------------------
+
+class HomeTraffic:
+    """One home's flows summed per device and per domain, in record order.
+
+    Passing *device_bytes* also adds each flow to that per-MAC tally.
+    """
+
+    def __init__(self, flows: Iterable,
+                 device_bytes: Optional[Dict[str, float]] = None) -> None:
+        count = 0
+        total = 0.0
+        devices: Dict[str, float] = {}
+        domains: Dict[str, List[float]] = {}
+        for flow in flows:
+            count += 1
+            volume = flow.bytes_total
+            total += volume
+            mac = flow.device_mac
+            devices[mac] = devices.get(mac, 0.0) + volume
+            if device_bytes is not None:
+                device_bytes[mac] = device_bytes.get(mac, 0.0) + volume
+            totals = domains.get(flow.domain)
+            if totals is None:
+                domains[flow.domain] = [volume, 1.0]
+            else:
+                totals[0] += volume
+                totals[1] += 1.0
+        #: Flows read, their bytes, and bytes per device MAC; per domain,
+        #: ``[bytes, connections]`` (the obfuscated domain included).
+        self.flows, self.total, self.devices, self.domains = \
+            count, total, devices, domains
+
+    def visible(self) -> Dict[str, List[float]]:
+        """The whitelisted domains' totals (the obfuscated is never ranked)."""
+        return {name: totals for name, totals in self.domains.items()
+                if name != OBFUSCATED_DOMAIN}
+
+
+@dataclass(frozen=True)
+class DomainShareSummary:
+    """Fig. 19's three panels in numbers."""
+
+    #: Mean share of whitelisted bytes carried by the rank-k volume domain.
+    volume_share_by_rank: np.ndarray
+    #: Mean share of connections made to the rank-k connection domain.
+    connection_share_by_rank: np.ndarray
+    #: Mean share of connections made to the rank-k *volume* domain
+    #: (Fig. 19c: the volume-top domain holds few connections).
+    connections_of_volume_ranked: np.ndarray
+    #: Mean fraction of all bytes that went to whitelisted domains (~65%).
+    whitelist_byte_coverage: float
+
+
+class FlowFold:
+    """Figs. 17-19 and the Traffic homes, one home's flows at a time.
+
+    Figs. 15-19 count the qualifying homes: those in *router_ids* if
+    given (others are skipped outright), else those whose flows moved at
+    least the paper's 100 MB.  :attr:`device_bytes` tallies each MAC's
+    bytes across the homes read, for Fig. 12's byte filter.
+    """
+
+    def __init__(self, ranks: int = 10,
+                 router_ids: Optional[Iterable[str]] = None) -> None:
+        self.wanted = None if router_ids is None else set(router_ids)
+        self.qualifying: Set[str] = set(self.wanted or ())
+        self.device_bytes: Dict[str, float] = {}
+        #: Fig. 17 — mean share of the rank-k device.
+        self.device_shares = RankedShareAccumulator(ranks)
+        self._top: Dict[str, List[int]] = {}
+        self._shares = [RankedShareAccumulator(ranks) for _ in range(3)]
+        self._coverages: List[float] = []
+
+    def qualifies(self, router_id: str, home: HomeTraffic) -> bool:
+        if self.wanted is not None:
+            return router_id in self.wanted
+        return home.total >= TRAFFIC_MIN_BYTES
+
+    def add_home(self, router_id: str, flows: Iterable) -> int:
+        """Fold one home's flows in; returns how many it read."""
+        if self.wanted is not None and router_id not in self.wanted:
+            return 0
+        home = HomeTraffic(flows, self.device_bytes)
+        if not self.qualifies(router_id, home):
+            return home.flows
+        self.qualifying.add(router_id)
+        self.device_shares.add(shares(list(home.devices.values())))
+        visible = home.visible()
+        by_volume = sorted(visible.items(), key=lambda kv: -kv[1][0])
+        for rank, (name, _totals) in enumerate(by_volume[:10]):
+            top = self._top.setdefault(name, [0, 0])
+            top[0] += rank < 5
+            top[1] += 1
+        if not visible:
+            return home.flows
+        bytes_all = sum(t[0] for t in home.domains.values())
+        bytes_wl = sum(t[0] for t in visible.values())
+        conns_wl = sum(t[1] for t in visible.values())
+        if bytes_all > 0:
+            self._coverages.append(bytes_wl / bytes_all)
+        volume, connections, connections_of_volume = self._shares
+        if bytes_wl > 0:
+            volume.add(np.asarray([t[0] / bytes_wl for _, t in by_volume]))
+        if conns_wl > 0:
+            by_conns = sorted(visible.values(), key=lambda t: -t[1])
+            connections.add(np.asarray([t[1] / conns_wl for t in by_conns]))
+            connections_of_volume.add(np.asarray(
+                [t[1] / conns_wl for _, t in by_volume]))
+        return home.flows
+
+    def domain_top_counts(self) -> Dict[str, Tuple[int, int]]:
+        """Fig. 18: per domain, #homes ranking it top-5 / top-10."""
+        ordered = sorted(self._top.items(),
+                         key=lambda kv: (-kv[1][0], -kv[1][1]))
+        return {name: (top5, top10) for name, (top5, top10) in ordered}
+
+    def domain_share(self) -> DomainShareSummary:
+        """Fig. 19's per-rank shares and whitelist coverage."""
+        return DomainShareSummary(
+            *(accumulator.result() for accumulator in self._shares),
+            whitelist_byte_coverage=(float(np.mean(self._coverages))
+                                     if self._coverages else float("nan")))
+
+
+def _qualifying_homes(data: StudyData, router_ids: Optional[Iterable[str]]
+                      ) -> Iterable[Tuple[str, HomeTraffic]]:
+    fold = FlowFold(router_ids=router_ids)
+    for rid, flows in by_router(data.flows):
+        home = HomeTraffic(flows)
+        if fold.qualifies(rid, home):
+            yield rid, home
 
 
 # -- Figs. 14-16: link utilization ---------------------------------------------------
@@ -72,12 +225,10 @@ def diurnal_amplitude_ratio(data: StudyData) -> float:
 def median_capacity(data: StudyData,
                     router_id: str) -> Optional[Tuple[float, float]]:
     """Median (down, up) capacity estimate in Mbps for one router."""
-    down = [m.downstream_mbps for m in data.capacity
-            if m.router_id == router_id]
-    up = [m.upstream_mbps for m in data.capacity if m.router_id == router_id]
-    if not down:
-        return None
-    return (float(np.median(down)), float(np.median(up)))
+    fold = SaturationFold({router_id})
+    fold.add_capacity(router_id, (m for m in data.capacity
+                                  if m.router_id == router_id))
+    return fold.capacities.get(router_id)
 
 
 @dataclass(frozen=True)
@@ -122,6 +273,51 @@ class SaturationPoint:
     uplink_utilization: float
 
 
+class SaturationFold:
+    """Fig. 15 over two passes: the median capacity of each home in
+    *homes*, then, one throughput series at a time, its *percentile*
+    utilization each way over active minutes (some device exchanging
+    traffic), matching Section 6.2's methodology."""
+
+    def __init__(self, homes: Set[str], percentile: float = 95.0) -> None:
+        self.homes = homes
+        self.percentile = percentile
+        #: Median (down, up) capacity in Mbps per home in *homes*.
+        self.capacities: Dict[str, Tuple[float, float]] = {}
+        self._points: Dict[str, SaturationPoint] = {}
+
+    def add_capacity(self, router_id: str, measurements: Iterable) -> int:
+        """Fold one home's capacity estimates in; returns how many."""
+        down: List[float] = []
+        up: List[float] = []
+        for measurement in measurements:
+            down.append(measurement.downstream_mbps)
+            up.append(measurement.upstream_mbps)
+        if router_id in self.homes and down:
+            self.capacities[router_id] = (float(np.median(down)),
+                                          float(np.median(up)))
+        return len(down)
+
+    def add_home(self, series: ThroughputSeries) -> int:
+        """Fold one home's series in; returns how many minutes it read."""
+        capacity = self.capacities.get(series.router_id)
+        active = None if capacity is None else series.active_mask()
+        if active is None or not np.any(active):
+            return len(series)
+        joined = UtilizationTimeseries(series.router_id, series, *capacity)
+        self._points[series.router_id] = SaturationPoint(
+            series.router_id, *capacity,
+            float(np.percentile(joined.downlink_utilization()[active],
+                                self.percentile)),
+            float(np.percentile(joined.uplink_utilization()[active],
+                                self.percentile)))
+        return len(series)
+
+    def points(self) -> List[SaturationPoint]:
+        """The scatter, by router id."""
+        return [self._points[rid] for rid in sorted(self._points)]
+
+
 def link_saturation(data: StudyData, percentile: float = 95.0,
                     router_ids: Optional[Iterable[str]] = None,
                     ) -> List[SaturationPoint]:
@@ -130,24 +326,13 @@ def link_saturation(data: StudyData, percentile: float = 95.0,
     Only active minutes count (some device exchanging traffic), matching
     Section 6.2's methodology.
     """
-    points: List[SaturationPoint] = []
-    for rid in _traffic_router_ids(data, router_ids):
-        joined = utilization_timeseries(data, rid)
-        if joined is None:
-            continue
-        active = joined.series.active_mask()
-        if not np.any(active):
-            continue
-        down_util = joined.downlink_utilization()[active]
-        up_util = joined.uplink_utilization()[active]
-        points.append(SaturationPoint(
-            router_id=rid,
-            capacity_down_mbps=joined.capacity_down_mbps,
-            capacity_up_mbps=joined.capacity_up_mbps,
-            downlink_utilization=float(np.percentile(down_util, percentile)),
-            uplink_utilization=float(np.percentile(up_util, percentile)),
-        ))
-    return points
+    traffic = fold_homes(FlowFold(router_ids=router_ids), data.flows)
+    fold = SaturationFold(traffic.qualifying, percentile)
+    for rid, measurements in by_router(data.capacity):
+        fold.add_capacity(rid, measurements)
+    for series in data.throughput.values():
+        fold.add_home(series)
+    return fold.points()
 
 
 def saturating_uplink_homes(points: Sequence[SaturationPoint]) -> List[str]:
@@ -155,45 +340,21 @@ def saturating_uplink_homes(points: Sequence[SaturationPoint]) -> List[str]:
     return [p.router_id for p in points if p.uplink_utilization > 1.0]
 
 
-# -- Fig. 17: per-device shares --------------------------------------------------------
+# -- Figs. 17-19: per-device and per-domain shares ---------------------------------
 
 def device_share_per_home(data: StudyData,
                           router_ids: Optional[Iterable[str]] = None,
                           ) -> Dict[str, np.ndarray]:
     """Per home: descending per-device byte shares from flow records."""
-    wanted = set(_traffic_router_ids(data, router_ids))
-    per_device: Dict[str, Dict[str, float]] = {}
-    for flow in data.flows:
-        if flow.router_id not in wanted:
-            continue
-        home = per_device.setdefault(flow.router_id, {})
-        home[flow.device_mac] = home.get(flow.device_mac, 0.0) \
-            + flow.bytes_total
-    return {rid: shares(list(macs.values()))
-            for rid, macs in per_device.items()}
+    return {rid: shares(list(home.devices.values()))
+            for rid, home in _qualifying_homes(data, router_ids)}
 
 
 def mean_device_share(data: StudyData, ranks: int = 5,
                       router_ids: Optional[Iterable[str]] = None) -> np.ndarray:
     """Fig. 17 summary: mean share of the rank-k device across homes."""
-    per_home = device_share_per_home(data, router_ids)
-    return mean_ranked_shares(per_home.values(), ranks)
-
-
-# -- Figs. 18-19: domain shares ----------------------------------------------------------
-
-def _domain_totals(flows: Iterable[FlowRecord],
-                   include_obfuscated: bool) -> Dict[str, Dict[str, float]]:
-    """domain → {"bytes": ..., "connections": ...} for a flow stream."""
-    totals: Dict[str, Dict[str, float]] = {}
-    for flow in flows:
-        if flow.domain == OBFUSCATED_DOMAIN and not include_obfuscated:
-            continue
-        entry = totals.setdefault(flow.domain,
-                                  {"bytes": 0.0, "connections": 0.0})
-        entry["bytes"] += flow.bytes_total
-        entry["connections"] += 1.0
-    return totals
+    fold = FlowFold(ranks=ranks, router_ids=router_ids)
+    return fold_homes(fold, data.flows).device_shares.result()
 
 
 def domain_rankings(data: StudyData,
@@ -202,92 +363,27 @@ def domain_rankings(data: StudyData,
     """Per home: whitelisted domains ranked by bytes or connections."""
     if by not in ("bytes", "connections"):
         raise ValueError(f"rank key must be bytes/connections, got {by!r}")
-    wanted = set(_traffic_router_ids(data, router_ids))
-    per_home: Dict[str, List[FlowRecord]] = {}
-    for flow in data.flows:
-        if flow.router_id in wanted:
-            per_home.setdefault(flow.router_id, []).append(flow)
-    rankings: Dict[str, List[Tuple[str, float]]] = {}
-    for rid, flows in per_home.items():
-        totals = _domain_totals(flows, include_obfuscated=False)
-        ranked = sorted(((name, t[by]) for name, t in totals.items()),
+    column = 0 if by == "bytes" else 1
+    return {rid: sorted(((name, totals[column])
+                         for name, totals in home.visible().items()),
                         key=lambda kv: -kv[1])
-        rankings[rid] = ranked
-    return rankings
+            for rid, home in _qualifying_homes(data, router_ids)}
 
 
 def domain_top_counts(data: StudyData,
                       router_ids: Optional[Iterable[str]] = None,
                       ) -> Dict[str, Tuple[int, int]]:
     """Fig. 18: per domain, #homes where it ranks top-5 / top-10 by volume."""
-    counts: Dict[str, List[int]] = {}
-    for ranked in domain_rankings(data, router_ids, by="bytes").values():
-        for rank, (name, _volume) in enumerate(ranked[:10]):
-            entry = counts.setdefault(name, [0, 0])
-            if rank < 5:
-                entry[0] += 1
-            entry[1] += 1
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1][0], -kv[1][1]))
-    return {name: (top5, top10) for name, (top5, top10) in ordered}
-
-
-@dataclass(frozen=True)
-class DomainShareSummary:
-    """Fig. 19's three panels in numbers."""
-
-    #: Mean share of whitelisted bytes carried by the rank-k volume domain.
-    volume_share_by_rank: np.ndarray
-    #: Mean share of connections made to the rank-k connection domain.
-    connection_share_by_rank: np.ndarray
-    #: Mean share of connections made to the rank-k *volume* domain
-    #: (Fig. 19c: the volume-top domain holds few connections).
-    connections_of_volume_ranked: np.ndarray
-    #: Mean fraction of all bytes that went to whitelisted domains (~65%).
-    whitelist_byte_coverage: float
+    return fold_homes(FlowFold(router_ids=router_ids),
+                      data.flows).domain_top_counts()
 
 
 def domain_share(data: StudyData, ranks: int = 10,
                  router_ids: Optional[Iterable[str]] = None,
                  ) -> DomainShareSummary:
     """Fig. 19: per-rank domain shares of volume and connections."""
-    wanted = set(_traffic_router_ids(data, router_ids))
-    per_home: Dict[str, List[FlowRecord]] = {}
-    for flow in data.flows:
-        if flow.router_id in wanted:
-            per_home.setdefault(flow.router_id, []).append(flow)
-
-    volume_shares: List[np.ndarray] = []
-    connection_shares: List[np.ndarray] = []
-    conn_of_volume: List[np.ndarray] = []
-    coverages: List[float] = []
-    for flows in per_home.values():
-        visible = _domain_totals(flows, include_obfuscated=False)
-        everything = _domain_totals(flows, include_obfuscated=True)
-        if not visible:
-            continue
-        total_bytes_all = sum(t["bytes"] for t in everything.values())
-        total_bytes_wl = sum(t["bytes"] for t in visible.values())
-        total_conns_wl = sum(t["connections"] for t in visible.values())
-        if total_bytes_all > 0:
-            coverages.append(total_bytes_wl / total_bytes_all)
-        by_volume = sorted(visible.values(), key=lambda t: -t["bytes"])
-        by_conns = sorted(visible.values(), key=lambda t: -t["connections"])
-        if total_bytes_wl > 0:
-            volume_shares.append(np.asarray(
-                [t["bytes"] / total_bytes_wl for t in by_volume]))
-        if total_conns_wl > 0:
-            connection_shares.append(np.asarray(
-                [t["connections"] / total_conns_wl for t in by_conns]))
-            conn_of_volume.append(np.asarray(
-                [t["connections"] / total_conns_wl for t in by_volume]))
-
-    return DomainShareSummary(
-        volume_share_by_rank=mean_ranked_shares(volume_shares, ranks),
-        connection_share_by_rank=mean_ranked_shares(connection_shares, ranks),
-        connections_of_volume_ranked=mean_ranked_shares(conn_of_volume, ranks),
-        whitelist_byte_coverage=(float(np.mean(coverages))
-                                 if coverages else float("nan")),
-    )
+    fold = FlowFold(ranks=ranks, router_ids=router_ids)
+    return fold_homes(fold, data.flows).domain_share()
 
 
 # -- Fig. 20: per-device domain mixes -------------------------------------------------------
@@ -359,9 +455,9 @@ def usage_by_country(data: StudyData,
         (data.windows.traffic[1] - data.windows.traffic[0]) / 86400.0, 1e-6)
     results: List[CountryUsage] = []
     for code, rids in sorted(by_country.items()):
-        shares = mean_ranked_shares(
-            device_share_per_home(data, router_ids=rids).values(), ranks=1)
-        domains = domain_share(data, router_ids=rids)
+        traffic = fold_homes(FlowFold(ranks=1, router_ids=rids), data.flows)
+        shares = traffic.device_shares.result()
+        domains = traffic.domain_share()
         country_bytes = sum(totals[rid] for rid in rids)
         results.append(CountryUsage(
             country_code=code,
@@ -391,21 +487,29 @@ class Section6Highlights:
     top_domain_mean_connection_share: float
     whitelist_byte_coverage: float
 
+    @classmethod
+    def from_figures(cls, weekday: HourOfDayProfile,
+                     weekend: HourOfDayProfile,
+                     points: Sequence[SaturationPoint],
+                     device_shares: np.ndarray,
+                     domains: DomainShareSummary) -> "Section6Highlights":
+        """Table 6 from Figs. 13, 15, 17 and 19."""
+
+        def top(by_rank: np.ndarray) -> float:
+            return float(by_rank[0]) if by_rank.size else float("nan")
+
+        return cls(_amplitude_ratio(weekday, weekend),
+                   len(saturating_uplink_homes(points)), top(device_shares),
+                   top(domains.volume_share_by_rank),
+                   top(domains.connection_share_by_rank),
+                   domains.whitelist_byte_coverage)
+
 
 def section6_highlights(data: StudyData) -> Section6Highlights:
     """Compute Table 6 from the Devices + Capacity + Traffic data sets."""
-    points = link_saturation(data)
-    device_shares = mean_device_share(data, ranks=3)
-    domains = domain_share(data)
-    return Section6Highlights(
-        weekday_weekend_amplitude_ratio=diurnal_amplitude_ratio(data),
-        homes_with_saturated_uplink=len(saturating_uplink_homes(points)),
-        top_device_mean_share=float(device_shares[0]) if device_shares.size
-        else float("nan"),
-        top_domain_mean_volume_share=float(domains.volume_share_by_rank[0])
-        if domains.volume_share_by_rank.size else float("nan"),
-        top_domain_mean_connection_share=float(
-            domains.connection_share_by_rank[0])
-        if domains.connection_share_by_rank.size else float("nan"),
-        whitelist_byte_coverage=domains.whitelist_byte_coverage,
-    )
+    traffic = fold_homes(FlowFold(), data.flows)
+    diurnal = fold_homes(DiurnalFold(data.routers), data.device_counts)
+    return Section6Highlights.from_figures(
+        diurnal.profile(False), diurnal.profile(True),
+        link_saturation(data),
+        traffic.device_shares.result(), traffic.domain_share())

@@ -61,7 +61,7 @@ from typing import Dict, List, Optional, Tuple, Union
 #: Span categories the engine wires up.  ``"shard"`` spans are worker-side
 #: work (materialize / collect and their dotted sub-spans), ``"engine"``
 #: spans are the parent's orchestration (head_wait / ingest / checkpoint /
-#: retry.backoff / pool.rebuild / submit), ``"analyze"`` the streaming
+#: retry.backoff / pool.rebuild / submit), ``"analyze"`` the per-data-set
 #: figure passes, and ``"fault"`` instants mark injected failures.
 CATEGORIES = ("shard", "engine", "analyze", "fault", "campaign")
 

@@ -9,7 +9,7 @@ counterparts bitwise (hour profiles, ranked shares) or to float noise
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.sketches import (
@@ -42,6 +42,7 @@ class TestQuantileSketchExactMode:
     """Below the threshold the sketch IS an EmpiricalCdf."""
 
     @given(samples)
+    @example([0.1] * 10 + [0.2] * 7)  # sequential sum != numpy's mean
     @settings(max_examples=50)
     def test_bitwise_equal_to_empirical_cdf(self, xs):
         sketch = QuantileSketch()
@@ -49,6 +50,7 @@ class TestQuantileSketchExactMode:
         cdf = EmpiricalCdf.from_samples(xs)
         assert not sketch.compressed
         assert sketch.n == cdf.n
+        assert sketch.mean == cdf.mean
         for q in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
             assert sketch.quantile(q) == cdf.quantile(q)
         for threshold in (min(xs), max(xs), np.median(xs), 0.0):

@@ -1,16 +1,17 @@
-"""Streamed-vs-exact figure parity, and the no-materialization guarantee.
+"""Exact-vs-streamed figure parity, and the no-materialization guarantee.
 
-The exact in-RAM pipeline (``compute_figures``) is the oracle; the
-streaming path (``stream_figures``) must reproduce every Section 4-6
-figure within the tolerance policy declared in
-:mod:`repro.core.streaming` — bitwise for counts/sets/shares/profiles
-and uncompressed quantiles, ~1e-9 relative for Welford means and
-per-country medians.  The spill tests additionally prove the stream path
-never builds ``StoreContents`` lists, keeps at most one run file open
-per dataset, and stays O(sketch) in memory.
+``compute_figures`` and ``stream_figures`` run the same per-home folds
+and differ only by sketch compression, which no distribution in these
+studies reaches: every figure must match bitwise (nan-aware), whichever
+source the stream path reads.  Compression itself is covered by
+``tests/test_sketches.py::TestQuantileSketchCompressed``.  The spill
+tests additionally prove the stream path never builds ``StoreContents``
+lists, keeps at most one run file open per dataset, and stays O(sketch)
+in memory.
 """
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -30,29 +31,20 @@ from repro.core.streaming import (
 )
 from repro.simulation.deployment import build_deployment_plan
 
-REL = 1e-9
-
 FIGURE_FIELDS = [f.name for f in dataclasses.fields(StudyFigures)
                  if f.name != "records_streamed"]
 
 
 def assert_close(a, b, path=""):
-    """Recursive nan-aware comparison at the declared tolerance."""
+    """Recursive nan-aware bitwise comparison."""
     if isinstance(a, float) or isinstance(b, float):
         a, b = float(a), float(b)
-        if np.isnan(a) or np.isnan(b):
-            assert np.isnan(a) and np.isnan(b), f"{path}: {a} != {b}"
-        else:
-            assert a == pytest.approx(b, rel=REL, abs=1e-12), \
-                f"{path}: {a} != {b}"
+        assert a == b or (np.isnan(a) and np.isnan(b)), f"{path}: {a} != {b}"
     elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        assert a.shape == b.shape, path
-        both_nan = np.isnan(a) & np.isnan(b)
-        assert np.allclose(a[~both_nan], b[~both_nan], rtol=REL,
-                           atol=1e-12, equal_nan=False), path
+        assert np.array_equal(a, b, equal_nan=True), path
     elif hasattr(a, "quantile") and hasattr(a, "n"):
-        # CDF-shaped: EmpiricalCdf (exact) vs QuantileSketch (stream).
+        # CDF-shaped: the sketches both entry points hold.
         assert a.n == b.n, f"{path}.n"
         if a.n:
             for q in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0):
@@ -77,6 +69,25 @@ def assert_close(a, b, path=""):
         assert a == b, f"{path}: {a!r} != {b!r}"
 
 
+def interleaved(data):
+    """*data* with every record list dealt round-robin across homes.
+
+    No home's records stay contiguous, but homes keep their
+    first-appearance order and each home its record order.
+    """
+    def deal(records):
+        homes = {}
+        for record in records:
+            homes.setdefault(record.router_id, []).append(record)
+        return [record for row in itertools.zip_longest(*homes.values())
+                for record in row if record is not None]
+
+    return dataclasses.replace(data, **{
+        name: deal(getattr(data, name))
+        for name in ("uptime_reports", "capacity", "device_counts",
+                     "roster", "wifi_scans", "flows")})
+
+
 @pytest.fixture(scope="module")
 def exact_figures(small_data):
     return compute_figures(small_data)
@@ -88,7 +99,7 @@ def streamed_figures(small_data):
 
 
 class TestStreamParity:
-    """Every figure off the stream path matches the exact oracle."""
+    """Every figure off the stream path matches compute_figures."""
 
     @pytest.mark.parametrize("name", FIGURE_FIELDS)
     def test_field_matches(self, name, exact_figures, streamed_figures):
@@ -96,8 +107,9 @@ class TestStreamParity:
                      getattr(streamed_figures, name), name)
 
     def test_records_streamed(self, exact_figures, streamed_figures):
-        assert exact_figures.records_streamed == 0
         assert streamed_figures.records_streamed > 0
+        assert exact_figures.records_streamed == \
+            streamed_figures.records_streamed
 
     def test_small_study_quantiles_are_exact(self, streamed_figures):
         # At this scale no per-group sketch crosses the exact threshold,
@@ -110,6 +122,30 @@ class TestStreamParity:
         exact_report = render_report(reproduce_all(small_data))
         stream_report = render_report(reproduce_all(streamed_figures))
         assert stream_report == exact_report
+
+
+class TestInterleavedHomes:
+    """A hand-built StudyData need not keep each home's records together."""
+
+    @pytest.fixture(scope="class")
+    def shuffled(self, small_data):
+        shuffled = interleaved(small_data)
+        assert [r.router_id for r in shuffled.flows] != \
+            [r.router_id for r in small_data.flows]
+        return shuffled
+
+    @pytest.mark.parametrize("analyze", [
+        compute_figures,
+        lambda data: stream_figures(StudyDataSource(data)),
+    ], ids=["compute_figures", "stream_figures"])
+    def test_matches_router_sorted_copy(self, analyze, shuffled,
+                                        exact_figures):
+        # small_data is the router-sorted copy: the store sorts every
+        # record list by (router, timestamp).
+        figures = analyze(shuffled)
+        for name in FIGURE_FIELDS + ["records_streamed"]:
+            assert_close(getattr(exact_figures, name),
+                         getattr(figures, name), name)
 
 
 class TestSpillStreaming:
