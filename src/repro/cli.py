@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import trace
-from repro.core.datasets import StudyData, summarize_datasets
+from repro.core.datasets import StudyData, fold_homes, summarize_datasets
 from repro.core.pipeline import StudyConfig, run_study, run_study_streaming
 from repro.core import availability, infrastructure, usage
 from repro.core.caps import cap_forecast
@@ -215,8 +215,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     data = _load_data(args)
     rows = []
 
-    dev = availability.downtime_rate_cdf(data, developed=True)
-    dvg = availability.downtime_rate_cdf(data, developed=False)
+    rates = fold_homes(availability.HeartbeatFold(data.routers),
+                       data.heartbeats).rates
+    dev, dvg = rates["developed"], rates["developing"]
     if dev.n and dvg.n:
         rows.append(("downtimes/day (median, developed)",
                      round(dev.median, 3)))
@@ -233,8 +234,9 @@ def cmd_report(args: argparse.Namespace) -> int:
                          aps.median))
 
     if data.flows:
-        shares = usage.mean_device_share(data, ranks=1)
-        domains = usage.domain_share(data)
+        traffic = fold_homes(usage.FlowFold(), data.flows)
+        shares = traffic.device_shares.result()
+        domains = traffic.domain_share()
         rows.append(("top device share (mean)", f"{shares[0]:.0%}"))
         if domains.volume_share_by_rank.size:
             rows.append(("top domain volume share (mean)",

@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.datasets import GROUP, HeartbeatLog, StudyData
+from repro.core.datasets import GROUP, HeartbeatLog, StudyData, fold_homes
 from repro.core.intervals import IntervalSet
 from repro.core.records import RouterInfo
 from repro.core.sketches import QuantileSketch, exact_sketch
@@ -67,13 +67,16 @@ def observed_days(log: HeartbeatLog) -> float:
     return float((ts[-1] - ts[0]) / DAY)
 
 
+def _per_observed_day(events: IntervalSet,
+                      log: HeartbeatLog) -> Optional[float]:
+    days = observed_days(log)
+    return len(events) / days if days > 0 else None
+
+
 def downtime_rate_per_day(log: HeartbeatLog,
                           threshold: float = DOWNTIME_THRESHOLD) -> Optional[float]:
     """Average ≥threshold downtimes per observed day (None if unobserved)."""
-    days = observed_days(log)
-    if days <= 0:
-        return None
-    return len(downtime_events(log, threshold)) / days
+    return _per_observed_day(downtime_events(log, threshold), log)
 
 
 def availability_fraction(log: HeartbeatLog) -> Optional[float]:
@@ -145,15 +148,16 @@ class HeartbeatFold:
         #: Routers that behave like Fig. 6b appliances, in log order.
         self.appliances: List[str] = []
 
-    def add_home(self, log: HeartbeatLog) -> int:
+    def add_home(self, router_id: str, log: HeartbeatLog) -> int:
         """Fold one router's log in; returns how many heartbeats it read."""
         fraction = availability_fraction(log)
-        rate = downtime_rate_per_day(log)
+        events = downtime_events(log)
+        rate = _per_observed_day(events, log)
         if fraction is not None and rate is not None and \
                 fraction <= self.max_availability and \
                 rate >= self.min_daily_cycles:
-            self.appliances.append(log.router_id)
-        info = self.routers.get(log.router_id)
+            self.appliances.append(router_id)
+        info = self.routers.get(router_id)
         if fraction is not None and info is not None:
             self._availability[info.country_code].add(fraction)
         if info is None or rate is None or \
@@ -163,11 +167,11 @@ class HeartbeatFold:
             self._countries[info.country_code] = (info, self.sketch(),
                                                   self.sketch())
         _, counts, durations = self._countries[info.country_code]
-        events = downtime_events(log).durations()
+        lengths = events.durations()
         self.rates[GROUP[info.developed]].add(rate)
-        self.durations[GROUP[info.developed]].add_many(events)
+        self.durations[GROUP[info.developed]].add_many(lengths)
         counts.add(rate * self.normalize_days)
-        durations.add_many(events)
+        durations.add_many(lengths)
         return len(log)
 
     def days_between_downtimes(self, developed: bool) -> Optional[float]:
@@ -210,10 +214,7 @@ class HeartbeatFold:
 
 
 def _fold(data: StudyData, **inputs) -> HeartbeatFold:
-    fold = HeartbeatFold(data.routers, **inputs)
-    for log in data.heartbeats.values():
-        fold.add_home(log)
-    return fold
+    return fold_homes(HeartbeatFold(data.routers, **inputs), data.heartbeats)
 
 
 def downtime_rate_cdf(data: StudyData, developed: bool,

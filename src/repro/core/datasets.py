@@ -5,7 +5,8 @@ everything Sections 4-6 compute starts from one of these.  Two data sets
 are large enough to deserve columnar storage (per-router numpy arrays):
 heartbeat timestamps (:class:`HeartbeatLog`) and per-minute throughput
 (:class:`ThroughputSeries`); the rest are plain record lists, which the
-per-home figure folds read through :func:`by_router`.
+per-home figure folds read through :func:`by_router`.  One home's flows
+summed (:class:`FlowTotals`) carry the paper's ≥100 MB Traffic bar.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.records import (
+    OBFUSCATED_DOMAIN,
     CapacityMeasurement,
     DeviceCountSample,
     DeviceRosterEntry,
@@ -38,10 +40,16 @@ TRAFFIC_MIN_BYTES = 100e6
 GROUP = {True: "developed", False: "developing"}
 
 
-def by_router(records: Iterable) -> Iterator[Tuple[str, List]]:
-    """Group records by home in first-appearance order, keeping each
-    home's record order (float sums depend on it); a home's records
-    need not be contiguous."""
+def by_router(records: Iterable) -> Iterator[Tuple[str, object]]:
+    """A data set's ``(router_id, records)`` per home.
+
+    Records are grouped in first-appearance order, keeping each home's
+    record order (float sums depend on it); a home's records need not be
+    contiguous.  A keyed data set (heartbeat logs, throughput series)
+    holds one entry per home already.
+    """
+    if isinstance(records, dict):
+        return iter(records.items())
     homes: Dict[str, List] = {}
     for router_id, run in itertools.groupby(records,
                                             key=attrgetter("router_id")):
@@ -50,10 +58,51 @@ def by_router(records: Iterable) -> Iterator[Tuple[str, List]]:
 
 
 def fold_homes(fold, records: Iterable):
-    """Feed a record list to a figure fold home by home; returns *fold*."""
+    """Feed a data set to a figure fold home by home; returns *fold*."""
     for router_id, home in by_router(records):
         fold.add_home(router_id, home)
     return fold
+
+
+class FlowTotals:
+    """One home's flows summed per device and per domain, in record order.
+
+    Passing *device_bytes* also adds each flow to that per-MAC tally.
+    """
+
+    def __init__(self, flows: Iterable,
+                 device_bytes: Optional[Dict[str, float]] = None) -> None:
+        count = 0
+        total = 0.0
+        devices: Dict[str, float] = {}
+        domains: Dict[str, List[float]] = {}
+        for flow in flows:
+            count += 1
+            volume = flow.bytes_total
+            total += volume
+            mac = flow.device_mac
+            devices[mac] = devices.get(mac, 0.0) + volume
+            if device_bytes is not None:
+                device_bytes[mac] = device_bytes.get(mac, 0.0) + volume
+            totals = domains.get(flow.domain)
+            if totals is None:
+                domains[flow.domain] = [volume, 1.0]
+            else:
+                totals[0] += volume
+                totals[1] += 1.0
+        #: Flows read, their bytes, and bytes per device MAC; per domain,
+        #: ``[bytes, connections]`` (the obfuscated domain included).
+        self.flows, self.total, self.devices, self.domains = \
+            count, total, devices, domains
+
+    def qualifies(self, min_bytes: float = TRAFFIC_MIN_BYTES) -> bool:
+        """Whether the home clears the Traffic activity bar."""
+        return self.total >= min_bytes
+
+    def visible(self) -> Dict[str, List[float]]:
+        """The whitelisted domains' totals (the obfuscated is never ranked)."""
+        return {name: totals for name, totals in self.domains.items()
+                if name != OBFUSCATED_DOMAIN}
 
 
 class CalendarPool:
@@ -209,18 +258,14 @@ class StudyData:
 
     def traffic_bytes_by_router(self) -> Dict[str, float]:
         """Total Traffic-data-set bytes per router (from flow records)."""
-        totals: Dict[str, float] = {}
-        for flow in self.flows:
-            totals[flow.router_id] = totals.get(flow.router_id, 0.0) \
-                + flow.bytes_total
-        return totals
+        return {rid: FlowTotals(flows).total
+                for rid, flows in by_router(self.flows)}
 
     def qualifying_traffic_routers(
             self, min_bytes: float = TRAFFIC_MIN_BYTES) -> List[str]:
         """Routers whose Traffic data clears the paper's ≥100 MB bar."""
-        totals = self.traffic_bytes_by_router()
-        return sorted(rid for rid, total in totals.items()
-                      if total >= min_bytes)
+        return sorted(rid for rid, flows in by_router(self.flows)
+                      if FlowTotals(flows).qualifies(min_bytes))
 
 
 def study_digest(data: StudyData) -> str:

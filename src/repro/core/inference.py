@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats as scipy_stats
 
 from repro.core import availability
-from repro.core.datasets import StudyData
+from repro.core.datasets import StudyData, fold_homes
 from repro.core.records import Spectrum
 
 
@@ -113,11 +113,6 @@ def bootstrap_median_ci(samples: Sequence[float],
 
 # -- the paper's group claims, tested ------------------------------------------------
 
-def _group_rates(data: StudyData, developed: bool) -> List[float]:
-    cdf = availability.downtime_rate_cdf(data, developed)
-    return cdf.values.tolist()
-
-
 def development_divide(data: StudyData) -> List[GroupComparison]:
     """Test every developed-vs-developing claim the data supports.
 
@@ -127,31 +122,22 @@ def development_divide(data: StudyData) -> List[GroupComparison]:
     """
     from repro.core import infrastructure  # local to avoid cycle at import
 
+    heartbeats = fold_homes(availability.HeartbeatFold(data.routers),
+                            data.heartbeats)
+    wifi = fold_homes(infrastructure.WifiFold(data.routers), data.wifi_scans)
+    claims = [
+        ("downtimes/day (developing vs developed)",
+         heartbeats.rates["developing"], heartbeats.rates["developed"]),
+        ("downtime duration seconds (developing vs developed)",
+         heartbeats.durations["developing"],
+         heartbeats.durations["developed"]),
+        ("2.4 GHz neighbor APs (developed vs developing)",
+         wifi.neighbor_aps[(Spectrum.GHZ_2_4, "developed")],
+         wifi.neighbor_aps[(Spectrum.GHZ_2_4, "developing")]),
+    ]
     comparisons: List[GroupComparison] = []
-
-    dvg_rates = _group_rates(data, developed=False)
-    dev_rates = _group_rates(data, developed=True)
-    if len(dvg_rates) >= 2 and len(dev_rates) >= 2:
-        comparisons.append(compare_samples(
-            "downtimes/day (developing vs developed)",
-            dvg_rates, dev_rates))
-
-    dvg_durations = availability.downtime_duration_cdf(
-        data, developed=False).values.tolist()
-    dev_durations = availability.downtime_duration_cdf(
-        data, developed=True).values.tolist()
-    if len(dvg_durations) >= 2 and len(dev_durations) >= 2:
-        comparisons.append(compare_samples(
-            "downtime duration seconds (developing vs developed)",
-            dvg_durations, dev_durations))
-
-    dev_aps = infrastructure.neighbor_ap_cdf(
-        data, Spectrum.GHZ_2_4, developed=True).values.tolist()
-    dvg_aps = infrastructure.neighbor_ap_cdf(
-        data, Spectrum.GHZ_2_4, developed=False).values.tolist()
-    if len(dev_aps) >= 2 and len(dvg_aps) >= 2:
-        comparisons.append(compare_samples(
-            "2.4 GHz neighbor APs (developed vs developing)",
-            dev_aps, dvg_aps))
-
+    for label, a, b in claims:
+        if a.n >= 2 and b.n >= 2:
+            comparisons.append(compare_samples(
+                label, a.to_cdf().values.tolist(), b.to_cdf().values.tolist()))
     return comparisons

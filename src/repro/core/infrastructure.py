@@ -23,7 +23,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.datasets import GROUP, StudyData, by_router, fold_homes
+from repro.core.datasets import (
+    GROUP,
+    FlowTotals,
+    StudyData,
+    by_router,
+    fold_homes,
+)
 from repro.core.records import Medium, RouterInfo, Spectrum
 from repro.core.sketches import (
     QuantileSketch,
@@ -31,7 +37,6 @@ from repro.core.sketches import (
     exact_sketch,
 )
 from repro.core.stats import EmpiricalCdf, MeanWithSpread
-from repro.core.usage import FlowFold
 from repro.netutils.mac import parse_mac
 from repro.simulation.vendors import BISMARK_OUI, vendor_category
 
@@ -149,9 +154,9 @@ class RosterFold:
 
     Fig. 12 follows the paper's filters: only homes in *traffic_homes*,
     only devices whose MAC moved at least *min_bytes* per *device_bytes*
-    (from :class:`~repro.core.usage.FlowFold`), and the BISmark gateways
-    themselves removed.  MACs are lower-24-hashed but keep their OUI,
-    which is all the vendor lookup needs.
+    (as :class:`~repro.core.datasets.FlowTotals` tallies it), and the
+    BISmark gateways themselves removed.  MACs are lower-24-hashed but
+    keep their OUI, which is all the vendor lookup needs.
     """
 
     def __init__(self, routers: Dict[str, RouterInfo],
@@ -246,28 +251,41 @@ def vendor_histogram(data: StudyData,
     The homes are the Traffic data set's (or *router_ids*); see
     :class:`RosterFold` for the filters.
     """
-    wanted = None if router_ids is None else set(router_ids)
-    traffic = fold_homes(FlowFold(router_ids=wanted), data.flows)
-    homes = wanted if wanted is not None else (
+    homes = set(router_ids) if router_ids is not None else (
         {flow.router_id for flow in data.flows} | set(data.throughput))
-    fold = RosterFold(data.routers, device_bytes=traffic.device_bytes,
+    device_bytes: Dict[str, float] = {}
+    for rid, flows in by_router(data.flows):
+        if rid in homes:
+            FlowTotals(flows, device_bytes)  # tallies each MAC's bytes
+    fold = RosterFold(data.routers, device_bytes=device_bytes,
                       traffic_homes=homes, min_bytes=min_bytes)
     return fold_homes(fold, data.roster).vendor_histogram()
 
 
 # -- Fig. 11: the neighbor-AP fold -------------------------------------------------------
 
+#: Fig. 11's per-home statistic: this quantile of a band's neighbor-AP
+#: counts across the home's scans.
+NEIGHBOR_AP_QUANTILE = 0.95
+
+
 def _neighbor_aps(scans: Iterable, quantile: float
                   ) -> Tuple[Dict[Spectrum, float], int]:
     """One home's q-quantile of neighbor-AP counts per scanned band, and
     how many scans it read."""
-    counts: Dict[Spectrum, List[int]] = {}
+    # Bands match by identity: hashing an enum member per scan would cost
+    # more than the rest of the loop.
+    counts: List[Tuple[Spectrum, List[int]]] = [
+        (spectrum, []) for spectrum in Spectrum]
     read = 0
     for scan in scans:
         read += 1
-        counts.setdefault(scan.spectrum, []).append(scan.neighbor_aps)
+        for spectrum, values in counts:
+            if scan.spectrum is spectrum:
+                values.append(scan.neighbor_aps)
+                break
     return {spectrum: float(np.quantile(np.asarray(values), quantile))
-            for spectrum, values in counts.items()}, read
+            for spectrum, values in counts if values}, read
 
 
 class WifiFold:
@@ -275,17 +293,15 @@ class WifiFold:
     (band, group); only registered homes have a group."""
 
     def __init__(self, routers: Dict[str, RouterInfo],
-                 sketch: Callable[[], QuantileSketch] = exact_sketch,
-                 quantile: float = 0.95) -> None:
+                 sketch: Callable[[], QuantileSketch] = exact_sketch) -> None:
         self.routers = routers
-        self.quantile = quantile
         self.neighbor_aps = {(spectrum, label): sketch()
                              for spectrum in Spectrum
                              for label in ("all", *GROUP.values())}
 
     def add_home(self, router_id: str, scans: Iterable) -> int:
         """Fold one home's scans in; returns how many it read."""
-        per_band, read = _neighbor_aps(scans, self.quantile)
+        per_band, read = _neighbor_aps(scans, NEIGHBOR_AP_QUANTILE)
         info = self.routers.get(router_id)
         for spectrum, aps in per_band.items():
             self.neighbor_aps[(spectrum, "all")].add(aps)
@@ -295,7 +311,8 @@ class WifiFold:
 
 
 def neighbor_aps_per_home(data: StudyData, spectrum: Spectrum,
-                          quantile: float = 0.95) -> Dict[str, float]:
+                          quantile: float = NEIGHBOR_AP_QUANTILE
+                          ) -> Dict[str, float]:
     """Per home: the q-quantile of neighbor-AP counts across its scans.
 
     A high quantile approximates "unique access points seen" while staying

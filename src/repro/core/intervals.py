@@ -378,9 +378,11 @@ class IntervalSet:
         ts = np.asarray(timestamps, dtype=float)
         if ts.size == 0:
             return cls()
-        if np.any(np.diff(ts) < 0):
+        gaps = np.diff(ts)
+        if np.any(gaps < 0):
             ts = np.sort(ts)
-        breaks = np.flatnonzero(np.diff(ts) > max_gap)
+            gaps = np.diff(ts)
+        breaks = np.flatnonzero(gaps > max_gap)
         starts = np.concatenate(([0], breaks + 1))
         ends = np.concatenate((breaks, [ts.size - 1]))
         # A lone heartbeat still proves ~one sampling period of uptime.

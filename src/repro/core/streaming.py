@@ -21,7 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 import numpy as np
 
@@ -56,27 +56,15 @@ from repro.core.usage import (
 class StudyDataSource:
     """Source over an in-RAM :class:`StudyData`."""
 
-    _DATASETS = {"uptime": "uptime_reports", "capacity": "capacity",
-                 "device_counts": "device_counts", "roster": "roster",
-                 "wifi_scans": "wifi_scans", "flows": "flows", "dns": "dns"}
-
     def __init__(self, data: StudyData):
         self.data = data
         self.routers = data.routers
         self.windows = data.windows
 
-    def iter_dataset(self, name: str) -> Iterator:
-        return iter(getattr(self.data, self._DATASETS[name]))
-
-    def iter_homes(self, name: str) -> Iterator[Tuple[str, List]]:
+    def iter_homes(self, name: str) -> Iterator[Tuple[str, object]]:
         """``(router_id, records)`` per home; see :func:`by_router`."""
-        return by_router(self.iter_dataset(name))
-
-    def iter_heartbeats(self) -> Iterator:
-        return iter(self.data.heartbeats.values())
-
-    def iter_throughput(self) -> Iterator:
-        return iter(self.data.throughput.values())
+        return by_router(getattr(
+            self.data, "uptime_reports" if name == "uptime" else name))
 
 
 class StoreSource:
@@ -94,19 +82,17 @@ class StoreSource:
     def routers(self) -> Dict[str, RouterInfo]:
         return self.store.routers
 
-    def iter_dataset(self, name: str) -> Iterator:
-        return self.store.backend.iter_dataset(name)
-
-    def iter_homes(self, name: str) -> Iterator[Tuple[str, Iterator]]:
-        """``(router_id, records)`` per home off the router-sorted stream."""
-        return itertools.groupby(self.iter_dataset(name),
+    def iter_homes(self, name: str) -> Iterator[Tuple[str, object]]:
+        """``(router_id, records)`` per home off the router-sorted stream;
+        a heartbeat log or throughput series is one home's records."""
+        backend = self.store.backend
+        if name == "heartbeats":
+            return ((log.router_id, log) for log in backend.iter_heartbeats())
+        if name == "throughput":
+            return ((series.router_id, series)
+                    for series in backend.iter_throughput())
+        return itertools.groupby(backend.iter_dataset(name),
                                  key=attrgetter("router_id"))
-
-    def iter_heartbeats(self) -> Iterator:
-        return self.store.backend.iter_heartbeats()
-
-    def iter_throughput(self) -> Iterator:
-        return self.store.backend.iter_throughput()
 
 
 @dataclass
@@ -166,30 +152,24 @@ def _analyze(source, sketch: Callable[[], QuantileSketch],
     seen: Dict[str, Set[str]] = {}  # Table 2's routers per data set
     records = 0
 
-    def run(dataset: str, step: Callable[[str, object], int],
-            homes: Optional[Iterator] = None) -> None:
+    def run(dataset: str, step: Callable[[str, object], int]) -> None:
         """One pass: *step* folds in one home's records, returning how
         many it read; a pass's per-home state dies with the pass."""
         nonlocal records
         ids = seen.setdefault(dataset, set())
         with trace.span(f"analyze.{dataset}", cat="analyze"):
-            for router_id, home in homes or source.iter_homes(dataset):
+            for router_id, home in source.iter_homes(dataset):
                 ids.add(router_id)
                 records += step(router_id, home)
-
-    def by_log(logs: Iterator) -> Iterator:
-        return ((log.router_id, log) for log in logs)
 
     traffic = usage.FlowFold(ranks=DEVICE_SHARE_RANKS)
     run("flows", traffic.add_home)
     saturation = usage.SaturationFold(traffic.qualifying)
     run("capacity", saturation.add_capacity)
-    run("throughput", lambda _, series: saturation.add_home(series),
-        by_log(source.iter_throughput()))
+    run("throughput", saturation.add_home)
     heartbeats = availability.HeartbeatFold(routers, sketch,
                                             normalize_days=normalize_days)
-    run("heartbeats", lambda _, log: heartbeats.add_home(log),
-        by_log(source.iter_heartbeats()))
+    run("heartbeats", heartbeats.add_home)
     census = infrastructure.CensusFold(routers)
     diurnal = usage.DiurnalFold(routers)
 

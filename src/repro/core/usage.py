@@ -23,14 +23,14 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.datasets import (
-    TRAFFIC_MIN_BYTES,
     CalendarPool,
+    FlowTotals,
     StudyData,
     ThroughputSeries,
     by_router,
     fold_homes,
 )
-from repro.core.records import OBFUSCATED_DOMAIN, RouterInfo
+from repro.core.records import RouterInfo
 from repro.core.sketches import RankedShareAccumulator, StreamingHourProfile
 from repro.core.stats import HourOfDayProfile, shares
 
@@ -88,43 +88,6 @@ def diurnal_amplitude_ratio(data: StudyData) -> float:
 
 # -- Figs. 17-19: the flow fold -------------------------------------------------------
 
-class HomeTraffic:
-    """One home's flows summed per device and per domain, in record order.
-
-    Passing *device_bytes* also adds each flow to that per-MAC tally.
-    """
-
-    def __init__(self, flows: Iterable,
-                 device_bytes: Optional[Dict[str, float]] = None) -> None:
-        count = 0
-        total = 0.0
-        devices: Dict[str, float] = {}
-        domains: Dict[str, List[float]] = {}
-        for flow in flows:
-            count += 1
-            volume = flow.bytes_total
-            total += volume
-            mac = flow.device_mac
-            devices[mac] = devices.get(mac, 0.0) + volume
-            if device_bytes is not None:
-                device_bytes[mac] = device_bytes.get(mac, 0.0) + volume
-            totals = domains.get(flow.domain)
-            if totals is None:
-                domains[flow.domain] = [volume, 1.0]
-            else:
-                totals[0] += volume
-                totals[1] += 1.0
-        #: Flows read, their bytes, and bytes per device MAC; per domain,
-        #: ``[bytes, connections]`` (the obfuscated domain included).
-        self.flows, self.total, self.devices, self.domains = \
-            count, total, devices, domains
-
-    def visible(self) -> Dict[str, List[float]]:
-        """The whitelisted domains' totals (the obfuscated is never ranked)."""
-        return {name: totals for name, totals in self.domains.items()
-                if name != OBFUSCATED_DOMAIN}
-
-
 @dataclass(frozen=True)
 class DomainShareSummary:
     """Fig. 19's three panels in numbers."""
@@ -143,16 +106,15 @@ class DomainShareSummary:
 class FlowFold:
     """Figs. 17-19 and the Traffic homes, one home's flows at a time.
 
-    Figs. 15-19 count the qualifying homes: those in *router_ids* if
-    given (others are skipped outright), else those whose flows moved at
-    least the paper's 100 MB.  :attr:`device_bytes` tallies each MAC's
-    bytes across the homes read, for Fig. 12's byte filter.
+    :meth:`add_home` keeps the homes whose flows moved the paper's 100 MB
+    and tallies each MAC's bytes across every home in
+    :attr:`device_bytes`, for Fig. 12's byte filter; :meth:`add_traffic`
+    folds in a home chosen elsewhere.
     """
 
-    def __init__(self, ranks: int = 10,
-                 router_ids: Optional[Iterable[str]] = None) -> None:
-        self.wanted = None if router_ids is None else set(router_ids)
-        self.qualifying: Set[str] = set(self.wanted or ())
+    def __init__(self, ranks: int = 10) -> None:
+        #: Figs. 15-19's homes: every home folded in.
+        self.qualifying: Set[str] = set()
         self.device_bytes: Dict[str, float] = {}
         #: Fig. 17 — mean share of the rank-k device.
         self.device_shares = RankedShareAccumulator(ranks)
@@ -160,18 +122,15 @@ class FlowFold:
         self._shares = [RankedShareAccumulator(ranks) for _ in range(3)]
         self._coverages: List[float] = []
 
-    def qualifies(self, router_id: str, home: HomeTraffic) -> bool:
-        if self.wanted is not None:
-            return router_id in self.wanted
-        return home.total >= TRAFFIC_MIN_BYTES
-
     def add_home(self, router_id: str, flows: Iterable) -> int:
         """Fold one home's flows in; returns how many it read."""
-        if self.wanted is not None and router_id not in self.wanted:
-            return 0
-        home = HomeTraffic(flows, self.device_bytes)
-        if not self.qualifies(router_id, home):
-            return home.flows
+        home = FlowTotals(flows, self.device_bytes)
+        if home.qualifies():
+            self.add_traffic(router_id, home)
+        return home.flows
+
+    def add_traffic(self, router_id: str, home: FlowTotals) -> None:
+        """Fold in one home's summed flows, whatever their volume."""
         self.qualifying.add(router_id)
         self.device_shares.add(shares(list(home.devices.values())))
         visible = home.visible()
@@ -181,7 +140,7 @@ class FlowFold:
             top[0] += rank < 5
             top[1] += 1
         if not visible:
-            return home.flows
+            return
         bytes_all = sum(t[0] for t in home.domains.values())
         bytes_wl = sum(t[0] for t in visible.values())
         conns_wl = sum(t[1] for t in visible.values())
@@ -195,7 +154,6 @@ class FlowFold:
             connections.add(np.asarray([t[1] / conns_wl for t in by_conns]))
             connections_of_volume.add(np.asarray(
                 [t[1] / conns_wl for _, t in by_volume]))
-        return home.flows
 
     def domain_top_counts(self) -> Dict[str, Tuple[int, int]]:
         """Fig. 18: per domain, #homes ranking it top-5 / top-10."""
@@ -212,12 +170,23 @@ class FlowFold:
 
 
 def _qualifying_homes(data: StudyData, router_ids: Optional[Iterable[str]]
-                      ) -> Iterable[Tuple[str, HomeTraffic]]:
-    fold = FlowFold(router_ids=router_ids)
+                      ) -> Iterable[Tuple[str, FlowTotals]]:
+    """Figs. 17-19's homes with their summed flows: those in *router_ids*
+    if given, else those whose flows moved the paper's 100 MB."""
+    wanted = None if router_ids is None else set(router_ids)
     for rid, flows in by_router(data.flows):
-        home = HomeTraffic(flows)
-        if fold.qualifies(rid, home):
-            yield rid, home
+        if wanted is None or rid in wanted:
+            home = FlowTotals(flows)
+            if wanted is not None or home.qualifies():
+                yield rid, home
+
+
+def _traffic_fold(data: StudyData, ranks: int = 10,
+                  router_ids: Optional[Iterable[str]] = None) -> FlowFold:
+    fold = FlowFold(ranks)
+    for rid, home in _qualifying_homes(data, router_ids):
+        fold.add_traffic(rid, home)
+    return fold
 
 
 # -- Figs. 14-16: link utilization ---------------------------------------------------
@@ -298,15 +267,15 @@ class SaturationFold:
                                           float(np.median(up)))
         return len(down)
 
-    def add_home(self, series: ThroughputSeries) -> int:
+    def add_home(self, router_id: str, series: ThroughputSeries) -> int:
         """Fold one home's series in; returns how many minutes it read."""
-        capacity = self.capacities.get(series.router_id)
+        capacity = self.capacities.get(router_id)
         active = None if capacity is None else series.active_mask()
         if active is None or not np.any(active):
             return len(series)
-        joined = UtilizationTimeseries(series.router_id, series, *capacity)
-        self._points[series.router_id] = SaturationPoint(
-            series.router_id, *capacity,
+        joined = UtilizationTimeseries(router_id, series, *capacity)
+        self._points[router_id] = SaturationPoint(
+            router_id, *capacity,
             float(np.percentile(joined.downlink_utilization()[active],
                                 self.percentile)),
             float(np.percentile(joined.uplink_utilization()[active],
@@ -318,6 +287,14 @@ class SaturationFold:
         return [self._points[rid] for rid in sorted(self._points)]
 
 
+def _saturation_points(data: StudyData, homes: Set[str],
+                       percentile: float = 95.0) -> List[SaturationPoint]:
+    fold = SaturationFold(homes, percentile)
+    for rid, measurements in by_router(data.capacity):
+        fold.add_capacity(rid, measurements)
+    return fold_homes(fold, data.throughput).points()
+
+
 def link_saturation(data: StudyData, percentile: float = 95.0,
                     router_ids: Optional[Iterable[str]] = None,
                     ) -> List[SaturationPoint]:
@@ -326,13 +303,9 @@ def link_saturation(data: StudyData, percentile: float = 95.0,
     Only active minutes count (some device exchanging traffic), matching
     Section 6.2's methodology.
     """
-    traffic = fold_homes(FlowFold(router_ids=router_ids), data.flows)
-    fold = SaturationFold(traffic.qualifying, percentile)
-    for rid, measurements in by_router(data.capacity):
-        fold.add_capacity(rid, measurements)
-    for series in data.throughput.values():
-        fold.add_home(series)
-    return fold.points()
+    homes = data.qualifying_traffic_routers() if router_ids is None \
+        else router_ids
+    return _saturation_points(data, set(homes), percentile)
 
 
 def saturating_uplink_homes(points: Sequence[SaturationPoint]) -> List[str]:
@@ -353,8 +326,7 @@ def device_share_per_home(data: StudyData,
 def mean_device_share(data: StudyData, ranks: int = 5,
                       router_ids: Optional[Iterable[str]] = None) -> np.ndarray:
     """Fig. 17 summary: mean share of the rank-k device across homes."""
-    fold = FlowFold(ranks=ranks, router_ids=router_ids)
-    return fold_homes(fold, data.flows).device_shares.result()
+    return _traffic_fold(data, ranks, router_ids).device_shares.result()
 
 
 def domain_rankings(data: StudyData,
@@ -374,16 +346,14 @@ def domain_top_counts(data: StudyData,
                       router_ids: Optional[Iterable[str]] = None,
                       ) -> Dict[str, Tuple[int, int]]:
     """Fig. 18: per domain, #homes where it ranks top-5 / top-10 by volume."""
-    return fold_homes(FlowFold(router_ids=router_ids),
-                      data.flows).domain_top_counts()
+    return _traffic_fold(data, router_ids=router_ids).domain_top_counts()
 
 
 def domain_share(data: StudyData, ranks: int = 10,
                  router_ids: Optional[Iterable[str]] = None,
                  ) -> DomainShareSummary:
     """Fig. 19: per-rank domain shares of volume and connections."""
-    fold = FlowFold(ranks=ranks, router_ids=router_ids)
-    return fold_homes(fold, data.flows).domain_share()
+    return _traffic_fold(data, ranks, router_ids).domain_share()
 
 
 # -- Fig. 20: per-device domain mixes -------------------------------------------------------
@@ -455,7 +425,7 @@ def usage_by_country(data: StudyData,
         (data.windows.traffic[1] - data.windows.traffic[0]) / 86400.0, 1e-6)
     results: List[CountryUsage] = []
     for code, rids in sorted(by_country.items()):
-        traffic = fold_homes(FlowFold(ranks=1, router_ids=rids), data.flows)
+        traffic = _traffic_fold(data, ranks=1, router_ids=rids)
         shares = traffic.device_shares.result()
         domains = traffic.domain_share()
         country_bytes = sum(totals[rid] for rid in rids)
@@ -507,9 +477,9 @@ class Section6Highlights:
 
 def section6_highlights(data: StudyData) -> Section6Highlights:
     """Compute Table 6 from the Devices + Capacity + Traffic data sets."""
-    traffic = fold_homes(FlowFold(), data.flows)
+    traffic = _traffic_fold(data)
     diurnal = fold_homes(DiurnalFold(data.routers), data.device_counts)
     return Section6Highlights.from_figures(
         diurnal.profile(False), diurnal.profile(True),
-        link_saturation(data),
+        _saturation_points(data, traffic.qualifying),
         traffic.device_shares.result(), traffic.domain_share())

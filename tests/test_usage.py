@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import usage
-from repro.core.datasets import StudyData, ThroughputSeries
+from repro.core.datasets import StudyData, ThroughputSeries, fold_homes
 from repro.core.records import (
     OBFUSCATED_DOMAIN,
     CapacityMeasurement,
@@ -220,3 +220,15 @@ class TestQualifyingFilter:
         assert data.qualifying_traffic_routers() == ["busy"]
         shares = usage.device_share_per_home(data)  # default = qualifying
         assert set(shares) == {"busy"}
+
+    def test_fold_and_study_data_apply_one_bar(self):
+        # "edge" reaches exactly 100 MB only with its last, interleaved flow.
+        flows = [flow("edge", "m", "google.com", 6e7),
+                 flow("quiet", "m", "google.com", 1e6),
+                 flow("edge", "n", "google.com", 4e7)]
+        data = base_data([info("edge"), info("quiet")], flows=flows)
+        fold = fold_homes(usage.FlowFold(), data.flows)
+        assert fold.qualifying == set(data.qualifying_traffic_routers()) \
+            == {"edge"}
+        assert data.traffic_bytes_by_router() == {"edge": 1e8, "quiet": 1e6}
+        assert fold.device_bytes == {"m": 6e7 + 1e6, "n": 4e7}
