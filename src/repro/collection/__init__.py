@@ -8,7 +8,7 @@ the paper publicly released its non-PII data.
 """
 
 from repro.collection.path import CollectionPath, PathConfig
-from repro.collection.server import CollectionServer, UploadRejected, collect_study
+from repro.collection.server import CollectionServer, UploadRejected
 from repro.collection.storage import RecordStore
 from repro.collection.netserve import (
     IngestClient,
@@ -41,7 +41,6 @@ __all__ = [
     "PathConfig",
     "CollectionServer",
     "UploadRejected",
-    "collect_study",
     "RecordStore",
     "IngestClient",
     "IngestDaemon",

@@ -8,10 +8,12 @@ between ingest and :meth:`finalize`:
   one sort at finalize time.
 * :class:`SpillBackend` — bounded memory: list-dataset records buffer up
   to ``max_buffered_records``, then each dataset's buffer is sorted and
-  appended to a JSONL *run* file on disk; finalize k-way merge-sorts the
-  runs.  The two columnar datasets (heartbeat timestamp arrays, per-minute
-  throughput series) spill immediately as per-router ``.npy``/``.npz``
-  files, so peak resident record count stays O(buffer + one upload chunk).
+  appended to a JSONL *run* file on disk, one
+  :meth:`~repro.core.records.RowCodec.to_row` row per line; finalize
+  k-way merge-sorts the runs.  The two columnar datasets (heartbeat
+  timestamp arrays, per-minute throughput series) spill immediately as
+  per-router ``.npy``/``.npz`` files, so peak resident record count
+  stays O(buffer + one upload chunk).
 
 Both backends produce identical, deterministically-ordered contents:
 JSON round-trips floats exactly (shortest-repr encoding), the sort keys
@@ -32,24 +34,10 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.datasets import HeartbeatLog, ThroughputSeries
-from repro.core.records import (
-    CapacityMeasurement,
-    DeviceCountSample,
-    DeviceRosterEntry,
-    DnsRecord,
-    FlowRecord,
-    Medium,
-    Spectrum,
-    UptimeReport,
-    WifiScanSample,
-)
+from repro.core.records import LIST_DATASETS, RECORD_DATASETS
 from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
-
-#: The seven record-list datasets a backend accumulates.
-LIST_DATASETS = ("uptime", "capacity", "device_counts", "roster",
-                 "wifi_scans", "flows", "dns")
 
 #: Sort key per dataset — must match RecordStore.to_study_data ordering.
 SORT_KEYS: Dict[str, Callable] = {
@@ -147,65 +135,6 @@ class MemoryBackend(StoreBackend):
         return iter(list(self._throughput.values()))
 
 
-# -- JSONL record codec ----------------------------------------------------------
-
-def _encode_record(dataset: str, record) -> list:
-    """Flatten one record into a JSON-able row (numpy scalars cast away)."""
-    if dataset == "uptime":
-        return [record.router_id, float(record.timestamp),
-                float(record.uptime_seconds)]
-    if dataset == "capacity":
-        return [record.router_id, float(record.timestamp),
-                float(record.downstream_mbps), float(record.upstream_mbps)]
-    if dataset == "device_counts":
-        return [record.router_id, float(record.timestamp), int(record.wired),
-                int(record.wireless_2_4), int(record.wireless_5)]
-    if dataset == "roster":
-        return [record.router_id, record.device_mac, record.medium.value,
-                None if record.spectrum is None else record.spectrum.value,
-                float(record.first_seen), float(record.last_seen),
-                bool(record.always_connected)]
-    if dataset == "wifi_scans":
-        return [record.router_id, float(record.timestamp),
-                record.spectrum.value, int(record.neighbor_aps),
-                int(record.associated_clients), int(record.channel)]
-    if dataset == "flows":
-        return [record.router_id, float(record.timestamp), record.device_mac,
-                record.domain, int(record.remote_ip), int(record.port),
-                record.application, float(record.bytes_up),
-                float(record.bytes_down), float(record.duration_seconds)]
-    if dataset == "dns":
-        return [record.router_id, float(record.timestamp), record.device_mac,
-                record.domain, record.record_type,
-                None if record.address is None else int(record.address)]
-    raise ValueError(f"unknown dataset {dataset!r}")
-
-
-def _decode_record(dataset: str, row: list):
-    """Rebuild the record dataclass from its JSON row."""
-    if dataset == "uptime":
-        return UptimeReport(*row)
-    if dataset == "capacity":
-        return CapacityMeasurement(*row)
-    if dataset == "device_counts":
-        return DeviceCountSample(*row)
-    if dataset == "roster":
-        rid, mac, medium, spectrum, first, last, always = row
-        return DeviceRosterEntry(rid, mac, Medium(medium),
-                                 None if spectrum is None
-                                 else Spectrum(spectrum),
-                                 first, last, always)
-    if dataset == "wifi_scans":
-        rid, ts, spectrum, aps, clients, channel = row
-        return WifiScanSample(rid, ts, Spectrum(spectrum), aps, clients,
-                              channel)
-    if dataset == "flows":
-        return FlowRecord(*row)
-    if dataset == "dns":
-        return DnsRecord(*row)
-    raise ValueError(f"unknown dataset {dataset!r}")
-
-
 class SpillBackend(StoreBackend):
     """Bounded-memory backend: sorted JSONL runs on disk, merged lazily.
 
@@ -290,9 +219,10 @@ class SpillBackend(StoreBackend):
                 continue
             buffer.sort(key=SORT_KEYS[dataset])
             path = self.root / "runs" / f"{dataset}-{self._n_runs:05d}.jsonl"
+            to_row = RECORD_DATASETS[dataset].codec.to_row
             with path.open("w") as handle:
                 for record in buffer:
-                    handle.write(json.dumps(_encode_record(dataset, record)))
+                    handle.write(json.dumps(to_row(record)))
                     handle.write("\n")
             self._runs[dataset].append(path)
             buffer.clear()
@@ -383,6 +313,7 @@ class SpillBackend(StoreBackend):
         k-way merge over hundreds of runs keeps at most one run file
         open at any instant instead of one per run.
         """
+        from_row = RECORD_DATASETS[dataset].codec.from_row
         offset = 0
         while True:
             self._open_run_files += 1
@@ -403,7 +334,7 @@ class SpillBackend(StoreBackend):
             if not lines:
                 return
             for line in lines:
-                yield _decode_record(dataset, json.loads(line))
+                yield from_row(json.loads(line))
 
     def _merged_runs(self, dataset: str) -> Iterator:
         """Heap-merge one dataset's sorted runs lazily off disk."""

@@ -6,29 +6,29 @@ chunks so the ingest side can stream them into a store without ever
 holding a whole upload's records beyond the chunk size.  A
 :class:`RouterUpload` bundles one home's registration metadata with its
 batches; uploads cross the process boundary by pickling.
+
+A :class:`ColumnarRecords` batch lays one data set out as columns: the
+record's fields after ``router_id`` in the order
+:data:`~repro.core.records.RECORD_DATASETS` gives them, with a
+``Spectrum`` field carried as its 1/2 code.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import pickle
 import struct
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.records import (
-    CapacityMeasurement,
-    DeviceCountSample,
+    LIST_DATASETS,
+    RECORD_DATASETS,
     RouterInfo,
     Spectrum,
-    UptimeReport,
-    WifiScanSample,
 )
 from repro.firmware.router import RouterOutput
-
-#: Datasets carried as plain record lists (chunkable).
-LIST_DATASETS = ("uptime", "capacity", "device_counts", "roster",
-                 "wifi_scans", "flows", "dns")
 
 #: All batchable datasets, including the two columnar ones.
 DATASETS = ("heartbeats",) + LIST_DATASETS + ("throughput",)
@@ -97,20 +97,8 @@ def router_output_to_batches(
         raise ValueError("max_batch_records must be positive")
     rid = output.router_id
     batches = [RecordBatch("heartbeats", rid, output.heartbeat_sends)]
-    by_dataset = {
-        "uptime": output.uptime,
-        "capacity": output.capacity,
-        "device_counts": output.device_counts,
-        "roster": output.roster,
-        "wifi_scans": output.wifi_scans,
-        "flows": output.flows,
-        "dns": output.dns,
-    }
     for dataset in LIST_DATASETS:
-        records = by_dataset[dataset]
-        if not records:
-            continue
-        for chunk in _chunks(records, max_batch_records):
+        for chunk in _chunks(getattr(output, dataset), max_batch_records):
             batches.append(RecordBatch(dataset, rid, list(chunk)))
     if output.throughput is not None:
         batches.append(RecordBatch("throughput", rid, output.throughput))
@@ -126,93 +114,42 @@ def router_output_to_batches(
 # (at ingest) — validated in bulk per column at construction so the
 # per-record ``__post_init__`` checks can be skipped during fabrication.
 
-#: Column names per columnar dataset, in record-field order after router_id.
-COLUMNAR_DATASETS: Dict[str, Tuple[str, ...]] = {
-    "uptime": ("timestamp", "uptime_seconds"),
-    "capacity": ("timestamp", "downstream_mbps", "upstream_mbps"),
-    "device_counts": ("timestamp", "wired", "wireless_2_4", "wireless_5"),
-    "wifi_scans": ("timestamp", "spectrum_code", "neighbor_aps",
-                   "associated_clients", "channel"),
-}
-
-#: Spectrum decoding for the wifi ``spectrum_code`` column (1 / 2), matching
-#: the cohort's device_spectrum codes.
+#: Spectrum decoding for a ``Spectrum`` field's code column (1 / 2),
+#: matching the cohort's device_spectrum codes.
 _SPECTRUM_BY_CODE = (None, Spectrum.GHZ_2_4, Spectrum.GHZ_5)
 
 
-def _fabricate_uptime(rid: str, cols: Dict[str, list]) -> list:
+def _column_layout(dataset: str) -> Tuple[str, ...]:
+    """The record's fields after ``router_id``; a Spectrum is a code."""
+    return tuple(f"{field.name}_code" if field.kind is Spectrum
+                 else field.name
+                 for field in RECORD_DATASETS[dataset].codec.fields[1:])
+
+
+#: Column names per columnar dataset, in record-field order after router_id.
+COLUMNAR_DATASETS: Dict[str, Tuple[str, ...]] = {
+    dataset: _column_layout(dataset)
+    for dataset in ("uptime", "capacity", "device_counts", "wifi_scans")}
+
+
+def _fabricate(dataset: str, router_id: str,
+               columns: Dict[str, list]) -> list:
+    """Build one batch's records without running their constructors."""
+    record_class = RECORD_DATASETS[dataset].record
+    fields = RECORD_DATASETS[dataset].codec.fields
+    values = [[_SPECTRUM_BY_CODE[code] for code in columns[column]]
+              if field.kind is Spectrum else columns[column]
+              for field, column in zip(fields[1:],
+                                       COLUMNAR_DATASETS[dataset])]
+    names = tuple(field.name for field in fields)
+    new = record_class.__new__
     out = []
     append = out.append
-    new = UptimeReport.__new__
-    for ts, up in zip(cols["timestamp"], cols["uptime_seconds"]):
-        rec = new(UptimeReport)
-        d = rec.__dict__
-        d["router_id"] = rid
-        d["timestamp"] = ts
-        d["uptime_seconds"] = up
-        append(rec)
+    for row in zip(itertools.repeat(router_id), *values):
+        record = new(record_class)
+        record.__dict__.update(zip(names, row))
+        append(record)
     return out
-
-
-def _fabricate_capacity(rid: str, cols: Dict[str, list]) -> list:
-    out = []
-    append = out.append
-    new = CapacityMeasurement.__new__
-    for ts, down, up in zip(cols["timestamp"], cols["downstream_mbps"],
-                            cols["upstream_mbps"]):
-        rec = new(CapacityMeasurement)
-        d = rec.__dict__
-        d["router_id"] = rid
-        d["timestamp"] = ts
-        d["downstream_mbps"] = down
-        d["upstream_mbps"] = up
-        append(rec)
-    return out
-
-
-def _fabricate_device_counts(rid: str, cols: Dict[str, list]) -> list:
-    out = []
-    append = out.append
-    new = DeviceCountSample.__new__
-    for ts, wired, w24, w5 in zip(cols["timestamp"], cols["wired"],
-                                  cols["wireless_2_4"], cols["wireless_5"]):
-        rec = new(DeviceCountSample)
-        d = rec.__dict__
-        d["router_id"] = rid
-        d["timestamp"] = ts
-        d["wired"] = wired
-        d["wireless_2_4"] = w24
-        d["wireless_5"] = w5
-        append(rec)
-    return out
-
-
-def _fabricate_wifi_scans(rid: str, cols: Dict[str, list]) -> list:
-    out = []
-    append = out.append
-    new = WifiScanSample.__new__
-    spectra = _SPECTRUM_BY_CODE
-    for ts, code, aps, clients, channel in zip(
-            cols["timestamp"], cols["spectrum_code"], cols["neighbor_aps"],
-            cols["associated_clients"], cols["channel"]):
-        rec = new(WifiScanSample)
-        d = rec.__dict__
-        d["router_id"] = rid
-        d["timestamp"] = ts
-        d["spectrum"] = spectra[code]
-        d["neighbor_aps"] = aps
-        d["associated_clients"] = clients
-        d["channel"] = channel
-        append(rec)
-    return out
-
-
-_FABRICATORS = {
-    "uptime": _fabricate_uptime,
-    "capacity": _fabricate_capacity,
-    "device_counts": _fabricate_device_counts,
-    "wifi_scans": _fabricate_wifi_scans,
-}
 
 
 class ColumnarRecords:
@@ -277,7 +214,7 @@ class ColumnarRecords:
         """The fabricated record list (built once, then cached)."""
         records = self._cache
         if records is None:
-            records = _FABRICATORS[self.dataset](self.router_id, self.columns)
+            records = _fabricate(self.dataset, self.router_id, self.columns)
             self._cache = records
         return records
 
@@ -300,8 +237,11 @@ class ColumnarRecords:
         return (self.dataset, self.router_id, self.columns, self._length)
 
     def __setstate__(self, state) -> None:
-        self.dataset, self.router_id, self.columns, self._length = state
-        self._cache = None
+        # Unpickling runs no constructor, and a frame's columns are
+        # untrusted: re-run the constructor's checks, and count the
+        # columns rather than trust the shipped length.
+        dataset, router_id, columns, _ = state
+        self.__init__(dataset, router_id, columns)
 
 
 def columnar_batches(dataset: str, router_id: str,
@@ -409,8 +349,11 @@ class FrameError(ValueError):
 # decoded payload; ``validate_message`` then checks its shape, and the
 # collection server validates upload semantics.  The daemon is still
 # meant for trusted networks (loopback by default): the allowlisted
-# types accept attacker-chosen field values, which downstream validation
-# must — and does — treat as untrusted data.
+# types accept attacker-chosen field values.  Unpickling runs no
+# constructor, so a ``ColumnarRecords`` re-runs its checks as it is
+# unpickled, and the collection server re-runs every other object's
+# ``__post_init__`` and checks each batch's record class before ingest.
+# Field *types* are not checked.
 
 def _safe_globals() -> Dict[Tuple[str, str], Any]:
     """Build the (module, qualname) -> object allowlist for frames."""
@@ -424,12 +367,9 @@ def _safe_globals() -> Dict[Tuple[str, str], Any]:
     allowed: Dict[Tuple[str, str], Any] = {}
     for obj in (
             RecordBatch, RouterUpload, ColumnarRecords,
-            _records.RouterInfo, _records.UptimeReport,
-            _records.CapacityMeasurement, _records.DeviceCountSample,
-            _records.DeviceRosterEntry, _records.WifiScanSample,
-            _records.FlowRecord, _records.DnsRecord,
-            _records.Spectrum, _records.Medium,
+            _records.RouterInfo, _records.Spectrum, _records.Medium,
             _datasets.ThroughputSeries,
+            *(table.record for table in RECORD_DATASETS.values()),
     ):
         allowed[(obj.__module__, obj.__qualname__)] = obj
     allowed[("numpy", "ndarray")] = np.ndarray

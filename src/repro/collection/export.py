@@ -7,36 +7,47 @@ loads it back into a :class:`~repro.core.datasets.StudyData` that is
 shortest-round-trip form with their int/float kind preserved, and routers
 with zero delivered heartbeats are rebuilt with empty logs rather than
 dropped.
+
+Each record-list data set's file has one column per record field, in the
+order of its :class:`~repro.core.records.RowCodec`; this module keeps
+only what the archive alone knows: the file stems, the cell format, and
+which data sets the public archive withholds.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import enum
 import json
 import logging
+import operator
 from pathlib import Path
-from typing import Dict, Union
+from typing import Callable, Dict, Iterable, Union
 
 import numpy as np
 
 from repro.core.datasets import HeartbeatLog, StudyData, ThroughputSeries
-from repro.core.records import (
-    CapacityMeasurement,
-    DeviceCountSample,
-    DeviceRosterEntry,
-    Medium,
-    DnsRecord,
-    FlowRecord,
-    RouterInfo,
-    Spectrum,
-    UptimeReport,
-    WifiScanSample,
-)
+from repro.core.records import RECORD_DATASETS, RouterInfo, RowCodec, RowField
 from repro.simulation.timebase import StudyWindows
 
 logger = logging.getLogger(__name__)
 
 _PathLike = Union[str, Path]
+
+#: Archive file stem per record-list data set.
+_STEMS = {"uptime": "uptime", "capacity": "capacity",
+          "device_counts": "devices", "roster": "roster",
+          "wifi_scans": "wifi", "flows": "flows", "dns": "dns"}
+
+#: The Traffic data set's record lists; the public archive withholds them
+#: (and ``throughput.csv``).
+_TRAFFIC = ("flows", "dns")
+
+#: Archive cell -> plain row value by field kind; any other kind (str, an
+#: enum's value) stays text, which ``RowCodec.from_row`` decodes.
+_PARSE: Dict[type, Callable[[str], object]] = {
+    float: float, int: int, bool: lambda text: bool(int(text))}
 
 
 def _write_csv(path: Path, header: "list[str]", rows) -> None:
@@ -65,6 +76,45 @@ def _parse_num(text: str):
         return int(text)
     except ValueError:
         return float(text)
+
+
+def _cell_writer(field: RowField) -> Callable[[object], object]:
+    """Numbers through :func:`_num`, bools as 0/1, enums by value, None
+    as an empty cell."""
+    if issubclass(field.kind, enum.Enum):
+        write = operator.attrgetter("value")
+    else:
+        write = {bool: int, int: _num, float: _num}.get(field.kind, str)
+    if field.optional:
+        return lambda value: "" if value is None else write(value)
+    return write
+
+
+def _write_records(path: Path, codec: RowCodec, records: Iterable) -> None:
+    writers = [(field.name, _cell_writer(field)) for field in codec.fields]
+    _write_csv(path, [name for name, _ in writers],
+               ([write(getattr(record, name)) for name, write in writers]
+                for record in records))
+
+
+def _read_records(path: Path, codec: RowCodec) -> list:
+    """Rebuild one data set's records from its archive file.
+
+    An empty or missing cell takes its field's fallback: None when the
+    field is optional, else the dataclass default — so a legacy
+    ``wifi.csv`` without the ``channel`` column loads channel 0.
+    """
+    fields = [(field.name, _PARSE.get(field.kind, str),
+               None if field.optional else field.default)
+              for field in codec.fields]
+    records = []
+    for row in _read_csv(path):
+        records.append(codec.from_row([
+            parse(row[name])
+            if row.get(name) or fallback is dataclasses.MISSING
+            else fallback
+            for name, parse, fallback in fields]))
+    return records
 
 
 def export_study(data: StudyData, directory: _PathLike,
@@ -107,50 +157,12 @@ def export_study(data: StudyData, directory: _PathLike,
                     for rid, (sent, delivered)
                     in data.heartbeat_delivery.items()))
 
-    _write_csv(root / "uptime.csv",
-               ["router_id", "timestamp", "uptime_seconds"],
-               ((r.router_id, _num(r.timestamp), _num(r.uptime_seconds))
-                for r in data.uptime_reports))
-
-    _write_csv(root / "capacity.csv",
-               ["router_id", "timestamp", "downstream_mbps", "upstream_mbps"],
-               ((m.router_id, _num(m.timestamp),
-                 _num(m.downstream_mbps), _num(m.upstream_mbps))
-                for m in data.capacity))
-
-    _write_csv(root / "devices.csv",
-               ["router_id", "timestamp", "wired",
-                "wireless_2_4", "wireless_5"],
-               ((s.router_id, _num(s.timestamp), s.wired,
-                 s.wireless_2_4, s.wireless_5)
-                for s in data.device_counts))
-
-    _write_csv(root / "roster.csv",
-               ["router_id", "device_mac", "medium", "spectrum",
-                "first_seen", "last_seen", "always_connected"],
-               ((e.router_id, e.device_mac, e.medium.value,
-                 e.spectrum.value if e.spectrum is not None else "",
-                 _num(e.first_seen), _num(e.last_seen),
-                 int(e.always_connected))
-                for e in data.roster))
-
-    _write_csv(root / "wifi.csv",
-               ["router_id", "timestamp", "spectrum",
-                "neighbor_aps", "associated_clients", "channel"],
-               ((s.router_id, _num(s.timestamp), s.spectrum.value,
-                 s.neighbor_aps, s.associated_clients, s.channel)
-                for s in data.wifi_scans))
+    for dataset, table in RECORD_DATASETS.items():
+        if include_pii_datasets or dataset not in _TRAFFIC:
+            _write_records(root / f"{_STEMS[dataset]}.csv", table.codec,
+                           getattr(data, table.attr))
 
     if include_pii_datasets:
-        _write_csv(root / "flows.csv",
-                   ["router_id", "timestamp", "device_mac", "domain",
-                    "remote_ip", "port", "application",
-                    "bytes_up", "bytes_down", "duration_seconds"],
-                   ((f.router_id, _num(f.timestamp), f.device_mac,
-                     f.domain, f.remote_ip, f.port, f.application,
-                     _num(f.bytes_up), _num(f.bytes_down),
-                     _num(f.duration_seconds))
-                    for f in data.flows))
         _write_csv(root / "throughput.csv",
                    ["router_id", "start", "interval_seconds",
                     "up_bps", "down_bps"],
@@ -158,13 +170,6 @@ def export_study(data: StudyData, directory: _PathLike,
                      " ".join(_num(float(v)) for v in s.up_bps),
                      " ".join(_num(float(v)) for v in s.down_bps))
                     for s in data.throughput.values()))
-        _write_csv(root / "dns.csv",
-                   ["router_id", "timestamp", "device_mac", "domain",
-                    "record_type", "address"],
-                   ((d.router_id, _num(d.timestamp), d.device_mac,
-                     d.domain, d.record_type,
-                     "" if d.address is None else d.address)
-                    for d in data.dns))
     logger.info("exported %s archive to %s",
                 "full" if include_pii_datasets else "public", root)
     return root
@@ -204,6 +209,8 @@ def load_study(directory: _PathLike) -> StudyData:
             for row in _read_csv(root / "heartbeat_delivery.csv")
         }
 
+    traffic = manifest.get("includes_traffic") \
+        and (root / "flows.csv").exists()
     data = StudyData(
         routers=routers,
         windows=windows,
@@ -211,54 +218,14 @@ def load_study(directory: _PathLike) -> StudyData:
             rid: HeartbeatLog(rid, np.asarray(times, dtype=float))
             for rid, times in heartbeats.items()
         },
-        uptime_reports=[
-            UptimeReport(row["router_id"], float(row["timestamp"]),
-                         float(row["uptime_seconds"]))
-            for row in _read_csv(root / "uptime.csv")
-        ],
-        capacity=[
-            CapacityMeasurement(row["router_id"], float(row["timestamp"]),
-                                float(row["downstream_mbps"]),
-                                float(row["upstream_mbps"]))
-            for row in _read_csv(root / "capacity.csv")
-        ],
-        device_counts=[
-            DeviceCountSample(row["router_id"], float(row["timestamp"]),
-                              int(row["wired"]), int(row["wireless_2_4"]),
-                              int(row["wireless_5"]))
-            for row in _read_csv(root / "devices.csv")
-        ],
-        roster=[
-            DeviceRosterEntry(row["router_id"], row["device_mac"],
-                              Medium(row["medium"]),
-                              Spectrum(row["spectrum"]) if row["spectrum"]
-                              else None,
-                              float(row["first_seen"]),
-                              float(row["last_seen"]),
-                              bool(int(row["always_connected"])))
-            for row in _read_csv(root / "roster.csv")
-        ],
-        wifi_scans=[
-            WifiScanSample(row["router_id"], float(row["timestamp"]),
-                           Spectrum(row["spectrum"]),
-                           int(row["neighbor_aps"]),
-                           int(row["associated_clients"]),
-                           int(row.get("channel", 0) or 0))
-            for row in _read_csv(root / "wifi.csv")
-        ],
         heartbeat_delivery=delivery,
+        **{table.attr: _read_records(root / f"{_STEMS[dataset]}.csv",
+                                     table.codec)
+           for dataset, table in RECORD_DATASETS.items()
+           if traffic or dataset not in _TRAFFIC},
     )
 
-    if manifest.get("includes_traffic") and (root / "flows.csv").exists():
-        data.flows = [
-            FlowRecord(row["router_id"], float(row["timestamp"]),
-                       row["device_mac"], row["domain"],
-                       int(row["remote_ip"]), int(row["port"]),
-                       row["application"], float(row["bytes_up"]),
-                       float(row["bytes_down"]),
-                       float(row["duration_seconds"]))
-            for row in _read_csv(root / "flows.csv")
-        ]
+    if traffic:
         data.throughput = {}
         for row in _read_csv(root / "throughput.csv"):
             series = ThroughputSeries(
@@ -269,12 +236,6 @@ def load_study(directory: _PathLike) -> StudyData:
                 interval_seconds=_parse_num(row["interval_seconds"]),
             )
             data.throughput[series.router_id] = series
-        data.dns = [
-            DnsRecord(row["router_id"], float(row["timestamp"]),
-                      row["device_mac"], row["domain"], row["record_type"],
-                      int(row["address"]) if row["address"] else None)
-            for row in _read_csv(root / "dns.csv")
-        ]
     return data
 
 

@@ -7,29 +7,20 @@ into the record store.  Heartbeat batches carry raw *send* times; the
 server applies the lossy collection path at ingest time, so delivery
 randomness depends only on the deterministic ingest order — never on
 which worker produced the batch.
-
-:func:`collect_study` remains the one-call measurement campaign over a
-:class:`~repro.simulation.deployment.Deployment`; it now delegates to the
-shard engine (:mod:`repro.collection.engine`).
 """
 
 from __future__ import annotations
 
 import logging
-from typing import List, Optional, Set, Union
+from typing import List, Set, Union
 
 import numpy as np
 
-from repro.core.datasets import HeartbeatLog, StudyData
-from repro.simulation.deployment import Deployment
-from repro.collection.batches import (
-    RecordBatch,
-    RouterUpload,
-    router_output_to_batches,
-)
-from repro.collection.path import CollectionPath, PathConfig
+from repro.core.datasets import HeartbeatLog, ThroughputSeries
+from repro.core.records import RECORD_DATASETS, RouterInfo
+from repro.collection.batches import ColumnarRecords, RecordBatch, RouterUpload
+from repro.collection.path import CollectionPath
 from repro.collection.storage import RecordStore, StagedIngest
-from repro.firmware.router import RouterOutput
 from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
@@ -103,49 +94,60 @@ class CollectionServer:
         """Reject a malformed upload before anything is registered.
 
         The checks mirror every failure the per-batch ingest path could
-        raise mid-stream — wrong router ids inside a batch, more than
-        one of the one-shot datasets, a non-numeric heartbeat payload —
-        so by the time batches stream into the store the only remaining
-        failures are store-consistency conflicts, which the idempotency
-        set already rules out for the upload path.
+        raise mid-stream — wrong router ids or record classes inside a
+        batch, anything but exactly one heartbeat batch, a second
+        throughput series, a non-numeric heartbeat payload — so by the
+        time batches stream into the store the only remaining failures
+        are store-consistency conflicts, which the idempotency set
+        already rules out for the upload path.  A decoded upload was
+        built by unpickling, which runs no constructor, so every object
+        re-runs its constructor checks here (a columnar batch re-ran
+        its own when it was unpickled).
         """
         rid = upload.router_id
-        one_shot = {"heartbeats": 0, "throughput": 0}
+        _recheck(rid, upload.info, RouterInfo)
+        counts = {"heartbeats": 0, "throughput": 0}
         for batch in upload.batches:
+            _recheck(rid, batch, RecordBatch)
+            dataset, records = batch.dataset, batch.records
             if batch.router_id != rid:
                 raise UploadRejected(
                     f"upload for {rid!r} carries a batch for "
                     f"{batch.router_id!r}")
-            if batch.dataset == "heartbeats":
-                one_shot["heartbeats"] += 1
-                sends = np.asarray(batch.records, dtype=float)
-                if sends.ndim != 1:
+            if dataset == "heartbeats":
+                counts[dataset] += 1
+                if np.asarray(records, dtype=float).ndim != 1:
                     raise UploadRejected(
                         f"heartbeat sends for {rid!r} must be a flat "
                         "timestamp array")
-            elif batch.dataset == "throughput":
-                one_shot["throughput"] += 1
-                if batch.records.router_id != rid:
+                continue
+            if dataset == "throughput":
+                counts[dataset] += 1
+                _recheck(rid, records, ThroughputSeries)
+                owners = {records.router_id}
+            elif isinstance(records, ColumnarRecords):
+                if records.dataset != dataset:
                     raise UploadRejected(
-                        f"upload for {rid!r} carries a throughput series "
-                        f"for {batch.records.router_id!r}")
+                        f"upload for {rid!r} carries {records.dataset} "
+                        f"columns in a {dataset} batch")
+                owners = {records.router_id}
             else:
-                batch_rid = getattr(batch.records, "router_id", None)
-                if batch_rid is not None:  # columnar: one id, one check
-                    if batch_rid != rid:
-                        raise UploadRejected(
-                            f"upload for {rid!r} carries records for "
-                            f"{batch_rid!r}")
-                elif any(record.router_id != rid
-                         for record in batch.records):
-                    raise UploadRejected(
-                        f"upload for {rid!r} carries records for "
-                        "another router")
-        for dataset, count in one_shot.items():
-            if count > 1:
+                record_class = RECORD_DATASETS[dataset].record
+                for record in records:
+                    _recheck(rid, record, record_class)
+                owners = {record.router_id for record in records}
+            if owners - {rid}:
                 raise UploadRejected(
-                    f"upload for {rid!r} carries {count} {dataset} "
-                    "batches; the dataset is one-shot per router")
+                    f"upload for {rid!r} carries {dataset} records for "
+                    "another router")
+        if counts["heartbeats"] != 1:
+            raise UploadRejected(
+                f"upload for {rid!r} carries {counts['heartbeats']} "
+                "heartbeats batches; every upload carries exactly one")
+        if counts["throughput"] > 1:
+            raise UploadRejected(
+                f"upload for {rid!r} carries {counts['throughput']} "
+                "throughput batches; the dataset is one-shot per router")
 
     def receive_batch(self, batch: RecordBatch) -> int:
         """Ingest one dataset chunk, applying path loss to heartbeats.
@@ -197,32 +199,12 @@ class CollectionServer:
                 # rejected tally they would vanish from the ledger.
                 deltas.append(("heartbeats_rejected_total", sent, None))
                 accepted = 0
-        elif batch.dataset == "uptime":
-            store.add_uptime(batch.records)
-            accepted = len(batch.records)
-        elif batch.dataset == "capacity":
-            store.add_capacity(batch.records)
-            accepted = len(batch.records)
-        elif batch.dataset == "device_counts":
-            store.add_device_counts(batch.records)
-            accepted = len(batch.records)
-        elif batch.dataset == "roster":
-            store.add_roster(batch.records)
-            accepted = len(batch.records)
-        elif batch.dataset == "wifi_scans":
-            store.add_wifi_scans(batch.records)
-            accepted = len(batch.records)
-        elif batch.dataset == "flows":
-            store.add_flows(batch.records)
-            accepted = len(batch.records)
         elif batch.dataset == "throughput":
             stored = store.add_throughput(batch.records)
             accepted = len(batch.records) if stored else 0
-        elif batch.dataset == "dns":
-            store.add_dns(batch.records)
+        else:
+            store.add_records(batch.dataset, batch.records)
             accepted = len(batch.records)
-        else:  # pragma: no cover - RecordBatch validates its dataset
-            raise ValueError(f"unknown dataset {batch.dataset!r}")
         if accepted:
             deltas.append(("records_ingested_total", accepted,
                            {"dataset": batch.dataset}))
@@ -233,32 +215,14 @@ class CollectionServer:
         for name, amount, labels in deltas:
             metrics.inc(name, amount, **(labels or {}))
 
-    def receive(self, output: RouterOutput) -> None:
-        """Ingest one monolithic router upload (legacy entry point)."""
-        for batch in router_output_to_batches(output):
-            self.receive_batch(batch)
 
-
-def collect_study(deployment: Deployment, seed: int = 2013,
-                  path_config: Optional[PathConfig] = None,
-                  workers: int = 1,
-                  shard_size: Optional[int] = None,
-                  max_shard_retries: Optional[int] = None,
-                  shard_timeout: Optional[float] = None,
-                  fault_plan=None,
-                  checkpoint_dir=None,
-                  resume: bool = False) -> StudyData:
-    """Run the full measurement campaign over *deployment*.
-
-    The fault-tolerance knobs (retry budget, straggler timeout, fault
-    injection, checkpoint/resume) pass straight through to
-    :func:`repro.collection.engine.run_campaign`.
-    """
-    from repro.collection.engine import DEFAULT_MAX_SHARD_RETRIES, run_campaign
-    if max_shard_retries is None:
-        max_shard_retries = DEFAULT_MAX_SHARD_RETRIES
-    return run_campaign(deployment.plan, seed=seed, path_config=path_config,
-                        workers=workers, shard_size=shard_size,
-                        max_shard_retries=max_shard_retries,
-                        shard_timeout=shard_timeout, fault_plan=fault_plan,
-                        checkpoint_dir=checkpoint_dir, resume=resume)
+def _recheck(rid: str, value: object, expected: type) -> None:
+    """Re-run the constructor checks that unpickling *value* skipped."""
+    if type(value) is not expected:
+        raise UploadRejected(
+            f"upload for {rid!r} carries a {type(value).__name__} where "
+            f"a {expected.__name__} belongs")
+    try:
+        value.__post_init__()
+    except ValueError as exc:
+        raise UploadRejected(f"upload for {rid!r}: {exc}") from exc

@@ -4,27 +4,21 @@ The store owns *consistency* (router registration, re-upload conflict
 detection) and delegates *residency* to a pluggable
 :class:`~repro.collection.backends.StoreBackend` — in-memory lists by
 default, or a bounded-memory disk-spill backend for large campaigns.
+The seven record-list data sets share one entry point,
+:meth:`RecordStore.add_records`, keyed by their name in
+:data:`~repro.core.records.RECORD_DATASETS`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.datasets import HeartbeatLog, StudyData, ThroughputSeries
-from repro.core.records import (
-    CapacityMeasurement,
-    DeviceCountSample,
-    DeviceRosterEntry,
-    DnsRecord,
-    FlowRecord,
-    RouterInfo,
-    UptimeReport,
-    WifiScanSample,
-)
+from repro.core.records import RECORD_DATASETS, RouterInfo
 from repro.simulation.timebase import StudyWindows
 from repro.collection.backends import MemoryBackend, StoreBackend
 from repro.telemetry import events, metrics
@@ -36,6 +30,11 @@ def _array_fingerprint(values: np.ndarray) -> Tuple[int, str]:
     """Cheap identity for an upload's array payload (size + content hash)."""
     array = np.ascontiguousarray(np.asarray(values, dtype=float))
     return int(array.size), hashlib.sha256(array.tobytes()).hexdigest()
+
+
+def _require_list_dataset(dataset: str) -> None:
+    if dataset not in RECORD_DATASETS:
+        raise ValueError(f"unknown record-list dataset {dataset!r}")
 
 
 class RecordStore:
@@ -175,29 +174,11 @@ class RecordStore:
         for record in records:
             self._require_registered(record.router_id)
 
-    def add_uptime(self, reports: List[UptimeReport]) -> None:
-        self._require_registered_all(reports)
-        self.backend.append("uptime", reports)
-
-    def add_capacity(self, measurements: List[CapacityMeasurement]) -> None:
-        self._require_registered_all(measurements)
-        self.backend.append("capacity", measurements)
-
-    def add_device_counts(self, samples: List[DeviceCountSample]) -> None:
-        self._require_registered_all(samples)
-        self.backend.append("device_counts", samples)
-
-    def add_roster(self, entries: List[DeviceRosterEntry]) -> None:
-        self._require_registered_all(entries)
-        self.backend.append("roster", entries)
-
-    def add_wifi_scans(self, samples: List[WifiScanSample]) -> None:
-        self._require_registered_all(samples)
-        self.backend.append("wifi_scans", samples)
-
-    def add_flows(self, flows: List[FlowRecord]) -> None:
-        self._require_registered_all(flows)
-        self.backend.append("flows", flows)
+    def add_records(self, dataset: str, records: Sequence) -> None:
+        """Append records to one of the seven record-list data sets."""
+        _require_list_dataset(dataset)
+        self._require_registered_all(records)
+        self.backend.append(dataset, records)
 
     @staticmethod
     def _throughput_fingerprint(
@@ -237,10 +218,6 @@ class RecordStore:
             self._throughput_fingerprint(series)
         self.backend.put_throughput(series)
         return True
-
-    def add_dns(self, records: List[DnsRecord]) -> None:
-        self._require_registered_all(records)
-        self.backend.append("dns", records)
 
     # -- checkpoint support ------------------------------------------------------
 
@@ -306,15 +283,10 @@ class RecordStore:
             routers=dict(self._routers),
             windows=self.windows,
             heartbeats=contents.heartbeats,
-            uptime_reports=contents.lists["uptime"],
-            capacity=contents.lists["capacity"],
-            device_counts=contents.lists["device_counts"],
-            roster=contents.lists["roster"],
-            wifi_scans=contents.lists["wifi_scans"],
-            flows=contents.lists["flows"],
             throughput=contents.throughput,
-            dns=contents.lists["dns"],
             heartbeat_delivery=dict(self.heartbeat_delivery),
+            **{table.attr: contents.lists[name]
+               for name, table in RECORD_DATASETS.items()},
         )
 
 
@@ -391,30 +363,10 @@ class StagedIngest:
         self._ops.append(("add_throughput", (series,)))
         return True
 
-    def _stage_list(self, method: str, records) -> None:
+    def add_records(self, dataset: str, records: Sequence) -> None:
+        _require_list_dataset(dataset)
         self._require_registered_all(records)
-        self._ops.append((method, (records,)))
-
-    def add_uptime(self, reports: List[UptimeReport]) -> None:
-        self._stage_list("add_uptime", reports)
-
-    def add_capacity(self, measurements: List[CapacityMeasurement]) -> None:
-        self._stage_list("add_capacity", measurements)
-
-    def add_device_counts(self, samples: List[DeviceCountSample]) -> None:
-        self._stage_list("add_device_counts", samples)
-
-    def add_roster(self, entries: List[DeviceRosterEntry]) -> None:
-        self._stage_list("add_roster", entries)
-
-    def add_wifi_scans(self, samples: List[WifiScanSample]) -> None:
-        self._stage_list("add_wifi_scans", samples)
-
-    def add_flows(self, flows: List[FlowRecord]) -> None:
-        self._stage_list("add_flows", flows)
-
-    def add_dns(self, records: List[DnsRecord]) -> None:
-        self._stage_list("add_dns", records)
+        self._ops.append(("add_records", (dataset, records)))
 
     def commit(self) -> None:
         """Replay the staged mutations onto the live store.

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.records import (
     OBFUSCATED_DOMAIN,
+    RECORD_DATASETS,
     CapacityMeasurement,
     DeviceCountSample,
     DeviceRosterEntry,
@@ -268,6 +269,15 @@ class StudyData:
                       if FlowTotals(flows).qualifies(min_bytes))
 
 
+#: Digest line tag per data set, in digest order: the record lists as
+#: :class:`~repro.core.records.RowCodec` rows, throughput between flows
+#: and DNS.
+_DIGEST_TAGS = {"uptime": "uptime", "capacity": "capacity",
+                "device_counts": "device_counts", "roster": "roster",
+                "wifi_scans": "wifi", "flows": "flow",
+                "throughput": "throughput", "dns": "dns"}
+
+
 def study_digest(data: StudyData) -> str:
     """Canonical SHA-256 digest of everything a study collected.
 
@@ -285,6 +295,11 @@ def study_digest(data: StudyData) -> str:
             if isinstance(part, float):
                 hasher.update(np.float64(part).tobytes())
             else:
+                # Row values: None hashes as "" and a bool as 0/1.
+                if part is None:
+                    part = ""
+                elif isinstance(part, bool):
+                    part = int(part)
                 hasher.update(str(part).encode())
             hasher.update(b"\x1f")
         hasher.update(b"\n")
@@ -302,37 +317,21 @@ def study_digest(data: StudyData) -> str:
         put("heartbeats", rid, len(log))
         hasher.update(np.ascontiguousarray(log.timestamps,
                                            dtype=float).tobytes())
-    for r in data.uptime_reports:
-        put("uptime", r.router_id, float(r.timestamp),
-            float(r.uptime_seconds))
-    for m in data.capacity:
-        put("capacity", m.router_id, float(m.timestamp),
-            float(m.downstream_mbps), float(m.upstream_mbps))
-    for s in data.device_counts:
-        put("device_counts", s.router_id, float(s.timestamp), int(s.wired),
-            int(s.wireless_2_4), int(s.wireless_5))
-    for e in data.roster:
-        put("roster", e.router_id, e.device_mac, e.medium.value,
-            "" if e.spectrum is None else e.spectrum.value,
-            float(e.first_seen), float(e.last_seen), int(e.always_connected))
-    for s in data.wifi_scans:
-        put("wifi", s.router_id, float(s.timestamp), s.spectrum.value,
-            int(s.neighbor_aps), int(s.associated_clients), int(s.channel))
-    for f in data.flows:
-        put("flow", f.router_id, float(f.timestamp), f.device_mac, f.domain,
-            int(f.remote_ip), int(f.port), f.application, float(f.bytes_up),
-            float(f.bytes_down), float(f.duration_seconds))
-    for rid in sorted(data.throughput):
-        series = data.throughput[rid]
-        put("throughput", rid, float(series.start),
-            float(series.interval_seconds), len(series))
-        hasher.update(np.ascontiguousarray(series.up_bps,
-                                           dtype=float).tobytes())
-        hasher.update(np.ascontiguousarray(series.down_bps,
-                                           dtype=float).tobytes())
-    for d in data.dns:
-        put("dns", d.router_id, float(d.timestamp), d.device_mac, d.domain,
-            d.record_type, "" if d.address is None else int(d.address))
+    for dataset, tag in _DIGEST_TAGS.items():
+        if dataset == "throughput":
+            for rid in sorted(data.throughput):
+                series = data.throughput[rid]
+                put("throughput", rid, float(series.start),
+                    float(series.interval_seconds), len(series))
+                hasher.update(np.ascontiguousarray(series.up_bps,
+                                                   dtype=float).tobytes())
+                hasher.update(np.ascontiguousarray(series.down_bps,
+                                                   dtype=float).tobytes())
+            continue
+        table = RECORD_DATASETS[dataset]
+        to_row = table.codec.to_row
+        for record in getattr(data, table.attr):
+            put(tag, *to_row(record))
     return hasher.hexdigest()
 
 
@@ -375,13 +374,9 @@ def dataset_summaries(router_sets: Dict[str, set],
 
 def summarize_datasets(data: StudyData) -> List[DatasetSummary]:
     """Reproduce Table 2: per-data-set router/country counts and windows."""
-    router_sets = {name: {record.router_id for record in records}
-                   for name, records in (
-                       ("capacity", data.capacity),
-                       ("uptime", data.uptime_reports),
-                       ("device_counts", data.device_counts),
-                       ("wifi_scans", data.wifi_scans),
-                       ("flows", data.flows))}
+    router_sets = {name: {record.router_id
+                          for record in getattr(data, table.attr)}
+                   for name, table in RECORD_DATASETS.items()}
     router_sets["heartbeats"] = set(data.heartbeats)
     router_sets["throughput"] = set(data.throughput)
     return dataset_summaries(router_sets, data.routers, data.windows)

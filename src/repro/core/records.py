@@ -5,13 +5,23 @@ server stores them, and the analysis modules consume them.  The schemas
 deliberately contain only what the paper says was collected — e.g. flow
 records carry an *obfuscated* device MAC and a domain that is either
 whitelisted or the ``OBFUSCATED_DOMAIN`` sentinel.
+
+:data:`RECORD_DATASETS` is the one table of the seven record-list data
+sets: each name's record class, its :class:`~repro.core.datasets.StudyData`
+attribute, and a :class:`RowCodec` derived from the class's fields.  Every
+row format (spill runs, the CSV archive, ``study_digest``, columnar
+batches) reads its field layout from that codec, so a field change
+touches this module only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import operator
+import typing
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence
 
 #: Sentinel domain used when a DNS name was not on the whitelist.  The
 #: firmware replaces the name *before* the record leaves the home.
@@ -239,3 +249,96 @@ class DnsRecord:
     def __post_init__(self) -> None:
         if self.record_type not in ("A", "CNAME"):
             raise ValueError(f"unsupported DNS record type {self.record_type!r}")
+
+
+# -- the record table ---------------------------------------------------------
+
+
+class RowField(NamedTuple):
+    """One record field as the row formats see it."""
+
+    name: str
+    #: float, int, bool, str or an enum class (``Optional`` unwrapped).
+    kind: type
+    #: Whether the field may hold ``None``.
+    optional: bool
+    #: The dataclass default, or :data:`dataclasses.MISSING`.
+    default: Any
+
+
+def _row_field(spec: dataclasses.Field, hint: Any) -> RowField:
+    args = typing.get_args(hint)
+    optional = typing.get_origin(hint) is typing.Union and type(None) in args
+    kind = next(arg for arg in args if arg is not type(None)) \
+        if optional else hint
+    return RowField(spec.name, kind, optional, spec.default)
+
+
+def _encoder(field: RowField) -> Callable[[Any], Any]:
+    encode = (operator.attrgetter("value")
+              if issubclass(field.kind, enum.Enum) else field.kind)
+    if field.optional:
+        return lambda value: None if value is None else encode(value)
+    return encode
+
+
+class RowCodec:
+    """A record class's rows of plain values, built once from its fields.
+
+    :meth:`to_row` lists a record's fields in declaration order as plain
+    values: floats through ``float``, ints through ``int``, bools through
+    ``bool``, enums as their ``.value`` and ``None`` kept, so no numpy
+    scalar reaches an encoder.  :meth:`from_row` rebuilds the record
+    through its constructor (its invariants run); a row of plain values
+    already has every type right but the enums, so only those convert.
+    """
+
+    def __init__(self, record: type) -> None:
+        hints = typing.get_type_hints(record)
+        self.record = record
+        self.fields = tuple(_row_field(spec, hints[spec.name])
+                            for spec in dataclasses.fields(record))
+        self._encoders = tuple((f.name, _encoder(f)) for f in self.fields)
+        self._enums = tuple((index, f.kind)
+                            for index, f in enumerate(self.fields)
+                            if issubclass(f.kind, enum.Enum))
+
+    def to_row(self, record: Any) -> list:
+        """The record's field values as plain values."""
+        return [encode(getattr(record, name))
+                for name, encode in self._encoders]
+
+    def from_row(self, row: Sequence) -> Any:
+        """Inverse of :meth:`to_row`."""
+        if self._enums:
+            row = list(row)
+            for index, kind in self._enums:
+                if row[index] is not None:
+                    row[index] = kind(row[index])
+        return self.record(*row)
+
+
+class RecordDataset(NamedTuple):
+    """One record-list data set's entry in :data:`RECORD_DATASETS`."""
+
+    record: type
+    #: The :class:`~repro.core.datasets.StudyData` attribute holding it.
+    attr: str
+    codec: RowCodec
+
+
+#: The seven record-list data sets, in ``StudyData`` order.
+RECORD_DATASETS: Dict[str, RecordDataset] = {
+    name: RecordDataset(record, attr, RowCodec(record))
+    for name, record, attr in (
+        ("uptime", UptimeReport, "uptime_reports"),
+        ("capacity", CapacityMeasurement, "capacity"),
+        ("device_counts", DeviceCountSample, "device_counts"),
+        ("roster", DeviceRosterEntry, "roster"),
+        ("wifi_scans", WifiScanSample, "wifi_scans"),
+        ("flows", FlowRecord, "flows"),
+        ("dns", DnsRecord, "dns"),
+    )}
+
+#: Their names, in the same order.
+LIST_DATASETS = tuple(RECORD_DATASETS)

@@ -39,7 +39,7 @@ from repro.core.infrastructure import (
     PortUsage,
     Section5Highlights,
 )
-from repro.core.records import RouterInfo, Spectrum
+from repro.core.records import RECORD_DATASETS, RouterInfo, Spectrum
 from repro.core.sketches import (
     DEFAULT_EXACT_THRESHOLD,
     QuantileSketch,
@@ -63,8 +63,9 @@ class StudyDataSource:
 
     def iter_homes(self, name: str) -> Iterator[Tuple[str, object]]:
         """``(router_id, records)`` per home; see :func:`by_router`."""
-        return by_router(getattr(
-            self.data, "uptime_reports" if name == "uptime" else name))
+        table = RECORD_DATASETS.get(name)
+        return by_router(getattr(self.data,
+                                 name if table is None else table.attr))
 
 
 class StoreSource:

@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core import availability
 from repro.core.datasets import StudyData
+from repro.core.records import RECORD_DATASETS
 
 #: A router is "dead" if silent for this final fraction of the window.
 DEAD_TAIL_FRACTION = 0.10
@@ -226,17 +227,11 @@ def build_health_report(
     if sent_total:
         loss_rate = max(0.0, 1.0 - delivered_total / sent_total)
 
-    dataset_records = {
-        "heartbeats": delivered_total,
-        "uptime": len(data.uptime_reports),
-        "capacity": len(data.capacity),
-        "device_counts": len(data.device_counts),
-        "roster": len(data.roster),
-        "wifi_scans": len(data.wifi_scans),
-        "flows": len(data.flows),
-        "throughput": sum(len(s) for s in data.throughput.values()),
-        "dns": len(data.dns),
-    }
+    dataset_records = {"heartbeats": delivered_total}
+    for name, table in RECORD_DATASETS.items():
+        dataset_records[name] = len(getattr(data, table.attr))
+    dataset_records["throughput"] = sum(len(s)
+                                        for s in data.throughput.values())
     timeline = None
     if trace_summary is not None:
         timeline = (trace_summary if isinstance(trace_summary, dict)

@@ -86,7 +86,7 @@ class TestRecordStore:
         with pytest.raises(KeyError):
             store.add_heartbeats(HeartbeatLog("ghost", np.array([1.0])))
         with pytest.raises(KeyError):
-            store.add_uptime([UptimeReport("ghost", 10.0, 5.0)])
+            store.add_records("uptime", [UptimeReport("ghost", 10.0, 5.0)])
 
     def test_conflicting_registration_rejected(self):
         store = self.make_store()
@@ -100,8 +100,8 @@ class TestRecordStore:
     def test_records_sorted_in_output(self):
         store = self.make_store()
         store.register_router(make_info("US000"))
-        store.add_uptime([UptimeReport("US001", 20.0, 5.0),
-                          UptimeReport("US000", 10.0, 5.0)])
+        store.add_records("uptime", [UptimeReport("US001", 20.0, 5.0),
+                                     UptimeReport("US000", 10.0, 5.0)])
         data = store.to_study_data()
         assert [r.router_id for r in data.uptime_reports] == ["US000", "US001"]
 
@@ -196,26 +196,29 @@ class TestExportRoundTrip:
         t0 = SPAN[0]
         store.add_heartbeats(HeartbeatLog("US001",
                                           np.array([t0, t0 + 60, t0 + 120])))
-        store.add_uptime([UptimeReport("US001", t0 + 100, 99.5)])
-        store.add_capacity([CapacityMeasurement("US001", t0, 20.5, 2.25)])
-        store.add_device_counts([DeviceCountSample("US001", t0, 2, 3, 1)])
-        store.add_roster([
+        store.add_records("uptime", [UptimeReport("US001", t0 + 100, 99.5)])
+        store.add_records("capacity",
+                          [CapacityMeasurement("US001", t0, 20.5, 2.25)])
+        store.add_records("device_counts",
+                          [DeviceCountSample("US001", t0, 2, 3, 1)])
+        store.add_records("roster", [
             DeviceRosterEntry("US001", "3c:07:54:aa:bb:cc", Medium.WIRELESS,
                               Spectrum.GHZ_2_4, t0, t0 + DAY, False),
             DeviceRosterEntry("US001", "b0:a7:37:aa:bb:cc", Medium.WIRED,
                               None, t0, t0 + DAY, True),
         ])
-        store.add_wifi_scans([WifiScanSample("US001", t0, Spectrum.GHZ_5,
-                                             1, 2)])
-        store.add_flows([FlowRecord("US001", t0 + 5, "3c:07:54:aa:bb:cc",
-                                    "google.com", 0xF0000001, 443, "https",
-                                    100.0, 5000.0, 12.5)])
+        store.add_records("wifi_scans", [
+            WifiScanSample("US001", t0, Spectrum.GHZ_5, 1, 2)])
+        store.add_records("flows", [
+            FlowRecord("US001", t0 + 5, "3c:07:54:aa:bb:cc", "google.com",
+                       0xF0000001, 443, "https", 100.0, 5000.0, 12.5)])
         store.add_throughput(ThroughputSeries(
             "US001", t0, np.array([100.0, 200.0]), np.array([1e6, 2e6])))
-        store.add_dns([DnsRecord("US001", t0 + 4, "3c:07:54:aa:bb:cc",
-                                 "google.com", "A", 0xF0000001),
-                       DnsRecord("US001", t0 + 6, "3c:07:54:aa:bb:cc",
-                                 "google.com", "CNAME", None)])
+        store.add_records("dns", [
+            DnsRecord("US001", t0 + 4, "3c:07:54:aa:bb:cc",
+                      "google.com", "A", 0xF0000001),
+            DnsRecord("US001", t0 + 6, "3c:07:54:aa:bb:cc",
+                      "google.com", "CNAME", None)])
         store.record_heartbeat_delivery("US001", 4, 3)
         return store.to_study_data()
 

@@ -5,7 +5,9 @@ routers (zero-heartbeat homes) or precision (fixed-point truncation),
 every analysis over the archive silently diverges from the campaign.
 """
 
+import csv
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,6 +23,41 @@ SMALL = DeploymentConfig(
     seed=11, windows=StudyWindows().scaled(0.02), router_scale=0.05,
     traffic_consents=2, low_activity_consents=0,
     countries=("US", "IN", "BR"))
+
+
+#: sha256 of every file ``export_study`` writes for the campaign fixture.
+#: A round trip passes whatever the bytes are; these pin the archive
+#: format itself.
+ARCHIVE_PINS = {
+    "capacity.csv":
+        "5c0e2cc7dace5a30015858cfed825c3a783036913d2c1d9bc8d251f43c5f3e09",
+    "devices.csv":
+        "3bb524cb1c56fbb870d5bb8354cb5984195167c237336dfdee79a3765991b6d1",
+    "dns.csv":
+        "2ffa3a4fd7d1dc6f27fc3749cc511e29c0e295625e5577e470c05bdc92d3e079",
+    "flows.csv":
+        "f8079a017a302eb53f96e9348db362f0e739c085e763301c548922900afd6a65",
+    "heartbeat_delivery.csv":
+        "e41dcb20a49cd12a6ba90a7d1857bbe252e0c7d666c22b8c54aac4615e881b5e",
+    "heartbeats.csv":
+        "50a0e29316564a4c80628ea1e16f92dd68c59f5890495208c2747508676c68c9",
+    "manifest.json":
+        "998f96899309f9e9e3072592d88af5e7b7db4cca60b30bdb781deaf7a92ac638",
+    "roster.csv":
+        "f2f1c93664114c67bc7924548349307920babca105688f40e542606fce18a019",
+    "routers.csv":
+        "3a63ad8394a54002617d10664e662cfb71b0f91c5fcc169fe6a0ab4f3a533bb5",
+    "throughput.csv":
+        "5fe3fd5b1dd5d56a1c2e93a8cea2acdcd213703dea1fb55cc19711cb9bb22603",
+    "uptime.csv":
+        "ef168542642a632c0bb807a2861a365ec9f0921c6fe15b3f973f7a206ebed357",
+    "wifi.csv":
+        "a42ca4045cecc990296b958ca76ce5d5f9ee88008c5aaad45cbef080db61d7c1",
+}
+
+#: The public archive withholds the Traffic files; only its manifest differs.
+PUBLIC_MANIFEST_PIN = (
+    "92a94c7fa567e73ace66aa05dbc3d5688ececa7387852b94262425ace17d24f1")
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +160,46 @@ class TestSyntheticSeries:
         assert type(loaded.interval_seconds) is int
         assert np.array_equal(loaded.up_bps, series.up_bps)
         assert np.array_equal(loaded.down_bps, series.down_bps)
+
+
+def _file_digests(root):
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.iterdir())}
+
+
+class TestArchiveBytes:
+    def test_full_archive_files_pinned(self, campaign, tmp_path):
+        data, _ = campaign
+        assert _file_digests(export_study(data, tmp_path / "full")) \
+            == ARCHIVE_PINS
+
+    def test_public_archive_files_pinned(self, campaign, tmp_path):
+        data, _ = campaign
+        root = export_study(data, tmp_path / "public",
+                            include_pii_datasets=False)
+        public = {name: digest for name, digest in ARCHIVE_PINS.items()
+                  if name not in ("flows.csv", "throughput.csv", "dns.csv")}
+        public["manifest.json"] = PUBLIC_MANIFEST_PIN
+        assert _file_digests(root) == public
+
+    def test_wifi_without_channel_column_loads_channel_zero(self, campaign,
+                                                            tmp_path):
+        # Archives written before scans recorded their channel lack the
+        # column; their scans load with the record's default, channel 0.
+        data, _ = campaign
+        root = export_study(data, tmp_path / "legacy")
+        path = root / "wifi.csv"
+        with path.open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and any(int(row["channel"]) for row in rows)
+        with path.open("w", newline="") as handle:
+            writer = csv.DictWriter(
+                handle, [name for name in rows[0] if name != "channel"],
+                extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        scans = load_study(root).wifi_scans
+        assert len(scans) == len(data.wifi_scans)
+        assert {scan.channel for scan in scans} == {0}
+        assert [dataclasses.replace(scan, channel=0)
+                for scan in data.wifi_scans] == scans

@@ -23,12 +23,19 @@ import pytest
 
 from repro import study_digest
 from repro.core.datasets import ThroughputSeries
-from repro.core.records import RouterInfo, UptimeReport
+from repro.core.records import (
+    DeviceRosterEntry,
+    FlowRecord,
+    Medium,
+    RouterInfo,
+    UptimeReport,
+)
 from repro.simulation.timebase import StudyWindows, utc
 from repro.simulation.seeding import SeedHierarchy
 from repro.telemetry import metrics
 from repro.collection.batches import (
     FRAME_HEADER,
+    ColumnarRecords,
     FrameError,
     RecordBatch,
     RouterUpload,
@@ -220,6 +227,23 @@ class TestIngestAllOrNothing:
             server.ingest(doubled)
         assert upload.router_id not in server.store.routers
 
+    def test_upload_without_heartbeats_rejected(self):
+        # The store marks an upload ingested by its heartbeat log, so a
+        # heartbeat-less upload would be re-appended by every restarted
+        # daemon it was retried to.
+        store = make_server().store
+        upload = make_upload(0)
+        bare = RouterUpload(upload.info, tuple(
+            batch for batch in upload.batches
+            if batch.dataset != "heartbeats"))
+        assert bare.batches
+        for _ in range(2):
+            server = CollectionServer(store, make_server().path)
+            with pytest.raises(UploadRejected):
+                server.ingest(bare)
+        assert upload.router_id not in store.routers
+        assert store.to_study_data().uptime_reports == []
+
     def test_midingest_failure_rolls_back_registration(self, monkeypatch):
         server = make_server()
         upload = make_upload(0)
@@ -324,6 +348,74 @@ class TestIngestAllOrNothing:
             SMALL_LOAD.uptime_reports_per_upload
         assert counter(registry, "uploads_duplicate_total") == 1
         assert counter(registry, "routers_ingested_total") == 1
+
+
+def _tampered(record, **fields):
+    """*record* with *fields* overwritten past its frozen-field checks."""
+    for name, value in fields.items():
+        object.__setattr__(record, name, value)
+    return record
+
+
+def _with_batch(upload, batch):
+    return RouterUpload(upload.info, upload.batches + (batch,))
+
+
+def _hostile_uploads():
+    """Uploads whose hostility unpickling alone cannot see."""
+    upload = make_upload(0)
+    rid = upload.router_id
+
+    def wifi(**overrides):
+        records = ColumnarRecords("wifi_scans", rid, {
+            "timestamp": [1.0, 2.0], "spectrum_code": [1, 2],
+            "neighbor_aps": [3, 0], "associated_clients": [0, 2],
+            "channel": [11, 36]})
+        records.columns.update(overrides)
+        return _with_batch(upload, RecordBatch("wifi_scans", rid, records))
+
+    flow = _tampered(FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com",
+                                1, 443, "https", 1.0, 2.0, 3.0),
+                     bytes_up=-1e12)
+    wired = _tampered(DeviceRosterEntry(rid, "b0:a7:37:aa:bb:cc",
+                                        Medium.WIRED, None, 1.0, 2.0, True),
+                      spectrum="5GHz")
+    info = _tampered(RouterInfo(rid, "US", True, -5.0, 50_000.0),
+                     gdp_ppp_per_capita=-1)
+    uptime = ColumnarRecords("uptime", rid, {"timestamp": [1.0],
+                                             "uptime_seconds": [2.0]})
+    return {
+        "wifi-spectrum-code": wifi(spectrum_code=[7, 1]),
+        "wifi-negative-aps": wifi(neighbor_aps=[-3, 0]),
+        "wifi-ragged-columns": wifi(channel=[11]),
+        "flow-negative-bytes": _with_batch(
+            upload, RecordBatch("flows", rid, [flow])),
+        "wired-with-spectrum": _with_batch(
+            upload, RecordBatch("roster", rid, [wired])),
+        "negative-gdp": RouterUpload(info, upload.batches),
+        "flow-in-uptime-batch": _with_batch(
+            upload, RecordBatch("uptime", rid, [
+                FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", 1,
+                           443, "https", 1.0, 2.0, 3.0)])),
+        "uptime-columns-in-capacity-batch": _with_batch(
+            upload, RecordBatch("capacity", rid, uptime)),
+    }
+
+
+class TestDecodedUploadValidation:
+    """Unpickling runs no constructor; a decoded upload must be
+    re-validated before it reaches the store."""
+
+    @pytest.mark.parametrize("case", sorted(_hostile_uploads()))
+    def test_hostile_frame_stores_nothing(self, registry, case):
+        upload = _hostile_uploads()[case]
+        server = make_server()
+        with pytest.raises((FrameError, UploadRejected)):
+            message, _ = decode_frame(encode_frame(("upload", 0, upload)))
+            server.ingest(message[2])
+        assert not server.store.routers
+        assert not server.store.has_upload(upload.router_id)
+        assert counter(registry, "routers_ingested_total") == 0
 
 
 class TestLedgerReconciliation:

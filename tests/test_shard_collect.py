@@ -265,11 +265,11 @@ class TestStoreRegistration:
         records = ColumnarRecords("uptime", "ghost", {
             "timestamp": [1.0], "uptime_seconds": [2.0]})
         with pytest.raises(KeyError):
-            store.add_uptime(records)
+            store.add_records("uptime", records)
         store.register_router(RouterInfo(
             router_id="ghost", country_code="US", developed=True,
             tz_offset_hours=-5.0, gdp_ppp_per_capita=51000.0))
-        store.add_uptime(records)
+        store.add_records("uptime", records)
 
 
 class TestWifiBackoffDeterminism:
