@@ -31,21 +31,23 @@ Architecture
   every connection (the kernel's TCP window then pushes back on the
   client).
 * **Bounded queue + overload shedding.**  The ingest queue and reorder
-  buffer are bounded.  An upload that cannot be accepted — queue full
-  past the grace wait, or seq beyond the reorder window — is *shed* with
-  an explicit ``("retry", seq, after_seconds)`` response instead of
-  being buffered without limit.  Sheds are counted
-  (``uploads_shed_total``) and surfaced in the health report's
-  "Ingest service" section.
+  buffer are bounded.  An upload that cannot be accepted — queue full,
+  or seq beyond the reorder window — is *shed* with an explicit
+  ``("retry", seq, after_seconds)`` response instead of being buffered
+  without limit.  Sheds are counted (``uploads_shed_total``) and
+  surfaced in the health report's "Ingest service" section.
 * **At-least-once clients, exactly-once store.**  ACKs are sent only
   after the upload durably ingested.  A client that loses an ACK simply
   resends; the server answers duplicates (seq already ingested) with
   ``("ack", seq, "duplicate")`` without touching the store —
-  ``CollectionServer.ingest`` is idempotent per router on top of that.
+  ``CollectionServer.ingest`` is idempotent per router on top of that,
+  and checks a whole upload before applying any of it: an upload it
+  rejects leaves the store and the path RNG as they were.
 * **Clean drain-on-shutdown.**  ``stop()`` closes the listener, waits
-  for every queued upload to resolve, and only then retires the worker;
-  uploads parked behind a gap that will never fill are answered with an
-  error so no client hangs.
+  up to :data:`DRAIN_TIMEOUT` seconds for every queued upload to
+  resolve, and only then retires the worker; uploads parked behind a
+  gap that will never fill are answered with an error so no client
+  hangs.
 
 Trust model
 -----------
@@ -91,6 +93,9 @@ logger = logging.getLogger(__name__)
 #: Default TCP port (unofficial; 0 lets the OS pick in tests).
 DEFAULT_PORT = 9413
 
+#: Upper bound, in seconds, on the shutdown drain of queued uploads.
+DRAIN_TIMEOUT = 30.0
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -107,11 +112,6 @@ class ServeConfig:
     max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
     #: Delay suggested to a shed client.
     retry_after_seconds: float = 0.05
-    #: Grace period a handler waits for queue space before shedding
-    #: (0 = shed immediately when the queue is full).
-    shed_after_seconds: float = 0.0
-    #: Upper bound on the shutdown drain; None waits forever.
-    drain_timeout: Optional[float] = 30.0
 
     def __post_init__(self) -> None:
         if self.queue_size < 1:
@@ -120,8 +120,6 @@ class ServeConfig:
             raise ValueError("reorder_window must be positive")
         if self.retry_after_seconds <= 0:
             raise ValueError("retry_after_seconds must be positive")
-        if self.shed_after_seconds < 0:
-            raise ValueError("shed_after_seconds cannot be negative")
 
 
 class IngestDaemon:
@@ -203,11 +201,7 @@ class IngestDaemon:
         # Every enqueued upload gets its response before the worker
         # retires; handlers blocked on futures therefore always resolve.
         try:
-            if self.config.drain_timeout is not None:
-                await asyncio.wait_for(self._queue.join(),
-                                       self.config.drain_timeout)
-            else:
-                await self._queue.join()
+            await asyncio.wait_for(self._queue.join(), DRAIN_TIMEOUT)
         except asyncio.TimeoutError:  # pragma: no cover - drain stall
             logger.warning("shutdown drain timed out with %d queued",
                            self._queue.qsize())
@@ -309,14 +303,9 @@ class IngestDaemon:
         if seq >= self._next_seq + self.config.reorder_window:
             return self._shed(seq, "window")
         future = asyncio.get_running_loop().create_future()
-        item = (seq, upload, future)
         try:
-            if self.config.shed_after_seconds > 0:
-                await asyncio.wait_for(self._queue.put(item),
-                                       self.config.shed_after_seconds)
-            else:
-                self._queue.put_nowait(item)
-        except (asyncio.QueueFull, asyncio.TimeoutError):
+            self._queue.put_nowait((seq, upload, future))
+        except asyncio.QueueFull:
             return self._shed(seq, "queue")
         depth = self._queue.qsize()
         metrics.set_gauge("ingest_queue_depth", depth)

@@ -1,18 +1,19 @@
 """The collection server: ingests router uploads and assembles the study.
 
-The server is batch-oriented: shard workers (or the in-process serial
-path) submit :class:`~repro.collection.batches.RouterUpload` bundles and
-the server streams each :class:`~repro.collection.batches.RecordBatch`
-into the record store.  Heartbeat batches carry raw *send* times; the
-server applies the lossy collection path at ingest time, so delivery
-randomness depends only on the deterministic ingest order — never on
-which worker produced the batch.
+The server is upload-oriented: shard workers (or the in-process serial
+path, or the network daemon) submit
+:class:`~repro.collection.batches.RouterUpload` bundles, and
+:meth:`CollectionServer.ingest` checks the whole upload, then applies
+it to the record store once, batch by batch in upload order.  Heartbeat
+batches carry raw *send* times; the server applies the lossy collection
+path between the checks and the apply, so delivery randomness depends
+only on the deterministic order of accepted uploads — never on which
+worker produced them, nor on any upload that was rejected.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import List, Set, Union
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.core.datasets import HeartbeatLog, ThroughputSeries
 from repro.core.records import RECORD_DATASETS, RouterInfo
 from repro.collection.batches import ColumnarRecords, RecordBatch, RouterUpload
 from repro.collection.path import CollectionPath
-from repro.collection.storage import RecordStore, StagedIngest
+from repro.collection.storage import RecordStore
 from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
@@ -36,77 +37,99 @@ class CollectionServer:
     def __init__(self, store: RecordStore, path: CollectionPath):
         self.store = store
         self.path = path
-        #: Routers whose uploads fully ingested — the idempotency set
-        #: for at-least-once delivery over the network path.
-        self._ingested: Set[str] = set()
 
     def ingest(self, upload: RouterUpload) -> bool:
-        """Register one router and stream in all of its batches.
+        """Check one router's upload, then apply all of it to the store.
 
-        Registration and batch ingest are all-or-nothing: the upload is
-        validated up front, then every batch is *staged* into a
-        :class:`~repro.collection.storage.StagedIngest` buffer that runs
-        the store's consistency checks without mutating it — the live
-        store is only touched once the whole upload staged cleanly, so
-        a failure anywhere leaves the store exactly as it was (no
-        partial list appends for a client retry to double up on).  A
-        retried upload for a router that already ingested — in this
-        server's lifetime or, via the store's one-shot upload markers,
-        in a previous daemon's over the same store — is an idempotent
-        no-op (returns False); a *conflicting* re-registration still
-        raises.  Returns True when the upload was stored.
+        A retried upload for a router whose upload the store already
+        holds — from this server or from an earlier daemon over the
+        same store — is an idempotent no-op (returns False); a
+        *conflicting* re-registration still raises.  Otherwise every
+        check that can reject the upload runs first: the upload's own
+        shape and values (:meth:`_validate_upload`), then the two store
+        checks that can still fail — a conflicting registration and a
+        conflicting throughput re-upload.  A rejected upload therefore
+        leaves the store, the path RNG and the ingest counters as they
+        were.  Only then are the heartbeat loss draws taken and the
+        batches applied in upload order; if the apply itself raises (a
+        backend failure no check can foresee), a registration this
+        upload made is withdrawn.  Returns True when the upload was
+        stored.
         """
         rid = upload.router_id
-        if rid in self._ingested or self.store.has_upload(rid):
+        store = self.store
+        if store.has_upload(rid):
             # At-least-once delivery duplicate (e.g. a retry after a
             # dropped ACK, possibly across a daemon restart).  The
             # registration conflict check still runs so a different
             # router claiming an ingested id is rejected loudly rather
             # than silently swallowed as a duplicate.
-            self.store.check_registration(upload.info)
-            self._ingested.add(rid)
+            store.check_registration(upload.info)
             metrics.inc("uploads_duplicate_total")
             events.emit("upload_duplicate", router=rid)
             logger.debug("duplicate upload for %s ignored", rid)
             return False
-        self._validate_upload(upload)
-        staging = StagedIngest(self.store)
-        deltas: List[tuple] = []
+        sends = self._validate_upload(upload)
+        store.check_registration(upload.info)
+        for batch in upload.batches:
+            if batch.dataset == "throughput":
+                store.check_throughput(batch.records)
+        delivered = self.path.deliver(sends)
+        was_registered = rid in store.routers
         try:
-            staging.register_router(upload.info)
+            store.register_router(upload.info)
             for batch in upload.batches:
-                self._dispatch_batch(batch, staging, deltas)
+                dataset = batch.dataset
+                if dataset == "heartbeats":
+                    sent, accepted = len(sends), len(delivered)
+                    store.add_heartbeats(HeartbeatLog(rid, delivered))
+                    store.record_heartbeat_delivery(rid, sent, accepted)
+                    metrics.inc("heartbeats_sent_total", sent)
+                    metrics.inc("heartbeats_delivered_total", accepted)
+                    metrics.inc("heartbeats_dropped_total", sent - accepted)
+                elif dataset == "throughput":
+                    stored = store.add_throughput(batch.records)
+                    accepted = len(batch.records) if stored else 0
+                else:
+                    store.add_records(dataset, batch.records)
+                    accepted = len(batch.records)
+                if accepted:
+                    metrics.inc("records_ingested_total", accepted,
+                                dataset=dataset)
         except BaseException as exc:
-            logger.warning("upload from %s rejected during staging: %s",
-                           rid, exc)
+            logger.warning("upload from %s failed to apply: %s", rid, exc)
+            if not was_registered:
+                try:
+                    store.unregister_router(rid)
+                except ValueError:  # pragma: no cover - one-shot stored
+                    logger.exception(
+                        "could not roll back registration of %s", rid)
             raise
-        staging.commit()
-        self._apply_deltas(deltas)
-        self._ingested.add(rid)
         metrics.inc("routers_ingested_total")
-        events.emit("router_ingested", router=upload.router_id,
+        events.emit("router_ingested", router=rid,
                     batches=len(upload.batches))
         logger.debug("ingested router %s (%d batches)",
-                     upload.router_id, len(upload.batches))
+                     rid, len(upload.batches))
         return True
 
-    def _validate_upload(self, upload: RouterUpload) -> None:
-        """Reject a malformed upload before anything is registered.
+    def _validate_upload(self, upload: RouterUpload) -> np.ndarray:
+        """Reject a malformed upload; return its heartbeat send times.
 
-        The checks mirror every failure the per-batch ingest path could
-        raise mid-stream — wrong router ids or record classes inside a
+        The checks cover every failure the apply could raise from the
+        upload alone — wrong router ids or record classes inside a
         batch, anything but exactly one heartbeat batch, a second
-        throughput series, a non-numeric heartbeat payload — so by the
-        time batches stream into the store the only remaining failures
-        are store-consistency conflicts, which the idempotency set
-        already rules out for the upload path.  A decoded upload was
-        built by unpickling, which runs no constructor, so every object
-        re-runs its constructor checks here (a columnar batch re-ran
-        its own when it was unpickled).
+        throughput series — and the send times, which must convert to
+        a flat array of finite floats (one NaN would make the whole
+        study unanalyzable).  What remains after them are the store
+        checks :meth:`ingest` runs next.  A decoded upload was built by
+        unpickling, which runs no constructor, so every object re-runs
+        its constructor checks here (a columnar batch re-ran its own
+        when it was unpickled).
         """
         rid = upload.router_id
         _recheck(rid, upload.info, RouterInfo)
-        counts = {"heartbeats": 0, "throughput": 0}
+        sends = []
+        throughput = 0
         for batch in upload.batches:
             _recheck(rid, batch, RecordBatch)
             dataset, records = batch.dataset, batch.records
@@ -115,14 +138,10 @@ class CollectionServer:
                     f"upload for {rid!r} carries a batch for "
                     f"{batch.router_id!r}")
             if dataset == "heartbeats":
-                counts[dataset] += 1
-                if np.asarray(records, dtype=float).ndim != 1:
-                    raise UploadRejected(
-                        f"heartbeat sends for {rid!r} must be a flat "
-                        "timestamp array")
+                sends.append(_send_times(rid, records))
                 continue
             if dataset == "throughput":
-                counts[dataset] += 1
+                throughput += 1
                 _recheck(rid, records, ThroughputSeries)
                 owners = {records.router_id}
             elif isinstance(records, ColumnarRecords):
@@ -140,80 +159,31 @@ class CollectionServer:
                 raise UploadRejected(
                     f"upload for {rid!r} carries {dataset} records for "
                     "another router")
-        if counts["heartbeats"] != 1:
+        if len(sends) != 1:
             raise UploadRejected(
-                f"upload for {rid!r} carries {counts['heartbeats']} "
+                f"upload for {rid!r} carries {len(sends)} "
                 "heartbeats batches; every upload carries exactly one")
-        if counts["throughput"] > 1:
+        if throughput > 1:
             raise UploadRejected(
-                f"upload for {rid!r} carries {counts['throughput']} "
+                f"upload for {rid!r} carries {throughput} "
                 "throughput batches; the dataset is one-shot per router")
+        return sends[0]
 
-    def receive_batch(self, batch: RecordBatch) -> int:
-        """Ingest one dataset chunk, applying path loss to heartbeats.
 
-        Heartbeats are the one lossy dataset: the batch carries raw
-        *send* times and the path model decides delivery here.  The
-        sent-vs-delivered difference is accounted on the store (per
-        router) and the metrics registry (aggregate) so undelivered
-        heartbeats are measured, never silently discarded; a duplicate
-        upload the store rejects is counted in
-        ``heartbeats_rejected_total``, keeping the ledger closed:
-        sent == delivered + dropped + rejected.
-
-        Returns the number of records the store actually accepted, and
-        counts exactly that in ``records_ingested_total`` — one
-        accounting site for every dataset, so a retried or rejected
-        batch can never double-count.
-        """
-        deltas: List[tuple] = []
-        accepted = self._dispatch_batch(batch, self.store, deltas)
-        self._apply_deltas(deltas)
-        return accepted
-
-    def _dispatch_batch(self, batch: RecordBatch,
-                        store: Union[RecordStore, StagedIngest],
-                        deltas: List[tuple]) -> int:
-        """Dispatch one batch into *store* (the live store or an
-        upload's staging buffer), deferring metric increments into
-        *deltas* so a staged upload whose later batch fails leaves the
-        metrics registry as untouched as the store.
-        """
-        if batch.dataset == "heartbeats":
-            sent = len(batch.records)
-            delivered = self.path.deliver(batch.records)
-            stored = store.add_heartbeats(
-                HeartbeatLog(batch.router_id, delivered))
-            deltas.append(("heartbeats_sent_total", sent, None))
-            if stored:
-                store.record_heartbeat_delivery(
-                    batch.router_id, sent, len(delivered))
-                deltas.append(("heartbeats_delivered_total",
-                               len(delivered), None))
-                deltas.append(("heartbeats_dropped_total",
-                               sent - len(delivered), None))
-                accepted = len(delivered)
-            else:
-                # A re-uploaded-then-rejected duplicate: its packets are
-                # neither delivered nor dropped — without an explicit
-                # rejected tally they would vanish from the ledger.
-                deltas.append(("heartbeats_rejected_total", sent, None))
-                accepted = 0
-        elif batch.dataset == "throughput":
-            stored = store.add_throughput(batch.records)
-            accepted = len(batch.records) if stored else 0
-        else:
-            store.add_records(batch.dataset, batch.records)
-            accepted = len(batch.records)
-        if accepted:
-            deltas.append(("records_ingested_total", accepted,
-                           {"dataset": batch.dataset}))
-        return accepted
-
-    @staticmethod
-    def _apply_deltas(deltas: List[tuple]) -> None:
-        for name, amount, labels in deltas:
-            metrics.inc(name, amount, **(labels or {}))
+def _send_times(rid: str, records: object) -> np.ndarray:
+    """One heartbeat batch's send times as a flat array of finite floats."""
+    try:
+        sends = np.asarray(records, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise UploadRejected(
+            f"heartbeat sends for {rid!r} are not numeric: {exc}") from exc
+    if sends.ndim != 1:
+        raise UploadRejected(
+            f"heartbeat sends for {rid!r} must be a flat timestamp array")
+    if not np.isfinite(sends).all():
+        raise UploadRejected(
+            f"heartbeat sends for {rid!r} hold a non-finite timestamp")
+    return sends
 
 
 def _recheck(rid: str, value: object, expected: type) -> None:

@@ -7,13 +7,19 @@ default, or a bounded-memory disk-spill backend for large campaigns.
 The seven record-list data sets share one entry point,
 :meth:`RecordStore.add_records`, keyed by their name in
 :data:`~repro.core.records.RECORD_DATASETS`.
+
+The collection server settles a whole upload before its first add,
+through :meth:`RecordStore.has_upload`,
+:meth:`RecordStore.check_registration` and
+:meth:`RecordStore.check_throughput`, which mutate nothing; it then
+applies the upload through the add methods.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,11 +36,6 @@ def _array_fingerprint(values: np.ndarray) -> Tuple[int, str]:
     """Cheap identity for an upload's array payload (size + content hash)."""
     array = np.ascontiguousarray(np.asarray(values, dtype=float))
     return int(array.size), hashlib.sha256(array.tobytes()).hexdigest()
-
-
-def _require_list_dataset(dataset: str) -> None:
-    if dataset not in RECORD_DATASETS:
-        raise ValueError(f"unknown record-list dataset {dataset!r}")
 
 
 class RecordStore:
@@ -81,9 +82,10 @@ class RecordStore:
 
         Every upload carries exactly one heartbeat batch, so a stored
         heartbeat fingerprint marks the router's upload as ingested.
-        The collection server consults this so an at-least-once retry
-        arriving at a daemon *restarted over an existing store* is a
-        duplicate no-op instead of double-appending list datasets.
+        This is the collection server's one duplicate check: an
+        at-least-once retry — to the same daemon or to one *restarted
+        over an existing store* — is a no-op instead of double-appending
+        list datasets.
         """
         return router_id in self._heartbeat_uploads
 
@@ -108,22 +110,6 @@ class RecordStore:
         if router_id not in self._routers:
             raise KeyError(f"router {router_id!r} not registered")
 
-    def check_heartbeats(self, log: HeartbeatLog) -> bool:
-        """Would :meth:`add_heartbeats` store *log*?  Mutates nothing.
-
-        True for a new upload, False for an identical duplicate; a
-        *conflicting* re-upload raises exactly as the add would.
-        """
-        existing = self._heartbeat_uploads.get(log.router_id)
-        if existing is not None:
-            if existing != _array_fingerprint(log.timestamps):
-                self._reject("heartbeats", log.router_id)
-                raise ValueError(
-                    "conflicting heartbeat re-upload for router "
-                    f"{log.router_id!r}")
-            return False
-        return True
-
     def add_heartbeats(self, log: HeartbeatLog) -> bool:
         """Store delivered heartbeats for one router.
 
@@ -135,10 +121,16 @@ class RecordStore:
         the server does not double-count delivery tallies).
         """
         self._require_registered(log.router_id)
-        if not self.check_heartbeats(log):
+        fingerprint = _array_fingerprint(log.timestamps)
+        existing = self._heartbeat_uploads.get(log.router_id)
+        if existing is not None:
+            if existing != fingerprint:
+                self._reject("heartbeats", log.router_id)
+                raise ValueError(
+                    "conflicting heartbeat re-upload for router "
+                    f"{log.router_id!r}")
             return False
-        self._heartbeat_uploads[log.router_id] = _array_fingerprint(
-            log.timestamps)
+        self._heartbeat_uploads[log.router_id] = fingerprint
         self.backend.put_heartbeats(log)
         return True
 
@@ -176,7 +168,8 @@ class RecordStore:
 
     def add_records(self, dataset: str, records: Sequence) -> None:
         """Append records to one of the seven record-list data sets."""
-        _require_list_dataset(dataset)
+        if dataset not in RECORD_DATASETS:
+            raise ValueError(f"unknown record-list dataset {dataset!r}")
         self._require_registered_all(records)
         self.backend.append(dataset, records)
 
@@ -288,108 +281,3 @@ class RecordStore:
             **{table.attr: contents.lists[name]
                for name, table in RECORD_DATASETS.items()},
         )
-
-
-class StagedIngest:
-    """Buffers one upload's store mutations; :meth:`commit` applies them.
-
-    The collection server stages every batch of an upload here before
-    the live store is touched: each ``add_*`` runs the same consistency
-    checks the live store would (registration conflicts, one-shot
-    re-upload fingerprints, registration presence) but *buffers* the
-    mutation instead of applying it.  A batch that fails mid-upload
-    therefore aborts the whole upload with the store exactly as it was —
-    no partial list appends for a client retry to double up on — which
-    is what makes registration + batch ingest genuinely all-or-nothing,
-    including when the router was already registered by an earlier
-    daemon over the same store.
-    """
-
-    def __init__(self, store: RecordStore):
-        self.store = store
-        self._ops: List[Tuple[str, tuple]] = []
-        self._staged_routers: Dict[str, RouterInfo] = {}
-        self._staged_heartbeats: set = set()
-        self._staged_throughput: set = set()
-
-    def _require_registered(self, router_id: str) -> None:
-        if router_id not in self._staged_routers \
-                and router_id not in self.store.routers:
-            raise KeyError(f"router {router_id!r} not registered")
-
-    def _require_registered_all(self, records) -> None:
-        router_id = getattr(records, "router_id", None)
-        if router_id is not None:
-            self._require_registered(router_id)
-            return
-        for record in records:
-            self._require_registered(record.router_id)
-
-    def register_router(self, info: RouterInfo) -> None:
-        self.store.check_registration(info)
-        staged = self._staged_routers.get(info.router_id)
-        if staged is not None and staged != info:
-            raise ValueError(
-                f"conflicting registration for router {info.router_id!r}")
-        self._staged_routers[info.router_id] = info
-        self._ops.append(("register_router", (info,)))
-
-    def add_heartbeats(self, log: HeartbeatLog) -> bool:
-        self._require_registered(log.router_id)
-        if log.router_id in self._staged_heartbeats:
-            raise ValueError(
-                f"heartbeat log for {log.router_id!r} already staged")
-        if not self.store.check_heartbeats(log):
-            return False
-        self._staged_heartbeats.add(log.router_id)
-        self._ops.append(("add_heartbeats", (log,)))
-        return True
-
-    def record_heartbeat_delivery(self, router_id: str, sent: int,
-                                  delivered: int) -> None:
-        if delivered > sent:
-            raise ValueError("delivered heartbeats cannot exceed sent")
-        self._ops.append(("record_heartbeat_delivery",
-                          (router_id, sent, delivered)))
-
-    def add_throughput(self, series: ThroughputSeries) -> bool:
-        self._require_registered(series.router_id)
-        if series.router_id in self._staged_throughput:
-            raise ValueError(
-                f"throughput for {series.router_id!r} already staged")
-        if not self.store.check_throughput(series):
-            return False
-        self._staged_throughput.add(series.router_id)
-        self._ops.append(("add_throughput", (series,)))
-        return True
-
-    def add_records(self, dataset: str, records: Sequence) -> None:
-        _require_list_dataset(dataset)
-        self._require_registered_all(records)
-        self._ops.append(("add_records", (dataset, records)))
-
-    def commit(self) -> None:
-        """Replay the staged mutations onto the live store.
-
-        Every consistency check already passed at staging time and the
-        ingest path is strictly ordered, so the replay cannot fail for
-        protocol reasons.  If an unforeseeable error (a backend I/O
-        failure) defeats that anyway, newly staged registrations that
-        stored no one-shot uploads are rolled back, so a half-committed
-        upload cannot leave a registered-but-empty router inflating
-        cohort coverage.
-        """
-        new_routers = [rid for rid in self._staged_routers
-                       if rid not in self.store.routers]
-        try:
-            for method, args in self._ops:
-                getattr(self.store, method)(*args)
-        except BaseException:
-            for rid in new_routers:
-                try:
-                    self.store.unregister_router(rid)
-                except ValueError:  # pragma: no cover - one-shot stored
-                    logger.exception(
-                        "could not roll back registration of %s", rid)
-            raise
-        self._ops = []

@@ -47,8 +47,6 @@ METRIC_HELP: Dict[str, str] = {
     "checkpoints_written_total": "Campaign checkpoint manifests written.",
     "campaign_resumes_total": "Campaigns resumed from a checkpoint.",
     # Network ingest service (repro.collection.netserve).
-    "heartbeats_rejected_total":
-        "Heartbeats in re-uploads the store rejected as duplicates.",
     "net_connections_total": "TCP connections the ingest daemon accepted.",
     "net_connections_open": "Ingest daemon connections currently open.",
     "net_frames_total": "Protocol frames the ingest daemon decoded.",

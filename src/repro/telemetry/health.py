@@ -59,7 +59,6 @@ INGEST_SERVICE_METRICS = (
     "uploads_duplicate_total",
     "uploads_shed_total",
     "uploads_error_total",
-    "heartbeats_rejected_total",
 )
 
 

@@ -45,7 +45,7 @@ class ProgressWriter:
 
     def __init__(self, path: Union[str, Path], shards: int, homes: int,
                  workers: int = 1, start_shard: int = 0,
-                 trace_id: str = "", min_interval: float = 0.0) -> None:
+                 trace_id: str = "") -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.shards = shards
@@ -53,35 +53,32 @@ class ProgressWriter:
         self.workers = workers
         self.start_shard = start_shard
         self.trace_id = trace_id
-        self.min_interval = min_interval
         self.started = time.time()
         self.shards_ingested = start_shard
         self.in_flight = 0
         self.retries = 0
         self.records_ingested = 0
         self.status = "running"
-        self._last_write = 0.0
         self.writes = 0
-        self.write(force=True)
+        self.write()
 
     def update(self, shards_ingested: Optional[int] = None,
                in_flight: Optional[int] = None,
-               records_delta: int = 0, retries_delta: int = 0,
-               force: bool = False) -> None:
-        """Fold counter changes in and publish (throttled unless forced)."""
+               records_delta: int = 0, retries_delta: int = 0) -> None:
+        """Fold counter changes in and publish."""
         if shards_ingested is not None:
             self.shards_ingested = shards_ingested
         if in_flight is not None:
             self.in_flight = in_flight
         self.records_ingested += records_delta
         self.retries += retries_delta
-        self.write(force=force)
+        self.write()
 
     def finish(self, status: str = "finished") -> None:
-        """Publish the terminal payload (always written, never throttled)."""
+        """Publish the terminal payload."""
         self.status = status
         self.in_flight = 0
-        self.write(force=True)
+        self.write()
 
     def payload(self) -> dict:
         elapsed = time.time() - self.started
@@ -109,12 +106,8 @@ class ProgressWriter:
             "eta_seconds": None if eta is None else round(eta, 1),
         }
 
-    def write(self, force: bool = False) -> None:
+    def write(self) -> None:
         """Atomically replace ``progress.json`` (temp + ``os.replace``)."""
-        now = time.monotonic()
-        if not force and now - self._last_write < self.min_interval:
-            return
-        self._last_write = now
         tmp = self.path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(self.payload()) + "\n")
         os.replace(tmp, self.path)

@@ -166,12 +166,17 @@ class TestServerLossAccounting:
                                          outage_rate_per_day=0.0))
         return CollectionServer(store, path)
 
-    def test_sent_vs_delivered_tally(self):
-        from repro.collection.batches import RecordBatch
+    @staticmethod
+    def _heartbeats_upload(sends):
+        from repro.collection.batches import RecordBatch, RouterUpload
 
+        return RouterUpload(make_info(),
+                            (RecordBatch("heartbeats", "US001", sends),))
+
+    def test_sent_vs_delivered_tally(self):
         server = self._server(loss=0.2)
         sends = np.linspace(SPAN[0], SPAN[1] - 1, 5000)
-        server.receive_batch(RecordBatch("heartbeats", "US001", sends))
+        server.ingest(self._heartbeats_upload(sends))
         sent, delivered = server.store.heartbeat_delivery["US001"]
         assert sent == 5000
         assert delivered == len(server.store.to_study_data()
@@ -179,12 +184,10 @@ class TestServerLossAccounting:
         assert 0 < delivered < sent
 
     def test_duplicate_upload_does_not_double_count(self):
-        from repro.collection.batches import RecordBatch
-
         server = self._server(loss=0.0)
         sends = np.linspace(SPAN[0], SPAN[1] - 1, 100)
-        server.receive_batch(RecordBatch("heartbeats", "US001", sends))
-        server.receive_batch(RecordBatch("heartbeats", "US001", sends))
+        assert server.ingest(self._heartbeats_upload(sends)) is True
+        assert server.ingest(self._heartbeats_upload(sends)) is False
         assert server.store.heartbeat_delivery["US001"] == (100, 100)
 
 

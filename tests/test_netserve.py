@@ -5,8 +5,9 @@ The load-bearing contracts under test:
 * the framed wire protocol round-trips and rejects garbage;
 * frame decoding never executes attacker code (restricted unpickler);
 * ``CollectionServer.ingest`` is all-or-nothing and idempotent, even
-  across a daemon restart over an existing store;
-* the heartbeat ledger closes: sent == delivered + dropped + rejected;
+  across a daemon restart over an existing store, and a rejected upload
+  leaves no trace — not even a loss draw;
+* the heartbeat ledger closes: sent == delivered + dropped;
 * ``records_ingested_total`` matches the store's contents exactly, even
   after re-upload conflicts;
 * a campaign ingested over the socket daemon produces a ``study_digest``
@@ -20,6 +21,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import study_digest
 from repro.core.datasets import ThroughputSeries
@@ -290,15 +293,15 @@ class TestIngestAllOrNothing:
 
     def test_failed_upload_stages_nothing(self, registry):
         """A consistency failure on a *later* batch must leave the
-        store byte-for-byte as it was: the earlier append-only batches
-        are staged, not applied, so a client retry cannot double-append
-        them."""
+        store byte-for-byte as it was: the whole upload is checked
+        before any batch is applied, so a client retry cannot
+        double-append the earlier append-only batches."""
         server = make_server()
         rid = "LG000000"
         info = RouterInfo(rid, "US", True, -5.0, 50_000.0)
         server.store.register_router(info)
         original = ThroughputSeries(rid, SPAN[0], np.ones(4), np.ones(4))
-        server.receive_batch(RecordBatch("throughput", rid, original))
+        server.store.add_throughput(original)
 
         sends = np.linspace(SPAN[0], SPAN[0] + 3600.0, 5)
         reports = [UptimeReport(rid, SPAN[0] + 60.0, 1000.0)]
@@ -327,6 +330,34 @@ class TestIngestAllOrNothing:
         data = server.store.to_study_data()
         assert len(data.uptime_reports) == 1
         assert len(data.heartbeats[rid]) == len(sends)
+
+    def test_rejected_upload_draws_no_loss(self, registry):
+        """Every check that can reject an upload runs before the loss
+        draws: a rejected upload must not advance the path RNG, which
+        would shift every later router's deliveries.  Only a lossy path
+        shows this — with ``packet_loss=0`` the path draws nothing."""
+        server = make_server(loss=0.3)
+        rid = "LG000000"
+        info = RouterInfo(rid, "US", True, -5.0, 50_000.0)
+        server.store.register_router(info)
+        server.store.add_throughput(
+            ThroughputSeries(rid, SPAN[0], np.ones(4), np.ones(4)))
+        rng_state = server.path.rng_state()
+        store_state = server.store.state_dict()
+        digest = study_digest(server.store.to_study_data())
+        with pytest.raises(ValueError):
+            server.ingest(RouterUpload(info, (
+                RecordBatch("heartbeats", rid,
+                            np.linspace(SPAN[0], SPAN[0] + 3600.0, 50)),
+                RecordBatch("uptime", rid,
+                            [UptimeReport(rid, SPAN[0] + 60.0, 1000.0)]),
+                RecordBatch("throughput", rid, ThroughputSeries(
+                    rid, SPAN[0], np.zeros(4), np.ones(4))),
+            )))
+        assert server.path.rng_state() == rng_state
+        assert server.store.state_dict() == store_state
+        assert study_digest(server.store.to_study_data()) == digest
+        assert counter(registry, "heartbeats_sent_total") == 0
 
     def test_restart_over_existing_store_is_duplicate(self, registry):
         """A retry landing at a daemon *restarted over an existing
@@ -384,6 +415,12 @@ def _hostile_uploads():
                      gdp_ppp_per_capita=-1)
     uptime = ColumnarRecords("uptime", rid, {"timestamp": [1.0],
                                              "uptime_seconds": [2.0]})
+    sends = upload.batches[0].records
+
+    def beats(records):
+        return RouterUpload(upload.info, (
+            RecordBatch("heartbeats", rid, records),) + upload.batches[1:])
+
     return {
         "wifi-spectrum-code": wifi(spectrum_code=[7, 1]),
         "wifi-negative-aps": wifi(neighbor_aps=[-3, 0]),
@@ -399,6 +436,9 @@ def _hostile_uploads():
                            443, "https", 1.0, 2.0, 3.0)])),
         "uptime-columns-in-capacity-batch": _with_batch(
             upload, RecordBatch("capacity", rid, uptime)),
+        "nan-heartbeat": beats(np.append(sends, np.nan)),
+        "inf-heartbeat": beats(np.append(sends, np.inf)),
+        "text-heartbeats": beats(["noon", "dusk"]),
     }
 
 
@@ -419,35 +459,17 @@ class TestDecodedUploadValidation:
 
 
 class TestLedgerReconciliation:
-    def test_rejected_duplicate_counted(self, registry):
-        server = make_server(loss=0.0)
-        sends = np.linspace(SPAN[0], SPAN[1] - 1, 100)
-        server.store.register_router(RouterInfo("US001", "US", True,
-                                                -5.0, 49800.0))
-        server.receive_batch(RecordBatch("heartbeats", "US001", sends))
-        server.receive_batch(RecordBatch("heartbeats", "US001", sends))
-        sent = counter(registry, "heartbeats_sent_total")
-        delivered = counter(registry, "heartbeats_delivered_total")
-        dropped = counter(registry, "heartbeats_dropped_total")
-        rejected = counter(registry, "heartbeats_rejected_total")
-        assert sent == 200
-        assert rejected == 100
-        assert sent == delivered + dropped + rejected
-        # The store's per-router tally only counts the stored upload.
-        assert server.store.heartbeat_delivery["US001"] == (100, 100)
-
     def test_ledger_closes_under_loss(self, registry):
         server = make_server(loss=0.3)
         sends = np.linspace(SPAN[0], SPAN[1] - 1, 2000)
-        server.store.register_router(RouterInfo("US001", "US", True,
-                                                -5.0, 49800.0))
-        server.receive_batch(RecordBatch("heartbeats", "US001", sends))
+        server.ingest(RouterUpload(
+            RouterInfo("US001", "US", True, -5.0, 49800.0),
+            (RecordBatch("heartbeats", "US001", sends),)))
         sent = counter(registry, "heartbeats_sent_total")
         delivered = counter(registry, "heartbeats_delivered_total")
         dropped = counter(registry, "heartbeats_dropped_total")
-        rejected = counter(registry, "heartbeats_rejected_total")
         assert sent == 2000 and dropped > 0
-        assert sent == delivered + dropped + rejected
+        assert sent == delivered + dropped
 
     def test_records_total_matches_store_after_conflicts(self, registry):
         """Per-dataset ``records_ingested_total`` == store contents,
@@ -456,11 +478,11 @@ class TestLedgerReconciliation:
         for index in range(4):
             server.ingest(make_upload(index))
         server.ingest(make_upload(1))          # idempotent duplicate
-        # A direct duplicate batch (bypassing upload idempotency), as a
-        # crashed-and-replayed shard would produce.
         replay = make_upload(2)
-        for batch in replay.batches:
-            server.receive_batch(batch)
+        with pytest.raises(ValueError):        # conflicting re-upload
+            server.ingest(RouterUpload(
+                RouterInfo(replay.router_id, "GB", True, 0.0, 36000.0),
+                replay.batches))
         data = server.store.to_study_data()
         stored_heartbeats = sum(len(log) for log in data.heartbeats.values())
         assert counter(registry, "records_ingested_total",
@@ -468,6 +490,69 @@ class TestLedgerReconciliation:
         assert counter(registry, "records_ingested_total",
                        dataset="uptime") == len(data.uptime_reports)
         assert len(data.routers) == 4
+
+
+#: How the property below makes a drawn upload hostile (None: valid).
+HOSTILITIES = (None, "foreign-batch", "two-heartbeats", "no-heartbeats",
+               "other-country", "non-finite-send")
+
+
+def _drawn_upload(index, hostility):
+    upload = make_upload(index)
+    info, batches = upload.info, upload.batches
+    if hostility == "foreign-batch":
+        return _with_batch(upload, make_upload(index + 1).batches[1])
+    if hostility == "two-heartbeats":
+        return _with_batch(upload, batches[0])
+    if hostility == "no-heartbeats":
+        return RouterUpload(info, batches[1:])
+    if hostility == "other-country":
+        return RouterUpload(
+            RouterInfo(info.router_id, "GB", True, 0.0, 36000.0), batches)
+    if hostility == "non-finite-send":
+        sends = np.append(batches[0].records, np.inf)
+        return RouterUpload(info, (
+            RecordBatch("heartbeats", info.router_id, sends),) + batches[1:])
+    return upload
+
+
+def _ingest_all(uploads):
+    """Ingest *uploads* in order into a fresh lossy server; return each
+    outcome (None when it raised) and what the server was left with."""
+    registry = metrics.enable()
+    registry.clear()
+    server = make_server(loss=0.3)
+    outcomes = []
+    try:
+        for upload in uploads:
+            try:
+                outcomes.append(server.ingest(upload))
+            except ValueError:
+                outcomes.append(None)
+        counters = {key: value for key, value in registry.counters.items()
+                    if key[0] != "ingest_rejections_total"}
+    finally:
+        metrics.disable()
+    return outcomes, (study_digest(server.store.to_study_data()),
+                      server.path.rng_state(), counters)
+
+
+class TestRejectedUploadsLeaveNoTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5),
+                              st.sampled_from(HOSTILITIES)), max_size=10))
+    def test_same_as_never_sent(self, draws):
+        """Ingesting a sequence gives the digest, path RNG state and
+        counters of the same sequence with its rejected uploads
+        removed: a rejected upload leaves no trace."""
+        uploads = [_drawn_upload(index, kind) for index, kind in draws]
+        outcomes, left = _ingest_all(uploads)
+        accepted = [upload for upload, outcome in zip(uploads, outcomes)
+                    if outcome is not None]
+        accepted_outcomes, accepted_left = _ingest_all(accepted)
+        assert accepted_outcomes == [outcome for outcome in outcomes
+                                     if outcome is not None]
+        assert accepted_left == left
 
 
 def run_daemon(coro_factory, config=None, loss=0.0):

@@ -55,16 +55,6 @@ class TestProgressWriter:
         writer.finish("failed")
         assert json.loads(writer.path.read_text())["status"] == "failed"
 
-    def test_throttle_skips_rapid_writes(self, tmp_path):
-        writer = ProgressWriter(tmp_path / PROGRESS_NAME, shards=4,
-                                homes=100, min_interval=3600.0)
-        before = writer.writes
-        writer.update(shards_ingested=1)  # throttled
-        writer.update(shards_ingested=2, force=True)  # forced through
-        assert writer.writes == before + 1
-        payload = json.loads(writer.path.read_text())
-        assert payload["shards"]["ingested"] == 2
-
     def test_resumed_campaign_rates_exclude_prior_shards(self, tmp_path):
         writer = ProgressWriter(tmp_path / PROGRESS_NAME, shards=8,
                                 homes=100, start_shard=4)
