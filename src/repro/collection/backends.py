@@ -1,35 +1,41 @@
 """Pluggable record-store backends: in-memory lists or disk spill.
 
 The :class:`~repro.collection.storage.RecordStore` owns registration and
-consistency checks; a :class:`StoreBackend` owns where the records live
-between ingest and :meth:`finalize`:
+consistency checks; a :class:`StoreBackend` owns where the records live.
+It has three writes (:meth:`~StoreBackend.append`,
+:meth:`~StoreBackend.put_heartbeats`, :meth:`~StoreBackend.put_throughput`)
+and one reader, :meth:`~StoreBackend.iter_homes`, through which both
+:meth:`RecordStore.to_study_data` and the stream path read:
 
-* :class:`MemoryBackend` — the original behaviour: every record in RAM,
-  one sort at finalize time.
+* :class:`MemoryBackend` — every record in RAM; a read sorts the data
+  set's list in place.
 * :class:`SpillBackend` — bounded memory: list-dataset records buffer up
   to ``max_buffered_records``, then each dataset's buffer is sorted and
   appended to a JSONL *run* file on disk, one
-  :meth:`~repro.core.records.RowCodec.to_row` row per line; finalize
+  :meth:`~repro.core.records.RowCodec.to_row` row per line; a read
   k-way merge-sorts the runs.  The two columnar datasets (heartbeat
   timestamp arrays, per-minute throughput series) spill immediately as
   per-router ``.npy``/``.npz`` files, so peak resident record count
   stays O(buffer + one upload chunk).
 
-Both backends produce identical, deterministically-ordered contents:
-JSON round-trips floats exactly (shortest-repr encoding), the sort keys
-match the in-memory sort, and ``heapq.merge`` is stable across runs.
+Both backends read identical, deterministically-ordered records: JSON
+round-trips floats exactly (shortest-repr encoding), both sort by the
+same keys, and ``list.sort`` and ``heapq.merge`` are stable, so ties
+keep ingest order.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import logging
 import tempfile
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -39,30 +45,17 @@ from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
 
-#: Sort key per dataset — must match RecordStore.to_study_data ordering.
+#: Sort key per record-list data set: its record's first two fields,
+#: ``router_id`` then ``timestamp`` (``device_mac`` for the roster).
 SORT_KEYS: Dict[str, Callable] = {
-    "uptime": lambda r: (r.router_id, r.timestamp),
-    "capacity": lambda m: (m.router_id, m.timestamp),
-    "device_counts": lambda s: (s.router_id, s.timestamp),
-    "roster": lambda e: (e.router_id, e.device_mac),
-    "wifi_scans": lambda s: (s.router_id, s.timestamp),
-    "flows": lambda f: (f.router_id, f.timestamp),
-    "dns": lambda d: (d.router_id, d.timestamp),
-}
+    name: attrgetter(*(f.name for f in table.codec.fields[:2]))
+    for name, table in RECORD_DATASETS.items()}
 
-
-@dataclass
-class StoreContents:
-    """What a backend hands back at finalize time (pre-sorted)."""
-
-    heartbeats: Dict[str, HeartbeatLog] = field(default_factory=dict)
-    throughput: Dict[str, ThroughputSeries] = field(default_factory=dict)
-    lists: Dict[str, List] = field(
-        default_factory=lambda: {name: [] for name in LIST_DATASETS})
+_ROUTER_ID = attrgetter("router_id")
 
 
 class StoreBackend(ABC):
-    """Where a RecordStore keeps records between ingest and finalize."""
+    """Where a RecordStore keeps records: three writes, one reader."""
 
     @abstractmethod
     def append(self, dataset: str, records: Sequence) -> None:
@@ -77,25 +70,15 @@ class StoreBackend(ABC):
         """Store one router's throughput series (first upload only)."""
 
     @abstractmethod
-    def finalize(self) -> StoreContents:
-        """Return every stored record, sorted per dataset."""
+    def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
+        """``(router_id, records)`` per home for any of the nine data sets.
 
-    @abstractmethod
-    def iter_dataset(self, dataset: str) -> Iterator:
-        """Stream one list dataset's records in sorted order.
-
-        Unlike :meth:`finalize`, this never materializes the whole
-        dataset — the streaming analysis path relies on it to keep
-        memory at O(sketch).  Repeated iteration is allowed.
+        A list data set's records come sorted by :data:`SORT_KEYS`, one
+        group per router; a heartbeat log or throughput series is one
+        home's records, in ingest order.  The read never materializes a
+        whole data set — the stream path relies on it to keep memory at
+        O(sketch) — and a store may be read any number of times.
         """
-
-    @abstractmethod
-    def iter_heartbeats(self) -> Iterator[HeartbeatLog]:
-        """Stream per-router heartbeat logs in ingest order."""
-
-    @abstractmethod
-    def iter_throughput(self) -> Iterator[ThroughputSeries]:
-        """Stream per-router throughput series in ingest order."""
 
 
 class MemoryBackend(StoreBackend):
@@ -115,24 +98,14 @@ class MemoryBackend(StoreBackend):
     def put_throughput(self, series: ThroughputSeries) -> None:
         self._throughput[series.router_id] = series
 
-    def finalize(self) -> StoreContents:
-        return StoreContents(
-            heartbeats=dict(self._heartbeats),
-            throughput=dict(self._throughput),
-            lists={name: sorted(records, key=SORT_KEYS[name])
-                   for name, records in self._lists.items()},
-        )
-
-    def iter_dataset(self, dataset: str) -> Iterator:
-        if dataset not in LIST_DATASETS:
-            raise ValueError(f"unknown dataset {dataset!r}")
-        return iter(sorted(self._lists[dataset], key=SORT_KEYS[dataset]))
-
-    def iter_heartbeats(self) -> Iterator[HeartbeatLog]:
-        return iter(list(self._heartbeats.values()))
-
-    def iter_throughput(self) -> Iterator[ThroughputSeries]:
-        return iter(list(self._throughput.values()))
+    def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
+        if dataset == "heartbeats":
+            return iter(list(self._heartbeats.items()))
+        if dataset == "throughput":
+            return iter(list(self._throughput.items()))
+        records = self._lists[dataset]
+        records.sort(key=SORT_KEYS[dataset])
+        return itertools.groupby(records, key=_ROUTER_ID)
 
 
 class SpillBackend(StoreBackend):
@@ -162,7 +135,6 @@ class SpillBackend(StoreBackend):
         self._buffered = 0
         self._runs: Dict[str, List[Path]] = {name: [] for name in LIST_DATASETS}
         self._n_runs = 0
-        self._finalized = False
         self.peak_buffered_records = 0
         self._open_run_files = 0
         #: High-water mark of concurrently open run files during merges.
@@ -170,7 +142,7 @@ class SpillBackend(StoreBackend):
         #: this stays at 1 no matter how many runs a campaign spilled —
         #: a long campaign cannot exhaust the process fd limit.
         self.peak_open_run_files = 0
-        # Ingest order, so finalize matches MemoryBackend's dict order
+        # Ingest order, so reads match MemoryBackend's dict order
         # (exports iterate these dicts; sorted-glob order would differ).
         self._heartbeat_order: List[str] = []
         self._throughput_order: List[str] = []
@@ -209,7 +181,7 @@ class SpillBackend(StoreBackend):
     def _spill(self) -> None:
         spilled = self._buffered
         if not spilled:
-            # An empty spill (repeated finalize, a checkpoint flush with
+            # An empty spill (a repeated read, a checkpoint flush with
             # nothing buffered) must not advance the run numbering — it
             # would skew the store_spills_total run ids in the event log.
             return
@@ -298,7 +270,7 @@ class SpillBackend(StoreBackend):
         self.peak_buffered_records = int(
             state.get("peak_buffered_records", 0))
 
-    # -- streaming reads / finalize ----------------------------------------------
+    # -- reads -------------------------------------------------------------------
 
     #: Total records resident across all run readers during a merge; each
     #: reader gets ``max(32, budget // n_runs)`` records per chunk.
@@ -346,42 +318,23 @@ class SpillBackend(StoreBackend):
                    for path in runs]
         return heapq.merge(*readers, key=SORT_KEYS[dataset])
 
-    def iter_dataset(self, dataset: str) -> Iterator:
-        if dataset not in LIST_DATASETS:
-            raise ValueError(f"unknown dataset {dataset!r}")
+    def _load_throughput(self, rid: str) -> ThroughputSeries:
+        with np.load(self.root / "throughput" / f"{rid}.npz") as archive:
+            return ThroughputSeries(
+                router_id=rid,
+                start=archive["start"].item(),
+                up_bps=archive["up_bps"],
+                down_bps=archive["down_bps"],
+                interval_seconds=archive["interval"].item(),
+            )
+
+    def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
+        if dataset == "heartbeats":
+            return ((rid, HeartbeatLog(
+                rid, np.load(self.root / "heartbeats" / f"{rid}.npy")))
+                for rid in list(self._heartbeat_order))
+        if dataset == "throughput":
+            return ((rid, self._load_throughput(rid))
+                    for rid in list(self._throughput_order))
         self.flush()
-        return self._merged_runs(dataset)
-
-    def iter_heartbeats(self) -> Iterator[HeartbeatLog]:
-        for rid in list(self._heartbeat_order):
-            path = self.root / "heartbeats" / f"{rid}.npy"
-            yield HeartbeatLog(rid, np.load(path))
-
-    def iter_throughput(self) -> Iterator[ThroughputSeries]:
-        for rid in list(self._throughput_order):
-            path = self.root / "throughput" / f"{rid}.npz"
-            with np.load(path) as archive:
-                yield ThroughputSeries(
-                    router_id=rid,
-                    start=archive["start"].item(),
-                    up_bps=archive["up_bps"],
-                    down_bps=archive["down_bps"],
-                    interval_seconds=archive["interval"].item(),
-                )
-
-    def finalize(self) -> StoreContents:
-        if self._finalized:
-            # The merge streams runs from disk; a second merge would work
-            # today but silently double-iterates gigabytes and races the
-            # temp-dir cleanup, so repeated finalize is an explicit error.
-            raise RuntimeError("SpillBackend.finalize() was already called")
-        self._finalized = True
-        self._spill()
-        contents = StoreContents()
-        for dataset in LIST_DATASETS:
-            contents.lists[dataset] = list(self._merged_runs(dataset))
-        for log in self.iter_heartbeats():
-            contents.heartbeats[log.router_id] = log
-        for series in self.iter_throughput():
-            contents.throughput[series.router_id] = series
-        return contents
+        return itertools.groupby(self._merged_runs(dataset), key=_ROUTER_ID)

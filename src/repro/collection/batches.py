@@ -33,7 +33,7 @@ from repro.firmware.router import RouterOutput
 #: All batchable datasets, including the two columnar ones.
 DATASETS = ("heartbeats",) + LIST_DATASETS + ("throughput",)
 
-#: Default ceiling on records per list batch.
+#: Ceiling on records per list batch.
 DEFAULT_BATCH_RECORDS = 2048
 
 
@@ -79,26 +79,22 @@ class RouterUpload:
         return total
 
 
-def _chunks(records: Sequence, size: int) -> Iterator[Sequence]:
-    for start in range(0, len(records), size):
-        yield records[start:start + size]
+def _chunks(records: Sequence) -> Iterator[Sequence]:
+    for start in range(0, len(records), DEFAULT_BATCH_RECORDS):
+        yield records[start:start + DEFAULT_BATCH_RECORDS]
 
 
-def router_output_to_batches(
-        output: RouterOutput,
-        max_batch_records: int = DEFAULT_BATCH_RECORDS) -> List[RecordBatch]:
+def router_output_to_batches(output: RouterOutput) -> List[RecordBatch]:
     """Split one router's output into bounded batches, in dataset order.
 
     The heartbeat batch is always emitted (even when empty) so every
     router keeps a heartbeat log entry, matching the monolithic upload
     path.  Empty list datasets emit no batch, also matching it.
     """
-    if max_batch_records <= 0:
-        raise ValueError("max_batch_records must be positive")
     rid = output.router_id
     batches = [RecordBatch("heartbeats", rid, output.heartbeat_sends)]
     for dataset in LIST_DATASETS:
-        for chunk in _chunks(getattr(output, dataset), max_batch_records):
+        for chunk in _chunks(getattr(output, dataset)):
             batches.append(RecordBatch(dataset, rid, list(chunk)))
     if output.throughput is not None:
         batches.append(RecordBatch("throughput", rid, output.throughput))
@@ -245,45 +241,36 @@ class ColumnarRecords:
 
 
 def columnar_batches(dataset: str, router_id: str,
-                     columns: Optional[Dict[str, list]],
-                     max_batch_records: int = DEFAULT_BATCH_RECORDS,
-                     ) -> List[RecordBatch]:
+                     columns: Optional[Dict[str, list]]) -> List[RecordBatch]:
     """Chunk one dataset's columns into :class:`ColumnarRecords` batches.
 
     Mirrors :func:`router_output_to_batches`: empty (or ``None``) datasets
-    emit no batch and chunk boundaries land every *max_batch_records*
-    records.
+    emit no batch and chunk boundaries land every
+    :data:`DEFAULT_BATCH_RECORDS` records.
     """
-    if max_batch_records <= 0:
-        raise ValueError("max_batch_records must be positive")
     if columns is None:
         return []
     fields = COLUMNAR_DATASETS[dataset]
     length = len(columns[fields[0]])
     if length == 0:
         return []
-    if length <= max_batch_records:
+    if length <= DEFAULT_BATCH_RECORDS:
         return [RecordBatch(dataset, router_id,
                             ColumnarRecords(dataset, router_id, columns))]
     batches = []
-    for lo in range(0, length, max_batch_records):
-        chunk = {name: columns[name][lo:lo + max_batch_records]
+    for lo in range(0, length, DEFAULT_BATCH_RECORDS):
+        chunk = {name: columns[name][lo:lo + DEFAULT_BATCH_RECORDS]
                  for name in fields}
         batches.append(RecordBatch(
             dataset, router_id, ColumnarRecords(dataset, router_id, chunk)))
     return batches
 
 
-def list_batches(dataset: str, router_id: str, records: Sequence,
-                 max_batch_records: int = DEFAULT_BATCH_RECORDS,
-                 ) -> List[RecordBatch]:
+def list_batches(dataset: str, router_id: str,
+                 records: Sequence) -> List[RecordBatch]:
     """Chunk a plain record list, matching :func:`router_output_to_batches`."""
-    if max_batch_records <= 0:
-        raise ValueError("max_batch_records must be positive")
-    if not records:
-        return []
     return [RecordBatch(dataset, router_id, list(chunk))
-            for chunk in _chunks(records, max_batch_records)]
+            for chunk in _chunks(records)]
 
 
 # -- wire framing -------------------------------------------------------------

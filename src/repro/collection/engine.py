@@ -111,8 +111,7 @@ def shard_count(n_homes: int, shard_size: Optional[int] = None) -> int:
 
 
 def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
-              seed: Optional[int] = None,
-              collect_metrics: bool = False, attempt: int = 0,
+              seed: Optional[int] = None, attempt: int = 0,
               fault_plan: Optional[FaultPlan] = None,
               collect_trace: bool = False,
               ) -> Union[List[RouterUpload],
@@ -121,14 +120,15 @@ def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
 
     This is the unit of work shipped to a worker process.  *seed* drives
     the firmware draws (it defaults to the plan's seed; household models
-    always derive from the plan's own seed).  With ``collect_metrics`` /
-    ``collect_trace`` the shard instead returns ``(uploads, extras)``
-    where ``extras`` holds the drained :mod:`repro.telemetry.metrics`
-    and/or :mod:`repro.trace` snapshots for the parent to merge.
-    ``collect_metrics`` and ``collect_trace`` reset the process-local
-    sink first, so a forked worker never re-ships data inherited from
-    its parent.  No collector touches any RNG, so the uploads are
-    bitwise-identical with or without them.
+    always derive from the plan's own seed).  With ``collect_trace`` the
+    shard instead returns ``(uploads, spans)``, where ``spans`` is the
+    drained :mod:`repro.trace` snapshot of its materialize and collect
+    spans for the parent to merge; the recorder is reset first, so a
+    forked worker never re-ships spans inherited from its parent.  The
+    shard records no metrics: the parent derives the shard metrics from
+    these spans (:func:`repro.telemetry.metrics.promote_spans`).
+    Tracing touches no RNG, so the uploads are bitwise-identical with or
+    without it.
 
     *attempt* and *fault_plan* belong to the fault-injection harness
     (:mod:`repro.collection.faults`): a fault scheduled at this
@@ -140,9 +140,6 @@ def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
     fault = fault_plan.lookup(shard_index, attempt) if fault_plan else None
     if fault is not None and fault.kind != "corrupt":
         _trigger_fault(fault)
-    if collect_metrics:
-        metrics.enable().clear()
-    t0 = time.perf_counter()
     seeds = SeedHierarchy(plan.seed if seed is None else seed)
     universe, policy = _shard_statics()
     with trace.span("materialize", cat="shard", shard=shard_index,
@@ -157,16 +154,8 @@ def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
         # Transient corruption: drop the tail upload so the parent's
         # result validation catches the truncation and retries.
         uploads = uploads[:-1]
-    metrics.inc("routers_simulated_total", len(cohort))
-    metrics.inc("shards_completed_total")
-    metrics.observe("shard_seconds", time.perf_counter() - t0)
-    if collect_metrics or collect_trace:
-        extras = {}
-        if collect_metrics:
-            extras["metrics"] = metrics.drain()
-        if collect_trace:
-            extras["trace"] = trace.drain()
-        return uploads, extras
+    if collect_trace:
+        return uploads, trace.drain()
     return uploads
 
 
@@ -217,9 +206,9 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
     ``StudyData`` is identical (see the module determinism contract).
 
     When a :mod:`repro.telemetry` metrics registry or event log is
-    active, the engine records campaign metrics (worker snapshots are
-    drained per shard and merged) and emits lifecycle events.  Neither
-    observer perturbs the study RNG.
+    active, the engine records campaign metrics and emits lifecycle
+    events; workers record no metrics, and the per-shard ones derive
+    from the ingest spans.  Neither observer perturbs the study RNG.
 
     Fault tolerance: a shard whose attempt raises, returns a result that
     fails validation, or (parallel path only) outlives *shard_timeout*
@@ -241,12 +230,12 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
     ``materialize=False`` returns the collected :class:`RecordStore`
     itself instead of freezing it into ``StudyData`` — the streaming
     analysis path (:mod:`repro.core.streaming`) reads straight off the
-    store's backend iterators, so a spill-backed campaign is analyzed
+    store's backend reader, so a spill-backed campaign is analyzed
     without ever building in-RAM record lists.
 
     Observability: when a :mod:`repro.trace` recorder is active the
     engine records the full span timeline — worker materialize/collect
-    spans shipped back through the per-shard drain/merge path, parent
+    spans shipped back with each shard's uploads, parent
     head-wait / ingest / checkpoint / backoff / pool-rebuild spans.
     Those spans are also the campaign's stage timings: to profile a
     call, enable the recorder around it (``trace.Capture``) and reduce
@@ -267,7 +256,6 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
         raise ValueError(
             "checkpoint_dir and an explicit store are mutually exclusive: "
             "the engine owns the durable store when checkpointing")
-    telemetring = metrics.is_enabled()
     tracing = trace.is_enabled()
     seed = plan.seed if seed is None else seed
     path_config = path_config or PathConfig()
@@ -395,7 +383,6 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
     # parent holds; results are consumed strictly in shard order.
     max_workers = min(workers, n_shards - start_shard)
     window = 2 * max_workers
-    collect = telemetring or tracing
     pool = ProcessPoolExecutor(max_workers=max_workers)
     try:
         pending: Deque[Tuple[int, Future]] = deque()
@@ -409,7 +396,6 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
             with trace.span("submit", cat="engine", shard=index,
                             attempt=attempt):
                 future = pool.submit(run_shard, plan, index, n_shards, seed,
-                                     collect_metrics=telemetring,
                                      attempt=attempt, fault_plan=fault_plan,
                                      collect_trace=tracing)
             attempts[index] = attempt + 1
@@ -467,10 +453,7 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                 trace.add_span("head_wait", wait_t0, cat="engine",
                                shard=index)
                 wait_recorded = True
-                if collect:
-                    uploads, extras = result
-                else:
-                    uploads, extras = result, {}
+                uploads, spans = result if tracing else (result, {})
                 _validate_uploads(plan, index, n_shards, uploads)
             except FutureTimeoutError:
                 # Straggler: resubmit the head and abandon the hung
@@ -502,10 +485,7 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                 resubmit_head(index)
                 continue
             pending.popleft()
-            if "metrics" in extras:
-                metrics.merge(extras["metrics"])
-            if "trace" in extras:
-                trace.merge(extras["trace"])
+            trace.merge(spans)
             ingested += 1
             ingest_uploads(index, ingested, uploads,
                            in_flight=len(pending))

@@ -96,6 +96,12 @@ DEFAULT_PORT = 9413
 #: Upper bound, in seconds, on the shutdown drain of queued uploads.
 DRAIN_TIMEOUT = 30.0
 
+#: Resends an :class:`IngestClient` makes for one upload before it gives up.
+RETRY_LIMIT = 64
+
+#: Longest sleep, in seconds, between two resends of one upload.
+MAX_RETRY_SLEEP = 0.5
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -405,14 +411,10 @@ class IngestClient:
     """
 
     def __init__(self, host: str, port: int,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-                 retry_limit: int = 64,
-                 max_retry_sleep: float = 0.5):
+                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
         self.host = host
         self.port = port
         self.max_frame_bytes = max_frame_bytes
-        self.retry_limit = retry_limit
-        self.max_retry_sleep = max_retry_sleep
         self.retries = 0
         self.sheds = 0
         self.duplicates = 0
@@ -466,12 +468,11 @@ class IngestClient:
                 # The ACK (or the frame itself) was lost — reconnect and
                 # resend; the server's idempotency absorbs the re-upload.
                 attempt += 1
-                if attempt > self.retry_limit:
+                if attempt > RETRY_LIMIT:
                     raise
                 self.retries += 1
                 self._reader = self._writer = None
-                await asyncio.sleep(min(0.01 * attempt,
-                                        self.max_retry_sleep))
+                await asyncio.sleep(min(0.01 * attempt, MAX_RETRY_SLEEP))
                 continue
             kind = response[0]
             if kind == "ack":
@@ -480,13 +481,13 @@ class IngestClient:
                 return response[2]
             if kind == "retry":
                 attempt += 1
-                if attempt > self.retry_limit:
+                if attempt > RETRY_LIMIT:
                     raise RuntimeError(
                         f"upload seq {seq} shed {attempt} times; giving up")
                 self.retries += 1
                 self.sheds += 1
                 await asyncio.sleep(min(float(response[2]) * attempt,
-                                        self.max_retry_sleep))
+                                        MAX_RETRY_SLEEP))
                 continue
             if kind == "error":
                 raise ValueError(f"server rejected upload seq {seq}: "

@@ -4,6 +4,9 @@ The store owns *consistency* (router registration, re-upload conflict
 detection) and delegates *residency* to a pluggable
 :class:`~repro.collection.backends.StoreBackend` — in-memory lists by
 default, or a bounded-memory disk-spill backend for large campaigns.
+Every read goes through the backend's one reader, ``iter_homes``:
+:meth:`RecordStore.to_study_data` builds its lists from it, and the
+stream path folds it home by home.
 The seven record-list data sets share one entry point,
 :meth:`RecordStore.add_records`, keyed by their name in
 :data:`~repro.core.records.RECORD_DATASETS`.
@@ -18,6 +21,7 @@ applies the upload through the add methods.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -270,14 +274,20 @@ class RecordStore:
         }
 
     def to_study_data(self) -> StudyData:
-        """Freeze the accumulated records into an analysis-ready bundle."""
-        contents = self.backend.finalize()
+        """Freeze the accumulated records into an analysis-ready bundle.
+
+        Reads every data set through the backend's one reader,
+        :meth:`~repro.collection.backends.StoreBackend.iter_homes`, as
+        the stream path does, so a store can be frozen more than once.
+        """
+        homes = self.backend.iter_homes
         return StudyData(
             routers=dict(self._routers),
             windows=self.windows,
-            heartbeats=contents.heartbeats,
-            throughput=contents.throughput,
+            heartbeats=dict(homes("heartbeats")),
+            throughput=dict(homes("throughput")),
             heartbeat_delivery=dict(self.heartbeat_delivery),
-            **{table.attr: contents.lists[name]
+            **{table.attr: list(itertools.chain.from_iterable(
+                records for _, records in homes(name)))
                for name, table in RECORD_DATASETS.items()},
         )

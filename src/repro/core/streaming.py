@@ -11,16 +11,14 @@ compress and :func:`stream_figures` with sketches that compress past
 Passes run flows first (they fix the ≥100 MB qualifying homes and the
 per-MAC volume), then capacity, throughput, heartbeats, device_counts,
 roster, wifi_scans and uptime; DNS feeds no figure.  Memory is one
-home's records at a time plus the folds' sketches, never a
-``StoreContents`` list.
+home's records at a time plus the folds' sketches, never a whole data
+set.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Dict, Iterator, List, Set, Tuple
 
 import numpy as np
@@ -71,8 +69,8 @@ class StudyDataSource:
 class StoreSource:
     """Source over a live RecordStore — never materializes.
 
-    Reads through the backend's ``iter_*`` API; ``finalize()`` (which
-    would build ``StoreContents`` lists) is never called.
+    Reads through the backend's ``iter_homes``, the reader
+    ``RecordStore.to_study_data`` uses too, one home at a time.
     """
 
     def __init__(self, store) -> None:
@@ -84,16 +82,7 @@ class StoreSource:
         return self.store.routers
 
     def iter_homes(self, name: str) -> Iterator[Tuple[str, object]]:
-        """``(router_id, records)`` per home off the router-sorted stream;
-        a heartbeat log or throughput series is one home's records."""
-        backend = self.store.backend
-        if name == "heartbeats":
-            return ((log.router_id, log) for log in backend.iter_heartbeats())
-        if name == "throughput":
-            return ((series.router_id, series)
-                    for series in backend.iter_throughput())
-        return itertools.groupby(backend.iter_dataset(name),
-                                 key=attrgetter("router_id"))
+        return self.store.backend.iter_homes(name)
 
 
 @dataclass

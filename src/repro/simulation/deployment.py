@@ -174,17 +174,15 @@ class Deployment:
     campaign through the engine never touches it.
     """
 
-    def __init__(self, plan: DeploymentPlan,
-                 households: Optional[Sequence[Household]] = None,
-                 universe: Optional[Sequence[Domain]] = None):
+    def __init__(self, plan: DeploymentPlan):
         self.plan = plan
         self.windows = plan.windows
         self.uptime_routers: Set[str] = set(plan.uptime_routers)
         self.devices_routers: Set[str] = set(plan.devices_routers)
         self.wifi_routers: Set[str] = set(plan.wifi_routers)
         self.traffic_routers: Set[str] = set(plan.traffic_routers)
-        self._households = households if households is not None else None
-        self._universe = list(universe) if universe is not None else None
+        self._households: Optional[Sequence[Household]] = None
+        self._universe: Optional[List[Domain]] = None
         self._position: Optional[Dict[str, int]] = None
         self._lookup_cohorts: Dict[int, ShardCohort] = {}
 

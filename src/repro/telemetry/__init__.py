@@ -5,8 +5,8 @@ this package is our equivalent for simulated campaigns at scale.  Five
 pieces, one activation model (mirroring :mod:`repro.trace`: process-global,
 near-free when disabled, never touching RNG state):
 
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms registry
-  with per-shard drain/merge across worker processes;
+* :mod:`repro.telemetry.metrics` — counters/gauges/histograms registry,
+  recorded in the parent; worker shards report through their spans;
 * :mod:`repro.telemetry.events` — structured JSONL campaign event log;
 * :mod:`repro.telemetry.manifest` — the run manifest that makes any
   artifact directory reproducible (config, seed, versions, git rev,

@@ -11,10 +11,11 @@ which follow the :mod:`repro.trace` activation pattern:
   (telemetry-off) runs.
 * **Deterministic data flow.**  The registry holds plain dicts and never
   touches any RNG; recording metrics cannot perturb ``study_digest``.
-* **Multiprocessing-friendly.**  Shard workers enable a worker-local
-  registry, :func:`drain` a picklable snapshot per shard, and the parent
-  :func:`merge`\\ s the snapshots — mirroring ``repro.trace``'s per-shard
-  drain/merge so metrics aggregate across every worker process.
+* **One channel out of a worker.**  Shard workers record no metrics;
+  they ship only their :mod:`repro.trace` spans.  The parent records
+  everything else, and :func:`promote_spans` derives the per-shard
+  metrics from the engine's ``ingest`` spans, so a serial and a
+  parallel campaign count the same shards.
 
 Metric identity is ``(name, labels)``; labels are canonicalized to a
 sorted tuple of ``(key, value)`` pairs so ``inc("x", dataset="flows")``
@@ -111,32 +112,6 @@ class MetricsRegistry:
             },
         }
 
-    def merge(self, snap: dict) -> None:
-        """Fold a :func:`snapshot`/:func:`drain` dict into this registry.
-
-        Counters and histogram counts add; gauges take the snapshot's
-        value (a drained worker gauge is newer than the parent's).
-        """
-        for key, value in snap.get("counters", {}).items():
-            self.counters[key] = self.counters.get(key, 0) + value
-        for key, value in snap.get("gauges", {}).items():
-            self.gauges[key] = value
-        for key, theirs in snap.get("histograms", {}).items():
-            mine = self.histograms.get(key)
-            if mine is None:
-                self.histograms[key] = {
-                    "bounds": tuple(theirs["bounds"]),
-                    "counts": list(theirs["counts"]),
-                    "sum": theirs["sum"], "count": theirs["count"]}
-                continue
-            if tuple(theirs["bounds"]) != mine["bounds"]:
-                raise ValueError(
-                    f"cannot merge histogram {key[0]!r}: bucket bounds differ")
-            mine["counts"] = [a + b for a, b
-                              in zip(mine["counts"], theirs["counts"])]
-            mine["sum"] += theirs["sum"]
-            mine["count"] += theirs["count"]
-
     def clear(self) -> None:
         """Forget everything recorded (the registry stays usable)."""
         self.counters.clear()
@@ -203,29 +178,18 @@ def snapshot() -> dict:
     return registry.snapshot()
 
 
-def drain() -> dict:
-    """Snapshot the active registry and clear it (per-shard shipping)."""
-    registry = _ACTIVE
-    if registry is None:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-    snap = registry.snapshot()
-    registry.clear()
-    return snap
-
-
-def merge(snap: dict) -> None:
-    """Fold a worker snapshot into the active registry (no-op disabled)."""
-    registry = _ACTIVE
-    if registry is not None:
-        registry.merge(snap)
-
-
 def promote_spans(spans: list) -> None:
     """Promote trace spans into the active registry.
 
     Per-span-name totals become ``stage_seconds_total{stage=}`` /
     ``stage_calls_total{stage=}`` counters, so ``--profile`` and the
     telemetry export read one set of spans without timing any site twice.
+    Each engine ``ingest`` span is one ingested shard: it adds one to
+    ``shards_completed_total``, its ``routers`` to
+    ``routers_simulated_total``, and one ``shard_seconds`` observation,
+    the summed top-level ``shard`` spans (materialize, collect) of the
+    shard's last attempt.  An attempt whose result failed validation is
+    never ingested, so it is never counted.
     """
     registry = _ACTIVE
     if registry is None:
@@ -237,3 +201,20 @@ def promote_spans(spans: list) -> None:
         registry.inc("stage_seconds_total", secs, stage=stage)
     for stage, calls in totals["calls"].items():
         registry.inc("stage_calls_total", calls, stage=stage)
+
+    # shard -> attempt -> seconds of its top-level shard spans
+    runs: Dict[int, Dict[int, float]] = {}
+    for record in spans:
+        args = record.get("args") or {}
+        if (record["cat"] == "shard" and "shard" in args
+                and record["dur"] is not None and "." not in record["name"]):
+            attempts = runs.setdefault(int(args["shard"]), {})
+            attempt = int(args.get("attempt", 0))
+            attempts[attempt] = attempts.get(attempt, 0.0) + record["dur"]
+    for record in spans:
+        if record["cat"] == "engine" and record["name"] == "ingest":
+            args = record["args"]
+            attempts = runs.get(int(args["shard"]), {0: 0.0})
+            registry.inc("shards_completed_total")
+            registry.inc("routers_simulated_total", args["routers"])
+            registry.observe("shard_seconds", attempts[max(attempts)])

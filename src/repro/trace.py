@@ -16,9 +16,10 @@ Who records what:
 
 * **workers** record materialize / collect / per-collector sub-spans
   tagged with their shard and attempt, buffered process-locally and
-  shipped to the parent through the same per-shard drain/merge path the
-  metrics snapshots ride (so tracing can never reorder ingest or touch
-  an RNG — ``study_digest`` is pinned identical with tracing on);
+  drained to the parent with each shard's uploads — a worker's only
+  report, from which the parent also derives the shard metrics (so
+  tracing can never reorder ingest or touch an RNG — ``study_digest``
+  is pinned identical with tracing on);
 * **the parent** records submit → head-wait → ingest → checkpoint spans,
   retry backoffs, pool rebuilds, and streaming-analytics passes.
 

@@ -216,26 +216,25 @@ class TestSpillDurability:
         assert [p.name for p in backend._runs["uptime"]] == \
             ["uptime-00000.jsonl"]
 
-    def test_second_finalize_is_an_error(self, tmp_path):
-        backend = SpillBackend(directory=tmp_path)
-        backend.finalize()
-        with pytest.raises(RuntimeError):
-            backend.finalize()
-
     def test_state_dict_round_trip(self, plan, tmp_path):
         backend = SpillBackend(directory=tmp_path / "spill",
                                max_buffered_records=64)
         data = run_campaign(plan, store=RecordStore(plan.windows, backend))
-        # finalize() already ran inside to_study_data; snapshot a second
-        # backend over the same directory from the recorded state.
+        # to_study_data already read the runs; snapshot a second backend
+        # over the same directory from the recorded state.
         state = backend.state_dict()
         clone = SpillBackend(directory=tmp_path / "spill",
                              max_buffered_records=64)
         clone.restore_state(state)
-        contents = clone.finalize()
-        assert list(contents.heartbeats) == list(data.heartbeats)
-        assert contents.lists["uptime"] == data.uptime_reports
-        assert contents.lists["dns"] == data.dns
+
+        def records(dataset):
+            return [record for _, home in clone.iter_homes(dataset)
+                    for record in home]
+
+        assert [rid for rid, _ in clone.iter_homes("heartbeats")] == \
+            list(data.heartbeats)
+        assert records("uptime") == data.uptime_reports
+        assert records("dns") == data.dns
 
     def test_restore_requires_fresh_backend(self, plan, tmp_path):
         backend = SpillBackend(directory=tmp_path / "spill",

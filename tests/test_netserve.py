@@ -413,6 +413,8 @@ def _hostile_uploads():
                       spectrum="5GHz")
     info = _tampered(RouterInfo(rid, "US", True, -5.0, 50_000.0),
                      gdp_ppp_per_capita=-1)
+    text_gdp = _tampered(RouterInfo(rid, "US", True, -5.0, 50_000.0),
+                         gdp_ppp_per_capita="x")
     uptime = ColumnarRecords("uptime", rid, {"timestamp": [1.0],
                                              "uptime_seconds": [2.0]})
     sends = upload.batches[0].records
@@ -439,6 +441,9 @@ def _hostile_uploads():
         "nan-heartbeat": beats(np.append(sends, np.nan)),
         "inf-heartbeat": beats(np.append(sends, np.inf)),
         "text-heartbeats": beats(["noon", "dusk"]),
+        "text-uptime": _with_batch(upload, RecordBatch("uptime", rid, [
+            _tampered(UptimeReport(rid, 1.0, 2.0), uptime_seconds="x")])),
+        "text-gdp": RouterUpload(text_gdp, upload.batches),
     }
 
 

@@ -5,9 +5,9 @@ and differ only by sketch compression, which no distribution in these
 studies reaches: every figure must match bitwise (nan-aware), whichever
 source the stream path reads.  Compression itself is covered by
 ``tests/test_sketches.py::TestQuantileSketchCompressed``.  The spill
-tests additionally prove the stream path never builds ``StoreContents``
-lists, keeps at most one run file open per dataset, and stays O(sketch)
-in memory.
+tests additionally prove the stream path never builds the study's
+record lists, keeps at most one run file open per dataset, and stays
+O(sketch) in memory.
 """
 
 import dataclasses
@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro import StudyConfig, run_study_streaming
+from repro import StudyConfig, run_study_streaming, study_digest
 from repro.collection.backends import SpillBackend
 from repro.collection.engine import run_campaign
 from repro.collection.storage import RecordStore
@@ -164,12 +164,13 @@ class TestSpillStreaming:
         store = run_campaign(plan, seed=self.CONFIG.seed,
                              store=RecordStore(plan.windows, backend),
                              materialize=False)
-        # Prove the stream path never materializes: finalize() is the
-        # only way to build StoreContents lists, so make it fatal.
+        # Prove the stream path never materializes: to_study_data() is
+        # the only way to build the record lists, so make it fatal.
         def forbidden():
-            raise AssertionError("stream path called backend.finalize()")
-        store.backend.finalize = forbidden
+            raise AssertionError("stream path called store.to_study_data()")
+        store.to_study_data = forbidden
         figures = stream_figures(StoreSource(store))
+        del store.to_study_data
         return store, figures
 
     @pytest.fixture(scope="class")
@@ -217,6 +218,13 @@ class TestSpillStreaming:
         again = stream_figures(StoreSource(store))
         assert again.records_streamed == figures.records_streamed
         assert_close(oracle.fig12, again.fig12, "fig12")
+
+    def test_spilled_store_reads_twice(self, spilled):
+        store, _ = spilled
+        plan = build_deployment_plan(self.CONFIG.deployment_config())
+        expected = study_digest(run_campaign(plan, seed=self.CONFIG.seed))
+        assert study_digest(store.to_study_data()) == expected
+        assert study_digest(store.to_study_data()) == expected
 
 
 class TestRunStudyStreaming:

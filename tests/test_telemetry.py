@@ -6,6 +6,8 @@ import math
 import pytest
 
 from repro import StudyConfig, run_study, trace
+from repro.collection.engine import shard_count
+from repro.collection.faults import FaultPlan, FaultSpec
 from repro.telemetry import (
     ManifestError,
     build_manifest,
@@ -91,36 +93,6 @@ class TestMetricsRegistry:
         assert snap["counters"][("x", ())] == 1
         assert snap["histograms"][("h", ())]["count"] == 1
 
-    def test_merge_simulated_worker_drains(self):
-        """The parent folds per-shard drains exactly like the engine does."""
-        parent = MetricsRegistry()
-        parent.inc("shards_completed_total")
-        for shard in range(3):
-            worker = MetricsRegistry()  # fresh registry per worker drain
-            worker.inc("records_ingested_total", 10 + shard, dataset="flows")
-            worker.inc("shards_completed_total")
-            worker.set_gauge("worker_gauge", shard)
-            worker.observe("shard_seconds", 0.2 * (shard + 1),
-                           buckets=(0.25, 0.5, 1.0))
-            snap = worker.snapshot()
-            worker.clear()
-            assert worker.counters == {}  # drain leaves nothing behind
-            parent.merge(snap)
-        assert parent.counters[
-            ("records_ingested_total", (("dataset", "flows"),))] == 33
-        assert parent.counters[("shards_completed_total", ())] == 4
-        assert parent.gauges[("worker_gauge", ())] == 2  # last drain wins
-        hist = parent.histograms[("shard_seconds", ())]
-        assert hist["count"] == 3
-        assert hist["counts"] == [1, 1, 1, 0]
-
-    def test_merge_bound_mismatch_rejected(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.observe("h", 1.0, buckets=(1.0, 2.0))
-        b.observe("h", 1.0, buckets=(1.0, 3.0))
-        with pytest.raises(ValueError, match="bucket bounds differ"):
-            a.merge(b.snapshot())
-
     def test_module_helpers_noop_when_disabled(self):
         assert not metrics.is_enabled()
         metrics.inc("x")
@@ -128,15 +100,15 @@ class TestMetricsRegistry:
         metrics.observe("h", 1.0)
         assert metrics.snapshot() == {"counters": {}, "gauges": {},
                                       "histograms": {}}
-        assert metrics.drain()["counters"] == {}
 
     def test_module_helpers_record_when_enabled(self):
         reg = metrics.enable()
         assert metrics.enable() is reg  # idempotent
         metrics.inc("x", 2)
-        snap = metrics.drain()
+        snap = metrics.snapshot()
         assert snap["counters"][("x", ())] == 2
-        assert reg.counters == {}  # drain cleared the live registry
+        reg.clear()
+        assert reg.counters == {}
         assert metrics.disable() is reg
         assert metrics.active() is None
 
@@ -153,6 +125,29 @@ class TestMetricsRegistry:
         assert counters[("stage_calls_total", stage)] == 2
         assert ("stage_calls_total", (("stage", "fault_injected"),)) \
             not in counters
+
+    def test_promote_spans_derives_shard_metrics(self):
+        """One shard per ingest span; shard_seconds sums the top-level
+        shard spans of the shard's last attempt only."""
+        metrics.enable()
+        recorder = trace.TraceRecorder()
+        for attempt, dur in ((0, 4.0), (1, 0.5)):  # attempt 0 failed
+            recorder.add("materialize", 0.0, dur / 2, cat="shard", shard=0,
+                         attempt=attempt)
+            recorder.add("collect", 0.0, dur / 2, cat="shard", shard=0,
+                         attempt=attempt)
+            recorder.add("collect.heartbeat", 0.0, 9.0, cat="shard",
+                         shard=0, attempt=attempt)
+        recorder.add("ingest", 0.0, 1.0, cat="engine", shard=0, routers=3)
+        recorder.add("materialize", 0.0, 0.2, cat="shard", shard=1)
+        recorder.add("ingest", 0.0, 1.0, cat="engine", shard=1, routers=2)
+        metrics.promote_spans(recorder.spans)
+        snap = metrics.snapshot()
+        assert snap["counters"][("shards_completed_total", ())] == 2
+        assert snap["counters"][("routers_simulated_total", ())] == 5
+        hist = snap["histograms"][("shard_seconds", ())]
+        assert hist["count"] == 2
+        assert hist["sum"] == pytest.approx(0.7)
 
 
 class TestExporters:
@@ -390,10 +385,26 @@ class TestTelemetrySession:
                            shard_size=4)
         samples = parse_prometheus((out / "metrics.prom").read_text())
         n_routers = len(result.data.routers)
-        # Worker-side counters must survive the drain/merge round trip.
+        # The shard counters derive from the parent's ingest spans.
         assert samples[("routers_simulated_total", ())] == n_routers
         assert samples[("shards_completed_total", ())] == \
             samples[("shard_seconds_count", ())] >= 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_counters_agree_across_worker_counts(self, tmp_path,
+                                                       workers):
+        """Only ingested shards count, so a retried corrupt shard counts
+        once, whether it ran in-process or in a worker."""
+        out = tmp_path / "telemetry"
+        result = run_study(
+            self.CONFIG, workers=workers, shard_size=4, telemetry_dir=out,
+            fault_plan=FaultPlan((FaultSpec(shard=1, kind="corrupt"),)))
+        samples = parse_prometheus((out / "metrics.prom").read_text())
+        n_routers = len(result.data.routers)
+        assert samples[("shards_completed_total", ())] == \
+            samples[("shard_seconds_count", ())] == \
+            shard_count(n_routers, 4)
+        assert samples[("routers_simulated_total", ())] == n_routers
 
     def test_back_to_back_sessions_do_not_leak(self, tmp_path):
         """Each session promotes only its own spans and tears down only
