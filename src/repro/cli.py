@@ -357,9 +357,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.collection.netserve import IngestDaemon, ServeConfig
-    from repro.collection.path import CollectionPath, PathConfig
+    from repro.collection.path import CollectionPath
     from repro.collection.storage import RecordStore
-    from repro.simulation.seeding import SeedHierarchy
 
     if args.host not in ("127.0.0.1", "::1", "localhost"):
         print("warning: binding non-loopback host "
@@ -369,9 +368,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
               "networks only", file=sys.stderr)
     windows = _serve_windows(args.duration)
     store = RecordStore(windows)
-    path = CollectionPath(
-        SeedHierarchy(args.seed).generator("collection-path"),
-        windows.span, PathConfig())
+    path = CollectionPath.for_study(args.seed, windows.span)
     config = ServeConfig(host=args.host, port=args.port,
                          queue_size=args.queue_size,
                          reorder_window=args.reorder_window,

@@ -25,6 +25,9 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.records import (
     LIST_DATASETS,
     RECORD_DATASETS,
+    SPECTRUM_2_4,
+    SPECTRUM_5,
+    SPECTRUM_BY_CODE,
     RouterInfo,
     Spectrum,
 )
@@ -110,10 +113,6 @@ def router_output_to_batches(output: RouterOutput) -> List[RecordBatch]:
 # (at ingest) — validated in bulk per column at construction so the
 # per-record ``__post_init__`` checks can be skipped during fabrication.
 
-#: Spectrum decoding for a ``Spectrum`` field's code column (1 / 2),
-#: matching the cohort's device_spectrum codes.
-_SPECTRUM_BY_CODE = (None, Spectrum.GHZ_2_4, Spectrum.GHZ_5)
-
 
 def _column_layout(dataset: str) -> Tuple[str, ...]:
     """The record's fields after ``router_id``; a Spectrum is a code."""
@@ -127,13 +126,25 @@ COLUMNAR_DATASETS: Dict[str, Tuple[str, ...]] = {
     dataset: _column_layout(dataset)
     for dataset in ("uptime", "capacity", "device_counts", "wifi_scans")}
 
+#: Per columnar dataset: the columns its record's constructor rejects a
+#: negative value in, and the error it raises.
+_NON_NEGATIVE: Dict[str, Tuple[Tuple[str, ...], str]] = {
+    "uptime": (("uptime_seconds",), "uptime cannot be negative"),
+    "capacity": (("downstream_mbps", "upstream_mbps"),
+                 "capacity cannot be negative"),
+    "device_counts": (("wired", "wireless_2_4", "wireless_5"),
+                      "device counts cannot be negative"),
+    "wifi_scans": (("neighbor_aps", "associated_clients", "channel"),
+                   "scan counts cannot be negative"),
+}
+
 
 def _fabricate(dataset: str, router_id: str,
                columns: Dict[str, list]) -> list:
     """Build one batch's records without running their constructors."""
     record_class = RECORD_DATASETS[dataset].record
     fields = RECORD_DATASETS[dataset].codec.fields
-    values = [[_SPECTRUM_BY_CODE[code] for code in columns[column]]
+    values = [[SPECTRUM_BY_CODE[code] for code in columns[column]]
               if field.kind is Spectrum else columns[column]
               for field, column in zip(fields[1:],
                                        COLUMNAR_DATASETS[dataset])]
@@ -182,29 +193,16 @@ class ColumnarRecords:
         self._validate()
 
     def _validate(self) -> None:
-        if self._length == 0:
-            return
         cols = self.columns
-        dataset = self.dataset
-        if dataset == "uptime":
-            if min(cols["uptime_seconds"]) < 0:
-                raise ValueError("uptime cannot be negative")
-        elif dataset == "capacity":
-            if (min(cols["downstream_mbps"]) < 0
-                    or min(cols["upstream_mbps"]) < 0):
-                raise ValueError("capacity cannot be negative")
-        elif dataset == "device_counts":
-            if (min(cols["wired"]) < 0 or min(cols["wireless_2_4"]) < 0
-                    or min(cols["wireless_5"]) < 0):
-                raise ValueError("device counts cannot be negative")
-        else:  # wifi_scans
-            if (min(cols["neighbor_aps"]) < 0
-                    or min(cols["associated_clients"]) < 0
-                    or min(cols["channel"]) < 0):
-                raise ValueError("scan counts cannot be negative")
-            if not set(cols["spectrum_code"]) <= {1, 2}:
-                raise ValueError(
-                    "wifi spectrum codes must be 1 (2.4 GHz) or 2 (5 GHz)")
+        names, message = _NON_NEGATIVE[self.dataset]
+        # The records' own ``< 0`` test, value by value: ``min`` would
+        # return a leading NaN and hide a negative behind it.
+        if any(value < 0 for name in names for value in cols[name]):
+            raise ValueError(message)
+        if self.dataset == "wifi_scans" and not (
+                set(cols["spectrum_code"]) <= {SPECTRUM_2_4, SPECTRUM_5}):
+            raise ValueError(
+                "wifi spectrum codes must be 1 (2.4 GHz) or 2 (5 GHz)")
 
     def materialize(self) -> list:
         """The fabricated record list (built once, then cached)."""

@@ -270,9 +270,7 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                             backend=SpillBackend(manager.store_dir))
     elif store is None:
         store = RecordStore(plan.windows)
-    path = CollectionPath(
-        SeedHierarchy(seed).generator("collection-path"),
-        plan.windows.span, path_config)
+    path = CollectionPath.for_study(seed, plan.windows.span, path_config)
     server = CollectionServer(store, path)
 
     start_shard = 0

@@ -42,7 +42,6 @@ from repro.collection.batches import RecordBatch, RouterUpload
 from repro.collection.netserve import IngestClient, IngestDaemon, ServeConfig
 from repro.collection.path import CollectionPath, PathConfig
 from repro.collection.storage import RecordStore
-from repro.simulation.seeding import SeedHierarchy
 
 #: Seconds between simulated heartbeats (the paper's cadence is 5 min).
 HEARTBEAT_INTERVAL = 300.0
@@ -198,9 +197,7 @@ def loadgen_daemon(config: LoadConfig,
                    path_config: Optional[PathConfig] = None) -> IngestDaemon:
     """A daemon wired the way a load run expects (standalone, no plan)."""
     windows = windows if windows is not None else StudyWindows()
-    path = CollectionPath(
-        SeedHierarchy(config.seed).generator("collection-path"),
-        windows.span, path_config or PathConfig())
+    path = CollectionPath.for_study(config.seed, windows.span, path_config)
     return IngestDaemon(RecordStore(windows), path, serve_config)
 
 

@@ -85,7 +85,6 @@ from repro.collection.batches import (
 from repro.collection.path import CollectionPath, PathConfig
 from repro.collection.server import CollectionServer
 from repro.collection.storage import RecordStore
-from repro.simulation.seeding import SeedHierarchy
 from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
@@ -508,15 +507,14 @@ def daemon_for_plan(plan, seed: Optional[int] = None,
                     config: ServeConfig = ServeConfig()) -> IngestDaemon:
     """Build a daemon whose store/path mirror the in-process engine's.
 
-    The path RNG seeds from ``(seed, "collection-path")`` exactly as
-    :func:`repro.collection.engine.run_campaign` does — the precondition
-    for digest parity between the two ingest paths.
+    The path comes from :meth:`CollectionPath.for_study`, as in
+    :func:`repro.collection.engine.run_campaign` — the precondition for
+    digest parity between the two ingest paths.
     """
     seed = plan.seed if seed is None else seed
     if store is None:
         store = RecordStore(plan.windows)
-    path = CollectionPath(SeedHierarchy(seed).generator("collection-path"),
-                          plan.windows.span, path_config or PathConfig())
+    path = CollectionPath.for_study(seed, plan.windows.span, path_config)
     return IngestDaemon(store, path, config)
 
 

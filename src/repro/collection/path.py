@@ -15,11 +15,12 @@ loss mechanisms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.intervals import IntervalSet
+from repro.simulation.seeding import SeedHierarchy
 from repro.simulation.timebase import DAY
 
 
@@ -55,6 +56,14 @@ class CollectionPath:
         self.span = span
         self._rng = rng
         self.outages = self._generate_outages(rng)
+
+    @classmethod
+    def for_study(cls, seed: int, span: Tuple[float, float],
+                  config: Optional[PathConfig] = None) -> "CollectionPath":
+        """The path of the study seeded *seed*.  Every ingest route builds
+        its path here, so their digests agree for one seed."""
+        return cls(SeedHierarchy(seed).generator("collection-path"), span,
+                   config or PathConfig())
 
     def _generate_outages(self, rng: np.random.Generator) -> IntervalSet:
         start, end = self.span

@@ -8,13 +8,14 @@ operations the pipeline needs: union, intersection, complement, clipping,
 and total duration.
 
 Storage is dual: a set can be *tuple-backed* (built from Python pairs, the
-historical path) or *array-backed* (built by the columnar materializer from
-``(starts, ends)`` float arrays).  Either backing lazily produces the other
-representation on demand, and every operation yields bitwise-identical
-floats regardless of backing — the digest-pin suite holds that invariant.
-In particular :meth:`total_duration` always sums interval lengths in
-sequential order (never ``np.sum``'s pairwise reduction), because analysis
-thresholds compare against those sums.
+reference path) or *array-backed* (built by the columnar materializer from
+``(starts, ends)`` float arrays), and either lazily produces the other on
+demand.  The array backing runs on the bare-array kernel below, which the
+columnar collector also calls on its column slices.  Every operation yields bitwise-identical floats regardless of
+backing — the digest-pin suite holds that invariant.  In particular
+:func:`total_duration` always sums interval lengths in sequential order
+(never ``np.sum``'s pairwise reduction), because analysis thresholds
+compare against those sums.
 """
 
 from __future__ import annotations
@@ -32,20 +33,23 @@ def normalize_interval_arrays(
         starts: np.ndarray, ends: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sort, drop empty, and merge touching intervals — pure array form.
 
-    The exact array counterpart of the tuple-path normalization: sort by
-    ``(start, end)``, then merge any interval whose start does not exceed
-    the running maximum end.  Returns new ``(starts, ends)`` arrays.
+    The exact array counterpart of the tuple-path normalization: reject
+    non-finite bounds, sort by ``(start, end)``, then merge any interval
+    whose start does not exceed the running maximum end.  Returns new
+    ``(starts, ends)`` arrays.
     """
     starts = np.asarray(starts, dtype=float)
     ends = np.asarray(ends, dtype=float)
+    # Before the empty-row filter: a NaN fails ``ends > starts`` and would
+    # be dropped silently where the tuple path raises.
+    if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
+        raise ValueError("non-finite interval bounds")
     keep = ends > starts
     if not keep.all():
         starts = starts[keep]
         ends = ends[keep]
     if starts.size == 0:
         return starts, ends
-    if not (np.isfinite(starts).all() and np.isfinite(ends).all()):
-        raise ValueError("non-finite interval bounds")
     order = np.lexsort((ends, starts))
     starts = starts[order]
     ends = ends[order]
@@ -57,6 +61,62 @@ def normalize_interval_arrays(
     group_starts = np.flatnonzero(new_group)
     group_last = np.append(group_starts[1:] - 1, starts.size - 1)
     return starts[group_starts], running_end[group_last]
+
+
+# -- the bare-array kernel: normalized (starts, ends) float arrays ------------
+
+def contains(starts: np.ndarray, ends: np.ndarray,
+             instants: np.ndarray) -> np.ndarray:
+    """Which of the float array *instants* fall inside some interval."""
+    if starts.size == 0:
+        return np.zeros(instants.shape, dtype=bool)
+    idx = np.searchsorted(starts, instants, side="right") - 1
+    valid = idx >= 0
+    # maximum() instead of np.clip: the searchsorted already bounds idx
+    # above, and clip's dtype-limit probing dominated this path.
+    clamped = np.maximum(idx, 0)
+    inside = (instants >= starts[clamped]) & (instants < ends[clamped])
+    return valid & inside
+
+
+def clip(starts: np.ndarray, ends: np.ndarray,
+         lo: float, hi: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Restrict the intervals to the window ``[lo, hi)``."""
+    if hi <= lo:
+        return np.empty(0), np.empty(0)
+    keep = (ends > lo) & (starts < hi)
+    return np.maximum(starts[keep], lo), np.minimum(ends[keep], hi)
+
+
+def intersect(a_starts: np.ndarray, a_ends: np.ndarray,
+              b_starts: np.ndarray, b_ends: np.ndarray,
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a ∩ b`` as ``(starts, ends, rows)``; ``a[rows[k]]`` holds overlap k.
+
+    Binary search finds each ``a`` row's overlapping run of ``b``; each
+    overlap is ``(max(starts), min(ends))``, the tuple path's two-pointer
+    sweep pair for pair.  Each ``a`` row searches ``b`` on its own, so ``a``
+    may concatenate several normalized sets: each set's intersection comes
+    out contiguous and in order, and ``rows`` maps it back to its set.
+    """
+    if a_starts.size == 0 or b_starts.size == 0:
+        return np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
+    # Row i overlaps b[lo[i]:lo[i] + counts[i]]: one output per pair.
+    lo = np.searchsorted(b_ends, a_starts, side="right")
+    counts = np.searchsorted(b_starts, a_ends, side="left") - lo
+    a_idx = np.repeat(np.arange(a_starts.size), counts)
+    first_output = np.cumsum(counts) - counts
+    b_idx = np.arange(a_idx.size) + np.repeat(lo - first_output, counts)
+    starts = np.maximum(a_starts[a_idx], b_starts[b_idx])
+    ends = np.minimum(a_ends[a_idx], b_ends[b_idx])
+    keep = ends > starts
+    return starts[keep], ends[keep], a_idx[keep]
+
+
+def total_duration(starts: np.ndarray, ends: np.ndarray) -> float:
+    """Sum of interval lengths, added in sequence: the tuple path's floats
+    (``np.sum``'s pairwise order would differ)."""
+    return float(sum((ends - starts).tolist()))
 
 
 class IntervalSet:
@@ -205,10 +265,7 @@ class IntervalSet:
         """Sum of interval lengths (sequential summation order)."""
         if self._tuple is not None:
             return float(sum(end - start for start, end in self._tuple))
-        arr = self._array
-        # Element-wise subtraction then a sequential Python sum: identical
-        # floats to the tuple path (np.sum's pairwise order would not be).
-        return float(sum((arr[:, 1] - arr[:, 0]).tolist()))
+        return total_duration(self._array[:, 0], self._array[:, 1])
 
     def durations(self) -> np.ndarray:
         """Lengths of each interval, in order."""
@@ -235,17 +292,9 @@ class IntervalSet:
 
     def contains_many(self, instants: Sequence[float]) -> np.ndarray:
         """Vectorized :meth:`contains` returning a boolean array."""
-        instants = np.asarray(instants, dtype=float)
-        if not self:
-            return np.zeros(instants.shape, dtype=bool)
         arr = self._as_array()
-        idx = np.searchsorted(arr[:, 0], instants, side="right") - 1
-        valid = idx >= 0
-        # maximum() instead of np.clip: the searchsorted already bounds
-        # idx above, and clip's dtype-limit probing dominated this path.
-        clamped = np.maximum(idx, 0)
-        inside = (instants >= arr[clamped, 0]) & (instants < arr[clamped, 1])
-        return valid & inside
+        return contains(arr[:, 0], arr[:, 1],
+                        np.asarray(instants, dtype=float))
 
     # -- set algebra ----------------------------------------------------------
 
@@ -261,7 +310,9 @@ class IntervalSet:
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         """Instants covered by both sets."""
         if self._tuple is None or other._tuple is None:
-            return self._intersection_arrays(other)
+            a, b = self._as_array(), other._as_array()
+            starts, ends, _ = intersect(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+            return IntervalSet.from_normalized_arrays(starts, ends)
         result: List[Interval] = []
         i, j = 0, 0
         a, b = self._tuple, other._tuple
@@ -275,34 +326,6 @@ class IntervalSet:
             else:
                 j += 1
         return IntervalSet(result)
-
-    def _intersection_arrays(self, other: "IntervalSet") -> "IntervalSet":
-        """Array path of :meth:`intersection`: identical pairs and floats.
-
-        For each interval of ``self``, the overlapping run of ``other`` is
-        located by binary search; the overlap of each pair is
-        ``(max(starts), min(ends))`` exactly as in the two-pointer sweep.
-        """
-        a = self._as_array()
-        b = other._as_array()
-        if a.shape[0] == 0 or b.shape[0] == 0:
-            return IntervalSet.from_normalized_arrays(
-                np.empty(0), np.empty(0))
-        lo = np.searchsorted(b[:, 1], a[:, 0], side="right")
-        hi = np.searchsorted(b[:, 0], a[:, 1], side="left")
-        counts = hi - lo
-        pos = counts > 0
-        if not pos.any():
-            return IntervalSet.from_normalized_arrays(
-                np.empty(0), np.empty(0))
-        a_idx = np.repeat(np.flatnonzero(pos), counts[pos])
-        offsets = np.concatenate(([0], np.cumsum(counts[pos])))[:-1]
-        b_idx = (np.arange(a_idx.size) - np.repeat(offsets, counts[pos])
-                 + np.repeat(lo[pos], counts[pos]))
-        starts = np.maximum(a[a_idx, 0], b[b_idx, 0])
-        ends = np.minimum(a[a_idx, 1], b[b_idx, 1])
-        keep = ends > starts
-        return IntervalSet.from_normalized_arrays(starts[keep], ends[keep])
 
     def complement(self, window: Interval) -> "IntervalSet":
         """Instants inside *window* not covered by this set (the "gaps")."""
@@ -329,14 +352,11 @@ class IntervalSet:
 
     def clip(self, start: float, end: float) -> "IntervalSet":
         """Restrict the set to the window ``[start, end)``."""
+        if self._tuple is None:
+            return IntervalSet.from_normalized_arrays(
+                *clip(self._array[:, 0], self._array[:, 1], start, end))
         if end <= start:
             return IntervalSet()
-        if self._tuple is None:
-            arr = self._array
-            keep = (arr[:, 1] > start) & (arr[:, 0] < end)
-            return IntervalSet.from_normalized_arrays(
-                np.maximum(arr[keep, 0], start),
-                np.minimum(arr[keep, 1], end))
         clipped = [
             (max(s, start), min(e, end))
             for s, e in self._tuple

@@ -191,18 +191,16 @@ def _progress_path(telemetry_dir, trace_dir) -> Optional[Path]:
 
 
 def run_study(config: Optional[StudyConfig] = None,
-              workers: Optional[int] = None,
-              shard_size: Optional[int] = None,
               telemetry_dir: Union[str, Path, None] = None,
               resume: bool = False,
               fault_plan=None,
               trace_dir: Union[str, Path, None] = None) -> StudyResult:
     """Run the full campaign: plan homes, run firmware shards, collect.
 
-    *workers* and *shard_size* override the config's engine knobs.  For a
-    fixed seed the result is bitwise-identical for any worker count; the
-    returned :attr:`StudyResult.deployment` is a lazy view that only
-    materializes household ground truth when inspected.
+    For a fixed seed the result is bitwise-identical for any
+    ``config.workers`` and ``config.shard_size``; the returned
+    :attr:`StudyResult.deployment` is a lazy view that only materializes
+    household ground truth when inspected.
 
     Stage timings are :mod:`repro.trace` spans: to profile a call, wrap
     it in ``trace.Capture()`` and reduce ``capture.spans()`` with
@@ -236,7 +234,6 @@ def run_study(config: Optional[StudyConfig] = None,
         from repro.telemetry import TelemetrySession
         session = TelemetrySession(telemetry_dir)
     capture = _start_tracing(trace_dir, config.seed)
-    effective_workers = config.workers if workers is None else workers
     try:
         plan = build_deployment_plan(config.deployment_config())
         data = run_campaign(
@@ -247,9 +244,8 @@ def run_study(config: Optional[StudyConfig] = None,
             # store; otherwise the config picks the backend.
             store=(None if config.checkpoint_dir is not None
                    else config.make_store(plan.windows)),
-            workers=effective_workers,
-            shard_size=(config.shard_size if shard_size is None
-                        else shard_size),
+            workers=config.workers,
+            shard_size=config.shard_size,
             max_shard_retries=config.max_shard_retries,
             shard_timeout=config.shard_timeout,
             fault_plan=fault_plan,
@@ -259,7 +255,7 @@ def run_study(config: Optional[StudyConfig] = None,
         )
         summary = _export_trace(capture, trace_dir)
         if session is not None:
-            session.finalize(config, data, workers=effective_workers,
+            session.finalize(config, data, workers=config.workers,
                              trace_summary=summary)
     finally:
         if capture is not None:
@@ -270,8 +266,6 @@ def run_study(config: Optional[StudyConfig] = None,
 
 
 def run_study_streaming(config: Optional[StudyConfig] = None,
-                        workers: Optional[int] = None,
-                        shard_size: Optional[int] = None,
                         fault_plan=None,
                         trace_dir: Union[str, Path, None] = None
                         ) -> StreamedStudy:
@@ -286,7 +280,6 @@ def run_study_streaming(config: Optional[StudyConfig] = None,
     """
     config = config or StudyConfig()
     capture = _start_tracing(trace_dir, config.seed)
-    effective_workers = config.workers if workers is None else workers
     try:
         plan = build_deployment_plan(config.deployment_config())
         store = run_campaign(
@@ -295,9 +288,8 @@ def run_study_streaming(config: Optional[StudyConfig] = None,
             path_config=config.path,
             store=(None if config.checkpoint_dir is not None
                    else config.make_store(plan.windows)),
-            workers=effective_workers,
-            shard_size=(config.shard_size if shard_size is None
-                        else shard_size),
+            workers=config.workers,
+            shard_size=config.shard_size,
             max_shard_retries=config.max_shard_retries,
             shard_timeout=config.shard_timeout,
             fault_plan=fault_plan,

@@ -21,7 +21,7 @@ import enum
 import operator
 import typing
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 #: Sentinel domain used when a DNS name was not on the whitelist.  The
 #: firmware replaces the name *before* the record leaves the home.
@@ -36,6 +36,12 @@ class Spectrum(enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+
+#: Column codes of an optional Spectrum; 0 is no radio (a wired device).
+SPECTRUM_NONE, SPECTRUM_2_4, SPECTRUM_5 = 0, 1, 2
+SPECTRUM_BY_CODE: Tuple[Optional[Spectrum], ...] = (
+    None, Spectrum.GHZ_2_4, Spectrum.GHZ_5)
 
 
 class Medium(enum.Enum):

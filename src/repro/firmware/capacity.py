@@ -18,10 +18,13 @@ from repro.core.records import CapacityMeasurement
 from repro.simulation.household import Household
 from repro.simulation.timebase import HOUR
 
+CAPACITY_INTERVAL = 12 * HOUR
+
 
 def capacity_measurements(household: Household, start: float, end: float,
                           rng: np.random.Generator,
-                          interval: float = 12 * HOUR) -> List[CapacityMeasurement]:
+                          interval: float = CAPACITY_INTERVAL,
+                          ) -> List[CapacityMeasurement]:
     """Collect the capacity probes one router ran in ``[start, end)``."""
     if interval <= 0:
         raise ValueError("probe interval must be positive")

@@ -26,6 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: LAN ports on the Netgear WNDR3800/WNDR3700v2.
 ETHERNET_PORTS = 4
 
+CENSUS_INTERVAL = HOUR
+#: See *min_on_fraction* in :func:`device_roster`.
+MIN_ON_FRACTION = 0.25
+
 
 def census_at(household: Household, epoch: float) -> DeviceCountSample:
     """Count connected devices at one instant (router assumed powered)."""
@@ -52,7 +56,8 @@ def census_at(household: Household, epoch: float) -> DeviceCountSample:
 
 def device_roster(household: Household, start: float, end: float,
                   policy: "AnonymizationPolicy",
-                  min_on_fraction: float = 0.25) -> List[DeviceRosterEntry]:
+                  min_on_fraction: float = MIN_ON_FRACTION,
+                  ) -> List[DeviceRosterEntry]:
     """Enumerate every device the gateway saw in ``[start, end)``.
 
     A device counts as *always connected* when its association covers all
@@ -92,7 +97,8 @@ def device_roster(household: Household, start: float, end: float,
 
 def device_counts(household: Household, start: float, end: float,
                   rng: np.random.Generator,
-                  interval: float = HOUR) -> List[DeviceCountSample]:
+                  interval: float = CENSUS_INTERVAL,
+                  ) -> List[DeviceCountSample]:
     """Collect the hourly censuses one router took in ``[start, end)``.
 
     Equivalent to running :func:`census_at` at every powered tick, but the

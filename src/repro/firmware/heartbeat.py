@@ -15,11 +15,16 @@ import numpy as np
 from repro.simulation.household import Household
 from repro.simulation.timebase import MINUTE
 
+HEARTBEAT_INTERVAL = MINUTE
+#: Each send lands uniformly within this many seconds of its tick.
+HEARTBEAT_JITTER_SECONDS = 2.0
+
 
 def heartbeat_send_times(household: Household, start: float, end: float,
                          rng: np.random.Generator,
-                         interval: float = MINUTE,
-                         jitter_seconds: float = 2.0) -> np.ndarray:
+                         interval: float = HEARTBEAT_INTERVAL,
+                         jitter_seconds: float = HEARTBEAT_JITTER_SECONDS,
+                         ) -> np.ndarray:
     """Epochs at which the router transmitted a heartbeat in ``[start, end)``.
 
     The daemon ticks on its own clock (a fixed phase per boot, approximated

@@ -21,14 +21,14 @@ Determinism contract (the reason ``study_digest`` pins survive):
   - **heartbeat**: one phase ``uniform(0, interval)``, then — only when
     sendable ticks exist — one ``uniform(-jitter, jitter, size=k)``
     array draw (bitwise what *k* scalar draws would consume).
-  - **capacity**: one phase, then one ``normal(1.0, 0.03, size=2k)``
+  - **capacity**: one phase, then one ``normal(1.0, noise, size=2k)``
     array draw for the *k* online ticks; even indices are the downstream
     noise, odd the upstream, exactly the per-tick (down, up) pair order.
   - **uptime / devices**: one phase each; no further draws.
   - **wifi**: one phase, then per *executed* scan — tick order, 2.4 GHz
-    before 5 GHz — a conditional ``binomial(base, 0.85)`` (skipped when
-    the home's audible-neighbor base is zero) followed by a
-    ``poisson(0.15)``, matching ``WirelessEnvironment
+    before 5 GHz — a conditional ``binomial(base, visibility)`` (skipped
+    when the home's audible-neighbor base is zero) followed by a
+    ``poisson(transient)``, matching ``WirelessEnvironment
     .scan_neighbor_count``.
   - **traffic**: delegated unchanged to ``monitor_traffic``.
 
@@ -38,6 +38,10 @@ Determinism contract (the reason ``study_digest`` pins survive):
   ``cumsum`` over ``[first, interval, interval, ...]`` — ``cumsum``
   performs the same sequential additions, so every element equals the
   scalar walk by induction.
+
+* Interval algebra is :mod:`repro.core.intervals`' bare-array kernel, and
+  every cadence and model constant comes from the module whose reference
+  collector or model reads it: each rule is written once.
 
 Columns read per collector (see ``build_shard_cohort`` for the layout):
 
@@ -68,33 +72,28 @@ from repro.collection.batches import (
     columnar_batches,
     list_batches,
 )
-from repro.core.records import DeviceRosterEntry, Medium, RouterInfo, Spectrum
+from repro.core.intervals import clip, contains, intersect, total_duration
+from repro.core.records import (SPECTRUM_2_4, SPECTRUM_5, SPECTRUM_BY_CODE,
+                                DeviceRosterEntry, Medium, RouterInfo,
+                                Spectrum)
 from repro.firmware.anonymize import AnonymizationPolicy
-from repro.firmware.devices import ETHERNET_PORTS
+from repro.firmware.capacity import CAPACITY_INTERVAL
+from repro.firmware.devices import (CENSUS_INTERVAL, ETHERNET_PORTS,
+                                    MIN_ON_FRACTION)
+from repro.firmware.heartbeat import (HEARTBEAT_INTERVAL,
+                                      HEARTBEAT_JITTER_SECONDS)
 from repro.firmware.traffic import monitor_traffic
+from repro.firmware.uptime import UPTIME_INTERVAL
 from repro.firmware.wifi import BACKOFF_FACTOR, SCAN_INTERVAL
 from repro.netutils.mac import MacAddress
 from repro.simulation.channels import audible_counts
 from repro.simulation.cohort import ShardCohort
 from repro.simulation.deployment import DeploymentPlan
-from repro.simulation.device_models import KIND_ORDER, SPECTRUM_BY_CODE, kind_traits
+from repro.simulation.device_models import KIND_ORDER, kind_traits
+from repro.simulation.link import CAPACITY_FLOOR_MBPS, CAPACITY_NOISE
 from repro.simulation.seeding import SeedHierarchy
-from repro.simulation.timebase import HOUR, MINUTE
-from repro.simulation.wireless import DEFAULT_CHANNELS
-
-#: Collector cadences, mirroring each reference collector's default.
-HEARTBEAT_INTERVAL = MINUTE
-HEARTBEAT_JITTER_SECONDS = 2.0
-CAPACITY_INTERVAL = 12 * HOUR
-UPTIME_INTERVAL = 12 * HOUR
-CENSUS_INTERVAL = HOUR
-
-#: Capacity probes never report below this floor (AccessLink semantics).
-_CAPACITY_FLOOR_MBPS = 0.05
-
-#: device_spectrum column codes (0 = wired/None, 1 = 2.4 GHz, 2 = 5 GHz).
-_CODE_GHZ_2_4 = 1
-_CODE_GHZ_5 = 2
+from repro.simulation.wireless import (DEFAULT_CHANNELS, SCAN_VISIBILITY,
+                                       TRANSIENT_AP_MEAN)
 
 
 # -- schedule + membership helpers --------------------------------------------
@@ -117,20 +116,6 @@ def _tick_walk(first: float, end: float, interval: float) -> np.ndarray:
     steps[0] = first
     ticks = np.cumsum(steps)
     return ticks[ticks < end]
-
-
-def _contains(starts: np.ndarray, ends: np.ndarray,
-              ticks: np.ndarray) -> np.ndarray:
-    """``IntervalSet.contains_many`` straight over flat column slices."""
-    if starts.size == 0:
-        return np.zeros(ticks.shape, dtype=bool)
-    idx = np.searchsorted(starts, ticks, side="right") - 1
-    valid = idx >= 0
-    # maximum() beats np.clip here: same clamp (idx < size always holds
-    # after the searchsorted), none of clip's dtype-limit probing.
-    clamped = np.maximum(idx, 0)
-    inside = (ticks >= starts[clamped]) & (ticks < ends[clamped])
-    return valid & inside
 
 
 def _slices(cols: Dict[str, object], key: str, n: int,
@@ -182,7 +167,7 @@ class _HomeDevices:
             for dev in range(len(self.media)):
                 if self.media[dev] is Medium.WIRED:
                     key = "wired"
-                elif self.spec_codes[dev] == _CODE_GHZ_5:
+                elif self.spec_codes[dev] == SPECTRUM_5:
                     key = "w5"
                 else:
                     key = "w24"
@@ -209,7 +194,7 @@ def _group_counts(group: Tuple[np.ndarray, np.ndarray, int],
     For disjoint-per-device intervals, summing per-device membership
     equals ``#(starts <= t) - #(ends <= t)`` over the pooled bounds —
     the comparisons are the same ``t >= start`` / ``t < end`` float
-    tests :func:`_contains` runs, just counted in bulk — plus the
+    tests ``intervals.contains`` runs, just counted in bulk — plus the
     class's always-connected devices.
     """
     starts, ends, always_n = group
@@ -248,7 +233,7 @@ def _heartbeat_sends(rng: np.random.Generator, start: float, end: float,
     # The reference tests a power∩link set *clipped* to the window; ticks
     # sit at/above start always, but arange can overshoot ``end`` by an
     # ulp, so the window's right edge needs re-imposing here.
-    sendable = _contains(*online, ticks) & (ticks < end)
+    sendable = contains(*online, ticks) & (ticks < end)
     times = ticks[sendable]
     if HEARTBEAT_JITTER_SECONDS > 0 and times.size:
         times = times + rng.uniform(-HEARTBEAT_JITTER_SECONDS,
@@ -265,7 +250,7 @@ def _online_ticks(rng: np.random.Generator, start: float, end: float,
     ticks = _tick_walk(start + phase, end, interval)
     if not ticks.size:
         return ticks
-    return ticks[_contains(*online, ticks)]
+    return ticks[contains(*online, ticks)]
 
 
 def _capacity_columns(rng: np.random.Generator, start: float, end: float,
@@ -279,9 +264,9 @@ def _capacity_columns(rng: np.random.Generator, start: float, end: float,
     # The reference draws (down, up) noise pairs per online tick; one
     # array draw of 2k consumes the stream identically, with the even
     # indices landing on the downstream draws.
-    noise = rng.normal(1.0, 0.03, size=2 * ticks.size)
-    down = np.maximum(down_mbps * noise[0::2], _CAPACITY_FLOOR_MBPS)
-    up = np.maximum(up_mbps * noise[1::2], _CAPACITY_FLOOR_MBPS)
+    noise = rng.normal(1.0, CAPACITY_NOISE, size=2 * ticks.size)
+    down = np.maximum(down_mbps * noise[0::2], CAPACITY_FLOOR_MBPS)
+    up = np.maximum(up_mbps * noise[1::2], CAPACITY_FLOOR_MBPS)
     return {"timestamp": ticks.tolist(),
             "downstream_mbps": down.tolist(),
             "upstream_mbps": up.tolist()}
@@ -310,7 +295,7 @@ def _census_columns(rng: np.random.Generator, start: float, end: float,
     ticks = _tick_walk(start + phase, end, CENSUS_INTERVAL)
     if not ticks.size:
         return None
-    powered = _contains(*power, ticks)
+    powered = contains(*power, ticks)
     if not powered.any():
         return None
     groups = devices.groups()
@@ -324,96 +309,25 @@ def _census_columns(rng: np.random.Generator, start: float, end: float,
             "wireless_5": wireless_5[powered].tolist()}
 
 
-def _clip_arrays(starts: np.ndarray, ends: np.ndarray,
-                 start: float, end: float,
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``IntervalSet.clip``'s array path on bare ``(starts, ends)``."""
-    keep = (ends > start) & (starts < end)
-    return (np.maximum(starts[keep], start), np.minimum(ends[keep], end))
-
-
-def _intersect_arrays(a_starts: np.ndarray, a_ends: np.ndarray,
-                      b_starts: np.ndarray, b_ends: np.ndarray,
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """``IntervalSet._intersection_arrays`` on bare ``(starts, ends)``.
-
-    Same binary-search pairing, same ``(max(starts), min(ends))`` floats —
-    just without allocating the wrapper objects, which dominated the
-    roster collector's profile.
-    """
-    if a_starts.size == 0 or b_starts.size == 0:
-        return np.empty(0), np.empty(0)
-    lo = np.searchsorted(b_ends, a_starts, side="right")
-    hi = np.searchsorted(b_starts, a_ends, side="left")
-    counts = hi - lo
-    pos = counts > 0
-    if not pos.any():
-        return np.empty(0), np.empty(0)
-    a_idx = np.repeat(np.flatnonzero(pos), counts[pos])
-    offsets = np.concatenate(([0], np.cumsum(counts[pos])))[:-1]
-    b_idx = (np.arange(a_idx.size) - np.repeat(offsets, counts[pos])
-             + np.repeat(lo[pos], counts[pos]))
-    starts = np.maximum(a_starts[a_idx], b_starts[b_idx])
-    ends = np.minimum(a_ends[a_idx], b_ends[b_idx])
-    keep = ends > starts
-    return starts[keep], ends[keep]
-
-
-def _duration_sum(starts: np.ndarray, ends: np.ndarray) -> float:
-    """``IntervalSet.total_duration``: sequential sum, identical floats."""
-    return float(sum((ends - starts).tolist()))
-
-
-def _intersect_tagged(a_starts: np.ndarray, a_ends: np.ndarray,
-                      owner: np.ndarray,
-                      b_starts: np.ndarray, b_ends: np.ndarray,
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_intersect_arrays` that also maps each output row to the
-    owner tag of the ``a`` interval it came from.
-
-    Because every ``a`` row searches ``b`` independently, concatenating
-    several devices' interval lists and intersecting once yields exactly
-    the per-device intersections, still grouped in ``a`` (device) order.
-    """
-    if a_starts.size == 0 or b_starts.size == 0:
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
-    lo = np.searchsorted(b_ends, a_starts, side="right")
-    hi = np.searchsorted(b_starts, a_ends, side="left")
-    counts = hi - lo
-    pos = counts > 0
-    if not pos.any():
-        return np.empty(0), np.empty(0), np.empty(0, dtype=np.intp)
-    a_idx = np.repeat(np.flatnonzero(pos), counts[pos])
-    offsets = np.concatenate(([0], np.cumsum(counts[pos])))[:-1]
-    b_idx = (np.arange(a_idx.size) - np.repeat(offsets, counts[pos])
-             + np.repeat(lo[pos], counts[pos]))
-    starts = np.maximum(a_starts[a_idx], b_starts[b_idx])
-    ends = np.minimum(a_ends[a_idx], b_ends[b_idx])
-    keep = ends > starts
-    return starts[keep], ends[keep], owner[a_idx[keep]]
-
-
 def _roster_entries(router_id: str, start: float, end: float,
                     power: Tuple[np.ndarray, np.ndarray],
                     devices: _HomeDevices,
                     assoc: Tuple[np.ndarray, np.ndarray, np.ndarray],
                     policy: AnonymizationPolicy,
-                    min_on_fraction: float = 0.25,
                     ) -> List[DeviceRosterEntry]:
     """``device_roster`` over column slices (RNG-free).
 
-    All interval algebra runs on bare arrays via the ``IntervalSet``
-    replicas above; each step is float-for-float what the per-home path's
-    ``clip``/``intersection``/``total_duration``/``span`` compute.  The
-    non-always devices are intersected with router-on in ONE tagged batch
-    (their concatenated rows stay device-grouped, so per-device firsts/
-    lasts are group boundaries and per-device durations fall out of a
-    ``bincount``, which accumulates in the same sequential order as the
-    reference's Python ``sum``).
+    The interval kernel computes float-for-float what the per-home path's
+    ``clip``/``intersection``/``total_duration``/``span`` do.  The
+    non-always devices are intersected with router-on in ONE ``intersect``
+    call: their concatenated rows stay device-grouped, so per-device
+    firsts/lasts are group boundaries and per-device durations fall out of
+    a ``bincount``, which accumulates in the same sequential order as the
+    reference's Python ``sum``.
     """
-    on_starts, on_ends = _clip_arrays(*power, start, end)
-    on_duration = _duration_sum(on_starts, on_ends)
-    enough_observation = on_duration >= min_on_fraction * (end - start)
+    on_starts, on_ends = clip(*power, start, end)
+    on_duration = total_duration(on_starts, on_ends)
+    enough_observation = on_duration >= MIN_ON_FRACTION * (end - start)
     has_on_time = on_starts.size > 0
     n_dev = len(devices)
 
@@ -432,10 +346,11 @@ def _roster_entries(router_id: str, start: float, end: float,
         owner = np.repeat(np.arange(len(parts)),
                           [p[0].size for p in parts])
         keep = (a_ends > start) & (a_starts < end)
-        obs_starts, obs_ends, obs_owner = _intersect_tagged(
+        obs_starts, obs_ends, rows = intersect(
             np.maximum(a_starts[keep], start),
             np.minimum(a_ends[keep], end),
-            owner[keep], on_starts, on_ends)
+            on_starts, on_ends)
+        obs_owner = owner[keep][rows]
         if obs_owner.size:
             # intersection() is symmetric down to the float level, so the
             # reference's router_on∩seen duration is observed's duration.
@@ -496,7 +411,7 @@ def _wifi_columns(rng: np.random.Generator, start: float, end: float,
     ticks = _tick_walk(start + phase, end, SCAN_INTERVAL)
     if not ticks.size:
         return None
-    powered = _contains(*power, ticks)
+    powered = contains(*power, ticks)
     groups = devices.groups()
     clients_24 = _group_counts(groups["w24"], ticks)
     clients_5 = _group_counts(groups["w5"], ticks)
@@ -523,17 +438,19 @@ def _wifi_columns(rng: np.random.Generator, start: float, end: float,
     for index in either.tolist():
         tick = tick_list[index]
         if run_24[index]:
-            visible = int(binomial(base_24, 0.85)) if audible_24 else 0
+            visible = (int(binomial(base_24, SCAN_VISIBILITY))
+                       if audible_24 else 0)
             timestamps.append(tick)
-            spectrum_codes.append(_CODE_GHZ_2_4)
-            neighbor_aps.append(visible + int(poisson(0.15)))
+            spectrum_codes.append(SPECTRUM_2_4)
+            neighbor_aps.append(visible + int(poisson(TRANSIENT_AP_MEAN)))
             clients.append(c24_list[index])
             channels.append(channel_24)
         if run_5[index]:
-            visible = int(binomial(base_5, 0.85)) if audible_5 else 0
+            visible = (int(binomial(base_5, SCAN_VISIBILITY))
+                       if audible_5 else 0)
             timestamps.append(tick)
-            spectrum_codes.append(_CODE_GHZ_5)
-            neighbor_aps.append(visible + int(poisson(0.15)))
+            spectrum_codes.append(SPECTRUM_5)
+            neighbor_aps.append(visible + int(poisson(TRANSIENT_AP_MEAN)))
             clients.append(c5_list[index])
             channels.append(channel_5)
     return {"timestamp": timestamps, "spectrum_code": spectrum_codes,
@@ -591,7 +508,7 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
         # power∩link, computed once per home here and reused by the
         # capacity and uptime passes below (`is_online` membership in the
         # intersection equals membership in both sets).
-        online = [_intersect_arrays(*power[i], *link[i]) for i in range(n)]
+        online = [intersect(*power[i], *link[i])[:2] for i in range(n)]
         for i in range(n):
             heartbeats[i] = _heartbeat_sends(
                 firmware[i].generator("heartbeat"), start, end, online[i])

@@ -19,10 +19,12 @@ from repro.core.records import UptimeReport
 from repro.simulation.household import Household
 from repro.simulation.timebase import HOUR
 
+UPTIME_INTERVAL = 12 * HOUR
+
 
 def uptime_reports(household: Household, start: float, end: float,
                    rng: np.random.Generator,
-                   interval: float = 12 * HOUR) -> List[UptimeReport]:
+                   interval: float = UPTIME_INTERVAL) -> List[UptimeReport]:
     """Collect the uptime reports one router delivered in ``[start, end)``."""
     if interval <= 0:
         raise ValueError("report interval must be positive")

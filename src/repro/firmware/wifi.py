@@ -17,6 +17,7 @@ from repro.core.records import Medium, Spectrum, WifiScanSample
 from repro.simulation.channels import CHANNELS_2_4, CHANNELS_5, audible_counts
 from repro.simulation.household import Household
 from repro.simulation.timebase import MINUTE
+from repro.simulation.wireless import SCAN_VISIBILITY, TRANSIENT_AP_MEAN
 
 SCAN_INTERVAL = 10 * MINUTE
 #: With associated clients, only one in this many scheduled scans runs.
@@ -132,12 +133,13 @@ def full_spectrum_scans(household: Household, epoch: float,
         bases = audible_counts(spectrum, channels,
                                wireless.neighborhood_channels(spectrum))
         for channel, base in zip(channels, bases.tolist()):
-            visible = int(rng.binomial(base, 0.85)) if base > 0 else 0
+            visible = (int(rng.binomial(base, SCAN_VISIBILITY))
+                       if base > 0 else 0)
             samples.append(WifiScanSample(
                 router_id=router_id,
                 timestamp=epoch,
                 spectrum=spectrum,
-                neighbor_aps=visible + int(rng.poisson(0.15)),
+                neighbor_aps=visible + int(rng.poisson(TRANSIENT_AP_MEAN)),
                 associated_clients=clients,
                 channel=channel,
             ))

@@ -41,12 +41,11 @@ import numpy as np
 
 from repro import trace
 from repro.core.intervals import IntervalSet
-from repro.core.records import Spectrum
+from repro.core.records import SPECTRUM_BY_CODE, Spectrum
 from repro.simulation.behavior import ActivitySchedule
 from repro.simulation.device_models import (
     KIND_CODE,
     KIND_ORDER,
-    SPECTRUM_BY_CODE,
     SimDevice,
     association_probs,
     association_span_hours,

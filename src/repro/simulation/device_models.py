@@ -25,7 +25,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.intervals import IntervalSet
-from repro.core.records import Medium, Spectrum
+from repro.core.records import (SPECTRUM_2_4, SPECTRUM_5, SPECTRUM_NONE,
+                                Medium, Spectrum)
 from repro.netutils.mac import MacAddress
 from repro.simulation.behavior import ActivitySchedule
 from repro.simulation.timebase import HOUR, StudyCalendar
@@ -423,11 +424,6 @@ def generate_devices(rng: np.random.Generator,
 #: Stable kind <-> small-int code mapping for the cohort's kind column.
 KIND_ORDER: Tuple[DeviceKind, ...] = tuple(DeviceKind)
 KIND_CODE: Dict[DeviceKind, int] = {k: i for i, k in enumerate(KIND_ORDER)}
-
-#: Spectrum column codes (0 = wired / no radio).
-SPECTRUM_NONE, SPECTRUM_2_4, SPECTRUM_5 = 0, 1, 2
-SPECTRUM_BY_CODE: Tuple[Optional[Spectrum], ...] = (
-    None, Spectrum.GHZ_2_4, Spectrum.GHZ_5)
 
 
 @dataclass

@@ -25,6 +25,10 @@ from repro.simulation.timebase import DAY
 
 MBPS = 1e6  # bits per second in one Mbps
 
+#: A capacity probe's multiplicative noise sigma, and its Mbps floor.
+CAPACITY_NOISE = 0.03
+CAPACITY_FLOOR_MBPS = 0.05
+
 
 @dataclass(frozen=True)
 class AccessLinkConfig:
@@ -164,10 +168,11 @@ class AccessLink:
         """
         if not self.is_up(epoch):
             return None
-        noise_down = float(rng.normal(1.0, 0.03))
-        noise_up = float(rng.normal(1.0, 0.03))
-        down = max(self.config.downstream_mbps * noise_down, 0.05)
-        up = max(self.config.upstream_mbps * noise_up, 0.05)
+        noise_down = float(rng.normal(1.0, CAPACITY_NOISE))
+        noise_up = float(rng.normal(1.0, CAPACITY_NOISE))
+        down = max(self.config.downstream_mbps * noise_down,
+                   CAPACITY_FLOOR_MBPS)
+        up = max(self.config.upstream_mbps * noise_up, CAPACITY_FLOOR_MBPS)
         return (down, up)
 
     # -- bufferbloat shaping -----------------------------------------------------

@@ -42,6 +42,11 @@ DEFAULT_CHANNELS: Dict[Spectrum, int] = {
     Spectrum.GHZ_5: 36,
 }
 
+#: Per-scan churn (see :meth:`WirelessEnvironment.scan_neighbor_count`):
+#: the chance each audible neighbor is heard, and the mean transient APs.
+SCAN_VISIBILITY = 0.85
+TRANSIENT_AP_MEAN = 0.15
+
 
 @dataclass(frozen=True)
 class WirelessEnvironmentConfig:
@@ -167,6 +172,6 @@ class WirelessEnvironment:
         networks (hotspots, printers).
         """
         base = self.base_neighbor_count(spectrum, channel)
-        visible = int(rng.binomial(base, 0.85)) if base > 0 else 0
-        transient = int(rng.poisson(0.15))
+        visible = int(rng.binomial(base, SCAN_VISIBILITY)) if base > 0 else 0
+        transient = int(rng.poisson(TRANSIENT_AP_MEAN))
         return visible + transient

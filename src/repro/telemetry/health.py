@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import availability
 from repro.core.datasets import StudyData
 from repro.core.records import RECORD_DATASETS
+from repro.trace import render_timeline
 
 #: A router is "dead" if silent for this final fraction of the window.
 DEAD_TAIL_FRACTION = 0.10
@@ -299,21 +300,5 @@ def format_health_report(report: HealthReport) -> str:
             title="Ingest service"))
 
     if report.timeline:
-        tl = report.timeline
-        rows = [
-            ("wall clock", f"{tl.get('wall_seconds', 0.0):.3f}s"),
-            ("critical path",
-             f"{tl.get('critical_path_seconds', 0.0):.3f}s"),
-            ("worker utilization",
-             f"{tl.get('worker_utilization', 0.0):.0%}"),
-            ("ingest stall (head wait)",
-             f"{tl.get('ingest_stall_seconds', 0.0):.3f}s"),
-            ("retry-charged time",
-             f"{tl.get('retry_charged_seconds', 0.0):.3f}s"),
-            ("spans", tl.get("span_count", 0)),
-            ("tracks", tl.get("tracks", 0)),
-        ]
-        sections.append(render_table(
-            ["quantity", "value"], rows,
-            title=f"Timeline — trace {tl.get('trace_id') or 'unnamed'}"))
+        sections.append(render_timeline(report.timeline))
     return "\n\n".join(sections)

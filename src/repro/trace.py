@@ -57,7 +57,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 #: Span categories the engine wires up.  ``"shard"`` spans are worker-side
 #: work (materialize / collect and their dotted sub-spans), ``"engine"``
@@ -727,23 +727,31 @@ def write_trace_summary(path: Union[str, Path],
     return path
 
 
+def render_timeline(fields: Mapping[str, Any]) -> str:
+    """The "Timeline — trace …" table of a :class:`TraceSummary`'s fields,
+    or of its stored ``to_dict()``; a missing field reads as zero."""
+    from repro.core.report import render_table  # local: keep trace a leaf
+
+    get = fields.get
+    rows = [
+        ("wall clock", f"{get('wall_seconds', 0.0):.3f}s"),
+        ("critical path", f"{get('critical_path_seconds', 0.0):.3f}s"),
+        ("worker utilization", f"{get('worker_utilization', 0.0):.0%}"),
+        ("ingest stall (head wait)",
+         f"{get('ingest_stall_seconds', 0.0):.3f}s"),
+        ("retry-charged time", f"{get('retry_charged_seconds', 0.0):.3f}s"),
+        ("spans", get("span_count", 0)),
+        ("tracks", get("tracks", 0)),
+    ]
+    title = f"Timeline — trace {get('trace_id') or 'unnamed'}"
+    return render_table(["quantity", "value"], rows, title=title)
+
+
 def render_trace_summary(summary: TraceSummary) -> str:
     """Render the operator-facing timeline tables."""
     from repro.core.report import render_table  # local: keep trace a leaf
 
-    rows = [
-        ("wall clock", f"{summary.wall_seconds:.3f}s"),
-        ("critical path", f"{summary.critical_path_seconds:.3f}s"),
-        ("worker utilization", f"{summary.worker_utilization:.0%}"),
-        ("ingest stall (head wait)",
-         f"{summary.ingest_stall_seconds:.3f}s"),
-        ("retry-charged time", f"{summary.retry_charged_seconds:.3f}s"),
-        ("spans", summary.span_count),
-        ("tracks", summary.tracks),
-    ]
-    sections = [render_table(["quantity", "value"], rows,
-                             title=f"Timeline — trace "
-                                   f"{summary.trace_id or 'unnamed'}")]
+    sections = [render_timeline(vars(summary))]
 
     if summary.critical_path:
         total = summary.critical_path_seconds or 1.0

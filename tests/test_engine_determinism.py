@@ -5,6 +5,7 @@ The load-bearing contract: for a fixed seed, *how* a campaign is executed
 collects — ``study_digest`` equality is the oracle.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -119,7 +120,7 @@ class TestEngineDeterminism:
         config = StudyConfig(seed=404, router_scale=0.1, duration_scale=0.02,
                              traffic_consents=3, low_activity_consents=1)
         serial = run_study(config)
-        parallel = run_study(config, workers=4)
+        parallel = run_study(dataclasses.replace(config, workers=4))
         assert study_digest(parallel.data) == study_digest(serial.data)
 
     def test_run_study_config_workers_field(self):

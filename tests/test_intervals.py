@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalSet, intersect
 
 # Strategy: small sets of raw (possibly overlapping, unordered) intervals.
 raw_interval = st.tuples(
@@ -41,9 +41,15 @@ class TestNormalization:
         s = IntervalSet([(10, 12), (0, 2)])
         assert s.intervals == ((0, 2), (10, 12))
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("start, end", [
+        (0.0, float("inf")), (float("nan"), 1.0), (0.0, float("nan")),
+        (float("nan"), float("nan")), (float("inf"), float("inf"))])
+    def test_rejects_non_finite(self, start, end):
+        """Both constructors reject, even bounds that compare as empty."""
         with pytest.raises(ValueError):
-            IntervalSet([(0, float("inf"))])
+            IntervalSet([(start, end)])
+        with pytest.raises(ValueError):
+            IntervalSet.from_event_arrays(np.array([start]), np.array([end]))
 
     @given(interval_sets)
     def test_normalized_is_disjoint_and_sorted(self, s):
@@ -147,6 +153,29 @@ class TestAlgebra:
         a = IntervalSet([(0, 2), (4, 6), (8, 10)])
         b = IntervalSet([(1, 9)])
         assert a.intersection(b).intervals == ((1, 2), (4, 6), (8, 9))
+
+
+class TestKernel:
+    """The bare-array functions IntervalSet's array backing runs on."""
+
+    @given(st.lists(interval_sets, min_size=1, max_size=4), interval_sets)
+    @settings(max_examples=60)
+    def test_intersect_batches_concatenated_sets(self, sets, b):
+        """Sets concatenated as ``a`` intersect ``b`` in one call: each
+        set's overlaps are its tuple-path intersection, in order, and
+        ``rows`` maps every overlap to its own set."""
+        a = np.asarray([pair for s in sets for pair in s],
+                       dtype=float).reshape(-1, 2)
+        owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        b_arr = np.asarray(b.intervals, dtype=float).reshape(-1, 2)
+        starts, ends, rows = intersect(a[:, 0], a[:, 1],
+                                       b_arr[:, 0], b_arr[:, 1])
+        tags = owner[rows]
+        assert (np.diff(tags) >= 0).all()
+        for index, s in enumerate(sets):
+            mine = tags == index
+            assert tuple(zip(starts[mine].tolist(), ends[mine].tolist())) \
+                == s.intersection(b).intervals
 
 
 class TestFromTimestamps:

@@ -426,6 +426,7 @@ def _hostile_uploads():
     return {
         "wifi-spectrum-code": wifi(spectrum_code=[7, 1]),
         "wifi-negative-aps": wifi(neighbor_aps=[-3, 0]),
+        "wifi-negative-aps-behind-nan": wifi(neighbor_aps=[np.nan, -3]),
         "wifi-ragged-columns": wifi(channel=[11]),
         "flow-negative-bytes": _with_batch(
             upload, RecordBatch("flows", rid, [flow])),

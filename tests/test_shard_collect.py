@@ -3,10 +3,10 @@
 The shard-wide columnar collectors (``repro.firmware.shard_collect``) must
 be a pure re-expression of the per-home reference path: same streams, same
 draw order, identical records, identical batch chunking.  These tests
-compare every upload of every shard split of a small plan against uploads
-built the pre-refactor way (``BismarkRouter`` + ``router_output_to_batches``),
-plus the columnar batch container, the tick-walk schedule helper, and the
-wifi backoff determinism contract.
+compare every upload of every shard split of three small plans (one per
+seed) against uploads built the pre-refactor way (``BismarkRouter`` +
+``router_output_to_batches``), plus the columnar batch container, the
+tick-walk schedule helper, and the wifi backoff determinism contract.
 """
 
 import pickle
@@ -36,32 +36,41 @@ from repro.simulation.seeding import SeedHierarchy
 from repro.simulation.timebase import StudyWindows
 
 
+#: ``(seed, router_scale)`` per plan: 21 homes at seed 2013, and 34 homes
+#: with two appliance-mode homes at each of seeds 1 and 5.
+PLAN_SEEDS = ((2013, 0.05), (1, 0.2), (5, 0.2))
+
+
 @pytest.fixture(scope="module")
-def plan():
-    return build_deployment_plan(DeploymentConfig(
-        seed=2013, router_scale=0.05,
+def plans():
+    return [build_deployment_plan(DeploymentConfig(
+        seed=seed, router_scale=scale,
         windows=StudyWindows().scaled(0.05),
         traffic_consents=2, low_activity_consents=1))
+        for seed, scale in PLAN_SEEDS]
 
 
 @pytest.fixture(scope="module")
-def reference_uploads(plan):
-    """(info, batches) per router from the per-home reference path."""
+def reference_uploads(plans):
+    """Per plan, (info, batches) per router from the per-home reference
+    path."""
     _, policy = _shard_statics()
-    seeds = SeedHierarchy(plan.seed)
-    cohort = materialize_shard(plan, 0, 1)
-    uploads = {}
-    for home in cohort:
-        rid = home.router_id
-        router = BismarkRouter(
-            home, seeds, policy,
-            collect_uptime=rid in plan.uptime_routers,
-            collect_devices=rid in plan.devices_routers,
-            collect_wifi=rid in plan.wifi_routers,
-            collect_traffic=rid in plan.traffic_routers)
-        uploads[rid] = (home.info,
-                        router_output_to_batches(router.run(plan.windows)))
-    return uploads
+    per_plan = []
+    for plan in plans:
+        seeds = SeedHierarchy(plan.seed)
+        uploads = {}
+        for home in materialize_shard(plan, 0, 1):
+            rid = home.router_id
+            router = BismarkRouter(
+                home, seeds, policy,
+                collect_uptime=rid in plan.uptime_routers,
+                collect_devices=rid in plan.devices_routers,
+                collect_wifi=rid in plan.wifi_routers,
+                collect_traffic=rid in plan.traffic_routers)
+            uploads[rid] = (home.info, router_output_to_batches(
+                router.run(plan.windows)))
+        per_plan.append(uploads)
+    return per_plan
 
 
 def assert_same_batches(got, ref):
@@ -87,45 +96,51 @@ def assert_same_batches(got, ref):
             assert list(got_batch.records) == list(ref_batch.records), dataset
 
 
-def test_reference_covers_every_collector(reference_uploads):
-    """Guard against a vacuous equivalence test: every dataset occurs."""
-    seen = {batch.dataset
-            for _, batches in reference_uploads.values()
-            for batch in batches}
-    assert seen == {"heartbeats", "uptime", "capacity", "device_counts",
-                    "roster", "wifi_scans", "flows", "dns", "throughput"}
+def test_reference_covers_every_collector(plans, reference_uploads):
+    """Guard against a vacuous equivalence test: at every seed, every
+    dataset occurs."""
+    for plan, reference in zip(plans, reference_uploads):
+        seen = {batch.dataset
+                for _, batches in reference.values()
+                for batch in batches}
+        assert seen == {"heartbeats", "uptime", "capacity", "device_counts",
+                        "roster", "wifi_scans", "flows", "dns",
+                        "throughput"}, plan.seed
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 7])
-def test_every_shard_split_matches_reference(plan, reference_uploads,
+def test_every_shard_split_matches_reference(plans, reference_uploads,
                                              n_shards):
     """Columnar uploads are record-identical for every shard split."""
     universe, policy = _shard_statics()
-    seeds = SeedHierarchy(plan.seed)
-    covered = 0
-    for shard_index in range(n_shards):
-        cohort = materialize_shard(plan, shard_index, n_shards,
-                                   domain_universe=universe)
-        uploads = collect_shard(cohort, plan, seeds, policy)
-        lo, hi = plan.shard_bounds(shard_index, n_shards)
-        assert [u.router_id for u in uploads] == plan.router_ids[lo:hi]
-        for upload in uploads:
-            ref_info, ref_batches = reference_uploads[upload.router_id]
-            assert upload.info == ref_info
-            assert_same_batches(list(upload.batches), ref_batches)
-        covered += len(uploads)
-    assert covered == len(plan)
+    for plan, reference in zip(plans, reference_uploads):
+        seeds = SeedHierarchy(plan.seed)
+        covered = 0
+        for shard_index in range(n_shards):
+            cohort = materialize_shard(plan, shard_index, n_shards,
+                                       domain_universe=universe)
+            uploads = collect_shard(cohort, plan, seeds, policy)
+            lo, hi = plan.shard_bounds(shard_index, n_shards)
+            assert [u.router_id for u in uploads] == plan.router_ids[lo:hi]
+            for upload in uploads:
+                ref_info, ref_batches = reference[upload.router_id]
+                assert upload.info == ref_info
+                assert_same_batches(list(upload.batches), ref_batches)
+            covered += len(uploads)
+        assert covered == len(plan)
 
 
-def test_uploads_pickle_roundtrip(plan, reference_uploads):
+def test_uploads_pickle_roundtrip(plans, reference_uploads):
     """Uploads cross the process boundary columnar and come back equal."""
     universe, policy = _shard_statics()
-    cohort = materialize_shard(plan, 0, 3, domain_universe=universe)
-    uploads = collect_shard(cohort, plan, SeedHierarchy(plan.seed), policy)
-    restored = pickle.loads(pickle.dumps(uploads))
-    for upload in restored:
-        _, ref_batches = reference_uploads[upload.router_id]
-        assert_same_batches(list(upload.batches), ref_batches)
+    for plan, reference in zip(plans, reference_uploads):
+        cohort = materialize_shard(plan, 0, 3, domain_universe=universe)
+        uploads = collect_shard(cohort, plan, SeedHierarchy(plan.seed),
+                                policy)
+        restored = pickle.loads(pickle.dumps(uploads))
+        for upload in restored:
+            _, ref_batches = reference[upload.router_id]
+            assert_same_batches(list(upload.batches), ref_batches)
 
 
 class TestTickWalk:
@@ -291,24 +306,26 @@ class TestWifiBackoffDeterminism:
                     (s.timestamp, s.spectrum) for s in scans]
         return per_router
 
-    def test_identical_across_shard_splits(self, plan):
-        first = self.collect_schedules(plan, 1)
-        assert first == self.collect_schedules(plan, 3)
-        assert first == self.collect_schedules(plan, 7)
+    def test_identical_across_shard_splits(self, plans):
+        for plan in plans:
+            first = self.collect_schedules(plan, 1)
+            assert first == self.collect_schedules(plan, 3)
+            assert first == self.collect_schedules(plan, 7)
 
-    def test_backoff_gaps_are_scan_interval_multiples(self, plan):
+    def test_backoff_gaps_are_scan_interval_multiples(self, plans):
         """Executed scans sit on the 10-minute grid; skips leave holes."""
-        schedules = self.collect_schedules(plan, 1)
-        saw_backoff = False
-        for scans in schedules.values():
-            times = sorted(t for t, spectrum in scans
-                           if spectrum is Spectrum.GHZ_2_4)
-            gaps = np.diff(times)
-            steps = gaps / SCAN_INTERVAL
-            assert np.allclose(steps, np.round(steps), atol=1e-6)
-            if (np.round(steps) > 1).any():
-                saw_backoff = True
-        assert saw_backoff  # client backoff actually skipped scans
+        for plan in plans:
+            saw_backoff = False
+            for scans in self.collect_schedules(plan, 1).values():
+                times = sorted(t for t, spectrum in scans
+                               if spectrum is Spectrum.GHZ_2_4)
+                gaps = np.diff(times)
+                steps = gaps / SCAN_INTERVAL
+                assert np.allclose(steps, np.round(steps), atol=1e-6)
+                if (np.round(steps) > 1).any():
+                    saw_backoff = True
+            # client backoff actually skipped scans
+            assert saw_backoff, plan.seed
 
     def test_identical_across_worker_counts(self):
         config = StudyConfig(seed=17, router_scale=0.1, duration_scale=0.02,

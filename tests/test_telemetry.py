@@ -1,5 +1,6 @@
 """Tests for the campaign telemetry subsystem (repro.telemetry)."""
 
+import dataclasses
 import json
 import math
 
@@ -381,8 +382,9 @@ class TestTelemetrySession:
 
     def test_parallel_run_aggregates_worker_metrics(self, tmp_path):
         out = tmp_path / "telemetry-mp"
-        result = run_study(self.CONFIG, telemetry_dir=out, workers=2,
-                           shard_size=4)
+        result = run_study(
+            dataclasses.replace(self.CONFIG, workers=2, shard_size=4),
+            telemetry_dir=out)
         samples = parse_prometheus((out / "metrics.prom").read_text())
         n_routers = len(result.data.routers)
         # The shard counters derive from the parent's ingest spans.
@@ -397,7 +399,8 @@ class TestTelemetrySession:
         once, whether it ran in-process or in a worker."""
         out = tmp_path / "telemetry"
         result = run_study(
-            self.CONFIG, workers=workers, shard_size=4, telemetry_dir=out,
+            dataclasses.replace(self.CONFIG, workers=workers, shard_size=4),
+            telemetry_dir=out,
             fault_plan=FaultPlan((FaultSpec(shard=1, kind="corrupt"),)))
         samples = parse_prometheus((out / "metrics.prom").read_text())
         n_routers = len(result.data.routers)

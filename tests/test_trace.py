@@ -9,6 +9,7 @@ must collect bitwise-identical data (``study_digest`` pinned, per-shard
 span coverage matching the plan).
 """
 
+import dataclasses
 import json
 import time
 
@@ -383,9 +384,9 @@ class TestTracedCampaign:
 
     def test_digest_pinned_and_spans_cover_shards(self, tmp_path):
         baseline = study_digest(run_study(self.CONFIG).data)
-        result = run_study(self.CONFIG, trace_dir=tmp_path,
-                           telemetry_dir=tmp_path / "tel",
-                           workers=2, shard_size=4)
+        result = run_study(
+            dataclasses.replace(self.CONFIG, workers=2, shard_size=4),
+            trace_dir=tmp_path, telemetry_dir=tmp_path / "tel")
         assert study_digest(result.data) == baseline
 
         spans, _ = load_chrome_trace(tmp_path / "trace.json")
