@@ -370,7 +370,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     store = RecordStore(windows)
     path = CollectionPath.for_study(args.seed, windows.span)
     config = ServeConfig(host=args.host, port=args.port,
-                         queue_size=args.queue_size,
                          reorder_window=args.reorder_window,
                          retry_after_seconds=args.retry_after)
     daemon = IngestDaemon(store, path, config)
@@ -536,8 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--duration", type=float, default=0.1,
                               help="collection-window scale (default 0.1; "
                                    "must match the uploading campaign's)")
-    serve_parser.add_argument("--queue-size", type=int, default=256,
-                              help="bounded ingest queue depth (default 256)")
     serve_parser.add_argument("--reorder-window", type=int, default=4096,
                               help="max seq distance held for reordering "
                                    "before shedding (default 4096)")

@@ -15,6 +15,7 @@ record's fields after ``router_id`` in the order
 
 from __future__ import annotations
 
+import asyncio
 import io
 import itertools
 import pickle
@@ -293,21 +294,22 @@ def list_batches(dataset: str, router_id: str,
 # "bye"       ("bye",)                       client→server: clean close
 # ==========  =============================  ==================================
 #
-# The length prefix is the whole protocol state machine: a reader pulls
-# exactly 4 bytes, validates the length against ``max_frame_bytes`` (a
-# hostile or corrupt prefix must not trigger a giant allocation), then
-# pulls exactly that many payload bytes.  A connection that dies mid-frame
-# leaves nothing ambiguous — the partial read is detected and the
-# connection dropped without touching the store.  Payloads are encoded
-# with pickle but *decoded* with a restricted unpickler that resolves
-# only the protocol's own types (see "safe deserialization" below), so a
-# hostile payload cannot execute code during deserialization.
+# The length prefix is the whole protocol state machine: the one reader,
+# :func:`read_payload`, pulls exactly 4 bytes, validates the length
+# against :data:`DEFAULT_MAX_FRAME_BYTES` (a hostile or corrupt prefix
+# must not trigger a giant allocation), then pulls exactly that many
+# payload bytes.  A connection that dies mid-frame leaves nothing
+# ambiguous — the partial read is detected and the connection dropped
+# without touching the store.  Payloads are encoded with pickle but
+# *decoded* with a restricted unpickler that resolves only the
+# protocol's own types (see "safe deserialization" below), so a hostile
+# payload cannot execute code during deserialization.
 
 #: Length prefix: one unsigned 32-bit big-endian payload size.
 FRAME_HEADER = struct.Struct("!I")
 
-#: Default ceiling on one frame's payload size (64 MiB — far above any
-#: real upload; a prefix past this is treated as corruption, not data).
+#: Ceiling on one frame's payload size (64 MiB — far above any real
+#: upload; a prefix past this is treated as corruption, not data).
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Message kinds either side may legally put on the wire.
@@ -398,16 +400,28 @@ class _RestrictedUnpickler(pickle.Unpickler):
                 f"{module}.{name}") from None
 
 
-def encode_frame(message: Tuple,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
+def encode_frame(message: Tuple) -> bytes:
     """Serialize one protocol message into a length-prefixed frame."""
     validate_message(message)
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > max_frame_bytes:
+    if len(payload) > DEFAULT_MAX_FRAME_BYTES:
         raise FrameError(
             f"frame payload of {len(payload)} bytes exceeds the "
-            f"{max_frame_bytes}-byte frame ceiling")
+            f"{DEFAULT_MAX_FRAME_BYTES}-byte frame ceiling")
     return FRAME_HEADER.pack(len(payload)) + payload
+
+
+async def read_payload(reader: asyncio.StreamReader) -> bytes:
+    """Read one frame off *reader*; returns its payload bytes.
+
+    The length is checked before any payload byte is read.  A stream
+    that ends mid-frame raises :class:`asyncio.IncompleteReadError`.
+    """
+    header = await reader.readexactly(FRAME_HEADER.size)
+    (length,) = FRAME_HEADER.unpack(header)
+    if length == 0 or length > DEFAULT_MAX_FRAME_BYTES:
+        raise FrameError(f"invalid frame length {length}")
+    return await reader.readexactly(length)
 
 
 def decode_payload(payload: bytes) -> Tuple:
@@ -424,27 +438,6 @@ def decode_payload(payload: bytes) -> Tuple:
         raise FrameError(f"undecodable frame payload: {exc}") from exc
     validate_message(message)
     return message
-
-
-def decode_frame(data: bytes,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-                 ) -> Tuple[Tuple, int]:
-    """Parse one complete frame from *data*; returns (message, consumed).
-
-    For synchronous callers and tests; the async reader in
-    :mod:`repro.collection.netserve` consumes the header and payload
-    directly off the stream with the same validation.
-    """
-    if len(data) < FRAME_HEADER.size:
-        raise FrameError("truncated frame header")
-    (length,) = FRAME_HEADER.unpack(data[:FRAME_HEADER.size])
-    if length == 0 or length > max_frame_bytes:
-        raise FrameError(f"invalid frame length {length}")
-    end = FRAME_HEADER.size + length
-    if len(data) < end:
-        raise FrameError(f"truncated frame payload: have "
-                         f"{len(data) - FRAME_HEADER.size}, need {length}")
-    return decode_payload(data[FRAME_HEADER.size:end]), end
 
 
 def validate_message(message: object) -> Tuple:

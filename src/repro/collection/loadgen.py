@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -40,7 +40,7 @@ from repro.core.records import RouterInfo, UptimeReport
 from repro.simulation.timebase import StudyWindows
 from repro.collection.batches import RecordBatch, RouterUpload
 from repro.collection.netserve import IngestClient, IngestDaemon, ServeConfig
-from repro.collection.path import CollectionPath, PathConfig
+from repro.collection.path import CollectionPath
 from repro.collection.storage import RecordStore
 
 #: Seconds between simulated heartbeats (the paper's cadence is 5 min).
@@ -146,8 +146,10 @@ async def run_load(host: str, port: int, config: LoadConfig,
     """Drive *config.clients* simulated routers at a running daemon.
 
     Upload *seq* equals router index, so the daemon ingests the fleet in
-    index order; the round-robin connection assignment keeps in-flight
-    seqs within a ``2 × connections`` band (see the module docstring).
+    index order.  A connection sends its next upload, ``connections``
+    seqs on, only once its last one was ACKed, so every in-flight seq
+    lies in ``[next_seq, next_seq + connections)``: a reorder window of
+    at least ``connections`` never sheds.
     """
     span = span if span is not None else StudyWindows().span
     clients: List[IngestClient] = [
@@ -191,35 +193,24 @@ async def run_load(host: str, port: int, config: LoadConfig,
     )
 
 
-def loadgen_daemon(config: LoadConfig,
-                   serve_config: ServeConfig = ServeConfig(),
-                   windows: Optional[StudyWindows] = None,
-                   path_config: Optional[PathConfig] = None) -> IngestDaemon:
-    """A daemon wired the way a load run expects (standalone, no plan)."""
-    windows = windows if windows is not None else StudyWindows()
-    path = CollectionPath.for_study(config.seed, windows.span, path_config)
-    return IngestDaemon(RecordStore(windows), path, serve_config)
-
-
 def run_load_over_loopback(
         config: LoadConfig,
         serve_config: ServeConfig = ServeConfig(),
-        path_config: Optional[PathConfig] = None,
 ) -> Tuple[LoadReport, IngestDaemon]:
     """One-call load run: daemon on a loopback port, fleet driven at it.
 
     Returns the report and the (stopped, drained) daemon so callers can
     assert on its store and counters.
     """
-    from dataclasses import replace
-    serve_config = replace(serve_config, host="127.0.0.1", port=0)
-    daemon = loadgen_daemon(config, serve_config, path_config=path_config)
+    windows = StudyWindows()
+    daemon = IngestDaemon(RecordStore(windows),
+                          CollectionPath.for_study(config.seed, windows.span),
+                          replace(serve_config, host="127.0.0.1", port=0))
 
     async def _run() -> LoadReport:
         host, port = await daemon.start()
         try:
-            return await run_load(host, port, config,
-                                  span=daemon.store.windows.span)
+            return await run_load(host, port, config, span=windows.span)
         finally:
             await daemon.stop()
 

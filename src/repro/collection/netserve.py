@@ -13,27 +13,28 @@ Architecture
 ------------
 ::
 
-    client conns ──frames──> handlers ──bounded queue──> ingest worker
-         ▲                     │                             │
-         └──── ack/retry ◀─────┴──── futures resolved ◀──────┘
+    client conns ──frames──> handlers ──park──> reorder buffer
+         ▲                     │                      │ next seq ready
+         │                     │                      ▼
+         └──── ack/retry ◀─────┴──── answered ◀── CollectionServer.ingest
 
 * **Sequenced ingest.**  Every upload frame carries a *seq* — its
-  position in deployment order.  The single ingest worker holds
-  out-of-order arrivals in a bounded reorder buffer and feeds
-  ``CollectionServer.ingest`` strictly in seq order, so the path-loss
-  RNG draws in exactly the order the in-process engine would have drawn
-  them.  That is the whole determinism contract: a campaign ingested
-  over the socket produces a ``study_digest`` bitwise-identical to the
-  in-process path.
-* **Per-connection backpressure.**  A handler reads one frame, offers it
-  to the ingest queue, and does not read the next frame until the
-  response went out — a slow ingest path automatically pauses reads on
-  every connection (the kernel's TCP window then pushes back on the
+  position in deployment order.  A handler parks its upload in the
+  reorder buffer, then ingests every seq that is ready, in order,
+  through ``CollectionServer.ingest``: the handler whose upload
+  completes a run of consecutive seqs ingests the whole run and answers
+  each parked waiter.  The path-loss RNG therefore draws in exactly the
+  order the in-process engine would have drawn them.  That is the whole
+  determinism contract: a campaign ingested over the socket produces a
+  ``study_digest`` bitwise-identical to the in-process path.
+* **Per-connection backpressure.**  A handler reads one frame, waits for
+  its upload's answer, and does not read the next frame until the
+  response went out — an upload parked behind a seq gap pauses reads on
+  its connection (the kernel's TCP window then pushes back on the
   client).
-* **Bounded queue + overload shedding.**  The ingest queue and reorder
-  buffer are bounded.  An upload that cannot be accepted — queue full,
-  or seq beyond the reorder window — is *shed* with an explicit
-  ``("retry", seq, after_seconds)`` response instead of being buffered
+* **Bounded reorder window + shedding.**  An upload whose seq is at or
+  beyond ``next_seq + reorder_window`` is *shed* with an explicit
+  ``("retry", seq, after_seconds)`` response instead of being parked
   without limit.  Sheds are counted (``uploads_shed_total``) and
   surfaced in the health report's "Ingest service" section.
 * **At-least-once clients, exactly-once store.**  ACKs are sent only
@@ -43,11 +44,10 @@ Architecture
   ``CollectionServer.ingest`` is idempotent per router on top of that,
   and checks a whole upload before applying any of it: an upload it
   rejects leaves the store and the path RNG as they were.
-* **Clean drain-on-shutdown.**  ``stop()`` closes the listener, waits
-  up to :data:`DRAIN_TIMEOUT` seconds for every queued upload to
-  resolve, and only then retires the worker; uploads parked behind a
-  gap that will never fill are answered with an error so no client
-  hangs.
+* **Clean shutdown.**  An upload is ingested before its handler first
+  awaits, so there is no backlog to drain: ``stop()`` closes the
+  listener and the connections, then answers every upload still parked
+  behind a gap that will never fill with an error, so no client hangs.
 
 Trust model
 -----------
@@ -70,19 +70,19 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro import trace
 from repro.collection.batches import (
-    DEFAULT_MAX_FRAME_BYTES,
     FRAME_HEADER,
     FrameError,
     RouterUpload,
     decode_payload,
     encode_frame,
+    read_payload,
 )
-from repro.collection.path import CollectionPath, PathConfig
+from repro.collection.path import CollectionPath
 from repro.collection.server import CollectionServer
 from repro.collection.storage import RecordStore
 from repro.telemetry import events, metrics
@@ -91,9 +91,6 @@ logger = logging.getLogger(__name__)
 
 #: Default TCP port (unofficial; 0 lets the OS pick in tests).
 DEFAULT_PORT = 9413
-
-#: Upper bound, in seconds, on the shutdown drain of queued uploads.
-DRAIN_TIMEOUT = 30.0
 
 #: Resends an :class:`IngestClient` makes for one upload before it gives up.
 RETRY_LIMIT = 64
@@ -108,19 +105,13 @@ class ServeConfig:
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
-    #: Bounded ingest queue between connection handlers and the worker.
-    queue_size: int = 256
     #: How far ahead of the next expected seq an upload may arrive
     #: before it is shed; also bounds the reorder buffer.
     reorder_window: int = 4096
-    #: Ceiling on one frame's payload size.
-    max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
     #: Delay suggested to a shed client.
     retry_after_seconds: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.queue_size < 1:
-            raise ValueError("queue_size must be positive")
         if self.reorder_window < 1:
             raise ValueError("reorder_window must be positive")
         if self.retry_after_seconds <= 0:
@@ -141,19 +132,16 @@ class IngestDaemon:
                  config: ServeConfig = ServeConfig()):
         self.server = CollectionServer(store, path)
         self.config = config
-        self._queue: Optional[asyncio.Queue] = None
         self._tcp: Optional[asyncio.AbstractServer] = None
-        self._worker: Optional[asyncio.Task] = None
         #: seq -> [(upload, future), ...] parked out of order (the list
         #: absorbs concurrent duplicate retries of an un-ingested seq).
         self._pending: Dict[int, List[Tuple[RouterUpload,
                                             "asyncio.Future"]]] = {}
         self._next_seq = 0
         self._connections = 0
-        self._peak_depth = 0
         self.routers_ingested = 0
-        #: Uploads still parked behind a seq gap when the worker retired
-        #: (set by the worker, reported by :meth:`stop`).
+        #: Uploads still parked behind a seq gap at shutdown (set and
+        #: reported by :meth:`stop`).
         self.parked_discarded = 0
         self._complete: Optional[asyncio.Event] = None
         self._expected: Optional[int] = None
@@ -169,10 +157,7 @@ class IngestDaemon:
         """Bind and start serving; returns the bound (host, port)."""
         if self._tcp is not None:
             raise RuntimeError("daemon already started")
-        self._queue = asyncio.Queue(maxsize=self.config.queue_size)
         self._complete = asyncio.Event()
-        self._worker = asyncio.get_running_loop().create_task(
-            self._ingest_worker())
         self._tcp = await asyncio.start_server(
             self._handle, self.config.host, self.config.port)
         host, port = self._tcp.sockets[0].getsockname()[:2]
@@ -190,7 +175,7 @@ class IngestDaemon:
         await self._complete.wait()
 
     async def stop(self) -> None:
-        """Drain and shut down: stop accepting, finish queued ingest."""
+        """Shut down: stop accepting, answer every upload still parked."""
         if self._tcp is None:
             return
         self._tcp.close()
@@ -203,26 +188,16 @@ class IngestDaemon:
             task.cancel()
         if self._handlers:
             await asyncio.gather(*self._handlers, return_exceptions=True)
-        # Every enqueued upload gets its response before the worker
-        # retires; handlers blocked on futures therefore always resolve.
-        try:
-            await asyncio.wait_for(self._queue.join(), DRAIN_TIMEOUT)
-        except asyncio.TimeoutError:  # pragma: no cover - drain stall
-            logger.warning("shutdown drain timed out with %d queued",
-                           self._queue.qsize())
-        try:
-            self._queue.put_nowait(None)
-        except asyncio.QueueFull:  # pragma: no cover - drain stall
-            # The drain timed out with the queue still full — the worker
-            # is wedged or hopelessly behind; cancel it rather than
-            # wedging shutdown too.  Its retirement path still answers
-            # every parked upload and records the discard count.
-            self._worker.cancel()
-        try:
-            await self._worker
-        except asyncio.CancelledError:  # pragma: no cover - drain stall
-            pass
-        self._worker = None
+        # Anything still parked waits behind a seq gap that can no longer
+        # fill: record the discard count for the drain report, then
+        # answer every waiter so no client blocks forever.
+        self.parked_discarded = sum(
+            len(waiters) for waiters in self._pending.values())
+        for seq, waiters in sorted(self._pending.items()):
+            for _, future in waiters:
+                self._resolve(future, ("error", seq,
+                                       "server shut down before ingest"))
+        self._pending.clear()
         events.emit("ingest_service_drained",
                     routers=self.routers_ingested,
                     undrained=self.parked_discarded)
@@ -278,15 +253,11 @@ class IngestDaemon:
                 pass
 
     async def _read_frame(self, reader: asyncio.StreamReader) -> Tuple:
-        header = await reader.readexactly(FRAME_HEADER.size)
-        (length,) = FRAME_HEADER.unpack(header)
-        if length == 0 or length > self.config.max_frame_bytes:
-            raise FrameError(f"invalid frame length {length}")
-        payload = await reader.readexactly(length)
-        with trace.span("net.frame", cat="netserve", bytes=length):
+        payload = await read_payload(reader)
+        with trace.span("net.frame", cat="netserve", bytes=len(payload)):
             message = decode_payload(payload)
         metrics.inc("net_frames_total")
-        metrics.inc("net_bytes_total", FRAME_HEADER.size + length)
+        metrics.inc("net_bytes_total", FRAME_HEADER.size + len(payload))
         return message
 
     async def _dispatch(self, message: Tuple) -> Optional[Tuple]:
@@ -300,65 +271,35 @@ class IngestDaemon:
         return ("error", -1, f"unexpected {kind!r} frame from a client")
 
     async def _offer(self, seq: int, upload: RouterUpload) -> Tuple:
-        """Queue one upload for ordered ingest, or shed it."""
+        """Park one upload, ingest every ready seq, await its answer.
+
+        An upload that is ready to ingest is ingested before this first
+        awaits; one parked behind a seq gap is answered by the handler
+        whose upload fills the gap (or by :meth:`stop`).
+        """
         if seq < self._next_seq:
             # Already ingested — a retry after a dropped ACK.
             metrics.inc("uploads_duplicate_total")
             return ("ack", seq, "duplicate")
         if seq >= self._next_seq + self.config.reorder_window:
-            return self._shed(seq, "window")
+            metrics.inc("uploads_shed_total", reason="window")
+            events.emit("upload_shed", seq=seq, reason="window")
+            trace.instant("net.shed", cat="netserve", seq=seq,
+                          reason="window")
+            return ("retry", seq, self.config.retry_after_seconds)
         future = asyncio.get_running_loop().create_future()
-        try:
-            self._queue.put_nowait((seq, upload, future))
-        except asyncio.QueueFull:
-            return self._shed(seq, "queue")
-        depth = self._queue.qsize()
-        metrics.set_gauge("ingest_queue_depth", depth)
-        if depth > self._peak_depth:
-            self._peak_depth = depth
-            metrics.set_gauge("ingest_queue_peak_depth", depth)
+        self._pending.setdefault(seq, []).append((upload, future))
+        self._drain_ready()
         return await future
 
-    def _shed(self, seq: int, reason: str) -> Tuple:
-        metrics.inc("uploads_shed_total", reason=reason)
-        events.emit("upload_shed", seq=seq, reason=reason)
-        trace.instant("net.shed", cat="netserve", seq=seq, reason=reason)
-        return ("retry", seq, self.config.retry_after_seconds)
-
-    # -- the ordered ingest worker -----------------------------------------------
-
-    async def _ingest_worker(self) -> None:
-        try:
-            while True:
-                item = await self._queue.get()
-                try:
-                    if item is None:
-                        break
-                    seq, upload, future = item
-                    if seq < self._next_seq:
-                        metrics.inc("uploads_duplicate_total")
-                        self._resolve(future, ("ack", seq, "duplicate"))
-                        continue
-                    self._pending.setdefault(seq, []).append((upload, future))
-                    self._drain_ready()
-                finally:
-                    self._queue.task_done()
-        finally:
-            # Retire (runs on the shutdown sentinel *and* on
-            # cancellation after a stalled drain): anything still parked
-            # waits behind a seq gap that can no longer fill — record
-            # the discard count for the drain report, then answer every
-            # waiter so no client blocks forever.
-            self.parked_discarded = sum(
-                len(waiters) for waiters in self._pending.values())
-            for seq, waiters in sorted(self._pending.items()):
-                for _, future in waiters:
-                    self._resolve(future, ("error", seq,
-                                           "server shut down before ingest"))
-            self._pending.clear()
+    # -- the ordered ingest path --------------------------------------------------
 
     def _drain_ready(self) -> None:
         """Ingest every consecutively-available seq, resolving waiters."""
+        # This is the one place uploads are applied.  It contains no
+        # ``await``, so the event loop never runs two calls of it at
+        # once; a change that awaits in here (an async checkpoint, say)
+        # must add a lock.
         while self._next_seq in self._pending:
             seq = self._next_seq
             waiters = self._pending.pop(seq)
@@ -409,11 +350,9 @@ class IngestClient:
     shedding the fleet observed.
     """
 
-    def __init__(self, host: str, port: int,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
         self.retries = 0
         self.sheds = 0
         self.duplicates = 0
@@ -449,13 +388,9 @@ class IngestClient:
     async def _round_trip(self, message: Tuple) -> Tuple:
         if self._writer is None:
             await self.connect()
-        self._writer.write(encode_frame(message, self.max_frame_bytes))
+        self._writer.write(encode_frame(message))
         await self._writer.drain()
-        header = await self._reader.readexactly(FRAME_HEADER.size)
-        (length,) = FRAME_HEADER.unpack(header)
-        if length == 0 or length > self.max_frame_bytes:
-            raise FrameError(f"invalid response frame length {length}")
-        return decode_payload(await self._reader.readexactly(length))
+        return decode_payload(await read_payload(self._reader))
 
     async def upload(self, seq: int, upload: RouterUpload) -> str:
         """Send one upload; returns "stored" or "duplicate" once ACKed."""
@@ -501,51 +436,31 @@ class IngestClient:
 
 # -- one-call socket campaign ------------------------------------------------------
 
-def daemon_for_plan(plan, seed: Optional[int] = None,
-                    path_config: Optional[PathConfig] = None,
-                    store: Optional[RecordStore] = None,
-                    config: ServeConfig = ServeConfig()) -> IngestDaemon:
-    """Build a daemon whose store/path mirror the in-process engine's.
-
-    The path comes from :meth:`CollectionPath.for_study`, as in
-    :func:`repro.collection.engine.run_campaign` — the precondition for
-    digest parity between the two ingest paths.
-    """
-    seed = plan.seed if seed is None else seed
-    if store is None:
-        store = RecordStore(plan.windows)
-    path = CollectionPath.for_study(seed, plan.windows.span, path_config)
-    return IngestDaemon(store, path, config)
-
-
 def run_campaign_over_socket(plan, seed: Optional[int] = None,
-                             path_config: Optional[PathConfig] = None,
-                             shard_size: Optional[int] = None,
-                             config: ServeConfig = ServeConfig(),
-                             store: Optional[RecordStore] = None,
-                             materialize: bool = True):
+                             shard_size: Optional[int] = None):
     """Run a full campaign with collection over loopback TCP.
 
     Shards run exactly as on the in-process path (same
     ``(seed, router_id)`` derivations); their uploads cross a real
     socket to an :class:`IngestDaemon` on a loopback port and are
-    ingested in deployment order.  Returns ``StudyData`` (or the live
-    :class:`RecordStore` with ``materialize=False``) whose
-    ``study_digest`` is bitwise-identical to
-    :func:`repro.collection.engine.run_campaign`.
+    ingested in deployment order.  The daemon's path comes from
+    :meth:`CollectionPath.for_study`, as in
+    :func:`repro.collection.engine.run_campaign`, so the returned
+    ``StudyData`` has a ``study_digest`` bitwise-identical to the
+    in-process path's.
     """
     from repro.collection.engine import run_shard, shard_count
 
+    seed = plan.seed if seed is None else seed
     n_shards = shard_count(len(plan), shard_size)
-    serve_config = replace(config, host="127.0.0.1", port=0)
-    daemon = daemon_for_plan(plan, seed=seed, path_config=path_config,
-                             store=store, config=serve_config)
+    daemon = IngestDaemon(RecordStore(plan.windows),
+                          CollectionPath.for_study(seed, plan.windows.span),
+                          ServeConfig(port=0))
 
     async def _run() -> RecordStore:
         loop = asyncio.get_event_loop()
         host, port = await daemon.start()
-        client = IngestClient(host, port,
-                              max_frame_bytes=config.max_frame_bytes)
+        client = IngestClient(host, port)
         seq = 0
         try:
             await client.connect()
@@ -560,5 +475,4 @@ def run_campaign_over_socket(plan, seed: Optional[int] = None,
             await daemon.stop()
         return daemon.store
 
-    result = asyncio.run(_run())
-    return result.to_study_data() if materialize else result
+    return asyncio.run(_run()).to_study_data()

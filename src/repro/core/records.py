@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 import operator
 import typing
 from dataclasses import dataclass
@@ -65,8 +66,11 @@ class RouterInfo:
     def __post_init__(self) -> None:
         if not self.router_id:
             raise ValueError("router_id must be non-empty")
-        if self.gdp_ppp_per_capita <= 0:
-            raise ValueError("gdp_ppp_per_capita must be positive")
+        if not (math.isfinite(self.gdp_ppp_per_capita)
+                and self.gdp_ppp_per_capita > 0):
+            raise ValueError("gdp_ppp_per_capita must be finite and positive")
+        if not math.isfinite(self.tz_offset_hours):
+            raise ValueError("tz_offset_hours must be finite")
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,10 @@ class DeviceRosterEntry:
     def __post_init__(self) -> None:
         if self.last_seen < self.first_seen:
             raise ValueError("last_seen cannot precede first_seen")
+        if not isinstance(self.medium, Medium):
+            raise ValueError(f"medium {self.medium!r} is not a Medium")
+        if not (self.spectrum is None or isinstance(self.spectrum, Spectrum)):
+            raise ValueError(f"spectrum {self.spectrum!r} is not a Spectrum")
         if self.medium is Medium.WIRED and self.spectrum is not None:
             raise ValueError("wired devices have no spectrum")
 
@@ -184,6 +192,8 @@ class WifiScanSample:
     channel: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.spectrum, Spectrum):
+            raise ValueError(f"spectrum {self.spectrum!r} is not a Spectrum")
         if self.neighbor_aps < 0 or self.associated_clients < 0:
             raise ValueError("scan counts cannot be negative")
         if self.channel < 0:

@@ -58,8 +58,6 @@ METRIC_HELP: Dict[str, str] = {
     "uploads_duplicate_total": "Retried uploads answered as duplicates.",
     "uploads_shed_total": "Uploads shed with a RETRY-AFTER response.",
     "uploads_error_total": "Uploads rejected by validation or the store.",
-    "ingest_queue_depth": "Uploads queued for ordered ingest.",
-    "ingest_queue_peak_depth": "High-water mark of the ingest queue.",
 }
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")

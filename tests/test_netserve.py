@@ -31,20 +31,23 @@ from repro.core.records import (
     FlowRecord,
     Medium,
     RouterInfo,
+    Spectrum,
     UptimeReport,
+    WifiScanSample,
 )
 from repro.simulation.timebase import StudyWindows, utc
 from repro.simulation.seeding import SeedHierarchy
 from repro.telemetry import metrics
+from repro.collection import batches
 from repro.collection.batches import (
     FRAME_HEADER,
     ColumnarRecords,
     FrameError,
     RecordBatch,
     RouterUpload,
-    decode_frame,
     decode_payload,
     encode_frame,
+    read_payload,
     validate_message,
 )
 from repro.collection.loadgen import (
@@ -103,33 +106,60 @@ def counter(registry, name, **labels):
     return registry.counters.get(key, 0)
 
 
+def read_frames(data):
+    """Every message in *data*, read through the daemon's frame reader."""
+    async def _read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        messages = []
+        while not reader.at_eof():
+            messages.append(decode_payload(await read_payload(reader)))
+        return messages
+
+    return asyncio.run(_read())
+
+
+async def until(predicate, timeout=5.0):
+    """Yield to the event loop until *predicate* holds."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
 class TestFraming:
     def test_round_trip(self):
         upload = make_upload()
         data = encode_frame(("upload", 3, upload))
-        message, consumed = decode_frame(data)
-        assert consumed == len(data)
+        [message] = read_frames(data)
         assert message[0] == "upload" and message[1] == 3
         assert message[2].router_id == upload.router_id
 
     def test_short_buffer_incomplete(self):
         data = encode_frame(("ping",))
-        with pytest.raises(FrameError):
-            decode_frame(data[:3])
-        with pytest.raises(FrameError):
-            decode_frame(data[:-1])
+        with pytest.raises(asyncio.IncompleteReadError):
+            read_frames(data[:3])
+        with pytest.raises(asyncio.IncompleteReadError):
+            read_frames(data[:-1])
 
-    def test_oversized_frame_rejected(self):
-        with pytest.raises(FrameError):
-            encode_frame(("error", 0, "x" * 100), max_frame_bytes=32)
+    def test_oversized_frame_rejected(self, monkeypatch):
         data = encode_frame(("error", 0, "x" * 100))
+        monkeypatch.setattr(batches, "DEFAULT_MAX_FRAME_BYTES", 32)
         with pytest.raises(FrameError):
-            decode_frame(data, max_frame_bytes=32)
+            encode_frame(("error", 0, "x" * 100))
+        with pytest.raises(FrameError):
+            read_frames(data)
+        # The length is refused before any payload byte is awaited.
+        for header in (data[:FRAME_HEADER.size], FRAME_HEADER.pack(0)):
+            with pytest.raises(FrameError):
+                read_frames(header)
 
     def test_garbage_payload_rejected(self):
         garbage = b"\x00\x00\x00\x04spam"
         with pytest.raises(FrameError):
-            decode_frame(garbage)
+            read_frames(garbage)
 
     def test_malformed_messages_rejected(self):
         for message in (
@@ -159,8 +189,6 @@ class TestFraming:
             validate_message(message)
 
     def test_serve_config_validation(self):
-        with pytest.raises(ValueError):
-            ServeConfig(queue_size=0)
         with pytest.raises(ValueError):
             ServeConfig(reorder_window=0)
         with pytest.raises(ValueError):
@@ -411,10 +439,20 @@ def _hostile_uploads():
     wired = _tampered(DeviceRosterEntry(rid, "b0:a7:37:aa:bb:cc",
                                         Medium.WIRED, None, 1.0, 2.0, True),
                       spectrum="5GHz")
-    info = _tampered(RouterInfo(rid, "US", True, -5.0, 50_000.0),
-                     gdp_ppp_per_capita=-1)
-    text_gdp = _tampered(RouterInfo(rid, "US", True, -5.0, 50_000.0),
-                         gdp_ppp_per_capita="x")
+
+    def roster(medium, spectrum, /, **fields):
+        entry = DeviceRosterEntry(rid, "3c:07:54:aa:bb:cc", medium, spectrum,
+                                  1.0, 2.0, False)
+        return _with_batch(upload, RecordBatch(
+            "roster", rid, [_tampered(entry, **fields)]))
+
+    def router(**fields):
+        return RouterUpload(_tampered(
+            RouterInfo(rid, "US", True, -5.0, 50_000.0), **fields),
+            upload.batches)
+
+    scan = _tampered(WifiScanSample(rid, 1.0, Spectrum.GHZ_2_4, 3, 0, 11),
+                     spectrum="2.4GHz")
     uptime = ColumnarRecords("uptime", rid, {"timestamp": [1.0],
                                              "uptime_seconds": [2.0]})
     sends = upload.batches[0].records
@@ -432,7 +470,7 @@ def _hostile_uploads():
             upload, RecordBatch("flows", rid, [flow])),
         "wired-with-spectrum": _with_batch(
             upload, RecordBatch("roster", rid, [wired])),
-        "negative-gdp": RouterUpload(info, upload.batches),
+        "negative-gdp": router(gdp_ppp_per_capita=-1),
         "flow-in-uptime-batch": _with_batch(
             upload, RecordBatch("uptime", rid, [
                 FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", 1,
@@ -444,7 +482,15 @@ def _hostile_uploads():
         "text-heartbeats": beats(["noon", "dusk"]),
         "text-uptime": _with_batch(upload, RecordBatch("uptime", rid, [
             _tampered(UptimeReport(rid, 1.0, 2.0), uptime_seconds="x")])),
-        "text-gdp": RouterUpload(text_gdp, upload.batches),
+        "text-gdp": router(gdp_ppp_per_capita="x"),
+        "text-wifi-spectrum": _with_batch(
+            upload, RecordBatch("wifi_scans", rid, [scan])),
+        "text-roster-spectrum": roster(Medium.WIRELESS, Spectrum.GHZ_5,
+                                       spectrum="5GHz"),
+        "text-medium": roster(Medium.WIRED, None, medium="wired"),
+        "nan-gdp": router(gdp_ppp_per_capita=float("nan")),
+        "inf-gdp": router(gdp_ppp_per_capita=float("inf")),
+        "nan-tz": router(tz_offset_hours=float("nan")),
     }
 
 
@@ -457,7 +503,7 @@ class TestDecodedUploadValidation:
         upload = _hostile_uploads()[case]
         server = make_server()
         with pytest.raises((FrameError, UploadRejected)):
-            message, _ = decode_frame(encode_frame(("upload", 0, upload)))
+            [message] = read_frames(encode_frame(("upload", 0, upload)))
             server.ingest(message[2])
         assert not server.store.routers
         assert not server.store.has_upload(upload.router_id)
@@ -643,7 +689,7 @@ class TestDaemon:
         assert counter(registry, "uploads_duplicate_total") == 1
 
     def test_shed_then_retry_completes(self, registry):
-        config = ServeConfig(port=0, queue_size=2, reorder_window=4,
+        config = ServeConfig(port=0, reorder_window=4,
                              retry_after_seconds=0.005)
 
         async def scenario(daemon, host, port):
@@ -651,10 +697,13 @@ class TestDaemon:
                 async with IngestClient(host, port) as client:
                     return await client.upload(seq, make_upload(seq))
 
-            # seq 10 is far beyond the reorder window — shed until the
-            # fleet catches up; client retry absorbs it transparently.
-            results = await asyncio.gather(*(send(seq)
-                                             for seq in range(12)))
+            # With seq 0 missing, seqs 1-3 park and 4-11 lie beyond the
+            # reorder window: each is shed until seq 0 arrives, and the
+            # client retry absorbs it transparently.
+            late = [asyncio.ensure_future(send(seq)) for seq in range(1, 12)]
+            await until(lambda: counter(registry, "uploads_shed_total",
+                                        reason="window") >= 8)
+            results = await asyncio.gather(send(0), *late)
             assert all(status == "stored" for status in results)
 
         daemon, _ = run_daemon(scenario, config=config)
@@ -683,6 +732,44 @@ class TestDaemon:
         with pytest.raises(RuntimeError, match="not started"):
             asyncio.run(daemon.wait_complete(1))
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.permutations(range(8)))
+    def test_any_arrival_order_ingests_in_seq_order(self, order):
+        """Uploads arriving in any order, one per connection, are all
+        stored, and the store equals an in-order ingest through the
+        same lossy path: the loss draws follow seq order."""
+        registry = metrics.enable()
+        registry.clear()
+
+        async def scenario(daemon, host, port):
+            streams = {}
+            for sent, seq in enumerate(order, 1):
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(encode_frame(("upload", seq, make_upload(seq))))
+                await writer.drain()
+                streams[seq] = reader, writer
+                await until(lambda: counter(registry,
+                                            "net_frames_total") >= sent)
+            replies = {}
+            for seq, (reader, writer) in streams.items():
+                replies[seq] = decode_payload(await read_payload(reader))
+                writer.close()
+                await writer.wait_closed()
+            return replies
+
+        try:
+            daemon, replies = run_daemon(
+                scenario, config=ServeConfig(port=0, reorder_window=8),
+                loss=0.3)
+        finally:
+            metrics.disable()
+        assert replies == {seq: ("ack", seq, "stored") for seq in range(8)}
+        reference = make_server(loss=0.3, seed=11)
+        for seq in range(8):
+            reference.ingest(make_upload(seq))
+        assert study_digest(daemon.store.to_study_data()) == \
+            study_digest(reference.store.to_study_data())
+
     def test_parked_uploads_counted_on_stop(self):
         async def scenario(daemon, host, port):
             # seq 1 arrives but seq 0 never does: the upload parks
@@ -690,7 +777,7 @@ class TestDaemon:
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(encode_frame(("upload", 1, make_upload(1))))
             await writer.drain()
-            await asyncio.sleep(0.05)  # let the worker park it
+            await asyncio.sleep(0.05)  # let the handler park it
             writer.close()
 
         daemon, _ = run_daemon(scenario)
@@ -746,12 +833,12 @@ class TestLoadgen:
         assert len(data.uptime_reports) == SMALL_LOAD.clients
 
     def test_loopback_run_under_pressure(self):
+        # A window of 1 admits only the next seq: the tightest admission.
         config = LoadConfig(clients=60, connections=6,
                             heartbeats_per_upload=4,
                             uptime_reports_per_upload=0, seed=5)
-        serve = ServeConfig(queue_size=2, reorder_window=8,
-                            retry_after_seconds=0.002)
+        serve = ServeConfig(reorder_window=1, retry_after_seconds=0.002)
         report, daemon = run_load_over_loopback(config, serve)
         assert report.routers_stored == config.clients
-        assert report.sheds > 0
+        assert report.sheds == report.retries
         assert daemon.routers_ingested == config.clients
