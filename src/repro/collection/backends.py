@@ -3,7 +3,9 @@
 The :class:`~repro.collection.storage.RecordStore` owns registration and
 consistency checks; a :class:`StoreBackend` owns where the records live.
 It has three writes (:meth:`~StoreBackend.append`,
-:meth:`~StoreBackend.put_heartbeats`, :meth:`~StoreBackend.put_throughput`)
+:meth:`~StoreBackend.put_heartbeats`, :meth:`~StoreBackend.put_throughput`),
+two lookups of the keyed data sets (:meth:`~StoreBackend.holds`,
+:meth:`~StoreBackend.stored`), the store's one record of who uploaded,
 and one reader, :meth:`~StoreBackend.iter_homes`, through which both
 :meth:`RecordStore.to_study_data` and the stream path read:
 
@@ -13,10 +15,10 @@ and one reader, :meth:`~StoreBackend.iter_homes`, through which both
   to ``max_buffered_records``, then each dataset's buffer is sorted and
   appended to a JSONL *run* file on disk, one
   :meth:`~repro.core.records.RowCodec.to_row` row per line; a read
-  k-way merge-sorts the runs.  The two columnar datasets (heartbeat
-  timestamp arrays, per-minute throughput series) spill immediately as
-  per-router ``.npy``/``.npz`` files, so peak resident record count
-  stays O(buffer + one upload chunk).
+  k-way merge-sorts the runs.  A keyed value spills immediately, one
+  ``<dataset>/<router_id>.<field>.npy`` file per array field, while its
+  scalars stay in RAM, so peak resident record count stays
+  O(buffer + one upload chunk).
 
 Both backends read identical, deterministically-ordered records: JSON
 round-trips floats exactly (shortest-repr encoding), both sort by the
@@ -39,7 +41,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.core.datasets import HeartbeatLog, ThroughputSeries
+from repro.core.datasets import KEYED_DATASETS, HeartbeatLog, ThroughputSeries
 from repro.core.records import LIST_DATASETS, RECORD_DATASETS
 from repro.telemetry import events, metrics
 
@@ -55,7 +57,8 @@ _ROUTER_ID = attrgetter("router_id")
 
 
 class StoreBackend(ABC):
-    """Where a RecordStore keeps records: three writes, one reader."""
+    """Where a RecordStore keeps records: three writes, two lookups, one
+    reader."""
 
     @abstractmethod
     def append(self, dataset: str, records: Sequence) -> None:
@@ -68,6 +71,14 @@ class StoreBackend(ABC):
     @abstractmethod
     def put_throughput(self, series: ThroughputSeries) -> None:
         """Store one router's throughput series (first upload only)."""
+
+    @abstractmethod
+    def holds(self, dataset: str, router_id: str) -> bool:
+        """Whether a keyed data set has *router_id*'s value (no file I/O)."""
+
+    @abstractmethod
+    def stored(self, dataset: str, router_id: str):
+        """*router_id*'s value of a keyed data set."""
 
     @abstractmethod
     def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
@@ -86,23 +97,27 @@ class MemoryBackend(StoreBackend):
 
     def __init__(self) -> None:
         self._lists: Dict[str, List] = {name: [] for name in LIST_DATASETS}
-        self._heartbeats: Dict[str, HeartbeatLog] = {}
-        self._throughput: Dict[str, ThroughputSeries] = {}
+        self._keyed: Dict[str, Dict[str, object]] = {
+            name: {} for name in KEYED_DATASETS}
 
     def append(self, dataset: str, records: Sequence) -> None:
         self._lists[dataset].extend(records)
 
     def put_heartbeats(self, log: HeartbeatLog) -> None:
-        self._heartbeats[log.router_id] = log
+        self._keyed["heartbeats"][log.router_id] = log
 
     def put_throughput(self, series: ThroughputSeries) -> None:
-        self._throughput[series.router_id] = series
+        self._keyed["throughput"][series.router_id] = series
+
+    def holds(self, dataset: str, router_id: str) -> bool:
+        return router_id in self._keyed[dataset]
+
+    def stored(self, dataset: str, router_id: str):
+        return self._keyed[dataset][router_id]
 
     def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
-        if dataset == "heartbeats":
-            return iter(list(self._heartbeats.items()))
-        if dataset == "throughput":
-            return iter(list(self._throughput.items()))
+        if dataset in KEYED_DATASETS:
+            return iter(list(self._keyed[dataset].items()))
         records = self._lists[dataset]
         records.sort(key=SORT_KEYS[dataset])
         return itertools.groupby(records, key=_ROUTER_ID)
@@ -129,7 +144,7 @@ class SpillBackend(StoreBackend):
             self.root = Path(self._tmp.name)
         else:
             self.root = Path(directory)
-        for sub in ("runs", "heartbeats", "throughput"):
+        for sub in ("runs", *KEYED_DATASETS):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         self._buffers: Dict[str, List] = {name: [] for name in LIST_DATASETS}
         self._buffered = 0
@@ -142,10 +157,11 @@ class SpillBackend(StoreBackend):
         #: this stays at 1 no matter how many runs a campaign spilled —
         #: a long campaign cannot exhaust the process fd limit.
         self.peak_open_run_files = 0
-        # Ingest order, so reads match MemoryBackend's dict order
-        # (exports iterate these dicts; sorted-glob order would differ).
-        self._heartbeat_order: List[str] = []
-        self._throughput_order: List[str] = []
+        #: Per keyed data set, router id -> its scalars in ingest order,
+        #: so reads match MemoryBackend's dict order (exports iterate
+        #: these dicts; sorted-glob order would differ).
+        self._keyed: Dict[str, Dict[str, list]] = {
+            name: {} for name in KEYED_DATASETS}
 
     # -- ingest ------------------------------------------------------------------
 
@@ -163,20 +179,24 @@ class SpillBackend(StoreBackend):
             self._spill()
 
     def put_heartbeats(self, log: HeartbeatLog) -> None:
-        self._heartbeat_order.append(log.router_id)
-        np.save(self.root / "heartbeats" / f"{log.router_id}.npy",
-                np.asarray(log.timestamps, dtype=float))
+        self._put_keyed("heartbeats", log)
 
     def put_throughput(self, series: ThroughputSeries) -> None:
-        self._throughput_order.append(series.router_id)
-        # start/interval as 0-d arrays: .item() on load restores the native
-        # Python scalar with its int/float kind intact (a shared meta array
-        # would silently promote an int interval to float).
-        np.savez(self.root / "throughput" / f"{series.router_id}.npz",
-                 up_bps=np.asarray(series.up_bps, dtype=float),
-                 down_bps=np.asarray(series.down_bps, dtype=float),
-                 start=np.array(series.start),
-                 interval=np.array(series.interval_seconds))
+        self._put_keyed("throughput", series)
+
+    def _keyed_path(self, dataset: str, router_id: str, field: str) -> Path:
+        return self.root / dataset / f"{router_id}.{field}.npy"
+
+    def _put_keyed(self, dataset: str, value) -> None:
+        table = KEYED_DATASETS[dataset]
+        rid = value.router_id
+        for field in table.arrays:
+            np.save(self._keyed_path(dataset, rid, field),
+                    np.asarray(getattr(value, field), dtype=float))
+        # .item() turns a numpy scalar into the Python one of its
+        # int/float kind, which the JSON state and the archive both keep.
+        self._keyed[dataset][rid] = [
+            np.asarray(getattr(value, name)).item() for name in table.scalars]
 
     def _spill(self) -> None:
         spilled = self._buffered
@@ -226,8 +246,8 @@ class SpillBackend(StoreBackend):
             "n_runs": self._n_runs,
             "runs": {dataset: [path.name for path in self._runs[dataset]]
                      for dataset in LIST_DATASETS},
-            "heartbeat_order": list(self._heartbeat_order),
-            "throughput_order": list(self._throughput_order),
+            "keyed": {dataset: dict(routers)
+                      for dataset, routers in self._keyed.items()},
             "peak_buffered_records": self.peak_buffered_records,
         }
 
@@ -240,24 +260,21 @@ class SpillBackend(StoreBackend):
         never-checkpointed shard) are ignored and harmlessly
         overwritten by later spills.
         """
-        if self._buffered or any(self._runs[d] for d in LIST_DATASETS):
+        if self._buffered or any(self._runs[d] for d in LIST_DATASETS) \
+                or any(self._keyed.values()):
             raise RuntimeError(
                 "restore_state requires a fresh SpillBackend")
-        missing: List[str] = []
-        runs: Dict[str, List[Path]] = {}
-        for dataset in LIST_DATASETS:
-            runs[dataset] = []
-            for name in state["runs"].get(dataset, []):
-                path = self.root / "runs" / name
-                if not path.exists():
-                    missing.append(str(path))
-                runs[dataset].append(path)
-        for rid in state.get("heartbeat_order", []):
-            if not (self.root / "heartbeats" / f"{rid}.npy").exists():
-                missing.append(f"heartbeats/{rid}.npy")
-        for rid in state.get("throughput_order", []):
-            if not (self.root / "throughput" / f"{rid}.npz").exists():
-                missing.append(f"throughput/{rid}.npz")
+        runs = {dataset: [self.root / "runs" / name
+                          for name in state["runs"].get(dataset, [])]
+                for dataset in LIST_DATASETS}
+        keyed = {dataset: dict(state["keyed"][dataset])
+                 for dataset in KEYED_DATASETS}
+        referenced = itertools.chain(
+            *runs.values(),
+            (self._keyed_path(dataset, rid, field)
+             for dataset, routers in keyed.items() for rid in routers
+             for field in KEYED_DATASETS[dataset].arrays))
+        missing = [str(path) for path in referenced if not path.exists()]
         if missing:
             raise RuntimeError(
                 "spill state references missing files: "
@@ -265,8 +282,7 @@ class SpillBackend(StoreBackend):
         self.max_buffered_records = int(state["max_buffered_records"])
         self._runs = runs
         self._n_runs = int(state["n_runs"])
-        self._heartbeat_order = list(state.get("heartbeat_order", []))
-        self._throughput_order = list(state.get("throughput_order", []))
+        self._keyed = keyed
         self.peak_buffered_records = int(
             state.get("peak_buffered_records", 0))
 
@@ -318,23 +334,20 @@ class SpillBackend(StoreBackend):
                    for path in runs]
         return heapq.merge(*readers, key=SORT_KEYS[dataset])
 
-    def _load_throughput(self, rid: str) -> ThroughputSeries:
-        with np.load(self.root / "throughput" / f"{rid}.npz") as archive:
-            return ThroughputSeries(
-                router_id=rid,
-                start=archive["start"].item(),
-                up_bps=archive["up_bps"],
-                down_bps=archive["down_bps"],
-                interval_seconds=archive["interval"].item(),
-            )
+    def holds(self, dataset: str, router_id: str) -> bool:
+        return router_id in self._keyed[dataset]
+
+    def stored(self, dataset: str, router_id: str):
+        table = KEYED_DATASETS[dataset]
+        return table.value(
+            router_id=router_id,
+            **dict(zip(table.scalars, self._keyed[dataset][router_id])),
+            **{field: np.load(self._keyed_path(dataset, router_id, field))
+               for field in table.arrays})
 
     def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
-        if dataset == "heartbeats":
-            return ((rid, HeartbeatLog(
-                rid, np.load(self.root / "heartbeats" / f"{rid}.npy")))
-                for rid in list(self._heartbeat_order))
-        if dataset == "throughput":
-            return ((rid, self._load_throughput(rid))
-                    for rid in list(self._throughput_order))
+        if dataset in KEYED_DATASETS:
+            return ((rid, self.stored(dataset, rid))
+                    for rid in list(self._keyed[dataset]))
         self.flush()
         return itertools.groupby(self._merged_runs(dataset), key=_ROUTER_ID)

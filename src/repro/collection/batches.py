@@ -23,6 +23,8 @@ import struct
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.records import (
     LIST_DATASETS,
     RECORD_DATASETS,
@@ -73,14 +75,9 @@ class RouterUpload:
 
     @property
     def record_count(self) -> int:
-        """Total records across batches (a throughput series counts 1)."""
-        total = 0
-        for batch in self.batches:
-            try:
-                total += len(batch.records)
-            except TypeError:
-                total += 1
-        return total
+        """Total records across batches (a throughput series counts its
+        minutes)."""
+        return sum(len(batch.records) for batch in self.batches)
 
 
 def _chunks(records: Sequence) -> Iterator[Sequence]:
@@ -127,16 +124,16 @@ COLUMNAR_DATASETS: Dict[str, Tuple[str, ...]] = {
     dataset: _column_layout(dataset)
     for dataset in ("uptime", "capacity", "device_counts", "wifi_scans")}
 
-#: Per columnar dataset: the columns its record's constructor rejects a
-#: negative value in, and the error it raises.
+#: Per columnar dataset: the columns its record's constructor requires
+#: to be finite and non-negative, and the error it raises.
 _NON_NEGATIVE: Dict[str, Tuple[Tuple[str, ...], str]] = {
-    "uptime": (("uptime_seconds",), "uptime cannot be negative"),
+    "uptime": (("uptime_seconds",), "uptime must be finite and non-negative"),
     "capacity": (("downstream_mbps", "upstream_mbps"),
-                 "capacity cannot be negative"),
+                 "capacity must be finite and non-negative"),
     "device_counts": (("wired", "wireless_2_4", "wireless_5"),
-                      "device counts cannot be negative"),
+                      "device counts must be finite and non-negative"),
     "wifi_scans": (("neighbor_aps", "associated_clients", "channel"),
-                   "scan counts cannot be negative"),
+                   "scan counts must be finite and non-negative"),
 }
 
 
@@ -196,10 +193,12 @@ class ColumnarRecords:
     def _validate(self) -> None:
         cols = self.columns
         names, message = _NON_NEGATIVE[self.dataset]
-        # The records' own ``< 0`` test, value by value: ``min`` would
-        # return a leading NaN and hide a negative behind it.
-        if any(value < 0 for name in names for value in cols[name]):
-            raise ValueError(message)
+        for name in names:
+            # Numbers only: a float dtype would turn "5" into 5.0.
+            values = np.asarray(cols[name])
+            if values.dtype.kind not in "biuf" or values.ndim != 1 or not (
+                    np.isfinite(values) & (values >= 0)).all():
+                raise ValueError(message)
         if self.dataset == "wifi_scans" and not (
                 set(cols["spectrum_code"]) <= {SPECTRUM_2_4, SPECTRUM_5}):
             raise ValueError(

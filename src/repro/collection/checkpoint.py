@@ -10,9 +10,9 @@ bitwise-identical final ``StudyData``.  Three facts make that possible:
   from one ``numpy`` generator whose bit-generator state is recorded in
   the checkpoint and restored on resume;
 * the record store's contents live in a :class:`SpillBackend` directory
-  on disk, and the checkpoint records exactly which spill runs / arrays
-  belong to the ingested prefix — stray files from a partially-ingested
-  shard are simply not referenced and get overwritten on re-ingest.
+  on disk, and the checkpoint records exactly which spill runs and keyed
+  values belong to the ingested prefix — stray files from a partially-
+  ingested shard are simply not referenced and get overwritten on re-ingest.
 
 The manifest (``checkpoint.json``) is written atomically (temp file +
 ``os.replace``) after every shard ingest, and carries a *config
@@ -40,7 +40,7 @@ from repro.telemetry import events, metrics
 logger = logging.getLogger(__name__)
 
 #: Bump when the checkpoint schema changes incompatibly.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: File name of the manifest inside the checkpoint directory.
 CHECKPOINT_NAME = "checkpoint.json"
@@ -93,11 +93,11 @@ class CampaignCheckpoint:
     complete: bool
     #: ``numpy`` bit-generator state of the collection-path RNG.
     path_rng_state: dict
-    #: :meth:`RecordStore.state_dict` — registration, upload
-    #: fingerprints, heartbeat delivery tallies.
+    #: :meth:`RecordStore.state_dict` — registrations and heartbeat
+    #: delivery tallies.
     store_state: dict
-    #: :meth:`SpillBackend.state_dict` — which on-disk runs/arrays
-    #: belong to the ingested prefix.
+    #: :meth:`SpillBackend.state_dict` — the spill runs and keyed values
+    #: (routers and their scalars) of the ingested prefix.
     backend_state: dict
     version: int = CHECKPOINT_VERSION
 

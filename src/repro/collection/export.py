@@ -21,6 +21,7 @@ import dataclasses
 import enum
 import json
 import logging
+import math
 import operator
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Union
@@ -70,6 +71,14 @@ def _num(value) -> str:
     return repr(float(value))
 
 
+def _finite(text: str) -> float:
+    """A heartbeat cell: ``HeartbeatLog`` requires finite timestamps."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"timestamp {text!r} is not finite")
+    return value
+
+
 def _parse_num(text: str):
     """Inverse of :func:`_num`: int when the cell is integral, else float."""
     try:
@@ -97,7 +106,26 @@ def _write_records(path: Path, codec: RowCodec, records: Iterable) -> None:
                 for record in records))
 
 
-def _read_records(path: Path, codec: RowCodec) -> list:
+def _read_rows(path: Path, routers: Dict[str, RouterInfo],
+               build: Callable[[dict], object]) -> list:
+    """*build* applied to each row of one data file; a row whose router
+    is not in ``routers.csv``, or one *build* rejects, raises ValueError
+    naming the file, line and router."""
+    values = []
+    for line, row in enumerate(_read_csv(path), start=2):
+        rid = row["router_id"]
+        try:
+            if rid not in routers:
+                raise ValueError("not in routers.csv")
+            values.append(build(row))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path.name} line {line}, router {rid!r}: {exc}") from exc
+    return values
+
+
+def _read_records(path: Path, codec: RowCodec,
+                  routers: Dict[str, RouterInfo]) -> list:
     """Rebuild one data set's records from its archive file.
 
     An empty or missing cell takes its field's fallback: None when the
@@ -107,14 +135,11 @@ def _read_records(path: Path, codec: RowCodec) -> list:
     fields = [(field.name, _PARSE.get(field.kind, str),
                None if field.optional else field.default)
               for field in codec.fields]
-    records = []
-    for row in _read_csv(path):
-        records.append(codec.from_row([
-            parse(row[name])
-            if row.get(name) or fallback is dataclasses.MISSING
-            else fallback
-            for name, parse, fallback in fields]))
-    return records
+    return _read_rows(path, routers, lambda row: codec.from_row([
+        parse(row[name])
+        if row.get(name) or fallback is dataclasses.MISSING
+        else fallback
+        for name, parse, fallback in fields]))
 
 
 def export_study(data: StudyData, directory: _PathLike,
@@ -176,7 +201,11 @@ def export_study(data: StudyData, directory: _PathLike,
 
 
 def load_study(directory: _PathLike) -> StudyData:
-    """Load a study archive written by :func:`export_study`."""
+    """Load a study archive written by :func:`export_study`.
+
+    A data-file row for a router missing from ``routers.csv``, or one
+    its constructor rejects, raises ValueError (:func:`_read_rows`).
+    """
     root = Path(directory)
     manifest = json.loads((root / "manifest.json").read_text())
     windows = StudyWindows(**{
@@ -198,16 +227,17 @@ def load_study(directory: _PathLike) -> StudyData:
     # silently vanishing — the availability analysis (and study_digest)
     # counts such routers.
     heartbeats: Dict[str, "list[float]"] = {rid: [] for rid in routers}
-    for row in _read_csv(root / "heartbeats.csv"):
-        heartbeats.setdefault(row["router_id"], []).append(
-            float(row["timestamp"]))
+    for rid, timestamp in _read_rows(
+            root / "heartbeats.csv", routers,
+            lambda row: (row["router_id"], _finite(row["timestamp"]))):
+        heartbeats[rid].append(timestamp)
 
     delivery = {}
     if (root / "heartbeat_delivery.csv").exists():
-        delivery = {
-            row["router_id"]: (int(row["sent"]), int(row["delivered"]))
-            for row in _read_csv(root / "heartbeat_delivery.csv")
-        }
+        delivery = dict(_read_rows(
+            root / "heartbeat_delivery.csv", routers,
+            lambda row: (row["router_id"],
+                         (int(row["sent"]), int(row["delivered"])))))
 
     traffic = manifest.get("includes_traffic") \
         and (root / "flows.csv").exists()
@@ -220,22 +250,18 @@ def load_study(directory: _PathLike) -> StudyData:
         },
         heartbeat_delivery=delivery,
         **{table.attr: _read_records(root / f"{_STEMS[dataset]}.csv",
-                                     table.codec)
+                                     table.codec, routers)
            for dataset, table in RECORD_DATASETS.items()
            if traffic or dataset not in _TRAFFIC},
     )
 
     if traffic:
-        data.throughput = {}
-        for row in _read_csv(root / "throughput.csv"):
-            series = ThroughputSeries(
-                router_id=row["router_id"],
-                start=_parse_num(row["start"]),
-                up_bps=np.asarray([float(v) for v in row["up_bps"].split()]),
-                down_bps=np.asarray([float(v) for v in row["down_bps"].split()]),
-                interval_seconds=_parse_num(row["interval_seconds"]),
-            )
-            data.throughput[series.router_id] = series
+        data.throughput = {series.router_id: series for series in _read_rows(
+            root / "throughput.csv", routers, lambda row: ThroughputSeries(
+                row["router_id"], _parse_num(row["start"]),
+                np.asarray([float(v) for v in row["up_bps"].split()]),
+                np.asarray([float(v) for v in row["down_bps"].split()]),
+                _parse_num(row["interval_seconds"])))}
     return data
 
 

@@ -119,7 +119,7 @@ def synthetic_upload(index: int, span: Tuple[float, float],
     A heartbeat train at the paper's 5-minute cadence with ±30 s of
     per-beat jitter, plus 12-hourly uptime reports — small enough to
     synthesize lazily per request, realistic enough that the server does
-    real per-record work (path-loss draws, fingerprinting, validation).
+    real per-record work (path-loss draws, validation, storage).
     """
     rng = random.Random((config.seed << 24) ^ index)
     rid = f"LG{index:06d}"

@@ -73,7 +73,7 @@ class CollectionServer:
         store.check_registration(upload.info)
         for batch in upload.batches:
             if batch.dataset == "throughput":
-                store.check_throughput(batch.records)
+                store.check_keyed("throughput", batch.records)
         delivered = self.path.deliver(sends)
         was_registered = rid in store.routers
         try:
@@ -82,13 +82,13 @@ class CollectionServer:
                 dataset = batch.dataset
                 if dataset == "heartbeats":
                     sent, accepted = len(sends), len(delivered)
-                    store.add_heartbeats(HeartbeatLog(rid, delivered))
+                    store.add_keyed("heartbeats", HeartbeatLog(rid, delivered))
                     store.record_heartbeat_delivery(rid, sent, accepted)
                     metrics.inc("heartbeats_sent_total", sent)
                     metrics.inc("heartbeats_delivered_total", accepted)
                     metrics.inc("heartbeats_dropped_total", sent - accepted)
                 elif dataset == "throughput":
-                    stored = store.add_throughput(batch.records)
+                    stored = store.add_keyed("throughput", batch.records)
                     accepted = len(batch.records) if stored else 0
                 else:
                     store.add_records(dataset, batch.records)

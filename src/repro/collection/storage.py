@@ -9,37 +9,31 @@ Every read goes through the backend's one reader, ``iter_homes``:
 stream path folds it home by home.
 The seven record-list data sets share one entry point,
 :meth:`RecordStore.add_records`, keyed by their name in
-:data:`~repro.core.records.RECORD_DATASETS`.
+:data:`~repro.core.records.RECORD_DATASETS`; the two keyed data sets,
+one value per router, share :meth:`RecordStore.add_keyed`, by name in
+:data:`~repro.core.datasets.KEYED_DATASETS`.  The backend alone records
+which routers uploaded a keyed value.
 
 The collection server settles a whole upload before its first add,
 through :meth:`RecordStore.has_upload`,
 :meth:`RecordStore.check_registration` and
-:meth:`RecordStore.check_throughput`, which mutate nothing; it then
+:meth:`RecordStore.check_keyed`, which mutate nothing; it then
 applies the upload through the add methods.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import logging
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.datasets import HeartbeatLog, StudyData, ThroughputSeries
+from repro.core.datasets import KEYED_DATASETS, StudyData
 from repro.core.records import RECORD_DATASETS, RouterInfo
 from repro.simulation.timebase import StudyWindows
 from repro.collection.backends import MemoryBackend, StoreBackend
 from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
-
-
-def _array_fingerprint(values: np.ndarray) -> Tuple[int, str]:
-    """Cheap identity for an upload's array payload (size + content hash)."""
-    array = np.ascontiguousarray(np.asarray(values, dtype=float))
-    return int(array.size), hashlib.sha256(array.tobytes()).hexdigest()
 
 
 class RecordStore:
@@ -54,11 +48,6 @@ class RecordStore:
         self.windows = windows
         self.backend = backend if backend is not None else MemoryBackend()
         self._routers: Dict[str, RouterInfo] = {}
-        #: Upload fingerprints for the two one-shot-per-router datasets, so
-        #: a conflicting re-upload is rejected while an identical retry
-        #: (an at-least-once delivery duplicate) is an idempotent no-op.
-        self._heartbeat_uploads: Dict[str, Tuple[int, str]] = {}
-        self._throughput_uploads: Dict[str, Tuple[int, str, float, float]] = {}
         #: Heartbeat loss accounting: router_id -> (sent, delivered), fed
         #: by the collection server so the health report can attribute
         #: missing heartbeats to the path instead of guessing.
@@ -84,14 +73,14 @@ class RecordStore:
     def has_upload(self, router_id: str) -> bool:
         """True when a full upload for *router_id* already ingested.
 
-        Every upload carries exactly one heartbeat batch, so a stored
-        heartbeat fingerprint marks the router's upload as ingested.
+        Every upload carries exactly one heartbeat batch, so a heartbeat
+        log the backend holds marks the router's upload as ingested.
         This is the collection server's one duplicate check: an
         at-least-once retry — to the same daemon or to one *restarted
         over an existing store* — is a no-op instead of double-appending
         list datasets.
         """
-        return router_id in self._heartbeat_uploads
+        return self.backend.holds("heartbeats", router_id)
 
     def unregister_router(self, router_id: str) -> None:
         """Withdraw a registration that never ingested any data.
@@ -100,11 +89,11 @@ class RecordStore:
         ingest all-or-nothing: a registration made for an upload that
         then fails to ingest is rolled back, so a failed upload cannot
         leave a registered-but-empty router inflating cohort coverage.
-        Refuses to forget a router that already has stored one-shot
-        uploads — that would orphan records.
+        Refuses to forget a router that already has a stored keyed
+        value — that would orphan records.
         """
-        if router_id in self._heartbeat_uploads \
-                or router_id in self._throughput_uploads:
+        if any(self.backend.holds(dataset, router_id)
+               for dataset in KEYED_DATASETS):
             raise ValueError(
                 f"router {router_id!r} has stored uploads; "
                 "registration cannot be rolled back")
@@ -113,30 +102,6 @@ class RecordStore:
     def _require_registered(self, router_id: str) -> None:
         if router_id not in self._routers:
             raise KeyError(f"router {router_id!r} not registered")
-
-    def add_heartbeats(self, log: HeartbeatLog) -> bool:
-        """Store delivered heartbeats for one router.
-
-        A second upload with identical timestamps is ignored (duplicate
-        delivery); one with *different* timestamps raises — silently
-        replacing a log would corrupt the availability analysis, matching
-        the :meth:`register_router` consistency contract.  Returns True
-        when the log was stored, False for an idempotent duplicate (so
-        the server does not double-count delivery tallies).
-        """
-        self._require_registered(log.router_id)
-        fingerprint = _array_fingerprint(log.timestamps)
-        existing = self._heartbeat_uploads.get(log.router_id)
-        if existing is not None:
-            if existing != fingerprint:
-                self._reject("heartbeats", log.router_id)
-                raise ValueError(
-                    "conflicting heartbeat re-upload for router "
-                    f"{log.router_id!r}")
-            return False
-        self._heartbeat_uploads[log.router_id] = fingerprint
-        self.backend.put_heartbeats(log)
-        return True
 
     def record_heartbeat_delivery(self, router_id: str, sent: int,
                                   delivered: int) -> None:
@@ -177,43 +142,37 @@ class RecordStore:
         self._require_registered_all(records)
         self.backend.append(dataset, records)
 
-    @staticmethod
-    def _throughput_fingerprint(
-            series: ThroughputSeries) -> Tuple[int, str, float, float]:
-        size, digest = _array_fingerprint(
-            np.concatenate([series.up_bps, series.down_bps]))
-        return (size, digest, float(series.start),
-                float(series.interval_seconds))
+    def check_keyed(self, dataset: str, value) -> bool:
+        """Would :meth:`add_keyed` store *value*?  Mutates nothing.
 
-    def check_throughput(self, series: ThroughputSeries) -> bool:
-        """Would :meth:`add_throughput` store *series*?  Mutates nothing.
-
-        True for a new upload, False for an identical duplicate; a
-        *conflicting* re-upload raises exactly as the add would.
+        True for the router's first value, False for one bitwise
+        identical to the stored value (a delivery duplicate); a
+        *different* second value raises exactly as the add would, as a
+        conflicting :meth:`register_router` does.
         """
-        existing = self._throughput_uploads.get(series.router_id)
-        if existing is not None:
-            if existing != self._throughput_fingerprint(series):
-                self._reject("throughput", series.router_id)
-                raise ValueError(
-                    "conflicting throughput re-upload for router "
-                    f"{series.router_id!r}")
+        table = KEYED_DATASETS[dataset]
+        rid = value.router_id
+        if not self.backend.holds(dataset, rid):
+            return True
+        if table.canonical(self.backend.stored(dataset, rid)) \
+                == table.canonical(value):
             return False
-        return True
+        self._reject(dataset, rid)
+        raise ValueError(
+            f"conflicting {dataset} re-upload for router {rid!r}")
 
-    def add_throughput(self, series: ThroughputSeries) -> bool:
-        """Store one router's series; conflicting re-upload raises.
+    def add_keyed(self, dataset: str, value) -> bool:
+        """Store one router's value of a keyed data set.
 
-        Returns True when the series was stored, False for an idempotent
-        duplicate — mirroring :meth:`add_heartbeats`, so the server's
-        record accounting can count exactly what the store accepted.
+        Returns True when the value was stored, False for an idempotent
+        duplicate, so the server counts exactly what the store accepted;
+        a conflicting value raises (:meth:`check_keyed`).
         """
-        self._require_registered(series.router_id)
-        if not self.check_throughput(series):
+        self._require_registered(value.router_id)
+        if not self.check_keyed(dataset, value):
             return False
-        self._throughput_uploads[series.router_id] = \
-            self._throughput_fingerprint(series)
-        self.backend.put_throughput(series)
+        # By name: benchmarks/e2e times each backend's put_<dataset>.
+        getattr(self.backend, f"put_{dataset}")(value)
         return True
 
     # -- checkpoint support ------------------------------------------------------
@@ -222,9 +181,9 @@ class RecordStore:
         """JSON-able snapshot of the store's consistency state.
 
         Everything the store keeps *outside* the backend: router
-        registrations, the one-shot-upload fingerprints, and the
-        heartbeat delivery tallies.  Together with the backend's own
-        ``state_dict`` this is what a campaign checkpoint persists.
+        registrations and the heartbeat delivery tallies.  Together with
+        the backend's own ``state_dict``, which holds the keyed data
+        sets' routers, this is what a campaign checkpoint persists.
         """
         return {
             "routers": {
@@ -237,14 +196,6 @@ class RecordStore:
                 }
                 for rid, info in self._routers.items()
             },
-            "heartbeat_uploads": {
-                rid: [size, digest]
-                for rid, (size, digest) in self._heartbeat_uploads.items()
-            },
-            "throughput_uploads": {
-                rid: list(fingerprint)
-                for rid, fingerprint in self._throughput_uploads.items()
-            },
             "heartbeat_delivery": {
                 rid: [sent, delivered]
                 for rid, (sent, delivered) in self.heartbeat_delivery.items()
@@ -256,16 +207,6 @@ class RecordStore:
         self._routers = {
             rid: RouterInfo(**fields)
             for rid, fields in state.get("routers", {}).items()
-        }
-        self._heartbeat_uploads = {
-            rid: (int(size), digest)
-            for rid, (size, digest)
-            in state.get("heartbeat_uploads", {}).items()
-        }
-        self._throughput_uploads = {
-            rid: (int(size), digest, float(start), float(interval))
-            for rid, (size, digest, start, interval)
-            in state.get("throughput_uploads", {}).items()
         }
         self.heartbeat_delivery = {
             rid: (int(sent), int(delivered))
@@ -284,9 +225,8 @@ class RecordStore:
         return StudyData(
             routers=dict(self._routers),
             windows=self.windows,
-            heartbeats=dict(homes("heartbeats")),
-            throughput=dict(homes("throughput")),
             heartbeat_delivery=dict(self.heartbeat_delivery),
+            **{name: dict(homes(name)) for name in KEYED_DATASETS},
             **{table.attr: list(itertools.chain.from_iterable(
                 records for _, records in homes(name)))
                for name, table in RECORD_DATASETS.items()},

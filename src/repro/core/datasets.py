@@ -2,7 +2,7 @@
 
 :class:`StudyData` is the hand-off point between collection and analysis —
 everything Sections 4-6 compute starts from one of these.  Two data sets
-are large enough to deserve columnar storage (per-router numpy arrays):
+are keyed, one value of numpy arrays per router (:data:`KEYED_DATASETS`):
 heartbeat timestamps (:class:`HeartbeatLog`) and per-minute throughput
 (:class:`ThroughputSeries`); the rest are plain record lists, which the
 per-home figure folds read through :func:`by_router`.  One home's flows
@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -110,8 +112,8 @@ class CalendarPool:
     """Shared memoized :class:`StudyCalendar` lookup for a router table.
 
     Calendars only depend on the timezone offset, so one instance per
-    distinct offset serves every router in it.  :meth:`StudyData.calendar_for`
-    and the Fig. 13 fold use this pool instead of per-function caches.
+    distinct offset serves every router in it.  The Fig. 13 fold uses
+    this pool instead of a per-function cache.
     """
 
     def __init__(self, routers: Dict[str, "RouterInfo"]):
@@ -141,6 +143,8 @@ class HeartbeatLog:
         self.timestamps = np.asarray(self.timestamps, dtype=float)
         if self.timestamps.ndim != 1:
             raise ValueError("heartbeat timestamps must be one-dimensional")
+        if not np.isfinite(self.timestamps).all():
+            raise ValueError("heartbeat timestamps must be finite")
         if np.any(np.diff(self.timestamps) < 0):
             self.timestamps = np.sort(self.timestamps)
 
@@ -168,8 +172,13 @@ class ThroughputSeries:
         self.down_bps = np.asarray(self.down_bps, dtype=float)
         if self.up_bps.shape != self.down_bps.shape:
             raise ValueError("up/down series must be the same length")
-        if self.interval_seconds <= 0:
-            raise ValueError("interval must be positive")
+        if not math.isfinite(self.start):
+            raise ValueError("series start must be finite")
+        if not 0 < self.interval_seconds < math.inf:
+            raise ValueError("interval must be finite and positive")
+        for values in (self.up_bps, self.down_bps):
+            if not (np.isfinite(values) & (values >= 0)).all():
+                raise ValueError("throughput must be finite and non-negative")
 
     def __len__(self) -> int:
         return int(self.up_bps.size)
@@ -192,6 +201,36 @@ class ThroughputSeries:
         there is some device exchanging traffic with the Internet".
         """
         return (self.up_bps > 0) | (self.down_bps > 0)
+
+
+class KeyedDataset(NamedTuple):
+    """One keyed data set's entry in :data:`KEYED_DATASETS`."""
+
+    #: The per-router value class: ``router_id`` and the fields below.
+    value: type
+    #: Scalar fields, kept with their int/float kind.
+    scalars: Tuple[str, ...]
+    #: Array fields, float64.
+    arrays: Tuple[str, ...]
+
+    def canonical(self, value) -> Tuple[tuple, tuple]:
+        """*value*'s scalars as floats and its arrays' float64 bytes:
+        what :func:`study_digest` hashes, so two values are bitwise
+        identical when these are equal."""
+        return (tuple(float(getattr(value, name)) for name in self.scalars),
+                tuple(np.ascontiguousarray(getattr(value, name),
+                                           dtype=float).tobytes()
+                      for name in self.arrays))
+
+
+#: The two keyed data sets, one value per router rather than a record
+#: list.  Each name is also the value's :class:`StudyData` attribute.
+KEYED_DATASETS: Dict[str, KeyedDataset] = {
+    "heartbeats": KeyedDataset(HeartbeatLog, (), ("timestamps",)),
+    "throughput": KeyedDataset(ThroughputSeries,
+                               ("start", "interval_seconds"),
+                               ("up_bps", "down_bps")),
+}
 
 
 @dataclass
@@ -242,19 +281,6 @@ class StudyData:
         return sorted({self.routers[rid].country_code for rid in router_ids
                        if rid in self.routers})
 
-    def calendar_for(self, router_id: str) -> Optional[StudyCalendar]:
-        """Memoized local-time calendar for one router (None if unknown).
-
-        Calendars are shared per timezone offset via one
-        :class:`CalendarPool` on the instance, replacing the per-function
-        caches the analysis modules used to rebuild on every call.
-        """
-        pool = getattr(self, "_calendar_pool", None)
-        if pool is None:
-            pool = CalendarPool(self.routers)
-            self._calendar_pool = pool
-        return pool.get(router_id)
-
     # -- traffic helpers ---------------------------------------------------------
 
     def traffic_bytes_by_router(self) -> Dict[str, float]:
@@ -269,12 +295,12 @@ class StudyData:
                       if FlowTotals(flows).qualifies(min_bytes))
 
 
-#: Digest line tag per data set, in digest order: the record lists as
-#: :class:`~repro.core.records.RowCodec` rows, throughput between flows
-#: and DNS.
-_DIGEST_TAGS = {"uptime": "uptime", "capacity": "capacity",
-                "device_counts": "device_counts", "roster": "roster",
-                "wifi_scans": "wifi", "flows": "flow",
+#: Digest line tag per data set, in digest order: heartbeats first,
+#: throughput between flows and DNS.  A record list hashes its RowCodec
+#: rows, a keyed value its :meth:`KeyedDataset.canonical` form.
+_DIGEST_TAGS = {"heartbeats": "heartbeats", "uptime": "uptime",
+                "capacity": "capacity", "device_counts": "device_counts",
+                "roster": "roster", "wifi_scans": "wifi", "flows": "flow",
                 "throughput": "throughput", "dns": "dns"}
 
 
@@ -312,21 +338,15 @@ def study_digest(data: StudyData) -> str:
         info = data.routers[rid]
         put("router", rid, info.country_code, int(info.developed),
             float(info.tz_offset_hours), float(info.gdp_ppp_per_capita))
-    for rid in sorted(data.heartbeats):
-        log = data.heartbeats[rid]
-        put("heartbeats", rid, len(log))
-        hasher.update(np.ascontiguousarray(log.timestamps,
-                                           dtype=float).tobytes())
     for dataset, tag in _DIGEST_TAGS.items():
-        if dataset == "throughput":
-            for rid in sorted(data.throughput):
-                series = data.throughput[rid]
-                put("throughput", rid, float(series.start),
-                    float(series.interval_seconds), len(series))
-                hasher.update(np.ascontiguousarray(series.up_bps,
-                                                   dtype=float).tobytes())
-                hasher.update(np.ascontiguousarray(series.down_bps,
-                                                   dtype=float).tobytes())
+        keyed = KEYED_DATASETS.get(dataset)
+        if keyed is not None:
+            values = getattr(data, dataset)
+            for rid in sorted(values):
+                scalars, arrays = keyed.canonical(values[rid])
+                put(tag, rid, *scalars, len(values[rid]))
+                for blob in arrays:
+                    hasher.update(blob)
             continue
         table = RECORD_DATASETS[dataset]
         to_row = table.codec.to_row
@@ -377,6 +397,6 @@ def summarize_datasets(data: StudyData) -> List[DatasetSummary]:
     router_sets = {name: {record.router_id
                           for record in getattr(data, table.attr)}
                    for name, table in RECORD_DATASETS.items()}
-    router_sets["heartbeats"] = set(data.heartbeats)
-    router_sets["throughput"] = set(data.throughput)
+    router_sets.update((name, set(getattr(data, name)))
+                       for name in KEYED_DATASETS)
     return dataset_summaries(router_sets, data.routers, data.windows)

@@ -96,8 +96,8 @@ class UptimeReport:
     uptime_seconds: float
 
     def __post_init__(self) -> None:
-        if self.uptime_seconds < 0:
-            raise ValueError("uptime_seconds cannot be negative")
+        if not 0 <= self.uptime_seconds < math.inf:
+            raise ValueError("uptime_seconds must be finite and non-negative")
 
     @property
     def boot_time(self) -> float:
@@ -115,8 +115,9 @@ class CapacityMeasurement:
     upstream_mbps: float
 
     def __post_init__(self) -> None:
-        if self.downstream_mbps < 0 or self.upstream_mbps < 0:
-            raise ValueError("capacity estimates cannot be negative")
+        if not (0 <= self.downstream_mbps < math.inf
+                and 0 <= self.upstream_mbps < math.inf):
+            raise ValueError("capacity must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,10 @@ class DeviceCountSample:
     wireless_5: int
 
     def __post_init__(self) -> None:
-        if min(self.wired, self.wireless_2_4, self.wireless_5) < 0:
-            raise ValueError("device counts cannot be negative")
+        if not (0 <= self.wired < math.inf
+                and 0 <= self.wireless_2_4 < math.inf
+                and 0 <= self.wireless_5 < math.inf):
+            raise ValueError("device counts must be finite and non-negative")
 
     @property
     def wireless(self) -> int:
@@ -164,8 +167,8 @@ class DeviceRosterEntry:
     always_connected: bool
 
     def __post_init__(self) -> None:
-        if self.last_seen < self.first_seen:
-            raise ValueError("last_seen cannot precede first_seen")
+        if not -math.inf < self.first_seen <= self.last_seen < math.inf:
+            raise ValueError("first/last seen must be finite and in order")
         if not isinstance(self.medium, Medium):
             raise ValueError(f"medium {self.medium!r} is not a Medium")
         if not (self.spectrum is None or isinstance(self.spectrum, Spectrum)):
@@ -194,10 +197,10 @@ class WifiScanSample:
     def __post_init__(self) -> None:
         if not isinstance(self.spectrum, Spectrum):
             raise ValueError(f"spectrum {self.spectrum!r} is not a Spectrum")
-        if self.neighbor_aps < 0 or self.associated_clients < 0:
-            raise ValueError("scan counts cannot be negative")
-        if self.channel < 0:
-            raise ValueError("channel cannot be negative")
+        if not (0 <= self.neighbor_aps < math.inf
+                and 0 <= self.associated_clients < math.inf
+                and 0 <= self.channel < math.inf):
+            raise ValueError("scan counts must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -221,10 +224,11 @@ class FlowRecord:
     duration_seconds: float
 
     def __post_init__(self) -> None:
-        if self.bytes_up < 0 or self.bytes_down < 0:
-            raise ValueError("flow byte counts cannot be negative")
-        if self.duration_seconds < 0:
-            raise ValueError("flow duration cannot be negative")
+        if not (0 <= self.bytes_up < math.inf
+                and 0 <= self.bytes_down < math.inf):
+            raise ValueError("flow bytes must be finite and non-negative")
+        if not 0 <= self.duration_seconds < math.inf:
+            raise ValueError("flow duration must be finite and non-negative")
 
     @property
     def bytes_total(self) -> float:
@@ -246,8 +250,8 @@ class ThroughputSample:
     down_bps: float
 
     def __post_init__(self) -> None:
-        if self.up_bps < 0 or self.down_bps < 0:
-            raise ValueError("throughput cannot be negative")
+        if not (0 <= self.up_bps < math.inf and 0 <= self.down_bps < math.inf):
+            raise ValueError("throughput must be finite and non-negative")
 
 
 @dataclass(frozen=True)

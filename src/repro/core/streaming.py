@@ -6,7 +6,7 @@ that owns it.  This module holds the two sources the folds read
 straight off a record store), the :class:`StudyFigures` bundle, and one
 pass loop, which :func:`compute_figures` runs with sketches that never
 compress and :func:`stream_figures` with sketches that compress past
-``exact_threshold`` samples — the only difference between the two.
+their exact threshold — the only difference between the two.
 
 Passes run flows first (they fix the ≥100 MB qualifying homes and the
 per-MAC volume), then capacity, throughput, heartbeats, device_counts,
@@ -17,7 +17,6 @@ set.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Set, Tuple
 
@@ -38,11 +37,7 @@ from repro.core.infrastructure import (
     Section5Highlights,
 )
 from repro.core.records import RECORD_DATASETS, RouterInfo, Spectrum
-from repro.core.sketches import (
-    DEFAULT_EXACT_THRESHOLD,
-    QuantileSketch,
-    exact_sketch,
-)
+from repro.core.sketches import QuantileSketch, exact_sketch
 from repro.core.stats import HourOfDayProfile, MeanWithSpread
 from repro.core.usage import (
     DomainShareSummary,
@@ -135,8 +130,7 @@ class StudyFigures:
 DEVICE_SHARE_RANKS = 10
 
 
-def _analyze(source, sketch: Callable[[], QuantileSketch],
-             normalize_days: float) -> StudyFigures:
+def _analyze(source, sketch: Callable[[], QuantileSketch]) -> StudyFigures:
     """Run every figure's fold over *source*, one pass per data set."""
     routers = source.routers
     seen: Dict[str, Set[str]] = {}  # Table 2's routers per data set
@@ -157,8 +151,7 @@ def _analyze(source, sketch: Callable[[], QuantileSketch],
     saturation = usage.SaturationFold(traffic.qualifying)
     run("capacity", saturation.add_capacity)
     run("throughput", saturation.add_home)
-    heartbeats = availability.HeartbeatFold(routers, sketch,
-                                            normalize_days=normalize_days)
+    heartbeats = availability.HeartbeatFold(routers, sketch)
     run("heartbeats", heartbeats.add_home)
     census = infrastructure.CensusFold(routers)
     diurnal = usage.DiurnalFold(routers)
@@ -211,18 +204,16 @@ def _analyze(source, sketch: Callable[[], QuantileSketch],
 
 def compute_figures(data: StudyData) -> StudyFigures:
     """Every figure of an in-RAM study, with sketches that never compress."""
-    return _analyze(StudyDataSource(data), exact_sketch, 197.0)
+    return _analyze(StudyDataSource(data), exact_sketch)
 
 
-def stream_figures(source, compression: int = 200,
-                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                   normalize_days: float = 197.0) -> StudyFigures:
+def stream_figures(source) -> StudyFigures:
     """Compute every Section 4-6 figure in one pass per data set.
 
     *source* is a :class:`StoreSource` (streaming straight off a record
     store's backend — the spill store never materializes) or a
-    :class:`StudyDataSource`.  Sketches compress past *exact_threshold*
-    samples into ~2x*compression* centroids.
+    :class:`StudyDataSource`.  Its sketches are default
+    :class:`QuantileSketch` instances, which compress past their exact
+    threshold.
     """
-    return _analyze(source, functools.partial(
-        QuantileSketch, compression, exact_threshold), normalize_days)
+    return _analyze(source, QuantileSketch)

@@ -60,10 +60,6 @@ class HomeTraffic:
         """Number of minute slots in the window."""
         return int(self.minute_up_bytes.size)
 
-    def minute_epoch(self, index: int) -> float:
-        """Epoch of the start of minute slot *index*."""
-        return self.window[0] + index * MINUTE
-
     def total_bytes(self) -> float:
         """All bytes in both directions."""
         return float(self.minute_up_bytes.sum() + self.minute_down_bytes.sum())

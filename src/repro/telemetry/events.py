@@ -174,9 +174,7 @@ def _flush_active() -> None:  # pragma: no cover - exercised at exit
         log.flush()
 
 
-def enable(path: Union[str, Path],
-           max_bytes: int = DEFAULT_MAX_BYTES,
-           max_segments: int = DEFAULT_MAX_SEGMENTS) -> EventLog:
+def enable(path: Union[str, Path]) -> EventLog:
     """Open *path* as the process's event log (closing any previous one).
 
     The first call registers an ``atexit`` flush for whichever log is
@@ -186,7 +184,7 @@ def enable(path: Union[str, Path],
     global _ACTIVE, _ATEXIT_REGISTERED
     if _ACTIVE is not None:
         _ACTIVE.close()
-    _ACTIVE = EventLog(path, max_bytes=max_bytes, max_segments=max_segments)
+    _ACTIVE = EventLog(path)
     if not _ATEXIT_REGISTERED:
         atexit.register(_flush_active)
         _ATEXIT_REGISTERED = True

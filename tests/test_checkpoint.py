@@ -77,10 +77,12 @@ class TestCheckpointManager:
                      checkpoint_dir=tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / CHECKPOINT_NAME
         payload = json.loads(manifest.read_text())
-        payload["version"] = 999
-        manifest.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError):
-            CheckpointManager(tmp_path / "ckpt").load()
+        # Version 1 manifests kept upload fingerprints in the store state.
+        for version in (999, 1):
+            payload["version"] = version
+            manifest.write_text(json.dumps(payload))
+            with pytest.raises(CheckpointError):
+                CheckpointManager(tmp_path / "ckpt").load()
 
     def test_manifest_written_and_complete(self, tmp_path, plan):
         manager = CheckpointManager(tmp_path / "ckpt")

@@ -17,6 +17,7 @@ from repro.core.records import (
     WifiScanSample,
 )
 from repro.simulation.timebase import DAY, StudyWindows, utc
+from repro.collection.backends import MemoryBackend, SpillBackend
 from repro.collection.export import export_study, load_study
 from repro.collection.path import CollectionPath, PathConfig
 from repro.collection.storage import RecordStore
@@ -76,15 +77,18 @@ class TestCollectionPath:
 
 
 class TestRecordStore:
+    make_backend = MemoryBackend
+
     def make_store(self):
-        store = RecordStore(StudyWindows())
+        store = RecordStore(StudyWindows(), self.make_backend())
         store.register_router(make_info())
         return store
 
     def test_requires_registration(self):
-        store = RecordStore(StudyWindows())
+        store = RecordStore(StudyWindows(), self.make_backend())
         with pytest.raises(KeyError):
-            store.add_heartbeats(HeartbeatLog("ghost", np.array([1.0])))
+            store.add_keyed("heartbeats",
+                            HeartbeatLog("ghost", np.array([1.0])))
         with pytest.raises(KeyError):
             store.add_records("uptime", [UptimeReport("ghost", 10.0, 5.0)])
 
@@ -107,26 +111,29 @@ class TestRecordStore:
 
     def test_heartbeats_conflicting_reupload_rejected(self):
         store = self.make_store()
-        store.add_heartbeats(HeartbeatLog("US001", np.array([1.0])))
+        store.add_keyed("heartbeats", HeartbeatLog("US001", np.array([1.0])))
         with pytest.raises(ValueError):
-            store.add_heartbeats(HeartbeatLog("US001", np.array([1.0, 2.0])))
+            store.add_keyed("heartbeats",
+                            HeartbeatLog("US001", np.array([1.0, 2.0])))
         assert len(store.to_study_data().heartbeats["US001"]) == 1
 
     def test_heartbeats_identical_reupload_is_noop(self):
         store = self.make_store()
-        store.add_heartbeats(HeartbeatLog("US001", np.array([1.0, 2.0])))
-        store.add_heartbeats(HeartbeatLog("US001", np.array([1.0, 2.0])))
+        store.add_keyed("heartbeats",
+                        HeartbeatLog("US001", np.array([1.0, 2.0])))
+        store.add_keyed("heartbeats",
+                        HeartbeatLog("US001", np.array([1.0, 2.0])))
         assert len(store.to_study_data().heartbeats["US001"]) == 2
 
     def test_throughput_conflicting_reupload_rejected(self):
         store = self.make_store()
-        store.add_throughput(ThroughputSeries(
+        store.add_keyed("throughput", ThroughputSeries(
             "US001", 0.0, np.array([1.0]), np.array([2.0])))
         with pytest.raises(ValueError):
-            store.add_throughput(ThroughputSeries(
+            store.add_keyed("throughput", ThroughputSeries(
                 "US001", 0.0, np.array([9.0]), np.array([2.0])))
-        store.add_throughput(ThroughputSeries(  # identical retry: no-op
-            "US001", 0.0, np.array([1.0]), np.array([2.0])))
+        assert store.add_keyed("throughput", ThroughputSeries(  # a retry
+            "US001", 0.0, np.array([1.0]), np.array([2.0]))) is False
 
     def test_heartbeat_delivery_tally_accumulates(self):
         store = self.make_store()
@@ -141,17 +148,50 @@ class TestRecordStore:
         from repro.telemetry import metrics
 
         store = self.make_store()
-        store.add_heartbeats(HeartbeatLog("US001", np.array([1.0])))
+        store.add_keyed("heartbeats", HeartbeatLog("US001", np.array([1.0])))
         registry = metrics.enable()
         registry.clear()
         try:
             with pytest.raises(ValueError):
-                store.add_heartbeats(HeartbeatLog("US001",
-                                                  np.array([1.0, 2.0])))
+                store.add_keyed("heartbeats", HeartbeatLog(
+                    "US001", np.array([1.0, 2.0])))
             key = ("ingest_rejections_total", (("dataset", "heartbeats"),))
             assert registry.counters[key] == 1
         finally:
             metrics.disable()
+
+
+class TestSpillRecordStore(TestRecordStore):
+    """The store contract over a spill backend, which reads a router's
+    stored value back off disk to compare a second one with it."""
+
+    @pytest.fixture(autouse=True)
+    def spill_dir(self, tmp_path):
+        self.tmp_path = tmp_path
+
+    def make_backend(self):
+        return SpillBackend(self.tmp_path)
+
+    def test_restored_store_keeps_uploads(self, tmp_path):
+        backend = SpillBackend(tmp_path)
+        store = RecordStore(StudyWindows(), backend)
+        store.register_router(make_info())
+        series = ThroughputSeries("US001", 0.0, np.array([1.0, 2.0]),
+                                  np.array([3.0, 4.0]), 60)
+        store.add_keyed("heartbeats", HeartbeatLog("US001", np.array([1.0])))
+        store.add_keyed("throughput", series)
+        clone = SpillBackend(tmp_path)
+        clone.restore_state(backend.state_dict())
+        restored = RecordStore(StudyWindows(), clone)
+        restored.restore_state(store.state_dict())
+        assert restored.has_upload("US001")
+        assert restored.add_keyed("throughput", series) is False
+        with pytest.raises(ValueError):
+            restored.add_keyed("throughput", ThroughputSeries(
+                "US001", 0.0, np.array([1.0, 2.5]), np.array([3.0, 4.0]),
+                60))
+        back = restored.to_study_data().throughput["US001"]
+        assert type(back.interval_seconds) is int
 
 
 class TestServerLossAccounting:
@@ -197,8 +237,8 @@ class TestExportRoundTrip:
         store = RecordStore(StudyWindows())
         store.register_router(make_info())
         t0 = SPAN[0]
-        store.add_heartbeats(HeartbeatLog("US001",
-                                          np.array([t0, t0 + 60, t0 + 120])))
+        store.add_keyed("heartbeats", HeartbeatLog(
+            "US001", np.array([t0, t0 + 60, t0 + 120])))
         store.add_records("uptime", [UptimeReport("US001", t0 + 100, 99.5)])
         store.add_records("capacity",
                           [CapacityMeasurement("US001", t0, 20.5, 2.25)])
@@ -215,7 +255,7 @@ class TestExportRoundTrip:
         store.add_records("flows", [
             FlowRecord("US001", t0 + 5, "3c:07:54:aa:bb:cc", "google.com",
                        0xF0000001, 443, "https", 100.0, 5000.0, 12.5)])
-        store.add_throughput(ThroughputSeries(
+        store.add_keyed("throughput", ThroughputSeries(
             "US001", t0, np.array([100.0, 200.0]), np.array([1e6, 2e6])))
         store.add_records("dns", [
             DnsRecord("US001", t0 + 4, "3c:07:54:aa:bb:cc",

@@ -130,6 +130,12 @@ SPILL_RUN_PINS = {
         "bcc68461a0d6262371110e851d34bb450968c85f4034ca6cc6a65b8a7e58fe0b",
 }
 
+#: sha256 over the keyed files of the same spilled campaign (each
+#: ``<dataset>/<router_id>.<field>.npy`` path, then its bytes, in path
+#: order): 24 heartbeat logs and 2 throughput series.
+SPILL_KEYED_PIN = (
+    "f91a8aaf10a8f79b8d9427392a0620c0e8d5fee7516afa21f3602d6783e84d08")
+
 
 BENCH = dict(seed=2013, router_scale=2.0, duration_scale=0.02,
              traffic_consents=10, low_activity_consents=2)
@@ -178,7 +184,8 @@ def test_telemetry_does_not_perturb_digest(tmp_path):
 
 
 def test_spill_run_files_pinned(tmp_path):
-    """The spill run format: every JSONL run of a spilled TINY campaign."""
+    """The spill format: every JSONL run of a spilled TINY campaign, and
+    its keyed data sets' array files."""
     data = run_study(StudyConfig(**TINY, store_backend="spill",
                                  spill_dir=str(tmp_path),
                                  spill_buffer_records=512)).data
@@ -186,3 +193,8 @@ def test_spill_run_files_pinned(tmp_path):
     runs = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted((tmp_path / "runs").glob("*.jsonl"))}
     assert runs == SPILL_RUN_PINS
+    keyed = hashlib.sha256()
+    for path in sorted(tmp_path.glob("*/*.npy")):
+        keyed.update(path.relative_to(tmp_path).as_posix().encode())
+        keyed.update(path.read_bytes())
+    assert keyed.hexdigest() == SPILL_KEYED_PIN

@@ -164,7 +164,7 @@ class TestSpillBackend:
         for rid, series in memory.throughput.items():
             other = spilled.throughput[rid]
             assert other.start == series.start
-            # npz round-trip must not promote an int interval to float.
+            # The spill round-trip must not promote an int interval to float.
             assert other.interval_seconds == series.interval_seconds
             assert type(other.interval_seconds) is type(series.interval_seconds)
 

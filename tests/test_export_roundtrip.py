@@ -8,6 +8,7 @@ every analysis over the archive silently diverges from the campaign.
 import csv
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -203,3 +204,40 @@ class TestArchiveBytes:
         assert {scan.channel for scan in scans} == {0}
         assert [dataclasses.replace(scan, channel=0)
                 for scan in data.wifi_scans] == scans
+
+
+#: Stands for a router of the campaign's ``routers.csv`` in a row below.
+KNOWN = "<known>"
+
+
+class TestArchiveRowChecks:
+    """``load_study`` rejects a data-file row for a router missing from
+    ``routers.csv``, and a row its record's constructor rejects."""
+
+    @pytest.mark.parametrize("file, row", [
+        ("heartbeats.csv", ["GHOST01", "1.0"]),
+        ("uptime.csv", ["GHOST02", "1.0", "2.0"]),
+        ("heartbeat_delivery.csv", ["GHOST03", "4", "3"]),
+        ("throughput.csv", ["GHOST04", "0.0", "60", "1.0", "1.0"]),
+        ("dns.csv", ["GHOST05", "1.0", "3c:07:54:aa:bb:cc", "google.com",
+                     "A", "1"]),
+        ("heartbeats.csv", [KNOWN, "nan"]),
+        ("uptime.csv", [KNOWN, "1.0", "nan"]),
+        ("flows.csv", [KNOWN, "1.0", "3c:07:54:aa:bb:cc", "google.com", "1",
+                       "443", "https", "1.0", "nan", "3.0"]),
+        ("throughput.csv", [KNOWN, "0.0", "60", "-1.0", "1.0"]),
+    ], ids=["heartbeats-unknown-router", "uptime-unknown-router",
+            "delivery-unknown-router", "throughput-unknown-router",
+            "dns-unknown-router", "heartbeats-nan", "uptime-nan",
+            "flows-nan-bytes", "throughput-negative"])
+    def test_bad_row_rejected(self, campaign, tmp_path, file, row):
+        data, _ = campaign
+        root = export_study(data, tmp_path / "archive")
+        known = next(iter(data.routers))
+        row = [known if cell == KNOWN else cell for cell in row]
+        with (root / file).open("a", newline="") as handle:
+            csv.writer(handle).writerow(row)
+        line = len((root / file).read_text().splitlines())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{file} line {line}, router {row[0]!r}: ")):
+            load_study(root)

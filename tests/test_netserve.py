@@ -279,10 +279,10 @@ class TestIngestAllOrNothing:
         server = make_server()
         upload = make_upload(0)
 
-        def explode(log):
+        def explode(dataset, value):
             raise RuntimeError("backend offline")
 
-        monkeypatch.setattr(server.store, "add_heartbeats", explode)
+        monkeypatch.setattr(server.store, "add_keyed", explode)
         with pytest.raises(RuntimeError):
             server.ingest(upload)
         # A failure validation could not foresee must not leave a
@@ -329,7 +329,7 @@ class TestIngestAllOrNothing:
         info = RouterInfo(rid, "US", True, -5.0, 50_000.0)
         server.store.register_router(info)
         original = ThroughputSeries(rid, SPAN[0], np.ones(4), np.ones(4))
-        server.store.add_throughput(original)
+        server.store.add_keyed("throughput", original)
 
         sends = np.linspace(SPAN[0], SPAN[0] + 3600.0, 5)
         reports = [UptimeReport(rid, SPAN[0] + 60.0, 1000.0)]
@@ -368,8 +368,9 @@ class TestIngestAllOrNothing:
         rid = "LG000000"
         info = RouterInfo(rid, "US", True, -5.0, 50_000.0)
         server.store.register_router(info)
-        server.store.add_throughput(
-            ThroughputSeries(rid, SPAN[0], np.ones(4), np.ones(4)))
+        server.store.add_keyed("throughput",
+                               ThroughputSeries(rid, SPAN[0], np.ones(4),
+                                                np.ones(4)))
         rng_state = server.path.rng_state()
         store_state = server.store.state_dict()
         digest = study_digest(server.store.to_study_data())
@@ -425,17 +426,26 @@ def _hostile_uploads():
     upload = make_upload(0)
     rid = upload.router_id
 
+    def columns(dataset, values, **overrides):
+        records = ColumnarRecords(dataset, rid, values)
+        records.columns.update(overrides)
+        return _with_batch(upload, RecordBatch(dataset, rid, records))
+
     def wifi(**overrides):
-        records = ColumnarRecords("wifi_scans", rid, {
+        return columns("wifi_scans", {
             "timestamp": [1.0, 2.0], "spectrum_code": [1, 2],
             "neighbor_aps": [3, 0], "associated_clients": [0, 2],
-            "channel": [11, 36]})
-        records.columns.update(overrides)
-        return _with_batch(upload, RecordBatch("wifi_scans", rid, records))
+            "channel": [11, 36]}, **overrides)
 
-    flow = _tampered(FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com",
-                                1, 443, "https", 1.0, 2.0, 3.0),
-                     bytes_up=-1e12)
+    def flow(**fields):
+        return _with_batch(upload, RecordBatch("flows", rid, [_tampered(
+            FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", 1, 443,
+                       "https", 1.0, 2.0, 3.0), **fields)]))
+
+    def series(**fields):
+        return _with_batch(upload, RecordBatch("throughput", rid, _tampered(
+            ThroughputSeries(rid, 1.0, np.ones(2), np.ones(2)), **fields)))
+
     wired = _tampered(DeviceRosterEntry(rid, "b0:a7:37:aa:bb:cc",
                                         Medium.WIRED, None, 1.0, 2.0, True),
                       spectrum="5GHz")
@@ -466,8 +476,31 @@ def _hostile_uploads():
         "wifi-negative-aps": wifi(neighbor_aps=[-3, 0]),
         "wifi-negative-aps-behind-nan": wifi(neighbor_aps=[np.nan, -3]),
         "wifi-ragged-columns": wifi(channel=[11]),
-        "flow-negative-bytes": _with_batch(
-            upload, RecordBatch("flows", rid, [flow])),
+        "wifi-text-channel": wifi(channel=["11", "36"]),
+        "flow-negative-bytes": flow(bytes_up=-1e12),
+        "flow-nan-bytes": flow(bytes_down=float("nan")),
+        "flow-inf-duration": flow(duration_seconds=float("inf")),
+        "nan-uptime": _with_batch(upload, RecordBatch("uptime", rid, [
+            _tampered(UptimeReport(rid, 1.0, 2.0),
+                      uptime_seconds=float("nan"))])),
+        "nan-uptime-columns": columns(
+            "uptime", {"timestamp": [1.0], "uptime_seconds": [2.0]},
+            uptime_seconds=[float("nan")]),
+        "text-uptime-columns": columns(
+            "uptime", {"timestamp": [1.0], "uptime_seconds": [2.0]},
+            uptime_seconds=["5"]),
+        "inf-capacity-columns": columns(
+            "capacity", {"timestamp": [1.0], "downstream_mbps": [2.0],
+                         "upstream_mbps": [1.0]},
+            downstream_mbps=[float("inf")]),
+        "nan-wired-columns": columns(
+            "device_counts", {"timestamp": [1.0], "wired": [1],
+                              "wireless_2_4": [0], "wireless_5": [0]},
+            wired=[float("nan")]),
+        "throughput-nan-interval": series(interval_seconds=float("nan")),
+        "throughput-nan-start": series(start=float("nan")),
+        "throughput-nan-up": series(up_bps=np.array([np.nan, 1.0])),
+        "throughput-negative-up": series(up_bps=np.array([-1.0, 1.0])),
         "wired-with-spectrum": _with_batch(
             upload, RecordBatch("roster", rid, [wired])),
         "negative-gdp": router(gdp_ppp_per_capita=-1),
