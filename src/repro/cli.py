@@ -84,7 +84,7 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--store", choices=("memory", "spill"),
                         default="memory",
                         help="record store backend (spill = bounded-memory "
-                             "JSONL spill to disk)")
+                             "spill of binary segments to disk)")
     parser.add_argument("--profile", action="store_true",
                         help="time each campaign stage (materialize, "
                              "collect.heartbeat, collect.traffic, ...) and "

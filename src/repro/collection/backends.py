@@ -11,38 +11,48 @@ and one reader, :meth:`~StoreBackend.iter_homes`, through which both
 
 * :class:`MemoryBackend` — every record in RAM; a read sorts the data
   set's list in place.
-* :class:`SpillBackend` — bounded memory: list-dataset records buffer up
-  to ``max_buffered_records``, then each dataset's buffer is sorted and
-  appended to a JSONL *run* file on disk, one
-  :meth:`~repro.core.records.RowCodec.to_row` row per line; a read
-  k-way merge-sorts the runs.  A keyed value spills immediately, one
+* :class:`SpillBackend` — bounded memory: list-dataset records buffer as
+  columns up to ``max_buffered_records``, then each dataset's buffer is
+  sorted and written to a typed binary *segment* on disk, one packed
+  :attr:`~repro.core.records.RowCodec.layout` row per record; a read
+  merges the segments by home.  A keyed value spills immediately, one
   ``<dataset>/<router_id>.<field>.npy`` file per array field, while its
   scalars stay in RAM, so peak resident record count stays
   O(buffer + one upload chunk).
 
-Both backends read identical, deterministically-ordered records: JSON
-round-trips floats exactly (shortest-repr encoding), both sort by the
-same keys, and ``list.sort`` and ``heapq.merge`` are stable, so ties
-keep ingest order.
+Both backends read identical, deterministically-ordered records: a
+segment stores each value as :meth:`~repro.core.records.RowCodec.to_row`
+gives it, both sort by the same keys, and ``list.sort``, ``np.lexsort``
+and ``heapq.merge`` are stable, so ties keep ingest order.
+
+A segment, ``runs/<dataset>-<NNNNN>.seg``, is three ``np.save`` arrays
+back to back: the string table as ``<i8`` end offsets and one UTF-8
+``|u1`` blob (``surrogatepass``, so every ``str`` round-trips), then the
+rows.  A read parses each header with numpy's format reader, no pickle,
+and checks every length, dtype and code before it trusts it; a segment
+that fails a check raises one ``ValueError`` that names the file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
-import json
 import logging
+import os
 import tempfile
+import tokenize
 from abc import ABC, abstractmethod
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
 import numpy as np
 
+from repro.collection.batches import COLUMNAR_DATASETS, ColumnarRecords
 from repro.core.datasets import KEYED_DATASETS, HeartbeatLog, ThroughputSeries
-from repro.core.records import LIST_DATASETS, RECORD_DATASETS
+from repro.core.records import LIST_DATASETS, RECORD_DATASETS, RowCodec
 from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
@@ -123,14 +133,127 @@ class MemoryBackend(StoreBackend):
         return itertools.groupby(records, key=_ROUTER_ID)
 
 
+# -- spill segments -----------------------------------------------------------
+
+#: The string table's two arrays: end offsets, then the UTF-8 blob.
+_STRING_ENDS = np.dtype("<i8")
+_STRING_BLOB = np.dtype("|u1")
+
+
+def _corrupt(path: Path, problem: str) -> ValueError:
+    return ValueError(f"corrupt spill segment {path}: {problem}")
+
+
+def _batch_columns(dataset: str, records: Sequence) -> Dict[str, np.ndarray]:
+    """One appended batch as segment columns, str columns still text."""
+    codec = RECORD_DATASETS[dataset].codec
+    if not isinstance(records, ColumnarRecords):
+        return codec.to_columns(records)
+    # A columnar batch is its columns already: one router, then the
+    # record's other fields in order, a Spectrum as its segment code.
+    first, *rest = codec.fields
+    routers = np.empty(len(records), dtype=object)
+    routers.fill(records.router_id)  # np.full would drop a trailing NUL
+    columns = {first.name: routers}
+    for field, name in zip(rest, COLUMNAR_DATASETS[dataset]):
+        columns[field.name] = np.asarray(records.columns[name]).astype(
+            codec.layout[field.name], copy=False)
+    return columns
+
+
+def _write_segment(path: Path, codec: RowCodec,
+                   chunks: List[Dict[str, np.ndarray]]) -> None:
+    """Sort one data set's buffered batches and write them as a segment."""
+    columns = {name: np.concatenate([chunk[name] for chunk in chunks])
+               for name in codec.layout.names}
+    text = [field.name for field in codec.fields if field.kind is str]
+    strings = sorted(set(itertools.chain.from_iterable(
+        columns[name] for name in text)))
+    code = {string: index for index, string in enumerate(strings)}.__getitem__
+    rows = np.empty(len(columns[text[0]]), dtype=codec.layout)
+    for name, column in columns.items():
+        rows[name] = np.fromiter(map(code, column), dtype="<i4",
+                                 count=len(column)) \
+            if name in text else column
+    # The table is sorted, so a str key's code is its rank: one stable
+    # lexsort gives list.sort's order by SORT_KEYS, ties in ingest order.
+    first, second = (rows[field.name] for field in codec.fields[:2])
+    rows = rows[np.lexsort((second, first))]
+    encoded = [string.encode("utf-8", "surrogatepass") for string in strings]
+    with path.open("wb") as handle:
+        np.save(handle, np.cumsum([len(blob) for blob in encoded],
+                                  dtype=_STRING_ENDS), allow_pickle=False)
+        np.save(handle, np.frombuffer(b"".join(encoded), dtype=_STRING_BLOB),
+                allow_pickle=False)
+        np.save(handle, rows, allow_pickle=False)
+
+
+def _read_exact(handle, path: Path, size: int) -> bytes:
+    data = handle.read(size)
+    if len(data) != size:
+        raise _corrupt(path, f"{size} bytes declared, {len(data)} present")
+    return data
+
+
+def _array_header(handle, path: Path, size: int, dtype: np.dtype) -> int:
+    """Parse one ``np.save`` header of a 1-D *dtype* array that fits in
+    the *size*-byte file; return its length, the handle at its data."""
+    try:
+        version = np.lib.format.read_magic(handle)
+        if version != (1, 0):
+            raise ValueError(f"format version {version}")
+        shape, _, declared = np.lib.format.read_array_header_1_0(handle)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError) as exc:
+        # numpy retries a header that does not parse through tokenize,
+        # whose TokenError is not a ValueError.
+        raise _corrupt(path, f"unreadable array header ({exc})") from exc
+    if declared != dtype:
+        raise _corrupt(path, f"dtype {declared} is not {dtype}")
+    if len(shape) != 1:
+        raise _corrupt(path, f"shape {shape} is not 1-D")
+    if not 0 <= shape[0] * dtype.itemsize <= size - handle.tell():
+        raise _corrupt(path, f"{shape[0]} {dtype} values overrun the file")
+    return shape[0]
+
+
+def _read_segment(handle, path: Path,
+                  layout: np.dtype) -> Tuple[np.ndarray, int, int]:
+    """Parse a segment's three headers and its string table, checking
+    every size, dtype and offset before it is trusted.
+
+    Returns the string table, the byte offset of the first row and the
+    row count.
+    """
+    size = os.fstat(handle.fileno()).st_size
+    count = _array_header(handle, path, size, _STRING_ENDS)
+    ends = np.frombuffer(
+        _read_exact(handle, path, count * _STRING_ENDS.itemsize),
+        dtype=_STRING_ENDS).tolist()
+    blob = _read_exact(handle, path,
+                       _array_header(handle, path, size, _STRING_BLOB))
+    rows = _array_header(handle, path, size, layout)
+    bounds = list(zip([0, *ends[:-1]], ends))
+    if not all(start <= end <= len(blob) for start, end in bounds):
+        raise _corrupt(path, "string offsets leave the blob or decrease")
+    try:
+        strings = [blob[start:end].decode("utf-8", "surrogatepass")
+                   for start, end in bounds]
+    except UnicodeDecodeError as exc:
+        raise _corrupt(path, f"string table is not UTF-8 ({exc})") from exc
+    return np.array(strings, dtype=object), handle.tell(), rows
+
+
 class SpillBackend(StoreBackend):
-    """Bounded-memory backend: sorted JSONL runs on disk, merged lazily.
+    """Bounded-memory backend: sorted binary segments on disk, merged
+    lazily by home.
 
     *directory* is created (and left in place) when given; omitted, a
     private temporary directory is used and cleaned up with the backend.
     ``max_buffered_records`` bounds the total list-dataset records held in
     RAM before a spill; :attr:`peak_buffered_records` reports the high-water
-    mark so tests can assert the bound held.
+    mark so tests can assert the bound held.  A batch buffers as its
+    columns: a :class:`~repro.collection.batches.ColumnarRecords` batch
+    adds its own, and no record object is built until a read.
     """
 
     def __init__(self, directory: Union[str, Path, None] = None,
@@ -146,7 +269,9 @@ class SpillBackend(StoreBackend):
             self.root = Path(directory)
         for sub in ("runs", *KEYED_DATASETS):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
-        self._buffers: Dict[str, List] = {name: [] for name in LIST_DATASETS}
+        #: Per data set, its buffered batches as segment columns.
+        self._buffers: Dict[str, List[Dict[str, np.ndarray]]] = {
+            name: [] for name in LIST_DATASETS}
         self._buffered = 0
         self._runs: Dict[str, List[Path]] = {name: [] for name in LIST_DATASETS}
         self._n_runs = 0
@@ -166,12 +291,14 @@ class SpillBackend(StoreBackend):
     # -- ingest ------------------------------------------------------------------
 
     def append(self, dataset: str, records: Sequence) -> None:
+        if not len(records):
+            return
         # Spill first if this batch would overflow the buffer, so the peak
         # resident count stays <= max(max_buffered_records, one batch).
         if self._buffered and \
                 self._buffered + len(records) > self.max_buffered_records:
             self._spill()
-        self._buffers[dataset].extend(records)
+        self._buffers[dataset].append(_batch_columns(dataset, records))
         self._buffered += len(records)
         self.peak_buffered_records = max(self.peak_buffered_records,
                                          self._buffered)
@@ -206,18 +333,13 @@ class SpillBackend(StoreBackend):
             # would skew the store_spills_total run ids in the event log.
             return
         for dataset in LIST_DATASETS:
-            buffer = self._buffers[dataset]
-            if not buffer:
+            chunks = self._buffers[dataset]
+            if not chunks:
                 continue
-            buffer.sort(key=SORT_KEYS[dataset])
-            path = self.root / "runs" / f"{dataset}-{self._n_runs:05d}.jsonl"
-            to_row = RECORD_DATASETS[dataset].codec.to_row
-            with path.open("w") as handle:
-                for record in buffer:
-                    handle.write(json.dumps(to_row(record)))
-                    handle.write("\n")
+            path = self.root / "runs" / f"{dataset}-{self._n_runs:05d}.seg"
+            _write_segment(path, RECORD_DATASETS[dataset].codec, chunks)
             self._runs[dataset].append(path)
-            buffer.clear()
+            chunks.clear()
         self._buffered = 0
         self._n_runs += 1
         logger.debug("spilled %d records (run %d)", spilled,
@@ -256,9 +378,10 @@ class SpillBackend(StoreBackend):
 
         The backend must have been constructed over the same directory
         the snapshot was taken from; every referenced file is verified
-        to exist.  Files *not* referenced (spill runs from a crashed,
-        never-checkpointed shard) are ignored and harmlessly
-        overwritten by later spills.
+        to exist, and every segment's headers to match its data set's
+        row layout and to fit in the file.  Files *not* referenced
+        (spill runs from a crashed, never-checkpointed shard) are
+        ignored and harmlessly overwritten by later spills.
         """
         if self._buffered or any(self._runs[d] for d in LIST_DATASETS) \
                 or any(self._keyed.values()):
@@ -279,6 +402,16 @@ class SpillBackend(StoreBackend):
             raise RuntimeError(
                 "spill state references missing files: "
                 + ", ".join(missing[:5]))
+        for dataset, paths in runs.items():
+            layout = RECORD_DATASETS[dataset].codec.layout
+            for path in paths:
+                try:
+                    with path.open("rb") as handle:
+                        _read_segment(handle, path, layout)
+                except ValueError as exc:
+                    raise RuntimeError(
+                        f"spill state references an unreadable segment: "
+                        f"{exc}") from exc
         self.max_buffered_records = int(state["max_buffered_records"])
         self._runs = runs
         self._n_runs = int(state["n_runs"])
@@ -288,51 +421,81 @@ class SpillBackend(StoreBackend):
 
     # -- reads -------------------------------------------------------------------
 
-    #: Total records resident across all run readers during a merge; each
-    #: reader gets ``max(32, budget // n_runs)`` records per chunk.
+    #: Total rows resident across all segment readers during a merge;
+    #: each reader gets ``max(32, budget // n_runs)`` rows per chunk.
     merge_chunk_records = 8192
 
-    def _read_run_chunked(self, dataset: str, path: Path,
-                          chunk: int) -> Iterator:
-        """Yield one run's records, opening the file only while reading.
+    @contextlib.contextmanager
+    def _open_run(self, path: Path) -> Iterator:
+        """Open a run file, counted toward :attr:`peak_open_run_files`."""
+        self._open_run_files += 1
+        self.peak_open_run_files = max(self.peak_open_run_files,
+                                       self._open_run_files)
+        try:
+            with path.open("rb") as handle:
+                yield handle
+        finally:
+            self._open_run_files -= 1
 
-        The handle is opened lazily at the first pull, reads *chunk*
-        records, remembers the byte offset, and closes again — so a
-        k-way merge over hundreds of runs keeps at most one run file
-        open at any instant instead of one per run.
+    def _segment_homes(self, dataset: str, path: Path,
+                       chunk: int) -> Iterator[Tuple[str, list]]:
+        """Yield one segment's ``(router_id, records)`` per home.
+
+        The reader parses the headers once, then reads *chunk* rows at a
+        time, opening the file only while it reads, so a merge over
+        hundreds of segments keeps at most one file open.  A home that a
+        chunk boundary cut is joined before it is yielded.
         """
-        from_row = RECORD_DATASETS[dataset].codec.from_row
-        offset = 0
-        while True:
-            self._open_run_files += 1
-            self.peak_open_run_files = max(self.peak_open_run_files,
-                                           self._open_run_files)
+        codec = RECORD_DATASETS[dataset].codec
+        width = codec.layout.itemsize
+        with self._open_run(path) as handle:
+            strings, offset, n_rows = _read_segment(handle, path, codec.layout)
+        rid, records = None, []
+        for lo in range(0, n_rows, chunk):
+            count = min(chunk, n_rows - lo)
+            with self._open_run(path) as handle:
+                handle.seek(offset + lo * width)
+                rows = np.frombuffer(_read_exact(handle, path, count * width),
+                                     dtype=codec.layout)
             try:
-                with path.open() as handle:
-                    handle.seek(offset)
-                    lines = []
-                    for _ in range(chunk):
-                        line = handle.readline()
-                        if not line:
-                            break
-                        lines.append(line)
-                    offset = handle.tell()
-            finally:
-                self._open_run_files -= 1
-            if not lines:
-                return
-            for line in lines:
-                yield from_row(json.loads(line))
+                decoded = codec.from_columns(rows, strings)
+            except (TypeError, ValueError) as exc:
+                raise _corrupt(path, f"bad row ({exc})") from exc
+            routers = rows[codec.fields[0].name]
+            cuts = (np.flatnonzero(routers[1:] != routers[:-1]) + 1).tolist()
+            for start, end in zip([0, *cuts], [*cuts, count]):
+                home = decoded[start:end]
+                if home[0].router_id == rid:
+                    records += home
+                    continue
+                if rid is not None:
+                    if home[0].router_id < rid:
+                        raise _corrupt(path, "homes out of router order")
+                    yield rid, records
+                rid, records = home[0].router_id, home
+        if rid is not None:
+            yield rid, records
 
-    def _merged_runs(self, dataset: str) -> Iterator:
-        """Heap-merge one dataset's sorted runs lazily off disk."""
+    def _merged_homes(self, dataset: str) -> Iterator[Tuple[str, list]]:
+        """Merge one data set's segments by home.
+
+        A home found in several segments is joined in run order and
+        sorted stably by :data:`SORT_KEYS` — the order a record-level
+        merge of the runs gives.
+        """
         runs = self._runs[dataset]
         if not runs:
-            return iter(())
+            return
         chunk = max(32, self.merge_chunk_records // len(runs))
-        readers = [self._read_run_chunked(dataset, path, chunk)
-                   for path in runs]
-        return heapq.merge(*readers, key=SORT_KEYS[dataset])
+        homes = heapq.merge(*(self._segment_homes(dataset, path, chunk)
+                              for path in runs), key=itemgetter(0))
+        for rid, parts in itertools.groupby(homes, key=itemgetter(0)):
+            records = next(parts)[1]
+            rest = [home for _, home in parts]
+            if rest:
+                records = list(itertools.chain(records, *rest))
+                records.sort(key=SORT_KEYS[dataset])
+            yield rid, records
 
     def holds(self, dataset: str, router_id: str) -> bool:
         return router_id in self._keyed[dataset]
@@ -350,4 +513,4 @@ class SpillBackend(StoreBackend):
             return ((rid, self.stored(dataset, rid))
                     for rid in list(self._keyed[dataset]))
         self.flush()
-        return itertools.groupby(self._merged_runs(dataset), key=_ROUTER_ID)
+        return self._merged_homes(dataset)

@@ -26,6 +26,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.records import (
+    INT64_END,
     LIST_DATASETS,
     RECORD_DATASETS,
     SPECTRUM_2_4,
@@ -136,6 +137,15 @@ _NON_NEGATIVE: Dict[str, Tuple[Tuple[str, ...], str]] = {
                    "scan counts must be finite and non-negative"),
 }
 
+#: Per columnar dataset, the columns of its ``int`` fields: a spill
+#: segment stores them as ``<i8``.
+_INT_COLUMNS: Dict[str, frozenset] = {
+    dataset: frozenset(
+        column for field, column in zip(
+            RECORD_DATASETS[dataset].codec.fields[1:], columns)
+        if field.kind is int)
+    for dataset, columns in COLUMNAR_DATASETS.items()}
+
 
 def _fabricate(dataset: str, router_id: str,
                columns: Dict[str, list]) -> list:
@@ -193,11 +203,20 @@ class ColumnarRecords:
     def _validate(self) -> None:
         cols = self.columns
         names, message = _NON_NEGATIVE[self.dataset]
+        # Numbers only: a float dtype would turn "5" into 5.0.
+        timestamps = np.asarray(cols["timestamp"])
+        if timestamps.dtype.kind not in "biuf" or timestamps.ndim != 1 or \
+                not np.isfinite(timestamps).all():
+            raise ValueError(f"{self.dataset} timestamps must be finite")
         for name in names:
-            # Numbers only: a float dtype would turn "5" into 5.0.
             values = np.asarray(cols[name])
             if values.dtype.kind not in "biuf" or values.ndim != 1 or not (
                     np.isfinite(values) & (values >= 0)).all():
+                raise ValueError(message)
+            # numpy reads [2**63] as uint64, which a cast to int64 wraps;
+            # .item() compares the maximum as a Python number, exactly.
+            if name in _INT_COLUMNS[self.dataset] and len(values) and \
+                    values.max().item() >= INT64_END:
                 raise ValueError(message)
         if self.dataset == "wifi_scans" and not (
                 set(cols["spectrum_code"]) <= {SPECTRUM_2_4, SPECTRUM_5}):

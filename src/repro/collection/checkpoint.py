@@ -40,7 +40,7 @@ from repro.telemetry import events, metrics
 logger = logging.getLogger(__name__)
 
 #: Bump when the checkpoint schema changes incompatibly.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: File name of the manifest inside the checkpoint directory.
 CHECKPOINT_NAME = "checkpoint.json"

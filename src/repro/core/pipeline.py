@@ -62,7 +62,7 @@ class StudyConfig:
     #: Homes per engine shard (None = the engine's default).
     shard_size: Optional[int] = None
     #: Record-store backend: ``"memory"`` (everything in RAM) or
-    #: ``"spill"`` (bounded-memory JSONL spill to disk).
+    #: ``"spill"`` (bounded-memory spill of binary segments to disk).
     store_backend: str = "memory"
     #: Spill directory (None = a private temporary directory).
     spill_dir: Optional[str] = None

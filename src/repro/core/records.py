@@ -9,7 +9,7 @@ whitelisted or the ``OBFUSCATED_DOMAIN`` sentinel.
 :data:`RECORD_DATASETS` is the one table of the seven record-list data
 sets: each name's record class, its :class:`~repro.core.datasets.StudyData`
 attribute, and a :class:`RowCodec` derived from the class's fields.  Every
-row format (spill runs, the CSV archive, ``study_digest``, columnar
+row format (spill segments, the CSV archive, ``study_digest``, columnar
 batches) reads its field layout from that codec, so a field change
 touches this module only.
 """
@@ -23,6 +23,8 @@ import operator
 import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: Sentinel domain used when a DNS name was not on the whitelist.  The
 #: firmware replaces the name *before* the record leaves the home.
@@ -40,9 +42,23 @@ class Spectrum(enum.Enum):
 
 
 #: Column codes of an optional Spectrum; 0 is no radio (a wired device).
+#: They are the spill segment's enum codes (:attr:`RowCodec.codes`).
 SPECTRUM_NONE, SPECTRUM_2_4, SPECTRUM_5 = 0, 1, 2
 SPECTRUM_BY_CODE: Tuple[Optional[Spectrum], ...] = (
     None, Spectrum.GHZ_2_4, Spectrum.GHZ_5)
+
+
+#: One past the largest value an ``int`` field holds: a spill segment
+#: stores it as ``<i8``.
+INT64_END = 2 ** 63
+
+#: One past the largest IPv4 address as an int (``obfuscate_ipv4``'s range).
+IPV4_END = 2 ** 32
+
+
+def _check_timestamp(timestamp: float) -> None:
+    if not math.isfinite(timestamp):
+        raise ValueError("timestamp must be finite")
 
 
 class Medium(enum.Enum):
@@ -96,6 +112,7 @@ class UptimeReport:
     uptime_seconds: float
 
     def __post_init__(self) -> None:
+        _check_timestamp(self.timestamp)
         if not 0 <= self.uptime_seconds < math.inf:
             raise ValueError("uptime_seconds must be finite and non-negative")
 
@@ -115,6 +132,7 @@ class CapacityMeasurement:
     upstream_mbps: float
 
     def __post_init__(self) -> None:
+        _check_timestamp(self.timestamp)
         if not (0 <= self.downstream_mbps < math.inf
                 and 0 <= self.upstream_mbps < math.inf):
             raise ValueError("capacity must be finite and non-negative")
@@ -131,9 +149,10 @@ class DeviceCountSample:
     wireless_5: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.wired < math.inf
-                and 0 <= self.wireless_2_4 < math.inf
-                and 0 <= self.wireless_5 < math.inf):
+        _check_timestamp(self.timestamp)
+        if not (0 <= self.wired < INT64_END
+                and 0 <= self.wireless_2_4 < INT64_END
+                and 0 <= self.wireless_5 < INT64_END):
             raise ValueError("device counts must be finite and non-negative")
 
     @property
@@ -195,11 +214,12 @@ class WifiScanSample:
     channel: int = 0
 
     def __post_init__(self) -> None:
+        _check_timestamp(self.timestamp)
         if not isinstance(self.spectrum, Spectrum):
             raise ValueError(f"spectrum {self.spectrum!r} is not a Spectrum")
-        if not (0 <= self.neighbor_aps < math.inf
-                and 0 <= self.associated_clients < math.inf
-                and 0 <= self.channel < math.inf):
+        if not (0 <= self.neighbor_aps < INT64_END
+                and 0 <= self.associated_clients < INT64_END
+                and 0 <= self.channel < INT64_END):
             raise ValueError("scan counts must be finite and non-negative")
 
 
@@ -224,11 +244,16 @@ class FlowRecord:
     duration_seconds: float
 
     def __post_init__(self) -> None:
+        _check_timestamp(self.timestamp)
         if not (0 <= self.bytes_up < math.inf
                 and 0 <= self.bytes_down < math.inf):
             raise ValueError("flow bytes must be finite and non-negative")
         if not 0 <= self.duration_seconds < math.inf:
             raise ValueError("flow duration must be finite and non-negative")
+        if not 0 <= self.remote_ip < IPV4_END:
+            raise ValueError("remote_ip must be an IPv4 address as an int")
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in [0, 65535]")
 
     @property
     def bytes_total(self) -> float:
@@ -267,8 +292,11 @@ class DnsRecord:
     address: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _check_timestamp(self.timestamp)
         if self.record_type not in ("A", "CNAME"):
             raise ValueError(f"unsupported DNS record type {self.record_type!r}")
+        if not (self.address is None or 0 <= self.address < IPV4_END):
+            raise ValueError("address must be None or an IPv4 address as an int")
 
 
 # -- the record table ---------------------------------------------------------
@@ -302,6 +330,20 @@ def _encoder(field: RowField) -> Callable[[Any], Any]:
     return encode
 
 
+#: A spill segment's column type per plain field kind (:attr:`RowCodec.layout`).
+_SEGMENT_TYPES: Dict[type, str] = {
+    float: "<f8", int: "<i8", bool: "|b1", str: "<i4"}
+
+
+def _segment_columns(field: RowField) -> list:
+    if issubclass(field.kind, enum.Enum):
+        return [(field.name, "|u1")]
+    columns = [(field.name, _SEGMENT_TYPES[field.kind])]
+    if field.optional:
+        columns.append((f"{field.name}_null", "|b1"))
+    return columns
+
+
 class RowCodec:
     """A record class's rows of plain values, built once from its fields.
 
@@ -311,6 +353,10 @@ class RowCodec:
     scalar reaches an encoder.  :meth:`from_row` rebuilds the record
     through its constructor (its invariants run); a row of plain values
     already has every type right but the enums, so only those convert.
+
+    :attr:`layout` is the same row as one packed numpy record, the row
+    of a spill segment; :meth:`to_columns` and :meth:`from_columns`
+    convert between records and its columns.
     """
 
     def __init__(self, record: type) -> None:
@@ -322,6 +368,24 @@ class RowCodec:
         self._enums = tuple((index, f.kind)
                             for index, f in enumerate(self.fields)
                             if issubclass(f.kind, enum.Enum))
+        #: Per enum field, its values by code: 0 is ``None``, then the
+        #: members in declaration order (so a ``Spectrum`` code is its
+        #: ``SPECTRUM_*`` column code).
+        self.codes: Dict[str, Tuple[Any, ...]] = {
+            f.name: (None, *f.kind) for f in self.fields
+            if issubclass(f.kind, enum.Enum)}
+        self._code_tables = {name: np.array(values, dtype=object)
+                             for name, values in self.codes.items()}
+        self._value_codes = {
+            name: {None if member is None else member.value: code
+                   for code, member in enumerate(values)}
+            for name, values in self.codes.items()}
+        #: One spill-segment row, packed: a float is ``<f8``, an int
+        #: ``<i8``, a bool ``|b1``, an enum its ``|u1`` code and a str an
+        #: ``<i4`` index into the segment's string table; an optional
+        #: field that is not an enum adds a ``|b1`` ``<name>_null`` flag.
+        self.layout = np.dtype([column for f in self.fields
+                                for column in _segment_columns(f)])
 
     def to_row(self, record: Any) -> list:
         """The record's field values as plain values."""
@@ -336,6 +400,57 @@ class RowCodec:
                 if row[index] is not None:
                     row[index] = kind(row[index])
         return self.record(*row)
+
+    def to_columns(self, records: Sequence) -> Dict[str, np.ndarray]:
+        """The records as :attr:`layout` columns, each value as
+        :meth:`to_row` gives it.
+
+        A str column stays an object array of the strings: a segment
+        codes it against its own string table when it is written.
+        """
+        columns: Dict[str, np.ndarray] = {}
+        for field, (name, encode) in zip(self.fields, self._encoders):
+            values = list(map(encode, map(operator.attrgetter(name), records)))
+            if field.kind is str:
+                columns[name] = np.array(values, dtype=object)
+            elif name in self.codes:
+                columns[name] = np.array(
+                    list(map(self._value_codes[name].__getitem__, values)),
+                    dtype=self.layout[name])
+            elif field.optional:
+                columns[f"{name}_null"] = np.array(
+                    [value is None for value in values], dtype=bool)
+                columns[name] = np.array(
+                    [0 if value is None else value for value in values],
+                    dtype=self.layout[name])
+            else:
+                columns[name] = np.array(values, dtype=self.layout[name])
+        return columns
+
+    def from_columns(self, rows: np.ndarray, strings: np.ndarray) -> list:
+        """Rebuild :attr:`layout` rows into records through the
+        constructor, as :meth:`from_row` does.
+
+        *strings* is the segment's string table, an object array.  A
+        string or enum code outside its table raises ``ValueError``, as
+        the constructor does for a value outside its range.
+        """
+        values = []
+        for field in self.fields:
+            column = rows[field.name]
+            table = strings if field.kind is str \
+                else self._code_tables.get(field.name)
+            if table is not None:
+                if len(column) and not (
+                        column.min() >= 0 and column.max() < len(table)):
+                    raise ValueError(f"{field.name} code outside its table")
+                values.append(table[column].tolist())
+            elif field.optional:
+                values.append([None if null else value for value, null in zip(
+                    column.tolist(), rows[f"{field.name}_null"].tolist())])
+            else:
+                values.append(column.tolist())
+        return list(map(self.record, *values))
 
 
 class RecordDataset(NamedTuple):

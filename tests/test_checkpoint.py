@@ -6,11 +6,13 @@ the whole point of recording the path-RNG state and the spill manifest.
 """
 
 import json
+import re
 
 import pytest
 
 from repro import StudyConfig, run_study, study_digest
 from repro.cli import main
+from repro.collection.backends import SpillBackend
 from repro.collection.checkpoint import (
     CHECKPOINT_NAME,
     CampaignCheckpoint,
@@ -83,6 +85,21 @@ class TestCheckpointManager:
             manifest.write_text(json.dumps(payload))
             with pytest.raises(CheckpointError):
                 CheckpointManager(tmp_path / "ckpt").load()
+
+    def test_version_2_manifest_rejected(self, tmp_path, plan):
+        """A version-2 manifest names JSON-lines runs, which no reader
+        reads any more."""
+        run_campaign(plan, shard_size=SHARD_SIZE,
+                     checkpoint_dir=tmp_path / "ckpt")
+        manifest = tmp_path / "ckpt" / CHECKPOINT_NAME
+        payload = json.loads(manifest.read_text())
+        payload["version"] = 2
+        payload["backend_state"]["runs"] = {
+            dataset: [name.replace(".seg", ".jsonl") for name in names]
+            for dataset, names in payload["backend_state"]["runs"].items()}
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match="version 2"):
+            CheckpointManager(tmp_path / "ckpt").load()
 
     def test_manifest_written_and_complete(self, tmp_path, plan):
         manager = CheckpointManager(tmp_path / "ckpt")
@@ -161,6 +178,36 @@ class TestKillAndResume:
         with pytest.raises(CheckpointError):
             resume_campaign(plan, tmp_path / "nothing",
                             shard_size=SHARD_SIZE)
+
+
+class TestResumeChecksSegments:
+    """A resume trusts no segment its manifest names: each one's headers
+    must match its data set's row layout and fit in the file."""
+
+    @pytest.fixture
+    def checkpointed(self, tmp_path, plan):
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(ShardFailed):
+            run_campaign(plan, shard_size=SHARD_SIZE, checkpoint_dir=ckpt,
+                         **KILL_AT_2)
+        manager = CheckpointManager(ckpt)
+        return manager, manager.load().backend_state["runs"]
+
+    def test_truncated_segment(self, plan, checkpointed):
+        manager, runs = checkpointed
+        path = manager.store_dir / "runs" / runs["uptime"][0]
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(RuntimeError, match=re.escape(str(path))):
+            resume_campaign(plan, manager.directory, shard_size=SHARD_SIZE)
+
+    def test_segment_of_another_data_set(self, checkpointed):
+        manager, runs = checkpointed
+        path = manager.store_dir / "runs" / runs["uptime"][0]
+        path.write_bytes(
+            (manager.store_dir / "runs" / runs["capacity"][0]).read_bytes())
+        with pytest.raises(RuntimeError, match="dtype"):
+            SpillBackend(manager.store_dir).restore_state(
+                manager.load().backend_state)
 
 
 class TestStudyConfigAndCli:

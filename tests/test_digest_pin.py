@@ -29,105 +29,105 @@ SMALL = dict(seed=2013, router_scale=0.25, duration_scale=0.02,
 SMALL_PIN = "d4b25e1c0f63b30017d4f96573e2f8d6fcb4d1a9bbb7c05cf741e4c50bcbe08d"
 
 
-#: sha256 of every JSONL run a spilled TINY campaign writes with
+#: sha256 of every segment a spilled TINY campaign writes with
 #: ``spill_buffer_records=512`` (48 runs, independent of PYTHONHASHSEED).
 SPILL_RUN_PINS = {
-    "capacity-00000.jsonl":
-        "a5ceb94fef92999b4e2b44258fe1654657beb923ad793b6e3212e4065b609fe6",
-    "capacity-00001.jsonl":
-        "0f27cf56936aba2bffea9930f472c0d310c6137b7662796716c9f01b2663944d",
-    "capacity-00002.jsonl":
-        "005e7a82630e24cbab830f9ec34dc08e4da42f80c2bc8b77669962a680dc9c03",
-    "capacity-00003.jsonl":
-        "ff022eefb4fee3c29a5483eb9bc08932319748260ad4b4a445d41e548050d6db",
-    "capacity-00004.jsonl":
-        "2ae8a6028243895aaafdfed8188af90253041067c6eee96e814663723a412441",
-    "capacity-00005.jsonl":
-        "93bf5f35cb546163a096fff7cd2500137f3f5c9eb6b626d3e3c8277c1d63a5be",
-    "capacity-00006.jsonl":
-        "71667964891e283fedab2816a862cb99aa2a87b2db74cb9c5c4bca486a68b2fe",
-    "capacity-00007.jsonl":
-        "b5e67d51bb6fb778c9f6b2366e168dadd8ec1a80fbc853576c803a8a2634f069",
-    "capacity-00008.jsonl":
-        "ab14468d3f7cc291bcb8a43238bdc6198d8bd1c4301da07aa7039a06eecf0abb",
-    "device_counts-00000.jsonl":
-        "3abd8a3c75389969089de2d03f54c9840051fc2e71106389986f3cbf8d6fbb45",
-    "device_counts-00001.jsonl":
-        "23935e96cab445f99858db5ad73145f6e0c6c12f5e16df4c90d13e3834994d2c",
-    "device_counts-00002.jsonl":
-        "61ef0fe1d987eaa336c1bf8941a446b3329ce41075d008016e85201fad44772e",
-    "device_counts-00003.jsonl":
-        "5265e1f6c8ac3c6c197e050c74119d94bc1dd66c7a930c3830c398f2570093fe",
-    "device_counts-00004.jsonl":
-        "2694612adc7fe9eb18d267ca27a895598cadbdeb5f6c48f5648ca2287e6b96c4",
-    "device_counts-00005.jsonl":
-        "2cb7a27dfd5c2a3ff988c0cbbfdc3680a471bebcc8b3a0741d012eb06263ece6",
-    "device_counts-00006.jsonl":
-        "2bab9b1dfd11e3a37fff352f5ede301df34dd6a3d72f5b86085ad45defded336",
-    "device_counts-00007.jsonl":
-        "ebb11199ca8c077b84b43f0c8d98708d94f8423f5e1b60b08baf03cdad1a50ec",
-    "device_counts-00008.jsonl":
-        "651df0f0b619a04c0c49f8cf9a56ea6f3936c868bb570458a219572ed0bea06b",
-    "dns-00001.jsonl":
-        "6452190855a7caeee7ab55393532e55771ad9ab6ee3c6b18b231fe7a76272899",
-    "dns-00002.jsonl":
-        "272585a277128232d9486624e452b2368289a7d462bf96318246f31f79208e73",
-    "flows-00000.jsonl":
-        "c91aa8f104bc5840ce94410ab9b45a1fcb55c9fa1e6d55a31852bd4ff3c67afe",
-    "flows-00002.jsonl":
-        "11b686dde6e454adf9c65c515efdc6d7a77946853b60d0fed6c3026dca8f99fa",
-    "roster-00000.jsonl":
-        "6679c4c7d0e9d9c558275c15386c71304e1d3ec7abb46fe9adfa6c1c4567a833",
-    "roster-00001.jsonl":
-        "c6f987ca0949a891b017f09b150b2f79cb15c507204d9ca69d0bfe7dcc9a46f2",
-    "roster-00002.jsonl":
-        "774e2fe356e9ecb8dcbceb2b19cfb1447c53d0f3afe0f6b945d811a1158439d9",
-    "roster-00003.jsonl":
-        "daf3c09a8d700349ef080692b42c817ffba2eb0915c66090501c741e3b1f2fda",
-    "roster-00004.jsonl":
-        "95a9c3079354f8667916b27abf6f57999694466e06f45c92a19413b741272ccb",
-    "roster-00005.jsonl":
-        "8d54b5e8f6f58d0080c77e045a466e6f6dae8a8337d807279fdaf88a88990fb2",
-    "roster-00006.jsonl":
-        "d785416db136b99642d1f3e46879f95b3514299aaf71786605ef21cc93515c18",
-    "roster-00007.jsonl":
-        "c47d5dbbe98bf31d664559eac9ebab7690388c619fec8be1d72e9c7cfa1e38f3",
-    "roster-00008.jsonl":
-        "3e1f32496b79c2267ee0600aa0ccdda4ce89128e403ef4ecfc20d4894fa97e30",
-    "uptime-00000.jsonl":
-        "9f19a4fc7cb390ff4dc35899e7a2fe43f457e29d524cbe9d6593be55915fc26d",
-    "uptime-00001.jsonl":
-        "ee2bea94fc0bd2cadfa1ed5cabb52335d691042c32849d6c747336b7d607c54a",
-    "uptime-00002.jsonl":
-        "202d93ada051e36cf49f0b43243180c349fff685c163bea73c26b447781c6576",
-    "uptime-00003.jsonl":
-        "a31085fd6116de9a297a66c12a90ad8c579c12382aad0e37748a699542603ae0",
-    "uptime-00004.jsonl":
-        "d2bb2f51bfea737f210c4725abc1d746fa7125ea07dc82e4943f275299d6d3b5",
-    "uptime-00005.jsonl":
-        "c5cce83676c2ec2a06f8dd1e17399bfa8f12ebb71b617d6bf7d8021249552502",
-    "uptime-00006.jsonl":
-        "4f030e932b9d1aabe3cfb9af571ac703fcacfd78d78cf70defe8ae6c29e65cfd",
-    "uptime-00007.jsonl":
-        "b48f44f6bbe185d59b480d597bca1293471a3aca817f32e5fc3038ead23db637",
-    "uptime-00008.jsonl":
-        "6ecda7b5e3896a19294a7ca7a2e42aacbb8a26bd71e9d5890c1324400b2ae502",
-    "wifi_scans-00000.jsonl":
-        "bc9932222d5157bc2f7ce456df64d31fde17b395f96f3dc52073d69141d50fc3",
-    "wifi_scans-00001.jsonl":
-        "b00c904cce11264bbfa8aa69b5611a550b772f48af9c2a27343d10f81d6feddc",
-    "wifi_scans-00003.jsonl":
-        "b4777e83c98aace65769cfd0ab73e2cbaed20841a70863640bf4457c19fb64f0",
-    "wifi_scans-00004.jsonl":
-        "2f166e91566ae20f67e4eb47bafbe84b32168f2cc7b95b37837644b947c6c3d6",
-    "wifi_scans-00005.jsonl":
-        "acfa16c085db1149f6eaff5a57443b0e40cc55e75fb662dd83e79dfef9417dea",
-    "wifi_scans-00006.jsonl":
-        "535fb9748494f57be94728075e87fee76c5a12d51c890ee06b606c7f434de6fb",
-    "wifi_scans-00007.jsonl":
-        "04fcd7fb2910f5641283e0ba2c52b60c43f10408ac93bad6ede75eb8d08b9828",
-    "wifi_scans-00008.jsonl":
-        "bcc68461a0d6262371110e851d34bb450968c85f4034ca6cc6a65b8a7e58fe0b",
+    "capacity-00000.seg":
+        "6ba67e3922c4591897a832a57a34e59c0d7ef58b1ae4e4e0f63c4289240e41f1",
+    "capacity-00001.seg":
+        "b09b7f21acc2b868d6f2bb493678aff552451bc3675843f1488e779912026c4e",
+    "capacity-00002.seg":
+        "c91fd1e2a523bad98a379e167d77954d710a09dbad034812dcf32ee2c0594026",
+    "capacity-00003.seg":
+        "0743f3cbc8690af2f74c1474fdc8fd71a83b61887800550ab5c9599790e0074b",
+    "capacity-00004.seg":
+        "9fbb9a860617f21e5a3ea8b19e39518c354b78893d99f61cc548f843e88c7638",
+    "capacity-00005.seg":
+        "79e921e5eea60beaa1db129aa74be59a8a0bde16553d32677913ffab505940ee",
+    "capacity-00006.seg":
+        "2cfd9a540ae494d188e7e3799e666fe565e1746deb61ec785ea5c6b4d0e892c4",
+    "capacity-00007.seg":
+        "3e69866dd0f84d816b535a3eaca1e47ef8c80bc0a1fb9121f6d147cea23b2e90",
+    "capacity-00008.seg":
+        "c2cf3cbdab3304fcc598b7ad64c28a00de293165ba71024cc7bba4f1bcb8fbd2",
+    "device_counts-00000.seg":
+        "f7f86b2e5b8de44a8127639d9515b4d57d0f2131fb39882f68268497cb6b324e",
+    "device_counts-00001.seg":
+        "fb93c9569b7e6396e7ae4f99f8abe3f32f06ae872e9a55fb48ae422f2ebc85a8",
+    "device_counts-00002.seg":
+        "ff84b1b413e5a0ce7ff210bccb2a9ef8909d33204e9aff14a0f7581d0851a999",
+    "device_counts-00003.seg":
+        "04b8b594f8a5b055bcf1264ff1d04d311900f41b96da67e6f8496284a5a8aff2",
+    "device_counts-00004.seg":
+        "7490ab54f4866e3e8c42167ffcf460e37b3c8896f84180f92e1cbb9b1164991e",
+    "device_counts-00005.seg":
+        "d4478d818e8353099e0e6123aa58c9d4e0dd4ad5b8829901352e60585b002a3c",
+    "device_counts-00006.seg":
+        "e943248d3b52b052a19a01017b9dc7c2d9bd65594995eea572e09e5981a79b43",
+    "device_counts-00007.seg":
+        "2b7d4f57fbd1d2bf9610b3978012d758eec6f434074057dc339d4da06aef4f32",
+    "device_counts-00008.seg":
+        "243d3e1f03de83834cc7089c0471c1618a78383eb920fa14a2153a5d22d983c6",
+    "dns-00001.seg":
+        "79eb2be8d8394b68145e4785601cc1e92217e449d1d1cd48bab55fa964cce578",
+    "dns-00002.seg":
+        "a6cda0c3cc281ac72ef001d930ec49e1bd00ad05bc04223c6f8ad9f3684a4cfc",
+    "flows-00000.seg":
+        "0b4e1e00bfcbd9835241a3672a3f298adae0ea45eb72408dc60813fa6b3e662d",
+    "flows-00002.seg":
+        "4ffd0a023c8fc8d2611ca860721ed2851077162cfb5219098baa72beb7339227",
+    "roster-00000.seg":
+        "c86ab011b81510dd8721ff961bf556a2c76c0ec5bf6006be6f9cd7ec893ebbd5",
+    "roster-00001.seg":
+        "93072e8b59d152aa90b5b21a97cf63eb38d8554b8d988f604acb6e8ef45e023d",
+    "roster-00002.seg":
+        "beb4b064beb2a213ac29e5f5fe8a3cfe1bb729a218b4dd5950973ecc633b1586",
+    "roster-00003.seg":
+        "65658aec2ceaf8262ac8f21dd11756cd4e8e74590a5e1a15fac569bf42da058a",
+    "roster-00004.seg":
+        "aeedb587a869ec2308756598f1e301b41df4954f06eadfed39acf0108fdc7979",
+    "roster-00005.seg":
+        "00694e4f4c3290df43672bb4a3363a2bcf4f72e2262bb5e93498f48d26258740",
+    "roster-00006.seg":
+        "659db8377cf1eff8408b8ff90c17f07ac5cfe1ee6261809f11631a9dc61b3f23",
+    "roster-00007.seg":
+        "418fb71bea1a2bf92de34633da380e5eba2b8434c051cc53f885ed0edff4ac87",
+    "roster-00008.seg":
+        "752c5b08618a0aa67bf7ed87d7152b9f563b4fca8b8650ce63b605bfcb2ef9ee",
+    "uptime-00000.seg":
+        "ef8ca438937147fa8ba470b1266cf20cd47607035dc339e157e5235c7a85dcb9",
+    "uptime-00001.seg":
+        "5d1150a1092c7b7039ddd5ef6ad9ac86b7cee10ec0404cbb406261b48f8c9fd1",
+    "uptime-00002.seg":
+        "fb0018787c13a128422a0845692849ce87337d73083d9c17ba27a247e9772a54",
+    "uptime-00003.seg":
+        "951dab935f1c81393878e496ef9cb601955967ca928a7e43835f9fd87ef7c0ed",
+    "uptime-00004.seg":
+        "fe59050f10ac5f768831f7677d1bdd631efcdc7daa19a8ce94f637a18f522e6c",
+    "uptime-00005.seg":
+        "cf52ad16ed2173079a2ae7443eb097f1d9f03578cc08ba54993ecd4612ad1dd1",
+    "uptime-00006.seg":
+        "cf58659e7b236aabe8ab7a3b241a24351b0415f87de630048b03f1708a253438",
+    "uptime-00007.seg":
+        "cfad6960973853f054d1e5ffbcb76ca648462d6a024d23fa86c4fc3a21a7caec",
+    "uptime-00008.seg":
+        "aa7f82ae3ba6ad4497b1d72e35abd84bdf9907a06aa7607dbba912467fd7f05f",
+    "wifi_scans-00000.seg":
+        "70821121bf2563db89882583a9b471050f038465b156fb6303163f9538650b49",
+    "wifi_scans-00001.seg":
+        "fe6a8229f56a1d70da698d170a89f5d828fa915718930756a91a084864fa14cb",
+    "wifi_scans-00003.seg":
+        "a12ad5b43c6d763cfc95b5370a6e7261cb489374eb36b088d322ff052cd6213c",
+    "wifi_scans-00004.seg":
+        "b6849685caf746ab25ba0dc622c25cdbb4464c9637a00560224eb97ba4e6de78",
+    "wifi_scans-00005.seg":
+        "05a3490758483d671bd548b31d65ff7165176bd2a96991185c332edebff6f25c",
+    "wifi_scans-00006.seg":
+        "fcae2943d58f72ab65ac4d1bb471b0da32da4865fad984d110859a669ff96fa9",
+    "wifi_scans-00007.seg":
+        "d5a408303093a2b48bcfc99fa970df2c6fbcd97dc02157b877558e0b23d6d3e1",
+    "wifi_scans-00008.seg":
+        "4a9ab0d86d21244c9d40a54339a30d28e719efc019afccfb2c2b0b6b0dfe06e4",
 }
 
 #: sha256 over the keyed files of the same spilled campaign (each
@@ -184,14 +184,14 @@ def test_telemetry_does_not_perturb_digest(tmp_path):
 
 
 def test_spill_run_files_pinned(tmp_path):
-    """The spill format: every JSONL run of a spilled TINY campaign, and
+    """The spill format: every segment of a spilled TINY campaign, and
     its keyed data sets' array files."""
     data = run_study(StudyConfig(**TINY, store_backend="spill",
                                  spill_dir=str(tmp_path),
                                  spill_buffer_records=512)).data
     assert study_digest(data) == TINY_PIN
     runs = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted((tmp_path / "runs").glob("*.jsonl"))}
+            for path in sorted((tmp_path / "runs").glob("*.seg"))}
     assert runs == SPILL_RUN_PINS
     keyed = hashlib.sha256()
     for path in sorted(tmp_path.glob("*/*.npy")):

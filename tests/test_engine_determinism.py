@@ -186,7 +186,7 @@ class TestSpillBackend:
         backend = SpillBackend(directory=tmp_path / "spill",
                                max_buffered_records=32)
         run_campaign(plan, store=RecordStore(plan.windows, backend))
-        runs = list((tmp_path / "spill" / "runs").glob("*.jsonl"))
+        runs = list((tmp_path / "spill" / "runs").glob("*.seg"))
         assert runs  # records actually hit disk
         assert list((tmp_path / "spill" / "heartbeats").glob("*.npy"))
 
@@ -215,7 +215,7 @@ class TestSpillDurability:
         backend.flush()  # nothing buffered: run numbering must hold still
         assert backend._n_runs == 1
         assert [p.name for p in backend._runs["uptime"]] == \
-            ["uptime-00000.jsonl"]
+            ["uptime-00000.seg"]
 
     def test_state_dict_round_trip(self, plan, tmp_path):
         backend = SpillBackend(directory=tmp_path / "spill",

@@ -28,6 +28,7 @@ from repro import study_digest
 from repro.core.datasets import ThroughputSeries
 from repro.core.records import (
     DeviceRosterEntry,
+    DnsRecord,
     FlowRecord,
     Medium,
     RouterInfo,
@@ -442,6 +443,11 @@ def _hostile_uploads():
             FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", 1, 443,
                        "https", 1.0, 2.0, 3.0), **fields)]))
 
+    def dns(**fields):
+        return _with_batch(upload, RecordBatch("dns", rid, [_tampered(
+            DnsRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", "A", 1),
+            **fields)]))
+
     def series(**fields):
         return _with_batch(upload, RecordBatch("throughput", rid, _tampered(
             ThroughputSeries(rid, 1.0, np.ones(2), np.ones(2)), **fields)))
@@ -524,6 +530,17 @@ def _hostile_uploads():
         "nan-gdp": router(gdp_ppp_per_capita=float("nan")),
         "inf-gdp": router(gdp_ppp_per_capita=float("inf")),
         "nan-tz": router(tz_offset_hours=float("nan")),
+        # Values a spill segment's int64 columns cannot hold, or whose
+        # NaN sort key np.lexsort orders unlike list.sort.
+        "flow-huge-port": flow(port=2**70),
+        "flow-huge-remote-ip": flow(remote_ip=2**70),
+        "dns-negative-address": dns(address=-5),
+        "wifi-uint64-aps": wifi(neighbor_aps=[2**63, 2**63]),
+        "flow-nan-timestamp": flow(timestamp=float("nan")),
+        "flow-int-timestamp-past-float": flow(timestamp=10**400),
+        "nan-timestamp-columns": columns(
+            "uptime", {"timestamp": [1.0], "uptime_seconds": [2.0]},
+            timestamp=[float("nan")]),
     }
 
 
