@@ -50,7 +50,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.collection.batches import COLUMNAR_DATASETS, ColumnarRecords
+from repro.collection.batches import ColumnarRecords
 from repro.core.datasets import KEYED_DATASETS, HeartbeatLog, ThroughputSeries
 from repro.core.records import LIST_DATASETS, RECORD_DATASETS, RowCodec
 from repro.telemetry import events, metrics
@@ -150,15 +150,12 @@ def _batch_columns(dataset: str, records: Sequence) -> Dict[str, np.ndarray]:
     if not isinstance(records, ColumnarRecords):
         return codec.to_columns(records)
     # A columnar batch is its columns already: one router, then the
-    # record's other fields in order, a Spectrum as its segment code.
-    first, *rest = codec.fields
+    # record's other fields by name, a Spectrum as its segment code.
     routers = np.empty(len(records), dtype=object)
     routers.fill(records.router_id)  # np.full would drop a trailing NUL
-    columns = {first.name: routers}
-    for field, name in zip(rest, COLUMNAR_DATASETS[dataset]):
-        columns[field.name] = np.asarray(records.columns[name]).astype(
-            codec.layout[field.name], copy=False)
-    return columns
+    return {codec.fields[0].name: routers, **{
+        name: np.asarray(column).astype(codec.layout[name], copy=False)
+        for name, column in records.columns.items()}}
 
 
 def _write_segment(path: Path, codec: RowCodec,
@@ -448,6 +445,7 @@ class SpillBackend(StoreBackend):
         """
         codec = RECORD_DATASETS[dataset].codec
         width = codec.layout.itemsize
+        text = [field.name for field in codec.fields if field.kind is str]
         with self._open_run(path) as handle:
             strings, offset, n_rows = _read_segment(handle, path, codec.layout)
         rid, records = None, []
@@ -457,9 +455,16 @@ class SpillBackend(StoreBackend):
                 handle.seek(offset + lo * width)
                 rows = np.frombuffer(_read_exact(handle, path, count * width),
                                      dtype=codec.layout)
+            columns = {name: rows[name] for name in codec.layout.names}
+            for name in text:
+                codes = columns[name]
+                if not 0 <= codes.min() <= codes.max() < len(strings):
+                    raise _corrupt(path, f"{name} code outside its table")
+                columns[name] = strings[codes]
             try:
-                decoded = codec.from_columns(rows, strings)
-            except (TypeError, ValueError) as exc:
+                codec.check_columns(columns)
+                decoded = codec.from_columns(columns)
+            except ValueError as exc:
                 raise _corrupt(path, f"bad row ({exc})") from exc
             routers = rows[codec.fields[0].name]
             cuts = (np.flatnonzero(routers[1:] != routers[:-1]) + 1).tolist()

@@ -7,10 +7,9 @@ holding a whole upload's records beyond the chunk size.  A
 :class:`RouterUpload` bundles one home's registration metadata with its
 batches; uploads cross the process boundary by pickling.
 
-A :class:`ColumnarRecords` batch lays one data set out as columns: the
-record's fields after ``router_id`` in the order
-:data:`~repro.core.records.RECORD_DATASETS` gives them, with a
-``Spectrum`` field carried as its 1/2 code.
+A :class:`ColumnarRecords` batch lays one data set out as columns named
+by the record's fields after ``router_id``, a ``Spectrum`` as its 1/2
+code; the record's :class:`~repro.core.records.RowCodec` checks them.
 """
 
 from __future__ import annotations
@@ -25,16 +24,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.records import (
-    INT64_END,
-    LIST_DATASETS,
-    RECORD_DATASETS,
-    SPECTRUM_2_4,
-    SPECTRUM_5,
-    SPECTRUM_BY_CODE,
-    RouterInfo,
-    Spectrum,
-)
+from repro.core.records import LIST_DATASETS, RECORD_DATASETS, RouterInfo
 from repro.firmware.router import RouterOutput
 
 #: All batchable datasets, including the two columnar ones.
@@ -109,72 +99,22 @@ def router_output_to_batches(output: RouterOutput) -> List[RecordBatch]:
 # dataset as parallel plain-list columns rather than per-record dataclass
 # instances.  ``ColumnarRecords`` carries those columns across the process
 # boundary and materializes record objects only when the batch is iterated
-# (at ingest) — validated in bulk per column at construction so the
-# per-record ``__post_init__`` checks can be skipped during fabrication.
+# (at ingest), checked per column by its record's codec at construction.
 
 
-def _column_layout(dataset: str) -> Tuple[str, ...]:
-    """The record's fields after ``router_id``; a Spectrum is a code."""
-    return tuple(f"{field.name}_code" if field.kind is Spectrum
-                 else field.name
-                 for field in RECORD_DATASETS[dataset].codec.fields[1:])
-
-
-#: Column names per columnar dataset, in record-field order after router_id.
+#: Column names per columnar dataset: the record's fields after router_id.
 COLUMNAR_DATASETS: Dict[str, Tuple[str, ...]] = {
-    dataset: _column_layout(dataset)
+    dataset: RECORD_DATASETS[dataset].codec.layout.names[1:]
     for dataset in ("uptime", "capacity", "device_counts", "wifi_scans")}
-
-#: Per columnar dataset: the columns its record's constructor requires
-#: to be finite and non-negative, and the error it raises.
-_NON_NEGATIVE: Dict[str, Tuple[Tuple[str, ...], str]] = {
-    "uptime": (("uptime_seconds",), "uptime must be finite and non-negative"),
-    "capacity": (("downstream_mbps", "upstream_mbps"),
-                 "capacity must be finite and non-negative"),
-    "device_counts": (("wired", "wireless_2_4", "wireless_5"),
-                      "device counts must be finite and non-negative"),
-    "wifi_scans": (("neighbor_aps", "associated_clients", "channel"),
-                   "scan counts must be finite and non-negative"),
-}
-
-#: Per columnar dataset, the columns of its ``int`` fields: a spill
-#: segment stores them as ``<i8``.
-_INT_COLUMNS: Dict[str, frozenset] = {
-    dataset: frozenset(
-        column for field, column in zip(
-            RECORD_DATASETS[dataset].codec.fields[1:], columns)
-        if field.kind is int)
-    for dataset, columns in COLUMNAR_DATASETS.items()}
-
-
-def _fabricate(dataset: str, router_id: str,
-               columns: Dict[str, list]) -> list:
-    """Build one batch's records without running their constructors."""
-    record_class = RECORD_DATASETS[dataset].record
-    fields = RECORD_DATASETS[dataset].codec.fields
-    values = [[SPECTRUM_BY_CODE[code] for code in columns[column]]
-              if field.kind is Spectrum else columns[column]
-              for field, column in zip(fields[1:],
-                                       COLUMNAR_DATASETS[dataset])]
-    names = tuple(field.name for field in fields)
-    new = record_class.__new__
-    out = []
-    append = out.append
-    for row in zip(itertools.repeat(router_id), *values):
-        record = new(record_class)
-        record.__dict__.update(zip(names, row))
-        append(record)
-    return out
 
 
 class ColumnarRecords:
     """One batch's records as parallel columns, materialized lazily.
 
     Quacks like the record list the server and backends expect — ``len``
-    is free, iteration and indexing fabricate the record dataclasses on
-    first use and cache them.  The column invariants (the same checks each
-    record's ``__post_init__`` would run) are enforced in bulk at
-    construction, so fabrication can bypass ``__init__`` entirely.
+    is free, iteration and indexing build the record dataclasses on first
+    use and cache them.  Construction runs the codec's column check (the
+    field rules of each record's constructor), so the build skips them.
 
     The caller hands over ownership of the column lists; they must not be
     mutated afterwards.
@@ -193,41 +133,20 @@ class ColumnarRecords:
         lengths = {len(columns[name]) for name in fields}
         if len(lengths) != 1:
             raise ValueError(f"{dataset} column lengths differ")
+        RECORD_DATASETS[dataset].codec.check_columns(columns)
         self.dataset = dataset
         self.router_id = router_id
         self.columns = columns
         self._length = lengths.pop()
         self._cache: Optional[list] = None
-        self._validate()
-
-    def _validate(self) -> None:
-        cols = self.columns
-        names, message = _NON_NEGATIVE[self.dataset]
-        # Numbers only: a float dtype would turn "5" into 5.0.
-        timestamps = np.asarray(cols["timestamp"])
-        if timestamps.dtype.kind not in "biuf" or timestamps.ndim != 1 or \
-                not np.isfinite(timestamps).all():
-            raise ValueError(f"{self.dataset} timestamps must be finite")
-        for name in names:
-            values = np.asarray(cols[name])
-            if values.dtype.kind not in "biuf" or values.ndim != 1 or not (
-                    np.isfinite(values) & (values >= 0)).all():
-                raise ValueError(message)
-            # numpy reads [2**63] as uint64, which a cast to int64 wraps;
-            # .item() compares the maximum as a Python number, exactly.
-            if name in _INT_COLUMNS[self.dataset] and len(values) and \
-                    values.max().item() >= INT64_END:
-                raise ValueError(message)
-        if self.dataset == "wifi_scans" and not (
-                set(cols["spectrum_code"]) <= {SPECTRUM_2_4, SPECTRUM_5}):
-            raise ValueError(
-                "wifi spectrum codes must be 1 (2.4 GHz) or 2 (5 GHz)")
 
     def materialize(self) -> list:
-        """The fabricated record list (built once, then cached)."""
+        """The record list (built once, then cached)."""
         records = self._cache
         if records is None:
-            records = _fabricate(self.dataset, self.router_id, self.columns)
+            records = RECORD_DATASETS[self.dataset].codec.from_columns(
+                {"router_id": itertools.repeat(self.router_id),
+                 **self.columns})
             self._cache = records
         return records
 
@@ -244,15 +163,15 @@ class ColumnarRecords:
         return (f"ColumnarRecords({self.dataset!r}, {self.router_id!r}, "
                 f"n={self._length})")
 
-    # Pickling ships the columns, never the fabricated cache: the parent
-    # process re-fabricates at ingest, keeping the wire payload columnar.
+    # Pickling ships the columns, never the built cache: the parent
+    # process rebuilds at ingest, keeping the wire payload columnar.
     def __getstate__(self):
         return (self.dataset, self.router_id, self.columns, self._length)
 
     def __setstate__(self, state) -> None:
         # Unpickling runs no constructor, and a frame's columns are
-        # untrusted: re-run the constructor's checks, and count the
-        # columns rather than trust the shipped length.
+        # untrusted: re-run the column checks, and count the columns
+        # rather than trust the shipped length.
         dataset, router_id, columns, _ = state
         self.__init__(dataset, router_id, columns)
 
@@ -355,10 +274,10 @@ class FrameError(ValueError):
 # collection server validates upload semantics.  The daemon is still
 # meant for trusted networks (loopback by default): the allowlisted
 # types accept attacker-chosen field values.  Unpickling runs no
-# constructor, so a ``ColumnarRecords`` re-runs its checks as it is
-# unpickled, and the collection server re-runs every other object's
-# ``__post_init__`` and checks each batch's record class before ingest.
-# Field *types* are not checked.
+# constructor, so a ``ColumnarRecords`` re-runs its column checks as it
+# is unpickled, and the collection server re-runs every other object's
+# ``__post_init__`` and checks each batch's record class before ingest;
+# a record's checks each field's kind and each number's range.
 
 def _safe_globals() -> Dict[Tuple[str, str], Any]:
     """Build the (module, qualname) -> object allowlist for frames."""

@@ -194,5 +194,5 @@ def _recheck(rid: str, value: object, expected: type) -> None:
             f"a {expected.__name__} belongs")
     try:
         value.__post_init__()
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise UploadRejected(f"upload for {rid!r}: {exc}") from exc

@@ -6,6 +6,13 @@ deliberately contain only what the paper says was collected — e.g. flow
 records carry an *obfuscated* device MAC and a domain that is either
 whitelisted or the ``OBFUSCATED_DOMAIN`` sentinel.
 
+A field states its rule once: its type names its kind, and a number may
+declare a :class:`Range` (``Annotated[float, NON_NEGATIVE]``); a float
+is otherwise finite, an int in ``[0, INT64_END)``.  :class:`RowCodec`
+derives from the fields the record check every :class:`Record`
+constructor runs and the column check of columnar batches and spill
+reads.  Rules between fields live in :meth:`Record.check_relations`.
+
 :data:`RECORD_DATASETS` is the one table of the seven record-list data
 sets: each name's record class, its :class:`~repro.core.datasets.StudyData`
 attribute, and a :class:`RowCodec` derived from the class's fields.  Every
@@ -18,11 +25,15 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import operator
+import reprlib
+import sys
 import typing
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import (Annotated, Any, Callable, Dict, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -56,9 +67,27 @@ INT64_END = 2 ** 63
 IPV4_END = 2 ** 32
 
 
-def _check_timestamp(timestamp: float) -> None:
-    if not math.isfinite(timestamp):
-        raise ValueError("timestamp must be finite")
+class Range(NamedTuple):
+    """A number field's declared range: ``low <= value < high``."""
+
+    low: float
+    high: float
+
+
+#: Bytes, seconds, capacities and rates.
+NON_NEGATIVE = Range(0, math.inf)
+
+
+class Record:
+    """A record dataclass: construction checks each field's kind and
+    range (:meth:`RowCodec.check`), then :meth:`check_relations`."""
+
+    def __post_init__(self) -> None:
+        codec(type(self)).check(self)
+        self.check_relations()
+
+    def check_relations(self) -> None:
+        """Raise ``ValueError`` when a rule between fields fails."""
 
 
 class Medium(enum.Enum):
@@ -69,7 +98,7 @@ class Medium(enum.Enum):
 
 
 @dataclass(frozen=True)
-class RouterInfo:
+class RouterInfo(Record):
     """Deployment metadata for one gateway (who/where, not measurements)."""
 
     router_id: str
@@ -79,14 +108,11 @@ class RouterInfo:
     #: Per-capita GDP (PPP, international dollars) of the router's country.
     gdp_ppp_per_capita: float
 
-    def __post_init__(self) -> None:
+    def check_relations(self) -> None:
         if not self.router_id:
             raise ValueError("router_id must be non-empty")
-        if not (math.isfinite(self.gdp_ppp_per_capita)
-                and self.gdp_ppp_per_capita > 0):
-            raise ValueError("gdp_ppp_per_capita must be finite and positive")
-        if not math.isfinite(self.tz_offset_hours):
-            raise ValueError("tz_offset_hours must be finite")
+        if not self.gdp_ppp_per_capita > 0:
+            raise ValueError("gdp_ppp_per_capita must be positive")
 
 
 @dataclass(frozen=True)
@@ -104,17 +130,12 @@ class Heartbeat:
 
 
 @dataclass(frozen=True)
-class UptimeReport:
+class UptimeReport(Record):
     """12-hourly report of seconds since the router last booted."""
 
     router_id: str
     timestamp: float
-    uptime_seconds: float
-
-    def __post_init__(self) -> None:
-        _check_timestamp(self.timestamp)
-        if not 0 <= self.uptime_seconds < math.inf:
-            raise ValueError("uptime_seconds must be finite and non-negative")
+    uptime_seconds: Annotated[float, NON_NEGATIVE]
 
     @property
     def boot_time(self) -> float:
@@ -123,23 +144,17 @@ class UptimeReport:
 
 
 @dataclass(frozen=True)
-class CapacityMeasurement:
+class CapacityMeasurement(Record):
     """12-hourly ShaperProbe-style estimate of access-link capacity (Mbps)."""
 
     router_id: str
     timestamp: float
-    downstream_mbps: float
-    upstream_mbps: float
-
-    def __post_init__(self) -> None:
-        _check_timestamp(self.timestamp)
-        if not (0 <= self.downstream_mbps < math.inf
-                and 0 <= self.upstream_mbps < math.inf):
-            raise ValueError("capacity must be finite and non-negative")
+    downstream_mbps: Annotated[float, NON_NEGATIVE]
+    upstream_mbps: Annotated[float, NON_NEGATIVE]
 
 
 @dataclass(frozen=True)
-class DeviceCountSample:
+class DeviceCountSample(Record):
     """Hourly census: devices on Ethernet ports and per wireless band."""
 
     router_id: str
@@ -147,13 +162,6 @@ class DeviceCountSample:
     wired: int
     wireless_2_4: int
     wireless_5: int
-
-    def __post_init__(self) -> None:
-        _check_timestamp(self.timestamp)
-        if not (0 <= self.wired < INT64_END
-                and 0 <= self.wireless_2_4 < INT64_END
-                and 0 <= self.wireless_5 < INT64_END):
-            raise ValueError("device counts must be finite and non-negative")
 
     @property
     def wireless(self) -> int:
@@ -167,7 +175,7 @@ class DeviceCountSample:
 
 
 @dataclass(frozen=True)
-class DeviceRosterEntry:
+class DeviceRosterEntry(Record):
     """One device ever seen by a gateway (Devices data set, non-PII).
 
     The MAC is anonymized (lower 24 bits hashed) but keeps its OUI, so the
@@ -185,19 +193,15 @@ class DeviceRosterEntry:
     last_seen: float
     always_connected: bool
 
-    def __post_init__(self) -> None:
-        if not -math.inf < self.first_seen <= self.last_seen < math.inf:
-            raise ValueError("first/last seen must be finite and in order")
-        if not isinstance(self.medium, Medium):
-            raise ValueError(f"medium {self.medium!r} is not a Medium")
-        if not (self.spectrum is None or isinstance(self.spectrum, Spectrum)):
-            raise ValueError(f"spectrum {self.spectrum!r} is not a Spectrum")
+    def check_relations(self) -> None:
+        if not self.first_seen <= self.last_seen:
+            raise ValueError("first_seen must not be after last_seen")
         if self.medium is Medium.WIRED and self.spectrum is not None:
             raise ValueError("wired devices have no spectrum")
 
 
 @dataclass(frozen=True)
-class WifiScanSample:
+class WifiScanSample(Record):
     """~10-minute scan of one channel for neighboring APs.
 
     ``channel`` records which channel was scanned; the deployed firmware
@@ -213,18 +217,9 @@ class WifiScanSample:
     associated_clients: int
     channel: int = 0
 
-    def __post_init__(self) -> None:
-        _check_timestamp(self.timestamp)
-        if not isinstance(self.spectrum, Spectrum):
-            raise ValueError(f"spectrum {self.spectrum!r} is not a Spectrum")
-        if not (0 <= self.neighbor_aps < INT64_END
-                and 0 <= self.associated_clients < INT64_END
-                and 0 <= self.channel < INT64_END):
-            raise ValueError("scan counts must be finite and non-negative")
-
 
 @dataclass(frozen=True)
-class FlowRecord:
+class FlowRecord(Record):
     """One sampled Internet-bound flow (Traffic data set, consented homes).
 
     ``device_mac`` has its lower 24 bits hashed; ``domain`` is a whitelisted
@@ -236,24 +231,12 @@ class FlowRecord:
     timestamp: float
     device_mac: str
     domain: str
-    remote_ip: int
-    port: int
+    remote_ip: Annotated[int, Range(0, IPV4_END)]
+    port: Annotated[int, Range(0, 65536)]
     application: str
-    bytes_up: float
-    bytes_down: float
-    duration_seconds: float
-
-    def __post_init__(self) -> None:
-        _check_timestamp(self.timestamp)
-        if not (0 <= self.bytes_up < math.inf
-                and 0 <= self.bytes_down < math.inf):
-            raise ValueError("flow bytes must be finite and non-negative")
-        if not 0 <= self.duration_seconds < math.inf:
-            raise ValueError("flow duration must be finite and non-negative")
-        if not 0 <= self.remote_ip < IPV4_END:
-            raise ValueError("remote_ip must be an IPv4 address as an int")
-        if not 0 <= self.port <= 65535:
-            raise ValueError("port must be in [0, 65535]")
+    bytes_up: Annotated[float, NON_NEGATIVE]
+    bytes_down: Annotated[float, NON_NEGATIVE]
+    duration_seconds: Annotated[float, NON_NEGATIVE]
 
     @property
     def bytes_total(self) -> float:
@@ -262,7 +245,7 @@ class FlowRecord:
 
 
 @dataclass(frozen=True)
-class ThroughputSample:
+class ThroughputSample(Record):
     """Per-minute traffic sample: the peak 1-second throughput in the minute.
 
     This is exactly the statistic the paper computes for Section 6.2 ("the
@@ -271,16 +254,12 @@ class ThroughputSample:
 
     router_id: str
     timestamp: float
-    up_bps: float
-    down_bps: float
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.up_bps < math.inf and 0 <= self.down_bps < math.inf):
-            raise ValueError("throughput must be finite and non-negative")
+    up_bps: Annotated[float, NON_NEGATIVE]
+    down_bps: Annotated[float, NON_NEGATIVE]
 
 
 @dataclass(frozen=True)
-class DnsRecord:
+class DnsRecord(Record):
     """A sampled A/CNAME response, domain whitelisted-or-obfuscated."""
 
     router_id: str
@@ -289,14 +268,11 @@ class DnsRecord:
     domain: str
     record_type: str
     #: Resolved (obfuscated) address for A records; None for CNAMEs.
-    address: Optional[int] = None
+    address: Optional[Annotated[int, Range(0, IPV4_END)]] = None
 
-    def __post_init__(self) -> None:
-        _check_timestamp(self.timestamp)
+    def check_relations(self) -> None:
         if self.record_type not in ("A", "CNAME"):
             raise ValueError(f"unsupported DNS record type {self.record_type!r}")
-        if not (self.address is None or 0 <= self.address < IPV4_END):
-            raise ValueError("address must be None or an IPv4 address as an int")
 
 
 # -- the record table ---------------------------------------------------------
@@ -312,14 +288,84 @@ class RowField(NamedTuple):
     optional: bool
     #: The dataclass default, or :data:`dataclasses.MISSING`.
     default: Any
+    #: A number's range, declared or by kind; None for any other kind.
+    range: Optional[Range]
 
 
 def _row_field(spec: dataclasses.Field, hint: Any) -> RowField:
     args = typing.get_args(hint)
     optional = typing.get_origin(hint) is typing.Union and type(None) in args
-    kind = next(arg for arg in args if arg is not type(None)) \
-        if optional else hint
-    return RowField(spec.name, kind, optional, spec.default)
+    if optional:
+        hint = next(arg for arg in args if arg is not type(None))
+    if typing.get_origin(hint) is Annotated:
+        kind, declared = typing.get_args(hint)[:2]
+    else:  # an int fits a spill segment's ``<i8``; a float is finite
+        kind, declared = hint, {float: Range(-math.inf, math.inf),
+                                int: Range(0, INT64_END)}.get(hint)
+    return RowField(spec.name, kind, optional, spec.default, declared)
+
+
+#: What a number field may hold per kind: its Python types (a bool is
+#: an int to Python, never a number to a record) and its numpy scalars.
+_NUMBERS: Dict[type, tuple] = {
+    float: ((float, int), (np.floating, np.integer)),
+    int: ((int,), (np.integer,))}
+
+
+def _value_test(field: RowField) -> Callable[[Any], bool]:
+    """Whether a value is one *field* may hold: of its kind and, for a
+    number, finite and in its range."""
+    kind = field.kind
+    if kind in _NUMBERS:
+        plain, scalars = _NUMBERS[kind]
+        # The range's least and greatest values; a float's are finite.
+        low = max(field.range.low, -sys.float_info.max)
+        high = math.nextafter(field.range.high, -math.inf) \
+            if kind is float else field.range.high - 1
+
+        def test(value: Any) -> bool:
+            if type(value) not in plain:
+                if not isinstance(value, scalars):
+                    return False
+                value = value.item()  # compare as a Python number
+            return low <= value <= high
+    else:
+        test = kind.__instancecheck__  # isinstance(value, kind), one C call
+    if field.optional:
+        return lambda value: value is None or test(value)
+    return test
+
+
+def _column_test(field: RowField) -> Callable[[np.ndarray], bool]:
+    """Whether a 1-D column's dtype kind and extreme values are ones
+    *field* may hold; an enum column holds codes (0 for ``None``)."""
+    kinds = {float: "iuf", bool: "b"}.get(field.kind, "iu")
+    if issubclass(field.kind, enum.Enum):
+        field = field._replace(kind=int, range=Range(
+            0 if field.optional else 1, len(field.kind) + 1))
+    bound = _value_test(field._replace(optional=False))
+
+    def test(column: np.ndarray) -> bool:
+        # .item() is a Python number, so a uint64 compares exactly.
+        return column.ndim == 1 and column.dtype.kind in kinds and (
+            not len(column) or (bound(column.min().item())
+                                and bound(column.max().item())))
+    return test
+
+
+def _wanted(field: RowField) -> str:
+    """What *field* holds, for an error message."""
+    wanted = ("finite " if field.kind is float else "") + field.kind.__name__
+    if field.range:
+        wanted += " in [{}, {})".format(*field.range)
+    return wanted + " or None" if field.optional else wanted
+
+
+def _shown(value: Any) -> str:
+    try:
+        return reprlib.repr(value)
+    except ValueError:  # an int past the interpreter's digit limit
+        return type(value).__name__
 
 
 def _encoder(field: RowField) -> Callable[[Any], Any]:
@@ -345,13 +391,13 @@ def _segment_columns(field: RowField) -> list:
 
 
 class RowCodec:
-    """A record class's rows of plain values, built once from its fields.
+    """A record class's checks and rows of plain values, from its fields.
 
     :meth:`to_row` lists a record's fields in declaration order as plain
     values: floats through ``float``, ints through ``int``, bools through
     ``bool``, enums as their ``.value`` and ``None`` kept, so no numpy
     scalar reaches an encoder.  :meth:`from_row` rebuilds the record
-    through its constructor (its invariants run); a row of plain values
+    through its constructor (its checks run); a row of plain values
     already has every type right but the enums, so only those convert.
 
     :attr:`layout` is the same row as one packed numpy record, the row
@@ -360,10 +406,13 @@ class RowCodec:
     """
 
     def __init__(self, record: type) -> None:
-        hints = typing.get_type_hints(record)
+        hints = typing.get_type_hints(record, include_extras=True)
         self.record = record
         self.fields = tuple(_row_field(spec, hints[spec.name])
                             for spec in dataclasses.fields(record))
+        self._names = tuple(f.name for f in self.fields)
+        self._values = operator.attrgetter(*self._names)
+        self._tests = tuple(map(_value_test, self.fields))
         self._encoders = tuple((f.name, _encoder(f)) for f in self.fields)
         self._enums = tuple((index, f.kind)
                             for index, f in enumerate(self.fields)
@@ -374,8 +423,6 @@ class RowCodec:
         self.codes: Dict[str, Tuple[Any, ...]] = {
             f.name: (None, *f.kind) for f in self.fields
             if issubclass(f.kind, enum.Enum)}
-        self._code_tables = {name: np.array(values, dtype=object)
-                             for name, values in self.codes.items()}
         self._value_codes = {
             name: {None if member is None else member.value: code
                    for code, member in enumerate(values)}
@@ -386,6 +433,44 @@ class RowCodec:
         #: field that is not an enum adds a ``|b1`` ``<name>_null`` flag.
         self.layout = np.dtype([column for f in self.fields
                                 for column in _segment_columns(f)])
+        self._column_tests = tuple((f, _column_test(f)) for f in self.fields
+                                   if f.kind is not str)
+        self._decoders = tuple(map(self._decoder, self.fields))
+        self._relations = record.check_relations is not Record.check_relations
+
+    def check(self, record: Any) -> None:
+        """Raise ``ValueError`` naming the first field of *record* not of
+        its kind, or a number not finite and in its range."""
+        for field, test, value in zip(self.fields, self._tests,
+                                      self._values(record)):
+            if not test(value):
+                raise ValueError(
+                    f"{self.record.__name__}.{field.name} must hold "
+                    f"{_wanted(field)}, not {_shown(value)}")
+
+    def check_columns(self, columns: Mapping[str, Any]) -> None:
+        """Raise ``ValueError`` naming the first column with a value
+        :meth:`check` would refuse; an enum column holds its codes, and
+        text columns are the caller's to check against its table."""
+        for field, test in self._column_tests:
+            if not test(np.asarray(columns[field.name])):
+                raise ValueError(f"{self.record.__name__}.{field.name} "
+                                 f"column must hold {_wanted(field)}")
+
+    def _decoder(self, field: RowField) -> Callable[[Mapping], Sequence]:
+        """One field's values out of checked columns, as plain values."""
+        name = field.name
+        if field.kind is str:
+            return operator.itemgetter(name)
+        if name in self.codes:
+            table = np.array(self.codes[name], dtype=object)
+            return lambda columns: table[
+                np.asarray(columns[name], dtype=np.intp)].tolist()
+        if field.optional:  # only a spill segment's rows, with null flags
+            return lambda columns: np.where(
+                columns[f"{name}_null"], None, columns[name]).tolist()
+        dtype = self.layout[name]
+        return lambda columns: np.asarray(columns[name], dtype=dtype).tolist()
 
     def to_row(self, record: Any) -> list:
         """The record's field values as plain values."""
@@ -411,46 +496,36 @@ class RowCodec:
         columns: Dict[str, np.ndarray] = {}
         for field, (name, encode) in zip(self.fields, self._encoders):
             values = list(map(encode, map(operator.attrgetter(name), records)))
-            if field.kind is str:
-                columns[name] = np.array(values, dtype=object)
-            elif name in self.codes:
-                columns[name] = np.array(
-                    list(map(self._value_codes[name].__getitem__, values)),
-                    dtype=self.layout[name])
+            if name in self.codes:
+                values = list(map(self._value_codes[name].__getitem__, values))
             elif field.optional:
                 columns[f"{name}_null"] = np.array(
                     [value is None for value in values], dtype=bool)
-                columns[name] = np.array(
-                    [0 if value is None else value for value in values],
-                    dtype=self.layout[name])
-            else:
-                columns[name] = np.array(values, dtype=self.layout[name])
+                values = [0 if value is None else value for value in values]
+            dtype = object if field.kind is str else self.layout[name]
+            columns[name] = np.array(values, dtype=dtype)
         return columns
 
-    def from_columns(self, rows: np.ndarray, strings: np.ndarray) -> list:
-        """Rebuild :attr:`layout` rows into records through the
-        constructor, as :meth:`from_row` does.
+    def from_columns(self, columns: Mapping[str, Any]) -> list:
+        """Build records from columns that passed :meth:`check_columns`
+        (a str field's column is its text) without checking their fields
+        again; :meth:`Record.check_relations` still runs."""
+        record_class, names = self.record, self._names
+        new = record_class.__new__
+        records = []
+        append = records.append
+        for row in zip(*(decode(columns) for decode in self._decoders)):
+            record = new(record_class)
+            record.__dict__.update(zip(names, row))
+            append(record)
+        if self._relations:
+            for record in records:
+                record.check_relations()
+        return records
 
-        *strings* is the segment's string table, an object array.  A
-        string or enum code outside its table raises ``ValueError``, as
-        the constructor does for a value outside its range.
-        """
-        values = []
-        for field in self.fields:
-            column = rows[field.name]
-            table = strings if field.kind is str \
-                else self._code_tables.get(field.name)
-            if table is not None:
-                if len(column) and not (
-                        column.min() >= 0 and column.max() < len(table)):
-                    raise ValueError(f"{field.name} code outside its table")
-                values.append(table[column].tolist())
-            elif field.optional:
-                values.append([None if null else value for value, null in zip(
-                    column.tolist(), rows[f"{field.name}_null"].tolist())])
-            else:
-                values.append(column.tolist())
-        return list(map(self.record, *values))
+
+#: The :class:`RowCodec` of a record class, built once.
+codec = functools.lru_cache(maxsize=None)(RowCodec)
 
 
 class RecordDataset(NamedTuple):
@@ -464,7 +539,7 @@ class RecordDataset(NamedTuple):
 
 #: The seven record-list data sets, in ``StudyData`` order.
 RECORD_DATASETS: Dict[str, RecordDataset] = {
-    name: RecordDataset(record, attr, RowCodec(record))
+    name: RecordDataset(record, attr, codec(record))
     for name, record, attr in (
         ("uptime", UptimeReport, "uptime_reports"),
         ("capacity", CapacityMeasurement, "capacity"),

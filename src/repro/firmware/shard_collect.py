@@ -453,7 +453,7 @@ def _wifi_columns(rng: np.random.Generator, start: float, end: float,
             neighbor_aps.append(visible + int(poisson(TRANSIENT_AP_MEAN)))
             clients.append(c5_list[index])
             channels.append(channel_5)
-    return {"timestamp": timestamps, "spectrum_code": spectrum_codes,
+    return {"timestamp": timestamps, "spectrum": spectrum_codes,
             "neighbor_aps": neighbor_aps, "associated_clients": clients,
             "channel": channels}
 

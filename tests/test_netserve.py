@@ -418,6 +418,12 @@ def _tampered(record, **fields):
     return record
 
 
+def _missing(record, name):
+    """*record* without field *name*, as a hostile pickle can leave it."""
+    del record.__dict__[name]
+    return record
+
+
 def _with_batch(upload, batch):
     return RouterUpload(upload.info, upload.batches + (batch,))
 
@@ -434,7 +440,7 @@ def _hostile_uploads():
 
     def wifi(**overrides):
         return columns("wifi_scans", {
-            "timestamp": [1.0, 2.0], "spectrum_code": [1, 2],
+            "timestamp": [1.0, 2.0], "spectrum": [1, 2],
             "neighbor_aps": [3, 0], "associated_clients": [0, 2],
             "channel": [11, 36]}, **overrides)
 
@@ -478,7 +484,7 @@ def _hostile_uploads():
             RecordBatch("heartbeats", rid, records),) + upload.batches[1:])
 
     return {
-        "wifi-spectrum-code": wifi(spectrum_code=[7, 1]),
+        "wifi-spectrum-code": wifi(spectrum=[7, 1]),
         "wifi-negative-aps": wifi(neighbor_aps=[-3, 0]),
         "wifi-negative-aps-behind-nan": wifi(neighbor_aps=[np.nan, -3]),
         "wifi-ragged-columns": wifi(channel=[11]),
@@ -541,6 +547,22 @@ def _hostile_uploads():
         "nan-timestamp-columns": columns(
             "uptime", {"timestamp": [1.0], "uptime_seconds": [2.0]},
             timestamp=[float("nan")]),
+        # A value of the wrong kind, or a number past float range.
+        "wifi-float-spectrum-code": wifi(spectrum=[1.0, 2.0]),
+        "wifi-float-channel": wifi(channel=[11.5, 36.0]),
+        "uptime-int-past-float": _with_batch(upload, RecordBatch(
+            "uptime", rid, [_tampered(UptimeReport(rid, 1.0, 2.0),
+                                      uptime_seconds=10**400)])),
+        "flow-int-domain": flow(domain=5),
+        "flow-bytes-mac": flow(device_mac=b"3c:07"),
+        "flow-float-port": flow(port=443.5),
+        "roster-text-always-connected": roster(
+            Medium.WIRELESS, Spectrum.GHZ_5, always_connected="no"),
+        "router-text-developed": router(developed="no"),
+        "router-int-country": router(country_code=5),
+        "flow-missing-port": _with_batch(upload, RecordBatch("flows", rid, [
+            _missing(FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com",
+                                1, 443, "https", 1.0, 2.0, 3.0), "port")])),
     }
 
 
@@ -596,7 +618,8 @@ class TestLedgerReconciliation:
 
 #: How the property below makes a drawn upload hostile (None: valid).
 HOSTILITIES = (None, "foreign-batch", "two-heartbeats", "no-heartbeats",
-               "other-country", "non-finite-send")
+               "other-country", "non-finite-send", "int-domain",
+               "float-spectrum-code")
 
 
 def _drawn_upload(index, hostility):
@@ -615,6 +638,21 @@ def _drawn_upload(index, hostility):
         sends = np.append(batches[0].records, np.inf)
         return RouterUpload(info, (
             RecordBatch("heartbeats", info.router_id, sends),) + batches[1:])
+    if hostility == "int-domain":
+        return _with_batch(upload, RecordBatch("flows", info.router_id, [
+            _tampered(FlowRecord(info.router_id, 1.0, "3c:07:54:aa:bb:cc",
+                                 "google.com", 1, 443, "https", 1.0, 2.0,
+                                 3.0), domain=5)]))
+    if hostility == "float-spectrum-code":
+        # A batch mutated after its constructor checked it: in process
+        # the store takes it as the 1/2 codes it casts to.
+        scans = ColumnarRecords("wifi_scans", info.router_id, {
+            "timestamp": [1.0, 2.0], "spectrum": [1, 2],
+            "neighbor_aps": [3, 0], "associated_clients": [0, 2],
+            "channel": [11, 36]})
+        scans.columns["spectrum"] = [1.0, 2.0]
+        return _with_batch(upload, RecordBatch("wifi_scans", info.router_id,
+                                               scans))
     return upload
 
 

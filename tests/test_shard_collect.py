@@ -227,7 +227,7 @@ class TestColumnarRecords:
                              "wireless_2_4": [0], "wireless_5": [0]})
         with pytest.raises(ValueError):
             ColumnarRecords("wifi_scans", "r",
-                            {"timestamp": [1.0], "spectrum_code": [3],
+                            {"timestamp": [1.0], "spectrum": [3],
                              "neighbor_aps": [0], "associated_clients": [0],
                              "channel": [11]})
 
@@ -243,7 +243,7 @@ class TestColumnarRecords:
 
     def test_wifi_spectrum_decoding(self):
         records = ColumnarRecords("wifi_scans", "r", {
-            "timestamp": [1.0, 2.0], "spectrum_code": [1, 2],
+            "timestamp": [1.0, 2.0], "spectrum": [1, 2],
             "neighbor_aps": [3, 0], "associated_clients": [0, 2],
             "channel": [11, 36]})
         scans = list(records)

@@ -266,3 +266,62 @@ class TestDamagedSegment:
         flows.write_bytes(dns.read_bytes())
         with pytest.raises(ValueError, match="dtype"):
             list(backend.iter_homes("flows"))
+
+
+def _rewrite(path, edit):
+    """Rewrite a segment after *edit* changed its rows or string list."""
+    with path.open("rb") as handle:
+        ends, blob, rows = (np.load(handle) for _ in range(3))
+        ends, blob, rows = list(ends), bytes(blob), rows.copy()
+    strings = [blob[start:end].decode("utf-8", "surrogatepass")
+               for start, end in zip([0, *ends[:-1]], ends)]
+    edit(rows, strings)
+    encoded = [string.encode("utf-8", "surrogatepass") for string in strings]
+    with path.open("wb") as handle:
+        np.save(handle, np.cumsum([len(blob) for blob in encoded],
+                                  dtype="<i8"))
+        np.save(handle, np.frombuffer(b"".join(encoded), dtype="|u1"))
+        np.save(handle, rows)
+
+
+def _later_first_seen(rows, strings):
+    rows["first_seen"][0] = rows["last_seen"][0] + 1.0
+
+
+def _wired_on_5ghz(rows, strings):
+    wired = rows["medium"] == [*Medium].index(Medium.WIRED) + 1
+    assert wired.any()
+    rows["spectrum"][wired] = SPECTRUM_BY_CODE.index(Spectrum.GHZ_5)
+
+
+def _txt_record(rows, strings):
+    strings.append("TXT")
+    rows["record_type"][0] = len(strings) - 1
+
+
+def _no_band(rows, strings):
+    rows["spectrum"][0] = 0
+
+
+class TestDamagedRows:
+    """Rows the read builds without constructors: a rule between fields,
+    a text value outside its set and a code for no member still fail."""
+
+    @pytest.mark.parametrize("dataset, edit", [
+        ("roster", _later_first_seen),
+        ("roster", _wired_on_5ghz),
+        ("dns", _txt_record),
+        ("wifi_scans", _no_band),
+    ], ids=["first-seen-after-last-seen", "wired-with-spectrum",
+            "txt-record-type", "wifi-spectrum-code-0"])
+    def test_raises_naming_the_file(self, tmp_path, dataset, edit):
+        backend = _spilled(tmp_path)
+        backend.append("wifi_scans", [
+            WifiScanSample("US001", 1.0, Spectrum.GHZ_2_4, 3, 0, 11),
+            WifiScanSample("US001", 2.0, Spectrum.GHZ_5, 1, 2, 36)])
+        backend.flush()
+        [path] = backend._runs[dataset]
+        assert list(backend.iter_homes(dataset))
+        _rewrite(path, edit)
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            list(backend.iter_homes(dataset))
