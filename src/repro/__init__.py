@@ -53,7 +53,6 @@ from repro.core.records import (
     DeviceRosterEntry,
     DnsRecord,
     FlowRecord,
-    Heartbeat,
     Medium,
     OBFUSCATED_DOMAIN,
     RouterInfo,
@@ -83,7 +82,6 @@ __all__ = [
     "DeviceRosterEntry",
     "DnsRecord",
     "FlowRecord",
-    "Heartbeat",
     "Medium",
     "OBFUSCATED_DOMAIN",
     "RouterInfo",

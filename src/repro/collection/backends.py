@@ -50,7 +50,7 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.collection.batches import ColumnarRecords
+from repro.collection.batches import COLUMNAR_DATASETS, ColumnarRecords
 from repro.core.datasets import KEYED_DATASETS, HeartbeatLog, ThroughputSeries
 from repro.core.records import LIST_DATASETS, RECORD_DATASETS, RowCodec
 from repro.telemetry import events, metrics
@@ -436,19 +436,24 @@ class SpillBackend(StoreBackend):
 
     def _segment_homes(self, dataset: str, path: Path,
                        chunk: int) -> Iterator[Tuple[str, list]]:
-        """Yield one segment's ``(router_id, records)`` per home.
+        """Yield one segment's ``(router_id, parts)`` per home.
 
-        The reader parses the headers once, then reads *chunk* rows at a
-        time, opening the file only while it reads, so a merge over
-        hundreds of segments keeps at most one file open.  A home that a
-        chunk boundary cut is joined before it is yielded.
+        A part is the home's rows of one chunk: a dict of its checked
+        columns for a :data:`COLUMNAR_DATASETS` data set, else its
+        records.  The reader parses the headers once, then reads *chunk*
+        rows at a time, opening the file only while it reads, so a merge
+        over hundreds of segments keeps at most one file open.  Every
+        size, dtype, code and column of a chunk is checked before any of
+        its parts is yielded.
         """
         codec = RECORD_DATASETS[dataset].codec
         width = codec.layout.itemsize
+        router = codec.fields[0].name
         text = [field.name for field in codec.fields if field.kind is str]
+        columnar = COLUMNAR_DATASETS.get(dataset)
         with self._open_run(path) as handle:
             strings, offset, n_rows = _read_segment(handle, path, codec.layout)
-        rid, records = None, []
+        rid, parts = None, []
         for lo in range(0, n_rows, chunk):
             count = min(chunk, n_rows - lo)
             with self._open_run(path) as handle:
@@ -463,30 +468,35 @@ class SpillBackend(StoreBackend):
                 columns[name] = strings[codes]
             try:
                 codec.check_columns(columns)
-                decoded = codec.from_columns(columns)
+                decoded = None if columnar else codec.from_columns(columns)
             except ValueError as exc:
                 raise _corrupt(path, f"bad row ({exc})") from exc
-            routers = rows[codec.fields[0].name]
+            routers = rows[router]
             cuts = (np.flatnonzero(routers[1:] != routers[:-1]) + 1).tolist()
             for start, end in zip([0, *cuts], [*cuts, count]):
-                home = decoded[start:end]
-                if home[0].router_id == rid:
-                    records += home
+                home = decoded[start:end] if decoded is not None else {
+                    name: columns[name][start:end] for name in columnar}
+                home_rid = columns[router][start]
+                if home_rid == rid:
+                    parts.append(home)
                     continue
                 if rid is not None:
-                    if home[0].router_id < rid:
+                    if home_rid < rid:
                         raise _corrupt(path, "homes out of router order")
-                    yield rid, records
-                rid, records = home[0].router_id, home
+                    yield rid, parts
+                rid, parts = home_rid, [home]
         if rid is not None:
-            yield rid, records
+            yield rid, parts
 
-    def _merged_homes(self, dataset: str) -> Iterator[Tuple[str, list]]:
+    def _merged_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
         """Merge one data set's segments by home.
 
-        A home found in several segments is joined in run order and
-        sorted stably by :data:`SORT_KEYS` — the order a record-level
-        merge of the runs gives.
+        A home found in several segments, or cut by a chunk, is joined
+        in run order; one found in several segments is then sorted
+        stably by :data:`SORT_KEYS`, the order a record-level merge of
+        the runs gives.  A :data:`COLUMNAR_DATASETS` home is a
+        :class:`~repro.collection.batches.ColumnarRecords` of its
+        columns, so sorted stably on its timestamp column.
         """
         runs = self._runs[dataset]
         if not runs:
@@ -494,13 +504,24 @@ class SpillBackend(StoreBackend):
         chunk = max(32, self.merge_chunk_records // len(runs))
         homes = heapq.merge(*(self._segment_homes(dataset, path, chunk)
                               for path in runs), key=itemgetter(0))
-        for rid, parts in itertools.groupby(homes, key=itemgetter(0)):
-            records = next(parts)[1]
-            rest = [home for _, home in parts]
-            if rest:
-                records = list(itertools.chain(records, *rest))
-                records.sort(key=SORT_KEYS[dataset])
-            yield rid, records
+        columnar = COLUMNAR_DATASETS.get(dataset)
+        for rid, group in itertools.groupby(homes, key=itemgetter(0)):
+            segments = [parts for _, parts in group]
+            parts = list(itertools.chain.from_iterable(segments))
+            if columnar is None:
+                records = list(itertools.chain.from_iterable(parts))
+                if len(segments) > 1:
+                    records.sort(key=SORT_KEYS[dataset])
+                yield rid, records
+                continue
+            columns = parts[0] if len(parts) == 1 else {
+                name: np.concatenate([part[name] for part in parts])
+                for name in columnar}
+            if len(segments) > 1:
+                order = np.argsort(columns["timestamp"], kind="stable")
+                columns = {name: column[order]
+                           for name, column in columns.items()}
+            yield rid, ColumnarRecords(dataset, rid, columns)
 
     def holds(self, dataset: str, router_id: str) -> bool:
         return router_id in self._keyed[dataset]
@@ -514,6 +535,15 @@ class SpillBackend(StoreBackend):
                for field in table.arrays})
 
     def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
+        """``(router_id, records)`` per home, merged from the segments.
+
+        A home of a :data:`COLUMNAR_DATASETS` data set (uptime, capacity,
+        device counts, WiFi scans) is a
+        :class:`~repro.collection.batches.ColumnarRecords` of its checked
+        segment columns, which the folds read as they are and iteration
+        turns into records; the other three yield record lists.  A keyed
+        value is loaded from its files.
+        """
         if dataset in KEYED_DATASETS:
             return ((rid, self.stored(dataset, rid))
                     for rid in list(self._keyed[dataset]))

@@ -116,8 +116,14 @@ class ColumnarRecords:
     use and cache them.  Construction runs the codec's column check (the
     field rules of each record's constructor), so the build skips them.
 
-    The caller hands over ownership of the column lists; they must not be
-    mutated afterwards.
+    A shard ships its collectors' columns as these batches, and a spill
+    store's read yields each home of these four data sets as one, its
+    columns sliced from the segment: the figure folds read the columns
+    (:func:`~repro.core.datasets.home_columns`), and only a reader of
+    records, such as ``to_study_data``, builds the records.
+
+    The caller hands over ownership of the column lists or arrays; they
+    must not be mutated afterwards.
     """
 
     __slots__ = ("dataset", "router_id", "columns", "_length", "_cache")

@@ -88,12 +88,14 @@ def _parse_num(text: str):
 
 
 def _cell_writer(field: RowField) -> Callable[[object], object]:
-    """Numbers through :func:`_num`, bools as 0/1, enums by value, None
-    as an empty cell."""
+    """Ints through :func:`_num`, a float field's value as a float (an
+    int there reads back as one, and a spilled record holds it so),
+    bools as 0/1, enums by value, None as an empty cell."""
     if issubclass(field.kind, enum.Enum):
         write = operator.attrgetter("value")
     else:
-        write = {bool: int, int: _num, float: _num}.get(field.kind, str)
+        write = {bool: int, int: _num,
+                 float: lambda value: repr(float(value))}.get(field.kind, str)
     if field.optional:
         return lambda value: "" if value is None else write(value)
     return write

@@ -96,7 +96,8 @@ class CollectionPath:
         """Filter one router's heartbeat send times down to deliveries.
 
         Drops packets inside collection outages, then applies independent
-        per-packet loss.  Returns the delivered timestamps, sorted.
+        per-packet loss.  Returns the delivered timestamps in send order;
+        :class:`~repro.core.datasets.HeartbeatLog` sorts them.
         """
         times = np.asarray(send_times, dtype=float)
         if times.size == 0:
@@ -106,4 +107,4 @@ class CollectionPath:
         if times.size and self.config.packet_loss > 0:
             kept = self._rng.random(times.size) >= self.config.packet_loss
             times = times[kept]
-        return np.sort(times)
+        return times

@@ -21,7 +21,6 @@ from repro.core.records import (
     DeviceCountSample,
     DnsRecord,
     FlowRecord,
-    Heartbeat,
     RouterInfo,
     Spectrum,
     ThroughputSample,
@@ -50,7 +49,6 @@ __all__ = [
     "DeviceCountSample",
     "DnsRecord",
     "FlowRecord",
-    "Heartbeat",
     "RouterInfo",
     "Spectrum",
     "ThroughputSample",

@@ -16,11 +16,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
+from repro.core.intervals import is_sorted
 from repro.core.records import (
     OBFUSCATED_DOMAIN,
     RECORD_DATASETS,
@@ -58,6 +59,27 @@ def by_router(records: Iterable) -> Iterator[Tuple[str, object]]:
                                             key=attrgetter("router_id")):
         homes.setdefault(router_id, []).extend(run)
     return iter(homes.items())
+
+
+def home_columns(dataset: str, home: Iterable,
+                 *names: str) -> Mapping[str, np.ndarray]:
+    """Fields *names* of one home's records of a record-list data set, as
+    :meth:`~repro.core.records.RowCodec.to_columns` columns.
+
+    A spilled home is a :class:`~repro.collection.batches.ColumnarRecords`
+    and holds its columns; records (a list, or a memory store's group
+    iterator) are converted, only the fields asked for.  Columns (a
+    mapping) come back as they are, so a caller can convert a home once
+    for several folds.
+    """
+    if isinstance(home, Mapping):
+        return home
+    columns = getattr(home, "columns", None)
+    if columns is not None:
+        return {name: np.asarray(columns[name]) for name in names}
+    records = home if isinstance(home, list) else list(home)
+    codec = RECORD_DATASETS[dataset].codec
+    return {name: codec.column(records, name) for name in names}
 
 
 def fold_homes(fold, records: Iterable):
@@ -145,7 +167,7 @@ class HeartbeatLog:
             raise ValueError("heartbeat timestamps must be one-dimensional")
         if not np.isfinite(self.timestamps).all():
             raise ValueError("heartbeat timestamps must be finite")
-        if np.any(np.diff(self.timestamps) < 0):
+        if not is_sorted(self.timestamps):
             self.timestamps = np.sort(self.timestamps)
 
     def __len__(self) -> int:

@@ -29,8 +29,9 @@ from repro.core.datasets import (
     StudyData,
     by_router,
     fold_homes,
+    home_columns,
 )
-from repro.core.records import Medium, RouterInfo, Spectrum
+from repro.core.records import SPECTRUM_BY_CODE, Medium, RouterInfo, Spectrum
 from repro.core.sketches import (
     QuantileSketch,
     StreamingMeanSpread,
@@ -69,16 +70,16 @@ class CensusFold:
         self._all_ports = self._few_ports = 0
 
     def add_home(self, router_id: str, samples: Iterable) -> int:
-        """Fold one home's censuses in; returns how many it read."""
-        count = wired = w24 = w5 = busiest = 0
-        for sample in samples:
-            count += 1
-            wired += sample.wired
-            w24 += sample.wireless_2_4
-            w5 += sample.wireless_5
-            busiest = max(busiest, sample.wired)
-        # Integer sums are exact, so these are the per-census means.
-        wired, w24, w5 = wired / count, w24 / count, w5 / count
+        """Fold one home's censuses (records or columns) in; returns how
+        many it read."""
+        columns = home_columns("device_counts", samples, "wired",
+                               "wireless_2_4", "wireless_5")
+        count = len(columns["wired"])
+        busiest = int(columns["wired"].max())
+        # Python's integer sums are exact (an int64 sum could wrap), so
+        # these are the per-census means.
+        wired, w24, w5 = (sum(columns[name].tolist()) / count for name in (
+            "wired", "wireless_2_4", "wireless_5"))
         info = self.routers.get(router_id)
         if info is not None:
             means = self._groups[GROUP[info.developed]]
@@ -273,19 +274,14 @@ def _neighbor_aps(scans: Iterable, quantile: float
                   ) -> Tuple[Dict[Spectrum, float], int]:
     """One home's q-quantile of neighbor-AP counts per scanned band, and
     how many scans it read."""
-    # Bands match by identity: hashing an enum member per scan would cost
-    # more than the rest of the loop.
-    counts: List[Tuple[Spectrum, List[int]]] = [
-        (spectrum, []) for spectrum in Spectrum]
-    read = 0
-    for scan in scans:
-        read += 1
-        for spectrum, values in counts:
-            if scan.spectrum is spectrum:
-                values.append(scan.neighbor_aps)
-                break
-    return {spectrum: float(np.quantile(np.asarray(values), quantile))
-            for spectrum, values in counts if values}, read
+    columns = home_columns("wifi_scans", scans, "spectrum", "neighbor_aps")
+    codes, aps = columns["spectrum"], columns["neighbor_aps"]
+    per_band = {}
+    for spectrum in Spectrum:
+        values = aps[codes == SPECTRUM_BY_CODE.index(spectrum)]
+        if values.size:
+            per_band[spectrum] = float(np.quantile(values, quantile))
+    return per_band, len(codes)
 
 
 class WifiFold:

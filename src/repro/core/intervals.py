@@ -65,11 +65,47 @@ def normalize_interval_arrays(
 
 # -- the bare-array kernel: normalized (starts, ends) float arrays ------------
 
+def is_sorted(values: np.ndarray) -> bool:
+    """Whether a 1-D array is in non-decreasing order; a NaN breaks it."""
+    return values.ndim == 1 and bool((values[1:] >= values[:-1]).all())
+
+
+#: :func:`contains` searches a sorted instant array by the interval
+#: bounds once it holds more than ``BOUNDS_MIN_INSTANTS`` instants and
+#: more than ``BOUNDS_PER_INTERVAL`` per interval.  Below that the
+#: per-instant search's smaller fixed cost wins: the two cross between
+#: 640 and 900 instants for 1-128 intervals, and between 3 and 6
+#: instants per interval for 200-4,000 intervals (2-core host, numpy
+#: 2.4).  The deep plan's largest call, 576 intervals on a 56,448-tick
+#: grid, is far past both.
+BOUNDS_MIN_INSTANTS = 768
+BOUNDS_PER_INTERVAL = 4
+
+
 def contains(starts: np.ndarray, ends: np.ndarray,
              instants: np.ndarray) -> np.ndarray:
-    """Which of the float array *instants* fall inside some interval."""
+    """Which of the float array *instants* fall inside some interval.
+
+    ``t`` is inside ``[s, e)`` iff ``s <= t < e``.  A sorted 1-D
+    *instants* that outnumbers the intervals is searched by the bounds:
+    each interval's instants are the run from the first ``>= s`` to the
+    first ``>= e``, and the runs alternate with the gaps between them.
+    Any other *instants* (unsorted, a NaN, few) is searched per instant.
+    """
     if starts.size == 0:
         return np.zeros(instants.shape, dtype=bool)
+    n = instants.size
+    if n > max(BOUNDS_MIN_INSTANTS, BOUNDS_PER_INTERVAL * starts.size) \
+            and is_sorted(instants):
+        # Normalized intervals are disjoint and ordered, so the run
+        # edges never decrease: gap, run, gap, ..., run, gap.
+        edges = np.empty(2 * starts.size + 2, dtype=np.intp)
+        edges[0], edges[-1] = 0, n
+        edges[1:-1:2] = np.searchsorted(instants, starts, side="left")
+        edges[2:-1:2] = np.searchsorted(instants, ends, side="left")
+        inside = np.zeros(2 * starts.size + 1, dtype=bool)
+        inside[1::2] = True
+        return np.repeat(inside, np.diff(edges))
     idx = np.searchsorted(starts, instants, side="right") - 1
     valid = idx >= 0
     # maximum() instead of np.clip: the searchsorted already bounds idx
@@ -398,10 +434,9 @@ class IntervalSet:
         ts = np.asarray(timestamps, dtype=float)
         if ts.size == 0:
             return cls()
-        gaps = np.diff(ts)
-        if np.any(gaps < 0):
+        if not is_sorted(ts):
             ts = np.sort(ts)
-            gaps = np.diff(ts)
+        gaps = np.diff(ts)
         breaks = np.flatnonzero(gaps > max_gap)
         starts = np.concatenate(([0], breaks + 1))
         ends = np.concatenate((breaks, [ts.size - 1]))

@@ -116,20 +116,6 @@ class RouterInfo(Record):
 
 
 @dataclass(frozen=True)
-class Heartbeat:
-    """One ~1-minute keepalive received by the central server.
-
-    A heartbeat proves the router was powered on, its access link was up,
-    and the path to the server worked at ``timestamp``.  Heartbeats are not
-    retransmitted (Section 3.2.2), so absence is ambiguous — resolving that
-    ambiguity is the availability analysis's job.
-    """
-
-    router_id: str
-    timestamp: float
-
-
-@dataclass(frozen=True)
 class UptimeReport(Record):
     """12-hourly report of seconds since the router last booted."""
 
@@ -414,6 +400,9 @@ class RowCodec:
         self._values = operator.attrgetter(*self._names)
         self._tests = tuple(map(_value_test, self.fields))
         self._encoders = tuple((f.name, _encoder(f)) for f in self.fields)
+        #: Per field name, the field and its :meth:`to_row` encoder.
+        self._by_name = {name: (f, encode) for f, (name, encode)
+                         in zip(self.fields, self._encoders)}
         self._enums = tuple((index, f.kind)
                             for index, f in enumerate(self.fields)
                             if issubclass(f.kind, enum.Enum))
@@ -423,9 +412,8 @@ class RowCodec:
         self.codes: Dict[str, Tuple[Any, ...]] = {
             f.name: (None, *f.kind) for f in self.fields
             if issubclass(f.kind, enum.Enum)}
-        self._value_codes = {
-            name: {None if member is None else member.value: code
-                   for code, member in enumerate(values)}
+        self._member_codes = {
+            name: {member: code for code, member in enumerate(values)}
             for name, values in self.codes.items()}
         #: One spill-segment row, packed: a float is ``<f8``, an int
         #: ``<i8``, a bool ``|b1``, an enum its ``|u1`` code and a str an
@@ -494,17 +482,31 @@ class RowCodec:
         codes it against its own string table when it is written.
         """
         columns: Dict[str, np.ndarray] = {}
-        for field, (name, encode) in zip(self.fields, self._encoders):
-            values = list(map(encode, map(operator.attrgetter(name), records)))
-            if name in self.codes:
-                values = list(map(self._value_codes[name].__getitem__, values))
-            elif field.optional:
+        for field in self.fields:
+            name = field.name
+            if field.optional and name not in self.codes:
                 columns[f"{name}_null"] = np.array(
-                    [value is None for value in values], dtype=bool)
-                values = [0 if value is None else value for value in values]
-            dtype = object if field.kind is str else self.layout[name]
-            columns[name] = np.array(values, dtype=dtype)
+                    [getattr(record, name) is None for record in records],
+                    dtype=bool)
+            columns[name] = self.column(records, name)
         return columns
+
+    def column(self, records: Sequence, name: str) -> np.ndarray:
+        """Field *name* of the records as its :meth:`to_columns` column:
+        an enum as its code, a ``None`` as 0 (a flag column marks it)."""
+        field, encode = self._by_name[name]
+        values = map(operator.attrgetter(name), records)
+        if name in self.codes:
+            values = map(self._member_codes[name].__getitem__, values)
+        elif field.optional:
+            values = (0 if value is None else encode(value)
+                      for value in values)
+        else:
+            values = map(encode, values)
+        if field.kind is str:
+            return np.array(list(values), dtype=object)
+        return np.fromiter(values, dtype=self.layout[name],
+                           count=len(records))
 
     def from_columns(self, columns: Mapping[str, Any]) -> list:
         """Build records from columns that passed :meth:`check_columns`

@@ -378,6 +378,16 @@ class StreamingHourProfile:
         self._sums[hour] += value
         self._counts[hour] += 1
 
+    def add_many(self, hours: np.ndarray, values: np.ndarray) -> None:
+        """Add samples in order, as :meth:`add` one at a time would: the
+        same float additions per slot (``np.add.at`` applies them in
+        index order).  Any hour outside 0..23 rejects the whole batch."""
+        hours = np.asarray(hours)
+        if hours.size and not 0 <= hours.min() <= hours.max() <= 23:
+            raise ValueError("hours must be in 0..23")
+        np.add.at(self._sums, hours, values)
+        self._counts += np.bincount(hours, minlength=24)
+
     def merge(self, other: "StreamingHourProfile") -> None:
         self._sums += other._sums
         self._counts += other._counts

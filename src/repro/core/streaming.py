@@ -30,6 +30,7 @@ from repro.core.datasets import (
     StudyData,
     by_router,
     dataset_summaries,
+    home_columns,
 )
 from repro.core.infrastructure import (
     AlwaysConnectedRow,
@@ -157,9 +158,11 @@ def _analyze(source, sketch: Callable[[], QuantileSketch]) -> StudyFigures:
     diurnal = usage.DiurnalFold(routers)
 
     def censuses(router_id: str, samples: Iterator) -> int:
-        samples = list(samples)  # both folds read them
-        diurnal.add_home(router_id, samples)
-        return census.add_home(router_id, samples)
+        columns = home_columns(  # both folds read them
+            "device_counts", samples, "timestamp", "wired", "wireless_2_4",
+            "wireless_5")
+        diurnal.add_home(router_id, columns)
+        return census.add_home(router_id, columns)
 
     run("device_counts", censuses)
     roster = infrastructure.RosterFold(
@@ -168,7 +171,8 @@ def _analyze(source, sketch: Callable[[], QuantileSketch]) -> StudyFigures:
     run("roster", roster.add_home)
     wifi = infrastructure.WifiFold(routers, sketch)
     run("wifi_scans", wifi.add_home)
-    run("uptime", lambda _, reports: sum(1 for _ in reports))
+    run("uptime", lambda _, reports: len(
+        home_columns("uptime", reports, "timestamp")["timestamp"]))
 
     fig13 = {key: diurnal.profile(key == "weekend")
              for key in diurnal.profiles}

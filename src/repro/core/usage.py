@@ -29,6 +29,7 @@ from repro.core.datasets import (
     ThroughputSeries,
     by_router,
     fold_homes,
+    home_columns,
 )
 from repro.core.records import RouterInfo
 from repro.core.sketches import RankedShareAccumulator, StreamingHourProfile
@@ -50,14 +51,21 @@ class DiurnalFold:
                          "weekend": StreamingHourProfile()}
 
     def add_home(self, router_id: str, samples: Iterable) -> None:
-        """Fold one home's censuses in."""
+        """Fold one home's censuses (records or columns) in."""
         calendar = self.calendars.get(router_id)
         if calendar is None:
             return
-        for sample in samples:
-            weekend = calendar.is_weekend(sample.timestamp)
-            self.profiles["weekend" if weekend else "weekday"].add(
-                calendar.hour_of_day(sample.timestamp), float(sample.wireless))
+        columns = home_columns("device_counts", samples, "timestamp",
+                               "wireless_2_4", "wireless_5")
+        timestamps = columns["timestamp"]
+        hours = calendar.hour_of_day_many(timestamps)
+        weekend = calendar.is_weekend_many(timestamps)
+        # As uint64 the two counts cannot wrap, and the cast to float
+        # rounds their sum as ``float(int)`` does.
+        wireless = (columns["wireless_2_4"].astype(np.uint64)
+                    + columns["wireless_5"].astype(np.uint64)).astype(float)
+        for key, days in (("weekday", ~weekend), ("weekend", weekend)):
+            self.profiles[key].add_many(hours[days], wireless[days])
 
     def profile(self, weekend: bool) -> HourOfDayProfile:
         return self.profiles["weekend" if weekend else "weekday"].result()
@@ -257,12 +265,10 @@ class SaturationFold:
 
     def add_capacity(self, router_id: str, measurements: Iterable) -> int:
         """Fold one home's capacity estimates in; returns how many."""
-        down: List[float] = []
-        up: List[float] = []
-        for measurement in measurements:
-            down.append(measurement.downstream_mbps)
-            up.append(measurement.upstream_mbps)
-        if router_id in self.homes and down:
+        columns = home_columns("capacity", measurements,
+                               "downstream_mbps", "upstream_mbps")
+        down, up = columns["downstream_mbps"], columns["upstream_mbps"]
+        if router_id in self.homes and len(down):
             self.capacities[router_id] = (float(np.median(down)),
                                           float(np.median(up)))
         return len(down)

@@ -72,7 +72,8 @@ from repro.collection.batches import (
     columnar_batches,
     list_batches,
 )
-from repro.core.intervals import clip, contains, intersect, total_duration
+from repro.core.intervals import (clip, contains, intersect, is_sorted,
+                                  total_duration)
 from repro.core.records import (SPECTRUM_2_4, SPECTRUM_5, SPECTRUM_BY_CODE,
                                 DeviceRosterEntry, Medium, RouterInfo,
                                 Spectrum)
@@ -236,10 +237,10 @@ def _heartbeat_sends(rng: np.random.Generator, start: float, end: float,
     sendable = contains(*online, ticks) & (ticks < end)
     times = ticks[sendable]
     if HEARTBEAT_JITTER_SECONDS > 0 and times.size:
-        times = times + rng.uniform(-HEARTBEAT_JITTER_SECONDS,
-                                    HEARTBEAT_JITTER_SECONDS,
-                                    size=times.size)
-    return np.sort(times)
+        # In place: the same additions, and no second array per home.
+        times += rng.uniform(-HEARTBEAT_JITTER_SECONDS,
+                             HEARTBEAT_JITTER_SECONDS, size=times.size)
+    return times if is_sorted(times) else np.sort(times)
 
 
 def _online_ticks(rng: np.random.Generator, start: float, end: float,

@@ -245,19 +245,21 @@ class TrafficGenerator:
         capacity_bytes_per_minute = self.upstream_capacity_bps / 8 * MINUTE
         cloud = next((d for d in self.sampler.universe
                       if d.category == "cloud" and d.whitelisted), None)
-        minute_epochs = start + np.arange(up.size) * MINUTE
-        for slot, epoch in enumerate(minute_epochs):
-            if self.uplink_saturator == "continuous":
-                load = float(self.rng.uniform(1.05, 1.9))
-            else:
-                hour = self.calendar.hour_of_day(epoch)
-                if 18 <= hour <= 23:
-                    load = float(self.rng.uniform(0.9, 1.8))
-                elif 8 <= hour < 18:
-                    load = float(self.rng.uniform(0.1, 0.5))
-                else:
-                    load = 0.05
-            up[slot] += load * capacity_bytes_per_minute
+        # One draw per drawing minute, in minute order: an array draw
+        # with per-minute bounds takes the scalar draws' values and
+        # leaves the stream where they would.
+        if self.uplink_saturator == "continuous":
+            load = self.rng.uniform(1.05, 1.9, size=up.size)
+        else:
+            hours = self.calendar.hour_of_day_many(
+                start + np.arange(up.size) * MINUTE)
+            evening = hours >= 18
+            drawing = hours >= 8
+            load = np.full(up.size, 0.05)
+            load[drawing] = self.rng.uniform(
+                np.where(evening, 0.9, 0.1)[drawing],
+                np.where(evening, 1.8, 0.5)[drawing])
+        up += load * capacity_bytes_per_minute
         # Record the upload as daily long-running flows so domain/device
         # accounting (Figs. 17, 19) sees the bytes too.
         if cloud is not None:

@@ -132,6 +132,24 @@ class TestDomainSampler:
             assert set(appetite) == categories, key
 
 
+def _scalar_saturator_upload(generator, start, up):
+    """The saturator overlay as one scalar draw per drawing minute, the
+    reference its array draws must equal."""
+    capacity_bytes_per_minute = generator.upstream_capacity_bps / 8 * 60
+    for slot, epoch in enumerate(start + np.arange(up.size) * 60.0):
+        if generator.uplink_saturator == "continuous":
+            load = float(generator.rng.uniform(1.05, 1.9))
+        else:
+            hour = generator.calendar.hour_of_day(epoch)
+            if 18 <= hour <= 23:
+                load = float(generator.rng.uniform(0.9, 1.8))
+            elif 8 <= hour < 18:
+                load = float(generator.rng.uniform(0.1, 0.5))
+            else:
+                load = 0.05
+        up[slot] += load * capacity_bytes_per_minute
+
+
 class TestTrafficGenerator:
     def make_generator(self, seed=0, saturator=None, intensity=1.0,
                        online=None):
@@ -202,6 +220,23 @@ class TestTrafficGenerator:
         evening = traffic.minute_up_bytes[(hours >= 18) & (hours <= 23)].mean()
         night = traffic.minute_up_bytes[(hours >= 1) & (hours <= 5)].mean()
         assert evening > 3 * night
+
+    @pytest.mark.parametrize("saturator", ["continuous", "diurnal"])
+    @pytest.mark.parametrize("start", [WINDOW[0], WINDOW[0] + 7.5 * 3600])
+    def test_saturator_overlay_matches_scalar_draws(self, saturator, start):
+        """The overlay's array draws are the per-minute scalar draws it
+        replaced: the same uplink bytes, bit for bit, and the stream left
+        in the same state."""
+        array = self.make_generator(seed=6, saturator=saturator)
+        scalar = self.make_generator(seed=6, saturator=saturator)
+        base = np.random.default_rng(6).uniform(0, 1e5, size=3000)
+        up = base.copy()
+        array._add_saturator_upload(start, start + 3000 * 60, up, [])
+        expected = base.copy()
+        _scalar_saturator_upload(scalar, start, expected)
+        assert up.tobytes() == expected.tobytes()
+        assert array.rng.bit_generator.state == \
+            scalar.rng.bit_generator.state
 
     def test_rejects_unknown_saturator(self):
         with pytest.raises(ValueError):

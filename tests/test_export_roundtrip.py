@@ -14,11 +14,18 @@ import numpy as np
 import pytest
 
 from repro import study_digest
+from repro.collection.backends import SpillBackend
+from repro.collection.batches import RecordBatch, RouterUpload
 from repro.collection.engine import run_campaign
 from repro.collection.export import export_study, load_study
+from repro.collection.loadgen import LoadConfig, synthetic_upload
+from repro.collection.path import CollectionPath
+from repro.collection.server import CollectionServer
+from repro.collection.storage import RecordStore
 from repro.core.datasets import HeartbeatLog, ThroughputSeries
+from repro.core.records import FlowRecord
 from repro.simulation.deployment import DeploymentConfig, build_deployment_plan
-from repro.simulation.timebase import StudyWindows
+from repro.simulation.timebase import StudyWindows, utc
 
 SMALL = DeploymentConfig(
     seed=11, windows=StudyWindows().scaled(0.02), router_scale=0.05,
@@ -182,6 +189,31 @@ class TestArchiveBytes:
                   if name not in ("flows.csv", "throughput.csv", "dns.csv")}
         public["manifest.json"] = PUBLIC_MANIFEST_PIN
         assert _file_digests(root) == public
+
+    def test_memory_and_spill_stores_export_the_same_bytes(self, tmp_path):
+        """A float field given an int: the memory store keeps the int, a
+        spill segment stores a float, and both archives read ``1.0``."""
+        span = (utc(2013, 3, 1), utc(2013, 3, 15))
+        upload = synthetic_upload(0, span, LoadConfig(
+            clients=1, connections=1, seed=3))
+        flow = FlowRecord(upload.router_id, span[0] + 60.0,
+                          "3c:07:54:aa:bb:cc", "google.com", 1, 443,
+                          "https", 1, 2, 3)
+        upload = RouterUpload(upload.info, upload.batches + (
+            RecordBatch("flows", upload.router_id, [flow]),))
+        roots = []
+        for name, backend in (("memory", None),
+                              ("spill", SpillBackend(tmp_path / "runs"))):
+            server = CollectionServer(
+                RecordStore(StudyWindows(), backend),
+                CollectionPath.for_study(3, span))
+            server.ingest(upload)
+            roots.append(export_study(server.store.to_study_data(),
+                                      tmp_path / name))
+        memory, spill = map(_file_digests, roots)
+        assert memory == spill
+        with (roots[0] / "flows.csv").open() as handle:
+            assert next(csv.DictReader(handle))["bytes_up"] == "1.0"
 
     def test_wifi_without_channel_column_loads_channel_zero(self, campaign,
                                                             tmp_path):

@@ -7,10 +7,16 @@ get the heaviest property-based coverage in the suite.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.core.intervals import IntervalSet, intersect
+from repro.core.intervals import (
+    BOUNDS_MIN_INSTANTS,
+    BOUNDS_PER_INTERVAL,
+    IntervalSet,
+    contains,
+    intersect,
+)
 
 # Strategy: small sets of raw (possibly overlapping, unordered) intervals.
 raw_interval = st.tuples(
@@ -176,6 +182,51 @@ class TestKernel:
             mine = tags == index
             assert tuple(zip(starts[mine].tolist(), ends[mine].tolist())) \
                 == s.intersection(b).intervals
+
+
+@st.composite
+def sets_and_sorted_instants(draw):
+    """0-50 normalized intervals, and sorted instants with duplicates and
+    instants on, and one ulp beside, each bound; repeated so that the
+    instant count falls on either side of the bounds path's size gate."""
+    bounds = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                           max_size=100))
+    s = IntervalSet(zip(bounds[::2], bounds[1::2]))
+    edges = [bound for pair in s for bound in pair]
+    near = st.sampled_from(edges).flatmap(lambda bound: st.sampled_from([
+        bound, np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)])) \
+        if edges else st.nothing()
+    picks = draw(st.lists(st.one_of(near, st.floats(-2e6, 2e6)),
+                          min_size=1, max_size=60))
+    copies = draw(st.sampled_from([1, 2, BOUNDS_MIN_INSTANTS + 1]))
+    return s, np.sort(np.repeat(np.asarray(picks, dtype=float), copies))
+
+
+class TestContains:
+    @given(sets_and_sorted_instants())
+    @settings(max_examples=150, deadline=None)
+    def test_bounds_and_per_instant_paths_agree(self, case):
+        """Searched by the bounds, per instant (a trailing NaN is not
+        sorted) or on the tuple path, an instant is inside or not alike."""
+        s, instants = case
+        arr = np.asarray(s.intervals, dtype=float).reshape(-1, 2)
+        starts, ends = arr[:, 0], arr[:, 1]
+        event("bounds path" if instants.size > max(
+            BOUNDS_MIN_INSTANTS, BOUNDS_PER_INTERVAL * len(s))
+            else "per-instant path")
+        got = contains(starts, ends, instants)
+        per_instant = contains(starts, ends, np.append(instants, np.nan))
+        assert got.dtype == bool and got.shape == instants.shape
+        assert not per_instant[-1]
+        assert got.tolist() == per_instant[:-1].tolist()
+        assert got.tolist() == [s.contains(t) for t in instants.tolist()]
+
+    def test_large_sorted_grid_uses_half_open_bounds(self):
+        ticks = np.repeat(np.arange(0.0, 1000.0), 2)
+        inside = contains(np.array([10.0, 500.0]), np.array([20.0, 501.0]),
+                          ticks)
+        assert np.flatnonzero(inside).tolist() == \
+            [*range(20, 40), 1000, 1001]
 
 
 class TestFromTimestamps:

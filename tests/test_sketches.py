@@ -288,6 +288,34 @@ class TestStreamingHourProfile:
         assert profile.means[3] == 2.0
         assert profile.means[5] == 7.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.tuples(
+        st.one_of(st.sampled_from([0, 23]), st.integers(0, 23)),
+        st.one_of(st.sampled_from([1e16, -1e16, 1.0, 0.1, -0.0, 5e-324]),
+                  st.floats(-1e300, 1e300))), max_size=80), max_size=3))
+    @example([[(5, 1.0), (5, 1e16), (5, -1e16)]])
+    def test_add_many_bitwise_equals_sequential_add(self, batches):
+        """Batch by batch, the same float additions in the same order:
+        the sums (where order shows: 1 + 1e16 - 1e16 is 0, and 1 in
+        reverse) and the counts are bitwise those of one ``add`` per
+        sample."""
+        one, many = StreamingHourProfile(), StreamingHourProfile()
+        for batch in batches:
+            for hour, value in batch:
+                one.add(hour, value)
+            many.add_many(np.array([h for h, _ in batch], dtype=np.int64),
+                          np.array([v for _, v in batch], dtype=float))
+        expected, got = one.result(), many.result()
+        assert got.means.tobytes() == expected.means.tobytes()
+        assert got.counts.tobytes() == expected.counts.tobytes()
+
+    @pytest.mark.parametrize("hour", [24, -1])
+    def test_add_many_rejects_an_hour_outside_the_day(self, hour):
+        acc = StreamingHourProfile()
+        with pytest.raises(ValueError, match="0..23"):
+            acc.add_many(np.array([3, hour]), np.array([1.0, 2.0]))
+        assert acc.result().counts.sum() == 0
+
 
 class TestRankedShareAccumulator:
     def test_matches_mean_ranked_shares(self):

@@ -9,8 +9,10 @@ itself; the store keeps none.  A damaged segment must either raise one
 accepted.
 """
 
+import itertools
 import re
 import tempfile
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.collection.backends import SORT_KEYS, SpillBackend
 from repro.collection.batches import COLUMNAR_DATASETS, ColumnarRecords
+from repro.core.datasets import home_columns
 from repro.core.records import (
     RECORD_DATASETS,
     SPECTRUM_BY_CODE,
@@ -103,10 +106,11 @@ def batches(draw, datasets):
 
 
 @st.composite
-def uploads(draw):
-    """Batches of up to three data sets, so a segment can outgrow the
-    smallest read chunk (32 rows) and a chunk boundary cut a home."""
-    datasets = draw(st.lists(st.sampled_from(sorted(RECORDS)), min_size=1,
+def uploads(draw, names=sorted(RECORDS)):
+    """Batches of up to three of the data sets *names*, so a segment can
+    outgrow the smallest read chunk (32 rows) and a chunk boundary cut a
+    home."""
+    datasets = draw(st.lists(st.sampled_from(names), min_size=1,
                              max_size=3, unique=True))
     return draw(st.lists(batches(st.sampled_from(datasets)), min_size=1,
                          max_size=30))
@@ -160,6 +164,37 @@ class TestRoundTrip:
         assert len(backend.state_dict()["runs"]["uptime"]) > 3
         assert _exact(_read(backend, "uptime")) == \
             _exact(sorted(records, key=SORT_KEYS["uptime"]))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(uploads(sorted(COLUMNAR_DATASETS)), st.integers(1, 24))
+    def test_columnar_homes_read_as_their_records_columns(self, appended,
+                                                          buffer):
+        """A columnar data set's home, read through the folds' accessor,
+        holds the columns of its records in ``SORT_KEYS`` order, though
+        its rows came from several chunks and segments."""
+        with tempfile.TemporaryDirectory() as root:
+            backend = SpillBackend(root, max_buffered_records=buffer)
+            backend.merge_chunk_records = 32
+            ingested = {dataset: [] for dataset in COLUMNAR_DATASETS}
+            for dataset, records, batch in appended:
+                backend.append(dataset, batch)
+                ingested[dataset] += records
+            for dataset, records in ingested.items():
+                codec = RECORD_DATASETS[dataset].codec
+                names = COLUMNAR_DATASETS[dataset]
+                expected = {rid: codec.to_columns(list(home)) for rid, home in
+                            itertools.groupby(sorted(
+                                records, key=SORT_KEYS[dataset]),
+                                key=attrgetter("router_id"))}
+                got = {rid: home_columns(dataset, home, *names)
+                       for rid, home in backend.iter_homes(dataset)}
+                assert list(got) == list(expected)
+                for rid, columns in got.items():
+                    for name in names:
+                        want = expected[rid][name]
+                        assert columns[name].dtype == want.dtype
+                        assert columns[name].tobytes() == want.tobytes()
 
     def test_text_survives_exactly(self, tmp_path):
         """JSON would join this surrogate pair into one character."""
