@@ -1,11 +1,14 @@
-"""Record batches: the wire format between shard workers and the server.
+"""Router uploads: the wire format between shard workers and the server.
 
-A shard worker does not ship one giant :class:`RouterOutput` per home —
-it splits every collector's records into bounded :class:`RecordBatch`
-chunks so the ingest side can stream them into a store without ever
-holding a whole upload's records beyond the chunk size.  A
-:class:`RouterUpload` bundles one home's registration metadata with its
-batches; uploads cross the process boundary by pickling.
+A :class:`RouterUpload` is one home's upload, a fixed set of typed
+fields: its registration metadata, its raw heartbeat *send* times, its
+record-list data sets as :class:`RecordBatch` chunks, and its optional
+throughput series.  A shard worker does not ship one giant record list
+per data set: :func:`build_upload`, the one way a producer builds an
+upload, splits each list data set into bounded chunks so the ingest
+side can stream them into a store without ever holding a whole
+upload's records beyond the chunk size.  Uploads cross the process
+boundary by pickling.
 
 A :class:`ColumnarRecords` batch lays one data set out as columns named
 by the record's fields after ``router_id``, a ``Spectrum`` as its 1/2
@@ -20,45 +23,72 @@ import itertools
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
+from repro.core.datasets import ThroughputSeries
 from repro.core.records import LIST_DATASETS, RECORD_DATASETS, RouterInfo
-from repro.firmware.router import RouterOutput
-
-#: All batchable datasets, including the two columnar ones.
-DATASETS = ("heartbeats",) + LIST_DATASETS + ("throughput",)
 
 #: Ceiling on records per list batch.
 DEFAULT_BATCH_RECORDS = 2048
 
 
+def _require(owner: str, name: str, value: object, expected: type) -> None:
+    if not isinstance(value, expected):
+        raise TypeError(f"{owner}.{name} must be a {expected.__name__}, "
+                        f"not a {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class RecordBatch:
-    """One chunk of one dataset from one router.
+    """One chunk of one record-list data set: a list of its records, or
+    a :class:`ColumnarRecords` of its columns.
 
-    ``records`` is a list of record dataclasses for the seven list
-    datasets, the raw heartbeat *send-time* array for ``"heartbeats"``
-    (path loss is applied server-side so delivery stays deterministic in
-    ingest order), and a :class:`ThroughputSeries` for ``"throughput"``.
+    The constructor checks the container; the collection server checks
+    each record it holds (its class, its fields and its router).
     """
 
     dataset: str
-    router_id: str
-    records: Any
+    records: Union[list, "ColumnarRecords"]
 
     def __post_init__(self) -> None:
-        if self.dataset not in DATASETS:
-            raise ValueError(f"unknown dataset {self.dataset!r}")
+        if self.dataset not in LIST_DATASETS:
+            raise ValueError(
+                f"{self.dataset!r} is not a record-list data set")
+        records = self.records
+        if isinstance(records, ColumnarRecords):
+            if records.dataset != self.dataset:
+                raise ValueError(f"{records.dataset} columns in a "
+                                 f"{self.dataset} batch")
+        else:
+            _require("RecordBatch", "records", records, list)
 
 
 @dataclass(frozen=True)
 class RouterUpload:
-    """Everything one router sent: registration metadata plus batches."""
+    """Everything one router sent.
+
+    ``heartbeat_sends`` are raw *send* times: path loss is applied
+    server-side, so delivery stays deterministic in ingest order.
+    ``batches`` hold the record-list data sets in :data:`LIST_DATASETS`
+    order, and ``throughput`` is the router's one-shot series, if any.
+    """
 
     info: RouterInfo
-    batches: Tuple[RecordBatch, ...]
+    heartbeat_sends: np.ndarray
+    batches: Tuple[RecordBatch, ...] = ()
+    throughput: Optional[ThroughputSeries] = None
+
+    def __post_init__(self) -> None:
+        _require("RouterUpload", "info", self.info, RouterInfo)
+        _require("RouterUpload", "heartbeat_sends", self.heartbeat_sends,
+                 np.ndarray)
+        _require("RouterUpload", "batches", self.batches, tuple)
+        if self.throughput is not None:
+            _require("RouterUpload", "throughput", self.throughput,
+                     ThroughputSeries)
 
     @property
     def router_id(self) -> str:
@@ -66,31 +96,43 @@ class RouterUpload:
 
     @property
     def record_count(self) -> int:
-        """Total records across batches (a throughput series counts its
-        minutes)."""
-        return sum(len(batch.records) for batch in self.batches)
+        """Records sent: the sends, every list record and the throughput
+        series' minutes."""
+        count = len(self.heartbeat_sends)
+        count += sum(len(batch.records) for batch in self.batches)
+        if self.throughput is not None:
+            count += len(self.throughput)
+        return count
 
 
-def _chunks(records: Sequence) -> Iterator[Sequence]:
-    for start in range(0, len(records), DEFAULT_BATCH_RECORDS):
-        yield records[start:start + DEFAULT_BATCH_RECORDS]
+def build_upload(info: RouterInfo, heartbeat_sends: np.ndarray,
+                 lists: Mapping[str, Union[list, Dict[str, list], None]],
+                 throughput: Optional[ThroughputSeries] = None
+                 ) -> RouterUpload:
+    """One router's upload, its list data sets chunked into batches.
 
-
-def router_output_to_batches(output: RouterOutput) -> List[RecordBatch]:
-    """Split one router's output into bounded batches, in dataset order.
-
-    The heartbeat batch is always emitted (even when empty) so every
-    router keeps a heartbeat log entry, matching the monolithic upload
-    path.  Empty list datasets emit no batch, also matching it.
+    *lists* maps a record-list data set to its record list or, for one
+    of :data:`COLUMNAR_DATASETS`, to its column dict.  Batches come in
+    :data:`LIST_DATASETS` order, a chunk boundary every
+    :data:`DEFAULT_BATCH_RECORDS` records; a missing or empty data set
+    emits no batch.
     """
-    rid = output.router_id
-    batches = [RecordBatch("heartbeats", rid, output.heartbeat_sends)]
+    rid = info.router_id
+    batches: List[RecordBatch] = []
     for dataset in LIST_DATASETS:
-        for chunk in _chunks(getattr(output, dataset)):
-            batches.append(RecordBatch(dataset, rid, list(chunk)))
-    if output.throughput is not None:
-        batches.append(RecordBatch("throughput", rid, output.throughput))
-    return batches
+        records = lists.get(dataset)
+        if isinstance(records, dict):
+            length = len(records[COLUMNAR_DATASETS[dataset][0]])
+            batches += [RecordBatch(dataset, ColumnarRecords(
+                dataset, rid, {name: column[lo:lo + DEFAULT_BATCH_RECORDS]
+                               for name, column in records.items()}))
+                for lo in range(0, length, DEFAULT_BATCH_RECORDS)]
+        elif records:
+            batches += [RecordBatch(dataset,
+                                    records[lo:lo + DEFAULT_BATCH_RECORDS])
+                        for lo in range(0, len(records),
+                                        DEFAULT_BATCH_RECORDS)]
+    return RouterUpload(info, heartbeat_sends, tuple(batches), throughput)
 
 
 # -- columnar record batches --------------------------------------------------
@@ -140,6 +182,7 @@ class ColumnarRecords:
         if len(lengths) != 1:
             raise ValueError(f"{dataset} column lengths differ")
         RECORD_DATASETS[dataset].codec.check_columns(columns)
+        _require("ColumnarRecords", "router_id", router_id, str)
         self.dataset = dataset
         self.router_id = router_id
         self.columns = columns
@@ -182,46 +225,16 @@ class ColumnarRecords:
         self.__init__(dataset, router_id, columns)
 
 
-def columnar_batches(dataset: str, router_id: str,
-                     columns: Optional[Dict[str, list]]) -> List[RecordBatch]:
-    """Chunk one dataset's columns into :class:`ColumnarRecords` batches.
-
-    Mirrors :func:`router_output_to_batches`: empty (or ``None``) datasets
-    emit no batch and chunk boundaries land every
-    :data:`DEFAULT_BATCH_RECORDS` records.
-    """
-    if columns is None:
-        return []
-    fields = COLUMNAR_DATASETS[dataset]
-    length = len(columns[fields[0]])
-    if length == 0:
-        return []
-    if length <= DEFAULT_BATCH_RECORDS:
-        return [RecordBatch(dataset, router_id,
-                            ColumnarRecords(dataset, router_id, columns))]
-    batches = []
-    for lo in range(0, length, DEFAULT_BATCH_RECORDS):
-        chunk = {name: columns[name][lo:lo + DEFAULT_BATCH_RECORDS]
-                 for name in fields}
-        batches.append(RecordBatch(
-            dataset, router_id, ColumnarRecords(dataset, router_id, chunk)))
-    return batches
-
-
-def list_batches(dataset: str, router_id: str,
-                 records: Sequence) -> List[RecordBatch]:
-    """Chunk a plain record list, matching :func:`router_output_to_batches`."""
-    return [RecordBatch(dataset, router_id, list(chunk))
-            for chunk in _chunks(records)]
-
 
 # -- wire framing -------------------------------------------------------------
 #
 # The network ingest service (``collection.netserve``) carries the same
-# ``RouterUpload``/``RecordBatch`` payloads that cross the process boundary
-# today, but over TCP: each message is one length-prefixed frame —
-# a 4-byte big-endian payload length followed by the pickled message.
-# Messages are small tuples, ``(kind, ...)``:
+# ``RouterUpload`` payloads that cross the process boundary, but over
+# TCP: each message is one length-prefixed frame — a 4-byte big-endian
+# payload length followed by the pickled message.  An upload's fields are
+# its ``RouterInfo``, its send-time array, a tuple of ``RecordBatch``
+# chunks and an optional ``ThroughputSeries``.  Messages are small
+# tuples, ``(kind, ...)``:
 #
 # ==========  =============================  ==================================
 # kind        shape                          direction / meaning
@@ -282,14 +295,48 @@ class FrameError(ValueError):
 # types accept attacker-chosen field values.  Unpickling runs no
 # constructor, so a ``ColumnarRecords`` re-runs its column checks as it
 # is unpickled, and the collection server re-runs every other object's
-# ``__post_init__`` and checks each batch's record class before ingest;
-# a record's checks each field's kind and each number's range.
+# ``__post_init__`` before ingest, the containers' as well as the
+# records': the upload's and each batch's check each field's type, and
+# a record's check each field's kind and each number's range.
+
+class _WireDtype:
+    """A frame's ``numpy.dtype``: a bool, int or float type, nothing else.
+
+    Unpickling a dtype calls its constructor, then ``__setstate__`` with
+    the frame's state, and numpy trusts that state: a hostile one can
+    crash the process (``np.dtype("f8", False, True).__setstate__((3,
+    "<", None, -1, -1, 0))`` does) or make an object dtype's elements raw
+    pointers.  So a frame's dtype resolves to this stand-in, which takes
+    only its type's own state (in either byte order), and the array
+    helpers the allowlist wraps receive its :attr:`dtype`.
+    """
+
+    def __init__(self, spec: object, *_: object) -> None:
+        dtype = np.dtype(spec) if isinstance(spec, str) else None
+        if dtype is None or dtype.kind not in "biuf":
+            raise FrameError("a frame's arrays hold bools or numbers")
+        self.dtype = dtype
+
+    def __setstate__(self, state: object) -> None:
+        own = self.dtype.__reduce__()[2]
+        if type(state) is not tuple or len(state) != len(own) \
+                or state[1] not in ("<", ">", "|", "=") \
+                or (state[0],) + state[2:] != (own[0],) + own[2:]:
+            raise FrameError("a frame's dtype state is not its type's own")
+        self.dtype = self.dtype.newbyteorder(state[1])
+
+
+def _resolving_dtypes(helper: Any) -> Any:
+    """*helper* called with each :class:`_WireDtype` argument's dtype."""
+    def call(*args: object) -> Any:
+        return helper(*(arg.dtype if isinstance(arg, _WireDtype) else arg
+                        for arg in args))
+    return call
+
 
 def _safe_globals() -> Dict[Tuple[str, str], Any]:
     """Build the (module, qualname) -> object allowlist for frames."""
     from importlib import import_module
-
-    import numpy as np
 
     from repro.core import datasets as _datasets
     from repro.core import records as _records
@@ -302,13 +349,14 @@ def _safe_globals() -> Dict[Tuple[str, str], Any]:
             *(table.record for table in RECORD_DATASETS.values()),
     ):
         allowed[(obj.__module__, obj.__qualname__)] = obj
-    allowed[("numpy", "ndarray")] = np.ndarray
-    allowed[("numpy", "dtype")] = np.dtype
-    # The ndarray reconstruction helpers moved between ``numpy.core``
-    # and ``numpy._core`` across numpy versions; allow whichever exist
-    # so frames from either side of the rename decode.  Newer numpy
-    # keeps ``numpy.core`` as a deprecation shim — probing it must not
-    # warn on every daemon start.
+    allowed[("numpy", "dtype")] = _WireDtype
+    # A contiguous array pickles through ``_frombuffer``, a numpy scalar
+    # through ``scalar``.  (``_reconstruct``, the path of other arrays,
+    # needs a real dtype in its state, which no frame can hold.)  The
+    # helpers moved between ``numpy.core`` and ``numpy._core`` across
+    # numpy versions; allow whichever exist so frames from either side
+    # of the rename decode.  Newer numpy keeps ``numpy.core`` as a
+    # deprecation shim — probing it must not warn on every daemon start.
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
@@ -319,9 +367,10 @@ def _safe_globals() -> Dict[Tuple[str, str], Any]:
                 module = import_module(module_name)
             except ImportError:  # pragma: no cover - numpy-version gated
                 continue
-            for name in ("_reconstruct", "scalar", "_frombuffer"):
+            for name in ("scalar", "_frombuffer"):
                 if hasattr(module, name):
-                    allowed[(module_name, name)] = getattr(module, name)
+                    allowed[(module_name, name)] = _resolving_dtypes(
+                        getattr(module, name))
     return allowed
 
 
@@ -388,8 +437,11 @@ def validate_message(message: object) -> Tuple:
     if not isinstance(message, tuple) or not message:
         raise FrameError("frame payload must be a non-empty tuple")
     kind = message[0]
-    if kind not in FRAME_KINDS:
-        raise FrameError(f"unknown frame kind {kind!r}")
+    # Only a str is compared or shown: a decoded object's ``__eq__`` and
+    # ``__repr__`` may raise (an object unpickled without its state).
+    if not isinstance(kind, str) or kind not in FRAME_KINDS:
+        raise FrameError("unknown frame kind " + (
+            repr(kind) if isinstance(kind, str) else type(kind).__name__))
     if kind == "upload":
         if len(message) != 3 or not isinstance(message[1], int) \
                 or message[1] < 0 \
@@ -397,7 +449,8 @@ def validate_message(message: object) -> Tuple:
             raise FrameError("upload frames are (\"upload\", seq, "
                              "RouterUpload) with seq >= 0")
     elif kind == "ack":
-        if len(message) != 3 or message[2] not in ("stored", "duplicate"):
+        if len(message) != 3 or not isinstance(message[2], str) \
+                or message[2] not in ("stored", "duplicate"):
             raise FrameError("ack frames are (\"ack\", seq, status)")
     elif kind == "retry":
         if len(message) != 3 or not isinstance(message[2], (int, float)) \

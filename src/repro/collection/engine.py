@@ -4,7 +4,7 @@ The engine turns a cheap :class:`~repro.simulation.deployment.DeploymentPlan`
 into collected :class:`~repro.core.datasets.StudyData` by splitting the
 deployment into contiguous shards, materializing and running each shard's
 households (in worker processes when ``workers > 1``), and streaming the
-resulting record batches into a :class:`CollectionServer`.
+resulting router uploads into a :class:`CollectionServer`.
 
 Determinism contract
 --------------------

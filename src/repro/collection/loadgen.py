@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.core.records import RouterInfo, UptimeReport
 from repro.simulation.timebase import StudyWindows
-from repro.collection.batches import RecordBatch, RouterUpload
+from repro.collection.batches import RouterUpload, build_upload
 from repro.collection.netserve import IngestClient, IngestDaemon, ServeConfig
 from repro.collection.path import CollectionPath
 from repro.collection.storage import RecordStore
@@ -128,7 +128,7 @@ def synthetic_upload(index: int, span: Tuple[float, float],
         start + beat * HEARTBEAT_INTERVAL + rng.uniform(-30.0, 30.0)
         for beat in range(config.heartbeats_per_upload)
     ])
-    batches = [RecordBatch("heartbeats", rid, sends)]
+    reports = []
     if config.uptime_reports_per_upload:
         boot = span[0] - rng.uniform(0.0, 30 * 24 * 3600.0)
         reports = [
@@ -136,9 +136,8 @@ def synthetic_upload(index: int, span: Tuple[float, float],
             for i in range(config.uptime_reports_per_upload)
             for ts in (start + (i + 1) * UPTIME_INTERVAL,)
         ]
-        batches.append(RecordBatch("uptime", rid, reports))
     info = RouterInfo(rid, "US", True, -5.0, 50_000.0)
-    return RouterUpload(info, tuple(batches))
+    return build_upload(info, sends, {"uptime": reports})
 
 
 async def run_load(host: str, port: int, config: LoadConfig,

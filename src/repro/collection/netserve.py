@@ -304,16 +304,15 @@ class IngestDaemon:
             seq = self._next_seq
             waiters = self._pending.pop(seq)
             upload, _ = waiters[0]
+            # Nothing here reads the upload: it is untrusted until
+            # ``ingest`` has checked it, and a rejection names the router.
             try:
-                with trace.span("net.ingest", cat="netserve", seq=seq,
-                                router=upload.router_id):
+                with trace.span("net.ingest", cat="netserve", seq=seq):
                     stored = self.server.ingest(upload)
             except Exception as exc:
                 metrics.inc("uploads_error_total")
-                events.emit("upload_rejected", seq=seq,
-                            router=upload.router_id, error=str(exc))
-                logger.warning("upload seq %d (%s) rejected: %s",
-                               seq, upload.router_id, exc)
+                events.emit("upload_rejected", seq=seq, error=str(exc))
+                logger.warning("upload seq %d rejected: %s", seq, exc)
                 for _, future in waiters:
                     self._resolve(future, ("error", seq, str(exc)))
                 # The seq slot stays owed: a client may resend a valid

@@ -4,8 +4,9 @@ The server is upload-oriented: shard workers (or the in-process serial
 path, or the network daemon) submit
 :class:`~repro.collection.batches.RouterUpload` bundles, and
 :meth:`CollectionServer.ingest` checks the whole upload, then applies
-it to the record store once, batch by batch in upload order.  Heartbeat
-batches carry raw *send* times; the server applies the lossy collection
+it to the record store once: registration, heartbeats, the list
+batches in upload order, then the throughput series.  An upload carries
+raw heartbeat *send* times; the server applies the lossy collection
 path between the checks and the apply, so delivery randomness depends
 only on the deterministic order of accepted uploads — never on which
 worker produced them, nor on any upload that was rejected.
@@ -51,11 +52,17 @@ class CollectionServer:
         conflicting throughput re-upload.  A rejected upload therefore
         leaves the store, the path RNG and the ingest counters as they
         were.  Only then are the heartbeat loss draws taken and the
-        batches applied in upload order; if the apply itself raises (a
-        backend failure no check can foresee), a registration this
-        upload made is withdrawn.  Returns True when the upload was
-        stored.
+        parts applied in a fixed order: registration, heartbeats, the
+        list batches in upload order, the throughput series.  If the
+        apply itself raises (a backend failure no check can foresee), a
+        registration this upload made is withdrawn.  Returns True when
+        the upload was stored.
         """
+        # A decoded upload was built by unpickling, which runs no
+        # constructor: its fields, and its router's, are checked before
+        # anything reads its router id.
+        _recheck("upload", upload, RouterUpload)
+        _recheck("upload", upload.info, RouterInfo)
         rid = upload.router_id
         store = self.store
         if store.has_upload(rid):
@@ -70,32 +77,26 @@ class CollectionServer:
             logger.debug("duplicate upload for %s ignored", rid)
             return False
         sends = self._validate_upload(upload)
+        series = upload.throughput
         store.check_registration(upload.info)
-        for batch in upload.batches:
-            if batch.dataset == "throughput":
-                store.check_keyed("throughput", batch.records)
+        if series is not None:
+            store.check_keyed("throughput", series)
         delivered = self.path.deliver(sends)
         was_registered = rid in store.routers
         try:
             store.register_router(upload.info)
+            sent, accepted = len(sends), len(delivered)
+            store.add_keyed("heartbeats", HeartbeatLog(rid, delivered))
+            store.record_heartbeat_delivery(rid, sent, accepted)
+            metrics.inc("heartbeats_sent_total", sent)
+            metrics.inc("heartbeats_delivered_total", accepted)
+            metrics.inc("heartbeats_dropped_total", sent - accepted)
+            _count_ingested("heartbeats", accepted)
             for batch in upload.batches:
-                dataset = batch.dataset
-                if dataset == "heartbeats":
-                    sent, accepted = len(sends), len(delivered)
-                    store.add_keyed("heartbeats", HeartbeatLog(rid, delivered))
-                    store.record_heartbeat_delivery(rid, sent, accepted)
-                    metrics.inc("heartbeats_sent_total", sent)
-                    metrics.inc("heartbeats_delivered_total", accepted)
-                    metrics.inc("heartbeats_dropped_total", sent - accepted)
-                elif dataset == "throughput":
-                    stored = store.add_keyed("throughput", batch.records)
-                    accepted = len(batch.records) if stored else 0
-                else:
-                    store.add_records(dataset, batch.records)
-                    accepted = len(batch.records)
-                if accepted:
-                    metrics.inc("records_ingested_total", accepted,
-                                dataset=dataset)
+                store.add_records(batch.dataset, batch.records)
+                _count_ingested(batch.dataset, len(batch.records))
+            if series is not None and store.add_keyed("throughput", series):
+                _count_ingested("throughput", len(series))
         except BaseException as exc:
             logger.warning("upload from %s failed to apply: %s", rid, exc)
             if not was_registered:
@@ -108,7 +109,7 @@ class CollectionServer:
         metrics.inc("routers_ingested_total")
         events.emit("router_ingested", router=rid,
                     batches=len(upload.batches))
-        logger.debug("ingested router %s (%d batches)",
+        logger.debug("ingested router %s (%d list batches)",
                      rid, len(upload.batches))
         return True
 
@@ -116,64 +117,52 @@ class CollectionServer:
         """Reject a malformed upload; return its heartbeat send times.
 
         The checks cover every failure the apply could raise from the
-        upload alone — wrong router ids or record classes inside a
-        batch, anything but exactly one heartbeat batch, a second
-        throughput series — and the send times, which must convert to
-        a flat array of finite floats (one NaN would make the whole
-        study unanalyzable).  What remains after them are the store
-        checks :meth:`ingest` runs next.  A decoded upload was built by
+        upload alone: send times that do not convert to a flat array of
+        finite floats (one NaN would make the whole study unanalyzable),
+        and a throughput series, a batch or a record that fails its
+        constructor checks, is of the wrong class or belongs to another
+        router.  What remains after them are the store checks
+        :meth:`ingest` runs next.  A decoded upload was built by
         unpickling, which runs no constructor, so every object re-runs
         its constructor checks here (a columnar batch re-ran its own
         when it was unpickled).
         """
         rid = upload.router_id
-        _recheck(rid, upload.info, RouterInfo)
-        sends = []
-        throughput = 0
+        owner = f"upload for {rid!r}"
+        sends = _send_times(rid, upload.heartbeat_sends)
+        series = upload.throughput
+        if series is not None:
+            _recheck(owner, series, ThroughputSeries)
+            _require_owner(rid, "throughput", series.router_id)
         for batch in upload.batches:
-            _recheck(rid, batch, RecordBatch)
+            _recheck(owner, batch, RecordBatch)
             dataset, records = batch.dataset, batch.records
-            if batch.router_id != rid:
-                raise UploadRejected(
-                    f"upload for {rid!r} carries a batch for "
-                    f"{batch.router_id!r}")
-            if dataset == "heartbeats":
-                sends.append(_send_times(rid, records))
+            if isinstance(records, ColumnarRecords):
+                _require_owner(rid, dataset, records.router_id)
                 continue
-            if dataset == "throughput":
-                throughput += 1
-                _recheck(rid, records, ThroughputSeries)
-                owners = {records.router_id}
-            elif isinstance(records, ColumnarRecords):
-                if records.dataset != dataset:
-                    raise UploadRejected(
-                        f"upload for {rid!r} carries {records.dataset} "
-                        f"columns in a {dataset} batch")
-                owners = {records.router_id}
-            else:
-                record_class = RECORD_DATASETS[dataset].record
-                for record in records:
-                    _recheck(rid, record, record_class)
-                owners = {record.router_id for record in records}
-            if owners - {rid}:
-                raise UploadRejected(
-                    f"upload for {rid!r} carries {dataset} records for "
-                    "another router")
-        if len(sends) != 1:
-            raise UploadRejected(
-                f"upload for {rid!r} carries {len(sends)} "
-                "heartbeats batches; every upload carries exactly one")
-        if throughput > 1:
-            raise UploadRejected(
-                f"upload for {rid!r} carries {throughput} "
-                "throughput batches; the dataset is one-shot per router")
-        return sends[0]
+            record_class = RECORD_DATASETS[dataset].record
+            for record in records:
+                _recheck(owner, record, record_class)
+                _require_owner(rid, dataset, record.router_id)
+        return sends
 
 
-def _send_times(rid: str, records: object) -> np.ndarray:
-    """One heartbeat batch's send times as a flat array of finite floats."""
+def _count_ingested(dataset: str, accepted: int) -> None:
+    if accepted:
+        metrics.inc("records_ingested_total", accepted, dataset=dataset)
+
+
+def _require_owner(rid: str, dataset: str, router_id: str) -> None:
+    if router_id != rid:
+        raise UploadRejected(
+            f"upload for {rid!r} carries {dataset} records for "
+            "another router")
+
+
+def _send_times(rid: str, sends: np.ndarray) -> np.ndarray:
+    """An upload's send times as a flat array of finite floats."""
     try:
-        sends = np.asarray(records, dtype=float)
+        sends = np.asarray(sends, dtype=float)
     except (TypeError, ValueError) as exc:
         raise UploadRejected(
             f"heartbeat sends for {rid!r} are not numeric: {exc}") from exc
@@ -186,13 +175,13 @@ def _send_times(rid: str, records: object) -> np.ndarray:
     return sends
 
 
-def _recheck(rid: str, value: object, expected: type) -> None:
+def _recheck(owner: str, value: object, expected: type) -> None:
     """Re-run the constructor checks that unpickling *value* skipped."""
     if type(value) is not expected:
         raise UploadRejected(
-            f"upload for {rid!r} carries a {type(value).__name__} where "
+            f"{owner} carries a {type(value).__name__} where "
             f"a {expected.__name__} belongs")
     try:
         value.__post_init__()
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise UploadRejected(f"upload for {rid!r}: {exc}") from exc
+        raise UploadRejected(f"{owner}: {exc}") from exc

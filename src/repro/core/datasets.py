@@ -190,6 +190,8 @@ class ThroughputSeries:
     interval_seconds: float = MINUTE
 
     def __post_init__(self) -> None:
+        if not isinstance(self.router_id, str):
+            raise TypeError("series router id must be a str")
         self.up_bps = np.asarray(self.up_bps, dtype=float)
         self.down_bps = np.asarray(self.down_bps, dtype=float)
         if self.up_bps.shape != self.down_bps.shape:

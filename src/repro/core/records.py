@@ -28,6 +28,7 @@ import enum
 import functools
 import math
 import operator
+import re
 import reprlib
 import sys
 import typing
@@ -36,6 +37,8 @@ from typing import (Annotated, Any, Callable, Dict, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
 import numpy as np
+
+from repro.netutils.mac import parse_mac
 
 #: Sentinel domain used when a DNS name was not on the whitelist.  The
 #: firmware replaces the name *before* the record leaves the home.
@@ -77,6 +80,13 @@ class Range(NamedTuple):
 #: Bytes, seconds, capacities and rates.
 NON_NEGATIVE = Range(0, math.inf)
 
+#: A router id: non-empty ASCII letters, digits, ``-`` and ``_``.
+ROUTER_ID = re.compile(r"[A-Za-z0-9_-]+")
+
+#: UTC offsets of real time zones, UTC-12 through UTC+14: the offsets a
+#: household's :class:`~repro.simulation.timebase.StudyCalendar` takes.
+TZ_OFFSET_HOURS = Range(-12.0, math.nextafter(14.0, math.inf))
+
 
 class Record:
     """A record dataclass: construction checks each field's kind and
@@ -104,13 +114,15 @@ class RouterInfo(Record):
     router_id: str
     country_code: str
     developed: bool
-    tz_offset_hours: float
+    tz_offset_hours: Annotated[float, TZ_OFFSET_HOURS]
     #: Per-capita GDP (PPP, international dollars) of the router's country.
     gdp_ppp_per_capita: float
 
     def check_relations(self) -> None:
-        if not self.router_id:
-            raise ValueError("router_id must be non-empty")
+        # A router id names files of a spill store's keyed data sets.
+        if not ROUTER_ID.fullmatch(self.router_id):
+            raise ValueError("router_id must be ASCII letters, digits, "
+                             "'-' or '_'")
         if not self.gdp_ppp_per_capita > 0:
             raise ValueError("gdp_ppp_per_capita must be positive")
 
@@ -184,6 +196,7 @@ class DeviceRosterEntry(Record):
             raise ValueError("first_seen must not be after last_seen")
         if self.medium is Medium.WIRED and self.spectrum is not None:
             raise ValueError("wired devices have no spectrum")
+        parse_mac(self.device_mac)  # the vendor analysis reads its OUI
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Mergeable online accumulators: the state of every figure's fold.
+"""Online accumulators: the state of every figure's fold.
 
 Each Section 4-6 figure is a per-home fold in its section module
 (:mod:`repro.core.availability`, :mod:`repro.core.infrastructure`,
@@ -22,10 +22,6 @@ million-home archive holds one home's records, never the archive:
 * :class:`RankedShareAccumulator` — running padded rank sums;
   :func:`repro.core.stats.mean_ranked_shares` is implemented on top of
   it.
-
-Every accumulator supports ``merge`` so per-shard partials can combine
-associatively (the driver today runs single-threaded; merge keeps the
-door open for sharded analysis).
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ def _k_scale_inv(k: float, compression: float) -> float:
 
 
 class QuantileSketch:
-    """A mergeable quantile sketch behind the ``EmpiricalCdf`` interface.
+    """A quantile sketch behind the ``EmpiricalCdf`` interface.
 
     Exact below ``exact_threshold`` samples (queries delegate to a cached
     :class:`EmpiricalCdf` over the raw values), t-digest merging-centroid
@@ -117,30 +113,6 @@ class QuantileSketch:
                 values if isinstance(values, np.ndarray) else list(values),
                 dtype=float).ravel():
             self.add(value)
-
-    def merge(self, other: "QuantileSketch") -> None:
-        """Fold *other*'s state into this sketch."""
-        if other._count == 0:
-            return
-        self._count += other._count
-        self._sum += other._sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
-        self._cdf = None
-        other_values = (list(other._buffer) if other._exact is None
-                        else list(other._exact))
-        if self._exact is not None and other._exact is not None and \
-                len(self._exact) + len(other_values) <= self.exact_threshold:
-            self._exact.extend(other_values)
-            return
-        if self._exact is not None:
-            self._buffer = self._exact
-            self._exact = None
-        self._buffer.extend(other_values)
-        if other._means.size:
-            self._means = np.concatenate([self._means, other._means])
-            self._weights = np.concatenate([self._weights, other._weights])
-        self._compress()
 
     def _compress(self) -> None:
         """Fold the buffer into the centroid summary (k1 size limits)."""
@@ -330,19 +302,6 @@ class StreamingMeanSpread:
         self._mean += delta / self._n
         self._m2 += delta * (value - self._mean)
 
-    def merge(self, other: "StreamingMeanSpread") -> None:
-        """Fold *other* in (Chan et al.'s parallel update)."""
-        if other._n == 0:
-            return
-        if self._n == 0:
-            self._n, self._mean, self._m2 = other._n, other._mean, other._m2
-            return
-        total = self._n + other._n
-        delta = other._mean - self._mean
-        self._mean += delta * other._n / total
-        self._m2 += other._m2 + delta * delta * self._n * other._n / total
-        self._n = total
-
     @property
     def n(self) -> int:
         return self._n
@@ -388,10 +347,6 @@ class StreamingHourProfile:
         np.add.at(self._sums, hours, values)
         self._counts += np.bincount(hours, minlength=24)
 
-    def merge(self, other: "StreamingHourProfile") -> None:
-        self._sums += other._sums
-        self._counts += other._counts
-
     def result(self) -> HourOfDayProfile:
         return HourOfDayProfile.from_sums(self._sums.copy(),
                                           self._counts.copy())
@@ -418,16 +373,6 @@ class RankedShareAccumulator:
         take = min(self._sums.size, vec.size)
         self._sums[:take] += vec[:take]
         self._homes += 1
-
-    def merge(self, other: "RankedShareAccumulator") -> None:
-        if other._sums.size != self._sums.size:
-            raise ValueError("cannot merge accumulators of different ranks")
-        self._sums += other._sums
-        self._homes += other._homes
-
-    @property
-    def homes(self) -> int:
-        return self._homes
 
     def result(self) -> np.ndarray:
         """The mean share per rank (zeros when no home was added)."""

@@ -66,12 +66,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import trace
-from repro.collection.batches import (
-    RecordBatch,
-    RouterUpload,
-    columnar_batches,
-    list_batches,
-)
+from repro.collection.batches import RouterUpload, build_upload
 from repro.core.intervals import (clip, contains, intersect, is_sorted,
                                   total_duration)
 from repro.core.records import (SPECTRUM_2_4, SPECTRUM_5, SPECTRUM_BY_CODE,
@@ -586,30 +581,8 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
                 rng=firmware[i].generator("traffic"), policy=policy)
 
     with trace.span("collect.serialize", cat="shard"):
-        uploads = _build_uploads(configs, heartbeats, uptime, capacity,
-                                 census, roster, wifi, flows, dns,
-                                 throughput)
-    return uploads
-
-
-def _build_uploads(configs, heartbeats, uptime, capacity, census, roster,
-                   wifi, flows, dns, throughput) -> List[RouterUpload]:
-    """Assemble per-router uploads from the collector columns, preserving
-    the monolithic path's batch chunking and dataset order."""
-    n = len(configs)
-    uploads: List[RouterUpload] = []
-    for i in range(n):
-        rid = configs[i].router_id
-        batches = [RecordBatch("heartbeats", rid, heartbeats[i])]
-        batches += columnar_batches("uptime", rid, uptime[i])
-        batches += columnar_batches("capacity", rid, capacity[i])
-        batches += columnar_batches("device_counts", rid, census[i])
-        batches += list_batches("roster", rid, roster[i])
-        batches += columnar_batches("wifi_scans", rid, wifi[i])
-        batches += list_batches("flows", rid, flows[i])
-        batches += list_batches("dns", rid, dns[i])
-        if throughput[i] is not None:
-            batches.append(RecordBatch("throughput", rid, throughput[i]))
-        uploads.append(RouterUpload(info=_router_info(configs[i]),
-                                    batches=tuple(batches)))
-    return uploads
+        return [build_upload(_router_info(config), heartbeats[i], {
+            "uptime": uptime[i], "capacity": capacity[i],
+            "device_counts": census[i], "roster": roster[i],
+            "wifi_scans": wifi[i], "flows": flows[i], "dns": dns[i]},
+            throughput[i]) for i, config in enumerate(configs)]

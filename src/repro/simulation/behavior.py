@@ -126,22 +126,6 @@ class ActivitySchedule:
                  else self.activity_weekday)
         return float(curve[calendar.hour_of_day(epoch)])
 
-    def presence_many(self, calendar: StudyCalendar,
-                      epochs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`presence` (bitwise-equal element-wise)."""
-        hours = calendar.hour_of_day_many(epochs)
-        weekend = calendar.is_weekend_many(epochs)
-        return np.where(weekend, self.presence_weekend[hours],
-                        self.presence_weekday[hours])
-
-    def activity_many(self, calendar: StudyCalendar,
-                      epochs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`activity` (bitwise-equal element-wise)."""
-        hours = calendar.hour_of_day_many(epochs)
-        weekend = calendar.is_weekend_many(epochs)
-        return np.where(weekend, self.activity_weekend[hours],
-                        self.activity_weekday[hours])
-
     def evening_block(self, calendar: StudyCalendar,
                       day_start_epoch: float,
                       rng: np.random.Generator) -> "tuple[float, float]":

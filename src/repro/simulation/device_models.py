@@ -195,9 +195,9 @@ def association_probs(span: Tuple[float, float],
     the connected state; the shared clamp keeps ``prob_off <= prob_on``
     element-wise, which the columnar batch solver relies on.  Passing a
     precomputed *time_index* (:func:`association_time_index`) skips the
-    epoch-to-local-time conversion; the level lookup below is the exact
-    expression ``ActivitySchedule.presence_many``/``activity_many`` use,
-    so the result is bitwise-identical either way.
+    epoch-to-local-time conversion; the level lookup below indexes the
+    schedule's hourly curves as ``ActivitySchedule.presence`` and
+    ``activity`` do, so the result is bitwise-identical either way.
     """
     if time_index is None:
         time_index = association_time_index(span, calendar)

@@ -208,10 +208,9 @@ class TestServerLossAccounting:
 
     @staticmethod
     def _heartbeats_upload(sends):
-        from repro.collection.batches import RecordBatch, RouterUpload
+        from repro.collection.batches import RouterUpload
 
-        return RouterUpload(make_info(),
-                            (RecordBatch("heartbeats", "US001", sends),))
+        return RouterUpload(make_info(), sends)
 
     def test_sent_vs_delivered_tally(self):
         server = self._server(loss=0.2)

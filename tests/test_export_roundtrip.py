@@ -15,7 +15,7 @@ import pytest
 
 from repro import study_digest
 from repro.collection.backends import SpillBackend
-from repro.collection.batches import RecordBatch, RouterUpload
+from repro.collection.batches import RecordBatch
 from repro.collection.engine import run_campaign
 from repro.collection.export import export_study, load_study
 from repro.collection.loadgen import LoadConfig, synthetic_upload
@@ -199,8 +199,8 @@ class TestArchiveBytes:
         flow = FlowRecord(upload.router_id, span[0] + 60.0,
                           "3c:07:54:aa:bb:cc", "google.com", 1, 443,
                           "https", 1, 2, 3)
-        upload = RouterUpload(upload.info, upload.batches + (
-            RecordBatch("flows", upload.router_id, [flow]),))
+        upload = dataclasses.replace(upload, batches=upload.batches + (
+            RecordBatch("flows", [flow]),))
         roots = []
         for name, backend in (("memory", None),
                               ("spill", SpillBackend(tmp_path / "runs"))):

@@ -17,6 +17,7 @@ The load-bearing contracts under test:
 """
 
 import asyncio
+import dataclasses
 import pickle
 
 import numpy as np
@@ -172,6 +173,9 @@ class TestFraming:
                 ("retry", 0, 0),
                 ("retry", 0, "soon"),
                 ("ping", 1),
+                # Never compared or shown: its __eq__ and __repr__ raise.
+                (object.__new__(RouterUpload),),
+                ("ack", 0, np.array(["stored", "duplicate"])),
         ):
             with pytest.raises(FrameError):
                 validate_message(message)
@@ -213,6 +217,16 @@ class _EvilReducer:
         return (_pwn, ("boom",))
 
 
+class _DtypeWithState:
+    """Pickles to ``numpy.dtype("f8", False, True)`` given *state*."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __reduce__(self):
+        return (np.dtype, ("f8", False, True), self.state)
+
+
 class TestSafeDeserialization:
     def test_hostile_reducer_rejected_before_execution(self):
         payload = pickle.dumps(("error", 0, _EvilReducer()),
@@ -235,13 +249,35 @@ class TestSafeDeserialization:
         message = decode_payload(payload)
         assert message[2].router_id == upload.router_id
 
+    def test_arrays_hold_plain_numbers(self):
+        """numpy trusts a pickled dtype's state: the first state below
+        crashes ``np.dtype.__setstate__``, the second gives a float
+        dtype an object dtype's flags.  A frame's arrays hold bools or
+        numbers, and nothing else of a dtype reaches numpy."""
+        upload = make_upload(0)
+        for sends in (_DtypeWithState((3, "<", None, -1, -1, 0)),
+                      _DtypeWithState((3, "<", None, None, None, -1, -1, 63)),
+                      np.array([1.0, None], dtype=object),
+                      np.array(["1", "2"]), np.zeros(2, dtype="f8,i4")):
+            hostile = _tampered(dataclasses.replace(upload),
+                                heartbeat_sends=sends)
+            with pytest.raises(FrameError):
+                decode_payload(pickle.dumps(
+                    ("upload", 0, hostile), protocol=pickle.HIGHEST_PROTOCOL))
+        for sends in (np.arange(3.0).astype(">f8"), np.arange(3),
+                      np.array([True, False])):
+            _, _, decoded = decode_payload(pickle.dumps(
+                ("upload", 0, dataclasses.replace(upload,
+                                                  heartbeat_sends=sends)),
+                protocol=pickle.HIGHEST_PROTOCOL))
+            assert decoded.heartbeat_sends.dtype == sends.dtype
+            assert np.array_equal(decoded.heartbeat_sends, sends)
+
 
 class TestIngestAllOrNothing:
     def test_invalid_upload_registers_nothing(self, registry):
         server = make_server()
-        bad = RouterUpload(
-            make_upload(0).info,
-            (RecordBatch("heartbeats", "LG000099", np.array([1.0])),))
+        bad = _foreign_uptime(make_upload(0))
         with pytest.raises(UploadRejected):
             server.ingest(bad)
         assert bad.router_id not in server.store.routers
@@ -250,11 +286,15 @@ class TestIngestAllOrNothing:
                        dataset="heartbeats") == 0
 
     def test_two_heartbeat_batches_rejected(self):
+        # An upload holds one send array; a second one could only come
+        # as a batch, and a batch holds a record-list data set.
         server = make_server()
         upload = make_upload(0)
-        sends = upload.batches[0].records
-        doubled = RouterUpload(upload.info, upload.batches + (
-            RecordBatch("heartbeats", upload.router_id, sends),))
+        with pytest.raises(ValueError):
+            RecordBatch("heartbeats", [])
+        doubled = _with_batch(upload, _tampered(
+            RecordBatch("uptime", []), dataset="heartbeats",
+            records=upload.heartbeat_sends))
         with pytest.raises(UploadRejected):
             server.ingest(doubled)
         assert upload.router_id not in server.store.routers
@@ -265,9 +305,9 @@ class TestIngestAllOrNothing:
         # daemon it was retried to.
         store = make_server().store
         upload = make_upload(0)
-        bare = RouterUpload(upload.info, tuple(
-            batch for batch in upload.batches
-            if batch.dataset != "heartbeats"))
+        with pytest.raises(TypeError):
+            RouterUpload(upload.info, None, upload.batches)
+        bare = _missing(dataclasses.replace(upload), "heartbeat_sends")
         assert bare.batches
         for _ in range(2):
             server = CollectionServer(store, make_server().path)
@@ -307,9 +347,8 @@ class TestIngestAllOrNothing:
         server = make_server()
         upload = make_upload(0)
         server.ingest(upload)
-        imposter = RouterUpload(
-            RouterInfo(upload.router_id, "GB", True, 0.0, 36000.0),
-            upload.batches)
+        imposter = dataclasses.replace(upload, info=RouterInfo(
+            upload.router_id, "GB", True, 0.0, 36000.0))
         with pytest.raises(ValueError):
             server.ingest(imposter)
 
@@ -337,11 +376,8 @@ class TestIngestAllOrNothing:
         conflicting = ThroughputSeries(rid, SPAN[0], np.zeros(4),
                                        np.ones(4))
         with pytest.raises(ValueError):
-            server.ingest(RouterUpload(info, (
-                RecordBatch("heartbeats", rid, sends),
-                RecordBatch("uptime", rid, reports),
-                RecordBatch("throughput", rid, conflicting),
-            )))
+            server.ingest(RouterUpload(
+                info, sends, (RecordBatch("uptime", reports),), conflicting))
         # Nothing before the conflicting batch leaked into the store or
         # the metrics registry.
         assert not server.store.has_upload(rid)
@@ -351,11 +387,8 @@ class TestIngestAllOrNothing:
         assert counter(registry, "routers_ingested_total") == 0
         # The retry with the original (non-conflicting) series ingests
         # everything exactly once.
-        assert server.ingest(RouterUpload(info, (
-            RecordBatch("heartbeats", rid, sends),
-            RecordBatch("uptime", rid, reports),
-            RecordBatch("throughput", rid, original),
-        ))) is True
+        assert server.ingest(RouterUpload(
+            info, sends, (RecordBatch("uptime", reports),), original)) is True
         data = server.store.to_study_data()
         assert len(data.uptime_reports) == 1
         assert len(data.heartbeats[rid]) == len(sends)
@@ -376,14 +409,11 @@ class TestIngestAllOrNothing:
         store_state = server.store.state_dict()
         digest = study_digest(server.store.to_study_data())
         with pytest.raises(ValueError):
-            server.ingest(RouterUpload(info, (
-                RecordBatch("heartbeats", rid,
-                            np.linspace(SPAN[0], SPAN[0] + 3600.0, 50)),
-                RecordBatch("uptime", rid,
-                            [UptimeReport(rid, SPAN[0] + 60.0, 1000.0)]),
-                RecordBatch("throughput", rid, ThroughputSeries(
-                    rid, SPAN[0], np.zeros(4), np.ones(4))),
-            )))
+            server.ingest(RouterUpload(
+                info, np.linspace(SPAN[0], SPAN[0] + 3600.0, 50),
+                (RecordBatch("uptime",
+                             [UptimeReport(rid, SPAN[0] + 60.0, 1000.0)]),),
+                ThroughputSeries(rid, SPAN[0], np.zeros(4), np.ones(4))))
         assert server.path.rng_state() == rng_state
         assert server.store.state_dict() == store_state
         assert study_digest(server.store.to_study_data()) == digest
@@ -425,7 +455,13 @@ def _missing(record, name):
 
 
 def _with_batch(upload, batch):
-    return RouterUpload(upload.info, upload.batches + (batch,))
+    return dataclasses.replace(upload, batches=upload.batches + (batch,))
+
+
+def _foreign_uptime(upload):
+    """*upload* with an uptime batch of another router's report."""
+    return _with_batch(upload, RecordBatch("uptime", [
+        UptimeReport("LG000099", SPAN[0] + 60.0, 1000.0)]))
 
 
 def _hostile_uploads():
@@ -436,7 +472,7 @@ def _hostile_uploads():
     def columns(dataset, values, **overrides):
         records = ColumnarRecords(dataset, rid, values)
         records.columns.update(overrides)
-        return _with_batch(upload, RecordBatch(dataset, rid, records))
+        return _with_batch(upload, RecordBatch(dataset, records))
 
     def wifi(**overrides):
         return columns("wifi_scans", {
@@ -445,18 +481,18 @@ def _hostile_uploads():
             "channel": [11, 36]}, **overrides)
 
     def flow(**fields):
-        return _with_batch(upload, RecordBatch("flows", rid, [_tampered(
+        return _with_batch(upload, RecordBatch("flows", [_tampered(
             FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", 1, 443,
                        "https", 1.0, 2.0, 3.0), **fields)]))
 
     def dns(**fields):
-        return _with_batch(upload, RecordBatch("dns", rid, [_tampered(
+        return _with_batch(upload, RecordBatch("dns", [_tampered(
             DnsRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", "A", 1),
             **fields)]))
 
     def series(**fields):
-        return _with_batch(upload, RecordBatch("throughput", rid, _tampered(
-            ThroughputSeries(rid, 1.0, np.ones(2), np.ones(2)), **fields)))
+        return dataclasses.replace(upload, throughput=_tampered(
+            ThroughputSeries(rid, 1.0, np.ones(2), np.ones(2)), **fields))
 
     wired = _tampered(DeviceRosterEntry(rid, "b0:a7:37:aa:bb:cc",
                                         Medium.WIRED, None, 1.0, 2.0, True),
@@ -466,22 +502,21 @@ def _hostile_uploads():
         entry = DeviceRosterEntry(rid, "3c:07:54:aa:bb:cc", medium, spectrum,
                                   1.0, 2.0, False)
         return _with_batch(upload, RecordBatch(
-            "roster", rid, [_tampered(entry, **fields)]))
+            "roster", [_tampered(entry, **fields)]))
 
     def router(**fields):
-        return RouterUpload(_tampered(
-            RouterInfo(rid, "US", True, -5.0, 50_000.0), **fields),
-            upload.batches)
+        return dataclasses.replace(upload, info=_tampered(
+            RouterInfo(rid, "US", True, -5.0, 50_000.0), **fields))
 
     scan = _tampered(WifiScanSample(rid, 1.0, Spectrum.GHZ_2_4, 3, 0, 11),
                      spectrum="2.4GHz")
     uptime = ColumnarRecords("uptime", rid, {"timestamp": [1.0],
                                              "uptime_seconds": [2.0]})
-    sends = upload.batches[0].records
+    sends = upload.heartbeat_sends
 
     def beats(records):
-        return RouterUpload(upload.info, (
-            RecordBatch("heartbeats", rid, records),) + upload.batches[1:])
+        return _tampered(dataclasses.replace(upload),
+                         heartbeat_sends=records)
 
     return {
         "wifi-spectrum-code": wifi(spectrum=[7, 1]),
@@ -492,7 +527,7 @@ def _hostile_uploads():
         "flow-negative-bytes": flow(bytes_up=-1e12),
         "flow-nan-bytes": flow(bytes_down=float("nan")),
         "flow-inf-duration": flow(duration_seconds=float("inf")),
-        "nan-uptime": _with_batch(upload, RecordBatch("uptime", rid, [
+        "nan-uptime": _with_batch(upload, RecordBatch("uptime", [
             _tampered(UptimeReport(rid, 1.0, 2.0),
                       uptime_seconds=float("nan"))])),
         "nan-uptime-columns": columns(
@@ -514,22 +549,23 @@ def _hostile_uploads():
         "throughput-nan-up": series(up_bps=np.array([np.nan, 1.0])),
         "throughput-negative-up": series(up_bps=np.array([-1.0, 1.0])),
         "wired-with-spectrum": _with_batch(
-            upload, RecordBatch("roster", rid, [wired])),
+            upload, RecordBatch("roster", [wired])),
         "negative-gdp": router(gdp_ppp_per_capita=-1),
         "flow-in-uptime-batch": _with_batch(
-            upload, RecordBatch("uptime", rid, [
+            upload, RecordBatch("uptime", [
                 FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", 1,
                            443, "https", 1.0, 2.0, 3.0)])),
         "uptime-columns-in-capacity-batch": _with_batch(
-            upload, RecordBatch("capacity", rid, uptime)),
+            upload, _tampered(RecordBatch("uptime", uptime),
+                              dataset="capacity")),
         "nan-heartbeat": beats(np.append(sends, np.nan)),
         "inf-heartbeat": beats(np.append(sends, np.inf)),
         "text-heartbeats": beats(["noon", "dusk"]),
-        "text-uptime": _with_batch(upload, RecordBatch("uptime", rid, [
+        "text-uptime": _with_batch(upload, RecordBatch("uptime", [
             _tampered(UptimeReport(rid, 1.0, 2.0), uptime_seconds="x")])),
         "text-gdp": router(gdp_ppp_per_capita="x"),
         "text-wifi-spectrum": _with_batch(
-            upload, RecordBatch("wifi_scans", rid, [scan])),
+            upload, RecordBatch("wifi_scans", [scan])),
         "text-roster-spectrum": roster(Medium.WIRELESS, Spectrum.GHZ_5,
                                        spectrum="5GHz"),
         "text-medium": roster(Medium.WIRED, None, medium="wired"),
@@ -551,8 +587,8 @@ def _hostile_uploads():
         "wifi-float-spectrum-code": wifi(spectrum=[1.0, 2.0]),
         "wifi-float-channel": wifi(channel=[11.5, 36.0]),
         "uptime-int-past-float": _with_batch(upload, RecordBatch(
-            "uptime", rid, [_tampered(UptimeReport(rid, 1.0, 2.0),
-                                      uptime_seconds=10**400)])),
+            "uptime", [_tampered(UptimeReport(rid, 1.0, 2.0),
+                                 uptime_seconds=10**400)])),
         "flow-int-domain": flow(domain=5),
         "flow-bytes-mac": flow(device_mac=b"3c:07"),
         "flow-float-port": flow(port=443.5),
@@ -560,7 +596,16 @@ def _hostile_uploads():
             Medium.WIRELESS, Spectrum.GHZ_5, always_connected="no"),
         "router-text-developed": router(developed="no"),
         "router-int-country": router(country_code=5),
-        "flow-missing-port": _with_batch(upload, RecordBatch("flows", rid, [
+        # Values the analysis or the spill layout cannot take: a spill
+        # store names keyed files by the router id, the vendor analysis
+        # parses a roster MAC, a StudyCalendar takes UTC-12..UTC+14.
+        "router-id-with-slash": RouterUpload(_tampered(
+            RouterInfo(rid, "US", True, -5.0, 50_000.0),
+            router_id="LG/000"), sends),
+        "roster-unparsable-mac": roster(Medium.WIRELESS, Spectrum.GHZ_5,
+                                        device_mac="3c:07:54:aa:bb"),
+        "tz-past-utc-14": router(tz_offset_hours=14.5),
+        "flow-missing-port": _with_batch(upload, RecordBatch("flows", [
             _missing(FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com",
                                 1, 443, "https", 1.0, 2.0, 3.0), "port")])),
     }
@@ -587,8 +632,7 @@ class TestLedgerReconciliation:
         server = make_server(loss=0.3)
         sends = np.linspace(SPAN[0], SPAN[1] - 1, 2000)
         server.ingest(RouterUpload(
-            RouterInfo("US001", "US", True, -5.0, 49800.0),
-            (RecordBatch("heartbeats", "US001", sends),)))
+            RouterInfo("US001", "US", True, -5.0, 49800.0), sends))
         sent = counter(registry, "heartbeats_sent_total")
         delivered = counter(registry, "heartbeats_delivered_total")
         dropped = counter(registry, "heartbeats_dropped_total")
@@ -604,9 +648,8 @@ class TestLedgerReconciliation:
         server.ingest(make_upload(1))          # idempotent duplicate
         replay = make_upload(2)
         with pytest.raises(ValueError):        # conflicting re-upload
-            server.ingest(RouterUpload(
-                RouterInfo(replay.router_id, "GB", True, 0.0, 36000.0),
-                replay.batches))
+            server.ingest(dataclasses.replace(replay, info=RouterInfo(
+                replay.router_id, "GB", True, 0.0, 36000.0)))
         data = server.store.to_study_data()
         stored_heartbeats = sum(len(log) for log in data.heartbeats.values())
         assert counter(registry, "records_ingested_total",
@@ -617,29 +660,27 @@ class TestLedgerReconciliation:
 
 
 #: How the property below makes a drawn upload hostile (None: valid).
-HOSTILITIES = (None, "foreign-batch", "two-heartbeats", "no-heartbeats",
-               "other-country", "non-finite-send", "int-domain",
-               "float-spectrum-code")
+#: The last five are mis-shaped as an unpickled frame can be: built
+#: around their constructors.
+HOSTILITIES = (None, "foreign-batch", "other-country", "non-finite-send",
+               "int-domain", "float-spectrum-code", "stateless-upload",
+               "batches-not-tuple", "records-not-list", "stateless-columns",
+               "info-not-router")
 
 
 def _drawn_upload(index, hostility):
     upload = make_upload(index)
-    info, batches = upload.info, upload.batches
+    info = upload.info
     if hostility == "foreign-batch":
-        return _with_batch(upload, make_upload(index + 1).batches[1])
-    if hostility == "two-heartbeats":
-        return _with_batch(upload, batches[0])
-    if hostility == "no-heartbeats":
-        return RouterUpload(info, batches[1:])
+        return _with_batch(upload, make_upload(index + 1).batches[0])
     if hostility == "other-country":
-        return RouterUpload(
-            RouterInfo(info.router_id, "GB", True, 0.0, 36000.0), batches)
+        return dataclasses.replace(upload, info=RouterInfo(
+            info.router_id, "GB", True, 0.0, 36000.0))
     if hostility == "non-finite-send":
-        sends = np.append(batches[0].records, np.inf)
-        return RouterUpload(info, (
-            RecordBatch("heartbeats", info.router_id, sends),) + batches[1:])
+        return dataclasses.replace(upload, heartbeat_sends=np.append(
+            upload.heartbeat_sends, np.inf))
     if hostility == "int-domain":
-        return _with_batch(upload, RecordBatch("flows", info.router_id, [
+        return _with_batch(upload, RecordBatch("flows", [
             _tampered(FlowRecord(info.router_id, 1.0, "3c:07:54:aa:bb:cc",
                                  "google.com", 1, 443, "https", 1.0, 2.0,
                                  3.0), domain=5)]))
@@ -651,8 +692,20 @@ def _drawn_upload(index, hostility):
             "neighbor_aps": [3, 0], "associated_clients": [0, 2],
             "channel": [11, 36]})
         scans.columns["spectrum"] = [1.0, 2.0]
-        return _with_batch(upload, RecordBatch("wifi_scans", info.router_id,
-                                               scans))
+        return _with_batch(upload, RecordBatch("wifi_scans", scans))
+    if hostility == "stateless-upload":
+        return object.__new__(RouterUpload)
+    if hostility == "batches-not-tuple":
+        return _tampered(dataclasses.replace(upload), batches=5)
+    if hostility == "records-not-list":
+        return _with_batch(upload, _tampered(RecordBatch("uptime", []),
+                                             records=5))
+    if hostility == "stateless-columns":
+        return _with_batch(upload, _tampered(
+            RecordBatch("uptime", []),
+            records=object.__new__(ColumnarRecords)))
+    if hostility == "info-not-router":
+        return _tampered(dataclasses.replace(upload), info="x")
     return upload
 
 
@@ -801,10 +854,7 @@ class TestDaemon:
 
     def test_invalid_upload_gets_error_response(self):
         async def scenario(daemon, host, port):
-            bad = RouterUpload(
-                make_upload(0).info,
-                (RecordBatch("heartbeats", "LG000099",
-                             np.array([1.0])),))
+            bad = _foreign_uptime(make_upload(0))
             async with IngestClient(host, port) as client:
                 with pytest.raises(ValueError):
                     await client.upload(0, bad)
@@ -814,6 +864,26 @@ class TestDaemon:
         daemon, _ = run_daemon(scenario)
         assert daemon.routers_ingested == 1
         assert len(daemon.store.routers) == 1
+
+    def test_stateless_upload_gets_error_response(self):
+        """An upload that unpickles without its fields is answered with
+        an error, and its seq stays owed to a valid upload."""
+        async def scenario(daemon, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(encode_frame(
+                ("upload", 0, object.__new__(RouterUpload))))
+            await writer.drain()
+            reply = decode_payload(await read_payload(reader))
+            writer.close()
+            await writer.wait_closed()
+            async with IngestClient(host, port) as client:
+                status = await client.upload(0, make_upload(0))
+            return reply, status
+
+        daemon, (reply, status) = run_daemon(scenario)
+        assert reply[:2] == ("error", 0)
+        assert status == "stored"
+        assert daemon.routers_ingested == 1
 
     def test_wait_complete_before_start_raises(self):
         daemon = make_daemon()
@@ -895,11 +965,10 @@ class TestLoadgen:
         a = synthetic_upload(5, SPAN, SMALL_LOAD)
         b = synthetic_upload(5, SPAN, SMALL_LOAD)
         assert a.router_id == b.router_id == "LG000005"
-        assert np.array_equal(a.batches[0].records, b.batches[0].records)
-        assert a.batches[1].records == b.batches[1].records
+        assert np.array_equal(a.heartbeat_sends, b.heartbeat_sends)
+        assert a.batches[0].records == b.batches[0].records
         other = synthetic_upload(6, SPAN, SMALL_LOAD)
-        assert not np.array_equal(a.batches[0].records,
-                                  other.batches[0].records)
+        assert not np.array_equal(a.heartbeat_sends, other.heartbeat_sends)
 
     def test_load_config_validation(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,10 @@ The shard-wide columnar collectors (``repro.firmware.shard_collect``) must
 be a pure re-expression of the per-home reference path: same streams, same
 draw order, identical records, identical batch chunking.  These tests
 compare every upload of every shard split of three small plans (one per
-seed) against uploads built the pre-refactor way (``BismarkRouter`` +
-``router_output_to_batches``), plus the columnar batch container, the
-tick-walk schedule helper, and the wifi backoff determinism contract.
+seed) against uploads built from the per-home reference collectors
+(``BismarkRouter`` output through ``build_upload``), plus the columnar
+batch container, the tick-walk schedule helper, and the wifi backoff
+determinism contract.
 """
 
 import pickle
@@ -14,15 +15,10 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.collection.batches import (
-    ColumnarRecords,
-    columnar_batches,
-    list_batches,
-    router_output_to_batches,
-)
+from repro.collection.batches import ColumnarRecords, build_upload
 from repro.collection.engine import _shard_statics
 from repro.collection.storage import RecordStore
-from repro.core.records import RouterInfo, Spectrum
+from repro.core.records import LIST_DATASETS, RouterInfo, Spectrum
 from repro.core.pipeline import StudyConfig, run_study
 from repro.firmware.router import BismarkRouter
 from repro.firmware.shard_collect import _tick_walk, collect_shard
@@ -52,8 +48,8 @@ def plans():
 
 @pytest.fixture(scope="module")
 def reference_uploads(plans):
-    """Per plan, (info, batches) per router from the per-home reference
-    path."""
+    """Per plan, the upload of each router from the per-home reference
+    collectors."""
     _, policy = _shard_statics()
     per_plan = []
     for plan in plans:
@@ -67,33 +63,35 @@ def reference_uploads(plans):
                 collect_devices=rid in plan.devices_routers,
                 collect_wifi=rid in plan.wifi_routers,
                 collect_traffic=rid in plan.traffic_routers)
-            uploads[rid] = (home.info, router_output_to_batches(
-                router.run(plan.windows)))
+            output = router.run(plan.windows)
+            uploads[rid] = build_upload(
+                home.info, output.heartbeat_sends,
+                {dataset: getattr(output, dataset)
+                 for dataset in LIST_DATASETS}, output.throughput)
         per_plan.append(uploads)
     return per_plan
 
 
-def assert_same_batches(got, ref):
-    assert [b.dataset for b in got] == [b.dataset for b in ref]
-    for got_batch, ref_batch in zip(got, ref):
+def assert_same_upload(got, ref):
+    """Equal send bytes, throughput series and list batches."""
+    assert got.info == ref.info
+    assert got.heartbeat_sends.dtype == ref.heartbeat_sends.dtype
+    assert got.heartbeat_sends.tobytes() == ref.heartbeat_sends.tobytes()
+    if ref.throughput is None:
+        assert got.throughput is None
+    else:
+        got_series, ref_series = got.throughput, ref.throughput
+        assert got_series.router_id == ref_series.router_id
+        assert got_series.start == ref_series.start
+        assert got_series.interval_seconds == ref_series.interval_seconds
+        assert got_series.up_bps.tobytes() == ref_series.up_bps.tobytes()
+        assert got_series.down_bps.tobytes() == ref_series.down_bps.tobytes()
+    assert [b.dataset for b in got.batches] == \
+        [b.dataset for b in ref.batches]
+    for got_batch, ref_batch in zip(got.batches, ref.batches):
         dataset = got_batch.dataset
-        assert got_batch.router_id == ref_batch.router_id
-        if dataset == "heartbeats":
-            got_arr = np.asarray(got_batch.records)
-            ref_arr = np.asarray(ref_batch.records)
-            assert got_arr.dtype == ref_arr.dtype
-            assert got_arr.tobytes() == ref_arr.tobytes()
-        elif dataset == "throughput":
-            got_series, ref_series = got_batch.records, ref_batch.records
-            assert got_series.router_id == ref_series.router_id
-            assert got_series.start == ref_series.start
-            assert got_series.interval_seconds == ref_series.interval_seconds
-            assert got_series.up_bps.tobytes() == ref_series.up_bps.tobytes()
-            assert got_series.down_bps.tobytes() == \
-                ref_series.down_bps.tobytes()
-        else:
-            assert len(got_batch.records) == len(ref_batch.records), dataset
-            assert list(got_batch.records) == list(ref_batch.records), dataset
+        assert len(got_batch.records) == len(ref_batch.records), dataset
+        assert list(got_batch.records) == list(ref_batch.records), dataset
 
 
 def test_reference_covers_every_collector(plans, reference_uploads):
@@ -101,11 +99,13 @@ def test_reference_covers_every_collector(plans, reference_uploads):
     dataset occurs."""
     for plan, reference in zip(plans, reference_uploads):
         seen = {batch.dataset
-                for _, batches in reference.values()
-                for batch in batches}
-        assert seen == {"heartbeats", "uptime", "capacity", "device_counts",
-                        "roster", "wifi_scans", "flows", "dns",
-                        "throughput"}, plan.seed
+                for upload in reference.values()
+                for batch in upload.batches}
+        assert seen == set(LIST_DATASETS), plan.seed
+        assert any(upload.throughput is not None
+                   for upload in reference.values()), plan.seed
+        assert any(len(upload.heartbeat_sends)
+                   for upload in reference.values()), plan.seed
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 5, 7])
@@ -123,9 +123,7 @@ def test_every_shard_split_matches_reference(plans, reference_uploads,
             lo, hi = plan.shard_bounds(shard_index, n_shards)
             assert [u.router_id for u in uploads] == plan.router_ids[lo:hi]
             for upload in uploads:
-                ref_info, ref_batches = reference[upload.router_id]
-                assert upload.info == ref_info
-                assert_same_batches(list(upload.batches), ref_batches)
+                assert_same_upload(upload, reference[upload.router_id])
             covered += len(uploads)
         assert covered == len(plan)
 
@@ -139,8 +137,7 @@ def test_uploads_pickle_roundtrip(plans, reference_uploads):
                                 policy)
         restored = pickle.loads(pickle.dumps(uploads))
         for upload in restored:
-            _, ref_batches = reference[upload.router_id]
-            assert_same_batches(list(upload.batches), ref_batches)
+            assert_same_upload(upload, reference[upload.router_id])
 
 
 class TestTickWalk:
@@ -253,25 +250,37 @@ class TestColumnarRecords:
 
 
 class TestColumnarBatching:
+    INFO = RouterInfo(router_id="r", country_code="US", developed=True,
+                      tz_offset_hours=-5.0, gdp_ppp_per_capita=51000.0)
+    SENDS = np.array([1.0, 2.0])
+
     def test_chunking_matches_list_batches(self):
+        """Columns and a record list chunk at the same boundaries."""
         n = 5000
         cols = {"timestamp": [float(i) for i in range(n)],
                 "uptime_seconds": [1.0] * n}
         from repro.core.records import UptimeReport
         records = [UptimeReport("r", float(i), 1.0) for i in range(n)]
-        columnar = columnar_batches("uptime", "r",
-                                    {k: list(v) for k, v in cols.items()})
-        plain = list_batches("uptime", "r", records)
-        assert [len(b.records) for b in columnar] == \
-            [len(b.records) for b in plain] == [2048, 2048, 904]
-        for col_batch, plain_batch in zip(columnar, plain):
+        columnar = build_upload(self.INFO, self.SENDS, {"uptime": cols})
+        plain = build_upload(self.INFO, self.SENDS, {"uptime": records})
+        assert [len(b.records) for b in columnar.batches] == \
+            [len(b.records) for b in plain.batches] == [2048, 2048, 904]
+        for col_batch, plain_batch in zip(columnar.batches, plain.batches):
+            assert isinstance(col_batch.records, ColumnarRecords)
             assert list(col_batch.records) == plain_batch.records
 
     def test_empty_columns_emit_no_batch(self):
-        assert columnar_batches("uptime", "r", None) == []
-        assert columnar_batches(
-            "uptime", "r", {"timestamp": [], "uptime_seconds": []}) == []
-        assert list_batches("roster", "r", []) == []
+        for lists in ({}, {"uptime": None}, {"roster": []},
+                      {"uptime": {"timestamp": [], "uptime_seconds": []}}):
+            assert build_upload(self.INFO, self.SENDS, lists).batches == ()
+
+    def test_batches_follow_dataset_order(self):
+        from repro.core.records import DnsRecord, UptimeReport
+        upload = build_upload(self.INFO, self.SENDS, {
+            "dns": [DnsRecord("r", 1.0, "3c:07:54:aa:bb:cc", "a.com", "A")],
+            "uptime": [UptimeReport("r", 1.0, 2.0)]})
+        assert [b.dataset for b in upload.batches] == ["uptime", "dns"]
+        assert upload.record_count == 4
 
 
 class TestStoreRegistration:

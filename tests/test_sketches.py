@@ -164,56 +164,6 @@ class TestQuantileSketchCompressed:
         assert fs[0] == 0.0 and fs[-1] == 1.0
 
 
-class TestQuantileSketchMerge:
-    def test_merge_exact_stays_exact(self):
-        a, b = QuantileSketch(), QuantileSketch()
-        a.add_many([1.0, 2.0])
-        b.add_many([3.0, 4.0])
-        a.merge(b)
-        assert not a.compressed
-        cdf = EmpiricalCdf.from_samples([1.0, 2.0, 3.0, 4.0])
-        assert a.median == cdf.median
-        assert a.n == 4
-
-    def test_merge_empty_is_noop(self):
-        a, b = QuantileSketch(), QuantileSketch()
-        a.add(1.0)
-        a.merge(b)
-        assert a.n == 1 and a.median == 1.0
-        b.merge(a)
-        assert b.n == 1 and b.median == 1.0
-
-    def test_merge_overflowing_compresses_without_double_count(self):
-        a = QuantileSketch(compression=100, exact_threshold=100)
-        b = QuantileSketch(compression=100, exact_threshold=100)
-        rng = np.random.default_rng(23)
-        xs, ys = rng.normal(size=80), rng.normal(size=80)
-        a.add_many(xs)
-        b.add_many(ys)
-        a.merge(b)
-        assert a.compressed
-        assert a.n == 160
-        combined = np.concatenate([xs, ys])
-        assert a.mean == pytest.approx(float(combined.mean()), rel=1e-12)
-        for q in (0.1, 0.5, 0.9):
-            lo, hi = rank_bounds(combined, q)
-            assert lo <= a.quantile(q) <= hi
-
-    def test_merge_compressed_sketches(self):
-        rng = np.random.default_rng(29)
-        xs, ys = rng.normal(size=5000), rng.normal(3.0, 1.0, size=5000)
-        a = QuantileSketch(compression=100, exact_threshold=256)
-        b = QuantileSketch(compression=100, exact_threshold=256)
-        a.add_many(xs)
-        b.add_many(ys)
-        a.merge(b)
-        combined = np.concatenate([xs, ys])
-        assert a.n == 10000
-        for q in (0.05, 0.5, 0.95):
-            lo, hi = rank_bounds(combined, q)
-            assert lo <= a.quantile(q) <= hi
-
-
 class TestStreamingMeanSpread:
     @given(samples)
     @settings(max_examples=50)
@@ -231,31 +181,6 @@ class TestStreamingMeanSpread:
         got = StreamingMeanSpread().result()
         assert got.n == 0
         assert np.isnan(got.mean) and np.isnan(got.std)
-
-    @given(samples, samples)
-    @settings(max_examples=50)
-    def test_merge_equals_concat(self, xs, ys):
-        a, b, both = (StreamingMeanSpread(), StreamingMeanSpread(),
-                      StreamingMeanSpread())
-        for x in xs:
-            a.add(x)
-            both.add(x)
-        for y in ys:
-            b.add(y)
-            both.add(y)
-        a.merge(b)
-        assert a.result().mean == pytest.approx(both.result().mean,
-                                                rel=1e-9, abs=1e-9)
-        assert a.result().std == pytest.approx(both.result().std,
-                                               rel=1e-9, abs=1e-6)
-
-    def test_merge_into_empty(self):
-        a, b = StreamingMeanSpread(), StreamingMeanSpread()
-        b.add(2.0)
-        b.add(4.0)
-        a.merge(b)
-        assert a.result().mean == 3.0
-
 
 class TestStreamingHourProfile:
     def test_bitwise_equal_to_from_samples(self):
@@ -277,16 +202,6 @@ class TestStreamingHourProfile:
             acc.add(24, 1.0)
         with pytest.raises(ValueError):
             acc.add(-1, 1.0)
-
-    def test_merge(self):
-        a, b = StreamingHourProfile(), StreamingHourProfile()
-        a.add(3, 1.0)
-        b.add(3, 3.0)
-        b.add(5, 7.0)
-        a.merge(b)
-        profile = a.result()
-        assert profile.means[3] == 2.0
-        assert profile.means[5] == 7.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.tuples(
@@ -338,16 +253,3 @@ class TestRankedShareAccumulator:
     def test_validates_ranks(self):
         with pytest.raises(ValueError):
             RankedShareAccumulator(0)
-
-    def test_merge_requires_same_ranks(self):
-        a, b = RankedShareAccumulator(2), RankedShareAccumulator(3)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_merge(self):
-        a, b = RankedShareAccumulator(2), RankedShareAccumulator(2)
-        a.add(np.array([1.0]))
-        b.add(np.array([0.5, 0.5]))
-        a.merge(b)
-        assert a.homes == 2
-        assert np.array_equal(a.result(), np.array([0.75, 0.25]))

@@ -35,6 +35,7 @@ from repro.core.records import (
     UptimeReport,
     WifiScanSample,
 )
+from repro.netutils.mac import format_mac
 
 #: Lone surrogates, NUL, multi-byte text: every str a segment must keep.
 TEXT = st.text(alphabet=st.sampled_from(
@@ -48,6 +49,8 @@ NON_NEGATIVE = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
 COUNTS = st.integers(0, 2**63 - 1)
+#: A roster entry's MAC is one ``parse_mac`` reads.
+MACS = st.integers(0, 2**48 - 1).map(format_mac)
 IPV4 = st.integers(0, 2**32 - 1)
 
 
@@ -57,7 +60,7 @@ def rosters(draw, router):
     spectrum = None if medium is Medium.WIRED else draw(
         st.sampled_from([None, *Spectrum]))
     first, last = sorted((draw(FLOATS), draw(FLOATS)))
-    return DeviceRosterEntry(draw(router), draw(TEXT), medium, spectrum,
+    return DeviceRosterEntry(draw(router), draw(MACS), medium, spectrum,
                              first, last, draw(st.booleans()))
 
 

@@ -23,7 +23,6 @@ from repro.collection.batches import (
     ColumnarRecords,
     FrameError,
     RecordBatch,
-    RouterUpload,
     decode_payload,
     encode_frame,
 )
@@ -85,12 +84,11 @@ def _upload():
                        "channel": [11, 36]},
     }
     batches = list(base.batches)
-    batches += [RecordBatch(dataset, rid, records)
+    batches += [RecordBatch(dataset, records)
                 for dataset, records in lists.items()]
-    batches += [RecordBatch(dataset, rid,
-                            ColumnarRecords(dataset, rid, values))
+    batches += [RecordBatch(dataset, ColumnarRecords(dataset, rid, values))
                 for dataset, values in columns.items()]
-    return RouterUpload(base.info, tuple(batches))
+    return dataclasses.replace(base, batches=tuple(batches))
 
 
 def _value(drawn, kind):
@@ -104,7 +102,7 @@ def damaged_uploads(draw):
     """:func:`_upload` with one field or one column cell replaced."""
     upload = _upload()
     # The router's metadata, or one batch of records (not the sends).
-    batch = draw(st.sampled_from([None, *upload.batches[1:]]))
+    batch = draw(st.sampled_from([None, *upload.batches]))
     drawn = draw(st.sampled_from(HOSTILE))
     if batch is None:
         field = draw(st.sampled_from(dataclasses.fields(upload.info)))
