@@ -9,16 +9,22 @@ two lookups of the keyed data sets (:meth:`~StoreBackend.holds`,
 and one reader, :meth:`~StoreBackend.iter_homes`, through which both
 :meth:`RecordStore.to_study_data` and the stream path read:
 
-* :class:`MemoryBackend` — every record in RAM; a read sorts the data
-  set's list in place.
-* :class:`SpillBackend` — bounded memory: list-dataset records buffer as
+Every list write is one :class:`~repro.collection.batches.ColumnarRecords`
+batch of one router.
+
+* :class:`MemoryBackend` — every batch in RAM; a data set's first read
+  builds its records, dropping each batch as its records are taken, and
+  sorts them in place.
+* :class:`SpillBackend` — bounded memory: list-dataset batches buffer as
   columns up to ``max_buffered_records``, then each dataset's buffer is
   sorted and written to a typed binary *segment* on disk, one packed
   :attr:`~repro.core.records.RowCodec.layout` row per record; a read
-  merges the segments by home.  A keyed value spills immediately, one
+  merges the segments by home, one ``ColumnarRecords`` per home.  A
+  keyed value spills immediately, one
   ``<dataset>/<router_id>.<field>.npy`` file per array field, while its
   scalars stay in RAM, so peak resident record count stays
-  O(buffer + one upload chunk).
+  O(buffer + one upload chunk).  :meth:`SpillBackend.close` removes a
+  directory the backend made.
 
 Both backends read identical, deterministically-ordered records: a
 segment stores each value as :meth:`~repro.core.records.RowCodec.to_row`
@@ -45,12 +51,11 @@ import tokenize
 from abc import ABC, abstractmethod
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.collection.batches import COLUMNAR_DATASETS, ColumnarRecords
+from repro.collection.batches import ColumnarRecords
 from repro.core.datasets import KEYED_DATASETS, HeartbeatLog, ThroughputSeries
 from repro.core.records import LIST_DATASETS, RECORD_DATASETS, RowCodec
 from repro.telemetry import events, metrics
@@ -71,8 +76,8 @@ class StoreBackend(ABC):
     reader."""
 
     @abstractmethod
-    def append(self, dataset: str, records: Sequence) -> None:
-        """Add records to one of the seven list datasets."""
+    def append(self, dataset: str, records: ColumnarRecords) -> None:
+        """Add one batch to *dataset*, one of the seven list datasets."""
 
     @abstractmethod
     def put_heartbeats(self, log: HeartbeatLog) -> None:
@@ -101,17 +106,30 @@ class StoreBackend(ABC):
         O(sketch) — and a store may be read any number of times.
         """
 
+    def close(self) -> None:
+        """Release what the backend owns; it is not read afterwards."""
+
+    def __enter__(self) -> "StoreBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 class MemoryBackend(StoreBackend):
     """Everything in RAM — the original store behaviour."""
 
     def __init__(self) -> None:
+        #: Per data set, the batches appended since its last read, and
+        #: the records its reads built from them.
+        self._batches: Dict[str, List[ColumnarRecords]] = {
+            name: [] for name in LIST_DATASETS}
         self._lists: Dict[str, List] = {name: [] for name in LIST_DATASETS}
         self._keyed: Dict[str, Dict[str, object]] = {
             name: {} for name in KEYED_DATASETS}
 
-    def append(self, dataset: str, records: Sequence) -> None:
-        self._lists[dataset].extend(records)
+    def append(self, dataset: str, records: ColumnarRecords) -> None:
+        self._batches[dataset].append(records)
 
     def put_heartbeats(self, log: HeartbeatLog) -> None:
         self._keyed["heartbeats"][log.router_id] = log
@@ -128,8 +146,14 @@ class MemoryBackend(StoreBackend):
     def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
         if dataset in KEYED_DATASETS:
             return iter(list(self._keyed[dataset].items()))
-        records = self._lists[dataset]
-        records.sort(key=SORT_KEYS[dataset])
+        records, batches = self._lists[dataset], self._batches[dataset]
+        if batches:
+            # Each batch is dropped as its records are taken, so a read
+            # holds one batch's columns beside the records.
+            batches.reverse()
+            while batches:
+                records.extend(batches.pop())
+            records.sort(key=SORT_KEYS[dataset])
         return itertools.groupby(records, key=_ROUTER_ID)
 
 
@@ -144,18 +168,11 @@ def _corrupt(path: Path, problem: str) -> ValueError:
     return ValueError(f"corrupt spill segment {path}: {problem}")
 
 
-def _batch_columns(dataset: str, records: Sequence) -> Dict[str, np.ndarray]:
+def _batch_columns(records: ColumnarRecords) -> Dict[str, np.ndarray]:
     """One appended batch as segment columns, str columns still text."""
-    codec = RECORD_DATASETS[dataset].codec
-    if not isinstance(records, ColumnarRecords):
-        return codec.to_columns(records)
-    # A columnar batch is its columns already: one router, then the
-    # record's other fields by name, a Spectrum as its segment code.
-    routers = np.empty(len(records), dtype=object)
-    routers.fill(records.router_id)  # np.full would drop a trailing NUL
-    return {codec.fields[0].name: routers, **{
-        name: np.asarray(column).astype(codec.layout[name], copy=False)
-        for name, column in records.columns.items()}}
+    codec = RECORD_DATASETS[records.dataset].codec
+    return {name: codec.array(name, column)
+            for name, column in records.record_columns().items()}
 
 
 def _write_segment(path: Path, codec: RowCodec,
@@ -163,15 +180,14 @@ def _write_segment(path: Path, codec: RowCodec,
     """Sort one data set's buffered batches and write them as a segment."""
     columns = {name: np.concatenate([chunk[name] for chunk in chunks])
                for name in codec.layout.names}
-    text = [field.name for field in codec.fields if field.kind is str]
     strings = sorted(set(itertools.chain.from_iterable(
-        columns[name] for name in text)))
+        columns[name] for name in codec.text)))
     code = {string: index for index, string in enumerate(strings)}.__getitem__
-    rows = np.empty(len(columns[text[0]]), dtype=codec.layout)
+    rows = np.empty(len(columns[codec.text[0]]), dtype=codec.layout)
     for name, column in columns.items():
         rows[name] = np.fromiter(map(code, column), dtype="<i4",
                                  count=len(column)) \
-            if name in text else column
+            if name in codec.text else column
     # The table is sorted, so a str key's code is its rank: one stable
     # lexsort gives list.sort's order by SORT_KEYS, ties in ingest order.
     first, second = (rows[field.name] for field in codec.fields[:2])
@@ -245,12 +261,12 @@ class SpillBackend(StoreBackend):
     lazily by home.
 
     *directory* is created (and left in place) when given; omitted, a
-    private temporary directory is used and cleaned up with the backend.
+    private temporary directory is used and removed by :meth:`close`.
     ``max_buffered_records`` bounds the total list-dataset records held in
     RAM before a spill; :attr:`peak_buffered_records` reports the high-water
     mark so tests can assert the bound held.  A batch buffers as its
-    columns: a :class:`~repro.collection.batches.ColumnarRecords` batch
-    adds its own, and no record object is built until a read.
+    columns, and no record object is built until a reader of records
+    iterates a home.
     """
 
     def __init__(self, directory: Union[str, Path, None] = None,
@@ -287,7 +303,7 @@ class SpillBackend(StoreBackend):
 
     # -- ingest ------------------------------------------------------------------
 
-    def append(self, dataset: str, records: Sequence) -> None:
+    def append(self, dataset: str, records: ColumnarRecords) -> None:
         if not len(records):
             return
         # Spill first if this batch would overflow the buffer, so the peak
@@ -295,7 +311,7 @@ class SpillBackend(StoreBackend):
         if self._buffered and \
                 self._buffered + len(records) > self.max_buffered_records:
             self._spill()
-        self._buffers[dataset].append(_batch_columns(dataset, records))
+        self._buffers[dataset].append(_batch_columns(records))
         self._buffered += len(records)
         self.peak_buffered_records = max(self.peak_buffered_records,
                                          self._buffered)
@@ -344,6 +360,11 @@ class SpillBackend(StoreBackend):
         metrics.inc("store_spills_total")
         metrics.inc("spilled_records_total", spilled)
         events.emit("store_spill", run=self._n_runs - 1, records=spilled)
+
+    def close(self) -> None:
+        """Remove the directory the backend made; a given one stays."""
+        if self._tmp is not None:
+            self._tmp.cleanup()
 
     # -- durability (checkpoint support) -----------------------------------------
 
@@ -438,19 +459,16 @@ class SpillBackend(StoreBackend):
                        chunk: int) -> Iterator[Tuple[str, list]]:
         """Yield one segment's ``(router_id, parts)`` per home.
 
-        A part is the home's rows of one chunk: a dict of its checked
-        columns for a :data:`COLUMNAR_DATASETS` data set, else its
-        records.  The reader parses the headers once, then reads *chunk*
-        rows at a time, opening the file only while it reads, so a merge
-        over hundreds of segments keeps at most one file open.  Every
-        size, dtype, code and column of a chunk is checked before any of
-        its parts is yielded.
+        A part is the home's rows of one chunk, a dict of its checked
+        columns after ``router_id``.  The reader parses the headers once,
+        then reads *chunk* rows at a time, opening the file only while it
+        reads, so a merge over hundreds of segments keeps at most one
+        file open.  Every size, dtype, code, column and row relation of a
+        chunk is checked before any of its parts is yielded.
         """
         codec = RECORD_DATASETS[dataset].codec
         width = codec.layout.itemsize
-        router = codec.fields[0].name
-        text = [field.name for field in codec.fields if field.kind is str]
-        columnar = COLUMNAR_DATASETS.get(dataset)
+        router, *names = codec.layout.names
         with self._open_run(path) as handle:
             strings, offset, n_rows = _read_segment(handle, path, codec.layout)
         rid, parts = None, []
@@ -461,21 +479,19 @@ class SpillBackend(StoreBackend):
                 rows = np.frombuffer(_read_exact(handle, path, count * width),
                                      dtype=codec.layout)
             columns = {name: rows[name] for name in codec.layout.names}
-            for name in text:
+            for name in codec.text:
                 codes = columns[name]
                 if not 0 <= codes.min() <= codes.max() < len(strings):
                     raise _corrupt(path, f"{name} code outside its table")
                 columns[name] = strings[codes]
             try:
                 codec.check_columns(columns)
-                decoded = None if columnar else codec.from_columns(columns)
             except ValueError as exc:
                 raise _corrupt(path, f"bad row ({exc})") from exc
             routers = rows[router]
             cuts = (np.flatnonzero(routers[1:] != routers[:-1]) + 1).tolist()
             for start, end in zip([0, *cuts], [*cuts, count]):
-                home = decoded[start:end] if decoded is not None else {
-                    name: columns[name][start:end] for name in columnar}
+                home = {name: columns[name][start:end] for name in names}
                 home_rid = columns[router][start]
                 if home_rid == rid:
                     parts.append(home)
@@ -493,10 +509,10 @@ class SpillBackend(StoreBackend):
 
         A home found in several segments, or cut by a chunk, is joined
         in run order; one found in several segments is then sorted
-        stably by :data:`SORT_KEYS`, the order a record-level merge of
-        the runs gives.  A :data:`COLUMNAR_DATASETS` home is a
-        :class:`~repro.collection.batches.ColumnarRecords` of its
-        columns, so sorted stably on its timestamp column.
+        stably on its second :data:`SORT_KEYS` column (its router is
+        the first), the order a record-level merge of the runs gives.
+        Each home is a :class:`~repro.collection.batches.ColumnarRecords`
+        of its columns.
         """
         runs = self._runs[dataset]
         if not runs:
@@ -504,24 +520,20 @@ class SpillBackend(StoreBackend):
         chunk = max(32, self.merge_chunk_records // len(runs))
         homes = heapq.merge(*(self._segment_homes(dataset, path, chunk)
                               for path in runs), key=itemgetter(0))
-        columnar = COLUMNAR_DATASETS.get(dataset)
+        names = RECORD_DATASETS[dataset].codec.layout.names[1:]
         for rid, group in itertools.groupby(homes, key=itemgetter(0)):
             segments = [parts for _, parts in group]
             parts = list(itertools.chain.from_iterable(segments))
-            if columnar is None:
-                records = list(itertools.chain.from_iterable(parts))
-                if len(segments) > 1:
-                    records.sort(key=SORT_KEYS[dataset])
-                yield rid, records
-                continue
             columns = parts[0] if len(parts) == 1 else {
                 name: np.concatenate([part[name] for part in parts])
-                for name in columnar}
+                for name in names}
             if len(segments) > 1:
-                order = np.argsort(columns["timestamp"], kind="stable")
+                order = np.argsort(columns[names[0]], kind="stable")
                 columns = {name: column[order]
                            for name, column in columns.items()}
-            yield rid, ColumnarRecords(dataset, rid, columns)
+            home = ColumnarRecords.__new__(ColumnarRecords)
+            home.__setstate__((dataset, rid, columns))  # checked when read
+            yield rid, home
 
     def holds(self, dataset: str, router_id: str) -> bool:
         return router_id in self._keyed[dataset]
@@ -537,12 +549,10 @@ class SpillBackend(StoreBackend):
     def iter_homes(self, dataset: str) -> Iterator[Tuple[str, object]]:
         """``(router_id, records)`` per home, merged from the segments.
 
-        A home of a :data:`COLUMNAR_DATASETS` data set (uptime, capacity,
-        device counts, WiFi scans) is a
+        A list data set's home is a
         :class:`~repro.collection.batches.ColumnarRecords` of its checked
         segment columns, which the folds read as they are and iteration
-        turns into records; the other three yield record lists.  A keyed
-        value is loaded from its files.
+        turns into records.  A keyed value is loaded from its files.
         """
         if dataset in KEYED_DATASETS:
             return ((rid, self.stored(dataset, rid))

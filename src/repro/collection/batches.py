@@ -2,29 +2,30 @@
 
 A :class:`RouterUpload` is one home's upload, a fixed set of typed
 fields: its registration metadata, its raw heartbeat *send* times, its
-record-list data sets as :class:`RecordBatch` chunks, and its optional
-throughput series.  A shard worker does not ship one giant record list
-per data set: :func:`build_upload`, the one way a producer builds an
-upload, splits each list data set into bounded chunks so the ingest
-side can stream them into a store without ever holding a whole
+record-list data sets as :class:`ColumnarRecords` batches, and its
+optional throughput series.  A shard worker does not ship one giant
+column set per data set: :func:`build_upload`, the one way a producer
+builds an upload, splits each list data set into bounded chunks so the
+ingest side can stream them into a store without ever holding a whole
 upload's records beyond the chunk size.  Uploads cross the process
 boundary by pickling.
 
-A :class:`ColumnarRecords` batch lays one data set out as columns named
-by the record's fields after ``router_id``, a ``Spectrum`` as its 1/2
-code; the record's :class:`~repro.core.records.RowCodec` checks them.
+A :class:`ColumnarRecords` batch is the one container of list records,
+from collector to store: one router's rows of one data set as columns
+named by its record's :attr:`~repro.core.records.RowCodec.layout` after
+``router_id`` (text as text, an enum as its code, an optional number as
+a value column and its ``<name>_null`` flags); the record's
+:class:`~repro.core.records.RowCodec` checks them.
 """
 
 from __future__ import annotations
 
 import asyncio
 import io
-import itertools
 import pickle
 import struct
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterator, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -42,31 +43,6 @@ def _require(owner: str, name: str, value: object, expected: type) -> None:
 
 
 @dataclass(frozen=True)
-class RecordBatch:
-    """One chunk of one record-list data set: a list of its records, or
-    a :class:`ColumnarRecords` of its columns.
-
-    The constructor checks the container; the collection server checks
-    each record it holds (its class, its fields and its router).
-    """
-
-    dataset: str
-    records: Union[list, "ColumnarRecords"]
-
-    def __post_init__(self) -> None:
-        if self.dataset not in LIST_DATASETS:
-            raise ValueError(
-                f"{self.dataset!r} is not a record-list data set")
-        records = self.records
-        if isinstance(records, ColumnarRecords):
-            if records.dataset != self.dataset:
-                raise ValueError(f"{records.dataset} columns in a "
-                                 f"{self.dataset} batch")
-        else:
-            _require("RecordBatch", "records", records, list)
-
-
-@dataclass(frozen=True)
 class RouterUpload:
     """Everything one router sent.
 
@@ -78,7 +54,7 @@ class RouterUpload:
 
     info: RouterInfo
     heartbeat_sends: np.ndarray
-    batches: Tuple[RecordBatch, ...] = ()
+    batches: Tuple["ColumnarRecords", ...] = ()
     throughput: Optional[ThroughputSeries] = None
 
     def __post_init__(self) -> None:
@@ -86,6 +62,8 @@ class RouterUpload:
         _require("RouterUpload", "heartbeat_sends", self.heartbeat_sends,
                  np.ndarray)
         _require("RouterUpload", "batches", self.batches, tuple)
+        for batch in self.batches:
+            _require("RouterUpload", "batches", batch, ColumnarRecords)
         if self.throughput is not None:
             _require("RouterUpload", "throughput", self.throughput,
                      ThroughputSeries)
@@ -99,108 +77,119 @@ class RouterUpload:
         """Records sent: the sends, every list record and the throughput
         series' minutes."""
         count = len(self.heartbeat_sends)
-        count += sum(len(batch.records) for batch in self.batches)
+        count += sum(map(len, self.batches))
         if self.throughput is not None:
             count += len(self.throughput)
         return count
 
 
 def build_upload(info: RouterInfo, heartbeat_sends: np.ndarray,
-                 lists: Mapping[str, Union[list, Dict[str, list], None]],
+                 lists: Mapping[str, Optional[Dict[str, Any]]],
                  throughput: Optional[ThroughputSeries] = None
                  ) -> RouterUpload:
     """One router's upload, its list data sets chunked into batches.
 
-    *lists* maps a record-list data set to its record list or, for one
-    of :data:`COLUMNAR_DATASETS`, to its column dict.  Batches come in
+    *lists* maps a record-list data set to its column dict, the columns
+    of a :class:`ColumnarRecords`.  Batches come in
     :data:`LIST_DATASETS` order, a chunk boundary every
     :data:`DEFAULT_BATCH_RECORDS` records; a missing or empty data set
     emits no batch.
     """
     rid = info.router_id
-    batches: List[RecordBatch] = []
+    batches: List[ColumnarRecords] = []
     for dataset in LIST_DATASETS:
-        records = lists.get(dataset)
-        if isinstance(records, dict):
-            length = len(records[COLUMNAR_DATASETS[dataset][0]])
-            batches += [RecordBatch(dataset, ColumnarRecords(
-                dataset, rid, {name: column[lo:lo + DEFAULT_BATCH_RECORDS]
-                               for name, column in records.items()}))
-                for lo in range(0, length, DEFAULT_BATCH_RECORDS)]
-        elif records:
-            batches += [RecordBatch(dataset,
-                                    records[lo:lo + DEFAULT_BATCH_RECORDS])
-                        for lo in range(0, len(records),
-                                        DEFAULT_BATCH_RECORDS)]
+        columns = lists.get(dataset)
+        if not columns:
+            continue
+        batches += [ColumnarRecords(dataset, rid, {
+            name: column[lo:lo + DEFAULT_BATCH_RECORDS]
+            for name, column in columns.items()})
+            for lo in range(0, max(map(len, columns.values())),
+                            DEFAULT_BATCH_RECORDS)]
     return RouterUpload(info, heartbeat_sends, tuple(batches), throughput)
 
 
-# -- columnar record batches --------------------------------------------------
-#
-# The columnar collection pass (``firmware.shard_collect``) produces each
-# dataset as parallel plain-list columns rather than per-record dataclass
-# instances.  ``ColumnarRecords`` carries those columns across the process
-# boundary and materializes record objects only when the batch is iterated
-# (at ingest), checked per column by its record's codec at construction.
-
-
-#: Column names per columnar dataset: the record's fields after router_id.
-COLUMNAR_DATASETS: Dict[str, Tuple[str, ...]] = {
-    dataset: RECORD_DATASETS[dataset].codec.layout.names[1:]
-    for dataset in ("uptime", "capacity", "device_counts", "wifi_scans")}
+def batch_columns(dataset: str, rows: List[tuple]) -> Dict[str, list]:
+    """*rows* of a :class:`ColumnarRecords` of *dataset* (each a tuple of
+    its columns, in order) as its column dict."""
+    names = RECORD_DATASETS[dataset].codec.layout.names[1:]
+    if not rows:
+        return {name: [] for name in names}
+    return dict(zip(names, map(list, zip(*rows))))
 
 
 class ColumnarRecords:
-    """One batch's records as parallel columns, materialized lazily.
+    """One router's batch of one record-list data set, as columns;
+    records are built lazily.
 
-    Quacks like the record list the server and backends expect — ``len``
-    is free, iteration and indexing build the record dataclasses on first
+    Quacks like the record list a reader of records expects — ``len`` is
+    free, iteration and indexing build the record dataclasses on first
     use and cache them.  Construction runs the codec's column check (the
-    field rules of each record's constructor), so the build skips them.
+    field rules and relations of each record's constructor), so the
+    build skips them.  A column is a list (checked value by value) or a
+    1-D array (checked by its dtype kind and extremes).
 
-    A shard ships its collectors' columns as these batches, and a spill
-    store's read yields each home of these four data sets as one, its
-    columns sliced from the segment: the figure folds read the columns
-    (:func:`~repro.core.datasets.home_columns`), and only a reader of
-    records, such as ``to_study_data``, builds the records.
+    A collector ships its columns as these batches, a store takes them,
+    and a spill store's read yields each home as one, its columns sliced
+    from the segments: the figure folds read the columns
+    (:func:`~repro.core.datasets.home_columns`) or iterate the records,
+    and only a reader of records, such as ``to_study_data``, builds them.
 
     The caller hands over ownership of the column lists or arrays; they
     must not be mutated afterwards.
     """
 
-    __slots__ = ("dataset", "router_id", "columns", "_length", "_cache")
+    __slots__ = ("dataset", "router_id", "columns", "_cache")
 
     def __init__(self, dataset: str, router_id: str,
-                 columns: Dict[str, list]) -> None:
-        fields = COLUMNAR_DATASETS.get(dataset)
-        if fields is None:
-            raise ValueError(f"dataset {dataset!r} has no columnar layout")
-        if set(columns) != set(fields):
-            raise ValueError(
-                f"{dataset} columns must be exactly {sorted(fields)}")
-        lengths = {len(columns[name]) for name in fields}
-        if len(lengths) != 1:
-            raise ValueError(f"{dataset} column lengths differ")
-        RECORD_DATASETS[dataset].codec.check_columns(columns)
-        _require("ColumnarRecords", "router_id", router_id, str)
+                 columns: Dict[str, Any]) -> None:
         self.dataset = dataset
         self.router_id = router_id
         self.columns = columns
-        self._length = lengths.pop()
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """The constructor's checks.  Named as a dataclass's check is, so
+        the collection server reruns them on a decoded batch, or one
+        changed since it was built, as it reruns every upload object's."""
+        dataset, columns = self.dataset, self.columns
+        _require("ColumnarRecords", "dataset", dataset, str)
+        _require("ColumnarRecords", "router_id", self.router_id, str)
+        _require("ColumnarRecords", "columns", columns, dict)
+        table = RECORD_DATASETS.get(dataset)
+        if table is None:
+            raise ValueError(f"{dataset!r} is not a record-list data set")
+        names = table.codec.layout.names[1:]
+        if columns.keys() != set(names):
+            raise ValueError(
+                f"{dataset} columns must be exactly {sorted(names)}")
+        # Typed before any is sized: a frame can nest any allowed object,
+        # a batch holding itself among them.
+        if not all(isinstance(column, (list, np.ndarray))
+                   for column in columns.values()):
+            raise ValueError(f"{dataset} columns must be lists or arrays")
+        if len(set(map(len, columns.values()))) != 1:
+            raise ValueError(f"{dataset} column lengths differ")
         self._cache: Optional[list] = None
+        table.codec.check_columns(self.record_columns())
+
+    def record_columns(self) -> Dict[str, Any]:
+        """The records' columns: the router's id in every row, then the
+        batch's own."""
+        return {"router_id": [self.router_id] * len(self), **self.columns}
 
     def materialize(self) -> list:
         """The record list (built once, then cached)."""
         records = self._cache
         if records is None:
             records = RECORD_DATASETS[self.dataset].codec.from_columns(
-                {"router_id": itertools.repeat(self.router_id),
-                 **self.columns})
+                self.record_columns())
             self._cache = records
         return records
 
     def __len__(self) -> int:
-        return self._length
+        # Every column holds one value per row: the check saw to that.
+        return len(next(iter(self.columns.values())))
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.materialize())
@@ -210,20 +199,26 @@ class ColumnarRecords:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ColumnarRecords({self.dataset!r}, {self.router_id!r}, "
-                f"n={self._length})")
+                f"n={len(self)})")
 
     # Pickling ships the columns, never the built cache: the parent
-    # process rebuilds at ingest, keeping the wire payload columnar.
+    # process rebuilds at ingest, keeping the wire payload columnar.  A
+    # frame's arrays hold bools or numbers, so text crosses as a list;
+    # a text array fails here, not at the receiver.
     def __getstate__(self):
-        return (self.dataset, self.router_id, self.columns, self._length)
+        if any(isinstance(column, np.ndarray)
+               and column.dtype.kind not in "biuf"
+               for column in self.columns.values()):
+            raise FrameError("a batch's text columns cross as lists, "
+                             "not arrays")
+        return (self.dataset, self.router_id, self.columns)
 
     def __setstate__(self, state) -> None:
-        # Unpickling runs no constructor, and a frame's columns are
-        # untrusted: re-run the column checks, and count the columns
-        # rather than trust the shipped length.
-        dataset, router_id, columns, _ = state
-        self.__init__(dataset, router_id, columns)
-
+        # Unpickling runs no constructor: like every decoded object, a
+        # batch from an untrusted frame is unchecked until the collection
+        # server reruns its __post_init__.
+        self.dataset, self.router_id, self.columns = state
+        self._cache = None
 
 
 # -- wire framing -------------------------------------------------------------
@@ -232,8 +227,8 @@ class ColumnarRecords:
 # ``RouterUpload`` payloads that cross the process boundary, but over
 # TCP: each message is one length-prefixed frame — a 4-byte big-endian
 # payload length followed by the pickled message.  An upload's fields are
-# its ``RouterInfo``, its send-time array, a tuple of ``RecordBatch``
-# chunks and an optional ``ThroughputSeries``.  Messages are small
+# its ``RouterInfo``, its send-time array, a tuple of ``ColumnarRecords``
+# batches and an optional ``ThroughputSeries``.  Messages are small
 # tuples, ``(kind, ...)``:
 #
 # ==========  =============================  ==================================
@@ -285,19 +280,21 @@ class FrameError(ValueError):
 # ``__reduce__`` in the payload runs during unpickling).  Frames are
 # therefore decoded with a restricted unpickler whose ``find_class``
 # resolves only the globals a legal protocol message can reference: the
-# protocol dataclasses, the record types they carry, and the numpy
-# machinery their arrays pickle through.  Anything else — ``os.system``,
+# upload, its batches, its router's metadata and throughput series, and
+# the numpy machinery their arrays pickle through (no record object
+# crosses the wire: a batch is columns).  Anything else — ``os.system``,
 # ``builtins.eval``, a class smuggling a hostile reducer — is rejected
 # before any object is constructed.  This bounds *what can exist* in a
 # decoded payload; ``validate_message`` then checks its shape, and the
 # collection server validates upload semantics.  The daemon is still
 # meant for trusted networks (loopback by default): the allowlisted
 # types accept attacker-chosen field values.  Unpickling runs no
-# constructor, so a ``ColumnarRecords`` re-runs its column checks as it
-# is unpickled, and the collection server re-runs every other object's
-# ``__post_init__`` before ingest, the containers' as well as the
-# records': the upload's and each batch's check each field's type, and
-# a record's check each field's kind and each number's range.
+# constructor, so the collection server re-runs every decoded object's
+# ``__post_init__`` before ingest: the upload's checks each field's
+# type, a batch's each column's values and each row's relations, and
+# the router's and the series' their fields.  A rejected upload is
+# answered with an error frame; only a frame that does not decode closes
+# the connection.
 
 class _WireDtype:
     """A frame's ``numpy.dtype``: a bool, int or float type, nothing else.
@@ -341,14 +338,10 @@ def _safe_globals() -> Dict[Tuple[str, str], Any]:
     from repro.core import datasets as _datasets
     from repro.core import records as _records
 
-    allowed: Dict[Tuple[str, str], Any] = {}
-    for obj in (
-            RecordBatch, RouterUpload, ColumnarRecords,
-            _records.RouterInfo, _records.Spectrum, _records.Medium,
-            _datasets.ThroughputSeries,
-            *(table.record for table in RECORD_DATASETS.values()),
-    ):
-        allowed[(obj.__module__, obj.__qualname__)] = obj
+    allowed: Dict[Tuple[str, str], Any] = {
+        (obj.__module__, obj.__qualname__): obj
+        for obj in (RouterUpload, ColumnarRecords, _records.RouterInfo,
+                    _datasets.ThroughputSeries)}
     allowed[("numpy", "dtype")] = _WireDtype
     # A contiguous array pickles through ``_frombuffer``, a numpy scalar
     # through ``scalar``.  (``_reconstruct``, the path of other arrays,

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.records import RouterInfo, UptimeReport
+from repro.core.records import RouterInfo
 from repro.simulation.timebase import StudyWindows
 from repro.collection.batches import RouterUpload, build_upload
 from repro.collection.netserve import IngestClient, IngestDaemon, ServeConfig
@@ -128,16 +128,15 @@ def synthetic_upload(index: int, span: Tuple[float, float],
         start + beat * HEARTBEAT_INTERVAL + rng.uniform(-30.0, 30.0)
         for beat in range(config.heartbeats_per_upload)
     ])
-    reports = []
+    uptime = None
     if config.uptime_reports_per_upload:
         boot = span[0] - rng.uniform(0.0, 30 * 24 * 3600.0)
-        reports = [
-            UptimeReport(rid, ts, ts - boot)
-            for i in range(config.uptime_reports_per_upload)
-            for ts in (start + (i + 1) * UPTIME_INTERVAL,)
-        ]
+        times = [start + (i + 1) * UPTIME_INTERVAL
+                 for i in range(config.uptime_reports_per_upload)]
+        uptime = {"timestamp": times,
+                  "uptime_seconds": [ts - boot for ts in times]}
     info = RouterInfo(rid, "US", True, -5.0, 50_000.0)
-    return build_upload(info, sends, {"uptime": reports})
+    return build_upload(info, sends, {"uptime": uptime})
 
 
 async def run_load(host: str, port: int, config: LoadConfig,

@@ -3,9 +3,12 @@
 The server is upload-oriented: shard workers (or the in-process serial
 path, or the network daemon) submit
 :class:`~repro.collection.batches.RouterUpload` bundles, and
-:meth:`CollectionServer.ingest` checks the whole upload, then applies
-it to the record store once: registration, heartbeats, the list
-batches in upload order, then the throughput series.  An upload carries
+:meth:`CollectionServer.ingest` checks the whole upload (its send
+times, its throughput series, and each
+:class:`~repro.collection.batches.ColumnarRecords` batch's columns and
+router), then applies it to the record store once: registration,
+heartbeats, the list batches in upload order, then the throughput
+series.  An upload carries
 raw heartbeat *send* times; the server applies the lossy collection
 path between the checks and the apply, so delivery randomness depends
 only on the deterministic order of accepted uploads — never on which
@@ -19,8 +22,8 @@ import logging
 import numpy as np
 
 from repro.core.datasets import HeartbeatLog, ThroughputSeries
-from repro.core.records import RECORD_DATASETS, RouterInfo
-from repro.collection.batches import ColumnarRecords, RecordBatch, RouterUpload
+from repro.core.records import RouterInfo
+from repro.collection.batches import ColumnarRecords, RouterUpload
 from repro.collection.path import CollectionPath
 from repro.collection.storage import RecordStore
 from repro.telemetry import events, metrics
@@ -93,8 +96,8 @@ class CollectionServer:
             metrics.inc("heartbeats_dropped_total", sent - accepted)
             _count_ingested("heartbeats", accepted)
             for batch in upload.batches:
-                store.add_records(batch.dataset, batch.records)
-                _count_ingested(batch.dataset, len(batch.records))
+                store.add_records(batch)
+                _count_ingested(batch.dataset, len(batch))
             if series is not None and store.add_keyed("throughput", series):
                 _count_ingested("throughput", len(series))
         except BaseException as exc:
@@ -119,13 +122,14 @@ class CollectionServer:
         The checks cover every failure the apply could raise from the
         upload alone: send times that do not convert to a flat array of
         finite floats (one NaN would make the whole study unanalyzable),
-        and a throughput series, a batch or a record that fails its
-        constructor checks, is of the wrong class or belongs to another
-        router.  What remains after them are the store checks
-        :meth:`ingest` runs next.  A decoded upload was built by
-        unpickling, which runs no constructor, so every object re-runs
-        its constructor checks here (a columnar batch re-ran its own
-        when it was unpickled).
+        and a throughput series or a batch that fails its constructor
+        checks, is of the wrong class or belongs to another router.
+        What remains after them are the store checks :meth:`ingest` runs
+        next.  A decoded upload was built by unpickling, which runs no
+        constructor, and an in-process batch's columns may have changed
+        since it was built, so every object re-runs its constructor
+        checks here: a batch's check each of its column values and each
+        row's relations.
         """
         rid = upload.router_id
         owner = f"upload for {rid!r}"
@@ -135,15 +139,8 @@ class CollectionServer:
             _recheck(owner, series, ThroughputSeries)
             _require_owner(rid, "throughput", series.router_id)
         for batch in upload.batches:
-            _recheck(owner, batch, RecordBatch)
-            dataset, records = batch.dataset, batch.records
-            if isinstance(records, ColumnarRecords):
-                _require_owner(rid, dataset, records.router_id)
-                continue
-            record_class = RECORD_DATASETS[dataset].record
-            for record in records:
-                _recheck(owner, record, record_class)
-                _require_owner(rid, dataset, record.router_id)
+            _recheck(owner, batch, ColumnarRecords)
+            _require_owner(rid, batch.dataset, batch.router_id)
         return sends
 
 

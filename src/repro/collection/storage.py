@@ -8,8 +8,9 @@ Every read goes through the backend's one reader, ``iter_homes``:
 :meth:`RecordStore.to_study_data` builds its lists from it, and the
 stream path folds it home by home.
 The seven record-list data sets share one entry point,
-:meth:`RecordStore.add_records`, keyed by their name in
-:data:`~repro.core.records.RECORD_DATASETS`; the two keyed data sets,
+:meth:`RecordStore.add_records`, which takes one
+:class:`~repro.collection.batches.ColumnarRecords` batch (it names its
+data set and its router); the two keyed data sets,
 one value per router, share :meth:`RecordStore.add_keyed`, by name in
 :data:`~repro.core.datasets.KEYED_DATASETS`.  The backend alone records
 which routers uploaded a keyed value.
@@ -18,19 +19,22 @@ The collection server settles a whole upload before its first add,
 through :meth:`RecordStore.has_upload`,
 :meth:`RecordStore.check_registration` and
 :meth:`RecordStore.check_keyed`, which mutate nothing; it then
-applies the upload through the add methods.
+applies the upload through the add methods.  A store closes its
+backend (:meth:`RecordStore.close`, or a ``with`` block), which removes
+a spill directory the backend made.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.datasets import KEYED_DATASETS, StudyData
 from repro.core.records import RECORD_DATASETS, RouterInfo
 from repro.simulation.timebase import StudyWindows
 from repro.collection.backends import MemoryBackend, StoreBackend
+from repro.collection.batches import ColumnarRecords
 from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
@@ -120,27 +124,10 @@ class RecordStore:
         metrics.inc("ingest_rejections_total", dataset=dataset)
         events.emit("ingest_rejected", dataset=dataset, router=router_id)
 
-    def _require_registered_all(self, records) -> None:
-        """Registration check for one batch's records.
-
-        Columnar batches (``ColumnarRecords``) carry a single
-        ``router_id`` for the whole batch, so one lookup covers every
-        record without materializing any of them; plain record lists
-        fall back to the per-record loop.
-        """
-        router_id = getattr(records, "router_id", None)
-        if router_id is not None:
-            self._require_registered(router_id)
-            return
-        for record in records:
-            self._require_registered(record.router_id)
-
-    def add_records(self, dataset: str, records: Sequence) -> None:
-        """Append records to one of the seven record-list data sets."""
-        if dataset not in RECORD_DATASETS:
-            raise ValueError(f"unknown record-list dataset {dataset!r}")
-        self._require_registered_all(records)
-        self.backend.append(dataset, records)
+    def add_records(self, records: ColumnarRecords) -> None:
+        """Append one batch to its record-list data set."""
+        self._require_registered(records.router_id)
+        self.backend.append(records.dataset, records)
 
     def check_keyed(self, dataset: str, value) -> bool:
         """Would :meth:`add_keyed` store *value*?  Mutates nothing.
@@ -174,6 +161,16 @@ class RecordStore:
         # By name: benchmarks/e2e times each backend's put_<dataset>.
         getattr(self.backend, f"put_{dataset}")(value)
         return True
+
+    def close(self) -> None:
+        """Close the backend: a spill directory it made is removed."""
+        self.backend.close()
+
+    def __enter__(self) -> "RecordStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- checkpoint support ------------------------------------------------------
 

@@ -64,7 +64,7 @@ def by_router(records: Iterable) -> Iterator[Tuple[str, object]]:
 def home_columns(dataset: str, home: Iterable,
                  *names: str) -> Mapping[str, np.ndarray]:
     """Fields *names* of one home's records of a record-list data set, as
-    :meth:`~repro.core.records.RowCodec.to_columns` columns.
+    :meth:`~repro.core.records.RowCodec.column` columns.
 
     A spilled home is a :class:`~repro.collection.batches.ColumnarRecords`
     and holds its columns; records (a list, or a memory store's group
@@ -74,11 +74,11 @@ def home_columns(dataset: str, home: Iterable,
     """
     if isinstance(home, Mapping):
         return home
+    codec = RECORD_DATASETS[dataset].codec
     columns = getattr(home, "columns", None)
     if columns is not None:
-        return {name: np.asarray(columns[name]) for name in names}
+        return {name: codec.array(name, columns[name]) for name in names}
     records = home if isinstance(home, list) else list(home)
-    codec = RECORD_DATASETS[dataset].codec
     return {name: codec.column(records, name) for name in names}
 
 

@@ -16,6 +16,7 @@ Both default to the paper's full scale.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time
 from dataclasses import dataclass, field
@@ -236,23 +237,26 @@ def run_study(config: Optional[StudyConfig] = None,
     capture = _start_tracing(trace_dir, config.seed)
     try:
         plan = build_deployment_plan(config.deployment_config())
-        data = run_campaign(
-            plan,
-            seed=config.seed,
-            path_config=config.path,
-            # With a checkpoint directory the engine owns the durable
-            # store; otherwise the config picks the backend.
-            store=(None if config.checkpoint_dir is not None
-                   else config.make_store(plan.windows)),
-            workers=config.workers,
-            shard_size=config.shard_size,
-            max_shard_retries=config.max_shard_retries,
-            shard_timeout=config.shard_timeout,
-            fault_plan=fault_plan,
-            checkpoint_dir=config.checkpoint_dir,
-            resume=resume,
-            progress_path=_progress_path(telemetry_dir, trace_dir),
-        )
+        # With a checkpoint directory the engine owns the durable store;
+        # otherwise the config picks the backend, and the study closes it
+        # once its records are frozen.
+        store = (None if config.checkpoint_dir is not None
+                 else config.make_store(plan.windows))
+        with store if store is not None else contextlib.nullcontext():
+            data = run_campaign(
+                plan,
+                seed=config.seed,
+                path_config=config.path,
+                store=store,
+                workers=config.workers,
+                shard_size=config.shard_size,
+                max_shard_retries=config.max_shard_retries,
+                shard_timeout=config.shard_timeout,
+                fault_plan=fault_plan,
+                checkpoint_dir=config.checkpoint_dir,
+                resume=resume,
+                progress_path=_progress_path(telemetry_dir, trace_dir),
+            )
         summary = _export_trace(capture, trace_dir)
         if session is not None:
             session.finalize(config, data, workers=config.workers,

@@ -335,20 +335,31 @@ def _value_test(field: RowField) -> Callable[[Any], bool]:
     return test
 
 
-def _column_test(field: RowField) -> Callable[[np.ndarray], bool]:
-    """Whether a 1-D column's dtype kind and extreme values are ones
-    *field* may hold; an enum column holds codes (0 for ``None``)."""
-    kinds = {float: "iuf", bool: "b"}.get(field.kind, "iu")
+def _column_test(field: RowField) -> Callable[[Any], bool]:
+    """Whether a column holds only values *field* may hold.
+
+    A list column, and any text column, is tested value by value with
+    the test :meth:`RowCodec.check` runs; an array column by its dtype
+    kind and its extreme values.  An enum column holds codes (0 for
+    ``None``), and an optional number's column 0 for ``None``.
+    """
+    kinds = {float: "iuf", bool: "b", str: "O"}.get(field.kind, "iu")
     if issubclass(field.kind, enum.Enum):
         field = field._replace(kind=int, range=Range(
             0 if field.optional else 1, len(field.kind) + 1))
     bound = _value_test(field._replace(optional=False))
 
-    def test(column: np.ndarray) -> bool:
+    def test(column: Any) -> bool:
+        if isinstance(column, list):
+            return all(map(bound, column))
+        if not isinstance(column, np.ndarray) or column.ndim != 1 \
+                or column.dtype.kind not in kinds:
+            return False
+        if field.kind is str:
+            return all(map(bound, column))
         # .item() is a Python number, so a uint64 compares exactly.
-        return column.ndim == 1 and column.dtype.kind in kinds and (
-            not len(column) or (bound(column.min().item())
-                                and bound(column.max().item())))
+        return not len(column) or (bound(column.min().item())
+                                   and bound(column.max().item()))
     return test
 
 
@@ -400,8 +411,10 @@ class RowCodec:
     already has every type right but the enums, so only those convert.
 
     :attr:`layout` is the same row as one packed numpy record, the row
-    of a spill segment; :meth:`to_columns` and :meth:`from_columns`
-    convert between records and its columns.
+    of a spill segment.  A batch of records is its columns:
+    :meth:`check_columns` checks them as :meth:`check` and
+    :meth:`Record.check_relations` would check the records, and
+    :meth:`from_columns` builds the records.
     """
 
     def __init__(self, record: type) -> None:
@@ -434,8 +447,13 @@ class RowCodec:
         #: field that is not an enum adds a ``|b1`` ``<name>_null`` flag.
         self.layout = np.dtype([column for f in self.fields
                                 for column in _segment_columns(f)])
-        self._column_tests = tuple((f, _column_test(f)) for f in self.fields
-                                   if f.kind is not str)
+        #: The str fields: a segment codes them against its string table.
+        self.text = tuple(f.name for f in self.fields if f.kind is str)
+        flags = (RowField(f"{f.name}_null", bool, False, None, None)
+                 for f in self.fields
+                 if f.optional and f.name not in self.codes)
+        self._column_tests = tuple((f, _column_test(f))
+                                   for f in (*self.fields, *flags))
         self._decoders = tuple(map(self._decoder, self.fields))
         self._relations = record.check_relations is not Record.check_relations
 
@@ -450,13 +468,17 @@ class RowCodec:
                     f"{_wanted(field)}, not {_shown(value)}")
 
     def check_columns(self, columns: Mapping[str, Any]) -> None:
-        """Raise ``ValueError`` naming the first column with a value
-        :meth:`check` would refuse; an enum column holds its codes, and
-        text columns are the caller's to check against its table."""
+        """Raise ``ValueError`` naming the first column of :attr:`layout`
+        with a value :meth:`check` would refuse (:func:`_column_test`),
+        or one of the first record :meth:`Record.check_relations`
+        refuses."""
         for field, test in self._column_tests:
-            if not test(np.asarray(columns[field.name])):
+            if not test(columns[field.name]):
                 raise ValueError(f"{self.record.__name__}.{field.name} "
                                  f"column must hold {_wanted(field)}")
+        if self._relations:
+            for record in self.from_columns(columns):
+                record.check_relations()
 
     def _decoder(self, field: RowField) -> Callable[[Mapping], Sequence]:
         """One field's values out of checked columns, as plain values."""
@@ -467,11 +489,11 @@ class RowCodec:
             table = np.array(self.codes[name], dtype=object)
             return lambda columns: table[
                 np.asarray(columns[name], dtype=np.intp)].tolist()
-        if field.optional:  # only a spill segment's rows, with null flags
+        if field.optional:  # a value column and its null flags
             return lambda columns: np.where(
-                columns[f"{name}_null"], None, columns[name]).tolist()
-        dtype = self.layout[name]
-        return lambda columns: np.asarray(columns[name], dtype=dtype).tolist()
+                columns[f"{name}_null"], None,
+                self.array(name, columns[name])).tolist()
+        return lambda columns: self.array(name, columns[name]).tolist()
 
     def to_row(self, record: Any) -> list:
         """The record's field values as plain values."""
@@ -487,26 +509,10 @@ class RowCodec:
                     row[index] = kind(row[index])
         return self.record(*row)
 
-    def to_columns(self, records: Sequence) -> Dict[str, np.ndarray]:
-        """The records as :attr:`layout` columns, each value as
-        :meth:`to_row` gives it.
-
-        A str column stays an object array of the strings: a segment
-        codes it against its own string table when it is written.
-        """
-        columns: Dict[str, np.ndarray] = {}
-        for field in self.fields:
-            name = field.name
-            if field.optional and name not in self.codes:
-                columns[f"{name}_null"] = np.array(
-                    [getattr(record, name) is None for record in records],
-                    dtype=bool)
-            columns[name] = self.column(records, name)
-        return columns
-
     def column(self, records: Sequence, name: str) -> np.ndarray:
-        """Field *name* of the records as its :meth:`to_columns` column:
-        an enum as its code, a ``None`` as 0 (a flag column marks it)."""
+        """Field *name* of the records as its :attr:`layout` column, each
+        value as :meth:`to_row` gives it: an enum as its code, a ``None``
+        as 0 (a flag column marks it), text as an object array."""
         field, encode = self._by_name[name]
         values = map(operator.attrgetter(name), records)
         if name in self.codes:
@@ -521,10 +527,15 @@ class RowCodec:
         return np.fromiter(values, dtype=self.layout[name],
                            count=len(records))
 
+    def array(self, name: str, column: Any) -> np.ndarray:
+        """Checked column *name* typed as :meth:`column` types it, value
+        by value (``np.asarray`` alone makes int64-uint64 mixes floats)."""
+        return np.asarray(column, dtype=object if name in self.text
+                          else self.layout[name])
+
     def from_columns(self, columns: Mapping[str, Any]) -> list:
         """Build records from columns that passed :meth:`check_columns`
-        (a str field's column is its text) without checking their fields
-        again; :meth:`Record.check_relations` still runs."""
+        (a str field's column is its text) without checking them again."""
         record_class, names = self.record, self._names
         new = record_class.__new__
         records = []
@@ -533,9 +544,6 @@ class RowCodec:
             record = new(record_class)
             record.__dict__.update(zip(names, row))
             append(record)
-        if self._relations:
-            for record in records:
-                record.check_relations()
         return records
 
 

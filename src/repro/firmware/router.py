@@ -13,6 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.collection.batches import ColumnarRecords
 from repro.core.datasets import ThroughputSeries
 from repro.core.records import (
     CapacityMeasurement,
@@ -96,8 +97,11 @@ class BismarkRouter:
             output.wifi_scans = wifi_scans(
                 home, *windows.wifi, rng=self._seeds.generator("wifi"))
         if self.collect_traffic:
-            output.throughput, output.flows, output.dns = monitor_traffic(
+            output.throughput, flows, dns = monitor_traffic(
                 home, *windows.traffic,
                 rng=self._seeds.generator("traffic"),
                 policy=self.policy)
+            output.flows = list(ColumnarRecords("flows", home.router_id,
+                                                flows))
+            output.dns = list(ColumnarRecords("dns", home.router_id, dns))
         return output

@@ -66,12 +66,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import trace
-from repro.collection.batches import RouterUpload, build_upload
+from repro.collection.batches import RouterUpload, batch_columns, build_upload
 from repro.core.intervals import (clip, contains, intersect, is_sorted,
                                   total_duration)
-from repro.core.records import (SPECTRUM_2_4, SPECTRUM_5, SPECTRUM_BY_CODE,
-                                DeviceRosterEntry, Medium, RouterInfo,
-                                Spectrum)
+from repro.core.records import (RECORD_DATASETS, SPECTRUM_2_4, SPECTRUM_5,
+                                Medium, RouterInfo, Spectrum)
 from repro.firmware.anonymize import AnonymizationPolicy
 from repro.firmware.capacity import CAPACITY_INTERVAL
 from repro.firmware.devices import (CENSUS_INTERVAL, ETHERNET_PORTS,
@@ -305,13 +304,17 @@ def _census_columns(rng: np.random.Generator, start: float, end: float,
             "wireless_5": wireless_5[powered].tolist()}
 
 
-def _roster_entries(router_id: str, start: float, end: float,
+#: A roster medium column's values by code.
+_MEDIA = RECORD_DATASETS["roster"].codec.codes["medium"]
+
+
+def _roster_entries(start: float, end: float,
                     power: Tuple[np.ndarray, np.ndarray],
                     devices: _HomeDevices,
                     assoc: Tuple[np.ndarray, np.ndarray, np.ndarray],
                     policy: AnonymizationPolicy,
-                    ) -> List[DeviceRosterEntry]:
-    """``device_roster`` over column slices (RNG-free).
+                    ) -> Dict[str, list]:
+    """``device_roster`` over column slices (RNG-free), as roster columns.
 
     The interval kernel computes float-for-float what the per-home path's
     ``clip``/``intersection``/``total_duration``/``span`` do.  The
@@ -359,7 +362,7 @@ def _roster_entries(router_id: str, start: float, end: float,
             first_by_dev[devs] = obs_starts[first_idx]
             last_by_dev[devs] = obs_ends[last_idx]
 
-    entries: List[DeviceRosterEntry] = []
+    entries: List[tuple] = []
     for dev in range(n_dev):
         if devices.always[dev]:
             # seen = [(start, end)] ⊇ router_on (already clipped to the
@@ -378,17 +381,15 @@ def _roster_entries(router_id: str, start: float, end: float,
             last_seen = float(last_by_dev[dev])
         covers_all_on = (enough_observation
                         and observed_duration >= on_duration - 1.0)
-        entries.append(DeviceRosterEntry(
-            router_id=router_id,
-            device_mac=policy.anonymize_mac(
-                MacAddress(int(devices.macs[dev]))),
-            medium=devices.media[dev],
-            spectrum=SPECTRUM_BY_CODE[devices.spec_codes[dev]],
-            first_seen=first_seen,
-            last_seen=last_seen,
-            always_connected=covers_all_on and has_on_time,
+        entries.append((
+            policy.anonymize_mac(MacAddress(int(devices.macs[dev]))),
+            _MEDIA.index(devices.media[dev]),
+            int(devices.spec_codes[dev]),
+            first_seen,
+            last_seen,
+            covers_all_on and has_on_time,
         ))
-    return entries
+    return batch_columns("roster", entries)
 
 
 def _wifi_columns(rng: np.random.Generator, start: float, end: float,
@@ -493,11 +494,11 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
     capacity: List[Optional[Dict[str, list]]] = [None] * n
     uptime: List[Optional[Dict[str, list]]] = [None] * n
     census: List[Optional[Dict[str, list]]] = [None] * n
-    roster: List[list] = [[] for _ in range(n)]
+    roster: List[Optional[Dict[str, list]]] = [None] * n
     wifi: List[Optional[Dict[str, list]]] = [None] * n
     throughput = [None] * n
-    flows: List[list] = [[] for _ in range(n)]
-    dns: List[list] = [[] for _ in range(n)]
+    flows: List[Optional[Dict[str, list]]] = [None] * n
+    dns: List[Optional[Dict[str, list]]] = [None] * n
 
     with trace.span("collect.heartbeat", cat="shard"):
         start, end = windows.heartbeats
@@ -545,8 +546,8 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
             census[i] = _census_columns(
                 firmware[i].generator("devices"), start, end,
                 power[i], devices)
-            roster[i] = _roster_entries(rid, start, end, power[i],
-                                        devices, assoc, policy)
+            roster[i] = _roster_entries(start, end, power[i], devices,
+                                        assoc, policy)
 
     with trace.span("collect.wifi", cat="shard"):
         start, end = windows.wifi

@@ -7,31 +7,31 @@ For the consenting homes only, the firmware records:
   the mean minute rate amplified by a burstiness factor, then clamped by
   the physical link: downlink at line rate, uplink at line rate *plus* the
   bufferbloat overshoot (Figs. 15, 16).
-* **Flow statistics** — one record per sampled connection with obfuscated
+* **Flow statistics** — one record per connection with obfuscated
   device MAC, whitelisted-or-obfuscated domain, pseudonymous remote IP,
   and the application port.
 * **DNS responses** — a sample of A/CNAME answers, same domain policy.
+
+Flows and DNS answers leave the monitor as the columns of a
+:class:`~repro.collection.batches.ColumnarRecords`, not as records.
 """
 
 from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.collection.batches import batch_columns
 from repro.core.datasets import ThroughputSeries
-from repro.core.records import DnsRecord, FlowRecord
 from repro.netutils.ports import port_application
 from repro.simulation.household import Household
 from repro.simulation.timebase import MINUTE
 from repro.simulation.traffic_model import HomeTraffic
 from repro.firmware.anonymize import AnonymizationPolicy
 
-#: Fraction of connections whose flow record is exported (the paper samples
-#: flows rather than exporting all of them).
-FLOW_SAMPLE_FRACTION = 1.0
 #: Fraction of flows that also yield a sampled DNS response record.
 DNS_SAMPLE_FRACTION = 0.25
 
@@ -54,18 +54,13 @@ def _domain_ip(domain: str) -> int:
 def monitor_traffic(household: Household, start: float, end: float,
                     rng: np.random.Generator,
                     policy: AnonymizationPolicy,
-                    flow_sample_fraction: float = FLOW_SAMPLE_FRACTION,
-                    dns_sample_fraction: float = DNS_SAMPLE_FRACTION,
-                    ) -> Tuple[ThroughputSeries, List[FlowRecord], List[DnsRecord]]:
-    """Run the traffic monitor over ``[start, end)`` for one home."""
-    if not 0 <= flow_sample_fraction <= 1:
-        raise ValueError("flow_sample_fraction must be in [0, 1]")
-    if not 0 <= dns_sample_fraction <= 1:
-        raise ValueError("dns_sample_fraction must be in [0, 1]")
+                    ) -> Tuple[ThroughputSeries, Dict[str, list],
+                               Dict[str, list]]:
+    """Run the traffic monitor over ``[start, end)`` for one home: its
+    throughput series, flow columns and DNS columns."""
     traffic = household.traffic(start, end)
     series = _throughput_series(household, traffic, rng)
-    flows, dns = _flow_records(household, traffic, rng, policy,
-                               flow_sample_fraction, dns_sample_fraction)
+    flows, dns = _flow_records(household, traffic, rng, policy)
     return series, flows, dns
 
 
@@ -93,22 +88,16 @@ def _throughput_series(household: Household, traffic: HomeTraffic,
 def _flow_records(household: Household, traffic: HomeTraffic,
                   rng: np.random.Generator,
                   policy: AnonymizationPolicy,
-                  flow_sample_fraction: float,
-                  dns_sample_fraction: float,
-                  ) -> Tuple[List[FlowRecord], List[DnsRecord]]:
-    """Anonymize and sample the generated connections."""
-    flows: List[FlowRecord] = []
-    dns: List[DnsRecord] = []
-    mac_cache = {
-        index: policy.anonymize_mac(device.mac)
-        for index, device in enumerate(household.devices)
-    }
+                  ) -> Tuple[Dict[str, list], Dict[str, list]]:
+    """Anonymize the generated connections and sample their DNS answers,
+    as flow and DNS columns."""
+    flows = []
+    dns = []
+    macs = [policy.anonymize_mac(device.mac) for device in household.devices]
     # Per-campaign domain cache: each distinct domain name resolves its
     # whitelist filtering and IP pseudonym once, not once per flow.
     domain_cache: "dict[str, Tuple[str, int]]" = {}
     for flow in traffic.flows:
-        if flow_sample_fraction < 1 and rng.random() >= flow_sample_fraction:
-            continue
         name = flow.domain.name
         cached = domain_cache.get(name)
         if cached is None:
@@ -117,27 +106,14 @@ def _flow_records(household: Household, traffic: HomeTraffic,
             domain_cache[name] = cached
         domain, remote_ip = cached
         port = flow.domain.profile.port
-        device_mac = mac_cache[flow.device_index]
-        flows.append(FlowRecord(
-            router_id=household.router_id,
-            timestamp=flow.timestamp,
-            device_mac=device_mac,
-            domain=domain,
-            remote_ip=remote_ip,
-            port=port,
-            application=port_application(port),
-            bytes_up=flow.bytes_up,
-            bytes_down=flow.bytes_down,
-            duration_seconds=flow.duration_seconds,
-        ))
-        if rng.random() < dns_sample_fraction:
-            record_type = "CNAME" if rng.random() < 0.15 else "A"
-            dns.append(DnsRecord(
-                router_id=household.router_id,
-                timestamp=flow.timestamp - float(rng.uniform(0.01, 0.5)),
-                device_mac=device_mac,
-                domain=domain,
-                record_type=record_type,
-                address=remote_ip if record_type == "A" else None,
-            ))
-    return flows, dns
+        device_mac = macs[flow.device_index]
+        flows.append((flow.timestamp, device_mac, domain, remote_ip, port,
+                      port_application(port), flow.bytes_up,
+                      flow.bytes_down, flow.duration_seconds))
+        if rng.random() < DNS_SAMPLE_FRACTION:
+            cname = rng.random() < 0.15
+            # A CNAME resolves to no address: 0, flagged null.
+            dns.append((flow.timestamp - float(rng.uniform(0.01, 0.5)),
+                        device_mac, domain, "CNAME" if cname else "A",
+                        0 if cname else remote_ip, cname))
+    return batch_columns("flows", flows), batch_columns("dns", dns)

@@ -22,6 +22,8 @@ from repro.collection.export import export_study, load_study
 from repro.collection.path import CollectionPath, PathConfig
 from repro.collection.storage import RecordStore
 
+from tests.columns import batch
+
 SPAN = (utc(2013, 3, 1), utc(2013, 3, 15))
 
 
@@ -90,7 +92,8 @@ class TestRecordStore:
             store.add_keyed("heartbeats",
                             HeartbeatLog("ghost", np.array([1.0])))
         with pytest.raises(KeyError):
-            store.add_records("uptime", [UptimeReport("ghost", 10.0, 5.0)])
+            store.add_records(batch("uptime",
+                                    [UptimeReport("ghost", 10.0, 5.0)]))
 
     def test_conflicting_registration_rejected(self):
         store = self.make_store()
@@ -104,8 +107,8 @@ class TestRecordStore:
     def test_records_sorted_in_output(self):
         store = self.make_store()
         store.register_router(make_info("US000"))
-        store.add_records("uptime", [UptimeReport("US001", 20.0, 5.0),
-                                     UptimeReport("US000", 10.0, 5.0)])
+        store.add_records(batch("uptime", [UptimeReport("US001", 20.0, 5.0)]))
+        store.add_records(batch("uptime", [UptimeReport("US000", 10.0, 5.0)]))
         data = store.to_study_data()
         assert [r.router_id for r in data.uptime_reports] == ["US000", "US001"]
 
@@ -194,6 +197,28 @@ class TestSpillRecordStore(TestRecordStore):
         assert type(back.interval_seconds) is int
 
 
+class TestStoreClose:
+    def _fill(self, store):
+        store.register_router(make_info())
+        store.add_records(batch("uptime", [UptimeReport("US001", 1.0, 2.0)]))
+        store.add_keyed("heartbeats", HeartbeatLog("US001", np.array([1.0])))
+        store.backend.flush()
+
+    def test_made_directory_removed(self):
+        store = RecordStore(StudyWindows(), SpillBackend())
+        root = store.backend.root
+        with store:
+            self._fill(store)
+            assert any(root.rglob("*.seg"))
+        assert not root.exists()
+
+    def test_given_directory_kept(self, tmp_path):
+        with RecordStore(StudyWindows(),
+                         SpillBackend(tmp_path / "spill")) as store:
+            self._fill(store)
+        assert any((tmp_path / "spill").rglob("*.seg"))
+
+
 class TestServerLossAccounting:
     def _server(self, loss):
         from repro.collection.path import CollectionPath
@@ -238,29 +263,30 @@ class TestExportRoundTrip:
         t0 = SPAN[0]
         store.add_keyed("heartbeats", HeartbeatLog(
             "US001", np.array([t0, t0 + 60, t0 + 120])))
-        store.add_records("uptime", [UptimeReport("US001", t0 + 100, 99.5)])
-        store.add_records("capacity",
-                          [CapacityMeasurement("US001", t0, 20.5, 2.25)])
-        store.add_records("device_counts",
-                          [DeviceCountSample("US001", t0, 2, 3, 1)])
-        store.add_records("roster", [
+        store.add_records(batch("uptime",
+                                [UptimeReport("US001", t0 + 100, 99.5)]))
+        store.add_records(batch(
+            "capacity", [CapacityMeasurement("US001", t0, 20.5, 2.25)]))
+        store.add_records(batch("device_counts",
+                                [DeviceCountSample("US001", t0, 2, 3, 1)]))
+        store.add_records(batch("roster", [
             DeviceRosterEntry("US001", "3c:07:54:aa:bb:cc", Medium.WIRELESS,
                               Spectrum.GHZ_2_4, t0, t0 + DAY, False),
             DeviceRosterEntry("US001", "b0:a7:37:aa:bb:cc", Medium.WIRED,
                               None, t0, t0 + DAY, True),
-        ])
-        store.add_records("wifi_scans", [
-            WifiScanSample("US001", t0, Spectrum.GHZ_5, 1, 2)])
-        store.add_records("flows", [
+        ]))
+        store.add_records(batch("wifi_scans", [
+            WifiScanSample("US001", t0, Spectrum.GHZ_5, 1, 2)]))
+        store.add_records(batch("flows", [
             FlowRecord("US001", t0 + 5, "3c:07:54:aa:bb:cc", "google.com",
-                       0xF0000001, 443, "https", 100.0, 5000.0, 12.5)])
+                       0xF0000001, 443, "https", 100.0, 5000.0, 12.5)]))
         store.add_keyed("throughput", ThroughputSeries(
             "US001", t0, np.array([100.0, 200.0]), np.array([1e6, 2e6])))
-        store.add_records("dns", [
+        store.add_records(batch("dns", [
             DnsRecord("US001", t0 + 4, "3c:07:54:aa:bb:cc",
                       "google.com", "A", 0xF0000001),
             DnsRecord("US001", t0 + 6, "3c:07:54:aa:bb:cc",
-                      "google.com", "CNAME", None)])
+                      "google.com", "CNAME", None)]))
         store.record_heartbeat_delivery("US001", 4, 3)
         return store.to_study_data()
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro import StudyConfig, run_study, study_digest
 from repro.collection.backends import MemoryBackend, SpillBackend
+from repro.collection.batches import ColumnarRecords
 from repro.collection.engine import run_campaign, run_shard, shard_count
 from repro.collection.path import PathConfig
 from repro.collection.storage import RecordStore
@@ -208,8 +209,8 @@ class TestSpillDurability:
         backend.flush()
         backend.flush()
         assert backend._n_runs == 0
-        from repro.core.records import UptimeReport
-        backend.append("uptime", [UptimeReport("r0", 1.0, 2.0)])
+        backend.append("uptime", ColumnarRecords(
+            "uptime", "r0", {"timestamp": [1.0], "uptime_seconds": [2.0]}))
         backend.flush()
         assert backend._n_runs == 1
         backend.flush()  # nothing buffered: run numbering must hold still

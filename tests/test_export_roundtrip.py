@@ -15,7 +15,7 @@ import pytest
 
 from repro import study_digest
 from repro.collection.backends import SpillBackend
-from repro.collection.batches import RecordBatch
+from repro.collection.batches import ColumnarRecords
 from repro.collection.engine import run_campaign
 from repro.collection.export import export_study, load_study
 from repro.collection.loadgen import LoadConfig, synthetic_upload
@@ -23,7 +23,6 @@ from repro.collection.path import CollectionPath
 from repro.collection.server import CollectionServer
 from repro.collection.storage import RecordStore
 from repro.core.datasets import HeartbeatLog, ThroughputSeries
-from repro.core.records import FlowRecord
 from repro.simulation.deployment import DeploymentConfig, build_deployment_plan
 from repro.simulation.timebase import StudyWindows, utc
 
@@ -191,16 +190,19 @@ class TestArchiveBytes:
         assert _file_digests(root) == public
 
     def test_memory_and_spill_stores_export_the_same_bytes(self, tmp_path):
-        """A float field given an int: the memory store keeps the int, a
-        spill segment stores a float, and both archives read ``1.0``."""
+        """A float column given ints: the memory store builds floats from
+        the list, a spill segment stores floats, and both archives read
+        ``1.0``."""
         span = (utc(2013, 3, 1), utc(2013, 3, 15))
         upload = synthetic_upload(0, span, LoadConfig(
             clients=1, connections=1, seed=3))
-        flow = FlowRecord(upload.router_id, span[0] + 60.0,
-                          "3c:07:54:aa:bb:cc", "google.com", 1, 443,
-                          "https", 1, 2, 3)
-        upload = dataclasses.replace(upload, batches=upload.batches + (
-            RecordBatch("flows", [flow]),))
+        flows = ColumnarRecords("flows", upload.router_id, {
+            "timestamp": [span[0] + 60.0],
+            "device_mac": ["3c:07:54:aa:bb:cc"], "domain": ["google.com"],
+            "remote_ip": [1], "port": [443], "application": ["https"],
+            "bytes_up": [1], "bytes_down": [2], "duration_seconds": [3]})
+        upload = dataclasses.replace(
+            upload, batches=upload.batches + (flows,))
         roots = []
         for name, backend in (("memory", None),
                               ("spill", SpillBackend(tmp_path / "runs"))):

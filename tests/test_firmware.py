@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.collection.batches import ColumnarRecords
 from repro.core.records import (
     OBFUSCATED_DOMAIN,
     Medium,
@@ -278,9 +279,13 @@ class TestWifiScans:
 class TestTrafficMonitor:
     @pytest.fixture(scope="class")
     def monitored(self, us_home, policy):
+        """The series, and the flow and DNS columns as records."""
         window = (SPAN[0], SPAN[0] + 3 * DAY)
-        return monitor_traffic(us_home, *window,
-                               rng=np.random.default_rng(0), policy=policy)
+        series, flows, dns = monitor_traffic(
+            us_home, *window, rng=np.random.default_rng(0), policy=policy)
+        rid = us_home.router_id
+        return (series, list(ColumnarRecords("flows", rid, flows)),
+                list(ColumnarRecords("dns", rid, dns)))
 
     def test_series_length(self, monitored):
         series, _, _ = monitored
@@ -310,21 +315,6 @@ class TestTrafficMonitor:
                 assert record.address is not None
             else:
                 assert record.address is None
-
-    def test_sampling_fraction(self, us_home, policy):
-        window = (SPAN[0], SPAN[0] + 2 * DAY)
-        _, all_flows, _ = monitor_traffic(
-            us_home, *window, rng=np.random.default_rng(1), policy=policy,
-            flow_sample_fraction=1.0)
-        _, half_flows, _ = monitor_traffic(
-            us_home, *window, rng=np.random.default_rng(1), policy=policy,
-            flow_sample_fraction=0.5)
-        assert len(half_flows) < len(all_flows)
-
-    def test_rejects_bad_fractions(self, us_home, policy):
-        with pytest.raises(ValueError):
-            monitor_traffic(us_home, *SPAN, rng=np.random.default_rng(0),
-                            policy=policy, flow_sample_fraction=1.5)
 
 
 class TestBismarkRouter:

@@ -26,7 +26,6 @@ from repro import study_digest
 from repro.collection.backends import SpillBackend
 from repro.collection.batches import (
     FRAME_HEADER,
-    ColumnarRecords,
     FrameError,
     build_upload,
     decode_payload,
@@ -68,12 +67,9 @@ def _campaign_upload():
                                            SeedHierarchy(plan.seed), policy)
         if upload.throughput is not None
         and {batch.dataset for batch in upload.batches} == set(LIST_DATASETS))
-    lists = {}
-    for batch in upload.batches:
-        records = batch.records
-        lists[batch.dataset] = (
-            {name: column[:KEEP] for name, column in records.columns.items()}
-            if isinstance(records, ColumnarRecords) else records[:KEEP])
+    lists = {batch.dataset: {name: column[:KEEP]
+                             for name, column in batch.columns.items()}
+             for batch in upload.batches}
     series = upload.throughput
     return build_upload(upload.info, upload.heartbeat_sends[:KEEP], lists,
                         ThroughputSeries(series.router_id, series.start,
@@ -124,23 +120,23 @@ def _check(payload):
         return "frame-error"
     registry = metrics.enable()
     registry.clear()
-    try:
-        servers = [_server(None),
-                   _server(SpillBackend(max_buffered_records=1))]
-        outcomes = []
-        for server in servers:
-            before = _state(server, registry)
-            try:
-                outcomes.append(server.ingest(upload))
-            except UploadRejected:
-                outcomes.append(None)
-                assert _state(server, registry) == before
-    finally:
-        metrics.disable()
-    assert outcomes[0] == outcomes[1]
-    if outcomes[0] is None:
-        return "rejected"
-    studies = [server.store.to_study_data() for server in servers]
+    servers = [_server(None), _server(SpillBackend(max_buffered_records=1))]
+    with servers[0].store, servers[1].store:
+        try:
+            outcomes = []
+            for server in servers:
+                before = _state(server, registry)
+                try:
+                    outcomes.append(server.ingest(upload))
+                except UploadRejected:
+                    outcomes.append(None)
+                    assert _state(server, registry) == before
+        finally:
+            metrics.disable()
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is None:
+            return "rejected"
+        studies = [server.store.to_study_data() for server in servers]
     assert study_digest(studies[0]) == study_digest(studies[1])
     for study in studies:
         compute_figures(study)

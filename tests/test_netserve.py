@@ -27,16 +27,7 @@ from hypothesis import strategies as st
 
 from repro import study_digest
 from repro.core.datasets import ThroughputSeries
-from repro.core.records import (
-    DeviceRosterEntry,
-    DnsRecord,
-    FlowRecord,
-    Medium,
-    RouterInfo,
-    Spectrum,
-    UptimeReport,
-    WifiScanSample,
-)
+from repro.core.records import FlowRecord, RouterInfo, Spectrum
 from repro.simulation.timebase import StudyWindows, utc
 from repro.simulation.seeding import SeedHierarchy
 from repro.telemetry import metrics
@@ -45,7 +36,6 @@ from repro.collection.batches import (
     FRAME_HEADER,
     ColumnarRecords,
     FrameError,
-    RecordBatch,
     RouterUpload,
     decode_payload,
     encode_frame,
@@ -193,6 +183,24 @@ class TestFraming:
         ):
             validate_message(message)
 
+    def test_text_array_refused_at_encode(self):
+        """A batch may hold its text as an object array in process, but
+        no frame can carry one: the sender refuses it at once instead of
+        the receiver dropping the connection."""
+        rid = make_upload().router_id
+        columns = {"timestamp": [1.0], "device_mac": ["3c:07:54:aa:bb:cc"],
+                   "domain": ["google.com"], "record_type": ["A"],
+                   "address": [1], "address_null": [False]}
+        upload = dataclasses.replace(make_upload(), batches=(
+            ColumnarRecords("dns", rid, dict(columns)),))
+        [message] = read_frames(encode_frame(("upload", 0, upload)))
+        assert message[2].batches[0].columns == columns
+        upload = dataclasses.replace(make_upload(), batches=(
+            ColumnarRecords("dns", rid, {**columns, "domain": np.array(
+                ["google.com"], dtype=object)}),))
+        with pytest.raises(FrameError, match="text columns cross as lists"):
+            encode_frame(("upload", 0, upload))
+
     def test_serve_config_validation(self):
         with pytest.raises(ValueError):
             ServeConfig(reorder_window=0)
@@ -241,6 +249,17 @@ class TestSafeDeserialization:
                                    protocol=pickle.HIGHEST_PROTOCOL)
             with pytest.raises(FrameError):
                 decode_payload(payload)
+
+    @pytest.mark.parametrize("smuggled", [
+        FlowRecord("r", 1.0, "3c:07:54:aa:bb:cc", "google.com", 1, 443,
+                   "https", 1.0, 2.0, 3.0),
+        Spectrum.GHZ_5], ids=["flow-record", "spectrum"])
+    def test_record_objects_rejected(self, smuggled):
+        """No record object crosses the wire: a batch is columns."""
+        payload = pickle.dumps(("error", 0, smuggled),
+                               protocol=pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(FrameError, match="disallowed global"):
+            decode_payload(payload)
 
     def test_protocol_types_still_decode(self):
         upload = make_upload(0)
@@ -291,10 +310,11 @@ class TestIngestAllOrNothing:
         server = make_server()
         upload = make_upload(0)
         with pytest.raises(ValueError):
-            RecordBatch("heartbeats", [])
+            ColumnarRecords("heartbeats", upload.router_id,
+                            {"timestamp": upload.heartbeat_sends})
         doubled = _with_batch(upload, _tampered(
-            RecordBatch("uptime", []), dataset="heartbeats",
-            records=upload.heartbeat_sends))
+            _uptime(upload.router_id), dataset="heartbeats",
+            columns={"timestamp": upload.heartbeat_sends}))
         with pytest.raises(UploadRejected):
             server.ingest(doubled)
         assert upload.router_id not in server.store.routers
@@ -372,12 +392,11 @@ class TestIngestAllOrNothing:
         server.store.add_keyed("throughput", original)
 
         sends = np.linspace(SPAN[0], SPAN[0] + 3600.0, 5)
-        reports = [UptimeReport(rid, SPAN[0] + 60.0, 1000.0)]
         conflicting = ThroughputSeries(rid, SPAN[0], np.zeros(4),
                                        np.ones(4))
         with pytest.raises(ValueError):
             server.ingest(RouterUpload(
-                info, sends, (RecordBatch("uptime", reports),), conflicting))
+                info, sends, (_uptime(rid),), conflicting))
         # Nothing before the conflicting batch leaked into the store or
         # the metrics registry.
         assert not server.store.has_upload(rid)
@@ -388,7 +407,7 @@ class TestIngestAllOrNothing:
         # The retry with the original (non-conflicting) series ingests
         # everything exactly once.
         assert server.ingest(RouterUpload(
-            info, sends, (RecordBatch("uptime", reports),), original)) is True
+            info, sends, (_uptime(rid),), original)) is True
         data = server.store.to_study_data()
         assert len(data.uptime_reports) == 1
         assert len(data.heartbeats[rid]) == len(sends)
@@ -411,8 +430,7 @@ class TestIngestAllOrNothing:
         with pytest.raises(ValueError):
             server.ingest(RouterUpload(
                 info, np.linspace(SPAN[0], SPAN[0] + 3600.0, 50),
-                (RecordBatch("uptime",
-                             [UptimeReport(rid, SPAN[0] + 60.0, 1000.0)]),),
+                (_uptime(rid),),
                 ThroughputSeries(rid, SPAN[0], np.zeros(4), np.ones(4))))
         assert server.path.rng_state() == rng_state
         assert server.store.state_dict() == store_state
@@ -458,10 +476,47 @@ def _with_batch(upload, batch):
     return dataclasses.replace(upload, batches=upload.batches + (batch,))
 
 
+#: A valid batch's columns per record-list data set.
+VALID_COLUMNS = {
+    "uptime": {"timestamp": [SPAN[0] + 60.0], "uptime_seconds": [1000.0]},
+    "capacity": {"timestamp": [1.0], "downstream_mbps": [2.0],
+                 "upstream_mbps": [1.0]},
+    "device_counts": {"timestamp": [1.0], "wired": [1],
+                      "wireless_2_4": [0], "wireless_5": [0]},
+    "roster": {"device_mac": ["3c:07:54:aa:bb:cc"], "medium": [2],
+               "spectrum": [2], "first_seen": [1.0], "last_seen": [2.0],
+               "always_connected": [False]},
+    "wifi_scans": {"timestamp": [1.0, 2.0], "spectrum": [1, 2],
+                   "neighbor_aps": [3, 0], "associated_clients": [0, 2],
+                   "channel": [11, 36]},
+    "flows": {"timestamp": [1.0], "device_mac": ["3c:07:54:aa:bb:cc"],
+              "domain": ["google.com"], "remote_ip": [1], "port": [443],
+              "application": ["https"], "bytes_up": [1.0],
+              "bytes_down": [2.0], "duration_seconds": [3.0]},
+    "dns": {"timestamp": [1.0], "device_mac": ["3c:07:54:aa:bb:cc"],
+            "domain": ["google.com"], "record_type": ["A"], "address": [1],
+            "address_null": [False]},
+}
+
+
+def _columns(dataset, rid, **overrides):
+    """A valid *dataset* batch of router *rid*, then whole columns
+    replaced after its constructor checked it, as a hostile client can
+    send it."""
+    batch = ColumnarRecords(dataset, rid, {
+        name: list(column) for name, column in VALID_COLUMNS[dataset].items()})
+    batch.columns.update(overrides)
+    return batch
+
+
+def _uptime(rid):
+    """One valid uptime report of router *rid* as a batch."""
+    return _columns("uptime", rid)
+
+
 def _foreign_uptime(upload):
     """*upload* with an uptime batch of another router's report."""
-    return _with_batch(upload, RecordBatch("uptime", [
-        UptimeReport("LG000099", SPAN[0] + 60.0, 1000.0)]))
+    return _with_batch(upload, _uptime("LG000099"))
 
 
 def _hostile_uploads():
@@ -469,131 +524,103 @@ def _hostile_uploads():
     upload = make_upload(0)
     rid = upload.router_id
 
-    def columns(dataset, values, **overrides):
-        records = ColumnarRecords(dataset, rid, values)
-        records.columns.update(overrides)
-        return _with_batch(upload, RecordBatch(dataset, records))
+    def columns(dataset, **overrides):
+        return _with_batch(upload, _columns(dataset, rid, **overrides))
 
     def wifi(**overrides):
-        return columns("wifi_scans", {
-            "timestamp": [1.0, 2.0], "spectrum": [1, 2],
-            "neighbor_aps": [3, 0], "associated_clients": [0, 2],
-            "channel": [11, 36]}, **overrides)
+        return columns("wifi_scans", **overrides)
 
-    def flow(**fields):
-        return _with_batch(upload, RecordBatch("flows", [_tampered(
-            FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", 1, 443,
-                       "https", 1.0, 2.0, 3.0), **fields)]))
+    def flow(**overrides):
+        return columns("flows", **overrides)
 
-    def dns(**fields):
-        return _with_batch(upload, RecordBatch("dns", [_tampered(
-            DnsRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", "A", 1),
-            **fields)]))
+    def roster(**overrides):
+        return columns("roster", **overrides)
 
     def series(**fields):
         return dataclasses.replace(upload, throughput=_tampered(
             ThroughputSeries(rid, 1.0, np.ones(2), np.ones(2)), **fields))
 
-    wired = _tampered(DeviceRosterEntry(rid, "b0:a7:37:aa:bb:cc",
-                                        Medium.WIRED, None, 1.0, 2.0, True),
-                      spectrum="5GHz")
-
-    def roster(medium, spectrum, /, **fields):
-        entry = DeviceRosterEntry(rid, "3c:07:54:aa:bb:cc", medium, spectrum,
-                                  1.0, 2.0, False)
-        return _with_batch(upload, RecordBatch(
-            "roster", [_tampered(entry, **fields)]))
-
     def router(**fields):
         return dataclasses.replace(upload, info=_tampered(
             RouterInfo(rid, "US", True, -5.0, 50_000.0), **fields))
 
-    scan = _tampered(WifiScanSample(rid, 1.0, Spectrum.GHZ_2_4, 3, 0, 11),
-                     spectrum="2.4GHz")
-    uptime = ColumnarRecords("uptime", rid, {"timestamp": [1.0],
-                                             "uptime_seconds": [2.0]})
     sends = upload.heartbeat_sends
 
     def beats(records):
         return _tampered(dataclasses.replace(upload),
                          heartbeat_sends=records)
 
+    portless = _columns("flows", rid)
+    del portless.columns["port"]
+    nested = _columns("uptime", rid)
+    nested.columns["timestamp"] = nested
     return {
         "wifi-spectrum-code": wifi(spectrum=[7, 1]),
         "wifi-negative-aps": wifi(neighbor_aps=[-3, 0]),
         "wifi-negative-aps-behind-nan": wifi(neighbor_aps=[np.nan, -3]),
         "wifi-ragged-columns": wifi(channel=[11]),
         "wifi-text-channel": wifi(channel=["11", "36"]),
-        "flow-negative-bytes": flow(bytes_up=-1e12),
-        "flow-nan-bytes": flow(bytes_down=float("nan")),
-        "flow-inf-duration": flow(duration_seconds=float("inf")),
-        "nan-uptime": _with_batch(upload, RecordBatch("uptime", [
-            _tampered(UptimeReport(rid, 1.0, 2.0),
-                      uptime_seconds=float("nan"))])),
-        "nan-uptime-columns": columns(
-            "uptime", {"timestamp": [1.0], "uptime_seconds": [2.0]},
-            uptime_seconds=[float("nan")]),
-        "text-uptime-columns": columns(
-            "uptime", {"timestamp": [1.0], "uptime_seconds": [2.0]},
-            uptime_seconds=["5"]),
+        "flow-negative-bytes": flow(bytes_up=[-1e12]),
+        "flow-nan-bytes": flow(bytes_down=[float("nan")]),
+        "flow-inf-duration": flow(duration_seconds=[float("inf")]),
+        "nan-uptime": columns("uptime", uptime_seconds=np.array([np.nan])),
+        "nan-uptime-columns": columns("uptime",
+                                      uptime_seconds=[float("nan")]),
+        "text-uptime-columns": columns("uptime", uptime_seconds=["5"]),
         "inf-capacity-columns": columns(
-            "capacity", {"timestamp": [1.0], "downstream_mbps": [2.0],
-                         "upstream_mbps": [1.0]},
-            downstream_mbps=[float("inf")]),
-        "nan-wired-columns": columns(
-            "device_counts", {"timestamp": [1.0], "wired": [1],
-                              "wireless_2_4": [0], "wireless_5": [0]},
-            wired=[float("nan")]),
+            "capacity", downstream_mbps=[float("inf")]),
+        "nan-wired-columns": columns("device_counts",
+                                     wired=[float("nan")]),
+        # A bool is an int to numpy, never a number to a record.
+        "bool-uptime-timestamp": columns(
+            "uptime", timestamp=[1e9, True], uptime_seconds=[5.0, 6.0]),
+        "bool-wired": columns(
+            "device_counts", timestamp=[1.0, 2.0], wired=[True, 2],
+            wireless_2_4=[0, 0], wireless_5=[0, 0]),
         "throughput-nan-interval": series(interval_seconds=float("nan")),
         "throughput-nan-start": series(start=float("nan")),
         "throughput-nan-up": series(up_bps=np.array([np.nan, 1.0])),
         "throughput-negative-up": series(up_bps=np.array([-1.0, 1.0])),
-        "wired-with-spectrum": _with_batch(
-            upload, RecordBatch("roster", [wired])),
+        "wired-with-spectrum": roster(medium=[1]),
+        "roster-first-after-last": roster(first_seen=[3.0]),
+        "dns-txt-record": columns("dns", record_type=["TXT"]),
         "negative-gdp": router(gdp_ppp_per_capita=-1),
         "flow-in-uptime-batch": _with_batch(
-            upload, RecordBatch("uptime", [
-                FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com", 1,
-                           443, "https", 1.0, 2.0, 3.0)])),
+            upload, _tampered(_columns("flows", rid), dataset="uptime")),
         "uptime-columns-in-capacity-batch": _with_batch(
-            upload, _tampered(RecordBatch("uptime", uptime),
-                              dataset="capacity")),
+            upload, _tampered(_uptime(rid), dataset="capacity")),
         "nan-heartbeat": beats(np.append(sends, np.nan)),
         "inf-heartbeat": beats(np.append(sends, np.inf)),
         "text-heartbeats": beats(["noon", "dusk"]),
-        "text-uptime": _with_batch(upload, RecordBatch("uptime", [
-            _tampered(UptimeReport(rid, 1.0, 2.0), uptime_seconds="x")])),
+        "text-uptime": columns("uptime", uptime_seconds=np.array(["x"])),
         "text-gdp": router(gdp_ppp_per_capita="x"),
-        "text-wifi-spectrum": _with_batch(
-            upload, RecordBatch("wifi_scans", [scan])),
-        "text-roster-spectrum": roster(Medium.WIRELESS, Spectrum.GHZ_5,
-                                       spectrum="5GHz"),
-        "text-medium": roster(Medium.WIRED, None, medium="wired"),
+        "text-wifi-spectrum": wifi(spectrum=["2.4GHz", 2]),
+        "text-roster-spectrum": roster(spectrum=["5GHz"]),
+        "text-medium": roster(medium=["wired"]),
         "nan-gdp": router(gdp_ppp_per_capita=float("nan")),
         "inf-gdp": router(gdp_ppp_per_capita=float("inf")),
         "nan-tz": router(tz_offset_hours=float("nan")),
         # Values a spill segment's int64 columns cannot hold, or whose
         # NaN sort key np.lexsort orders unlike list.sort.
-        "flow-huge-port": flow(port=2**70),
-        "flow-huge-remote-ip": flow(remote_ip=2**70),
-        "dns-negative-address": dns(address=-5),
+        "flow-huge-port": flow(port=[2**70]),
+        "flow-huge-remote-ip": flow(remote_ip=[2**70]),
+        "dns-negative-address": columns("dns", address=[-5]),
+        "dns-int-null-flag": columns("dns", address_null=[0]),
         "wifi-uint64-aps": wifi(neighbor_aps=[2**63, 2**63]),
-        "flow-nan-timestamp": flow(timestamp=float("nan")),
-        "flow-int-timestamp-past-float": flow(timestamp=10**400),
-        "nan-timestamp-columns": columns(
-            "uptime", {"timestamp": [1.0], "uptime_seconds": [2.0]},
-            timestamp=[float("nan")]),
+        "flow-nan-timestamp": flow(timestamp=[float("nan")]),
+        "flow-int-timestamp-past-float": flow(timestamp=[10**400]),
+        "nan-timestamp-columns": columns("uptime",
+                                         timestamp=[float("nan")]),
         # A value of the wrong kind, or a number past float range.
         "wifi-float-spectrum-code": wifi(spectrum=[1.0, 2.0]),
         "wifi-float-channel": wifi(channel=[11.5, 36.0]),
-        "uptime-int-past-float": _with_batch(upload, RecordBatch(
-            "uptime", [_tampered(UptimeReport(rid, 1.0, 2.0),
-                                 uptime_seconds=10**400)])),
-        "flow-int-domain": flow(domain=5),
-        "flow-bytes-mac": flow(device_mac=b"3c:07"),
-        "flow-float-port": flow(port=443.5),
-        "roster-text-always-connected": roster(
-            Medium.WIRELESS, Spectrum.GHZ_5, always_connected="no"),
+        "uptime-int-past-float": columns("uptime",
+                                         uptime_seconds=[10**400]),
+        "flow-int-domain": flow(domain=[5]),
+        "flow-bytes-mac": flow(device_mac=[b"3c:07"]),
+        "flow-float-port": flow(port=[443.5]),
+        "flow-tuple-column": flow(port=(443,)),
+        "roster-text-always-connected": roster(always_connected=["no"]),
         "router-text-developed": router(developed="no"),
         "router-int-country": router(country_code=5),
         # Values the analysis or the spill layout cannot take: a spill
@@ -602,12 +629,10 @@ def _hostile_uploads():
         "router-id-with-slash": RouterUpload(_tampered(
             RouterInfo(rid, "US", True, -5.0, 50_000.0),
             router_id="LG/000"), sends),
-        "roster-unparsable-mac": roster(Medium.WIRELESS, Spectrum.GHZ_5,
-                                        device_mac="3c:07:54:aa:bb"),
+        "roster-unparsable-mac": roster(device_mac=["3c:07:54:aa:bb"]),
         "tz-past-utc-14": router(tz_offset_hours=14.5),
-        "flow-missing-port": _with_batch(upload, RecordBatch("flows", [
-            _missing(FlowRecord(rid, 1.0, "3c:07:54:aa:bb:cc", "google.com",
-                                1, 443, "https", 1.0, 2.0, 3.0), "port")])),
+        "flow-missing-port": _with_batch(upload, portless),
+        "batch-holding-itself": _with_batch(upload, nested),
     }
 
 
@@ -663,9 +688,9 @@ class TestLedgerReconciliation:
 #: The last five are mis-shaped as an unpickled frame can be: built
 #: around their constructors.
 HOSTILITIES = (None, "foreign-batch", "other-country", "non-finite-send",
-               "int-domain", "float-spectrum-code", "stateless-upload",
-               "batches-not-tuple", "records-not-list", "stateless-columns",
-               "info-not-router")
+               "int-domain", "float-spectrum-code", "roster-first-after-last",
+               "dns-txt-record", "stateless-upload", "batches-not-tuple",
+               "columns-not-dict", "stateless-columns", "info-not-router")
 
 
 def _drawn_upload(index, hostility):
@@ -680,30 +705,28 @@ def _drawn_upload(index, hostility):
         return dataclasses.replace(upload, heartbeat_sends=np.append(
             upload.heartbeat_sends, np.inf))
     if hostility == "int-domain":
-        return _with_batch(upload, RecordBatch("flows", [
-            _tampered(FlowRecord(info.router_id, 1.0, "3c:07:54:aa:bb:cc",
-                                 "google.com", 1, 443, "https", 1.0, 2.0,
-                                 3.0), domain=5)]))
+        return _with_batch(upload, _columns("flows", info.router_id,
+                                            domain=[5]))
     if hostility == "float-spectrum-code":
         # A batch mutated after its constructor checked it: in process
         # the store takes it as the 1/2 codes it casts to.
-        scans = ColumnarRecords("wifi_scans", info.router_id, {
-            "timestamp": [1.0, 2.0], "spectrum": [1, 2],
-            "neighbor_aps": [3, 0], "associated_clients": [0, 2],
-            "channel": [11, 36]})
-        scans.columns["spectrum"] = [1.0, 2.0]
-        return _with_batch(upload, RecordBatch("wifi_scans", scans))
+        return _with_batch(upload, _columns(
+            "wifi_scans", info.router_id, spectrum=[1.0, 2.0]))
+    if hostility == "roster-first-after-last":
+        return _with_batch(upload, _columns("roster", info.router_id,
+                                            first_seen=[3.0]))
+    if hostility == "dns-txt-record":
+        return _with_batch(upload, _columns("dns", info.router_id,
+                                            record_type=["TXT"]))
     if hostility == "stateless-upload":
         return object.__new__(RouterUpload)
     if hostility == "batches-not-tuple":
         return _tampered(dataclasses.replace(upload), batches=5)
-    if hostility == "records-not-list":
-        return _with_batch(upload, _tampered(RecordBatch("uptime", []),
-                                             records=5))
+    if hostility == "columns-not-dict":
+        return _with_batch(upload, _tampered(_uptime(info.router_id),
+                                             columns=5))
     if hostility == "stateless-columns":
-        return _with_batch(upload, _tampered(
-            RecordBatch("uptime", []),
-            records=object.__new__(ColumnarRecords)))
+        return _with_batch(upload, object.__new__(ColumnarRecords))
     if hostility == "info-not-router":
         return _tampered(dataclasses.replace(upload), info="x")
     return upload
@@ -966,7 +989,8 @@ class TestLoadgen:
         b = synthetic_upload(5, SPAN, SMALL_LOAD)
         assert a.router_id == b.router_id == "LG000005"
         assert np.array_equal(a.heartbeat_sends, b.heartbeat_sends)
-        assert a.batches[0].records == b.batches[0].records
+        assert a.batches[0].columns == b.batches[0].columns
+        assert list(a.batches[0]) == list(b.batches[0])
         other = synthetic_upload(6, SPAN, SMALL_LOAD)
         assert not np.array_equal(a.heartbeat_sends, other.heartbeat_sends)
 

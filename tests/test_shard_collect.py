@@ -5,9 +5,9 @@ be a pure re-expression of the per-home reference path: same streams, same
 draw order, identical records, identical batch chunking.  These tests
 compare every upload of every shard split of three small plans (one per
 seed) against uploads built from the per-home reference collectors
-(``BismarkRouter`` output through ``build_upload``), plus the columnar
-batch container, the tick-walk schedule helper, and the wifi backoff
-determinism contract.
+(``BismarkRouter`` output as columns through ``build_upload``), plus the
+columnar batch container, the tick-walk schedule helper, and the wifi
+backoff determinism contract.
 """
 
 import pickle
@@ -18,7 +18,8 @@ import pytest
 from repro.collection.batches import ColumnarRecords, build_upload
 from repro.collection.engine import _shard_statics
 from repro.collection.storage import RecordStore
-from repro.core.records import LIST_DATASETS, RouterInfo, Spectrum
+from repro.core.records import (LIST_DATASETS, DeviceRosterEntry, DnsRecord,
+                                Medium, RouterInfo, Spectrum, UptimeReport)
 from repro.core.pipeline import StudyConfig, run_study
 from repro.firmware.router import BismarkRouter
 from repro.firmware.shard_collect import _tick_walk, collect_shard
@@ -30,6 +31,8 @@ from repro.simulation.deployment import (
 )
 from repro.simulation.seeding import SeedHierarchy
 from repro.simulation.timebase import StudyWindows
+
+from tests.columns import columns
 
 
 #: ``(seed, router_scale)`` per plan: 21 homes at seed 2013, and 34 homes
@@ -66,7 +69,7 @@ def reference_uploads(plans):
             output = router.run(plan.windows)
             uploads[rid] = build_upload(
                 home.info, output.heartbeat_sends,
-                {dataset: getattr(output, dataset)
+                {dataset: columns(dataset, getattr(output, dataset))
                  for dataset in LIST_DATASETS}, output.throughput)
         per_plan.append(uploads)
     return per_plan
@@ -90,8 +93,8 @@ def assert_same_upload(got, ref):
         [b.dataset for b in ref.batches]
     for got_batch, ref_batch in zip(got.batches, ref.batches):
         dataset = got_batch.dataset
-        assert len(got_batch.records) == len(ref_batch.records), dataset
-        assert list(got_batch.records) == list(ref_batch.records), dataset
+        assert len(got_batch) == len(ref_batch), dataset
+        assert list(got_batch) == list(ref_batch), dataset
 
 
 def test_reference_covers_every_collector(plans, reference_uploads):
@@ -228,9 +231,49 @@ class TestColumnarRecords:
                              "neighbor_aps": [0], "associated_clients": [0],
                              "channel": [11]})
 
+    def test_bool_in_number_list_refused(self):
+        """numpy would cast these bools to 1; a record refuses them."""
+        with pytest.raises(ValueError, match="timestamp"):
+            ColumnarRecords("uptime", "r", {"timestamp": [1e9, True],
+                                            "uptime_seconds": [5.0, 6.0]})
+        with pytest.raises(ValueError, match="wired"):
+            ColumnarRecords("device_counts", "r",
+                            {"timestamp": [1.0, 2.0], "wired": [True, 2],
+                             "wireless_2_4": [0, 0], "wireless_5": [0, 0]})
+
+    def test_relations_checked_at_construction(self):
+        with pytest.raises(ValueError, match="first_seen"):
+            ColumnarRecords("roster", "r", {
+                "device_mac": ["3c:07:54:aa:bb:cc"], "medium": [2],
+                "spectrum": [2], "first_seen": [3.0], "last_seen": [2.0],
+                "always_connected": [False]})
+        with pytest.raises(ValueError, match="TXT"):
+            ColumnarRecords("dns", "r", {
+                "timestamp": [1.0], "device_mac": ["3c:07:54:aa:bb:cc"],
+                "domain": ["a.com"], "record_type": ["TXT"], "address": [0],
+                "address_null": [True]})
+
+    def test_text_enum_and_null_columns_build_records(self):
+        entries = [DeviceRosterEntry("r", "3c:07:54:aa:bb:cc",
+                                     Medium.WIRELESS, Spectrum.GHZ_5, 1.0,
+                                     2.0, False),
+                   DeviceRosterEntry("r", "b0:a7:37:aa:bb:cc", Medium.WIRED,
+                                     None, 1.0, 3.0, True)]
+        answers = [DnsRecord("r", 1.0, "3c:07:54:aa:bb:cc", "a.com", "A", 7),
+                   DnsRecord("r", 2.0, "3c:07:54:aa:bb:cc", "a.com", "CNAME")]
+        assert list(ColumnarRecords("roster", "r", {
+            "device_mac": ["3c:07:54:aa:bb:cc", "b0:a7:37:aa:bb:cc"],
+            "medium": [2, 1], "spectrum": [2, 0], "first_seen": [1.0, 1.0],
+            "last_seen": [2.0, 3.0],
+            "always_connected": [False, True]})) == entries
+        assert list(ColumnarRecords("dns", "r", {
+            "timestamp": [1.0, 2.0], "device_mac": ["3c:07:54:aa:bb:cc"] * 2,
+            "domain": ["a.com"] * 2, "record_type": ["A", "CNAME"],
+            "address": [7, 0], "address_null": [False, True]})) == answers
+
     def test_structural_validation(self):
         with pytest.raises(ValueError):
-            ColumnarRecords("roster", "r", {})  # no columnar layout
+            ColumnarRecords("heartbeats", "r", {})  # not a list data set
         with pytest.raises(ValueError):
             ColumnarRecords("uptime", "r", {"timestamp": [1.0]})
         with pytest.raises(ValueError):
@@ -255,30 +298,27 @@ class TestColumnarBatching:
     SENDS = np.array([1.0, 2.0])
 
     def test_chunking_matches_list_batches(self):
-        """Columns and a record list chunk at the same boundaries."""
+        """Columns chunk where the record list's chunks end."""
         n = 5000
         cols = {"timestamp": [float(i) for i in range(n)],
                 "uptime_seconds": [1.0] * n}
-        from repro.core.records import UptimeReport
         records = [UptimeReport("r", float(i), 1.0) for i in range(n)]
         columnar = build_upload(self.INFO, self.SENDS, {"uptime": cols})
-        plain = build_upload(self.INFO, self.SENDS, {"uptime": records})
-        assert [len(b.records) for b in columnar.batches] == \
-            [len(b.records) for b in plain.batches] == [2048, 2048, 904]
-        for col_batch, plain_batch in zip(columnar.batches, plain.batches):
-            assert isinstance(col_batch.records, ColumnarRecords)
-            assert list(col_batch.records) == plain_batch.records
+        assert [len(b) for b in columnar.batches] == [2048, 2048, 904]
+        for lo, batch in zip(range(0, n, 2048), columnar.batches):
+            assert isinstance(batch, ColumnarRecords)
+            assert list(batch) == records[lo:lo + 2048]
 
     def test_empty_columns_emit_no_batch(self):
-        for lists in ({}, {"uptime": None}, {"roster": []},
+        for lists in ({}, {"uptime": None}, {"roster": {}},
                       {"uptime": {"timestamp": [], "uptime_seconds": []}}):
             assert build_upload(self.INFO, self.SENDS, lists).batches == ()
 
     def test_batches_follow_dataset_order(self):
-        from repro.core.records import DnsRecord, UptimeReport
         upload = build_upload(self.INFO, self.SENDS, {
-            "dns": [DnsRecord("r", 1.0, "3c:07:54:aa:bb:cc", "a.com", "A")],
-            "uptime": [UptimeReport("r", 1.0, 2.0)]})
+            "dns": columns("dns", [DnsRecord("r", 1.0, "3c:07:54:aa:bb:cc",
+                                             "a.com", "A")]),
+            "uptime": columns("uptime", [UptimeReport("r", 1.0, 2.0)])})
         assert [b.dataset for b in upload.batches] == ["uptime", "dns"]
         assert upload.record_count == 4
 
@@ -289,11 +329,11 @@ class TestStoreRegistration:
         records = ColumnarRecords("uptime", "ghost", {
             "timestamp": [1.0], "uptime_seconds": [2.0]})
         with pytest.raises(KeyError):
-            store.add_records("uptime", records)
+            store.add_records(records)
         store.register_router(RouterInfo(
             router_id="ghost", country_code="US", developed=True,
             tz_offset_hours=-5.0, gdp_ppp_per_capita=51000.0))
-        store.add_records("uptime", records)
+        store.add_records(records)
 
 
 class TestWifiBackoffDeterminism:
@@ -310,7 +350,7 @@ class TestWifiBackoffDeterminism:
                 scans = [record
                          for batch in upload.batches
                          if batch.dataset == "wifi_scans"
-                         for record in batch.records]
+                         for record in batch]
                 per_router[upload.router_id] = [
                     (s.timestamp, s.spectrum) for s in scans]
         return per_router

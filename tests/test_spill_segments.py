@@ -2,9 +2,9 @@
 
 A spilled read must return, for every record the store accepts,
 ``codec.from_row(codec.to_row(record))`` in stable ``SORT_KEYS`` order
-(ties in ingest order), whether the record arrived in a plain list or a
-``ColumnarRecords`` batch.  The reference below is that expression
-itself; the store keeps none.  A damaged segment must either raise one
+(ties in ingest order), whether its ``ColumnarRecords`` batch held list
+or array columns.  The reference below is that expression itself; the
+store keeps none.  A damaged segment must either raise one
 ``ValueError`` that names the file or yield records their constructors
 accepted.
 """
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.collection.backends import SORT_KEYS, SpillBackend
-from repro.collection.batches import COLUMNAR_DATASETS, ColumnarRecords
+from repro.collection.batches import ColumnarRecords
 from repro.core.datasets import home_columns
 from repro.core.records import (
     RECORD_DATASETS,
@@ -36,6 +36,8 @@ from repro.core.records import (
     WifiScanSample,
 )
 from repro.netutils.mac import format_mac
+
+from tests.columns import batch, columns
 
 #: Lone surrogates, NUL, multi-byte text: every str a segment must keep.
 TEXT = st.text(alphabet=st.sampled_from(
@@ -85,27 +87,18 @@ RECORDS = {
 }
 
 
-def _columns(dataset, router_id, records):
-    """*records* of one router as the ColumnarRecords batch a shard ships."""
-    fields = RECORD_DATASETS[dataset].codec.fields[1:]
-    return ColumnarRecords(dataset, router_id, {
-        column: [SPECTRUM_BY_CODE.index(getattr(record, field.name))
-                 if field.kind is Spectrum else getattr(record, field.name)
-                 for record in records]
-        for field, column in zip(fields, COLUMNAR_DATASETS[dataset])})
-
-
 @st.composite
 def batches(draw, datasets):
-    """One appended batch: a plain list, or one router's columns."""
+    """One appended batch: one router's records as list or array
+    columns."""
     dataset = draw(datasets)
-    columnar = dataset in COLUMNAR_DATASETS and draw(st.booleans())
-    router = st.just(draw(ROUTERS)) if columnar else ROUTERS
-    records = draw(st.lists(RECORDS[dataset](router), min_size=1,
-                            max_size=12))
-    batch = _columns(dataset, records[0].router_id, records) \
-        if columnar else records
-    return dataset, records, batch
+    records = draw(st.lists(RECORDS[dataset](st.just(draw(ROUTERS))),
+                            min_size=1, max_size=12))
+    values = columns(dataset, records)
+    if draw(st.booleans()):
+        values = {name: column.tolist() for name, column in values.items()}
+    return dataset, records, ColumnarRecords(dataset, records[0].router_id,
+                                             values)
 
 
 @st.composite
@@ -144,8 +137,8 @@ class TestRoundTrip:
             # The smallest read chunk: 32 rows.
             backend.merge_chunk_records = 1
             ingested = {dataset: [] for dataset in RECORDS}
-            for dataset, records, batch in appended:
-                backend.append(dataset, batch)
+            for dataset, records, appended_batch in appended:
+                backend.append(dataset, appended_batch)
                 ingested[dataset] += records
             for dataset, records in ingested.items():
                 codec = RECORD_DATASETS[dataset].codec
@@ -160,50 +153,57 @@ class TestRoundTrip:
         the 32-row read chunk, so both joins run on every home."""
         backend = SpillBackend(tmp_path, max_buffered_records=120)
         backend.merge_chunk_records = 1
+        routers = ("US002", "IN000", "US001")
         records = [UptimeReport(rid, float(t % 7), float(t))
-                   for t in range(300) for rid in ("US002", "IN000", "US001")]
+                   for t in range(300) for rid in routers]
         for lo in range(0, len(records), 30):
-            backend.append("uptime", records[lo:lo + 30])
+            for rid in routers:
+                backend.append("uptime", batch("uptime", [
+                    r for r in records[lo:lo + 30] if r.router_id == rid]))
         assert len(backend.state_dict()["runs"]["uptime"]) > 3
         assert _exact(_read(backend, "uptime")) == \
             _exact(sorted(records, key=SORT_KEYS["uptime"]))
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(uploads(sorted(COLUMNAR_DATASETS)), st.integers(1, 24))
+    @given(uploads(), st.integers(1, 24))
     def test_columnar_homes_read_as_their_records_columns(self, appended,
                                                           buffer):
-        """A columnar data set's home, read through the folds' accessor,
-        holds the columns of its records in ``SORT_KEYS`` order, though
-        its rows came from several chunks and segments."""
+        """A home, read through the folds' accessor, holds the columns of
+        its records in ``SORT_KEYS`` order, though its rows came from
+        several chunks and segments."""
         with tempfile.TemporaryDirectory() as root:
             backend = SpillBackend(root, max_buffered_records=buffer)
             backend.merge_chunk_records = 32
-            ingested = {dataset: [] for dataset in COLUMNAR_DATASETS}
-            for dataset, records, batch in appended:
-                backend.append(dataset, batch)
+            ingested = {dataset: [] for dataset in RECORDS}
+            for dataset, records, appended_batch in appended:
+                backend.append(dataset, appended_batch)
                 ingested[dataset] += records
             for dataset, records in ingested.items():
                 codec = RECORD_DATASETS[dataset].codec
-                names = COLUMNAR_DATASETS[dataset]
-                expected = {rid: codec.to_columns(list(home)) for rid, home in
-                            itertools.groupby(sorted(
+                names = [field.name for field in codec.fields[1:]]
+                expected = {rid: columns(dataset, list(home))
+                            for rid, home in itertools.groupby(sorted(
                                 records, key=SORT_KEYS[dataset]),
                                 key=attrgetter("router_id"))}
                 got = {rid: home_columns(dataset, home, *names)
                        for rid, home in backend.iter_homes(dataset)}
                 assert list(got) == list(expected)
-                for rid, columns in got.items():
+                for rid, home in got.items():
                     for name in names:
                         want = expected[rid][name]
-                        assert columns[name].dtype == want.dtype
-                        assert columns[name].tobytes() == want.tobytes()
+                        assert home[name].dtype == want.dtype
+                        if want.dtype == object:  # text
+                            assert home[name].tolist() == want.tolist()
+                        else:
+                            assert home[name].tobytes() == want.tobytes()
 
     def test_text_survives_exactly(self, tmp_path):
         """JSON would join this surrogate pair into one character."""
         text = "\ud83d\ude00\x00"
         backend = SpillBackend(tmp_path)
-        backend.append("dns", [DnsRecord(text, 1.0, text, text, "CNAME")])
+        backend.append("dns", batch(
+            "dns", [DnsRecord(text, 1.0, text, text, "CNAME")]))
         [record] = _read(backend, "dns")
         assert (record.router_id, record.device_mac, record.domain) == \
             (text,) * 3
@@ -243,19 +243,20 @@ def _spilled(root):
     enum codes and null flags."""
     backend = SpillBackend(root, max_buffered_records=4096)
     for index, rid in enumerate(("IN000", "US001", "US002")):
-        backend.append("flows", [
+        backend.append("flows", batch("flows", [
             FlowRecord(rid, 10.0 * k, f"3c:07:54:aa:bb:{k:02x}",
                        "google.com" if k % 2 else "(obfuscated)",
-                       k, 443, "https", 1.0, 2.0, 3.0) for k in range(5)])
-        backend.append("roster", [
+                       k, 443, "https", 1.0, 2.0, 3.0) for k in range(5)]))
+        backend.append("roster", batch("roster", [
             DeviceRosterEntry(rid, "b0:a7:37:aa:bb:cc", Medium.WIRED, None,
                               1.0, 2.0, True),
             DeviceRosterEntry(rid, "3c:07:54:aa:bb:cc", Medium.WIRELESS,
-                              Spectrum.GHZ_5, 1.0, 3.0, False)])
-        backend.append("dns", [
+                              Spectrum.GHZ_5, 1.0, 3.0, False)]))
+        backend.append("dns", batch("dns", [
             DnsRecord(rid, 5.0, "3c:07:54:aa:bb:cc", "example.com", "A",
                       index),
-            DnsRecord(rid, 6.0, "3c:07:54:aa:bb:cc", "example.com", "CNAME")])
+            DnsRecord(rid, 6.0, "3c:07:54:aa:bb:cc", "example.com",
+                      "CNAME")]))
     backend.flush()
     return backend
 
@@ -354,9 +355,9 @@ class TestDamagedRows:
             "txt-record-type", "wifi-spectrum-code-0"])
     def test_raises_naming_the_file(self, tmp_path, dataset, edit):
         backend = _spilled(tmp_path)
-        backend.append("wifi_scans", [
+        backend.append("wifi_scans", batch("wifi_scans", [
             WifiScanSample("US001", 1.0, Spectrum.GHZ_2_4, 3, 0, 11),
-            WifiScanSample("US001", 2.0, Spectrum.GHZ_5, 1, 2, 36)])
+            WifiScanSample("US001", 2.0, Spectrum.GHZ_5, 1, 2, 36)]))
         backend.flush()
         [path] = backend._runs[dataset]
         assert list(backend.iter_homes(dataset))
