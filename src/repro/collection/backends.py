@@ -168,22 +168,32 @@ def _corrupt(path: Path, problem: str) -> ValueError:
     return ValueError(f"corrupt spill segment {path}: {problem}")
 
 
-def _batch_columns(records: ColumnarRecords) -> Dict[str, np.ndarray]:
-    """One appended batch as segment columns, str columns still text."""
+#: One buffered batch: its router's id and its columns after
+#: ``router_id``, typed as the segment's (str columns still text).
+_Chunk = Tuple[str, Dict[str, np.ndarray]]
+
+
+def _batch_columns(records: ColumnarRecords) -> _Chunk:
+    """One appended batch as a buffered chunk."""
     codec = RECORD_DATASETS[records.dataset].codec
-    return {name: codec.array(name, column)
-            for name, column in records.record_columns().items()}
+    return records.router_id, {name: codec.array(name, column)
+                               for name, column in records.columns.items()}
 
 
 def _write_segment(path: Path, codec: RowCodec,
-                   chunks: List[Dict[str, np.ndarray]]) -> None:
+                   chunks: List[_Chunk]) -> None:
     """Sort one data set's buffered batches and write them as a segment."""
-    columns = {name: np.concatenate([chunk[name] for chunk in chunks])
-               for name in codec.layout.names}
-    strings = sorted(set(itertools.chain.from_iterable(
-        columns[name] for name in codec.text)))
+    router, *names = codec.layout.names
+    columns = {name: np.concatenate([chunk[name] for _, chunk in chunks])
+               for name in names}
+    routers = [rid for rid, _ in chunks]
+    strings = sorted(set(itertools.chain(routers, *(
+        columns[name] for name in codec.text if name != router))))
     code = {string: index for index, string in enumerate(strings)}.__getitem__
-    rows = np.empty(len(columns[codec.text[0]]), dtype=codec.layout)
+    rows = np.empty(len(columns[names[0]]), dtype=codec.layout)
+    # A batch's router is coded once and repeated over its rows.
+    rows[router] = np.repeat(list(map(code, routers)),
+                             [len(chunk[names[0]]) for _, chunk in chunks])
     for name, column in columns.items():
         rows[name] = np.fromiter(map(code, column), dtype="<i4",
                                  count=len(column)) \
@@ -283,7 +293,7 @@ class SpillBackend(StoreBackend):
         for sub in ("runs", *KEYED_DATASETS):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         #: Per data set, its buffered batches as segment columns.
-        self._buffers: Dict[str, List[Dict[str, np.ndarray]]] = {
+        self._buffers: Dict[str, List[_Chunk]] = {
             name: [] for name in LIST_DATASETS}
         self._buffered = 0
         self._runs: Dict[str, List[Path]] = {name: [] for name in LIST_DATASETS}

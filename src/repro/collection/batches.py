@@ -102,20 +102,35 @@ def build_upload(info: RouterInfo, heartbeat_sends: np.ndarray,
         if not columns:
             continue
         batches += [ColumnarRecords(dataset, rid, {
-            name: column[lo:lo + DEFAULT_BATCH_RECORDS]
+            name: _narrowest(column[lo:lo + DEFAULT_BATCH_RECORDS])
             for name, column in columns.items()})
             for lo in range(0, max(map(len, columns.values())),
                             DEFAULT_BATCH_RECORDS)]
     return RouterUpload(info, heartbeat_sends, tuple(batches), throughput)
 
 
-def batch_columns(dataset: str, rows: List[tuple]) -> Dict[str, list]:
+def _narrowest(column: Any) -> Any:
+    """*column* as a batch ships it: an int array none of whose values is
+    negative in the narrowest unsigned type that holds its largest, so
+    it crosses in fewer bytes (a reader widens it with
+    :meth:`~repro.core.records.RowCodec.array`); any other as it is."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iu" \
+            and column.dtype.itemsize > 1 and len(column) \
+            and column.min() >= 0:
+        return column.astype(np.min_scalar_type(column.max()), copy=False)
+    return column
+
+
+def batch_columns(dataset: str, rows: List[tuple]) -> Dict[str, Any]:
     """*rows* of a :class:`ColumnarRecords` of *dataset* (each a tuple of
-    its columns, in order) as its column dict."""
-    names = RECORD_DATASETS[dataset].codec.layout.names[1:]
-    if not rows:
-        return {name: [] for name in names}
-    return dict(zip(names, map(list, zip(*rows))))
+    its columns, in order) as its column dict: text as lists of ``str``,
+    every other column an array of its :attr:`layout` type."""
+    codec = RECORD_DATASETS[dataset].codec
+    names = codec.layout.names[1:]
+    columns = zip(*rows) if rows else [()] * len(names)
+    return {name: list(column) if name in codec.text
+            else codec.array(name, column)
+            for name, column in zip(names, columns)}
 
 
 class ColumnarRecords:
@@ -171,19 +186,14 @@ class ColumnarRecords:
         if len(set(map(len, columns.values()))) != 1:
             raise ValueError(f"{dataset} column lengths differ")
         self._cache: Optional[list] = None
-        table.codec.check_columns(self.record_columns())
-
-    def record_columns(self) -> Dict[str, Any]:
-        """The records' columns: the router's id in every row, then the
-        batch's own."""
-        return {"router_id": [self.router_id] * len(self), **self.columns}
+        table.codec.check_columns(columns, self.router_id)
 
     def materialize(self) -> list:
         """The record list (built once, then cached)."""
         records = self._cache
         if records is None:
             records = RECORD_DATASETS[self.dataset].codec.from_columns(
-                self.record_columns())
+                self.columns, self.router_id)
             self._cache = records
         return records
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import math
 import operator
 import re
@@ -328,6 +329,11 @@ def _value_test(field: RowField) -> Callable[[Any], bool]:
                     return False
                 value = value.item()  # compare as a Python number
             return low <= value <= high
+    elif kind is str:
+        # Exactly a str: a frame carries no subclass and no numpy str_,
+        # so a cell of either fails where it is built, not at decode.
+        def test(value: Any) -> bool:
+            return type(value) is str
     else:
         test = kind.__instancecheck__  # isinstance(value, kind), one C call
     if field.optional:
@@ -350,22 +356,30 @@ def _column_test(field: RowField) -> Callable[[Any], bool]:
     bound = _value_test(field._replace(optional=False))
 
     def test(column: Any) -> bool:
-        if isinstance(column, list):
-            return all(map(bound, column))
-        if not isinstance(column, np.ndarray) or column.ndim != 1 \
-                or column.dtype.kind not in kinds:
+        if isinstance(column, np.ndarray):
+            if column.ndim != 1 or column.dtype.kind not in kinds:
+                return False
+            if field.kind is not str:
+                # .item() is a Python number, so a uint64 compares exactly.
+                return not len(column) or (bound(column.min().item())
+                                           and bound(column.max().item()))
+        elif not isinstance(column, list):
             return False
-        if field.kind is str:
-            return all(map(bound, column))
-        # .item() is a Python number, so a uint64 compares exactly.
-        return not len(column) or (bound(column.min().item())
-                                   and bound(column.max().item()))
+        if field.kind is str:  # the str value test as one C loop
+            return _STR.issuperset(map(type, column))
+        return all(map(bound, column))
     return test
+
+
+#: The one type a text cell may have (:func:`_value_test`).
+_STR = frozenset((str,))
 
 
 def _wanted(field: RowField) -> str:
     """What *field* holds, for an error message."""
     wanted = ("finite " if field.kind is float else "") + field.kind.__name__
+    if field.kind is str:
+        wanted += " (not a subclass)"
     if field.range:
         wanted += " in [{}, {})".format(*field.range)
     return wanted + " or None" if field.optional else wanted
@@ -467,17 +481,30 @@ class RowCodec:
                     f"{self.record.__name__}.{field.name} must hold "
                     f"{_wanted(field)}, not {_shown(value)}")
 
-    def check_columns(self, columns: Mapping[str, Any]) -> None:
+    def check_columns(self, columns: Mapping[str, Any],
+                      router_id: Optional[str] = None) -> None:
         """Raise ``ValueError`` naming the first column of :attr:`layout`
         with a value :meth:`check` would refuse (:func:`_column_test`),
         or one of the first record :meth:`Record.check_relations`
-        refuses."""
-        for field, test in self._column_tests:
+        refuses.
+
+        Given *router_id*, the rows are one router's: *columns* are the
+        layout's after ``router_id``, and the id is tested once.
+        """
+        tests = self._column_tests
+        if router_id is not None:
+            tests = tests[1:]
+            if not self._tests[0](router_id):
+                field = self.fields[0]
+                raise ValueError(f"{self.record.__name__}.{field.name} "
+                                 f"must hold {_wanted(field)}, not "
+                                 f"{_shown(router_id)}")
+        for field, test in tests:
             if not test(columns[field.name]):
                 raise ValueError(f"{self.record.__name__}.{field.name} "
                                  f"column must hold {_wanted(field)}")
         if self._relations:
-            for record in self.from_columns(columns):
+            for record in self.from_columns(columns, router_id):
                 record.check_relations()
 
     def _decoder(self, field: RowField) -> Callable[[Mapping], Sequence]:
@@ -533,14 +560,21 @@ class RowCodec:
         return np.asarray(column, dtype=object if name in self.text
                           else self.layout[name])
 
-    def from_columns(self, columns: Mapping[str, Any]) -> list:
+    def from_columns(self, columns: Mapping[str, Any],
+                     router_id: Optional[str] = None) -> list:
         """Build records from columns that passed :meth:`check_columns`
-        (a str field's column is its text) without checking them again."""
+        (a str field's column is its text) without checking them again;
+        given *router_id*, as :meth:`check_columns` takes it."""
         record_class, names = self.record, self._names
         new = record_class.__new__
         records = []
         append = records.append
-        for row in zip(*(decode(columns) for decode in self._decoders)):
+        if router_id is None:
+            values = [decode(columns) for decode in self._decoders]
+        else:
+            values = [itertools.repeat(router_id),
+                      *(decode(columns) for decode in self._decoders[1:])]
+        for row in zip(*values):
             record = new(record_class)
             record.__dict__.update(zip(names, row))
             append(record)

@@ -251,7 +251,7 @@ def _online_ticks(rng: np.random.Generator, start: float, end: float,
 def _capacity_columns(rng: np.random.Generator, start: float, end: float,
                       online: Tuple[np.ndarray, np.ndarray],
                       down_mbps: float, up_mbps: float,
-                      ) -> Optional[Dict[str, list]]:
+                      ) -> Optional[Dict[str, np.ndarray]]:
     """``capacity_measurements`` over column slices, draw-for-draw."""
     ticks = _online_ticks(rng, start, end, CAPACITY_INTERVAL, online)
     if not ticks.size:
@@ -262,15 +262,14 @@ def _capacity_columns(rng: np.random.Generator, start: float, end: float,
     noise = rng.normal(1.0, CAPACITY_NOISE, size=2 * ticks.size)
     down = np.maximum(down_mbps * noise[0::2], CAPACITY_FLOOR_MBPS)
     up = np.maximum(up_mbps * noise[1::2], CAPACITY_FLOOR_MBPS)
-    return {"timestamp": ticks.tolist(),
-            "downstream_mbps": down.tolist(),
-            "upstream_mbps": up.tolist()}
+    return {"timestamp": ticks, "downstream_mbps": down,
+            "upstream_mbps": up}
 
 
 def _uptime_columns(rng: np.random.Generator, start: float, end: float,
                     power: Tuple[np.ndarray, np.ndarray],
                     online: Tuple[np.ndarray, np.ndarray],
-                    ) -> Optional[Dict[str, list]]:
+                    ) -> Optional[Dict[str, np.ndarray]]:
     """``uptime_reports`` over column slices, draw-for-draw."""
     ticks = _online_ticks(rng, start, end, UPTIME_INTERVAL, online)
     if not ticks.size:
@@ -278,13 +277,13 @@ def _uptime_columns(rng: np.random.Generator, start: float, end: float,
     p_starts = power[0]
     idx = np.searchsorted(p_starts, ticks, side="right") - 1
     uptimes = ticks - p_starts[idx]
-    return {"timestamp": ticks.tolist(), "uptime_seconds": uptimes.tolist()}
+    return {"timestamp": ticks, "uptime_seconds": uptimes}
 
 
 def _census_columns(rng: np.random.Generator, start: float, end: float,
                     power: Tuple[np.ndarray, np.ndarray],
                     devices: _HomeDevices,
-                    ) -> Optional[Dict[str, list]]:
+                    ) -> Optional[Dict[str, np.ndarray]]:
     """``device_counts`` over column slices, draw-for-draw."""
     phase = float(rng.uniform(0, CENSUS_INTERVAL))
     ticks = _tick_walk(start + phase, end, CENSUS_INTERVAL)
@@ -298,10 +297,9 @@ def _census_columns(rng: np.random.Generator, start: float, end: float,
     wireless_24 = _group_counts(groups["w24"], ticks)
     wireless_5 = _group_counts(groups["w5"], ticks)
     wired = np.minimum(wired, ETHERNET_PORTS)
-    return {"timestamp": ticks[powered].tolist(),
-            "wired": wired[powered].tolist(),
-            "wireless_2_4": wireless_24[powered].tolist(),
-            "wireless_5": wireless_5[powered].tolist()}
+    return {"timestamp": ticks[powered], "wired": wired[powered],
+            "wireless_2_4": wireless_24[powered],
+            "wireless_5": wireless_5[powered]}
 
 
 #: A roster medium column's values by code.
@@ -313,7 +311,7 @@ def _roster_entries(start: float, end: float,
                     devices: _HomeDevices,
                     assoc: Tuple[np.ndarray, np.ndarray, np.ndarray],
                     policy: AnonymizationPolicy,
-                    ) -> Dict[str, list]:
+                    ) -> Dict[str, object]:
     """``device_roster`` over column slices (RNG-free), as roster columns.
 
     The interval kernel computes float-for-float what the per-home path's
@@ -396,7 +394,7 @@ def _wifi_columns(rng: np.random.Generator, start: float, end: float,
                   power: Tuple[np.ndarray, np.ndarray],
                   devices: _HomeDevices,
                   base_24: int, base_5: int, channel_24: int, channel_5: int,
-                  ) -> Optional[Dict[str, list]]:
+                  ) -> Optional[Dict[str, np.ndarray]]:
     """``wifi_scans`` over column slices, draw-for-draw.
 
     The audible-neighbor base count per band is static for a home (the
@@ -415,44 +413,24 @@ def _wifi_columns(rng: np.random.Generator, start: float, end: float,
     backed_off = (np.arange(ticks.size) % BACKOFF_FACTOR) != 0
     executed_24 = powered & ~((clients_24 > 0) & backed_off)
     executed_5 = powered & ~((clients_5 > 0) & backed_off)
-    either = np.flatnonzero(executed_24 | executed_5)
-    if not either.size:
+    # One row per executed scan: tick order, 2.4 GHz (band 0) before 5.
+    scan_tick, band = np.nonzero(np.stack((executed_24, executed_5), axis=1))
+    if not scan_tick.size:
         return None
-    tick_list = ticks.tolist()
-    c24_list = clients_24.tolist()
-    c5_list = clients_5.tolist()
-    run_24 = executed_24.tolist()
-    run_5 = executed_5.tolist()
     binomial = rng.binomial
     poisson = rng.poisson
-    audible_24 = base_24 > 0
-    audible_5 = base_5 > 0
-    timestamps: List[float] = []
-    spectrum_codes: List[int] = []
-    neighbor_aps: List[int] = []
-    clients: List[int] = []
-    channels: List[int] = []
-    for index in either.tolist():
-        tick = tick_list[index]
-        if run_24[index]:
-            visible = (int(binomial(base_24, SCAN_VISIBILITY))
-                       if audible_24 else 0)
-            timestamps.append(tick)
-            spectrum_codes.append(SPECTRUM_2_4)
-            neighbor_aps.append(visible + int(poisson(TRANSIENT_AP_MEAN)))
-            clients.append(c24_list[index])
-            channels.append(channel_24)
-        if run_5[index]:
-            visible = (int(binomial(base_5, SCAN_VISIBILITY))
-                       if audible_5 else 0)
-            timestamps.append(tick)
-            spectrum_codes.append(SPECTRUM_5)
-            neighbor_aps.append(visible + int(poisson(TRANSIENT_AP_MEAN)))
-            clients.append(c5_list[index])
-            channels.append(channel_5)
-    return {"timestamp": timestamps, "spectrum": spectrum_codes,
-            "neighbor_aps": neighbor_aps, "associated_clients": clients,
-            "channel": channels}
+    bases = ((base_24, base_24 > 0), (base_5, base_5 > 0))
+    neighbor_aps = []
+    for base, audible in map(bases.__getitem__, band.tolist()):
+        visible = int(binomial(base, SCAN_VISIBILITY)) if audible else 0
+        neighbor_aps.append(visible + int(poisson(TRANSIENT_AP_MEAN)))
+    on_5 = band.astype(bool)
+    return {"timestamp": ticks[scan_tick],
+            "spectrum": np.where(on_5, SPECTRUM_5, SPECTRUM_2_4),
+            "neighbor_aps": np.array(neighbor_aps),
+            "associated_clients": np.where(on_5, clients_5[scan_tick],
+                                           clients_24[scan_tick]),
+            "channel": np.where(on_5, channel_5, channel_24)}
 
 
 # -- the shard pass -----------------------------------------------------------
@@ -491,14 +469,14 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
     assoc = cols["associations"]
 
     heartbeats: List[np.ndarray] = [None] * n  # type: ignore[list-item]
-    capacity: List[Optional[Dict[str, list]]] = [None] * n
-    uptime: List[Optional[Dict[str, list]]] = [None] * n
-    census: List[Optional[Dict[str, list]]] = [None] * n
-    roster: List[Optional[Dict[str, list]]] = [None] * n
-    wifi: List[Optional[Dict[str, list]]] = [None] * n
+    capacity: List[Optional[Dict[str, np.ndarray]]] = [None] * n
+    uptime: List[Optional[Dict[str, np.ndarray]]] = [None] * n
+    census: List[Optional[Dict[str, np.ndarray]]] = [None] * n
+    roster: List[Optional[Dict[str, object]]] = [None] * n
+    wifi: List[Optional[Dict[str, np.ndarray]]] = [None] * n
     throughput = [None] * n
-    flows: List[Optional[Dict[str, list]]] = [None] * n
-    dns: List[Optional[Dict[str, list]]] = [None] * n
+    flows: List[Optional[Dict[str, object]]] = [None] * n
+    dns: List[Optional[Dict[str, object]]] = [None] * n
 
     with trace.span("collect.heartbeat", cat="shard"):
         start, end = windows.heartbeats

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -54,8 +54,8 @@ def _domain_ip(domain: str) -> int:
 def monitor_traffic(household: Household, start: float, end: float,
                     rng: np.random.Generator,
                     policy: AnonymizationPolicy,
-                    ) -> Tuple[ThroughputSeries, Dict[str, list],
-                               Dict[str, list]]:
+                    ) -> Tuple[ThroughputSeries, Dict[str, Any],
+                               Dict[str, Any]]:
     """Run the traffic monitor over ``[start, end)`` for one home: its
     throughput series, flow columns and DNS columns."""
     traffic = household.traffic(start, end)
@@ -88,7 +88,7 @@ def _throughput_series(household: Household, traffic: HomeTraffic,
 def _flow_records(household: Household, traffic: HomeTraffic,
                   rng: np.random.Generator,
                   policy: AnonymizationPolicy,
-                  ) -> Tuple[Dict[str, list], Dict[str, list]]:
+                  ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Anonymize the generated connections and sample their DNS answers,
     as flow and DNS columns."""
     flows = []

@@ -23,14 +23,14 @@ columnar generation*:
 
 The Markov recurrence ``state[i] = draws[i] < (prob_on if state[i-1] else
 prob_off)[i]`` looks inherently sequential, but because the clamp keeps
-``prob_off <= prob_on`` element-wise, defining ``a = draws < prob_off``
-and ``b = draws < prob_on`` gives ``a => b`` and the recurrence becomes
-``state[i] = b[i] & (a[i] | state[i-1])``, whose closed form is: *state is
-on at hour i iff some hour j <= i has ``a[j]`` with ``b`` true on all of
-``(j, i]``*.  With ``L[i]`` the last index ``<= i`` where ``b`` is false,
-that is ``cumsum(a)[i] - cumsum(a)[L[i]] > 0`` — pure array work over the
-whole shard.  DESIGN.md §10 documents the draw-order contract and this
-derivation.
+``prob_off <= prob_on`` element-wise, an hour with ``draws < prob_off``
+(an *on-hour*) is on whatever came before, and one with ``draws >=
+prob_on`` (a *forced-off hour*) is off; any other hour keeps the state
+of the hour before.  So a device's runs start at the first on-hour after
+the span's start or after a forced-off hour, and end at the next
+forced-off hour or the span's end: one ``flatnonzero`` over a device's
+hours finds them, with no matrix of hours.  DESIGN.md §10 documents the
+draw-order contract and this derivation.
 """
 
 from __future__ import annotations
@@ -70,100 +70,58 @@ from repro.simulation.wireless import (
     WirelessEnvironmentConfig,
 )
 
-#: Cap on boolean cells (rows × hours) buffered before an association
-#: flush, bounding the batch solver's peak memory to tens of MB even when
-#: one shard holds a 10k-home cohort.
-_ASSOCIATION_CELL_BUDGET = 4_000_000
-
 _SPECTRA = (Spectrum.GHZ_2_4, Spectrum.GHZ_5)
 
 
 class _AssociationBatch:
-    """Batched solver for the per-device Markov association recurrence.
+    """The shard's device association timelines, solved device by device.
 
-    ``push`` takes one device's gate rows (``a``/``b`` — see the module
-    docstring) and returns a slot index; flushes solve every buffered row
-    in one vectorized pass and extract the connected runs.  Interval
-    epochs are computed with the same float expressions as the scalar
-    reference (``span_start + hour_index * HOUR``), so the resulting
-    intervals are bitwise-identical.
+    ``push`` takes one device's hourly draws and transition probabilities
+    and returns its slot index; ``finalize`` returns every slot's
+    connected runs as flat interval columns.  A device's runs come from
+    its on-hours and forced-off hours (see the module docstring), and
+    their epochs from the scalar reference's float expressions
+    (``span_start + hour_index * HOUR``), so the intervals are
+    bitwise-identical.
     """
 
-    def __init__(self, span: Tuple[float, float], hours: int,
-                 cell_budget: int = _ASSOCIATION_CELL_BUDGET):
+    def __init__(self, span: Tuple[float, float], hours: int):
         self.span = span
         self.hours = hours
-        self._rows_per_flush = max(1, cell_budget // max(hours, 1))
-        self._a_rows: List[np.ndarray] = []
-        self._b_rows: List[np.ndarray] = []
+        #: Per slot, its runs' first hours and the hours they end at.
         self._starts: List[np.ndarray] = []
         self._ends: List[np.ndarray] = []
-        self._n_pushed = 0
 
-    def push(self, a_row: np.ndarray, b_row: np.ndarray) -> int:
-        slot = self._n_pushed
-        self._n_pushed += 1
-        self._a_rows.append(a_row)
-        self._b_rows.append(b_row)
-        if len(self._a_rows) >= self._rows_per_flush:
-            self._flush()
-        return slot
-
-    def _flush(self) -> None:
-        if not self._a_rows:
-            return
-        a = np.vstack(self._a_rows)
-        b = np.vstack(self._b_rows)
-        self._a_rows.clear()
-        self._b_rows.clear()
-        n_rows, hours = a.shape
-        # state[i] = b[i] & (a[i] | state[i-1]): the device is on at hour i
-        # iff some a-true hour j <= i has b true over (j, i].  Equivalently
-        # the a-count since the last b-false hour is positive.  csum is
-        # nondecreasing, so "csum at the last b-false index" is just the
-        # running maximum of csum masked to b-false positions (0 before
-        # the first one) — no index gymnastics needed.
-        # Counts are bounded by the span's hour count, so int16 is ample
-        # for any real study span and halves the memory traffic of the
-        # three full-matrix passes below.
-        count_dtype = np.int16 if hours < np.iinfo(np.int16).max else np.int32
-        csum = np.cumsum(a, axis=1, dtype=count_dtype)
-        csum_at_last_false = np.maximum.accumulate(
-            np.where(b, 0, csum), axis=1)
-        state = (csum - csum_at_last_false) > 0
-        # Run extraction: pad each row with an off hour on both sides; the
-        # transitions then pair up as (run start, run end) column indices.
-        padded = np.zeros((n_rows, hours + 2), dtype=bool)
-        padded[:, 1:hours + 1] = state
-        transitions = padded[:, 1:] != padded[:, :-1]
-        rows, cols = np.nonzero(transitions)
-        start_cols = cols[0::2]
-        end_cols = cols[1::2]
-        span_start, span_end = self.span
-        run_starts = span_start + start_cols * HOUR
-        run_ends = np.minimum(span_start + end_cols * HOUR, span_end)
-        counts = np.bincount(rows[0::2], minlength=n_rows)
-        boundaries = np.cumsum(counts)[:-1]
-        self._starts.extend(np.split(run_starts, boundaries))
-        self._ends.extend(np.split(run_ends, boundaries))
+    def push(self, draws: np.ndarray, prob_off: np.ndarray,
+             prob_on: np.ndarray) -> int:
+        on = draws < prob_off
+        # The hours that set the state: on-hours and forced-off hours.
+        events = np.flatnonzero(on | (draws >= prob_on))
+        kind = on[events]
+        # The state flips at the first event, if an on-hour, and at each
+        # event of the other kind than the one before: alternately a run's
+        # first hour and the forced-off hour that ends it.
+        flips = np.empty(events.size, dtype=bool)
+        flips[:1] = kind[:1]
+        np.not_equal(kind[1:], kind[:-1], out=flips[1:])
+        marks = events[flips]
+        ends = marks[1::2]
+        if marks.size % 2:  # the last run lasts to the span's end
+            ends = np.append(ends, self.hours)
+        self._starts.append(marks[0::2])
+        self._ends.append(ends)
+        return len(self._starts) - 1
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Solve the remainder; return (flat starts, flat ends, offsets)."""
-        self._flush()
-        if self._starts:
-            flat_starts = np.concatenate(self._starts)
-            flat_ends = np.concatenate(self._ends)
-            lengths = np.fromiter((arr.size for arr in self._starts),
-                                  dtype=np.int64, count=len(self._starts))
-        else:
-            flat_starts = np.empty(0)
-            flat_ends = np.empty(0)
-            lengths = np.empty(0, dtype=np.int64)
-        offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
+        """Return every slot's runs: (flat starts, flat ends, offsets)."""
+        span_start, span_end = self.span
+        start_hours, offsets = _flatten(self._starts)
+        end_hours, _ = _flatten(self._ends)
         self._starts.clear()
         self._ends.clear()
-        return flat_starts, flat_ends, offsets
+        return (span_start + start_hours * HOUR,
+                np.minimum(span_start + end_hours * HOUR, span_end),
+                offsets)
 
 
 def _flatten(parts: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -440,7 +398,7 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
                         config.span, calendar, schedule, follows, scale,
                         time_index=time_index)
                     prob_cache[(follows, scale)] = probs
-                return batch.push(draws < probs[0], draws < probs[1])
+                return batch.push(draws, *probs)
 
             draws = generate_device_draws(
                 scope.generator("devices"), config.span, calendar, schedule,

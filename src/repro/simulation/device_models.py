@@ -247,7 +247,6 @@ def _markov_association(rng: np.random.Generator,
     the same recurrence shard-wide (see ``repro.simulation.cohort``) and
     the cohort equivalence suite pins the two together bitwise.
     """
-    start, end = span
     hours = association_span_hours(span)
     if hours <= 0:
         return IntervalSet()
@@ -255,17 +254,25 @@ def _markov_association(rng: np.random.Generator,
     # Generator.random(n) produces the same stream as n scalar .random()
     # calls, so pre-drawing is bitwise-neutral (the digest-pin test holds
     # this invariant).  The schedule levels and transition probabilities
-    # are pure arithmetic, so they vectorize bitwise-identically too; only
-    # the state recursion (inherently sequential) stays a Python loop, now
-    # over precomputed scalars.
-    epochs = start + np.arange(hours) * HOUR
-    probs = association_probs(span, calendar, schedule, follows_presence,
-                              scale, persistence)
-    prob_off = probs[0].tolist()
-    prob_on = probs[1].tolist()
-    draws = rng.random(hours).tolist()
-    epoch_list = epochs.tolist()
+    # are pure arithmetic, so they vectorize bitwise-identically too.
+    prob_off, prob_on = association_probs(span, calendar, schedule,
+                                          follows_presence, scale,
+                                          persistence)
+    return _markov_runs(span, rng.random(hours), prob_off, prob_on)
 
+
+def _markov_runs(span: Tuple[float, float], draws: np.ndarray,
+                 prob_off: np.ndarray, prob_on: np.ndarray) -> IntervalSet:
+    """The association state walked hour by hour over *draws*: the
+    device connects in an hour when its draw is below the hour's
+    ``prob_on`` if it was connected the hour before, else below its
+    ``prob_off``; its connected runs clipped to *span*."""
+    start, end = span
+    hours = len(draws)
+    epoch_list = (start + np.arange(hours) * HOUR).tolist()
+    prob_off = prob_off.tolist()
+    prob_on = prob_on.tolist()
+    draws = draws.tolist()
     connected: List[Tuple[float, float]] = []
     state = False
     run_start = 0.0

@@ -256,7 +256,10 @@ class DomainSampler:
         self._home_weights = weights / weights.sum()
         self._by_kind: Dict[str, np.ndarray] = {}
 
-    def _kind_weights(self, profile_key: str) -> np.ndarray:
+    def _kind_cdf(self, profile_key: str) -> np.ndarray:
+        """The cumulative domain weights of a device profile, as
+        ``Generator.choice(p=...)`` builds them: the weights' ``cumsum``
+        divided by its last element."""
         cached = self._by_kind.get(profile_key)
         if cached is not None:
             return cached
@@ -269,17 +272,24 @@ class DomainSampler:
         if total == 0:
             weights = self._home_weights.copy()
             total = weights.sum()
-        weights = weights / total
-        self._by_kind[profile_key] = weights
-        return weights
+        cdf = (weights / total).cumsum()
+        cdf /= cdf[-1]
+        self._by_kind[profile_key] = cdf
+        return cdf
 
     def sample(self, rng: np.random.Generator, profile_key: str,
                count: int) -> List[Domain]:
-        """Draw *count* session target domains for a device profile."""
+        """Draw *count* session target domains for a device profile.
+
+        ``rng.choice(len(universe), size=count, p=weights)`` draws one
+        uniform per domain and binary-searches the weights' CDF; this
+        does the same against the cached CDF, so it returns the same
+        domains and leaves *rng* at the same position.
+        """
         if count < 0:
             raise ValueError("count cannot be negative")
         if count == 0:
             return []
-        weights = self._kind_weights(profile_key)
-        idx = rng.choice(len(self.universe), size=count, p=weights)
-        return [self.universe[int(i)] for i in idx]
+        idx = np.searchsorted(self._kind_cdf(profile_key), rng.random(count),
+                              side="right")
+        return [self.universe[i] for i in idx.tolist()]

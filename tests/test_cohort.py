@@ -10,8 +10,12 @@ and cover the O(shard) deployment lookups that ride on the cohort.
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.intervals import IntervalSet
+from repro.simulation.cohort import _AssociationBatch
+from repro.simulation.device_models import _markov_runs
 from repro.simulation.deployment import (
     Deployment,
     DeploymentConfig,
@@ -20,7 +24,7 @@ from repro.simulation.deployment import (
 )
 from repro.simulation.household import Household
 from repro.simulation.seeding import SeedHierarchy
-from repro.simulation.timebase import StudyWindows
+from repro.simulation.timebase import HOUR, StudyWindows, utc
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +170,57 @@ def test_interval_array_paths_match_tuple_paths():
         assert array_a.clip(25.0, 75.0) == tuple_a.clip(25.0, 75.0)
         assert array_a.filter_min_duration(2.0) == \
             tuple_a.filter_min_duration(2.0)
+
+
+#: Draws and probabilities from a few shared values, so a draw often
+#: equals a threshold (``<`` against ``>=``), and from anywhere in [0, 1).
+_UNIT = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                  st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def _association_rows(draw, hours):
+    """One device's draws and per-hour ``(prob_off, prob_on)`` with
+    ``prob_off <= prob_on``."""
+    values = st.lists(_UNIT, min_size=hours, max_size=hours)
+    first, second = (np.array(draw(values)) for _ in range(2))
+    return (np.array(draw(values)), np.minimum(first, second),
+            np.maximum(first, second))
+
+
+def _edge_rows(hours):
+    """A row never forced off, one on only in its last hour and one
+    never on."""
+    low, high = np.full(hours, 0.25), np.full(hours, 0.75)
+    last_on = np.full(hours, 0.9)
+    last_on[-1] = 0.1
+    return [(np.tile([0.1, 0.5], hours)[:hours], low, np.ones(hours)),
+            (last_on, low, high), (np.full(hours, 0.1), np.zeros(hours), high)]
+
+
+@st.composite
+def _association_cases(draw):
+    """A span's hour count and up to four devices' rows."""
+    hours = draw(st.integers(1, 30))
+    return hours, draw(st.lists(_association_rows(hours), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_association_cases(), st.sampled_from([0.0, 0.5, 0.999]))
+@example((1, []), 0.5)  # a one-hour span that ends mid-hour
+def test_association_runs_match_scalar_walk(case, cut):
+    """The batch's on/off-hour runs are the scalar walk's, bit for bit,
+    over a span of whole hours or one that ends mid-hour."""
+    hours, rows = case
+    start = utc(2013, 3, 1)
+    span = (start, start + (hours - cut) * HOUR)
+    rows = rows + _edge_rows(hours)
+    batch = _AssociationBatch(span, hours)
+    slots = [batch.push(*row) for row in rows]
+    starts, ends, offsets = batch.finalize()
+    for slot, row in zip(slots, rows):
+        lo, hi = offsets[slot], offsets[slot + 1]
+        got = IntervalSet.from_normalized_arrays(starts[lo:hi], ends[lo:hi])
+        want = _markov_runs(span, *row)
+        assert [bound.hex() for run in got for bound in run] == \
+            [bound.hex() for run in want for bound in run]

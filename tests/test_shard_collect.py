@@ -18,7 +18,8 @@ import pytest
 from repro.collection.batches import ColumnarRecords, build_upload
 from repro.collection.engine import _shard_statics
 from repro.collection.storage import RecordStore
-from repro.core.records import (LIST_DATASETS, DeviceRosterEntry, DnsRecord,
+from repro.core.records import (LIST_DATASETS, RECORD_DATASETS,
+                                DeviceRosterEntry, DnsRecord, FlowRecord,
                                 Medium, RouterInfo, Spectrum, UptimeReport)
 from repro.core.pipeline import StudyConfig, run_study
 from repro.firmware.router import BismarkRouter
@@ -180,8 +181,58 @@ class TestTickWalk:
         assert _tick_walk(9.9, 10.0, 5.0).tolist() == [9.9]
 
 
+def test_batches_ship_typed_columns(plans):
+    """A collected batch holds each number, flag and code column as a
+    1-D array, an int column in the narrowest unsigned type holding its
+    largest value, and each text column as a list of ``str``."""
+    universe, policy = _shard_statics()
+    seen = set()
+    for plan in plans:
+        cohort = materialize_shard(plan, 0, 1, domain_universe=universe)
+        for upload in collect_shard(cohort, plan, SeedHierarchy(plan.seed),
+                                    policy):
+            for batch in upload.batches:
+                seen.add(batch.dataset)
+                text = RECORD_DATASETS[batch.dataset].codec.text
+                for name, column in batch.columns.items():
+                    where = (batch.dataset, name)
+                    if name in text:
+                        assert type(column) is list, where
+                        assert {type(cell) for cell in column} == {str}, where
+                        continue
+                    assert type(column) is np.ndarray, where
+                    assert column.ndim == 1, where
+                    if column.dtype.kind in "iu":
+                        assert column.dtype == \
+                            np.min_scalar_type(column.max()), where
+    assert seen == set(LIST_DATASETS)
+
+
+class _Name(str):
+    """A str subclass: a frame decodes no such cell."""
+
+
 class TestColumnarRecords:
     COLS = {"timestamp": [1.0, 2.0, 3.0], "uptime_seconds": [5.0, 0.0, 9.5]}
+
+    @staticmethod
+    def _assert_mac_cell_refused(cell):
+        """A record and a flows batch both refuse *cell* as a MAC."""
+        with pytest.raises(ValueError, match="device_mac"):
+            FlowRecord("r", 1.0, cell, "a.com", 1, 443, "https", 1.0, 2.0,
+                       3.0)
+        with pytest.raises(ValueError, match="device_mac"):
+            ColumnarRecords("flows", "r", {
+                "timestamp": [1.0], "device_mac": [cell],
+                "domain": ["a.com"], "remote_ip": [1], "port": [443],
+                "application": ["https"], "bytes_up": [1.0],
+                "bytes_down": [2.0], "duration_seconds": [3.0]})
+
+    def test_str_subclass_cell_refused(self):
+        self._assert_mac_cell_refused(_Name("3c:07:54:aa:bb:cc"))
+
+    def test_numpy_str_cell_refused(self):
+        self._assert_mac_cell_refused(np.str_("3c:07:54:aa:bb:cc"))
 
     def make(self):
         return ColumnarRecords("uptime", "us-001",

@@ -131,10 +131,14 @@ class TestModuleApi:
 
         n = 2000
         bare(n), instrumented(n)  # warm up
-        t_bare = min(_timed(bare, n) for _ in range(5))
-        t_inst = min(_timed(instrumented, n) for _ in range(5))
+        # Rounds alternate, so a burst of load on a shared host slows
+        # both sides' rounds, not one side's only; the minima compare.
+        t_bare, t_inst = [], []
+        for _ in range(12):
+            t_bare.append(_timed(bare, n))
+            t_inst.append(_timed(instrumented, n))
         # 2% is the design target; allow generous noise headroom in CI.
-        assert t_inst <= t_bare * 1.25
+        assert min(t_inst) <= min(t_bare) * 1.25
 
 
 def _timed(fn, n):

@@ -175,7 +175,9 @@ def _assert_parity(upload):
 
 #: List cells mixing numpy integers of both signs, and the field values
 #: they give: numpy makes such a list floats unless told the column's
-#: type.  (The second DNS record's address is null.)
+#: type.  Then narrow unsigned array columns at their types' maxima, as
+#: a collector's batch ships them.  (The second DNS record's address is
+#: null.)
 MIXED_INTEGERS = [
     ("wifi_scans", "neighbor_aps", [np.int64(2**62 + 1), np.uint64(0)],
      [2**62 + 1, 0]),
@@ -186,6 +188,12 @@ MIXED_INTEGERS = [
     ("dns", "address", [np.uint64(1), np.int64(0)], [1, None]),
     ("device_counts", "wired", [np.int64(2**62 + 1), np.uint64(2)],
      [2**62 + 1, 2]),
+    ("wifi_scans", "neighbor_aps", np.array([2**8 - 1, 0], np.uint8),
+     [2**8 - 1, 0]),
+    ("device_counts", "wired", np.array([2**16 - 1, 2], np.uint16),
+     [2**16 - 1, 2]),
+    ("dns", "address", np.array([2**32 - 1, 0], np.uint32),
+     [2**32 - 1, None]),
 ]
 
 
@@ -201,7 +209,7 @@ class TestMemorySpillParity:
         upload = _upload()
         for batch in upload.batches:  # as lists, then as arrays
             if batch.dataset == dataset:
-                batch.columns[name] = list(cells)
+                batch.columns[name] = cells.copy()
                 batch.__post_init__()  # cells a record may hold
         data = _assert_parity(upload)
         records = getattr(data, RECORD_DATASETS[dataset].attr)
