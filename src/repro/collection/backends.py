@@ -58,7 +58,7 @@ import numpy as np
 from repro.collection.batches import ColumnarRecords
 from repro.core.datasets import KEYED_DATASETS, HeartbeatLog, ThroughputSeries
 from repro.core.records import LIST_DATASETS, RECORD_DATASETS, RowCodec
-from repro.telemetry import events, metrics
+from repro import trace
 
 logger = logging.getLogger(__name__)
 
@@ -367,9 +367,7 @@ class SpillBackend(StoreBackend):
         self._n_runs += 1
         logger.debug("spilled %d records (run %d)", spilled,
                      self._n_runs - 1)
-        metrics.inc("store_spills_total")
-        metrics.inc("spilled_records_total", spilled)
-        events.emit("store_spill", run=self._n_runs - 1, records=spilled)
+        trace.instant("store_spill", run=self._n_runs - 1, records=spilled)
 
     def close(self) -> None:
         """Remove the directory the backend made; a given one stays."""

@@ -250,7 +250,8 @@ class ColumnarRecords:
 #                                            status is "stored" or "duplicate"
 # "retry"     ("retry", seq, after_seconds)  server→client: shed under overload
 #                                            — resend after *after_seconds*
-# "error"     ("error", seq, text)           server→client: upload rejected
+# "error"     ("error", seq, text)           server→client: upload rejected,
+#                                            or seq -1: frame undecodable
 # "ping"      ("ping",) / ("pong",)          liveness probe round trip
 # "bye"       ("bye",)                       client→server: clean close
 # ==========  =============================  ==================================
@@ -279,8 +280,9 @@ FRAME_KINDS = ("upload", "ack", "retry", "error", "ping", "pong", "bye")
 
 class FrameError(ValueError):
     """A malformed frame: bad length prefix, undecodable or non-protocol
-    payload.  The connection that produced it cannot be trusted further
-    and is closed; the store is never touched."""
+    payload.  The connection that produced it cannot be trusted further:
+    the daemon answers ``("error", -1, reason)`` and closes it; the store
+    is never touched."""
 
 
 # -- safe deserialization ------------------------------------------------------
@@ -303,8 +305,8 @@ class FrameError(ValueError):
 # ``__post_init__`` before ingest: the upload's checks each field's
 # type, a batch's each column's values and each row's relations, and
 # the router's and the series' their fields.  A rejected upload is
-# answered with an error frame; only a frame that does not decode closes
-# the connection.
+# answered with an error frame; a frame that does not decode is answered
+# too, and then closes the connection.
 
 class _WireDtype:
     """A frame's ``numpy.dtype``: a bool, int or float type, nothing else.

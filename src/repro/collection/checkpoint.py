@@ -35,7 +35,6 @@ from typing import Union
 from repro import trace
 from repro.collection.path import PathConfig
 from repro.simulation.deployment import DeploymentPlan
-from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
 
@@ -143,11 +142,10 @@ class CheckpointManager:
             # here would reorder a resumed campaign's export rows.
             tmp.write_text(json.dumps(checkpoint.to_dict(), indent=2))
             os.replace(tmp, self.path)
-        metrics.inc("checkpoints_written_total")
-        events.emit("checkpoint_written",
-                    shards_ingested=checkpoint.shards_ingested,
-                    shards=checkpoint.n_shards,
-                    complete=checkpoint.complete)
+        trace.instant("checkpoint_written",
+                      shards_ingested=checkpoint.shards_ingested,
+                      shards=checkpoint.n_shards,
+                      complete=checkpoint.complete)
         logger.debug("checkpoint: %d/%d shard(s) ingested",
                      checkpoint.shards_ingested, checkpoint.n_shards)
 

@@ -48,8 +48,6 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from repro import trace
-from repro.telemetry import events, metrics
-from repro.telemetry.progress import ProgressWriter
 from repro.core.datasets import StudyData
 from repro.firmware.anonymize import AnonymizationPolicy
 from repro.firmware.shard_collect import collect_shard
@@ -123,10 +121,10 @@ def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
     always derive from the plan's own seed).  With ``collect_trace`` the
     shard instead returns ``(uploads, spans)``, where ``spans`` is the
     drained :mod:`repro.trace` snapshot of its materialize and collect
-    spans for the parent to merge; the recorder is reset first, so a
-    forked worker never re-ships spans inherited from its parent.  The
-    shard records no metrics: the parent derives the shard metrics from
-    these spans (:func:`repro.telemetry.metrics.promote_spans`).
+    spans for the parent to merge; the recorder is restarted first
+    (:func:`repro.trace.restart`), so a forked worker neither re-ships
+    spans inherited from its parent nor writes through its parent's
+    sinks.  The parent's sinks see these spans once, as it merges them.
     Tracing touches no RNG, so the uploads are bitwise-identical with or
     without it.
 
@@ -136,7 +134,7 @@ def run_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
     that runs the shard.  Uploads never depend on the attempt number.
     """
     if collect_trace:
-        trace.enable().clear()
+        trace.restart()
     fault = fault_plan.lookup(shard_index, attempt) if fault_plan else None
     if fault is not None and fault.kind != "corrupt":
         _trigger_fault(fault)
@@ -197,18 +195,12 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                  checkpoint_dir: Union[str, Path, None] = None,
                  resume: bool = False,
                  materialize: bool = True,
-                 progress_path: Union[str, Path, None] = None,
                  ) -> Union[StudyData, RecordStore]:
     """Collect the full campaign described by *plan*.
 
     ``workers=1`` runs every shard in-process; ``workers=N`` fans shards
     out over a :class:`ProcessPoolExecutor`.  Either way the resulting
     ``StudyData`` is identical (see the module determinism contract).
-
-    When a :mod:`repro.telemetry` metrics registry or event log is
-    active, the engine records campaign metrics and emits lifecycle
-    events; workers record no metrics, and the per-shard ones derive
-    from the ingest spans.  Neither observer perturbs the study RNG.
 
     Fault tolerance: a shard whose attempt raises, returns a result that
     fails validation, or (parallel path only) outlives *shard_timeout*
@@ -233,16 +225,13 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
     store's backend reader, so a spill-backed campaign is analyzed
     without ever building in-RAM record lists.
 
-    Observability: when a :mod:`repro.trace` recorder is active the
-    engine records the full span timeline — worker materialize/collect
-    spans shipped back with each shard's uploads, parent
-    head-wait / ingest / checkpoint / backoff / pool-rebuild spans.
-    Those spans are also the campaign's stage timings: to profile a
-    call, enable the recorder around it (``trace.Capture``) and reduce
-    the spans with ``trace.stage_totals``.  *progress_path* (if given)
-    is atomically rewritten as a ``progress.json`` heartbeat after
-    every shard ingest so ``repro watch`` can follow the campaign live.  Neither observer touches any
-    RNG or the ingest order.
+    Observability: the engine records :mod:`repro.trace` spans (head
+    wait, ingest, checkpoint, backoff, pool rebuild, and the workers'
+    materialize / collect, shipped back whenever a sink is attached) and
+    lifecycle instants (``campaign_started``, ``shard_retry``, ...) for
+    whatever sinks are attached; none touches any RNG or the ingest
+    order.  To profile a call, wrap it in ``trace.Capture`` and reduce
+    the spans with ``trace.stage_totals``.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -256,7 +245,9 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
         raise ValueError(
             "checkpoint_dir and an explicit store are mutually exclusive: "
             "the engine owns the durable store when checkpointing")
-    tracing = trace.is_enabled()
+    # Worker spans ship whenever a sink reads them; the parent merges
+    # them, so each sink sees them once.
+    ship_spans = trace.has_sinks()
     seed = plan.seed if seed is None else seed
     path_config = path_config or PathConfig()
     n_shards = shard_count(len(plan), shard_size)
@@ -282,28 +273,18 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
         store.restore_state(checkpoint.store_state)
         path.set_rng_state(checkpoint.path_rng_state)
         start_shard = checkpoint.shards_ingested
-        metrics.inc("campaign_resumes_total")
-        events.emit("campaign_resumed", shards_ingested=start_shard,
-                    shards=n_shards)
+        trace.instant("campaign_resumed", shards_ingested=start_shard,
+                      shards=n_shards)
         logger.info("resuming campaign at shard %d/%d", start_shard,
                     n_shards)
 
-    progress: Optional[ProgressWriter] = None
-    if progress_path is not None:
-        progress = ProgressWriter(
-            progress_path, shards=n_shards, homes=len(plan),
-            workers=workers, start_shard=start_shard,
-            trace_id=trace.active().trace_id if tracing else "")
-
     if checkpoint is not None and checkpoint.complete:
-        if progress is not None:
-            progress.finish()
         return store.to_study_data() if materialize else store
 
     logger.info("campaign: %d homes in %d shard(s), workers=%d, seed=%d",
                 len(plan), n_shards, workers, seed)
-    events.emit("campaign_started", homes=len(plan), shards=n_shards,
-                workers=workers, seed=seed)
+    trace.instant("campaign_started", homes=len(plan), shards=n_shards,
+                  workers=workers, seed=seed)
 
     #: attempts[i] — submissions of shard i so far; the budget allows
     #: ``max_shard_retries + 1`` in total.
@@ -312,22 +293,14 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
     def account_failure(index: int, reason: str,
                         exc: Optional[BaseException] = None) -> None:
         """Record one failed attempt; raise when the budget is spent."""
-        metrics.inc("shard_retries_total")
-        events.emit("shard_retry", shard=index, attempt=attempts[index] - 1,
-                    reason=reason)
+        trace.instant("shard_retry", shard=index,
+                      attempt=attempts[index] - 1, reason=reason)
         logger.warning("shard %d attempt %d failed (%s); %d retr%s left",
                        index, attempts[index] - 1, reason,
                        max_shard_retries + 1 - attempts[index],
                        "y" if max_shard_retries + 1 - attempts[index] == 1
                        else "ies")
-        if progress is not None:
-            progress.update(retries_delta=1)
         if attempts[index] > max_shard_retries:
-            # The engine's own terminal failure; a hard crash (SIGKILL)
-            # can never mark the file, so `repro watch` also surfaces
-            # heartbeat staleness.
-            if progress is not None:
-                progress.finish("failed")
             raise ShardFailed(
                 f"shard {index} failed {attempts[index]} time(s) "
                 f"({reason}); retry budget exhausted") from exc
@@ -340,27 +313,25 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                        uploads: List[RouterUpload],
                        in_flight: int = 0) -> None:
         """Stream one shard's uploads into the server, then checkpoint."""
-        events.emit("shard_finished", shard=index, routers=len(uploads))
+        trace.instant("shard_finished", shard=index, routers=len(uploads))
         logger.debug("shard %d/%d finished (%d routers)",
                      index + 1, n_shards, len(uploads))
         with trace.span("ingest", cat="engine", shard=index,
-                        routers=len(uploads)):
+                        routers=len(uploads),
+                        records=sum(u.record_count for u in uploads),
+                        in_flight=in_flight):
             for upload in uploads:
                 server.ingest(upload)
         if manager is not None:
             write_campaign_checkpoint(manager, fingerprint, n_shards,
                                       ingested, path, store)
-        if progress is not None:
-            progress.update(
-                shards_ingested=ingested, in_flight=in_flight,
-                records_delta=sum(u.record_count for u in uploads))
 
     if workers == 1 or n_shards == 1:
         for index in range(start_shard, n_shards):
             while True:
                 attempt = attempts.get(index, 0)
                 attempts[index] = attempt + 1
-                events.emit("shard_started", shard=index, attempt=attempt)
+                trace.instant("shard_started", shard=index, attempt=attempt)
                 try:
                     uploads = run_shard(plan, index, n_shards, seed,
                                         attempt=attempt,
@@ -372,8 +343,6 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                 except Exception as exc:
                     account_failure(index, type(exc).__name__, exc)
             ingest_uploads(index, index + 1, uploads)
-        if progress is not None:
-            progress.finish()
         return store.to_study_data() if materialize else store
 
     # Parallel path: a sliding submission window keeps every worker fed
@@ -395,9 +364,9 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
                             attempt=attempt):
                 future = pool.submit(run_shard, plan, index, n_shards, seed,
                                      attempt=attempt, fault_plan=fault_plan,
-                                     collect_trace=tracing)
+                                     collect_trace=ship_spans)
             attempts[index] = attempt + 1
-            events.emit("shard_started", shard=index, attempt=attempt)
+            trace.instant("shard_started", shard=index, attempt=attempt)
             return index, future
 
         def rebuild_pool(exc: BaseException) -> None:
@@ -407,8 +376,7 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
             # fault refire forever) and resubmitted into a fresh pool,
             # preserving ingest order.
             nonlocal pool
-            metrics.inc("pool_rebuilds_total")
-            events.emit("pool_rebuilt", in_flight=len(pending))
+            trace.instant("pool_rebuilt", in_flight=len(pending))
             pool.shutdown(wait=False, cancel_futures=True)
             pool = ProcessPoolExecutor(max_workers=max_workers)
             indices = [i for i, _ in pending]
@@ -442,43 +410,38 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
         while pending:
             index, future = pending[0]
             wait_t0 = trace.now()
-            wait_recorded = False
             try:
                 # The timeout clock starts at the head wait, not at
                 # submission — a shard that merely queued behind others
                 # must not be declared hung.
-                result = future.result(timeout=shard_timeout)
+                try:
+                    result = future.result(timeout=shard_timeout)
+                except Exception as exc:
+                    timeout = isinstance(exc, FutureTimeoutError)
+                    trace.add_span("head_wait", wait_t0, cat="engine",
+                                   shard=index, failed=True, reason=(
+                                       "timeout" if timeout
+                                       else type(exc).__name__))
+                    raise
                 trace.add_span("head_wait", wait_t0, cat="engine",
                                shard=index)
-                wait_recorded = True
-                uploads, spans = result if tracing else (result, {})
+                uploads, spans = result if ship_spans else (result, {})
                 _validate_uploads(plan, index, n_shards, uploads)
             except FutureTimeoutError:
                 # Straggler: resubmit the head and abandon the hung
                 # attempt (its worker finishes eventually; the orphaned
                 # result is dropped on the floor).
-                trace.add_span("head_wait", wait_t0, cat="engine",
-                               shard=index, failed=True, reason="timeout")
-                metrics.inc("shard_timeouts_total")
-                events.emit("shard_timeout", shard=index,
-                            timeout=shard_timeout)
+                trace.instant("shard_timeout", shard=index,
+                              timeout=shard_timeout)
                 account_failure(index, "timeout")
                 resubmit_head(index)
                 continue
             except BrokenProcessPool as exc:
-                if not wait_recorded:
-                    trace.add_span("head_wait", wait_t0, cat="engine",
-                                   shard=index, failed=True,
-                                   reason="BrokenProcessPool")
                 with trace.span("pool.rebuild", cat="engine",
                                 in_flight=len(pending)):
                     rebuild_pool(exc)
                 continue
             except Exception as exc:
-                if not wait_recorded:
-                    trace.add_span("head_wait", wait_t0, cat="engine",
-                                   shard=index, failed=True,
-                                   reason=type(exc).__name__)
                 account_failure(index, type(exc).__name__, exc)
                 resubmit_head(index)
                 continue
@@ -490,8 +453,6 @@ def run_campaign(plan: DeploymentPlan, seed: Optional[int] = None,
             top_up()
     finally:
         pool.shutdown(wait=True)
-    if progress is not None:
-        progress.finish()
     return store.to_study_data() if materialize else store
 
 

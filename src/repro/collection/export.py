@@ -8,10 +8,11 @@ shortest-round-trip form with their int/float kind preserved, and routers
 with zero delivered heartbeats are rebuilt with empty logs rather than
 dropped.
 
-Each record-list data set's file has one column per record field, in the
-order of its :class:`~repro.core.records.RowCodec`; this module keeps
-only what the archive alone knows: the file stems, the cell format, and
-which data sets the public archive withholds.
+``routers.csv`` and each record-list data set's file have one column per
+record field, in the order of the record class's
+:class:`~repro.core.records.RowCodec`; this module keeps only what the
+archive alone knows: the file stems, the cell format, and which data
+sets the public archive withholds.
 """
 
 from __future__ import annotations
@@ -24,12 +25,13 @@ import logging
 import math
 import operator
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Union
+from typing import Callable, Dict, Iterable, Optional, Union
 
 import numpy as np
 
 from repro.core.datasets import HeartbeatLog, StudyData, ThroughputSeries
-from repro.core.records import RECORD_DATASETS, RouterInfo, RowCodec, RowField
+from repro.core.records import (RECORD_DATASETS, RouterInfo, RowCodec,
+                                RowField, codec)
 from repro.simulation.timebase import StudyWindows
 
 logger = logging.getLogger(__name__)
@@ -88,14 +90,14 @@ def _parse_num(text: str):
 
 
 def _cell_writer(field: RowField) -> Callable[[object], object]:
-    """Ints through :func:`_num`, a float field's value as a float (an
-    int there reads back as one, and a spilled record holds it so),
-    bools as 0/1, enums by value, None as an empty cell."""
+    """Numbers through :func:`_num`, bools as 0/1, enums by value, None
+    as an empty cell.  A record a store builds holds floats in its float
+    fields (its column decoders type them), so both stores write
+    ``1.0``; a registration keeps the kind it was given (an int GDP)."""
     if issubclass(field.kind, enum.Enum):
         write = operator.attrgetter("value")
     else:
-        write = {bool: int, int: _num,
-                 float: lambda value: repr(float(value))}.get(field.kind, str)
+        write = {bool: int, int: _num, float: _num}.get(field.kind, str)
     if field.optional:
         return lambda value: "" if value is None else write(value)
     return write
@@ -108,16 +110,16 @@ def _write_records(path: Path, codec: RowCodec, records: Iterable) -> None:
                 for record in records))
 
 
-def _read_rows(path: Path, routers: Dict[str, RouterInfo],
+def _read_rows(path: Path, routers: Optional[Dict[str, RouterInfo]],
                build: Callable[[dict], object]) -> list:
     """*build* applied to each row of one data file; a row whose router
-    is not in ``routers.csv``, or one *build* rejects, raises ValueError
-    naming the file, line and router."""
+    is not in *routers* (``routers.csv``, unless None), or one *build*
+    rejects, raises ValueError naming the file, line and router."""
     values = []
     for line, row in enumerate(_read_csv(path), start=2):
         rid = row["router_id"]
         try:
-            if rid not in routers:
+            if routers is not None and rid not in routers:
                 raise ValueError("not in routers.csv")
             values.append(build(row))
         except (TypeError, ValueError) as exc:
@@ -127,21 +129,28 @@ def _read_rows(path: Path, routers: Dict[str, RouterInfo],
 
 
 def _read_records(path: Path, codec: RowCodec,
-                  routers: Dict[str, RouterInfo]) -> list:
+                  routers: Optional[Dict[str, RouterInfo]]) -> list:
     """Rebuild one data set's records from its archive file.
 
     An empty or missing cell takes its field's fallback: None when the
     field is optional, else the dataclass default — so a legacy
-    ``wifi.csv`` without the ``channel`` column loads channel 0.
+    ``wifi.csv`` without the ``channel`` column loads channel 0.  A cell
+    that does not parse names its field.
     """
     fields = [(field.name, _PARSE.get(field.kind, str),
                None if field.optional else field.default)
               for field in codec.fields]
+
+    def cell(row: dict, name: str, parse: Callable, fallback: object):
+        if not row.get(name) and fallback is not dataclasses.MISSING:
+            return fallback
+        try:
+            return parse(row[name])
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+
     return _read_rows(path, routers, lambda row: codec.from_row([
-        parse(row[name])
-        if row.get(name) or fallback is dataclasses.MISSING
-        else fallback
-        for name, parse, fallback in fields]))
+        cell(row, *field) for field in fields]))
 
 
 def export_study(data: StudyData, directory: _PathLike,
@@ -165,12 +174,8 @@ def export_study(data: StudyData, directory: _PathLike,
     }
     (root / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
-    _write_csv(root / "routers.csv",
-               ["router_id", "country_code", "developed",
-                "tz_offset_hours", "gdp_ppp_per_capita"],
-               ((info.router_id, info.country_code, int(info.developed),
-                 info.tz_offset_hours, info.gdp_ppp_per_capita)
-                for info in data.routers.values()))
+    _write_records(root / "routers.csv", codec(RouterInfo),
+                   data.routers.values())
 
     _write_csv(root / "heartbeats.csv", ["router_id", "timestamp"],
                ((log.router_id, _num(t))
@@ -214,15 +219,8 @@ def load_study(directory: _PathLike) -> StudyData:
         name: tuple(values) for name, values in manifest["windows"].items()
     })
 
-    routers: Dict[str, RouterInfo] = {}
-    for row in _read_csv(root / "routers.csv"):
-        routers[row["router_id"]] = RouterInfo(
-            router_id=row["router_id"],
-            country_code=row["country_code"],
-            developed=bool(int(row["developed"])),
-            tz_offset_hours=float(row["tz_offset_hours"]),
-            gdp_ppp_per_capita=float(row["gdp_ppp_per_capita"]),
-        )
+    routers = {info.router_id: info for info in _read_records(
+        root / "routers.csv", codec(RouterInfo), None)}
 
     # Seed from routers.csv so a router whose heartbeats were all lost
     # (zero delivered) still comes back with an *empty* log instead of

@@ -61,9 +61,9 @@ anything registers or appends.  There is no authentication or transport
 encryption; the daemon binds loopback by default and non-loopback
 deployments belong on trusted (measurement-infrastructure) networks.
 
-Trace spans (``net.accept``, ``net.frame``, ``net.ingest``) follow the
-shared :mod:`repro.trace` activation model and are no-ops when tracing is
-off.
+Each observation is one :mod:`repro.trace` call (``net.frame`` span,
+``upload_shed`` instant, ...) that costs one global read when no sink
+is attached; the metrics registry counts them when one is.
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ from repro.collection.batches import (
 from repro.collection.path import CollectionPath
 from repro.collection.server import CollectionServer
 from repro.collection.storage import RecordStore
-from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
 
@@ -125,7 +124,7 @@ class IngestDaemon:
     idempotency, and storage consistency live in
     :class:`CollectionServer` and :class:`RecordStore` exactly as on the
     in-process path.  It owns the *service* concerns: framing,
-    sequencing, backpressure, shedding, metrics, and drain.
+    sequencing, backpressure, shedding, and drain.
     """
 
     def __init__(self, store: RecordStore, path: CollectionPath,
@@ -161,7 +160,8 @@ class IngestDaemon:
         self._tcp = await asyncio.start_server(
             self._handle, self.config.host, self.config.port)
         host, port = self._tcp.sockets[0].getsockname()[:2]
-        events.emit("ingest_service_started", host=host, port=port)
+        trace.instant("ingest_service_started", cat="netserve", host=host,
+                      port=port)
         logger.info("ingest daemon listening on %s:%d", host, port)
         return host, port
 
@@ -198,9 +198,9 @@ class IngestDaemon:
                 self._resolve(future, ("error", seq,
                                        "server shut down before ingest"))
         self._pending.clear()
-        events.emit("ingest_service_drained",
-                    routers=self.routers_ingested,
-                    undrained=self.parked_discarded)
+        trace.instant("ingest_service_drained", cat="netserve",
+                      routers=self.routers_ingested,
+                      undrained=self.parked_discarded)
         logger.info("ingest daemon drained: %d routers stored, "
                     "%d parked uploads discarded",
                     self.routers_ingested, self.parked_discarded)
@@ -209,10 +209,8 @@ class IngestDaemon:
 
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
-        metrics.inc("net_connections_total")
         self._connections += 1
         self._handlers.add(asyncio.current_task())
-        metrics.set_gauge("net_connections_open", self._connections)
         trace.instant("net.accept", cat="netserve",
                       connections=self._connections)
         try:
@@ -225,14 +223,18 @@ class IngestDaemon:
                     if exc.partial:
                         # The peer died mid-frame; nothing of the frame
                         # was acted on, so the store is untouched.
-                        metrics.inc("net_midframe_disconnects_total")
-                        events.emit("net_disconnect", midframe=True)
+                        trace.instant("net_disconnect", cat="netserve",
+                                      midframe=True)
                     break
-                except (ConnectionError, FrameError) as exc:
-                    if isinstance(exc, FrameError):
-                        metrics.inc("net_frame_errors_total")
-                        events.emit("net_frame_error", error=str(exc))
-                        logger.warning("closing connection: %s", exc)
+                except ConnectionError:
+                    break
+                except FrameError as exc:
+                    # Answer, then close (which flushes the answer): a
+                    # client resending the frame would fail every time.
+                    trace.instant("net_frame_error", cat="netserve",
+                                  error=str(exc))
+                    logger.warning("closing connection: %s", exc)
+                    writer.write(encode_frame(("error", -1, str(exc))))
                     break
                 response = await self._dispatch(message)
                 if response is None:  # clean "bye"
@@ -245,7 +247,8 @@ class IngestDaemon:
         finally:
             self._connections -= 1
             self._handlers.discard(asyncio.current_task())
-            metrics.set_gauge("net_connections_open", self._connections)
+            trace.instant("net.close", cat="netserve",
+                          connections=self._connections)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -254,11 +257,9 @@ class IngestDaemon:
 
     async def _read_frame(self, reader: asyncio.StreamReader) -> Tuple:
         payload = await read_payload(reader)
-        with trace.span("net.frame", cat="netserve", bytes=len(payload)):
-            message = decode_payload(payload)
-        metrics.inc("net_frames_total")
-        metrics.inc("net_bytes_total", FRAME_HEADER.size + len(payload))
-        return message
+        with trace.span("net.frame", cat="netserve",
+                        bytes=FRAME_HEADER.size + len(payload)):
+            return decode_payload(payload)
 
     async def _dispatch(self, message: Tuple) -> Optional[Tuple]:
         kind = message[0]
@@ -279,12 +280,10 @@ class IngestDaemon:
         """
         if seq < self._next_seq:
             # Already ingested — a retry after a dropped ACK.
-            metrics.inc("uploads_duplicate_total")
+            trace.instant("net.duplicate", cat="netserve", seq=seq)
             return ("ack", seq, "duplicate")
         if seq >= self._next_seq + self.config.reorder_window:
-            metrics.inc("uploads_shed_total", reason="window")
-            events.emit("upload_shed", seq=seq, reason="window")
-            trace.instant("net.shed", cat="netserve", seq=seq,
+            trace.instant("upload_shed", cat="netserve", seq=seq,
                           reason="window")
             return ("retry", seq, self.config.retry_after_seconds)
         future = asyncio.get_running_loop().create_future()
@@ -306,23 +305,24 @@ class IngestDaemon:
             upload, _ = waiters[0]
             # Nothing here reads the upload: it is untrusted until
             # ``ingest`` has checked it, and a rejection names the router.
+            t0 = trace.now()
             try:
-                with trace.span("net.ingest", cat="netserve", seq=seq):
-                    stored = self.server.ingest(upload)
+                stored = self.server.ingest(upload)
             except Exception as exc:
-                metrics.inc("uploads_error_total")
-                events.emit("upload_rejected", seq=seq, error=str(exc))
+                trace.instant("upload_rejected", cat="netserve", seq=seq,
+                              error=str(exc))
                 logger.warning("upload seq %d rejected: %s", seq, exc)
                 for _, future in waiters:
                     self._resolve(future, ("error", seq, str(exc)))
                 # The seq slot stays owed: a client may resend a valid
                 # upload for it; everything behind the gap stays parked.
                 return
+            trace.add_span("net.ingest", t0, cat="netserve", seq=seq,
+                           stored=stored)
             self._next_seq = seq + 1
             status = "stored" if stored else "duplicate"
             if stored:
                 self.routers_ingested += 1
-                metrics.inc("uploads_stored_total")
             for _, future in waiters:
                 self._resolve(future, ("ack", seq, status))
                 status = "duplicate"  # only the first waiter "stored" it

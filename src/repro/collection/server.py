@@ -21,12 +21,12 @@ import logging
 
 import numpy as np
 
+from repro import trace
 from repro.core.datasets import HeartbeatLog, ThroughputSeries
 from repro.core.records import RouterInfo
 from repro.collection.batches import ColumnarRecords, RouterUpload
 from repro.collection.path import CollectionPath
 from repro.collection.storage import RecordStore
-from repro.telemetry import events, metrics
 
 logger = logging.getLogger(__name__)
 
@@ -75,8 +75,7 @@ class CollectionServer:
             # router claiming an ingested id is rejected loudly rather
             # than silently swallowed as a duplicate.
             store.check_registration(upload.info)
-            metrics.inc("uploads_duplicate_total")
-            events.emit("upload_duplicate", router=rid)
+            trace.instant("upload_duplicate", router=rid)
             logger.debug("duplicate upload for %s ignored", rid)
             return False
         sends = self._validate_upload(upload)
@@ -91,15 +90,13 @@ class CollectionServer:
             sent, accepted = len(sends), len(delivered)
             store.add_keyed("heartbeats", HeartbeatLog(rid, delivered))
             store.record_heartbeat_delivery(rid, sent, accepted)
-            metrics.inc("heartbeats_sent_total", sent)
-            metrics.inc("heartbeats_delivered_total", accepted)
-            metrics.inc("heartbeats_dropped_total", sent - accepted)
-            _count_ingested("heartbeats", accepted)
+            ingested = {"heartbeats": accepted}
             for batch in upload.batches:
                 store.add_records(batch)
-                _count_ingested(batch.dataset, len(batch))
+                ingested[batch.dataset] = \
+                    ingested.get(batch.dataset, 0) + len(batch)
             if series is not None and store.add_keyed("throughput", series):
-                _count_ingested("throughput", len(series))
+                ingested["throughput"] = len(series)
         except BaseException as exc:
             logger.warning("upload from %s failed to apply: %s", rid, exc)
             if not was_registered:
@@ -109,9 +106,10 @@ class CollectionServer:
                     logger.exception(
                         "could not roll back registration of %s", rid)
             raise
-        metrics.inc("routers_ingested_total")
-        events.emit("router_ingested", router=rid,
-                    batches=len(upload.batches))
+        trace.instant("router_ingested", router=rid,
+                      batches=len(upload.batches), sent=sent,
+                      delivered=accepted, dropped=sent - accepted,
+                      ingested=ingested)
         logger.debug("ingested router %s (%d list batches)",
                      rid, len(upload.batches))
         return True
@@ -142,11 +140,6 @@ class CollectionServer:
             _recheck(owner, batch, ColumnarRecords)
             _require_owner(rid, batch.dataset, batch.router_id)
         return sends
-
-
-def _count_ingested(dataset: str, accepted: int) -> None:
-    if accepted:
-        metrics.inc("records_ingested_total", accepted, dataset=dataset)
 
 
 def _require_owner(rid: str, dataset: str, router_id: str) -> None:

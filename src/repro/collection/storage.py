@@ -35,7 +35,7 @@ from repro.core.records import RECORD_DATASETS, RouterInfo
 from repro.simulation.timebase import StudyWindows
 from repro.collection.backends import MemoryBackend, StoreBackend
 from repro.collection.batches import ColumnarRecords
-from repro.telemetry import events, metrics
+from repro import trace
 
 logger = logging.getLogger(__name__)
 
@@ -121,8 +121,7 @@ class RecordStore:
         """Instrument one consistency rejection (caller raises)."""
         logger.warning("rejected conflicting %s re-upload from %s",
                        dataset, router_id)
-        metrics.inc("ingest_rejections_total", dataset=dataset)
-        events.emit("ingest_rejected", dataset=dataset, router=router_id)
+        trace.instant("ingest_rejected", dataset=dataset, router=router_id)
 
     def add_records(self, records: ColumnarRecords) -> None:
         """Append one batch to its record-list data set."""

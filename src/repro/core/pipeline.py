@@ -161,7 +161,6 @@ def _start_tracing(trace_dir: Union[str, Path, None],
     """Capture the spans of one study run bound for *trace_dir*."""
     if trace_dir is None:
         return None
-    Path(trace_dir).mkdir(parents=True, exist_ok=True)
     return trace.Capture(f"study-s{seed}-{int(time.time())}")
 
 
@@ -180,15 +179,26 @@ def _export_trace(capture: Optional[trace.Capture],
     return summary
 
 
-def _progress_path(telemetry_dir, trace_dir) -> Optional[Path]:
-    """Where the engine's heartbeat lands: the telemetry dir when there
-    is one (so ``repro watch`` finds progress + events together), else
-    the trace dir."""
-    from repro.telemetry.progress import PROGRESS_NAME
-    for directory in (telemetry_dir, trace_dir):
-        if directory is not None:
-            return Path(directory) / PROGRESS_NAME
-    return None
+def _collect(config: StudyConfig, plan, store: Optional[RecordStore],
+             fault_plan, progress_dir: Union[str, Path, None], **options):
+    """:func:`run_campaign` with the config's engine settings, and with a
+    ``progress.json`` heartbeat in *progress_dir* (if given) attached to
+    the trace recorder for the campaign."""
+    from repro.telemetry.progress import PROGRESS_NAME, ProgressWriter
+    watch = contextlib.nullcontext()
+    if progress_dir is not None:
+        buffer = trace.active()
+        watch = ProgressWriter(
+            Path(progress_dir) / PROGRESS_NAME, homes=len(plan),
+            workers=config.workers,
+            trace_id=buffer.trace_id if buffer else "")
+    with watch:
+        return run_campaign(
+            plan, seed=config.seed, path_config=config.path, store=store,
+            workers=config.workers, shard_size=config.shard_size,
+            max_shard_retries=config.max_shard_retries,
+            shard_timeout=config.shard_timeout, fault_plan=fault_plan,
+            checkpoint_dir=config.checkpoint_dir, **options)
 
 
 def run_study(config: Optional[StudyConfig] = None,
@@ -222,12 +232,13 @@ def run_study(config: Optional[StudyConfig] = None,
 
     *trace_dir* activates :mod:`repro.trace` for this run and writes
     ``trace.json`` (Chrome trace-event format — load it in Perfetto) and
-    ``trace_summary.json`` there; the engine also heartbeats an atomic
-    ``progress.json`` (into *telemetry_dir* when given, else
-    *trace_dir*) that ``repro watch`` tails.  Like telemetry, tracing
-    observes the campaign without steering it — ``study_digest`` stays
-    pinned.  A recorder the caller enabled stays enabled; one this call
-    enabled is disabled before it returns.
+    ``trace_summary.json`` there; with either directory the run also
+    attaches an atomic ``progress.json`` heartbeat (into *telemetry_dir*
+    when given, so ``repro watch`` finds it beside the event log, else
+    *trace_dir*).  Like telemetry, tracing observes the campaign without
+    steering it — ``study_digest`` stays pinned.  A recorder the caller
+    enabled stays enabled; one this call enabled is disabled before it
+    returns.
     """
     config = config or StudyConfig()
     session = None
@@ -243,20 +254,9 @@ def run_study(config: Optional[StudyConfig] = None,
         store = (None if config.checkpoint_dir is not None
                  else config.make_store(plan.windows))
         with store if store is not None else contextlib.nullcontext():
-            data = run_campaign(
-                plan,
-                seed=config.seed,
-                path_config=config.path,
-                store=store,
-                workers=config.workers,
-                shard_size=config.shard_size,
-                max_shard_retries=config.max_shard_retries,
-                shard_timeout=config.shard_timeout,
-                fault_plan=fault_plan,
-                checkpoint_dir=config.checkpoint_dir,
-                resume=resume,
-                progress_path=_progress_path(telemetry_dir, trace_dir),
-            )
+            data = _collect(config, plan, store, fault_plan,
+                            telemetry_dir if telemetry_dir is not None
+                            else trace_dir, resume=resume)
         summary = _export_trace(capture, trace_dir)
         if session is not None:
             session.finalize(config, data, workers=config.workers,
@@ -286,21 +286,10 @@ def run_study_streaming(config: Optional[StudyConfig] = None,
     capture = _start_tracing(trace_dir, config.seed)
     try:
         plan = build_deployment_plan(config.deployment_config())
-        store = run_campaign(
-            plan,
-            seed=config.seed,
-            path_config=config.path,
-            store=(None if config.checkpoint_dir is not None
-                   else config.make_store(plan.windows)),
-            workers=config.workers,
-            shard_size=config.shard_size,
-            max_shard_retries=config.max_shard_retries,
-            shard_timeout=config.shard_timeout,
-            fault_plan=fault_plan,
-            checkpoint_dir=config.checkpoint_dir,
-            materialize=False,
-            progress_path=_progress_path(None, trace_dir),
-        )
+        store = _collect(config, plan,
+                         None if config.checkpoint_dir is not None
+                         else config.make_store(plan.windows),
+                         fault_plan, trace_dir, materialize=False)
         # The streaming analyze passes record their spans too, so the
         # exported timeline covers collection *and* analysis.
         figures = stream_figures(StoreSource(store))

@@ -7,11 +7,11 @@ records carry an *obfuscated* device MAC and a domain that is either
 whitelisted or the ``OBFUSCATED_DOMAIN`` sentinel.
 
 A field states its rule once: its type names its kind, and a number may
-declare a :class:`Range` (``Annotated[float, NON_NEGATIVE]``); a float
-is otherwise finite, an int in ``[0, INT64_END)``.  :class:`RowCodec`
-derives from the fields the record check every :class:`Record`
-constructor runs and the column check of columnar batches and spill
-reads.  Rules between fields live in :meth:`Record.check_relations`.
+declare a :class:`Range` (``Annotated[float, NON_NEGATIVE]``, every
+timestamp ``Annotated[float, TIMESTAMP]``); a float is otherwise finite,
+an int in ``[0, INT64_END)``.  :class:`RowCodec` derives from the fields
+the record check every :class:`Record` constructor runs and the column
+check of columnar batches and spill reads.  Rules between fields live in :meth:`Record.check_relations`.
 
 :data:`RECORD_DATASETS` is the one table of the seven record-list data
 sets: each name's record class, its :class:`~repro.core.datasets.StudyData`
@@ -84,6 +84,11 @@ NON_NEGATIVE = Range(0, math.inf)
 #: A router id: non-empty ASCII letters, digits, ``-`` and ``_``.
 ROUTER_ID = re.compile(r"[A-Za-z0-9_-]+")
 
+#: Epoch seconds a record's time may take: every collected epoch lies
+#: inside, and a day count of any of them, in any time zone, fits the
+#: int64 day arithmetic of :class:`~repro.simulation.timebase.StudyCalendar`.
+TIMESTAMP = Range(0, 2 ** 32)
+
 #: UTC offsets of real time zones, UTC-12 through UTC+14: the offsets a
 #: household's :class:`~repro.simulation.timebase.StudyCalendar` takes.
 TZ_OFFSET_HOURS = Range(-12.0, math.nextafter(14.0, math.inf))
@@ -133,7 +138,7 @@ class UptimeReport(Record):
     """12-hourly report of seconds since the router last booted."""
 
     router_id: str
-    timestamp: float
+    timestamp: Annotated[float, TIMESTAMP]
     uptime_seconds: Annotated[float, NON_NEGATIVE]
 
     @property
@@ -147,7 +152,7 @@ class CapacityMeasurement(Record):
     """12-hourly ShaperProbe-style estimate of access-link capacity (Mbps)."""
 
     router_id: str
-    timestamp: float
+    timestamp: Annotated[float, TIMESTAMP]
     downstream_mbps: Annotated[float, NON_NEGATIVE]
     upstream_mbps: Annotated[float, NON_NEGATIVE]
 
@@ -157,7 +162,7 @@ class DeviceCountSample(Record):
     """Hourly census: devices on Ethernet ports and per wireless band."""
 
     router_id: str
-    timestamp: float
+    timestamp: Annotated[float, TIMESTAMP]
     wired: int
     wireless_2_4: int
     wireless_5: int
@@ -188,8 +193,8 @@ class DeviceRosterEntry(Record):
     device_mac: str
     medium: Medium
     spectrum: Optional[Spectrum]
-    first_seen: float
-    last_seen: float
+    first_seen: Annotated[float, TIMESTAMP]
+    last_seen: Annotated[float, TIMESTAMP]
     always_connected: bool
 
     def check_relations(self) -> None:
@@ -211,7 +216,7 @@ class WifiScanSample(Record):
     """
 
     router_id: str
-    timestamp: float
+    timestamp: Annotated[float, TIMESTAMP]
     spectrum: Spectrum
     neighbor_aps: int
     associated_clients: int
@@ -228,7 +233,7 @@ class FlowRecord(Record):
     """
 
     router_id: str
-    timestamp: float
+    timestamp: Annotated[float, TIMESTAMP]
     device_mac: str
     domain: str
     remote_ip: Annotated[int, Range(0, IPV4_END)]
@@ -253,7 +258,7 @@ class ThroughputSample(Record):
     """
 
     router_id: str
-    timestamp: float
+    timestamp: Annotated[float, TIMESTAMP]
     up_bps: Annotated[float, NON_NEGATIVE]
     down_bps: Annotated[float, NON_NEGATIVE]
 
@@ -263,7 +268,7 @@ class DnsRecord(Record):
     """A sampled A/CNAME response, domain whitelisted-or-obfuscated."""
 
     router_id: str
-    timestamp: float
+    timestamp: Annotated[float, TIMESTAMP]
     device_mac: str
     domain: str
     record_type: str

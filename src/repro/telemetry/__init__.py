@@ -1,13 +1,14 @@
 """repro.telemetry — the campaign observability subsystem.
 
 The original BISmark deployment lived or died by its heartbeat dashboard;
-this package is our equivalent for simulated campaigns at scale.  Five
-pieces, one activation model (mirroring :mod:`repro.trace`: process-global,
-near-free when disabled, never touching RNG state):
+this package is our equivalent for simulated campaigns at scale.  The
+campaign makes one :mod:`repro.trace` call per instrumented site; the
+first three pieces are sinks of that one recorder (near-free when nothing
+is attached, never touching RNG state):
 
-* :mod:`repro.telemetry.metrics` — counters/gauges/histograms registry,
-  recorded in the parent; worker shards report through their spans;
+* :mod:`repro.telemetry.metrics` — counters/gauges/histograms registry;
 * :mod:`repro.telemetry.events` — structured JSONL campaign event log;
+* :mod:`repro.telemetry.progress` — the ``progress.json`` heartbeat;
 * :mod:`repro.telemetry.manifest` — the run manifest that makes any
   artifact directory reproducible (config, seed, versions, git rev,
   wall time, final digest);
@@ -36,7 +37,6 @@ import time
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro import trace
 from repro.telemetry import events, metrics
 from repro.telemetry.export import (
     parse_prometheus,
@@ -83,32 +83,23 @@ __all__ = [
 
 
 class TelemetrySession:
-    """One campaign's telemetry: activates the sinks, writes the artifacts.
+    """One campaign's telemetry: attaches the sinks, writes the artifacts.
 
-    Creating a session enables the metrics registry, opens the JSONL
-    event log under *directory*, and starts a :class:`repro.trace.Capture`
-    so the campaign's spans can be promoted to stage metrics.
-    :meth:`finalize` writes everything into the artifact directory;
-    :meth:`close` deactivates the sinks this session enabled — a trace
-    recorder some caller (``--profile``, ``--trace-dir``) enabled first
-    stays on for its owner.
+    Creating a session attaches the metrics registry and the JSONL event
+    log under *directory* to the trace recorder; neither needs the span
+    buffer.  :meth:`finalize` writes everything into the artifact
+    directory; :meth:`close` detaches the sinks this session attached.
     """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._started = time.time()
         self._t0 = time.perf_counter()
         self.registry = metrics.enable()
         self.event_log = events.enable(self.directory / "events.jsonl")
-        self.capture = trace.Capture()
         self.manifest: Optional[RunManifest] = None
         self.health: Optional[HealthReport] = None
         logger.info("telemetry session started: %s", self.directory)
-
-    def wall_seconds(self) -> float:
-        """Wall-clock seconds since the session started."""
-        return time.perf_counter() - self._t0
 
     def finalize(self, config, data, workers: int = 1,
                  trace_summary=None) -> RunManifest:
@@ -123,27 +114,25 @@ class TelemetrySession:
         """
         from repro.core.datasets import study_digest
 
-        wall = self.wall_seconds()
+        wall = time.perf_counter() - self._t0
         digest = study_digest(data)
 
-        metrics.promote_spans(self.capture.spans())
-        metrics.set_gauge("campaign_routers", len(data.routers))
-        metrics.set_gauge("campaign_wall_seconds", round(wall, 6))
-        written: List[Path] = write_metric_files(
-            self.directory, metrics.snapshot())
+        self.registry.set_gauge("campaign_routers", len(data.routers))
+        self.registry.set_gauge("campaign_wall_seconds", round(wall, 6))
+        snapshot = self.registry.snapshot()
+        written: List[Path] = write_metric_files(self.directory, snapshot)
 
         self.health = build_health_report(
-            data, metrics_snapshot=metrics.snapshot(),
-            trace_summary=trace_summary)
+            data, metrics_snapshot=snapshot, trace_summary=trace_summary)
         health_json = self.directory / "health.json"
         health_json.write_text(self.health.to_json())
         health_txt = self.directory / "health.txt"
         health_txt.write_text(format_health_report(self.health) + "\n")
         written += [health_json, health_txt]
 
-        events.emit("campaign_finished", routers=len(data.routers),
-                    digest=digest, wall_seconds=round(wall, 3),
-                    dead_routers=len(self.health.dead_routers))
+        self.event_log.emit("campaign_finished", routers=len(data.routers),
+                            digest=digest, wall_seconds=round(wall, 3),
+                            dead_routers=len(self.health.dead_routers))
         self.event_log.flush()
         written.append(self.directory / "events.jsonl")
 
@@ -158,20 +147,10 @@ class TelemetrySession:
         return self.manifest
 
     def close(self) -> None:
-        """Deactivate the event log, metrics registry, and trace recorder.
-
-        Only sinks this session activated are torn down.
-        """
+        """Detach and close the event log, and detach the registry."""
         if events.active() is self.event_log:
             events.disable()
         else:  # pragma: no cover - a nested session replaced the log
             self.event_log.close()
         if metrics.active() is self.registry:
             metrics.disable()
-        self.capture.close()
-
-    def __enter__(self) -> "TelemetrySession":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -2,24 +2,23 @@
 
 Events are the narrative companion to the metrics registry: *what
 happened when* (campaign started, shard finished, router ingested, store
-spilled, ingest rejected) rather than aggregate totals.  Each event is
-one JSON object per line::
+spilled, ingest rejected) rather than aggregate totals.  The log is a
+sink of the :mod:`repro.trace` recorder: an event is an instant, and
+the log writes every instant named in :data:`KNOWN_EVENTS` as one JSON
+object per line, stamped with the instant's wall-clock time::
 
     {"ts": 1364774400.123, "event": "shard_finished", "shard": 3, ...}
 
 Design constraints, mirroring :mod:`repro.trace` / the metrics registry:
 
-* **Near-free disabled path** — :func:`emit` is one global read and one
-  comparison when no log is active; the campaign engine can emit
-  unconditionally.
-* **Determinism** — emitting an event reads the wall clock but never any
+* **Determinism** — logging an event reads the wall clock but never any
   RNG, so an event-logged run collects bitwise-identical data
   (``study_digest``-pinned in the tier-1 suite).
 * **Fork safety** — shard workers inherit the parent's open log on
   ``fork``; :class:`EventLog` remembers the PID that opened it and
   silently drops writes from any other process, so worker events can
   never interleave bytes into the parent's file.  (Worker-side activity
-  reaches the parent as drained metric snapshots instead.)
+  reaches the parent as drained spans instead.)
 * **Bounded disk** — the log rotates logrotate-style once the live
   segment passes ``max_bytes``: ``events.jsonl`` becomes
   ``events.1.jsonl``, existing numbered segments shift up, and the
@@ -30,7 +29,7 @@ Design constraints, mirroring :mod:`repro.trace` / the metrics registry:
   manager, so buffered lines reach disk even when the campaign dies on
   an exception path.
 
-Every emit is also forwarded to the ``repro.telemetry.events`` stdlib
+Every event is also forwarded to the ``repro.telemetry.events`` stdlib
 logger at DEBUG, so ``-vv`` tails the event stream without a file.
 """
 
@@ -42,7 +41,10 @@ import logging
 import os
 import time
 from pathlib import Path
-from typing import IO, List, Optional, Union
+from typing import IO, Optional, Union
+
+from repro import trace
+from repro.telemetry.metrics import REGISTRY_ARGS
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +54,8 @@ DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 #: Rotated segments kept (``events.1.jsonl`` .. ``events.N.jsonl``).
 DEFAULT_MAX_SEGMENTS = 4
 
-#: Event types the engine and collection layer emit, for reference and
-#: validation in tests (emitting an unlisted type is allowed).
+#: The instants the event log writes: the engine's and collection
+#: layer's events.
 KNOWN_EVENTS = (
     "campaign_started",
     "shard_started",
@@ -109,12 +111,23 @@ class EventLog:
         self.emitted = 0
         self.rotations = 0
 
+    def __call__(self, span: dict) -> None:
+        """Write a finished instant named in :data:`KNOWN_EVENTS`."""
+        if span["dur"] is None and span["name"] in KNOWN_EVENTS:
+            self._write(span["ts"], span["name"], {
+                name: value for name, value in span["args"].items()
+                if name not in REGISTRY_ARGS})
+
     def emit(self, event: str, **fields: object) -> None:
+        """Append one event stamped now."""
+        self._write(time.time(), event, fields)
+
+    def _write(self, ts: float, event: str, fields: dict) -> None:
         """Append one event (dropped silently in forked children)."""
         handle = self._handle
         if handle is None or os.getpid() != self._pid:
             return
-        record = {"ts": round(time.time(), 6), "event": event}
+        record = {"ts": round(ts, 6), "event": event}
         record.update(fields)
         line = json.dumps(record, default=str) + "\n"
         handle.write(line)
@@ -140,13 +153,6 @@ class EventLog:
         self._bytes = 0
         self.rotations += 1
         logger.debug("event log rotated (%d rotation(s))", self.rotations)
-
-    def segments(self) -> List[Path]:
-        """Existing log files, oldest first, live segment last."""
-        paths = [segment_path(self.path, index)
-                 for index in range(self.max_segments, 0, -1)]
-        paths.append(self.path)
-        return [p for p in paths if p.exists()]
 
     def flush(self) -> None:
         if self._handle is not None and os.getpid() == self._pid:
@@ -175,16 +181,17 @@ def _flush_active() -> None:  # pragma: no cover - exercised at exit
 
 
 def enable(path: Union[str, Path]) -> EventLog:
-    """Open *path* as the process's event log (closing any previous one).
+    """Open *path* as the process's event log and attach it to the trace
+    recorder (closing and detaching any previous one).
 
     The first call registers an ``atexit`` flush for whichever log is
     active at interpreter exit, so buffered events survive crash paths
     that skip :func:`disable`.
     """
     global _ACTIVE, _ATEXIT_REGISTERED
-    if _ACTIVE is not None:
-        _ACTIVE.close()
+    disable()
     _ACTIVE = EventLog(path)
+    trace.attach(_ACTIVE)
     if not _ATEXIT_REGISTERED:
         atexit.register(_flush_active)
         _ATEXIT_REGISTERED = True
@@ -192,10 +199,11 @@ def enable(path: Union[str, Path]) -> EventLog:
 
 
 def disable() -> Optional[EventLog]:
-    """Close and deactivate the event log; returns it (already closed)."""
+    """Detach and close the event log; returns it (already closed)."""
     global _ACTIVE
     log, _ACTIVE = _ACTIVE, None
     if log is not None:
+        trace.detach(log)
         log.close()
     return log
 
@@ -208,13 +216,6 @@ def is_enabled() -> bool:
 def active() -> Optional[EventLog]:
     """The active event log, or None when disabled."""
     return _ACTIVE
-
-
-def emit(event: str, **fields: object) -> None:
-    """Emit one event to the active log (no-op when disabled)."""
-    log = _ACTIVE
-    if log is not None:
-        log.emit(event, **fields)
 
 
 def read_events(path: Union[str, Path],

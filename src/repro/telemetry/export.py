@@ -21,44 +21,7 @@ import re
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.telemetry.metrics import MetricKey
-
-#: HELP text for the catalogued metrics (DESIGN.md §8); exporters fall
-#: back to a generic line for uncatalogued names.
-METRIC_HELP: Dict[str, str] = {
-    "records_ingested_total": "Records accepted by the collection server.",
-    "routers_ingested_total": "Router uploads ingested by the server.",
-    "routers_simulated_total": "Households simulated by shard workers.",
-    "heartbeats_sent_total": "Heartbeats routers transmitted.",
-    "heartbeats_delivered_total": "Heartbeats that survived the path.",
-    "heartbeats_dropped_total": "Heartbeats lost on the collection path.",
-    "ingest_rejections_total": "Uploads rejected by store consistency checks.",
-    "store_spills_total": "Record-store buffer spills to disk.",
-    "spilled_records_total": "Records written to spill runs.",
-    "shards_completed_total": "Engine shards that finished.",
-    "shard_seconds": "Wall-time of one shard's simulate+collect.",
-    "stage_seconds_total": "Per-stage wall seconds (derived from trace spans).",
-    "stage_calls_total": "Per-stage call counts (derived from trace spans).",
-    "campaign_routers": "Homes in the finished campaign.",
-    "campaign_wall_seconds": "Wall-clock duration of the campaign run.",
-    "shard_retries_total": "Shard attempts retried after a failure.",
-    "shard_timeouts_total": "Shards resubmitted as stragglers.",
-    "pool_rebuilds_total": "Worker-pool rebuilds after BrokenProcessPool.",
-    "checkpoints_written_total": "Campaign checkpoint manifests written.",
-    "campaign_resumes_total": "Campaigns resumed from a checkpoint.",
-    # Network ingest service (repro.collection.netserve).
-    "net_connections_total": "TCP connections the ingest daemon accepted.",
-    "net_connections_open": "Ingest daemon connections currently open.",
-    "net_frames_total": "Protocol frames the ingest daemon decoded.",
-    "net_bytes_total": "Wire bytes the ingest daemon read.",
-    "net_frame_errors_total": "Malformed frames that closed a connection.",
-    "net_midframe_disconnects_total":
-        "Connections lost in the middle of a frame.",
-    "uploads_stored_total": "Uploads durably ingested by the daemon.",
-    "uploads_duplicate_total": "Retried uploads answered as duplicates.",
-    "uploads_shed_total": "Uploads shed with a RETRY-AFTER response.",
-    "uploads_error_total": "Uploads rejected by validation or the store.",
-}
+from repro.telemetry.metrics import METRIC_HELP, MetricKey
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LINE_RE = re.compile(
@@ -99,45 +62,36 @@ def render_prometheus(snapshot: dict) -> str:
     by name then labels, so output is deterministic for a given registry
     state (golden-file friendly).
     """
-    def group(series: Dict[MetricKey, float]):
+    lines: List[str] = []
+    for kind in ("counter", "gauge", "histogram"):
+        series = snapshot.get(kind + "s", {})
         grouped: Dict[str, List[Tuple[MetricKey, object]]] = {}
         for key in sorted(series):
             grouped.setdefault(key[0], []).append((key, series[key]))
-        return grouped
-
-    lines: List[str] = []
-    for kind, series in (("counter", snapshot.get("counters", {})),
-                         ("gauge", snapshot.get("gauges", {}))):
-        for name, entries in sorted(group(series).items()):
+        for name, entries in sorted(grouped.items()):
             if not _NAME_RE.match(name):
                 raise ValueError(f"invalid metric name {name!r}")
             _header(name, kind, lines)
-            for (_, labels), value in entries:
-                lines.append(
-                    f"{name}{_format_labels(labels)} {_format_value(value)}")
-
-    histograms = snapshot.get("histograms", {})
-    grouped_hist: Dict[str, List[Tuple[MetricKey, dict]]] = {}
-    for key in sorted(histograms):
-        grouped_hist.setdefault(key[0], []).append((key, histograms[key]))
-    for name, entries in sorted(grouped_hist.items()):
-        if not _NAME_RE.match(name):
-            raise ValueError(f"invalid metric name {name!r}")
-        _header(name, "histogram", lines)
-        for (_, labels), hist in entries:
-            cumulative = 0
-            for bound, count in zip(hist["bounds"], hist["counts"]):
-                cumulative += count
+            if kind != "histogram":
+                lines.extend(
+                    f"{name}{_format_labels(labels)} {_format_value(value)}"
+                    for (_, labels), value in entries)
+                continue
+            for (_, labels), hist in entries:
+                cumulative = 0
+                for bound, count in zip(hist["bounds"], hist["counts"]):
+                    cumulative += count
+                    lines.append("{}_bucket{} {}".format(
+                        name, _format_labels(labels, (("le", _format_value(
+                            float(bound))),)), cumulative))
+                cumulative += hist["counts"][-1]
                 lines.append("{}_bucket{} {}".format(
-                    name, _format_labels(labels, (("le", _format_value(
-                        float(bound))),)), cumulative))
-            cumulative += hist["counts"][-1]
-            lines.append("{}_bucket{} {}".format(
-                name, _format_labels(labels, (("le", "+Inf"),)), cumulative))
-            lines.append("{}_sum{} {}".format(
-                name, _format_labels(labels), _format_value(hist["sum"])))
-            lines.append("{}_count{} {}".format(
-                name, _format_labels(labels), cumulative))
+                    name, _format_labels(labels, (("le", "+Inf"),)),
+                    cumulative))
+                lines.append("{}_sum{} {}".format(
+                    name, _format_labels(labels), _format_value(hist["sum"])))
+                lines.append("{}_count{} {}".format(
+                    name, _format_labels(labels), cumulative))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -2,10 +2,10 @@
 
 The BISmark operators could glance at a dashboard and know which routers
 were reporting *right now*; a long repro campaign deserves the same.
-The engine updates a :class:`ProgressWriter` after every shard ingest
-(plus campaign start and termination), and the writer atomically
-replaces ``progress.json`` (temp file + ``os.replace``) so a concurrent
-``repro watch`` never reads a torn file.
+``run_study`` attaches a :class:`ProgressWriter` to the :mod:`repro.trace`
+recorder, which updates it from the engine's instants and ``ingest``
+spans, and the writer atomically replaces ``progress.json`` (temp file +
+``os.replace``) so a concurrent ``repro watch`` never reads a torn file.
 
 The payload is deliberately small and self-contained::
 
@@ -28,6 +28,8 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
+from repro import trace
+
 logger = logging.getLogger(__name__)
 
 #: Bump when the progress payload changes incompatibly.
@@ -41,20 +43,26 @@ TERMINAL_STATUSES = ("finished", "failed")
 
 
 class ProgressWriter:
-    """Tracks campaign counters and atomically publishes them as JSON."""
+    """Tracks campaign counters and atomically publishes them as JSON.
 
-    def __init__(self, path: Union[str, Path], shards: int, homes: int,
-                 workers: int = 1, start_shard: int = 0,
+    A sink of the trace recorder: ``with ProgressWriter(...)`` attaches
+    it for the block and publishes "finished", or "failed" when the
+    block raises.
+    """
+
+    def __init__(self, path: Union[str, Path], shards: int = 0,
+                 homes: int = 0, workers: int = 1,
                  trace_id: str = "") -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.shards = shards
         self.homes = homes
         self.workers = workers
-        self.start_shard = start_shard
         self.trace_id = trace_id
         self.started = time.time()
-        self.shards_ingested = start_shard
+        #: Shards ingested before this run (a resumed campaign's).
+        self.start_shard = 0
+        self.shards_ingested = 0
         self.in_flight = 0
         self.retries = 0
         self.records_ingested = 0
@@ -62,17 +70,32 @@ class ProgressWriter:
         self.writes = 0
         self.write()
 
-    def update(self, shards_ingested: Optional[int] = None,
-               in_flight: Optional[int] = None,
-               records_delta: int = 0, retries_delta: int = 0) -> None:
-        """Fold counter changes in and publish."""
-        if shards_ingested is not None:
-            self.shards_ingested = shards_ingested
-        if in_flight is not None:
-            self.in_flight = in_flight
-        self.records_ingested += records_delta
-        self.retries += retries_delta
+    def __call__(self, span: dict) -> None:
+        """Fold in one of the engine's progress spans or instants."""
+        name, args = span["name"], span["args"]
+        if name == "campaign_started":
+            self.shards = args["shards"]
+        elif name == "campaign_resumed":
+            self.shards = args["shards"]
+            self.start_shard = self.shards_ingested = args["shards_ingested"]
+        elif name == "shard_retry":
+            self.retries += 1
+        elif (name == "ingest" and span["cat"] == "engine"
+              and not args.get("failed")):
+            self.shards_ingested += 1
+            self.in_flight = args["in_flight"]
+            self.records_ingested += args["records"]
+        else:
+            return
         self.write()
+
+    def __enter__(self) -> "ProgressWriter":
+        trace.attach(self)
+        return self
+
+    def __exit__(self, exc_type: object, *exc: object) -> None:
+        trace.detach(self)
+        self.finish("finished" if exc_type is None else "failed")
 
     def finish(self, status: str = "finished") -> None:
         """Publish the terminal payload."""

@@ -1,27 +1,24 @@
-"""Span-based tracing: the one timing instrument for a running campaign.
+"""Span-based tracing: the one instrument of a running campaign.
 
-Every timed region — worker materialize / collect and their dotted
-sub-stages, parent ingest, streaming-analytics passes — is a span, and
-every timing view is derived from the same span buffer:
+Every instrumented site makes one call: :func:`span` around a timed
+region (worker materialize / collect and their dotted sub-stages, parent
+ingest, streaming-analytics passes) or :func:`instant` for a point event
+(a shard retried, an upload shed).  The recorder hands each finished
+span and instant to the sinks attached to it (:func:`attach`):
 
-* ``--profile`` / ``--profile-json`` reduce it to per-name seconds and
-  calls (:func:`stage_totals`, :func:`format_profile`);
-* telemetry promotes the same totals to ``stage_seconds_total`` /
-  ``stage_calls_total``;
-* ``--trace-dir`` exports the timeline itself — *when* anything
-  happened, which worker ran which shard, how long the parent sat
-  head-waiting on a straggler, where the retry budget's seconds went.
+* the span buffer (:class:`TraceRecorder`), only while :func:`enable` or
+  a :class:`Capture` is tracing — ``--profile`` reduces it to per-name
+  seconds and calls (:func:`stage_totals`), ``--trace-dir`` exports the
+  timeline: which worker ran which shard, how long the parent sat
+  head-waiting on a straggler, where the retry budget's seconds went;
+* :mod:`repro.telemetry`'s metrics registry, event log and
+  ``progress.json`` heartbeat.
 
-Who records what:
-
-* **workers** record materialize / collect / per-collector sub-spans
-  tagged with their shard and attempt, buffered process-locally and
-  drained to the parent with each shard's uploads — a worker's only
-  report, from which the parent also derives the shard metrics (so
-  tracing can never reorder ingest or touch an RNG — ``study_digest``
-  is pinned identical with tracing on);
-* **the parent** records submit → head-wait → ingest → checkpoint spans,
-  retry backoffs, pool rebuilds, and streaming-analytics passes.
+Workers buffer their materialize / collect spans, tagged with shard and
+attempt, and drain them to the parent with each shard's uploads; the
+parent hands them to its sinks as it merges them (:func:`merge`), so
+tracing can never reorder ingest or touch an RNG (``study_digest`` is
+pinned identical with tracing on).
 
 The buffer exports as Chrome trace-event JSON — ``chrome://tracing`` or
 https://ui.perfetto.dev load it directly, one track per worker process —
@@ -30,11 +27,11 @@ utilization, per-shard ingest-stall and retry-charged time) that the
 health report surfaces as its "Timeline" section and ``repro trace
 report`` renders from a saved trace.
 
-Activation: one process-global recorder, one global read + one
-comparison when disabled (the tier-1 suite asserts <2% on an
-instrumented loop), plain picklable buffers, no RNG access.  Whoever
-enables the recorder disables it: :class:`Capture` enables it only when
-it is off, tears down only what it enabled, and hands back just the
+Activation: one process-global tuple of sinks, one global read + one
+comparison when nothing is attached (the tier-1 suite asserts <2% on an
+instrumented loop), plain picklable span dicts, no RNG access.  Whoever
+attaches a sink detaches it: :class:`Capture` enables the buffer only
+when it is off, tears down only what it enabled, and hands back just the
 spans recorded inside its block.
 
 Usage::
@@ -52,19 +49,13 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
-
-#: Span categories the engine wires up.  ``"shard"`` spans are worker-side
-#: work (materialize / collect and their dotted sub-spans), ``"engine"``
-#: spans are the parent's orchestration (head_wait / ingest / checkpoint /
-#: retry.backoff / pool.rebuild / submit), ``"analyze"`` the per-data-set
-#: figure passes, and ``"fault"`` instants mark injected failures.
-CATEGORIES = ("shard", "engine", "analyze", "fault", "campaign")
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 #: Span names the firmware + engine wire up, in profile order.  The
 #: collector pass is one top-level "collect" span with per-collector
@@ -77,15 +68,17 @@ ENGINE_STAGES = ("materialize", "collect", "collect.heartbeat",
 #: Schema version stamped into exported trace files.
 TRACE_SCHEMA = 1
 
+#: What a sink is: a callable handed each finished span or instant dict.
+Sink = Callable[[dict], None]
 
-def now() -> float:
-    """The trace clock (epoch seconds; wall clock, shared across
-    processes on one machine so worker and parent spans align)."""
-    return time.time()
+
+#: The trace clock (epoch seconds; wall clock, shared across processes
+#: on one machine so worker and parent spans align).
+now = time.time
 
 
 class TraceRecorder:
-    """Buffers finished spans for one process.
+    """The span buffer: keeps every span handed to it, for one process.
 
     A span is a plain dict — picklable, mergeable — with ``name``,
     ``cat``, ``ts`` (epoch seconds), ``dur`` (seconds; ``None`` for
@@ -99,60 +92,42 @@ class TraceRecorder:
         self.trace_id = trace_id
         self.spans: List[dict] = []
 
-    def add(self, name: str, start: float, end: Optional[float] = None,
-            cat: str = "campaign", **args: object) -> None:
-        """Record one finished span ([start, end] on the trace clock);
-        ``end=None`` records an instant event."""
-        self.spans.append({
-            "name": name,
-            "cat": cat,
-            "ts": start,
-            "dur": None if end is None else max(0.0, end - start),
-            "pid": os.getpid(),
-            "args": args,
-        })
+    def __call__(self, record: dict) -> None:
+        self.spans.append(record)
 
     def drain(self) -> dict:
         """Picklable snapshot of the buffer; the buffer is cleared."""
         spans, self.spans = self.spans, []
         return {"trace_id": self.trace_id, "spans": spans}
 
-    def merge(self, snapshot: dict) -> None:
-        """Fold a drained worker snapshot into this buffer."""
-        self.spans.extend(snapshot.get("spans", ()))
-
-    def clear(self) -> None:
-        """Forget everything buffered (the recorder stays usable)."""
-        self.spans.clear()
-
     def __len__(self) -> int:
         return len(self.spans)
 
 
-class _NullSpan:
-    """The shared do-nothing context manager handed out while disabled."""
+def _record(name: str, cat: str, start: float, end: Optional[float],
+            args: dict) -> dict:
+    return {"name": name, "cat": cat, "ts": start,
+            "dur": None if end is None else max(0.0, end - start),
+            "pid": os.getpid(), "args": args}
 
-    __slots__ = ()
 
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
+def _publish(sinks: Tuple[Sink, ...], record: dict) -> None:
+    for sink in sinks:
+        sink(record)
 
 
 class _Span:
-    """One live span; records into the recorder active at entry.
+    """One live span; handed at exit to the sinks attached at entry.
 
     The span is recorded even when the body raises — a failed attempt's
     time is exactly what retry attribution needs to see.
     """
 
-    __slots__ = ("_recorder", "_name", "_cat", "_args", "_t0")
+    __slots__ = ("_sinks", "_name", "_cat", "_args", "_t0")
 
-    def __init__(self, recorder: TraceRecorder, name: str, cat: str,
+    def __init__(self, sinks: Tuple[Sink, ...], name: str, cat: str,
                  args: dict) -> None:
-        self._recorder = recorder
+        self._sinks = sinks
         self._name = name
         self._cat = cat
         self._args = args
@@ -165,48 +140,83 @@ class _Span:
         args = self._args
         if exc_type is not None:
             args = dict(args, failed=True)
-        self._recorder.add(self._name, self._t0, now(), cat=self._cat,
-                           **args)
+        _publish(self._sinks, _record(self._name, self._cat, self._t0,
+                                      now(), args))
         return False
 
 
-_NULL_SPAN = _NullSpan()
-_ACTIVE: Optional[TraceRecorder] = None
+#: The shared do-nothing context manager handed out while disabled.
+_NULL_SPAN = contextlib.nullcontext()
+#: Every attached sink, or None while nothing is attached: the one
+#: global a disabled span or instant reads.
+_SINKS: Optional[Tuple[Sink, ...]] = None
+#: The span buffer, while tracing is enabled.
+_BUFFER: Optional[TraceRecorder] = None
+
+
+def attach(sink: Sink) -> None:
+    """Hand every span and instant finished from now on to *sink*."""
+    global _SINKS
+    if sink not in (_SINKS or ()):
+        _SINKS = (_SINKS or ()) + (sink,)
+
+
+def detach(sink: Sink) -> None:
+    """Stop handing spans to *sink* (a sink not attached is ignored)."""
+    global _SINKS
+    _SINKS = tuple(s for s in _SINKS or () if s is not sink) or None
+
+
+def has_sinks() -> bool:
+    """True while any sink is attached, the span buffer or another."""
+    return _SINKS is not None
 
 
 def enable(trace_id: str = "") -> TraceRecorder:
-    """Activate tracing (idempotent); returns the active recorder."""
-    global _ACTIVE
-    if _ACTIVE is None:
-        _ACTIVE = TraceRecorder(trace_id)
+    """Attach the span buffer (idempotent); returns it."""
+    global _BUFFER
+    if _BUFFER is None:
+        _BUFFER = TraceRecorder(trace_id)
+        attach(_BUFFER)
     elif trace_id:
-        _ACTIVE.trace_id = trace_id
-    return _ACTIVE
+        _BUFFER.trace_id = trace_id
+    return _BUFFER
 
 
 def disable() -> Optional[TraceRecorder]:
-    """Deactivate tracing; returns the recorder that was active."""
-    global _ACTIVE
-    recorder, _ACTIVE = _ACTIVE, None
+    """Detach the span buffer; returns it.  Other sinks stay attached."""
+    global _BUFFER
+    recorder, _BUFFER = _BUFFER, None
+    if recorder is not None:
+        detach(recorder)
     return recorder
 
 
+def restart() -> TraceRecorder:
+    """Detach every sink, then attach a fresh span buffer alone: a forked
+    shard worker ships its spans (:func:`drain`) instead of handing them
+    to its parent's sinks, which the parent does once (:func:`merge`)."""
+    global _SINKS, _BUFFER
+    _SINKS = _BUFFER = None
+    return enable()
+
+
 def is_enabled() -> bool:
-    """True while a recorder is active in this process."""
-    return _ACTIVE is not None
+    """True while the span buffer is attached in this process."""
+    return _BUFFER is not None
 
 
 def active() -> Optional[TraceRecorder]:
-    """The active recorder, or None when tracing is disabled."""
-    return _ACTIVE
+    """The span buffer, or None when tracing is disabled."""
+    return _BUFFER
 
 
 def span(name: str, cat: str = "campaign", **args: object):
-    """Context manager recording one span; free when tracing is off."""
-    recorder = _ACTIVE
-    if recorder is None:
+    """Context manager recording one span; free when nothing is attached."""
+    sinks = _SINKS
+    if sinks is None:
         return _NULL_SPAN
-    return _Span(recorder, name, cat, args)
+    return _Span(sinks, name, cat, args)
 
 
 def add_span(name: str, start: float, end: Optional[float] = None,
@@ -217,32 +227,33 @@ def add_span(name: str, start: float, end: Optional[float] = None,
     engine's head wait records ``failed=True, reason=...`` only after
     the future's result is known.
     """
-    recorder = _ACTIVE
-    if recorder is not None:
-        recorder.add(name, start, now() if end is None else end,
-                     cat=cat, **args)
+    sinks = _SINKS
+    if sinks is not None:
+        _publish(sinks, _record(name, cat, start,
+                                now() if end is None else end, args))
 
 
 def instant(name: str, cat: str = "campaign", **args: object) -> None:
     """Record an instant event (a point on the timeline, no duration)."""
-    recorder = _ACTIVE
-    if recorder is not None:
-        recorder.add(name, now(), None, cat=cat, **args)
+    sinks = _SINKS
+    if sinks is not None:
+        _publish(sinks, _record(name, cat, now(), None, args))
 
 
 def drain() -> dict:
-    """Snapshot and clear the active recorder (per-shard shipping)."""
-    recorder = _ACTIVE
+    """Snapshot and clear the span buffer (per-shard shipping)."""
+    recorder = _BUFFER
     if recorder is None:
         return {"trace_id": "", "spans": []}
     return recorder.drain()
 
 
 def merge(snapshot: dict) -> None:
-    """Fold a worker snapshot into the active recorder (no-op when off)."""
-    recorder = _ACTIVE
-    if recorder is not None:
-        recorder.merge(snapshot)
+    """Hand a worker's drained spans to every attached sink."""
+    sinks = _SINKS
+    if sinks is not None:
+        for record in snapshot.get("spans", ()):
+            _publish(sinks, record)
 
 
 class Capture:
@@ -251,14 +262,14 @@ class Capture:
     Enables the recorder if it is off — and disables it again on
     :meth:`close` — but leaves a recorder some caller enabled running,
     and only marks where this block's spans begin in its buffer.  Nested
-    captures (the CLI's ``--profile`` around ``run_study``'s trace export
-    and telemetry session) therefore all read one set of spans.
+    captures (the CLI's ``--profile`` around ``run_study``'s trace
+    export) therefore all read one set of spans.
     """
 
     __slots__ = ("recorder", "_mark", "_owner")
 
     def __init__(self, trace_id: str = "") -> None:
-        self._owner = _ACTIVE is None
+        self._owner = _BUFFER is None
         self.recorder = enable(trace_id)
         self._mark = len(self.recorder)
 
@@ -268,7 +279,7 @@ class Capture:
 
     def close(self) -> None:
         """Disable the recorder iff this capture enabled it."""
-        if self._owner and _ACTIVE is self.recorder:
+        if self._owner and _BUFFER is self.recorder:
             disable()
 
     def __enter__(self) -> "Capture":
@@ -366,6 +377,15 @@ def write_chrome_trace(path: Union[str, Path], spans: List[dict],
     return path
 
 
+def _loaded(begin: dict, end: Optional[dict], tid: int) -> dict:
+    """The span dict of a B/E pair (an instant when *end* is None)."""
+    return {"name": begin["name"], "cat": begin.get("cat", "campaign"),
+            "ts": float(begin["ts"]) / 1e6,
+            "dur": None if end is None
+            else (float(end["ts"]) - float(begin["ts"])) / 1e6,
+            "pid": tid, "args": begin.get("args", {})}
+
+
 def load_chrome_trace(path: Union[str, Path]) -> Tuple[List[dict], str]:
     """Rebuild span dicts from an exported Chrome trace file.
 
@@ -396,23 +416,9 @@ def load_chrome_trace(path: Union[str, Path]) -> Tuple[List[dict], str]:
                 raise ValueError(
                     f"mismatched B/E pair on track {tid}: "
                     f"{begin['name']!r} closed by {event['name']!r}")
-            spans.append({
-                "name": begin["name"],
-                "cat": begin.get("cat", "campaign"),
-                "ts": float(begin["ts"]) / 1e6,
-                "dur": (float(event["ts"]) - float(begin["ts"])) / 1e6,
-                "pid": tid,
-                "args": begin.get("args", {}),
-            })
+            spans.append(_loaded(begin, event, tid))
         elif phase == "i":
-            spans.append({
-                "name": event["name"],
-                "cat": event.get("cat", "campaign"),
-                "ts": float(event["ts"]) / 1e6,
-                "dur": None,
-                "pid": tid,
-                "args": event.get("args", {}),
-            })
+            spans.append(_loaded(event, None, tid))
     leftovers = {tid: stack for tid, stack in stacks.items() if stack}
     if leftovers:
         raise ValueError(f"unclosed B events on tracks {sorted(leftovers)}")
@@ -426,8 +432,8 @@ def stage_totals(spans: List[dict]) -> Dict[str, Dict[str, float]]:
     """Per-span-name totals: ``{"seconds": {name: s}, "calls": {name: n}}``.
 
     Instants carry no duration and are skipped.  This is the
-    ``--profile-json`` payload and the source of the
-    ``stage_seconds_total`` / ``stage_calls_total`` metrics.
+    ``--profile-json`` payload; the metrics registry keeps the same sums
+    as ``stage_seconds_total`` / ``stage_calls_total``.
     """
     seconds: Dict[str, float] = {}
     calls: Dict[str, int] = {}
@@ -526,32 +532,27 @@ class TraceSummary:
     shards: Dict[int, ShardTimeline] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "span_count": self.span_count,
-            "tracks": self.tracks,
-            "track_busy": {k: round(v, 6)
-                           for k, v in self.track_busy.items()},
-            "worker_utilization": round(self.worker_utilization, 4),
-            "stage_seconds": {k: round(v, 6)
-                              for k, v in self.stage_seconds.items()},
-            "critical_path": [[name, round(secs, 6)]
-                              for name, secs in self.critical_path],
-            "critical_path_seconds": round(self.critical_path_seconds, 6),
-            "ingest_stall_seconds": round(self.ingest_stall_seconds, 6),
-            "retry_charged_seconds": round(self.retry_charged_seconds, 6),
-            "shards": {
-                str(sid): {
-                    "attempts": tl.attempts,
-                    "run_seconds": round(tl.run_seconds, 6),
-                    "head_wait_seconds": round(tl.head_wait_seconds, 6),
-                    "ingest_seconds": round(tl.ingest_seconds, 6),
-                    "retry_seconds": round(tl.retry_seconds, 6),
-                }
-                for sid, tl in sorted(self.shards.items())
-            },
-        }
+        """The fields as JSON values, seconds rounded to the µs."""
+        payload = {name: _rounded(value)
+                   for name, value in vars(self).items()}
+        payload["worker_utilization"] = round(self.worker_utilization, 4)
+        payload["shards"] = {
+            str(sid): {name: _rounded(value)
+                       for name, value in vars(timeline).items()
+                       if name != "shard"}
+            for sid, timeline in sorted(self.shards.items())}
+        return payload
+
+
+def _rounded(value: Any) -> Any:
+    """*value* with every float rounded to 6 places, tuples as lists."""
+    if isinstance(value, float):
+        return round(value, 6)
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
 
 
 def _is_top_level(record: dict) -> bool:
@@ -783,14 +784,18 @@ def render_trace_summary(summary: TraceSummary) -> str:
 
 __all__ = [
     "TRACE_SCHEMA",
-    "CATEGORIES",
     "ENGINE_STAGES",
     "TraceRecorder",
     "Capture",
     "TraceSummary",
     "ShardTimeline",
+    "Sink",
+    "attach",
+    "detach",
+    "has_sinks",
     "enable",
     "disable",
+    "restart",
     "is_enabled",
     "active",
     "span",

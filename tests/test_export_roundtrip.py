@@ -275,3 +275,18 @@ class TestArchiveRowChecks:
         with pytest.raises(ValueError, match=re.escape(
                 f"{file} line {line}, router {row[0]!r}: ")):
             load_study(root)
+
+    def test_unparsable_router_cell_names_its_field(self, campaign,
+                                                    tmp_path):
+        """routers.csv is read through its RowCodec like every data
+        file, so a cell that does not parse names file, line and
+        field."""
+        data, _ = campaign
+        root = export_study(data, tmp_path / "archive")
+        lines = (root / "routers.csv").read_text().splitlines()
+        router, country, _, *rest = lines[1].split(",")
+        lines[1] = ",".join([router, country, "x", *rest])
+        (root / "routers.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"routers.csv line 2, router {router!r}: developed: ")):
+            load_study(root)

@@ -908,6 +908,25 @@ class TestDaemon:
         assert status == "stored"
         assert daemon.routers_ingested == 1
 
+    def test_undecodable_frame_gets_error_response(self):
+        """A frame that does not decode is answered before the daemon
+        closes the connection, so a client learns why on its first
+        round trip instead of resending the same bytes."""
+        garbage = b"\x00not a pickle"
+
+        async def scenario(daemon, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(FRAME_HEADER.pack(len(garbage)) + garbage)
+            await writer.drain()
+            reply = decode_payload(await read_payload(reader))
+            writer.close()
+            await writer.wait_closed()
+            return reply
+
+        daemon, reply = run_daemon(scenario)
+        assert reply[:2] == ("error", -1)
+        assert daemon.routers_ingested == 0
+
     def test_wait_complete_before_start_raises(self):
         daemon = make_daemon()
         with pytest.raises(RuntimeError, match="not started"):

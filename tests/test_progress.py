@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import trace
 from repro.cli import main
 from repro.telemetry.progress import (
     PROGRESS_NAME,
@@ -12,6 +13,18 @@ from repro.telemetry.progress import (
     render_progress,
     tail_events,
 )
+
+
+def _ingest(writer, records=0, in_flight=0):
+    """Hand *writer* one engine ingest span, as the recorder does."""
+    writer({"name": "ingest", "cat": "engine", "ts": 0.0, "dur": 0.1,
+            "pid": 1, "args": {"shard": 0, "routers": 1, "records": records,
+                               "in_flight": in_flight}})
+
+
+def _instant(name, **args):
+    return {"name": name, "cat": "campaign", "ts": 0.0, "dur": None,
+            "pid": 1, "args": args}
 
 
 class TestProgressWriter:
@@ -31,8 +44,9 @@ class TestProgressWriter:
     def test_update_folds_counters(self, tmp_path):
         path = tmp_path / PROGRESS_NAME
         writer = ProgressWriter(path, shards=4, homes=100)
-        writer.update(shards_ingested=2, in_flight=1, records_delta=500)
-        writer.update(records_delta=250, retries_delta=1)
+        _ingest(writer, records=500, in_flight=1)
+        _ingest(writer, records=250, in_flight=1)
+        writer(_instant("shard_retry", shard=2, attempt=0, reason="x"))
         payload = json.loads(path.read_text())
         assert payload["shards"]["ingested"] == 2
         assert payload["shards"]["retries"] == 1
@@ -42,12 +56,33 @@ class TestProgressWriter:
     def test_finish_writes_terminal_status(self, tmp_path):
         path = tmp_path / PROGRESS_NAME
         writer = ProgressWriter(path, shards=4, homes=100)
-        writer.update(shards_ingested=4, in_flight=2)
+        for _ in range(4):
+            _ingest(writer, in_flight=2)
         writer.finish()
         payload = json.loads(path.read_text())
         assert payload["status"] == "finished"
         assert payload["shards"]["in_flight"] == 0
         assert payload["eta_seconds"] is None
+
+    def test_follows_the_recorder_for_a_block(self, tmp_path):
+        path = tmp_path / PROGRESS_NAME
+        with ProgressWriter(path, homes=10):
+            trace.instant("campaign_started", homes=10, shards=2,
+                          workers=1, seed=0)
+            with trace.span("ingest", cat="engine", shard=0, routers=5,
+                            records=7, in_flight=1):
+                pass
+            trace.instant("shard_retry", shard=1, attempt=0, reason="x")
+        assert not trace.has_sinks()
+        payload = read_progress(path)
+        assert payload["status"] == "finished"
+        assert payload["shards"] == {"total": 2, "ingested": 1,
+                                     "in_flight": 0, "retries": 1}
+        assert payload["records_ingested"] == 7
+        with pytest.raises(RuntimeError):
+            with ProgressWriter(path):
+                raise RuntimeError("boom")
+        assert read_progress(path)["status"] == "failed"
 
     def test_failed_status(self, tmp_path):
         writer = ProgressWriter(tmp_path / PROGRESS_NAME, shards=4,
@@ -56,8 +91,8 @@ class TestProgressWriter:
         assert json.loads(writer.path.read_text())["status"] == "failed"
 
     def test_resumed_campaign_rates_exclude_prior_shards(self, tmp_path):
-        writer = ProgressWriter(tmp_path / PROGRESS_NAME, shards=8,
-                                homes=100, start_shard=4)
+        writer = ProgressWriter(tmp_path / PROGRESS_NAME, homes=100)
+        writer(_instant("campaign_resumed", shards_ingested=4, shards=8))
         payload = writer.payload()
         assert payload["shards"]["ingested"] == 4
         assert payload["eta_seconds"] is None  # no progress *this* run yet
@@ -72,7 +107,8 @@ class TestReadAndRender:
     def test_render_progress_frame(self, tmp_path):
         writer = ProgressWriter(tmp_path / PROGRESS_NAME, shards=4,
                                 homes=100, trace_id="t-9")
-        writer.update(shards_ingested=2, records_delta=1000)
+        _ingest(writer, records=1000)
+        _ingest(writer)
         frame = render_progress(read_progress(tmp_path))
         assert "t-9" in frame
         assert "2/4" in frame and "50%" in frame
@@ -109,7 +145,7 @@ class TestWatchCli:
     def test_once_renders_frame(self, tmp_path, capsys):
         writer = ProgressWriter(tmp_path / PROGRESS_NAME, shards=4,
                                 homes=100)
-        writer.update(shards_ingested=1)
+        _ingest(writer)
         assert main(["watch", str(tmp_path), "--once"]) == 0
         out = capsys.readouterr().out
         assert "1/4" in out
@@ -130,7 +166,8 @@ class TestWatchCli:
     def test_follows_to_terminal_status(self, tmp_path, capsys):
         writer = ProgressWriter(tmp_path / PROGRESS_NAME, shards=2,
                                 homes=10)
-        writer.update(shards_ingested=2)
+        _ingest(writer)
+        _ingest(writer)
         writer.finish()
         # Not --once: the loop sees the terminal status and returns.
         assert main(["watch", str(tmp_path), "--interval", "0.01"]) == 0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.collection.batches import ColumnarRecords
 from repro.core.datasets import (
     HeartbeatLog,
     StudyData,
@@ -48,6 +49,21 @@ class TestRecordValidation:
         sample = DeviceCountSample("r", T0, 1, 2, 3)
         assert sample.wireless == 5
         assert sample.total == 6
+
+    @pytest.mark.parametrize("timestamp", [1e300, -1.0])
+    def test_timestamp_outside_its_range_refused(self, timestamp):
+        """Every record time lies in ``TIMESTAMP``, so a day count of it
+        fits the calendars' int64 arithmetic."""
+        with pytest.raises(ValueError, match="timestamp"):
+            DeviceCountSample("r", timestamp, 1, 1, 0)
+        for column in ([T0, timestamp], np.array([T0, timestamp])):
+            with pytest.raises(ValueError, match="timestamp"):
+                ColumnarRecords("device_counts", "r", {
+                    "timestamp": column, "wired": [1, 1],
+                    "wireless_2_4": [1, 1], "wireless_5": [0, 0]})
+        with pytest.raises(ValueError, match="first_seen"):
+            DeviceRosterEntry("r", "00:11:22:33:44:55", Medium.WIRED, None,
+                              timestamp, T0, False)
 
     def test_roster_entry(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ accepted.
 """
 
 import itertools
+import math
 import re
 import tempfile
 from operator import attrgetter
@@ -25,6 +26,7 @@ from repro.core.datasets import home_columns
 from repro.core.records import (
     RECORD_DATASETS,
     SPECTRUM_BY_CODE,
+    TIMESTAMP,
     CapacityMeasurement,
     DeviceCountSample,
     DeviceRosterEntry,
@@ -44,9 +46,11 @@ TEXT = st.text(alphabet=st.sampled_from(
     ["a", "b", "\x00", "\ud800", "\udc00", "\ud83d", "\ude00", "é", "中"]),
     max_size=3)
 ROUTERS = st.one_of(st.sampled_from(["US001", "US002", "IN000"]), TEXT)
-FLOATS = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1e308, -1e308]),
-    st.floats(allow_nan=False, allow_infinity=False))
+#: Record times: the declared range, its edges included.
+LAST_TIMESTAMP = math.nextafter(TIMESTAMP.high, 0)
+TIMESTAMPS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, LAST_TIMESTAMP]),
+    st.floats(min_value=0.0, max_value=LAST_TIMESTAMP))
 NON_NEGATIVE = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
@@ -61,28 +65,30 @@ def rosters(draw, router):
     medium = draw(st.sampled_from(Medium))
     spectrum = None if medium is Medium.WIRED else draw(
         st.sampled_from([None, *Spectrum]))
-    first, last = sorted((draw(FLOATS), draw(FLOATS)))
+    first, last = sorted((draw(TIMESTAMPS), draw(TIMESTAMPS)))
     return DeviceRosterEntry(draw(router), draw(MACS), medium, spectrum,
                              first, last, draw(st.booleans()))
 
 
 RECORDS = {
     "uptime": lambda router: st.builds(
-        UptimeReport, router, FLOATS, NON_NEGATIVE),
+        UptimeReport, router, TIMESTAMPS, NON_NEGATIVE),
     "capacity": lambda router: st.builds(
-        CapacityMeasurement, router, FLOATS, NON_NEGATIVE, NON_NEGATIVE),
+        CapacityMeasurement, router, TIMESTAMPS, NON_NEGATIVE,
+        NON_NEGATIVE),
     "device_counts": lambda router: st.builds(
-        DeviceCountSample, router, FLOATS, COUNTS, COUNTS, COUNTS),
+        DeviceCountSample, router, TIMESTAMPS, COUNTS, COUNTS, COUNTS),
     "roster": rosters,
     "wifi_scans": lambda router: st.builds(
-        WifiScanSample, router, FLOATS, st.sampled_from(Spectrum),
+        WifiScanSample, router, TIMESTAMPS, st.sampled_from(Spectrum),
         COUNTS, COUNTS, COUNTS),
     "flows": lambda router: st.builds(
-        FlowRecord, router, FLOATS, TEXT, TEXT, IPV4,
+        FlowRecord, router, TIMESTAMPS, TEXT, TEXT, IPV4,
         st.integers(0, 65535), TEXT, NON_NEGATIVE, NON_NEGATIVE,
         NON_NEGATIVE),
     "dns": lambda router: st.builds(
-        DnsRecord, router, FLOATS, TEXT, TEXT, st.sampled_from(["A", "CNAME"]),
+        DnsRecord, router, TIMESTAMPS, TEXT, TEXT,
+        st.sampled_from(["A", "CNAME"]),
         st.one_of(st.none(), IPV4)),
 }
 

@@ -7,8 +7,11 @@ import math
 import pytest
 
 from repro import StudyConfig, run_study, trace
-from repro.collection.engine import shard_count
+from repro.collection.engine import run_shard, shard_count
 from repro.collection.faults import FaultPlan, FaultSpec
+from repro.collection.loadgen import LoadConfig, run_load_over_loopback
+from repro.collection.netserve import ServeConfig
+from repro.simulation.deployment import build_deployment_plan
 from repro.telemetry import (
     ManifestError,
     build_manifest,
@@ -31,9 +34,17 @@ def _clean_sinks():
     """Every test starts and ends with telemetry deactivated."""
     metrics.disable()
     events.disable()
+    trace.disable()
     yield
     metrics.disable()
     events.disable()
+    trace.disable()
+
+
+def _span(name, dur, cat="campaign", **args):
+    """One finished span (an instant when *dur* is None)."""
+    return {"name": name, "cat": cat, "ts": 0.0, "dur": dur, "pid": 1,
+            "args": args}
 
 
 class TestMetricsRegistry:
@@ -96,59 +107,68 @@ class TestMetricsRegistry:
 
     def test_module_helpers_noop_when_disabled(self):
         assert not metrics.is_enabled()
-        metrics.inc("x")
-        metrics.set_gauge("g", 1)
-        metrics.observe("h", 1.0)
+        trace.instant("shard_retry", shard=0, attempt=0, reason="x")
+        with trace.span("ingest", cat="engine", shard=0, routers=1):
+            pass
         assert metrics.snapshot() == {"counters": {}, "gauges": {},
                                       "histograms": {}}
+        assert not trace.has_sinks()
 
     def test_module_helpers_record_when_enabled(self):
         reg = metrics.enable()
         assert metrics.enable() is reg  # idempotent
-        metrics.inc("x", 2)
+        for _ in range(2):
+            trace.instant("shard_retry", shard=0, attempt=0,
+                          reason="x")
         snap = metrics.snapshot()
-        assert snap["counters"][("x", ())] == 2
+        assert snap["counters"][("shard_retries_total", ())] == 2
         reg.clear()
         assert reg.counters == {}
         assert metrics.disable() is reg
         assert metrics.active() is None
+        assert not trace.has_sinks()
 
-    def test_promote_spans_derives_stage_counters(self):
-        metrics.enable()
-        recorder = trace.TraceRecorder()
-        recorder.add("collect.heartbeat", 0.0, 1.0, cat="shard")
-        recorder.add("collect.heartbeat", 2.0, 2.5, cat="shard")
-        recorder.add("fault_injected", 1.0, None, cat="fault")  # instant
-        metrics.promote_spans(recorder.spans)
-        counters = metrics.snapshot()["counters"]
+    def test_spans_reduce_to_stage_counters(self):
+        reg = MetricsRegistry()
+        for span in (_span("collect.heartbeat", 1.0, "shard"),
+                     # A failed span is still timed.
+                     _span("collect.heartbeat", 0.5, "shard", failed=True),
+                     _span("fault_injected", None, "fault")):  # instant
+            reg(span)
+        counters = reg.counters
         stage = (("stage", "collect.heartbeat"),)
         assert counters[("stage_seconds_total", stage)] == 1.5
         assert counters[("stage_calls_total", stage)] == 2
         assert ("stage_calls_total", (("stage", "fault_injected"),)) \
             not in counters
 
-    def test_promote_spans_derives_shard_metrics(self):
-        """One shard per ingest span; shard_seconds sums the top-level
-        shard spans of the shard's last attempt only."""
-        metrics.enable()
-        recorder = trace.TraceRecorder()
+    def test_spans_reduce_to_shard_metrics(self):
+        """One shard per ingest span that did not fail; shard_seconds
+        sums the top-level shard spans of the shard's last attempt
+        only."""
+        reg = MetricsRegistry()
+        spans = []
         for attempt, dur in ((0, 4.0), (1, 0.5)):  # attempt 0 failed
-            recorder.add("materialize", 0.0, dur / 2, cat="shard", shard=0,
-                         attempt=attempt)
-            recorder.add("collect", 0.0, dur / 2, cat="shard", shard=0,
-                         attempt=attempt)
-            recorder.add("collect.heartbeat", 0.0, 9.0, cat="shard",
-                         shard=0, attempt=attempt)
-        recorder.add("ingest", 0.0, 1.0, cat="engine", shard=0, routers=3)
-        recorder.add("materialize", 0.0, 0.2, cat="shard", shard=1)
-        recorder.add("ingest", 0.0, 1.0, cat="engine", shard=1, routers=2)
-        metrics.promote_spans(recorder.spans)
-        snap = metrics.snapshot()
+            spans += [_span(name, seconds, "shard", shard=0,
+                            attempt=attempt)
+                      for name, seconds in (("materialize", dur / 2),
+                                            ("collect", dur / 2),
+                                            ("collect.heartbeat", 9.0))]
+        spans += [_span("ingest", 1.0, "engine", shard=0, routers=3),
+                  _span("materialize", 0.2, "shard", shard=1),
+                  _span("ingest", 1.0, "engine", shard=1, routers=2),
+                  _span("ingest", 1.0, "engine", shard=2, routers=4,
+                        failed=True)]
+        for span in spans:
+            reg(span)
+        snap = reg.snapshot()
         assert snap["counters"][("shards_completed_total", ())] == 2
         assert snap["counters"][("routers_simulated_total", ())] == 5
         hist = snap["histograms"][("shard_seconds", ())]
         assert hist["count"] == 2
         assert hist["sum"] == pytest.approx(0.7)
+        assert snap["counters"][("stage_calls_total",
+                                 (("stage", "ingest"),))] == 3
 
 
 class TestExporters:
@@ -236,13 +256,26 @@ class TestEventLog:
         log.emit("campaign_started")  # must not raise
         assert log.emitted == 0
 
-    def test_module_emit_noop_when_disabled(self, tmp_path):
+    def test_instants_logged_only_while_enabled(self, tmp_path):
         assert not events.is_enabled()
-        events.emit("campaign_started")  # silently dropped
+        trace.instant("campaign_started", routers=1)  # no log: dropped
         log = events.enable(tmp_path / "e.jsonl")
-        events.emit("campaign_started", routers=5)
+        buffer = trace.enable()
+        trace.instant("campaign_started", routers=5)
+        trace.instant("net.accept", connections=1)  # not an event
+        with trace.span("shard_started"):  # a span is not an event
+            pass
+        trace.instant("router_ingested", router="US001", batches=2, sent=3,
+                      delivered=2, ingested={"heartbeats": 2})
         assert events.disable() is log
-        assert read_events(tmp_path / "e.jsonl")[0]["routers"] == 5
+        recorded = read_events(tmp_path / "e.jsonl")
+        assert [e["event"] for e in recorded] == ["campaign_started",
+                                                  "router_ingested"]
+        assert recorded[0]["routers"] == 5
+        # The event keeps its instant's wall-clock time, and leaves out
+        # the args only the metrics registry reads.
+        assert recorded[0]["ts"] == round(buffer.spans[0]["ts"], 6)
+        assert set(recorded[1]) == {"ts", "event", "router", "batches"}
 
     def test_rotation_caps_segments(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -293,6 +326,44 @@ class TestEventLog:
             EventLog(tmp_path / "e.jsonl", max_bytes=0)
         with pytest.raises(ValueError):
             EventLog(tmp_path / "e.jsonl", max_segments=0)
+
+
+class TestSinks:
+    """The registry, the event log and the span buffer are sinks of one
+    recorder; each is attached only while its owner wants it."""
+
+    def test_metrics_alone_buffer_no_spans(self):
+        """A daemon with only the registry on holds no span list."""
+        registry = metrics.enable()
+        config = LoadConfig(clients=8, connections=2,
+                            heartbeats_per_upload=3,
+                            uptime_reports_per_upload=1, seed=5)
+        run_load_over_loopback(config, ServeConfig(reorder_window=2))
+        assert not trace.is_enabled()
+        assert trace.active() is None
+        assert trace.drain()["spans"] == []
+        assert registry.counters[("uploads_stored_total", ())] == 8
+        assert registry.counters[("stage_calls_total",
+                                  (("stage", "net.ingest"),))] == 8
+
+    def test_worker_spans_reach_each_sink_once(self):
+        """A shard run as a worker runs it buffers its spans instead of
+        handing them to the sinks it inherited; the parent hands them to
+        its sinks as it merges them."""
+        config = StudyConfig(seed=3, router_scale=0.05, duration_scale=0.02,
+                             traffic_consents=1, low_activity_consents=0)
+        plan = build_deployment_plan(config.deployment_config())
+        inherited = []
+        trace.attach(inherited.append)
+        _, shipped = run_shard(plan, 0, 1, collect_trace=True)
+        assert inherited == []
+        assert {span["name"] for span in shipped["spans"]} >= {
+            "materialize", "collect"}
+        trace.disable()  # the buffer the shard attached
+        registry = metrics.enable()
+        trace.merge(shipped)
+        assert registry.counters[("stage_calls_total",
+                                  (("stage", "collect"),))] == 1
 
 
 class TestManifest:
@@ -410,8 +481,8 @@ class TestTelemetrySession:
         assert samples[("routers_simulated_total", ())] == n_routers
 
     def test_back_to_back_sessions_do_not_leak(self, tmp_path):
-        """Each session promotes only its own spans and tears down only
-        the recorder it enabled."""
+        """Each session counts only its own spans and leaves a recorder
+        the caller enabled running."""
         def collect_calls(out):
             samples = parse_prometheus((out / "metrics.prom").read_text())
             return samples[("stage_calls_total", (("stage", "collect"),))]

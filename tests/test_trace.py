@@ -19,7 +19,6 @@ from repro import StudyConfig, run_study, study_digest, trace
 from repro.collection.engine import shard_count
 from repro.trace import (
     ENGINE_STAGES,
-    TraceRecorder,
     chrome_trace_events,
     format_profile,
     load_chrome_trace,
@@ -47,8 +46,8 @@ def _span(name, ts, dur, pid, cat="engine", **args):
 
 class TestTraceRecorder:
     def test_add_and_drain(self):
-        rec = TraceRecorder("t-1")
-        rec.add("collect", 10.0, 12.5, cat="shard", shard=3)
+        rec = trace.enable("t-1")
+        trace.add_span("collect", 10.0, 12.5, cat="shard", shard=3)
         assert len(rec) == 1
         snap = rec.drain()
         assert snap["trace_id"] == "t-1"
@@ -59,14 +58,15 @@ class TestTraceRecorder:
         assert len(rec) == 0  # drained
 
     def test_negative_duration_clamped(self):
-        rec = TraceRecorder()
-        rec.add("x", 10.0, 9.0)
+        rec = trace.enable()
+        trace.add_span("x", 10.0, 9.0)
         assert rec.spans[0]["dur"] == 0.0
 
     def test_merge_folds_worker_snapshot(self):
-        rec = TraceRecorder()
-        rec.add("ingest", 0.0, 1.0)
-        rec.merge({"trace_id": "", "spans": [_span("collect", 0.0, 1.0, 99)]})
+        rec = trace.enable()
+        trace.add_span("ingest", 0.0, 1.0)
+        trace.merge({"trace_id": "", "spans": [_span("collect", 0.0, 1.0,
+                                                      99)]})
         assert len(rec) == 2
         assert rec.spans[1]["pid"] == 99
 
