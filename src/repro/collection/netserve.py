@@ -466,9 +466,16 @@ def run_campaign_over_socket(plan, seed: Optional[int] = None,
             for shard_index in range(n_shards):
                 uploads = await loop.run_in_executor(
                     None, run_shard, plan, shard_index, n_shards, seed)
-                for upload in uploads:
-                    await client.upload(seq, upload)
-                    seq += 1
+                # The engine's span for a shard's uploads, which closes
+                # the shard in the metrics (one shard is in flight).
+                with trace.span("ingest", cat="engine", shard=shard_index,
+                                routers=len(uploads),
+                                records=sum(u.record_count
+                                            for u in uploads),
+                                in_flight=0):
+                    for upload in uploads:
+                        await client.upload(seq, upload)
+                        seq += 1
         finally:
             await client.close()
             await daemon.stop()

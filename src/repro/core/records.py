@@ -11,7 +11,10 @@ declare a :class:`Range` (``Annotated[float, NON_NEGATIVE]``, every
 timestamp ``Annotated[float, TIMESTAMP]``); a float is otherwise finite,
 an int in ``[0, INT64_END)``.  :class:`RowCodec` derives from the fields
 the record check every :class:`Record` constructor runs and the column
-check of columnar batches and spill reads.  Rules between fields live in :meth:`Record.check_relations`.
+check of columnar batches and spill reads.  A rule between fields, or on
+one text field's syntax, is a :class:`Relation` in the class's
+``RELATIONS``: written once, run on a record's values and on a batch's
+columns.
 
 :data:`RECORD_DATASETS` is the one table of the seven record-list data
 sets: each name's record class, its :class:`~repro.core.datasets.StudyData`
@@ -34,12 +37,12 @@ import reprlib
 import sys
 import typing
 from dataclasses import dataclass
-from typing import (Annotated, Any, Callable, Dict, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Annotated, Any, Callable, ClassVar, Dict, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
-from repro.netutils.mac import parse_mac
+from repro.netutils.mac import is_mac
 
 #: Sentinel domain used when a DNS name was not on the whitelist.  The
 #: firmware replaces the name *before* the record leaves the home.
@@ -94,16 +97,32 @@ TIMESTAMP = Range(0, 2 ** 32)
 TZ_OFFSET_HOURS = Range(-12.0, math.nextafter(14.0, math.inf))
 
 
+class Relation(NamedTuple):
+    """A rule between a record's fields, or on one text field.
+
+    *holds* takes the fields' values in *fields* order, an enum as its
+    column code, and says whether they keep the rule.  A rule on numbers
+    and codes only must hold for whole columns too (numpy arrays, one
+    bool per row); a rule that reads text takes one row's values.
+    *refusal* is the ``ValueError`` message, formatted with the fields'
+    values of the first row that breaks the rule.
+    """
+
+    fields: Tuple[str, ...]
+    holds: Callable[..., Any]
+    refusal: str
+
+
 class Record:
     """A record dataclass: construction checks each field's kind and
-    range (:meth:`RowCodec.check`), then :meth:`check_relations`."""
+    range, then the class's :attr:`RELATIONS` (:meth:`RowCodec.check`)."""
+
+    #: The rules between fields, which :meth:`RowCodec.check` runs on a
+    #: record and :meth:`RowCodec.check_columns` on columns.
+    RELATIONS: ClassVar[Tuple[Relation, ...]] = ()
 
     def __post_init__(self) -> None:
         codec(type(self)).check(self)
-        self.check_relations()
-
-    def check_relations(self) -> None:
-        """Raise ``ValueError`` when a rule between fields fails."""
 
 
 class Medium(enum.Enum):
@@ -111,6 +130,10 @@ class Medium(enum.Enum):
 
     WIRED = "wired"
     WIRELESS = "wireless"
+
+
+#: The column code of a wired medium (:attr:`RowCodec.codes`).
+MEDIUM_WIRED = 1 + [*Medium].index(Medium.WIRED)
 
 
 @dataclass(frozen=True)
@@ -124,13 +147,14 @@ class RouterInfo(Record):
     #: Per-capita GDP (PPP, international dollars) of the router's country.
     gdp_ppp_per_capita: float
 
-    def check_relations(self) -> None:
+    RELATIONS = (
         # A router id names files of a spill store's keyed data sets.
-        if not ROUTER_ID.fullmatch(self.router_id):
-            raise ValueError("router_id must be ASCII letters, digits, "
-                             "'-' or '_'")
-        if not self.gdp_ppp_per_capita > 0:
-            raise ValueError("gdp_ppp_per_capita must be positive")
+        Relation(("router_id",),
+                 lambda router_id: ROUTER_ID.fullmatch(router_id) is not None,
+                 "router_id must be ASCII letters, digits, '-' or '_'"),
+        Relation(("gdp_ppp_per_capita",), lambda gdp: gdp > 0,
+                 "gdp_ppp_per_capita must be positive"),
+    )
 
 
 @dataclass(frozen=True)
@@ -197,12 +221,17 @@ class DeviceRosterEntry(Record):
     last_seen: Annotated[float, TIMESTAMP]
     always_connected: bool
 
-    def check_relations(self) -> None:
-        if not self.first_seen <= self.last_seen:
-            raise ValueError("first_seen must not be after last_seen")
-        if self.medium is Medium.WIRED and self.spectrum is not None:
-            raise ValueError("wired devices have no spectrum")
-        parse_mac(self.device_mac)  # the vendor analysis reads its OUI
+    RELATIONS = (
+        Relation(("first_seen", "last_seen"),
+                 lambda first, last: first <= last,
+                 "first_seen must not be after last_seen"),
+        Relation(("medium", "spectrum"),
+                 lambda medium, spectrum: ((medium != MEDIUM_WIRED)
+                                           | (spectrum == SPECTRUM_NONE)),
+                 "wired devices have no spectrum"),
+        # The vendor analysis parses the MAC for its OUI.
+        Relation(("device_mac",), is_mac, "not a MAC address: {device_mac!r}"),
+    )
 
 
 @dataclass(frozen=True)
@@ -275,9 +304,10 @@ class DnsRecord(Record):
     #: Resolved (obfuscated) address for A records; None for CNAMEs.
     address: Optional[Annotated[int, Range(0, IPV4_END)]] = None
 
-    def check_relations(self) -> None:
-        if self.record_type not in ("A", "CNAME"):
-            raise ValueError(f"unsupported DNS record type {self.record_type!r}")
+    RELATIONS = (
+        Relation(("record_type",), ("A", "CNAME").__contains__,
+                 "unsupported DNS record type {record_type!r}"),
+    )
 
 
 # -- the record table ---------------------------------------------------------
@@ -431,9 +461,8 @@ class RowCodec:
 
     :attr:`layout` is the same row as one packed numpy record, the row
     of a spill segment.  A batch of records is its columns:
-    :meth:`check_columns` checks them as :meth:`check` and
-    :meth:`Record.check_relations` would check the records, and
-    :meth:`from_columns` builds the records.
+    :meth:`check_columns` checks them as :meth:`check` would check the
+    records, and :meth:`from_columns` builds the records.
     """
 
     def __init__(self, record: type) -> None:
@@ -474,24 +503,49 @@ class RowCodec:
         self._column_tests = tuple((f, _column_test(f))
                                    for f in (*self.fields, *flags))
         self._decoders = tuple(map(self._decoder, self.fields))
-        self._relations = record.check_relations is not Record.check_relations
+        #: Per relation: its row of a record's values (an enum member as
+        #: its code) and whether it reads text (so takes one row).
+        self._relations = tuple(
+            (relation, self._relation_row(relation.fields),
+             any(name in self.text for name in relation.fields))
+            for relation in record.RELATIONS)
 
     def check(self, record: Any) -> None:
         """Raise ``ValueError`` naming the first field of *record* not of
-        its kind, or a number not finite and in its range."""
+        its kind, or a number not finite and in its range, or with the
+        refusal of the first :attr:`Record.RELATIONS` rule it breaks."""
         for field, test, value in zip(self.fields, self._tests,
                                       self._values(record)):
             if not test(value):
                 raise ValueError(
                     f"{self.record.__name__}.{field.name} must hold "
                     f"{_wanted(field)}, not {_shown(value)}")
+        for relation, row_of, _ in self._relations:
+            row = row_of(record)
+            if not relation.holds(*row):
+                raise ValueError(relation.refusal.format(
+                    **dict(zip(relation.fields, row))))
+
+    def _relation_row(self, fields: Tuple[str, ...],
+                      ) -> Callable[[Any], Sequence]:
+        """A record's values of *fields* as a relation reads them."""
+        if not any(name in self.codes for name in fields):
+            values = operator.attrgetter(*fields)
+            return values if len(fields) > 1 else lambda r: (values(r),)
+        codes = [self._member_codes.get(name) for name in fields]
+        return lambda record: [
+            getattr(record, name) if code is None
+            else code[getattr(record, name)]
+            for name, code in zip(fields, codes)]
 
     def check_columns(self, columns: Mapping[str, Any],
                       router_id: Optional[str] = None) -> None:
         """Raise ``ValueError`` naming the first column of :attr:`layout`
         with a value :meth:`check` would refuse (:func:`_column_test`),
-        or one of the first record :meth:`Record.check_relations`
-        refuses.
+        or with the refusal of the first row that breaks a
+        :attr:`Record.RELATIONS` rule: a rule on numbers and codes runs
+        once on whole columns, a rule that reads text in one pass over
+        the rows.
 
         Given *router_id*, the rows are one router's: *columns* are the
         layout's after ``router_id``, and the id is tested once.
@@ -508,9 +562,21 @@ class RowCodec:
             if not test(columns[field.name]):
                 raise ValueError(f"{self.record.__name__}.{field.name} "
                                  f"column must hold {_wanted(field)}")
-        if self._relations:
-            for record in self.from_columns(columns, router_id):
-                record.check_relations()
+        for relation, _, reads_text in self._relations:
+            values = [columns[name] if name in self.text
+                      else self.array(name, columns[name])
+                      for name in relation.fields]
+            if reads_text:
+                holds = np.fromiter(map(relation.holds, *values), dtype=bool,
+                                    count=len(values[0]))
+            else:
+                holds = np.asarray(relation.holds(*values), dtype=bool)
+            if not holds.all():
+                row = int(np.argmin(holds))
+                raise ValueError(relation.refusal.format(**{
+                    name: value[row] if name in self.text
+                    else value[row].item()
+                    for name, value in zip(relation.fields, values)}))
 
     def _decoder(self, field: RowField) -> Callable[[Mapping], Sequence]:
         """One field's values out of checked columns, as plain values."""

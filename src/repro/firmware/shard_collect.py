@@ -57,6 +57,10 @@ devices (roster)      ``power_on``, ``device_*``, ``associations``
 wifi                  ``power_on``, ``device_*``, ``associations``,
                       ``neighbors``
 ====================  =====================================================
+
+The ``associations`` runs are exact only inside the hours the cohort
+solved (``ShardCohort.solved``, the plan's device, WiFi and traffic
+windows): the device and WiFi passes refuse a window outside them.
 """
 
 from __future__ import annotations
@@ -201,6 +205,16 @@ def _group_counts(group: Tuple[np.ndarray, np.ndarray, int],
     if always_n:
         counts = counts + always_n
     return counts
+
+
+def _check_solved(cohort: ShardCohort, window: Tuple[float, float],
+                  name: str) -> None:
+    """Refuse a window outside the hours the cohort solved device
+    associations over: its runs are cut at their edges."""
+    if not cohort.solves(*window):
+        raise ValueError(
+            f"the {name} window {window} is not inside the hours the "
+            f"cohort solved device associations over {cohort.solved}")
 
 
 def _assoc_slice(assoc: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -516,6 +530,8 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
 
     with trace.span("collect.devices", cat="shard"):
         start, end = windows.devices
+        if n:
+            _check_solved(cohort, windows.devices, "devices")
         for i in range(n):
             rid = configs[i].router_id
             if rid not in plan.devices_routers:
@@ -529,6 +545,8 @@ def collect_shard(cohort: ShardCohort, plan: DeploymentPlan,
 
     with trace.span("collect.wifi", cat="shard"):
         start, end = windows.wifi
+        if n:
+            _check_solved(cohort, windows.wifi, "wifi")
         channel_24 = DEFAULT_CHANNELS[Spectrum.GHZ_2_4]
         channel_5 = DEFAULT_CHANNELS[Spectrum.GHZ_5]
         flat_24, offsets_24 = cols["neighbors"][Spectrum.GHZ_2_4]

@@ -60,7 +60,7 @@ def monitor_traffic(household: Household, start: float, end: float,
     throughput series, flow columns and DNS columns."""
     traffic = household.traffic(start, end)
     series = _throughput_series(household, traffic, rng)
-    flows, dns = _flow_records(household, traffic, rng, policy)
+    flows, dns = _flow_records(traffic, rng, policy)
     return series, flows, dns
 
 
@@ -85,15 +85,14 @@ def _throughput_series(household: Household, traffic: HomeTraffic,
     )
 
 
-def _flow_records(household: Household, traffic: HomeTraffic,
-                  rng: np.random.Generator,
+def _flow_records(traffic: HomeTraffic, rng: np.random.Generator,
                   policy: AnonymizationPolicy,
                   ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Anonymize the generated connections and sample their DNS answers,
     as flow and DNS columns."""
     flows = []
     dns = []
-    macs = [policy.anonymize_mac(device.mac) for device in household.devices]
+    macs = [policy.anonymize_mac(device.mac) for device in traffic.devices]
     # Per-campaign domain cache: each distinct domain name resolves its
     # whitelist filtering and IP pseudonym once, not once per flow.
     domain_cache: "dict[str, Tuple[str, int]]" = {}

@@ -86,6 +86,12 @@ def parse_mac(text: str) -> MacAddress:
     return MacAddress(value)
 
 
+def is_mac(text: str) -> bool:
+    """Whether :func:`parse_mac` reads *text*: its syntax, without
+    building the address."""
+    return _MAC_RE.match(text.strip()) is not None
+
+
 def format_mac(value: int) -> str:
     """Render a 48-bit integer as the canonical ``aa:bb:cc:dd:ee:ff`` form."""
     if not 0 <= value <= _MAC_MASK:

@@ -128,13 +128,14 @@ class ActivitySchedule:
 
     def evening_block(self, calendar: StudyCalendar,
                       day_start_epoch: float,
-                      rng: np.random.Generator) -> "tuple[float, float]":
+                      rng) -> "tuple[float, float]":
         """Sample the contiguous evening-use block for an appliance-mode home.
 
         Returns (start, end) epochs within the local day starting at
         *day_start_epoch*.  Weekends produce earlier, longer blocks —
         matching the Chinese household of Fig. 6b whose router is on
-        "briefly in evenings and during weekends".
+        "briefly in evenings and during weekends".  *rng* is anything
+        with a ``Generator``'s ``uniform(low, high)``.
         """
         weekend = calendar.is_weekend(day_start_epoch + 12 * 3600)
         if weekend:

@@ -14,28 +14,34 @@ columnar generation*:
   ``Household.__init__`` path does (same streams, same call sequence, same
   sizes) — the bitwise-determinism contract lives here;
 * the expensive **expansions** are batched: device association timelines
-  are solved for the whole shard at once (see :class:`_AssociationBatch`),
-  and power/link/schedule/wireless results are stored as flat column
-  arrays instead of per-home object graphs;
+  are solved for the whole shard at once, and only over the hours the
+  collectors read (see :class:`ReadHours`), and power/link/schedule/
+  wireless results are stored as flat column arrays instead of per-home
+  object graphs;
 * :class:`ShardCohort` holds the columns; ``Household`` becomes a thin
   view that assembles model objects lazily from column slices
-  (:meth:`ShardCohort.household`).
+  (:meth:`ShardCohort.household`).  A view's devices replay the home's
+  ``"devices"`` stream through the same solver, over the whole span.
 
 The Markov recurrence ``state[i] = draws[i] < (prob_on if state[i-1] else
 prob_off)[i]`` looks inherently sequential, but because the clamp keeps
 ``prob_off <= prob_on`` element-wise, an hour with ``draws < prob_off``
 (an *on-hour*) is on whatever came before, and one with ``draws >=
 prob_on`` (a *forced-off hour*) is off; any other hour keeps the state
-of the hour before.  So a device's runs start at the first on-hour after
-the span's start or after a forced-off hour, and end at the next
-forced-off hour or the span's end: one ``flatnonzero`` over a device's
-hours finds them, with no matrix of hours.  DESIGN.md §10 documents the
+of the hour before.  So an hour's state is the kind of the last on-hour
+or forced-off hour at or before it, and off when there is none since
+the span's start: one ``np.repeat`` of those hours' kinds fills a
+devices × hours matrix, and the runs start and end where the state
+changes.  A range of hours that starts later takes that hour from the
+hours just before it, its lookback.  DESIGN.md §10 documents the
 draw-order contract and this derivation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import bisect
+import math
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,12 +52,15 @@ from repro.simulation.behavior import ActivitySchedule
 from repro.simulation.device_models import (
     KIND_CODE,
     KIND_ORDER,
+    TABLE_SLOTS,
+    DeviceDraw,
     SimDevice,
-    association_probs,
+    association_clock,
+    association_levels,
     association_span_hours,
-    association_time_index,
     generate_device_draws,
     kind_traits,
+    transition_probs,
 )
 from repro.netutils.mac import MacAddress
 from repro.simulation.domains import Domain, default_universe
@@ -64,7 +73,7 @@ from repro.simulation.power import (
     draw_power_model,
 )
 from repro.simulation.seeding import SeedHierarchy
-from repro.simulation.timebase import HOUR, StudyCalendar
+from repro.simulation.timebase import HOUR, StudyCalendar, StudyWindows
 from repro.simulation.wireless import (
     WirelessEnvironment,
     WirelessEnvironmentConfig,
@@ -73,55 +82,261 @@ from repro.simulation.wireless import (
 _SPECTRA = (Spectrum.GHZ_2_4, Spectrum.GHZ_5)
 
 
-class _AssociationBatch:
-    """The shard's device association timelines, solved device by device.
+#: Hours gathered before each read range: the last on-hour or forced-off
+#: hour among them fixes the state the range starts in.  Under the clamp
+#: an hour is one of the two with probability at least 0.45, so all 24
+#: are neither with probability at most 0.55 ** 24 (about 6e-7 per device
+#: and range); such a device is solved again from its replayed draws.
+LOOKBACK_HOURS = 24
 
-    ``push`` takes one device's hourly draws and transition probabilities
-    and returns its slot index; ``finalize`` returns every slot's
-    connected runs as flat interval columns.  A device's runs come from
-    its on-hours and forced-off hours (see the module docstring), and
-    their epochs from the scalar reference's float expressions
-    (``span_start + hour_index * HOUR``), so the intervals are
-    bitwise-identical.
+
+class ReadHours:
+    """The hour ranges of a span that association runs are solved over.
+
+    *ranges* are half-open ranges of the span's *hours*, clipped to it
+    and merged where they overlap or touch.  Each range is gathered with
+    up to :data:`LOOKBACK_HOURS` hours before it: :attr:`columns` lists
+    the gathered hours, range by range.
     """
 
-    def __init__(self, span: Tuple[float, float], hours: int):
-        self.span = span
+    def __init__(self, hours: int, ranges: Iterable[Tuple[int, int]]):
+        merged: List[List[int]] = []
+        for lo, hi in sorted((max(lo, 0), min(hi, hours))
+                             for lo, hi in ranges):
+            if lo >= hi:
+                continue
+            if merged and lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
         self.hours = hours
-        #: Per slot, its runs' first hours and the hours they end at.
-        self._starts: List[np.ndarray] = []
-        self._ends: List[np.ndarray] = []
+        self.ranges = tuple((lo, hi) for lo, hi in merged)
+        columns: List[np.ndarray] = []
+        next_hours: List[np.ndarray] = []
+        #: Per range, its first gathered column.
+        self._firsts: List[int] = []
+        #: Per range starting past its lookback's reach of hour 0, the
+        #: slice of its lookback and first read column.
+        self._lookbacks: List[Tuple[int, int]] = []
+        #: Per range, the slice of its read columns.
+        self._reads: List[Tuple[int, int]] = []
+        width = 0
+        for lo, hi in self.ranges:
+            first = max(lo - LOOKBACK_HOURS, 0)
+            columns.append(np.arange(first, hi))
+            self._firsts.append(width)
+            if first:  # the hours before the lookback go unread
+                self._lookbacks.append((width, width + lo - first + 1))
+            self._reads.append((width + lo - first, width + hi - first))
+            # The run bounds the state's changes fall on: a change into
+            # the range's hour h is at h, one after its last hour at hi.
+            next_hours.append(np.arange(lo, hi + 1))
+            width += hi - first
+        self.columns = (np.concatenate(columns) if columns
+                        else np.empty(0, dtype=np.int64))
+        self._next_hours = (np.concatenate(next_hours) if next_hours
+                            else np.empty(0, dtype=np.int64))
 
-    def push(self, draws: np.ndarray, prob_off: np.ndarray,
-             prob_on: np.ndarray) -> int:
+    def _runs(self, draws: np.ndarray, prob_off: np.ndarray,
+              prob_on: np.ndarray,
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each row's runs over the ranges and the rows whose lookback
+        fixes no state: ``(start hours, end hours, runs per row, unknown
+        rows)``, the runs ordered by row, then hour."""
+        n = draws.shape[0]
         on = draws < prob_off
-        # The hours that set the state: on-hours and forced-off hours.
-        events = np.flatnonzero(on | (draws >= prob_on))
-        kind = on[events]
-        # The state flips at the first event, if an on-hour, and at each
-        # event of the other kind than the one before: alternately a run's
-        # first hour and the forced-off hour that ends it.
-        flips = np.empty(events.size, dtype=bool)
-        flips[:1] = kind[:1]
-        np.not_equal(kind[1:], kind[:-1], out=flips[1:])
-        marks = events[flips]
-        ends = marks[1::2]
-        if marks.size % 2:  # the last run lasts to the span's end
-            ends = np.append(ends, self.hours)
-        self._starts.append(marks[0::2])
-        self._ends.append(ends)
-        return len(self._starts) - 1
+        fixed = draws >= prob_on
+        fixed |= on
+        fixes = np.ones(n, dtype=bool)
+        for lo, hi in self._lookbacks:
+            fixes &= fixed[:, lo:hi].any(axis=1)
+        unknown = np.flatnonzero(~fixes)
+        # Each range's first gathered hour sets the state: off unless an
+        # on-hour.  From hour 0 that is the walk's own start; past it, the
+        # lookback's last on-hour or forced-off hour overrules it before
+        # the range begins (or the row is unknown).
+        fixed[:, self._firsts] = True
+        events = np.flatnonzero(fixed)
+        if not events.size:
+            return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                    np.zeros(n, dtype=np.int64), unknown)
+        # An hour's state is its last event's kind.
+        lasting = np.empty_like(events)
+        np.subtract(events[1:], events[:-1], out=lasting[:-1])
+        lasting[-1] = fixed.size - events[-1]
+        state = np.repeat(on.ravel()[events], lasting).reshape(draws.shape)
+        # The read columns, each range between off columns, so the state
+        # changes alternate between run starts and run ends.
+        padded = np.zeros((n, self._next_hours.size + 1), dtype=bool)
+        at = 1
+        for lo, hi in self._reads:
+            padded[:, at:at + hi - lo] = state[:, lo:hi]
+            at += hi - lo + 1
+        changes = padded[:, 1:] != padded[:, :-1]
+        bounds = self._next_hours[np.flatnonzero(changes)
+                                  % self._next_hours.size]
+        return (bounds[0::2], bounds[1::2],
+                np.count_nonzero(changes, axis=1) // 2, unknown)
+
+    def solve(self, draws: np.ndarray, prob_off: np.ndarray,
+              prob_on: np.ndarray,
+              full_rows: Callable[[np.ndarray], Tuple[np.ndarray, ...]],
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every row's association runs over the ranges, in hours.
+
+        *draws*, *prob_off* and *prob_on* hold one row per device and
+        one column per gathered hour (:attr:`columns`).  Returns ``(start
+        hours, end hours, offsets)``: row ``i``'s runs are
+        ``offsets[i]:offsets[i + 1]``, in time order, and a run that
+        crosses a range's edge is cut there.  The rows whose lookback
+        fixes no state are solved again over the whole span, from the
+        ``(draws, prob_off, prob_on)`` matrices ``full_rows(rows)`` gives
+        for them, and cut to the ranges.
+        """
+        n = draws.shape[0]
+        starts, ends, counts, unknown = self._runs(draws, prob_off, prob_on)
+        if unknown.size:
+            rows = np.repeat(np.arange(n), counts)
+            whole = ReadHours(self.hours, [(0, self.hours)])
+            redo_starts, redo_ends, redo_counts, _ = whole._runs(
+                *full_rows(unknown))
+            redo = np.repeat(unknown, redo_counts)
+            keep = ~np.isin(rows, unknown)
+            parts = [(rows[keep], starts[keep], ends[keep])]
+            for lo, hi in self.ranges:
+                cut = (redo_ends > lo) & (redo_starts < hi)
+                parts.append((redo[cut], np.maximum(redo_starts[cut], lo),
+                              np.minimum(redo_ends[cut], hi)))
+            rows, starts, ends = (np.concatenate(column)
+                                  for column in zip(*parts))
+            order = np.lexsort((starts, rows))
+            starts, ends = starts[order], ends[order]
+            counts = np.bincount(rows, minlength=n)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return starts, ends, offsets
+
+
+class _AssociationBatch:
+    """Device association runs over read hours, solved in one batch.
+
+    ``push`` keeps a device's draws at the read hours, the 48-slot
+    schedule levels it follows, its scale and its clock (the table slot
+    of each hour of the span, :func:`association_clock`) and returns its
+    slot; ``finalize`` gathers every slot's transition probabilities from
+    its table and solves all slots at once.  A slot whose lookback fixes
+    no state is solved from ``replay(slot)``, its full-span draws.  Run
+    epochs are the scalar reference's ``span_start + hour_index * HOUR``,
+    so within the read ranges the intervals are bitwise its own.
+    """
+
+    def __init__(self, span: Tuple[float, float], read: ReadHours,
+                 replay: Optional[Callable[[int], np.ndarray]]):
+        self.span = span
+        self.read = read
+        self._replay = replay
+        self._draws: List[np.ndarray] = []
+        self._levels: List[np.ndarray] = []
+        self._scales: List[float] = []
+        self._clock_of: List[int] = []
+        self._clocks: List[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def add_clock(self, slots: np.ndarray) -> int:
+        """Register one timezone's clock; returns its index."""
+        self._clocks.append(slots)
+        return len(self._clocks) - 1
+
+    def push(self, draws: np.ndarray, levels: np.ndarray, scale: float,
+             clock: int) -> int:
+        self._draws.append(draws[self.read.columns])
+        self._levels.append(levels)
+        self._scales.append(scale)
+        self._clock_of.append(clock)
+        return len(self._draws) - 1
+
+    @property
+    def solved(self) -> Tuple[Tuple[float, float], ...]:
+        """The read ranges, as epoch intervals of the span."""
+        bounds = np.array(self.read.ranges, dtype=np.int64).reshape(-1, 2)
+        starts, ends = run_epochs(self.span, *bounds.T)
+        return tuple(zip(starts.tolist(), ends.tolist()))
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return every slot's runs: (flat starts, flat ends, offsets)."""
-        span_start, span_end = self.span
-        start_hours, offsets = _flatten(self._starts)
-        end_hours, _ = _flatten(self._ends)
-        self._starts.clear()
-        self._ends.clear()
-        return (span_start + start_hours * HOUR,
-                np.minimum(span_start + end_hours * HOUR, span_end),
-                offsets)
+        n = len(self._draws)
+        if not n:
+            return np.empty(0), np.empty(0), np.zeros(1, dtype=np.int64)
+        prob_off, prob_on = transition_probs(
+            np.array(self._levels), np.array(self._scales)[:, None])
+        base = np.arange(n)[:, None] * TABLE_SLOTS
+        slots = np.array([clock[self.read.columns]
+                          for clock in self._clocks])[self._clock_of]
+        slots += base
+
+        def full_rows(rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+            full = np.array([self._clocks[self._clock_of[row]]
+                             for row in rows.tolist()]) + base[rows]
+            return (np.array([self._replay(row) for row in rows.tolist()]),
+                    prob_off.take(full), prob_on.take(full))
+
+        starts, ends, offsets = self.read.solve(
+            np.array(self._draws), prob_off.take(slots),
+            prob_on.take(slots), full_rows)
+        return (*run_epochs(self.span, starts, ends), offsets)
+
+
+def run_epochs(span: Tuple[float, float], start_hours: np.ndarray,
+               end_hours: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Runs in hours of *span* as epochs: the scalar reference's
+    ``span_start + hour_index * HOUR``, ends clipped to the span."""
+    span_start, span_end = span
+    return (span_start + start_hours * HOUR,
+            np.minimum(span_start + end_hours * HOUR, span_end))
+
+
+def _hour_ranges(span: Tuple[float, float],
+                 windows: Iterable[Tuple[float, float]],
+                 ) -> List[Tuple[int, int]]:
+    """The ranges of the span's hours that overlap each window."""
+    start = span[0]
+    ranges = []
+    for lo_epoch, hi_epoch in windows:
+        lo = math.floor((lo_epoch - start) / HOUR)
+        while start + lo * HOUR > lo_epoch:
+            lo -= 1
+        hi = math.ceil((hi_epoch - start) / HOUR)
+        while start + hi * HOUR < hi_epoch:
+            hi += 1
+        ranges.append((lo, hi))
+    return ranges
+
+
+def _device_draws(scope: SeedHierarchy, config: HouseholdConfig, hours: int,
+                  push: Callable[[bool, float, np.ndarray], int],
+                  ) -> List[DeviceDraw]:
+    """One home's device draws from its ``"devices"`` stream."""
+    profile = config.country.behavior
+    return generate_device_draws(
+        scope.generator("devices"), hours, config.country.developed,
+        profile.mean_devices, profile.always_wired_probability,
+        profile.always_wireless_probability, push)
+
+
+def _push_home(batch: _AssociationBatch, scope: SeedHierarchy,
+               config: HouseholdConfig, schedule: ActivitySchedule,
+               clock: int) -> List[DeviceDraw]:
+    """Draw one home's devices, pushing each Markov device to *batch*."""
+    # Indexed by follows_presence: activity, then presence.
+    levels = (association_levels(schedule, False),
+              association_levels(schedule, True))
+
+    def push(follows: bool, scale: float, draws: np.ndarray) -> int:
+        return batch.push(draws, levels[follows], scale, clock)
+
+    return _device_draws(scope, config, batch.read.hours, push)
 
 
 def _flatten(parts: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -145,14 +360,19 @@ class ShardCohort(Sequence):
     """
 
     def __init__(self, seed: int, configs: Sequence[HouseholdConfig],
-                 universe: Sequence[Domain], columns: Dict[str, object]):
+                 universe: Sequence[Domain], columns: Dict[str, object],
+                 solved: Tuple[Tuple[float, float], ...]):
         self.seed = seed
         self.configs = tuple(configs)
         self.universe = universe
         self.seeds = SeedHierarchy(seed)
         self._columns = columns
+        #: The epoch ranges the ``associations`` runs are exact in: the
+        #: read hours, each run cut at their edges.
+        self.solved = solved
         self._views: List[Optional[Household]] = [None] * len(self.configs)
         self._calendars: Dict[float, StudyCalendar] = {}
+        self._clocks: Dict[float, np.ndarray] = {}
 
     @property
     def columns(self) -> Dict[str, object]:
@@ -186,6 +406,11 @@ class ShardCohort(Sequence):
             view = Household._from_cohort(self, index)
             self._views[index] = view
         return view
+
+    def solves(self, start: float, end: float) -> bool:
+        """Whether the ``associations`` runs are exact inside ``[start,
+        end)``: the window lies inside one solved range."""
+        return any(lo <= start and end <= hi for lo, hi in self.solved)
 
     def calendar_for(self, config: HouseholdConfig) -> StudyCalendar:
         tz = config.country.tz_offset_hours
@@ -251,29 +476,62 @@ class ShardCohort(Sequence):
             neighbors)
 
     def _build_devices(self, index: int) -> List[SimDevice]:
+        """The home's devices, their timelines over the whole span: the
+        home's ``"devices"`` stream replayed through the solver, with the
+        span as its one range (which has no lookback to replay)."""
+        config = self.configs[index]
+        span = config.span
+        hours = association_span_hours(span)
+        tz = config.country.tz_offset_hours
+        if tz not in self._clocks:
+            self._clocks[tz] = association_clock(span,
+                                                 self.calendar_for(config))
+        batch = _AssociationBatch(span, ReadHours(hours, [(0, hours)]), None)
+        clock = batch.add_clock(self._clocks[tz])
+        _push_home(batch, self.seeds.child("household", config.router_id),
+                   config, self._build_schedule(index), clock)
+        return self._devices(index, *batch.finalize())
+
+    def _devices_within(self, index: int, start: float,
+                        end: float) -> Optional[List[SimDevice]]:
+        """The home's devices with the cohort's solved runs as their
+        timelines, which are exact inside ``[start, end)``; None when the
+        window is not inside the solved ranges."""
+        if not self.solves(start, end):
+            return None
+        starts, ends, offsets = self._columns["associations"]
+        lo, hi = self._columns["device_offsets"][index:index + 2]
+        slots = self._columns["device_slot"][lo:hi]
+        markov = slots[slots >= 0]
+        first = int(markov[0]) if markov.size else 0
+        return self._devices(index, starts, ends,
+                             offsets[first:first + markov.size + 1])
+
+    def _devices(self, index: int, starts: np.ndarray, ends: np.ndarray,
+                 offsets: np.ndarray) -> List[SimDevice]:
+        """The home's devices from the device columns; its Markov
+        devices' runs, in order, are ``offsets`` apart in *starts* and
+        *ends*."""
         config = self.configs[index]
         cols = self._columns
-        dev_offsets = cols["device_offsets"]
-        assoc_starts, assoc_ends, assoc_offsets = cols["associations"]
+        lo, hi = cols["device_offsets"][index:index + 2]
         devices: List[SimDevice] = []
-        for position, dev in enumerate(
-                range(int(dev_offsets[index]),
-                      int(dev_offsets[index + 1]))):
+        markov = 0
+        for position, dev in enumerate(range(int(lo), int(hi))):
             kind = KIND_ORDER[cols["device_kind"][dev]]
-            traits = kind_traits(kind)
             always = bool(cols["device_always"][dev])
             if always:
                 connected = IntervalSet([config.span])
             else:
-                slot = int(cols["device_slot"][dev])
-                lo, hi = assoc_offsets[slot], assoc_offsets[slot + 1]
+                run_lo, run_hi = offsets[markov:markov + 2]
                 connected = IntervalSet.from_normalized_arrays(
-                    assoc_starts[lo:hi], assoc_ends[lo:hi])
+                    starts[run_lo:run_hi], ends[run_lo:run_hi])
+                markov += 1
             devices.append(SimDevice(
                 device_id=f"{config.router_id}-dev{position:02d}",
                 kind=kind,
                 mac=MacAddress(int(cols["device_mac"][dev])),
-                medium=traits.medium,
+                medium=kind_traits(kind).medium,
                 spectrum=SPECTRUM_BY_CODE[cols["device_spectrum"][dev]],
                 always_connected=always,
                 connected=connected,
@@ -283,13 +541,16 @@ class ShardCohort(Sequence):
 
 
 def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
+                       windows: StudyWindows,
                        universe: Optional[Sequence[Domain]] = None,
                        ) -> ShardCohort:
     """Draw and expand one shard's homes into a :class:`ShardCohort`.
 
     The per-home draw pass consumes each home's streams in exactly the
     order the reference ``Household.__init__`` path does; expansions are
-    columnar.  Sub-stage timings land under ``materialize.*`` spans when
+    columnar.  Device associations are solved over the hours of the
+    *windows* in which collectors read them (:attr:`ShardCohort.solved`).
+    Sub-stage timings land under ``materialize.*`` spans when
     :mod:`repro.trace` is enabled.
     """
     if universe is None:
@@ -317,12 +578,34 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
     device_slot: List[int] = []
 
     calendars: Dict[float, StudyCalendar] = {}
-    time_indices: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+    clocks: Dict[float, int] = {}
     batch: Optional[_AssociationBatch] = None
-    prob_cache: Dict[Tuple[bool, float], Tuple[np.ndarray, np.ndarray]] = {}
+    scopes: List[SeedHierarchy] = []
+    #: Per home, the batch slot of its first Markov device.
+    first_slots: List[int] = []
+
+    def replay(slot: int) -> np.ndarray:
+        """A device's full-span draws, replayed from its home's stream.
+
+        It reads nothing of the batch: a batch holding a closure over
+        itself would be a reference cycle, which keeps every shard's
+        draws alive until the cyclic collector runs.
+        """
+        home = bisect.bisect_right(first_slots, slot) - 1
+        config = cohort_configs[home]
+        drawn: List[np.ndarray] = []
+
+        def keep(follows: bool, scale: float, draws: np.ndarray) -> int:
+            drawn.append(draws)
+            return -1
+
+        _device_draws(scopes[home], config,
+                      association_span_hours(config.span), keep)
+        return drawn[slot - first_slots[home]]
 
     for config in cohort_configs:
         scope = seeds.child("household", config.router_id)
+        scopes.append(scope)
         profile = config.country.behavior
         tz = config.country.tz_offset_hours
         calendar = calendars.get(tz)
@@ -379,32 +662,23 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
 
         with trace.span("materialize.devices", cat="shard"):
             if batch is None:
-                batch = _AssociationBatch(
-                    config.span, association_span_hours(config.span))
+                # The windows in which collectors observe devices: the
+                # census and roster, the WiFi scans' client counts and
+                # the traffic monitor's flows.
+                read = ReadHours(association_span_hours(config.span),
+                                 _hour_ranges(config.span, (
+                                     windows.devices, windows.wifi,
+                                     windows.traffic)))
+                batch = _AssociationBatch(config.span, read, replay)
             elif batch.span != config.span:
                 raise ValueError(
                     "all homes in a shard must share one study span")
-            prob_cache.clear()
-            time_index = time_indices.get(tz)
-            if time_index is None:
-                time_index = time_indices[tz] = association_time_index(
-                    config.span, calendar)
-
-            def push_association(follows: bool, scale: float,
-                                 draws: np.ndarray) -> int:
-                probs = prob_cache.get((follows, scale))
-                if probs is None:
-                    probs = association_probs(
-                        config.span, calendar, schedule, follows, scale,
-                        time_index=time_index)
-                    prob_cache[(follows, scale)] = probs
-                return batch.push(draws, *probs)
-
-            draws = generate_device_draws(
-                scope.generator("devices"), config.span, calendar, schedule,
-                config.country.developed, profile.mean_devices,
-                profile.always_wired_probability,
-                profile.always_wireless_probability, push_association)
+            clock = clocks.get(tz)
+            if clock is None:
+                clock = clocks[tz] = batch.add_clock(
+                    association_clock(config.span, calendar))
+            first_slots.append(len(batch))
+            draws = _push_home(batch, scope, config, schedule, clock)
             device_counts.append(len(draws))
             for draw in draws:
                 device_kind.append(KIND_CODE[draw.kind])
@@ -418,8 +692,10 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
         if batch is None:
             associations = (np.empty(0), np.empty(0),
                             np.zeros(1, dtype=np.int64))
+            solved: Tuple[Tuple[float, float], ...] = ()
         else:
             associations = batch.finalize()
+            solved = batch.solved
 
     device_offsets = np.zeros(len(cohort_configs) + 1, dtype=np.int64)
     np.cumsum(np.asarray(device_counts, dtype=np.int64),
@@ -447,7 +723,7 @@ def build_shard_cohort(seed: int, configs: Sequence[HouseholdConfig],
         "device_slot": np.asarray(device_slot, dtype=np.int64),
         "associations": associations,
     }
-    return ShardCohort(seed, cohort_configs, universe, columns)
+    return ShardCohort(seed, cohort_configs, universe, columns, solved)
 
 
 def _flatten_intervals(parts: List[np.ndarray],

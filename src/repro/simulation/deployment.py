@@ -154,15 +154,16 @@ def materialize_shard(plan: DeploymentPlan, shard_index: int, n_shards: int,
     The result is a :class:`~repro.simulation.cohort.ShardCohort`: it
     iterates, indexes, and slices like the list of ``Household`` objects it
     used to be, but the per-home models are assembled lazily from the
-    cohort's column arrays.  Workers may pass a pre-built *domain_universe*
-    to share it across shards within a process; omitted, the memoized
-    deterministic default is used.
+    cohort's column arrays.  Device associations are solved only over the
+    hours of the plan's windows that collectors read devices in.  Workers
+    may pass a pre-built *domain_universe* to share it across shards
+    within a process; omitted, the memoized deterministic default is used.
     """
     universe = (domain_universe if domain_universe is not None
                 else default_universe())
     return build_shard_cohort(plan.seed,
                               plan.shard_configs(shard_index, n_shards),
-                              universe)
+                              plan.windows, universe)
 
 
 class Deployment:

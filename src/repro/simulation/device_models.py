@@ -163,51 +163,49 @@ def association_span_hours(span: Tuple[float, float]) -> int:
     return int(np.ceil((end - start) / HOUR))
 
 
-def association_time_index(span: Tuple[float, float],
-                           calendar: StudyCalendar,
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-hour ``(local hour-of-day, weekend?)`` arrays for one span.
+#: Entries of an association table: weekday hours 0-23, then weekend
+#: hours 0-23.
+TABLE_SLOTS = 48
 
-    Depends only on the calendar's timezone and the span, so the cohort
-    materializer computes it once per timezone and shares it across every
-    :func:`association_probs` call in the shard.
+
+def association_clock(span: Tuple[float, float],
+                      calendar: StudyCalendar) -> np.ndarray:
+    """Per hour of the span, its association-table slot: the local
+    hour of day, plus 24 on a local weekend.
+
+    Depends only on the calendar's timezone and the span, so a cohort
+    computes it once per timezone.
     """
     start, _ = span
-    hours = association_span_hours(span)
-    epochs = start + np.arange(hours) * HOUR
-    return (calendar.hour_of_day_many(epochs),
-            calendar.is_weekend_many(epochs))
+    epochs = start + np.arange(association_span_hours(span)) * HOUR
+    slots = calendar.hour_of_day_many(epochs)
+    slots[calendar.is_weekend_many(epochs)] += 24
+    return slots
 
 
-def association_probs(span: Tuple[float, float],
-                      calendar: StudyCalendar,
-                      schedule: ActivitySchedule,
-                      follows_presence: bool,
-                      scale: float,
-                      persistence: float = 0.55,
-                      time_index: Optional[Tuple[np.ndarray,
-                                                 np.ndarray]] = None,
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-hour transition probabilities ``(prob_off, prob_on)``.
-
-    Pure arithmetic over the schedule curves — no RNG.  ``prob_off`` is
-    the connect probability from the disconnected state, ``prob_on`` from
-    the connected state; the shared clamp keeps ``prob_off <= prob_on``
-    element-wise, which the columnar batch solver relies on.  Passing a
-    precomputed *time_index* (:func:`association_time_index`) skips the
-    epoch-to-local-time conversion; the level lookup below indexes the
-    schedule's hourly curves as ``ActivitySchedule.presence`` and
-    ``activity`` do, so the result is bitwise-identical either way.
-    """
-    if time_index is None:
-        time_index = association_time_index(span, calendar)
-    hour_index, weekend = time_index
+def association_levels(schedule: ActivitySchedule, follows_presence: bool,
+                       ) -> np.ndarray:
+    """The schedule curve a device follows, by association-table slot."""
     if follows_presence:
-        levels = np.where(weekend, schedule.presence_weekend[hour_index],
-                          schedule.presence_weekday[hour_index])
-    else:
-        levels = np.where(weekend, schedule.activity_weekend[hour_index],
-                          schedule.activity_weekday[hour_index])
+        return np.concatenate((schedule.presence_weekday,
+                               schedule.presence_weekend))
+    return np.concatenate((schedule.activity_weekday,
+                           schedule.activity_weekend))
+
+
+def transition_probs(levels: np.ndarray, scale,
+                     persistence: float = 0.55,
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Transition probabilities ``(prob_off, prob_on)`` at schedule
+    *levels* scaled by *scale* (a number, or a column of one per row).
+
+    Pure elementwise arithmetic, so computing it on a 48-slot table and
+    gathering the result by hour gives bitwise what computing it hour by
+    hour gives.  ``prob_off`` is the connect probability from the
+    disconnected state, ``prob_on`` from the connected state; the shared
+    clamp keeps ``prob_off <= prob_on`` element-wise, which the columnar
+    solver relies on.
+    """
     target = levels * scale
     np.minimum(target, 1.0, out=target)
     stay = (1 - persistence) * target
@@ -227,6 +225,34 @@ def association_probs(span: Tuple[float, float],
     np.maximum(prob_on, floor, out=prob_on)
     np.minimum(prob_on, ceiling, out=prob_on)
     return prob_off, prob_on
+
+
+def association_probs(span: Tuple[float, float],
+                      calendar: StudyCalendar,
+                      schedule: ActivitySchedule,
+                      follows_presence: bool,
+                      scale: float,
+                      persistence: float = 0.55,
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-hour transition probabilities ``(prob_off, prob_on)``.
+
+    Pure arithmetic over the schedule curves — no RNG.  The level lookup
+    indexes the schedule's hourly curves hour by hour, as
+    ``ActivitySchedule.presence`` and ``activity`` do; the cohort gathers
+    the same values from a 48-slot table (:func:`association_levels`,
+    :func:`association_clock`).
+    """
+    start, _ = span
+    epochs = start + np.arange(association_span_hours(span)) * HOUR
+    hour_index = calendar.hour_of_day_many(epochs)
+    weekend = calendar.is_weekend_many(epochs)
+    if follows_presence:
+        levels = np.where(weekend, schedule.presence_weekend[hour_index],
+                          schedule.presence_weekday[hour_index])
+    else:
+        levels = np.where(weekend, schedule.activity_weekend[hour_index],
+                          schedule.activity_weekday[hour_index])
+    return transition_probs(levels, scale, persistence)
 
 
 def _markov_association(rng: np.random.Generator,
@@ -426,7 +452,7 @@ def generate_devices(rng: np.random.Generator,
 # association solve over the whole shard.  The draw pass emits one
 # DeviceDraw per device; non-always devices hand their hourly uniform
 # draws to a sink and receive a slot index to claim the solved intervals
-# from later.
+# from later.  Replaying the stream gives the same draws again.
 
 #: Stable kind <-> small-int code mapping for the cohort's kind column.
 KIND_ORDER: Tuple[DeviceKind, ...] = tuple(DeviceKind)
@@ -447,9 +473,7 @@ class DeviceDraw:
 
 
 def generate_device_draws(rng: np.random.Generator,
-                          span: Tuple[float, float],
-                          calendar: StudyCalendar,
-                          schedule: ActivitySchedule,
+                          hours: int,
                           developed: bool,
                           mean_devices: float,
                           always_wired_probability: float,
@@ -461,7 +485,7 @@ def generate_device_draws(rng: np.random.Generator,
     path (the cohort equivalence suite asserts this), but defers the
     Markov run-extraction: for each non-always device it calls
     ``push_association(follows_presence, schedule_scale, hourly_draws)``
-    and records the returned slot.
+    with the span's *hours* uniforms and records the returned slot.
     """
     mix = _DEVELOPED_MIX if developed else _DEVELOPING_MIX
     base_total = sum(mean for _, mean in mix)
@@ -483,7 +507,6 @@ def generate_device_draws(rng: np.random.Generator,
     alphas = np.full(len(kinds), 0.45)
     weights = rng.dirichlet(alphas)
 
-    hours = association_span_hours(span)
     draws_out: List[DeviceDraw] = []
     assigned_always_wired = False
     assigned_always_wireless = False

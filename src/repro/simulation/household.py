@@ -16,7 +16,8 @@ Households come into existence two ways with identical results:
   every model eagerly, one home at a time;
 * the **cohort path** — ``repro.simulation.cohort`` draws a whole shard
   columnar-style and hands out :meth:`_from_cohort` views whose model
-  attributes assemble lazily from the shard's column arrays.
+  attributes assemble lazily from the shard's column arrays (the
+  devices' full-span timelines from a replay of the home's stream).
 
 The cohort equivalence suite pins the two paths together bitwise.
 """
@@ -129,7 +130,9 @@ class Household:
 
         No RNG is consumed here: every draw already happened during the
         cohort's columnar pass.  Model attributes assemble on first touch
-        from the cohort's column arrays.
+        from the cohort's column arrays; the devices, whose timelines the
+        cohort solved only over the hours collectors read, replay the
+        home's ``"devices"`` stream from a fresh generator.
         """
         config = cohort.configs[index]
         obj = cls.__new__(cls)
@@ -232,6 +235,19 @@ class Household:
 
     # -- traffic -----------------------------------------------------------------
 
+    def _devices_within(self, start: float, end: float) -> List[SimDevice]:
+        """The devices, their timelines exact inside ``[start, end)``.
+
+        A cohort view takes its cohort's solved runs when the window lies
+        inside them, which spares the full-span replay of :attr:`devices`.
+        """
+        if self._devices is None and self._cohort is not None:
+            devices = self._cohort._devices_within(self._cohort_index,
+                                                   start, end)
+            if devices is not None:
+                return devices
+        return self.devices
+
     def traffic(self, start: float, end: float) -> HomeTraffic:
         """Generated traffic for a window (cached per window)."""
         key = (start, end)
@@ -240,7 +256,7 @@ class Household:
             return cached
         generator = TrafficGenerator(
             rng=self._seeds.generator("traffic"),
-            devices=self.devices,
+            devices=self._devices_within(start, end),
             schedule=self.schedule,
             calendar=self.calendar,
             sampler=self.domain_sampler,

@@ -55,6 +55,57 @@ def _sample_events(rng: np.random.Generator, span: Tuple[float, float],
     return times, np.minimum(times + durations, end)
 
 
+class _DayDraws:
+    """The uniforms a loop over days takes from *rng*, drawn in blocks.
+
+    Every day takes at least one draw, its first (:meth:`day`).  A block
+    holds the least the days left still take, one draw each, and when a
+    day takes more it is topped up the same way, so the stream ends
+    exactly where drawing one value at a time leaves it.  ``random()``
+    values are the stream's, and ``uniform(low, high)`` is ``low + (high
+    - low) * random()``, as ``Generator.uniform`` computes it, so the
+    day loops read as if they drew from the generator itself.
+    """
+
+    __slots__ = ("_rng", "_block", "_next", "_later")
+
+    def __init__(self, rng: np.random.Generator, days: int):
+        self._rng = rng
+        #: Days after the current one.
+        self._later = days
+        self._block: List[float] = []
+        self._next = 0
+
+    def day(self) -> float:
+        """The next day's first draw."""
+        self._later -= 1
+        return self.random()
+
+    def random(self) -> float:
+        if self._next == len(self._block):
+            # This draw, then one for each day still to come.
+            self._block = self._rng.random(1 + self._later).tolist()
+            self._next = 0
+        value = self._block[self._next]
+        self._next += 1
+        return value
+
+    def uniform(self, low: float, high: float) -> float:
+        return low + (high - low) * self.random()
+
+
+def _day_starts(span: Tuple[float, float],
+                calendar: StudyCalendar) -> List[float]:
+    """The local midnights from the one before the span's start, each a
+    day after the last, until the span's end."""
+    starts = []
+    day_start = calendar.local_midnight_before(span[0])
+    while day_start < span[1]:
+        starts.append(day_start)
+        day_start += DAY
+    return starts
+
+
 class PowerModel:
     """Base class: a precomputed on-interval set over the study span.
 
@@ -146,13 +197,13 @@ class AlwaysOnPower(PowerModel):
         if probability <= 0:
             return []
         offs: List[Tuple[float, float]] = []
-        day_start = calendar.local_midnight_before(span[0])
-        while day_start < span[1]:
-            if rng.random() < probability:
-                off_start = day_start + float(rng.uniform(0.0, 1.5)) * HOUR
-                off_end = day_start + float(rng.uniform(6.0, 8.0)) * HOUR
+        day_starts = _day_starts(span, calendar)
+        draws = _DayDraws(rng, len(day_starts))
+        for day_start in day_starts:
+            if draws.day() < probability:
+                off_start = day_start + draws.uniform(0.0, 1.5) * HOUR
+                off_end = day_start + draws.uniform(6.0, 8.0) * HOUR
                 offs.append((off_start, off_end))
-            day_start += DAY
         return offs
 
 
@@ -174,15 +225,17 @@ class AppliancePower(PowerModel):
                  skip_day_probability: float = 0.12,
                  weekend_second_block_probability: float = 0.5):
         on: List[Tuple[float, float]] = []
-        day_start = calendar.local_midnight_before(span[0])
-        while day_start < span[1]:
-            if rng.random() >= skip_day_probability:
-                on.append(schedule.evening_block(calendar, day_start, rng))
+        day_starts = _day_starts(span, calendar)
+        draws = _DayDraws(rng, len(day_starts))
+        for day_start in day_starts:
+            if draws.day() >= skip_day_probability:
+                on.append(schedule.evening_block(calendar, day_start, draws))
                 weekend = calendar.is_weekend(day_start + 12 * HOUR)
-                if weekend and rng.random() < weekend_second_block_probability:
-                    start = day_start + float(rng.uniform(8.0, 11.0)) * HOUR
-                    on.append((start, start + float(rng.uniform(1.0, 3.0)) * HOUR))
-            day_start += DAY
+                if (weekend
+                        and draws.random() < weekend_second_block_probability):
+                    start = day_start + draws.uniform(8.0, 11.0) * HOUR
+                    on.append((start,
+                               start + draws.uniform(1.0, 3.0) * HOUR))
         on_set = IntervalSet.from_event_arrays(
             np.asarray([s for s, _ in on], dtype=float),
             np.asarray([e for _, e in on], dtype=float))

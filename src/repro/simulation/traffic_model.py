@@ -50,6 +50,8 @@ class HomeTraffic:
     """One home's generated traffic over a window."""
 
     window: Tuple[float, float]
+    #: The devices the flows' ``device_index`` points into.
+    devices: List[SimDevice]
     flows: List[SimFlow]
     #: Per-minute gateway byte counts; index 0 is the window start minute.
     minute_up_bytes: np.ndarray
@@ -132,8 +134,9 @@ class TrafficGenerator:
             keep = self.online.contains_many(timestamps)
             flows = [f for f, k in zip(flows, keep) if k]
         flows.sort(key=lambda f: f.timestamp)
-        return HomeTraffic(window=(start, end), flows=flows,
-                           minute_up_bytes=up, minute_down_bytes=down)
+        return HomeTraffic(window=(start, end), devices=self.devices,
+                           flows=flows, minute_up_bytes=up,
+                           minute_down_bytes=down)
 
     # -- pieces ----------------------------------------------------------------
 

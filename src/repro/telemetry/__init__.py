@@ -87,14 +87,16 @@ class TelemetrySession:
 
     Creating a session attaches the metrics registry and the JSONL event
     log under *directory* to the trace recorder; neither needs the span
-    buffer.  :meth:`finalize` writes everything into the artifact
-    directory; :meth:`close` detaches the sinks this session attached.
+    buffer.  A registry the caller already attached is used as it is.
+    :meth:`finalize` writes everything into the artifact directory;
+    :meth:`close` detaches the sinks this session attached.
     """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._t0 = time.perf_counter()
+        self._owns_registry = not metrics.is_enabled()
         self.registry = metrics.enable()
         self.event_log = events.enable(self.directory / "events.jsonl")
         self.manifest: Optional[RunManifest] = None
@@ -147,10 +149,11 @@ class TelemetrySession:
         return self.manifest
 
     def close(self) -> None:
-        """Detach and close the event log, and detach the registry."""
+        """Detach and close the event log, and detach the registry if
+        this session attached it."""
         if events.active() is self.event_log:
             events.disable()
         else:  # pragma: no cover - a nested session replaced the log
             self.event_log.close()
-        if metrics.active() is self.registry:
+        if self._owns_registry and metrics.active() is self.registry:
             metrics.disable()

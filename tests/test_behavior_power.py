@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.intervals import IntervalSet
 from repro.simulation.behavior import ActivitySchedule
 from repro.simulation.power import (
     MODE_ALWAYS_ON,
@@ -166,3 +169,82 @@ class TestDrawPowerModel:
             fractions_dev.append(dev.on_fraction(*SPAN))
             fractions_dvg.append(dvg.on_fraction(*SPAN))
         assert np.mean(fractions_dvg) < np.mean(fractions_dev) - 0.05
+
+
+#: Probabilities of a day's draw: never, always, or anything between.
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+#: A span of whole and part days from any time of a day, in any zone.
+_SPANS = st.tuples(st.floats(0.0, DAY), st.floats(HOUR, 30 * DAY),
+                   st.sampled_from([-8.0, 0.0, 5.5, 9.0]))
+
+
+class TestBlockDrawnDays:
+    """The day loops take their uniforms in blocks: the same intervals
+    as drawing one value at a time, and the stream left where that
+    leaves it."""
+
+    @staticmethod
+    def nightly_offs(rng, span, calendar, probability):
+        """The nightly-off loop drawing one value at a time."""
+        if probability <= 0:
+            return []
+        offs = []
+        day_start = calendar.local_midnight_before(span[0])
+        while day_start < span[1]:
+            if rng.random() < probability:
+                off_start = day_start + float(rng.uniform(0.0, 1.5)) * HOUR
+                off_end = day_start + float(rng.uniform(6.0, 8.0)) * HOUR
+                offs.append((off_start, off_end))
+            day_start += DAY
+        return offs
+
+    @staticmethod
+    def appliance_on(rng, span, calendar, schedule, skip, second):
+        """The appliance-mode loop drawing one value at a time."""
+        on = []
+        day_start = calendar.local_midnight_before(span[0])
+        while day_start < span[1]:
+            if rng.random() >= skip:
+                on.append(schedule.evening_block(calendar, day_start, rng))
+                weekend = calendar.is_weekend(day_start + 12 * HOUR)
+                if weekend and rng.random() < second:
+                    start = day_start + float(rng.uniform(8.0, 11.0)) * HOUR
+                    on.append((start,
+                               start + float(rng.uniform(1.0, 3.0)) * HOUR))
+            day_start += DAY
+        return IntervalSet.from_event_arrays(
+            np.array([s for s, _ in on], dtype=float),
+            np.array([e for _, e in on], dtype=float)).clip(*span)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), _SPANS, _PROBABILITY)
+    @example(7, (0.0, 20 * DAY, 0.0), 1.0)  # every night off
+    @example(7, (0.0, 20 * DAY, 0.0), 0.0)  # no night off, no draw
+    def test_nightly_offs_match_scalar_loop(self, seed, window, probability):
+        offset, length, tz = window
+        span = (SPAN[0] + offset, SPAN[0] + offset + length)
+        calendar = StudyCalendar(tz)
+        block, scalar = (np.random.default_rng(seed) for _ in range(2))
+        assert AlwaysOnPower._nightly_offs(block, span, calendar,
+                                           probability) == \
+            self.nightly_offs(scalar, span, calendar, probability)
+        assert block.random() == scalar.random()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), _SPANS, _PROBABILITY, _PROBABILITY)
+    @example(7, (0.0, 20 * DAY, 0.0), 0.0, 1.0)  # every weekend twice
+    @example(7, (0.0, 20 * DAY, 0.0), 1.0, 1.0)  # every day dark
+    def test_appliance_days_match_scalar_loop(self, seed, window, skip,
+                                              second):
+        offset, length, tz = window
+        span = (SPAN[0] + offset, SPAN[0] + offset + length)
+        calendar = StudyCalendar(tz)
+        home = schedule(seed % 7)
+        block, scalar = (np.random.default_rng(seed) for _ in range(2))
+        power = AppliancePower(block, span, calendar, home,
+                               skip_day_probability=skip,
+                               weekend_second_block_probability=second)
+        assert power.on_intervals == self.appliance_on(
+            scalar, span, calendar, home, skip, second)
+        assert block.random() == scalar.random()

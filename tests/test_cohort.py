@@ -14,8 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.intervals import IntervalSet
-from repro.simulation.cohort import _AssociationBatch
-from repro.simulation.device_models import _markov_runs
+from repro.simulation.cohort import (LOOKBACK_HOURS, ReadHours,
+                                     _AssociationBatch, run_epochs)
+from repro.simulation.device_models import (TABLE_SLOTS, _markov_runs,
+                                            transition_probs)
 from repro.simulation.deployment import (
     Deployment,
     DeploymentConfig,
@@ -189,38 +191,129 @@ def _association_rows(draw, hours):
 
 
 def _edge_rows(hours):
-    """A row never forced off, one on only in its last hour and one
-    never on."""
+    """A row never forced off, one on only in its last hour, one never
+    on, and one on from its first hour with no on-hour or forced-off
+    hour after it, so no lookback fixes its state."""
     low, high = np.full(hours, 0.25), np.full(hours, 0.75)
     last_on = np.full(hours, 0.9)
     last_on[-1] = 0.1
+    unfixed = np.full(hours, 0.5)
+    unfixed[0] = 0.1
+    never_off, never_on = np.zeros(hours), np.ones(hours)
+    never_off[0], never_on[0] = 0.25, 0.75
     return [(np.tile([0.1, 0.5], hours)[:hours], low, np.ones(hours)),
-            (last_on, low, high), (np.full(hours, 0.1), np.zeros(hours), high)]
+            (last_on, low, high), (np.full(hours, 0.1), np.zeros(hours), high),
+            (unfixed, never_off, never_on)]
+
+
+@st.composite
+def _read_ranges(draw, hours):
+    """One to three ranges of a span's *hours*, which may overlap, touch
+    or fall past the lookback; at least one holds an hour, so every case
+    compares runs."""
+    bound = st.integers(0, hours)
+    ranges = draw(st.lists(st.tuples(bound, bound).map(sorted), max_size=2))
+    lo = draw(st.integers(0, hours - 1))
+    ranges.insert(draw(st.integers(0, len(ranges))),
+                  (lo, draw(st.integers(lo + 1, hours))))
+    return ranges
 
 
 @st.composite
 def _association_cases(draw):
-    """A span's hour count and up to four devices' rows."""
-    hours = draw(st.integers(1, 30))
-    return hours, draw(st.lists(_association_rows(hours), max_size=4))
+    """A span's hour count, up to four devices' rows and its hour
+    ranges."""
+    hours = draw(st.integers(1, 3 * LOOKBACK_HOURS))
+    return (hours, draw(st.lists(_association_rows(hours), max_size=4)),
+            draw(_read_ranges(hours)))
+
+
+def _hex_runs(runs):
+    return [bound.hex() for run in runs for bound in run]
+
+
+def _range_epochs(span, ranges):
+    """Hour ranges of *span* as epochs, the last clipped to its end."""
+    return [(span[0] + lo * HOUR, min(span[0] + hi * HOUR, span[1]))
+            for lo, hi in ranges]
+
+
+def _clipped(span, runs, ranges):
+    """*runs* cut to the hour ranges (merged, in order), as epochs."""
+    return [run for lo, hi in _range_epochs(span, ranges)
+            for run in runs.clip(lo, hi)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_association_cases(), st.sampled_from([0.0, 0.5, 0.999]))
-@example((1, []), 0.5)  # a one-hour span that ends mid-hour
+@example((1, [], [(0, 1)]), 0.5)  # a one-hour span that ends mid-hour
+@example((60, [], [(0, 60)]), 0.0)  # the whole span, as a view solves it
+@example((60, [], [(40, 45), (10, 20), (20, 30), (50, 70)]), 0.5)
 def test_association_runs_match_scalar_walk(case, cut):
-    """The batch's on/off-hour runs are the scalar walk's, bit for bit,
-    over a span of whole hours or one that ends mid-hour."""
-    hours, rows = case
+    """The solved runs over the read hours are the scalar walk's cut to
+    the ranges, bit for bit, over a span of whole hours or one that ends
+    mid-hour, including rows whose lookback fixes no state."""
+    hours, rows, ranges = case
     start = utc(2013, 3, 1)
     span = (start, start + (hours - cut) * HOUR)
     rows = rows + _edge_rows(hours)
-    batch = _AssociationBatch(span, hours)
-    slots = [batch.push(*row) for row in rows]
+    read = ReadHours(hours, ranges)
+    replayed = []
+
+    def full_rows(indices):
+        replayed.extend(indices.tolist())
+        return tuple(np.array([rows[i][k] for i in indices.tolist()])
+                     for k in range(3))
+
+    starts, ends, offsets = read.solve(
+        *(np.array([row[k][read.columns] for row in rows])
+          for k in range(3)), full_rows)
+    starts, ends = run_epochs(span, starts, ends)
+    for index, row in enumerate(rows):
+        lo, hi = offsets[index], offsets[index + 1]
+        got = IntervalSet.from_normalized_arrays(starts[lo:hi], ends[lo:hi])
+        want = _clipped(span, _markov_runs(span, *row), read.ranges)
+        assert _hex_runs(got) == _hex_runs(want)
+    if any(lo > LOOKBACK_HOURS for lo, _ in read.ranges):
+        assert len(rows) - 1 in replayed  # the unfixed edge row
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.data())
+def test_batch_gathers_tables_and_replays(seed, n_rows, data):
+    """A batch's runs come from each row's 48-slot table gathered by its
+    clock, and a row whose lookback fixes no state from its replayed
+    draws: the scalar walk's runs cut to the read hours."""
+    hours = 4 * LOOKBACK_HOURS
+    start = utc(2013, 3, 1)
+    span = (start, start + hours * HOUR)
+    ranges = data.draw(_read_ranges(hours))
+    rng = np.random.default_rng(seed)
+    clocks = [rng.integers(0, TABLE_SLOTS, size=hours) for _ in range(2)]
+    rows = [(rng.random(hours), rng.random(TABLE_SLOTS),
+             float(rng.uniform(0.1, 2.0)), int(rng.integers(0, 2)))
+            for _ in range(n_rows)]
+    # On in hour 0 (slot 0: level 1), then neither an on-hour nor a
+    # forced-off hour (slot 1: level 0, so 0 <= draw < 0.55).
+    unfixed_clock = np.ones(hours, dtype=np.int64)
+    unfixed_clock[0] = 0
+    unfixed_levels = np.zeros(TABLE_SLOTS)
+    unfixed_levels[0] = 1.0
+    unfixed_draws = np.full(hours, 0.3)
+    unfixed_draws[0] = 0.1
+    rows.append((unfixed_draws, unfixed_levels, 1.0, 2))
+    clocks.append(unfixed_clock)
+    read = ReadHours(hours, ranges)
+    batch = _AssociationBatch(span, read, lambda slot: rows[slot][0])
+    ids = [batch.add_clock(clock) for clock in clocks]
+    slots = [batch.push(draws, levels, scale, ids[clock])
+             for draws, levels, scale, clock in rows]
     starts, ends, offsets = batch.finalize()
-    for slot, row in zip(slots, rows):
+    for slot, (draws, levels, scale, clock) in zip(slots, rows):
+        prob_off, prob_on = transition_probs(levels, scale)
+        want = _markov_runs(span, draws, prob_off[clocks[clock]],
+                            prob_on[clocks[clock]])
         lo, hi = offsets[slot], offsets[slot + 1]
         got = IntervalSet.from_normalized_arrays(starts[lo:hi], ends[lo:hi])
-        want = _markov_runs(span, *row)
-        assert [bound.hex() for run in got for bound in run] == \
-            [bound.hex() for run in want for bound in run]
+        assert _hex_runs(got) == _hex_runs(_clipped(span, want, read.ranges))
+    assert list(batch.solved) == _range_epochs(span, read.ranges)

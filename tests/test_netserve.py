@@ -1001,6 +1001,25 @@ class TestDigestParity:
         socketed = run_campaign_over_socket(plan, shard_size=2)
         assert study_digest(socketed) == study_digest(inproc)
 
+    def test_socket_campaign_counts_its_shards(self, registry):
+        """Each shard's uploads are one engine ``ingest`` span, so every
+        shard counts and its run seconds are observed, not left over."""
+        from repro.collection.engine import shard_count
+        from repro.simulation.deployment import (
+            DeploymentConfig,
+            build_deployment_plan,
+        )
+
+        plan = build_deployment_plan(DeploymentConfig(
+            seed=2013, windows=StudyWindows().scaled(0.02), router_scale=0.2,
+            traffic_consents=2, low_activity_consents=0))
+        run_campaign_over_socket(plan, shard_size=2)
+        assert shard_count(len(plan), 2) == 17
+        assert registry.shard_runs == {}
+        assert counter(registry, "shards_completed_total") == 17
+        assert counter(registry, "routers_simulated_total") == len(plan)
+        assert registry.histograms[("shard_seconds", ())]["count"] == 17
+
 
 class TestLoadgen:
     def test_synthetic_upload_deterministic(self):

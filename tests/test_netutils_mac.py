@@ -9,6 +9,7 @@ from repro.netutils.mac import (
     MacAddress,
     format_mac,
     hash_lower24,
+    is_mac,
     oui_of,
     parse_mac,
     random_mac,
@@ -42,6 +43,16 @@ class TestParseFormat:
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(MacAddressError):
             parse_mac(bad)
+
+    @given(st.text(alphabet="0123456789abcDEFg:- \t\n\u00a0", max_size=20)
+           | mac_values.map(format_mac))
+    def test_is_mac_is_what_parse_mac_reads(self, text):
+        try:
+            parse_mac(text)
+        except MacAddressError:
+            assert not is_mac(text)
+        else:
+            assert is_mac(text)
 
     def test_format_zero_padded(self):
         assert format_mac(0x000001000001) == "00:00:01:00:00:01"

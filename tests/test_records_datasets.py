@@ -11,6 +11,7 @@ from repro.core.datasets import (
     summarize_datasets,
 )
 from repro.core.records import (
+    RECORD_DATASETS,
     CapacityMeasurement,
     DeviceCountSample,
     DeviceRosterEntry,
@@ -18,6 +19,7 @@ from repro.core.records import (
     FlowRecord,
     Medium,
     RouterInfo,
+    RowCodec,
     Spectrum,
     ThroughputSample,
     UptimeReport,
@@ -86,6 +88,63 @@ class TestRecordValidation:
     def test_dns_record(self):
         with pytest.raises(ValueError):
             DnsRecord("r", T0, "m", "d", "TXT")
+
+
+def _roster(**cells):
+    """Two roster rows as typed columns; *cells* replace row 1's."""
+    rows = [["3c:07:54:aa:bb:cc", 2, 2, T0, T0 + 1.0, False],
+            [" B0-A7-37-AA-BB-CC\n", 1, 0, T0, T0, True]]
+    names = ["device_mac", "medium", "spectrum", "first_seen", "last_seen",
+             "always_connected"]
+    rows[1] = [cells.get(name, cell) for name, cell in zip(names, rows[1])]
+    codec = RECORD_DATASETS["roster"].codec
+    return {name: column if name == "device_mac"
+            else codec.array(name, column)
+            for name, column in zip(names, map(list, zip(*rows)))}
+
+
+def _dns(record_type="CNAME"):
+    return {"timestamp": [T0, T0 + 1.0], "device_mac": ["3c:07:54:aa:bb:cc"] * 2,
+            "domain": ["a.com"] * 2, "record_type": ["A", record_type],
+            "address": [7, 0], "address_null": [False, True]}
+
+
+class TestRelationsOnColumns:
+    """A batch's column check runs the rules between fields on its
+    columns, with the refusal a record of the breaking row gets."""
+
+    def test_column_check_builds_no_record(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the column check built records")
+
+        monkeypatch.setattr(RowCodec, "from_columns", refuse)
+        assert len(ColumnarRecords("roster", "r", _roster())) == 2
+        assert len(ColumnarRecords("dns", "r", _dns())) == 2
+
+    @pytest.mark.parametrize("dataset, columns, record", [
+        ("roster", _roster(first_seen=T0 + 5.0),
+         lambda: DeviceRosterEntry("r", "b0:a7:37:aa:bb:cc", Medium.WIRED,
+                                   None, T0 + 5.0, T0, True)),
+        ("roster", _roster(spectrum=1),
+         lambda: DeviceRosterEntry("r", "b0:a7:37:aa:bb:cc", Medium.WIRED,
+                                   Spectrum.GHZ_2_4, T0, T0, True)),
+        ("roster", _roster(device_mac="b0:a7:37:aa:bb"),
+         lambda: DeviceRosterEntry("r", "b0:a7:37:aa:bb", Medium.WIRED,
+                                   None, T0, T0, True)),
+        ("roster", _roster(device_mac="b0:a7-37:aa:bb:cc"),
+         lambda: DeviceRosterEntry("r", "b0:a7-37:aa:bb:cc", Medium.WIRED,
+                                   None, T0, T0, True)),
+        ("dns", _dns("TXT"),
+         lambda: DnsRecord("r", T0 + 1.0, "3c:07:54:aa:bb:cc", "a.com",
+                           "TXT")),
+    ], ids=["first-seen-after-last-seen", "wired-with-spectrum",
+            "short-mac", "mixed-separators", "txt-record-type"])
+    def test_refusal_is_the_records(self, dataset, columns, record):
+        with pytest.raises(ValueError) as refused:
+            record()
+        with pytest.raises(ValueError) as batch_refused:
+            ColumnarRecords(dataset, "r", columns)
+        assert str(batch_refused.value) == str(refused.value)
 
 
 class TestHeartbeatLog:

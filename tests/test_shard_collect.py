@@ -10,6 +10,7 @@ columnar batch container, the tick-walk schedule helper, and the wifi
 backoff determinism contract.
 """
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -50,30 +51,34 @@ def plans():
         for seed, scale in PLAN_SEEDS]
 
 
+def _reference(plan):
+    """The upload of each router of *plan* from the per-home reference
+    collectors, every device timeline the home's full-span replay."""
+    _, policy = _shard_statics()
+    seeds = SeedHierarchy(plan.seed)
+    uploads = {}
+    for home in materialize_shard(plan, 0, 1):
+        rid = home.router_id
+        home.devices  # so traffic reads the replay, not the solved runs
+        router = BismarkRouter(
+            home, seeds, policy,
+            collect_uptime=rid in plan.uptime_routers,
+            collect_devices=rid in plan.devices_routers,
+            collect_wifi=rid in plan.wifi_routers,
+            collect_traffic=rid in plan.traffic_routers)
+        output = router.run(plan.windows)
+        uploads[rid] = build_upload(
+            home.info, output.heartbeat_sends,
+            {dataset: columns(dataset, getattr(output, dataset))
+             for dataset in LIST_DATASETS}, output.throughput)
+    return uploads
+
+
 @pytest.fixture(scope="module")
 def reference_uploads(plans):
     """Per plan, the upload of each router from the per-home reference
     collectors."""
-    _, policy = _shard_statics()
-    per_plan = []
-    for plan in plans:
-        seeds = SeedHierarchy(plan.seed)
-        uploads = {}
-        for home in materialize_shard(plan, 0, 1):
-            rid = home.router_id
-            router = BismarkRouter(
-                home, seeds, policy,
-                collect_uptime=rid in plan.uptime_routers,
-                collect_devices=rid in plan.devices_routers,
-                collect_wifi=rid in plan.wifi_routers,
-                collect_traffic=rid in plan.traffic_routers)
-            output = router.run(plan.windows)
-            uploads[rid] = build_upload(
-                home.info, output.heartbeat_sends,
-                {dataset: columns(dataset, getattr(output, dataset))
-                 for dataset in LIST_DATASETS}, output.throughput)
-        per_plan.append(uploads)
-    return per_plan
+    return [_reference(plan) for plan in plans]
 
 
 def assert_same_upload(got, ref):
@@ -130,6 +135,62 @@ def test_every_shard_split_matches_reference(plans, reference_uploads,
                 assert_same_upload(upload, reference[upload.router_id])
             covered += len(uploads)
         assert covered == len(plan)
+
+
+def test_full_windows_match_reference():
+    """At the paper's full windows the devices and traffic windows share
+    one solved range, and the columnar uploads still match."""
+    plan = build_deployment_plan(DeploymentConfig(
+        seed=2013, router_scale=0.05, windows=StudyWindows(),
+        traffic_consents=2, low_activity_consents=1))
+    windows = plan.windows
+    universe, policy = _shard_statics()
+    seeds = SeedHierarchy(plan.seed)
+    reference = _reference(plan)
+    assert plan.traffic_routers
+    for n_shards in (1, 3):
+        for shard_index in range(n_shards):
+            cohort = materialize_shard(plan, shard_index, n_shards,
+                                       domain_universe=universe)
+            assert len(cohort.solved) == 2
+            assert cohort.solves(windows.devices[0], windows.traffic[1])
+            for upload in collect_shard(cohort, plan, seeds, policy):
+                assert_same_upload(upload, reference[upload.router_id])
+
+
+def test_window_outside_solved_hours_refused(plans):
+    """A cohort's association runs are cut at the hours it solved, so a
+    device or WiFi window outside them is refused."""
+    plan = plans[0]
+    universe, policy = _shard_statics()
+    cohort = materialize_shard(plan, 0, 1, domain_universe=universe)
+    day = 24 * 3600.0
+    for name in ("devices", "wifi"):
+        start, end = getattr(plan.windows, name)
+        moved = dataclasses.replace(plan, windows=dataclasses.replace(
+            plan.windows, **{name: (start + day, end + day)}))
+        with pytest.raises(ValueError, match=name):
+            collect_shard(cohort, moved, SeedHierarchy(plan.seed), policy)
+
+
+def test_traffic_reads_solved_runs(plans):
+    """A view's traffic over a solved window comes from the cohort's
+    runs, and equals its traffic from the full-span replay."""
+    for plan in plans:
+        start, end = plan.windows.traffic
+        solved = materialize_shard(plan, 0, 1)
+        replayed = materialize_shard(plan, 0, 1)
+        for rid in sorted(plan.traffic_routers):
+            index = plan.router_ids.index(rid)
+            fast, full = solved.household(index), replayed.household(index)
+            full.devices
+            got, want = fast.traffic(start, end), full.traffic(start, end)
+            assert fast._devices is None  # no replay on the fast path
+            assert got.flows == want.flows
+            assert got.minute_up_bytes.tobytes() == \
+                want.minute_up_bytes.tobytes()
+            assert got.minute_down_bytes.tobytes() == \
+                want.minute_down_bytes.tobytes()
 
 
 def test_uploads_pickle_roundtrip(plans, reference_uploads):

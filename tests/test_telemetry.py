@@ -480,6 +480,17 @@ class TestTelemetrySession:
             shard_count(n_routers, 4)
         assert samples[("routers_simulated_total", ())] == n_routers
 
+    def test_caller_registry_stays_attached(self, tmp_path):
+        """A session uses a registry the caller attached, and leaves it
+        attached and counting."""
+        registry = metrics.enable()
+        result = run_study(self.CONFIG, telemetry_dir=tmp_path / "t")
+        assert metrics.active() is registry
+        routers = ("routers_ingested_total", ())
+        assert registry.counters[routers] == len(result.data.routers)
+        run_study(self.CONFIG)
+        assert registry.counters[routers] == 2 * len(result.data.routers)
+
     def test_back_to_back_sessions_do_not_leak(self, tmp_path):
         """Each session counts only its own spans and leaves a recorder
         the caller enabled running."""
